@@ -23,8 +23,8 @@
 //!
 //! Validation is `O(stored elements)` and allocates only small per-row
 //! scratch; it is meant for debug builds, tests, and post-assembly audits,
-//! not the SpMV hot path (the kernels' `debug_assert!` preconditions in
-//! `sellkit_core::kernels::dispatch` cover that).
+//! not the SpMV hot path (the `debug_assert!` preconditions of
+//! `sellkit_core`'s checked kernel entry points cover that).
 
 #![forbid(unsafe_code)]
 

@@ -215,7 +215,7 @@ impl Csr {
     /// SpMV with an explicit ISA (ignores the default set by `with_isa`).
     pub fn spmv_isa(&self, isa: Isa, x: &[f64], y: &mut [f64]) {
         check_spmv_dims(self.nrows, self.ncols, x, y);
-        kernels::dispatch::csr_spmv(isa, &self.rowptr, &self.colidx, &self.val, x, y);
+        self.rows::<false>(isa, 0, self.nrows, x, y, None);
     }
 
     /// SpMM (`Y = A·X` over a `k`-wide row-interleaved block) with an
@@ -224,67 +224,48 @@ impl Csr {
     pub fn spmm_isa(&self, isa: Isa, x: &[f64], y: &mut [f64], k: usize) {
         assert_eq!(x.len(), self.ncols * k, "x must hold k interleaved vectors");
         assert_eq!(y.len(), self.nrows * k, "y must hold k interleaved vectors");
-        kernels::dispatch::csr_spmm::<false>(isa, &self.rowptr, &self.colidx, &self.val, x, y, k);
+        self.rows::<false>(isa, 0, self.nrows, x, y, Some(k));
     }
 
-    /// Shared body of `spmv_ctx`/`spmv_add_ctx`: serial whole-matrix
-    /// dispatch, or an nnz-balanced row partition (one window job per
-    /// worker) on the context's pool.
-    fn spmv_parts<const ADD: bool>(&self, ctx: &ExecCtx, x: &[f64], y: &mut [f64]) {
-        check_spmv_dims(self.nrows, self.ncols, x, y);
+    /// The product over rows `r0..r1` into the matching window `y` — the
+    /// whole matrix is the one-part window `0..nrows`.  `block` is `None`
+    /// for SpMV, `Some(k)` for the blocked SpMM kernel.
+    fn rows<const ADD: bool>(
+        &self,
+        isa: Isa,
+        r0: usize,
+        r1: usize,
+        x: &[f64],
+        y: &mut [f64],
+        block: Option<usize>,
+    ) {
+        // The whole-matrix half of the kernel contract (`from_parts`
+        // establishes it; a window carries neither end).
+        debug_assert_eq!(self.rowptr[0], 0, "rowptr[0]");
+        debug_assert_eq!(self.rowptr[self.nrows], self.val.len(), "rowptr end");
+        let (rowptr, colidx, val) = (&self.rowptr[r0..=r1], &self.colidx[..], &self.val[..]);
+        match block {
+            None => kernels::csr_spmv::<ADD>(isa, rowptr, colidx, val, x, y),
+            Some(k) => kernels::csr_spmm::<ADD>(isa, rowptr, colidx, val, x, y, k),
+        }
+    }
+
+    /// Shared body of both [`Operator::apply`] modes: the serial
+    /// whole-matrix product, or an nnz-balanced row partition (one window
+    /// job per worker) on the context's pool.  Partitions are
+    /// `k`-independent, so SpMV and SpMM share one cached plan per
+    /// `(pattern, threads)`.
+    fn apply_parts<const ADD: bool>(&self, ctx: &ExecCtx, x: &[f64], y: &mut [f64], k: usize) {
+        let block = (k != 1).then_some(k);
         if ctx.is_serial() {
-            if ADD {
-                kernels::dispatch::csr_spmv_add(
-                    self.isa,
-                    &self.rowptr,
-                    &self.colidx,
-                    &self.val,
-                    x,
-                    y,
-                );
-            } else {
-                kernels::dispatch::csr_spmv(self.isa, &self.rowptr, &self.colidx, &self.val, x, y);
-            }
-            return;
+            return self.rows::<ADD>(self.isa, 0, self.nrows, x, y, block);
         }
         let plan = self.plan.get_or_build(ctx.threads(), |epoch| {
             SpmvPlan::from_prefix(&self.rowptr, 1, self.nrows, ctx.threads(), self.isa, epoch)
         });
         let isa = plan.isa();
-        let (colidx, val) = (&self.colidx[..], &self.val[..]);
-        let rowptr = &self.rowptr[..];
-        plan.run_on(ctx, y, &|_, part, win| {
-            let rp = &rowptr[part.item0..=part.item1];
-            kernels::dispatch::csr_spmv_rows::<ADD>(isa, rp, colidx, val, x, win);
-        });
-    }
-
-    /// Blocked sibling of `spmv_parts`: `Y = A·X` (or `+=`) over `k`
-    /// row-interleaved right-hand sides, reusing the same cached
-    /// nnz-balanced row plan — partitions are `k`-independent, so SpMV
-    /// and SpMM share one plan per `(pattern, threads)`.
-    fn spmm_parts<const ADD: bool>(&self, ctx: &ExecCtx, x: &[f64], y: &mut [f64], k: usize) {
-        if ctx.is_serial() {
-            kernels::dispatch::csr_spmm::<ADD>(
-                self.isa,
-                &self.rowptr,
-                &self.colidx,
-                &self.val,
-                x,
-                y,
-                k,
-            );
-            return;
-        }
-        let plan = self.plan.get_or_build(ctx.threads(), |epoch| {
-            SpmvPlan::from_prefix(&self.rowptr, 1, self.nrows, ctx.threads(), self.isa, epoch)
-        });
-        let isa = plan.isa();
-        let (colidx, val) = (&self.colidx[..], &self.val[..]);
-        let rowptr = &self.rowptr[..];
         plan.run_on_blocked(ctx, y, k, &|_, part, win| {
-            let rp = &rowptr[part.item0..=part.item1];
-            kernels::dispatch::csr_spmm_rows::<ADD>(isa, rp, colidx, val, x, win, k);
+            self.rows::<ADD>(isa, part.item0, part.item1, x, win, block);
         });
     }
 }
@@ -308,11 +289,9 @@ impl Operator for Csr {
         check_apply_dims(self.nrows, self.ncols, &x, &y);
         let k = x.k();
         let (xd, yd) = (x.data(), y.into_data());
-        match (k, mode) {
-            (1, Apply::Set) => self.spmv_parts::<false>(ctx, xd, yd),
-            (1, Apply::Add) => self.spmv_parts::<true>(ctx, xd, yd),
-            (_, Apply::Set) => self.spmm_parts::<false>(ctx, xd, yd, k),
-            (_, Apply::Add) => self.spmm_parts::<true>(ctx, xd, yd, k),
+        match mode {
+            Apply::Set => self.apply_parts::<false>(ctx, xd, yd, k),
+            Apply::Add => self.apply_parts::<true>(ctx, xd, yd, k),
         }
     }
 }

@@ -1,0 +1,774 @@
+//! The thin vector layer every kernel body is written against: one
+//! [`Lanes`] implementation per ISA tier, and the `#[target_feature]`
+//! shims that enter a body at a tier.  The only file with `std::arch`
+//! intrinsics.
+//!
+//! | tier | type | `W` | gather | `fma` | partial vectors |
+//! |---|---|---|---|---|---|
+//! | scalar | [`Scalar`] | 1 | plain load | `a*b + c`, two roundings | – |
+//! | AVX | `Ymm<false>` | 4 | emulated (§5.5) | `vmulpd` + `vaddpd` | `vmaskmovpd` |
+//! | AVX2 | `Ymm<true>` | 4 | `vgatherdpd` | fused | `vmaskmovpd` |
+//! | AVX-512 | `Avx512` | 8 | opmask `vgatherdpd` | fused | opmask |
+//!
+//! Register operations are safe: an x86 lane value is a token that only
+//! [`Ymm::new`]/[`Avx512::new`] mint, inside code compiled with the tier's
+//! features.  Memory operations are `unsafe` and state what they read.
+//!
+//! The sentinel-masked gathers are the §5.5 fix: a SELL padding entry
+//! carries column `x.len()` (narrow form: offset `0xFFFF`), which loads
+//! `0.0` instead of dereferencing `x`, so padding contributes exactly
+//! `+0.0` even when `x` holds Inf/NaN.
+
+/// Reads `x[c]`, or `0.0` for the padding sentinel `c >= xlen`.
+///
+/// # Safety
+///
+/// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — `c < xlen` must
+///   address the `xlen`-element vector behind `x`.
+#[inline(always)]
+unsafe fn live(x: *const f64, xlen: usize, c: usize) -> f64 {
+    if c < xlen {
+        // SAFETY: c < xlen, in bounds of x per the caller's contract.
+        unsafe { *x.add(c) }
+    } else {
+        0.0
+    }
+}
+
+/// Column of a narrow-form entry: `base + off`, or the sentinel `xlen`
+/// for the narrow padding marker `0xFFFF`.
+#[inline(always)]
+pub(super) fn narrow_col(off: u16, base: u32, xlen: usize) -> usize {
+    if off == u16::MAX {
+        xlen
+    } else {
+        base as usize + off as usize
+    }
+}
+
+/// `Σ val[j] · x[ci[j]]` for `lo <= j < hi`, accumulated left to right from
+/// `0.0` — every tier's CSR row remainder (AVX-512 only for two entries
+/// or fewer, §4).
+///
+/// # Safety
+///
+/// * `requires: readable(val, hi)`
+/// * `requires: readable(ci, hi)`
+/// * `requires: cols_in_bounds(colidx, x)` — each `ci[j]` addresses `x`.
+#[inline(always)]
+unsafe fn scalar_tail(val: *const f64, ci: *const u32, lo: usize, hi: usize, x: *const f64) -> f64 {
+    let mut tail = 0.0;
+    for j in lo..hi {
+        // SAFETY: j < hi elements of val/ci are readable and every column
+        // index addresses x, per the caller's contract.
+        tail += unsafe { *val.add(j) * *x.add(*ci.add(j) as usize) };
+    }
+    tail
+}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// One ISA tier: a vector of `W` f64 lanes and the operations the kernel
+/// bodies need.  `W` counts elements throughout (`readable(p, W)` is `W`
+/// elements of `p`'s pointee type).
+pub(super) trait Lanes: Copy + sealed::Sealed {
+    /// f64 lanes per vector.
+    const W: usize;
+    /// The vector register type.
+    type V: Copy;
+    /// The accumulators of one SELL-`C` slice, one lane per row: `C / W`
+    /// vectors.  An array length cannot divide, so each tier spells its
+    /// own — `C` scalars, or room for the tallest slice its lanes tile
+    /// (16 rows) — and the bodies use the first `C / W`.
+    type Acc<const C: usize>: AsMut<[Self::V]>;
+
+    /// All lanes `+0.0`.
+    fn zero(self) -> Self::V;
+    /// Every accumulator of a slice [`Lanes::zero`].
+    fn zero_acc<const C: usize>(self) -> Self::Acc<C>;
+    /// All lanes `a`.
+    fn splat(self, a: f64) -> Self::V;
+    /// `a·b + c` per lane: fused on AVX2/AVX-512, multiply then add (two
+    /// roundings) on scalar/AVX — the tiers do not agree bitwise.
+    fn fma(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    /// `a + b` per lane.
+    fn add(self, a: Self::V, b: Self::V) -> Self::V;
+    /// Sum of the lanes, in the tier's own fixed reduction order.
+    fn hsum(self, v: Self::V) -> f64;
+    /// Prefetch hint for the cache line at `p` (any address; a no-op off
+    /// x86).
+    fn prefetch(self, p: *const f64);
+
+    /// `W` consecutive f64, unaligned.
+    ///
+    /// # Safety
+    ///
+    /// * `requires: readable(p, W)`
+    unsafe fn load(self, p: *const f64) -> Self::V;
+    /// `W` consecutive little-endian f32, widened to f64 lanes.
+    ///
+    /// # Safety
+    ///
+    /// * `requires: readable(p, W)`
+    unsafe fn load_f32(self, p: *const [u8; 4]) -> Self::V;
+    /// `W` consecutive little-endian bf16 (the top half of an f32),
+    /// widened to f64 lanes.
+    ///
+    /// # Safety
+    ///
+    /// * `requires: readable(p, W)`
+    unsafe fn load_bf16(self, p: *const [u8; 2]) -> Self::V;
+    /// The first `n <= W` f64 at `p`; the remaining lanes are `+0.0` and
+    /// are not read.
+    ///
+    /// # Safety
+    ///
+    /// * `requires: readable(p, n)`
+    unsafe fn load_first(self, p: *const f64, n: usize) -> Self::V;
+    /// Stores all `W` lanes, unaligned.
+    ///
+    /// # Safety
+    ///
+    /// * `requires: writable(p, W)`
+    unsafe fn store(self, p: *mut f64, v: Self::V);
+    /// Stores the first `n <= W` lanes; nothing past them is written.
+    ///
+    /// # Safety
+    ///
+    /// * `requires: writable(p, n)`
+    unsafe fn store_first(self, p: *mut f64, n: usize, v: Self::V);
+    /// `x[ci[0..W]]`, every index live (CSR).
+    ///
+    /// # Safety
+    ///
+    /// * `requires: readable(ci, W)`
+    /// * `requires: cols_in_bounds(colidx, x)` — each `ci[i]` addresses `x`.
+    unsafe fn gather(self, x: *const f64, ci: *const u32) -> Self::V;
+    /// `x[ci[0..W]]` with sentinel lanes (`ci[i] >= xlen`) loading `0.0`
+    /// undereferenced (SELL, wide u32 indices).
+    ///
+    /// # Safety
+    ///
+    /// * `requires: readable(ci, W)`
+    /// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — each
+    ///   `ci[i] < xlen` addresses the `xlen`-element vector `x`.
+    unsafe fn gather_live(self, x: *const f64, xlen: usize, ci: *const u32) -> Self::V;
+    /// `x[base + off[0..W]]` with sentinel lanes (`off[i] == 0xFFFF`)
+    /// loading `0.0` undereferenced (SELL, narrow u16 offsets).
+    ///
+    /// # Safety
+    ///
+    /// * `requires: readable(off, W)`
+    /// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)` — each
+    ///   `base + off[i]` with `off[i] != 0xFFFF` addresses `x`.
+    unsafe fn gather_live_narrow(
+        self,
+        x: *const f64,
+        xlen: usize,
+        off: *const u16,
+        base: u32,
+    ) -> Self::V;
+    /// Folds a CSR row's last `hi - lo < W` products (entries `lo..hi` of
+    /// `val`/`ci`): either into `acc` (one masked vector step) or into the
+    /// returned scalar, which the caller adds after [`Lanes::hsum`].
+    ///
+    /// # Safety
+    ///
+    /// * `requires: readable(val, hi)`
+    /// * `requires: readable(ci, hi)`
+    /// * `requires: cols_in_bounds(colidx, x)` — each `ci[j]` addresses `x`.
+    #[inline(always)]
+    unsafe fn dot_tail(
+        self,
+        _acc: &mut Self::V,
+        val: *const f64,
+        ci: *const u32,
+        lo: usize,
+        hi: usize,
+        x: *const f64,
+    ) -> f64 {
+        // SAFETY: the caller's contract is scalar_tail's.
+        unsafe { scalar_tail(val, ci, lo, hi, x) }
+    }
+}
+
+/// Portable one-lane tier: the reference every SIMD tier is tested
+/// against, and the only tier off x86.
+#[derive(Clone, Copy)]
+pub(super) struct Scalar;
+
+impl sealed::Sealed for Scalar {}
+
+impl Lanes for Scalar {
+    const W: usize = 1;
+    type V = f64;
+    type Acc<const C: usize> = [f64; C];
+
+    #[inline(always)]
+    fn zero(self) -> f64 {
+        0.0
+    }
+    #[inline(always)]
+    fn zero_acc<const C: usize>(self) -> [f64; C] {
+        [0.0; C]
+    }
+    #[inline(always)]
+    fn splat(self, a: f64) -> f64 {
+        a
+    }
+    #[inline(always)]
+    fn fma(self, a: f64, b: f64, c: f64) -> f64 {
+        a * b + c
+    }
+    #[inline(always)]
+    fn add(self, a: f64, b: f64) -> f64 {
+        a + b
+    }
+    #[inline(always)]
+    fn hsum(self, v: f64) -> f64 {
+        v
+    }
+    #[inline(always)]
+    fn prefetch(self, _p: *const f64) {}
+
+    /// # Safety — `requires: readable(p, W)`
+    #[inline(always)]
+    unsafe fn load(self, p: *const f64) -> f64 {
+        // SAFETY: one readable element at p.
+        unsafe { *p }
+    }
+    /// # Safety — `requires: readable(p, W)`
+    #[inline(always)]
+    unsafe fn load_f32(self, p: *const [u8; 4]) -> f64 {
+        // SAFETY: one readable element at p (byte arrays have alignment 1).
+        f32::from_le_bytes(unsafe { *p }) as f64
+    }
+    /// # Safety — `requires: readable(p, W)`
+    #[inline(always)]
+    unsafe fn load_bf16(self, p: *const [u8; 2]) -> f64 {
+        // SAFETY: one readable element at p (byte arrays have alignment 1).
+        let hi = u16::from_le_bytes(unsafe { *p });
+        f32::from_bits((hi as u32) << 16) as f64
+    }
+    /// # Safety — `requires: readable(p, n)`
+    #[inline(always)]
+    unsafe fn load_first(self, p: *const f64, n: usize) -> f64 {
+        if n == 0 {
+            return 0.0;
+        }
+        // SAFETY: n >= 1 readable elements at p.
+        unsafe { *p }
+    }
+    /// # Safety — `requires: writable(p, W)`
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64, v: f64) {
+        // SAFETY: one writable element at p.
+        unsafe { *p = v }
+    }
+    /// # Safety — `requires: writable(p, n)`
+    #[inline(always)]
+    unsafe fn store_first(self, p: *mut f64, n: usize, v: f64) {
+        if n != 0 {
+            // SAFETY: n >= 1 writable elements at p.
+            unsafe { *p = v }
+        }
+    }
+    /// # Safety — `requires: readable(ci, W)`, `requires: cols_in_bounds(colidx, x)`
+    #[inline(always)]
+    unsafe fn gather(self, x: *const f64, ci: *const u32) -> f64 {
+        // SAFETY: ci is readable and its index addresses x.
+        unsafe { *x.add(*ci as usize) }
+    }
+    /// # Safety — `requires: readable(ci, W)`, `requires: cols_in_bounds_or_sentinel(colidx, x)`
+    #[inline(always)]
+    unsafe fn gather_live(self, x: *const f64, xlen: usize, ci: *const u32) -> f64 {
+        // SAFETY: ci is readable; live()'s contract is the caller's.
+        unsafe { live(x, xlen, *ci as usize) }
+    }
+    /// # Safety — `requires: readable(off, W)`, `requires: narrow_cols_in_bounds(cidx16, cbase, x)`
+    #[inline(always)]
+    unsafe fn gather_live_narrow(
+        self,
+        x: *const f64,
+        xlen: usize,
+        off: *const u16,
+        base: u32,
+    ) -> f64 {
+        // SAFETY: off is readable; a live narrow column addresses x, the
+        // sentinel maps to xlen and is never dereferenced.
+        unsafe { live(x, xlen, narrow_col(*off, base, xlen)) }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+pub(super) use x86::{enter_avx, enter_avx2, enter_avx512, Avx512};
+
+/// The three x86 tiers and the shims that enter a kernel at each.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use std::arch::x86_64::*;
+
+    use super::super::checked::Kernel;
+    use super::{live, narrow_col, scalar_tail, sealed, Lanes};
+
+    /// Runs `op` with AVX lanes.
+    ///
+    /// # Safety
+    ///
+    /// * `requires: feature(avx)` — and the contract of `op`'s body
+    ///   ([`Kernel::on`]).
+    #[target_feature(enable = "avx")]
+    pub unsafe fn enter_avx<K: Kernel>(op: K) {
+        // SAFETY: avx is enabled here; the body contract is the caller's.
+        unsafe { op.on(Ymm::<false>::new()) }
+    }
+
+    /// Runs `op` with AVX2 + FMA lanes.
+    ///
+    /// # Safety
+    ///
+    /// * `requires: feature(avx2,fma)` — and the contract of `op`'s body
+    ///   ([`Kernel::on`]).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn enter_avx2<K: Kernel>(op: K) {
+        // SAFETY: avx2 and fma are enabled here; the body contract is the
+        // caller's.
+        unsafe { op.on(Ymm::<true>::new()) }
+    }
+
+    /// Runs `op` with AVX-512 lanes.
+    ///
+    /// # Safety
+    ///
+    /// * `requires: feature(avx512f,avx512vl)` — and the contract of `op`'s
+    ///   body ([`Kernel::on`]).
+    #[target_feature(enable = "avx512f,avx512vl")]
+    pub unsafe fn enter_avx512<K: Kernel>(op: K) {
+        // SAFETY: avx512f and avx512vl are enabled here; the body contract
+        // is the caller's.
+        unsafe { op.on(Avx512::new()) }
+    }
+
+    /// `-1` in the first four slots: the 4-lane window starting at slot
+    /// `4 - n` is the `vmaskmovpd` mask of the first `n` lanes.
+    static FIRST_N: [i64; 8] = [-1, -1, -1, -1, 0, 0, 0, 0];
+
+    /// 256-bit lanes.  AVX and AVX2 differ only by instruction
+    /// substitution (§5.5): with `AVX2 = false` the gathers are emulated
+    /// with scalar loads and the multiply-add is two instructions.
+    #[derive(Clone, Copy)]
+    pub struct Ymm<const AVX2: bool>(());
+
+    impl<const AVX2: bool> sealed::Sealed for Ymm<AVX2> {}
+
+    // `self` is unused as data: it is the proof the features are present.
+    #[allow(clippy::unused_self)]
+    impl<const AVX2: bool> Ymm<AVX2> {
+        /// # Safety
+        ///
+        /// * `requires: feature(avx)` — and `feature(avx2,fma)` when `AVX2`:
+        ///   the token is the proof the safe lane operations rely on.
+        #[inline(always)]
+        unsafe fn new() -> Self {
+            Self(())
+        }
+
+        /// `vmaskmovpd` mask selecting the first `n <= 4` lanes.
+        #[inline(always)]
+        fn first_mask(self, n: usize) -> __m256i {
+            // SAFETY: slots 4-n .. 8-n of the 8-slot table, for n <= 4.
+            unsafe { _mm256_loadu_si256(FIRST_N.as_ptr().add(4 - n) as *const __m256i) }
+        }
+
+        /// Hardware gather with sentinel lanes (`idx >= xlen`) masked to
+        /// `0.0`.  The signed compare is exact because i32 gathers
+        /// sign-extend indices anyway: `ncols >= 2^31` is unsupported.
+        ///
+        /// # Safety
+        ///
+        /// * `requires: feature(avx2)`
+        /// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — each lane
+        ///   of `idx` below `xlen` addresses `x`.
+        #[inline(always)]
+        unsafe fn gather_idx(self, x: *const f64, xlen: usize, idx: __m128i) -> __m256d {
+            // SAFETY: masked-off lanes are not dereferenced; live lanes
+            // are < xlen by the compare, in bounds of x per the contract.
+            unsafe {
+                let is_live = _mm_cmpgt_epi32(_mm_set1_epi32(xlen as u32 as i32), idx);
+                let mask = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(is_live));
+                _mm256_mask_i32gather_pd::<8>(_mm256_setzero_pd(), x, idx, mask)
+            }
+        }
+    }
+
+    impl<const AVX2: bool> Lanes for Ymm<AVX2> {
+        const W: usize = 4;
+        type V = __m256d;
+        type Acc<const C: usize> = [__m256d; 4];
+
+        #[inline(always)]
+        fn zero(self) -> __m256d {
+            // SAFETY: the token proves avx.
+            unsafe { _mm256_setzero_pd() }
+        }
+        #[inline(always)]
+        fn zero_acc<const C: usize>(self) -> [__m256d; 4] {
+            [self.zero(); 4]
+        }
+        #[inline(always)]
+        fn splat(self, a: f64) -> __m256d {
+            // SAFETY: the token proves avx.
+            unsafe { _mm256_set1_pd(a) }
+        }
+        #[inline(always)]
+        fn fma(self, a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+            // SAFETY: the token proves avx, and fma when AVX2.
+            unsafe {
+                if AVX2 {
+                    _mm256_fmadd_pd(a, b, c)
+                } else {
+                    _mm256_add_pd(_mm256_mul_pd(a, b), c)
+                }
+            }
+        }
+        #[inline(always)]
+        fn add(self, a: __m256d, b: __m256d) -> __m256d {
+            // SAFETY: the token proves avx.
+            unsafe { _mm256_add_pd(a, b) }
+        }
+        #[inline(always)]
+        fn hsum(self, v: __m256d) -> f64 {
+            // SAFETY: the token proves avx.
+            unsafe {
+                let s = _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd::<1>(v));
+                _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
+            }
+        }
+        #[inline(always)]
+        fn prefetch(self, p: *const f64) {
+            // SAFETY: a prefetch is a hint and may name any address.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(p as *const i8) }
+        }
+
+        /// # Safety — `requires: readable(p, W)`
+        #[inline(always)]
+        unsafe fn load(self, p: *const f64) -> __m256d {
+            // SAFETY: 4 readable f64 at p; the token proves avx.
+            unsafe { _mm256_loadu_pd(p) }
+        }
+        /// # Safety — `requires: readable(p, W)`
+        #[inline(always)]
+        unsafe fn load_f32(self, p: *const [u8; 4]) -> __m256d {
+            // SAFETY: 4 readable f32 at p (x86 is little-endian).
+            unsafe { _mm256_cvtps_pd(_mm_loadu_ps(p as *const f32)) }
+        }
+        /// # Safety — `requires: readable(p, W)`
+        #[inline(always)]
+        unsafe fn load_bf16(self, p: *const [u8; 2]) -> __m256d {
+            // SAFETY: 4 readable u16 (8 bytes) at p; bf16 is the top half
+            // of an f32, so shifting into place decodes it exactly.
+            unsafe {
+                let hi = _mm_cvtepu16_epi32(_mm_loadl_epi64(p as *const __m128i));
+                _mm256_cvtps_pd(_mm_castsi128_ps(_mm_slli_epi32::<16>(hi)))
+            }
+        }
+        /// # Safety — `requires: readable(p, n)`
+        #[inline(always)]
+        unsafe fn load_first(self, p: *const f64, n: usize) -> __m256d {
+            // SAFETY: vmaskmovpd reads only the first n lanes.
+            unsafe { _mm256_maskload_pd(p, self.first_mask(n)) }
+        }
+        /// # Safety — `requires: writable(p, W)`
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64, v: __m256d) {
+            // SAFETY: 4 writable f64 at p.
+            unsafe { _mm256_storeu_pd(p, v) }
+        }
+        /// # Safety — `requires: writable(p, n)`
+        #[inline(always)]
+        unsafe fn store_first(self, p: *mut f64, n: usize, v: __m256d) {
+            // SAFETY: vmaskmovpd writes only the first n lanes.
+            unsafe { _mm256_maskstore_pd(p, self.first_mask(n), v) }
+        }
+        /// # Safety — `requires: readable(ci, W)`, `requires: cols_in_bounds(colidx, x)`
+        #[inline(always)]
+        unsafe fn gather(self, x: *const f64, ci: *const u32) -> __m256d {
+            // SAFETY: ci[0..4] are readable and each addresses x.
+            unsafe {
+                if AVX2 {
+                    return _mm256_i32gather_pd::<8>(x, _mm_loadu_si128(ci as *const __m128i));
+                }
+                // §5.5: two SSE2 loads form each 128-bit half, an insert
+                // forms the 256-bit vector.
+                let lo = _mm_loadh_pd(_mm_load_sd(x.add(*ci as usize)), x.add(*ci.add(1) as usize));
+                let hi = _mm_loadh_pd(
+                    _mm_load_sd(x.add(*ci.add(2) as usize)),
+                    x.add(*ci.add(3) as usize),
+                );
+                _mm256_insertf128_pd::<1>(_mm256_castpd128_pd256(lo), hi)
+            }
+        }
+        /// # Safety — `requires: readable(ci, W)`, `requires: cols_in_bounds_or_sentinel(colidx, x)`
+        #[inline(always)]
+        unsafe fn gather_live(self, x: *const f64, xlen: usize, ci: *const u32) -> __m256d {
+            // SAFETY: ci[0..4] are readable; each index < xlen addresses x
+            // and the sentinel is never dereferenced.
+            unsafe {
+                if AVX2 {
+                    return self.gather_idx(x, xlen, _mm_loadu_si128(ci as *const __m128i));
+                }
+                _mm256_setr_pd(
+                    live(x, xlen, *ci as usize),
+                    live(x, xlen, *ci.add(1) as usize),
+                    live(x, xlen, *ci.add(2) as usize),
+                    live(x, xlen, *ci.add(3) as usize),
+                )
+            }
+        }
+        /// # Safety — `requires: readable(off, W)`, `requires: narrow_cols_in_bounds(cidx16, cbase, x)`
+        #[inline(always)]
+        unsafe fn gather_live_narrow(
+            self,
+            x: *const f64,
+            xlen: usize,
+            off: *const u16,
+            base: u32,
+        ) -> __m256d {
+            // SAFETY: off[0..4] are readable; a live offset resolves to a
+            // column addressing x, the 0xFFFF sentinel becomes xlen, which
+            // the gather masks.
+            unsafe {
+                if AVX2 {
+                    let off32 = _mm_cvtepu16_epi32(_mm_loadl_epi64(off as *const __m128i));
+                    let wide = _mm_add_epi32(off32, _mm_set1_epi32(base as i32));
+                    let pad = _mm_cmpeq_epi32(off32, _mm_set1_epi32(0xFFFF));
+                    let idx = _mm_blendv_epi8(wide, _mm_set1_epi32(xlen as u32 as i32), pad);
+                    return self.gather_idx(x, xlen, idx);
+                }
+                _mm256_setr_pd(
+                    live(x, xlen, narrow_col(*off, base, xlen)),
+                    live(x, xlen, narrow_col(*off.add(1), base, xlen)),
+                    live(x, xlen, narrow_col(*off.add(2), base, xlen)),
+                    live(x, xlen, narrow_col(*off.add(3), base, xlen)),
+                )
+            }
+        }
+    }
+
+    /// 512-bit lanes with opmask registers (AVX-512F + VL).
+    #[derive(Clone, Copy)]
+    pub struct Avx512(());
+
+    impl sealed::Sealed for Avx512 {}
+
+    /// Opmask selecting the first `n <= 8` lanes.
+    #[inline(always)]
+    fn first_mask(n: usize) -> __mmask8 {
+        ((1u16 << n) - 1) as u8
+    }
+
+    // `self` is unused as data: it is the proof the features are present.
+    #[allow(clippy::unused_self)]
+    impl Avx512 {
+        /// # Safety
+        ///
+        /// * `requires: feature(avx512f,avx512vl)` — the token is the proof
+        ///   the safe lane operations rely on.
+        #[inline(always)]
+        pub unsafe fn new() -> Self {
+            Self(())
+        }
+
+        /// Gather with sentinel lanes (`idx >= xlen`, unsigned) masked to
+        /// `0.0`.
+        ///
+        /// # Safety
+        ///
+        /// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — each lane
+        ///   of `idx` below `xlen` addresses `x`.
+        #[inline(always)]
+        unsafe fn gather_idx(self, x: *const f64, xlen: usize, idx: __m256i) -> __m512d {
+            // SAFETY: masked-off lanes are not dereferenced; live lanes
+            // are < xlen by the compare, in bounds of x per the contract.
+            unsafe {
+                let is_live = _mm256_cmplt_epu32_mask(idx, _mm256_set1_epi32(xlen as u32 as i32));
+                _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), is_live, idx, x)
+            }
+        }
+
+        /// One SELL-ESB slice column (§5.3): `acc + val·x[ci]` on the
+        /// lanes whose bit is set in `bits`, `acc` unchanged on the rest —
+        /// a masked form of every operation, the overhead the paper
+        /// measures.
+        ///
+        /// # Safety
+        ///
+        /// * `requires: readable(val, W)`
+        /// * `requires: readable(ci, W)`
+        /// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — each lane
+        ///   of `ci` with its bit set addresses `x`.
+        #[inline(always)]
+        pub unsafe fn fma_column_bits(
+            self,
+            bits: u8,
+            val: *const f64,
+            ci: *const u32,
+            x: *const f64,
+            acc: __m512d,
+        ) -> __m512d {
+            // SAFETY: val/ci hold one full column; only lanes with a set
+            // bit are gathered, and those address x.
+            unsafe {
+                let v = _mm512_maskz_loadu_pd(bits, val);
+                let idx = _mm256_loadu_si256(ci as *const __m256i);
+                let xv = _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), bits, idx, x);
+                _mm512_mask3_fmadd_pd(v, xv, acc, bits)
+            }
+        }
+    }
+
+    impl Lanes for Avx512 {
+        const W: usize = 8;
+        type V = __m512d;
+        type Acc<const C: usize> = [__m512d; 2];
+
+        #[inline(always)]
+        fn zero(self) -> __m512d {
+            // SAFETY: the token proves avx512f.
+            unsafe { _mm512_setzero_pd() }
+        }
+        #[inline(always)]
+        fn zero_acc<const C: usize>(self) -> [__m512d; 2] {
+            [self.zero(); 2]
+        }
+        #[inline(always)]
+        fn splat(self, a: f64) -> __m512d {
+            // SAFETY: the token proves avx512f.
+            unsafe { _mm512_set1_pd(a) }
+        }
+        #[inline(always)]
+        fn fma(self, a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+            // SAFETY: the token proves avx512f.
+            unsafe { _mm512_fmadd_pd(a, b, c) }
+        }
+        #[inline(always)]
+        fn add(self, a: __m512d, b: __m512d) -> __m512d {
+            // SAFETY: the token proves avx512f.
+            unsafe { _mm512_add_pd(a, b) }
+        }
+        #[inline(always)]
+        fn hsum(self, v: __m512d) -> f64 {
+            // SAFETY: the token proves avx512f.
+            unsafe { _mm512_reduce_add_pd(v) }
+        }
+        #[inline(always)]
+        fn prefetch(self, p: *const f64) {
+            // SAFETY: a prefetch is a hint and may name any address.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(p as *const i8) }
+        }
+
+        /// # Safety — `requires: readable(p, W)`
+        #[inline(always)]
+        unsafe fn load(self, p: *const f64) -> __m512d {
+            // SAFETY: 8 readable f64 at p; the token proves avx512f.
+            unsafe { _mm512_loadu_pd(p) }
+        }
+        /// # Safety — `requires: readable(p, W)`
+        #[inline(always)]
+        unsafe fn load_f32(self, p: *const [u8; 4]) -> __m512d {
+            // SAFETY: 8 readable f32 at p (x86 is little-endian).
+            unsafe { _mm512_cvtps_pd(_mm256_loadu_ps(p as *const f32)) }
+        }
+        /// # Safety — `requires: readable(p, W)`
+        #[inline(always)]
+        unsafe fn load_bf16(self, p: *const [u8; 2]) -> __m512d {
+            // SAFETY: 8 readable u16 (16 bytes) at p; bf16 is the top half
+            // of an f32, so shifting into place decodes it exactly.
+            unsafe {
+                let hi = _mm256_cvtepu16_epi32(_mm_loadu_si128(p as *const __m128i));
+                _mm512_cvtps_pd(_mm256_castsi256_ps(_mm256_slli_epi32::<16>(hi)))
+            }
+        }
+        /// # Safety — `requires: readable(p, n)`
+        #[inline(always)]
+        unsafe fn load_first(self, p: *const f64, n: usize) -> __m512d {
+            // SAFETY: the masked load reads only the first n lanes.
+            unsafe { _mm512_maskz_loadu_pd(first_mask(n), p) }
+        }
+        /// # Safety — `requires: writable(p, W)`
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64, v: __m512d) {
+            // SAFETY: 8 writable f64 at p.
+            unsafe { _mm512_storeu_pd(p, v) }
+        }
+        /// # Safety — `requires: writable(p, n)`
+        #[inline(always)]
+        unsafe fn store_first(self, p: *mut f64, n: usize, v: __m512d) {
+            // SAFETY: the masked store writes only the first n lanes.
+            unsafe { _mm512_mask_storeu_pd(p, first_mask(n), v) }
+        }
+        /// # Safety — `requires: readable(ci, W)`, `requires: cols_in_bounds(colidx, x)`
+        #[inline(always)]
+        unsafe fn gather(self, x: *const f64, ci: *const u32) -> __m512d {
+            // SAFETY: ci[0..8] are readable and each addresses x.
+            unsafe { _mm512_i32gather_pd::<8>(_mm256_loadu_si256(ci as *const __m256i), x) }
+        }
+        /// # Safety — `requires: readable(ci, W)`, `requires: cols_in_bounds_or_sentinel(colidx, x)`
+        #[inline(always)]
+        unsafe fn gather_live(self, x: *const f64, xlen: usize, ci: *const u32) -> __m512d {
+            // SAFETY: ci[0..8] are readable; gather_idx's contract is the
+            // caller's.
+            unsafe { self.gather_idx(x, xlen, _mm256_loadu_si256(ci as *const __m256i)) }
+        }
+        /// # Safety — `requires: readable(off, W)`, `requires: narrow_cols_in_bounds(cidx16, cbase, x)`
+        #[inline(always)]
+        unsafe fn gather_live_narrow(
+            self,
+            x: *const f64,
+            xlen: usize,
+            off: *const u16,
+            base: u32,
+        ) -> __m512d {
+            // SAFETY: off[0..8] are readable; a live offset resolves to a
+            // column addressing x, the 0xFFFF sentinel becomes xlen, which
+            // the gather masks.
+            unsafe {
+                let off32 = _mm256_cvtepu16_epi32(_mm_loadu_si128(off as *const __m128i));
+                let wide = _mm256_add_epi32(off32, _mm256_set1_epi32(base as i32));
+                let pad = _mm256_cmpeq_epi32_mask(off32, _mm256_set1_epi32(0xFFFF));
+                let idx = _mm256_mask_set1_epi32(wide, pad, xlen as u32 as i32);
+                self.gather_idx(x, xlen, idx)
+            }
+        }
+        /// A remainder longer than two runs as one masked gather + FMA
+        /// into `acc` (§3.3, §4); shorter ones stay scalar.
+        ///
+        /// # Safety — `requires: readable(val, hi)`, `requires: readable(ci, hi)`, `requires: cols_in_bounds(colidx, x)`
+        #[inline(always)]
+        unsafe fn dot_tail(
+            self,
+            acc: &mut __m512d,
+            val: *const f64,
+            ci: *const u32,
+            lo: usize,
+            hi: usize,
+            x: *const f64,
+        ) -> f64 {
+            // SAFETY: the masked loads and gather touch only entries
+            // lo..hi: readable val/ci elements whose indices address x.
+            unsafe {
+                if hi - lo <= 2 {
+                    return scalar_tail(val, ci, lo, hi, x);
+                }
+                let k = first_mask(hi - lo);
+                let v = _mm512_maskz_loadu_pd(k, val.add(lo));
+                let idx = _mm256_maskz_loadu_epi32(k, ci.add(lo) as *const i32);
+                let xv = _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), k, idx, x);
+                *acc = _mm512_fmadd_pd(v, xv, *acc);
+                0.0
+            }
+        }
+    }
+}

@@ -1,406 +1,49 @@
-//! Hand-written SpMV kernels for every ISA tier.
+//! SpMV/SpMM kernels: each operation written once, instantiated per ISA
+//! tier.
 //!
-//! Two kernel families, straight from the paper:
+//! The paper's two loops — **CSR** (Algorithm 1: vectorize one row's inner
+//! product, with an unavoidable remainder loop) and **SELL** (Algorithm 2:
+//! one slice of `C` adjacent rows per iteration, streaming in storage
+//! order, no remainder) — differ across AVX, AVX2 and AVX-512 only in
+//! register width, gather and FMA (§5.3, §5.5).  So each operation is one
+//! `#[inline(always)]` body generic over a [`lanes::Lanes`] tier:
 //!
-//! * **CSR** (Algorithm 1): vectorize the inner product of one matrix row
-//!   with `x`.  The row length is rarely a multiple of the SIMD width, so a
-//!   *remainder loop* is unavoidable — the drawback motivating SELL (§2.3).
-//! * **SELL** (Algorithm 2): process one slice of `C` adjacent rows per
-//!   outer iteration; values and indices stream in exactly storage order,
-//!   and `C` output entries are produced per slice with *no remainder loop*
-//!   (padding absorbs it).
+//! | body | generic over | what it is |
+//! |---|---|---|
+//! | `csr::spmv` | `L`, `ADD` | Algorithm 1; row remainder per tier |
+//! | `csr::spmm` | `L`, `ADD` | `k`-wide blocks, lanes along `k` |
+//! | `sell::spmv` | `L`, codec, `C`, `ADD`, `UNROLL` | Algorithm 2 for f64 and PackSELL values, wide and narrow indices; `UNROLL` = the §5.5 tuning ablation |
+//! | `sell::spmm` | `L`, codec, `C`, `ADD` | `k`-wide blocks, lanes along `k` |
+//! | `sell::esb_spmv` | – (AVX-512 only) | the §5.3 bit-array ablation |
 //!
-//! Each family has `scalar`, `avx`, `avx2`, and `avx512` implementations:
+//! | tier | lanes `W` | gather | multiply-add |
+//! |---|---|---|---|
+//! | scalar | 1 | plain load | two roundings |
+//! | AVX | 4 | emulated with scalar loads (§5.5) | two instructions, two roundings |
+//! | AVX2 | 4 | hardware | fused |
+//! | AVX-512 | 8 | hardware, opmask | fused; masked CSR remainder |
 //!
-//! | tier | width | gather | FMA | notes |
-//! |---|---|---|---|---|
-//! | scalar | 1 | – | – | what LLVM auto-vectorizes; the "CSR baseline" |
-//! | AVX    | 4 | emulated (`load_sd`/`loadh_pd`/insert) | mul+add | §5.5 |
-//! | AVX2   | 4 | hardware | yes | |
-//! | AVX-512| 8 | hardware | yes | masked remainder/store where needed |
+//! SELL SpMV keeps `C / W` accumulator vectors per slice, so `W` must
+//! divide `C`; a tier that does not (SELL-4 on AVX-512) runs the widest
+//! narrower one that does, and heights other than 4, 8 and 16 run the
+//! scalar lanes.
 //!
-//! SELL additionally ships kernels for slice heights 4 (`sell4_simd`) and
-//! 16 (`sell16_avx512`) and the §5.5 manually tuned unroll+prefetch
-//! variant (`sell_avx512::spmv_unrolled`).
+//! [`checked`] holds the only entry points: safe functions that assert the
+//! bodies' contracts (debug builds) and the CPU features (always), then
+//! monomorphise the body inside a `#[target_feature]` shim.  The format
+//! types (`Csr`, `Sell`, `SellEsb`) are their only callers.
 //!
-//! The per-ISA modules are crate-private: external callers go through the
-//! single safe entry point [`spmv`] (picking the kernel from a
-//! [`FormatView`] + [`SpmvMode`]) or the format types' `Operator` methods; the
-//! safe wrappers in [`dispatch`] back both.
-//!
-//! # Safety
-//!
-//! The `avx*` functions are `unsafe`: the caller must guarantee the CPU
-//! supports the corresponding target features (checked by
-//! [`dispatch`]) and that the array invariants documented on each function
-//! hold.  All *live* column indices must be in-bounds for `x`; SELL
-//! padding carries the sentinel index `ncols` (== `x.len()`), which every
-//! kernel masks to `0.0` instead of dereferencing — the paper's local-copy
+//! All *live* column indices must be in bounds of `x`; SELL padding
+//! carries the sentinel index `ncols` (== `x.len()`), which every body
+//! masks to `0.0` instead of dereferencing — the paper's local-copy
 //! padding (§5.5) would alias live `x` entries and turn `0.0 × Inf` into
 //! NaN.
 
-pub mod dispatch;
-
-pub(crate) mod csr_scalar;
-pub(crate) mod packed_scalar;
-pub(crate) mod sell_scalar;
-pub(crate) mod spmm_scalar;
+mod checked;
+mod csr;
+mod lanes;
+mod sell;
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) mod csr_avx;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod csr_avx2;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod csr_avx512;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod packed_avx;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod packed_avx2;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod packed_avx512;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod sell16_avx512;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod sell4_simd;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod sell_avx;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod sell_avx2;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod sell_avx512;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod sell_esb_avx512;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod spmm_avx;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod spmm_avx2;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod spmm_avx512;
-
-use crate::isa::Isa;
-
-/// Whether a product overwrites `y` or accumulates into it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpmvMode {
-    /// `y = A·x`.
-    Set,
-    /// `y += A·x`.
-    Add,
-}
-
-/// A borrowed view of one format's raw arrays — the argument of [`spmv`].
-///
-/// Build one from a format's accessors, e.g.
-/// `FormatView::Sell8 { sliceptr: s.sliceptr(), colidx: s.colidx(),
-/// val: s.values(), nrows: s.nrows() }`.
-#[derive(Clone, Copy, Debug)]
-pub enum FormatView<'a> {
-    /// Compressed sparse row arrays (`rowptr.len() == y.len() + 1`).
-    Csr {
-        /// Row pointer (prefix-sum) array.
-        rowptr: &'a [usize],
-        /// Column index per nonzero.
-        colidx: &'a [u32],
-        /// Value per nonzero.
-        val: &'a [f64],
-    },
-    /// Sliced ELLPACK with slice height 4.
-    Sell4 {
-        /// Slice offset (prefix-sum) array, 4-element-aligned entries.
-        sliceptr: &'a [usize],
-        /// Column indices, padded, slice-column-major.
-        colidx: &'a [u32],
-        /// Values, padded, slice-column-major.
-        val: &'a [f64],
-        /// Logical (unpadded) row count.
-        nrows: usize,
-    },
-    /// Sliced ELLPACK with slice height 8 — the paper's AVX-512 layout.
-    Sell8 {
-        /// Slice offset (prefix-sum) array, 8-element-aligned entries.
-        sliceptr: &'a [usize],
-        /// Column indices, padded, slice-column-major.
-        colidx: &'a [u32],
-        /// Values, padded, slice-column-major.
-        val: &'a [f64],
-        /// Logical (unpadded) row count.
-        nrows: usize,
-    },
-    /// Sliced ELLPACK with slice height 16.
-    Sell16 {
-        /// Slice offset (prefix-sum) array, 16-element-aligned entries.
-        sliceptr: &'a [usize],
-        /// Column indices, padded, slice-column-major.
-        colidx: &'a [u32],
-        /// Values, padded, slice-column-major.
-        val: &'a [f64],
-        /// Logical (unpadded) row count.
-        nrows: usize,
-    },
-    /// SELL-8 plus the ESB bit array (one lane-mask byte per slice column).
-    SellEsb {
-        /// Slice offset (prefix-sum) array, 8-element-aligned entries.
-        sliceptr: &'a [usize],
-        /// Column indices, padded, slice-column-major.
-        colidx: &'a [u32],
-        /// Values, padded, slice-column-major.
-        val: &'a [f64],
-        /// One 8-bit lane mask per slice column.
-        bits: &'a [u8],
-        /// Logical (unpadded) row count.
-        nrows: usize,
-    },
-}
-
-/// The one public kernel entry point: `y = A·x` (or `y += A·x`) for the
-/// raw arrays in `view`, at the requested ISA tier.
-///
-/// This is what `bench`/`check`-style callers use instead of reaching into
-/// per-ISA kernel modules; it funnels into the same checked [`dispatch`]
-/// wrappers as the `Operator` trait implementations.  Panics if `isa` is not
-/// available on the running CPU or (in debug builds) if the arrays violate
-/// the format contract.
-pub fn spmv(isa: Isa, view: FormatView<'_>, x: &[f64], y: &mut [f64], mode: SpmvMode) {
-    match view {
-        FormatView::Csr {
-            rowptr,
-            colidx,
-            val,
-        } => match mode {
-            SpmvMode::Set => dispatch::csr_spmv(isa, rowptr, colidx, val, x, y),
-            SpmvMode::Add => dispatch::csr_spmv_add(isa, rowptr, colidx, val, x, y),
-        },
-        FormatView::Sell4 {
-            sliceptr,
-            colidx,
-            val,
-            nrows,
-        } => match mode {
-            SpmvMode::Set => dispatch::sell4_spmv::<false>(isa, sliceptr, colidx, val, nrows, x, y),
-            SpmvMode::Add => dispatch::sell4_spmv::<true>(isa, sliceptr, colidx, val, nrows, x, y),
-        },
-        FormatView::Sell8 {
-            sliceptr,
-            colidx,
-            val,
-            nrows,
-        } => match mode {
-            SpmvMode::Set => dispatch::sell8_spmv(isa, sliceptr, colidx, val, nrows, x, y),
-            SpmvMode::Add => dispatch::sell8_spmv_add(isa, sliceptr, colidx, val, nrows, x, y),
-        },
-        FormatView::Sell16 {
-            sliceptr,
-            colidx,
-            val,
-            nrows,
-        } => match mode {
-            SpmvMode::Set => {
-                dispatch::sell16_spmv::<false>(isa, sliceptr, colidx, val, nrows, x, y)
-            }
-            SpmvMode::Add => dispatch::sell16_spmv::<true>(isa, sliceptr, colidx, val, nrows, x, y),
-        },
-        FormatView::SellEsb {
-            sliceptr,
-            colidx,
-            val,
-            bits,
-            nrows,
-        } => {
-            // The bit array only skips entries whose value is 0.0 (padding),
-            // so the plain SELL-8 kernel computes the identical result; the
-            // masked AVX-512 kernel is taken when it applies (Set mode on
-            // AVX-512 hardware), everything else falls through to SELL-8.
-            #[cfg(target_arch = "x86_64")]
-            if isa == Isa::Avx512 && mode == SpmvMode::Set {
-                dispatch::sell_esb_spmv_avx512(sliceptr, colidx, val, bits, nrows, x, y);
-                return;
-            }
-            let _ = bits;
-            match mode {
-                SpmvMode::Set => dispatch::sell8_spmv(isa, sliceptr, colidx, val, nrows, x, y),
-                SpmvMode::Add => dispatch::sell8_spmv_add(isa, sliceptr, colidx, val, nrows, x, y),
-            }
-        }
-    }
-}
-
-/// Blocked (SpMM) sibling of [`spmv`]: `Y = A·X` (or `Y += A·X`) over a
-/// row-interleaved block of `k` right-hand sides (`x[col*k + t]`,
-/// `y[row*k + t]`), at the requested ISA tier.
-///
-/// The matrix entry stream is read **once** for all `k` vectors — the
-/// `12·nnz` traffic term of the §6 model amortizes to `12·nnz/k` per
-/// RHS.  SELL-ESB views run the plain SELL-8 SpMM kernels (the bit array
-/// only elides `0.0` padding, which the sentinel skip already handles).
-/// Panics if `isa` is unavailable or (in debug builds) if the arrays
-/// violate the format contract.
-pub fn spmm(isa: Isa, view: FormatView<'_>, x: &[f64], y: &mut [f64], k: usize, mode: SpmvMode) {
-    let add = mode == SpmvMode::Add;
-    match view {
-        FormatView::Csr {
-            rowptr,
-            colidx,
-            val,
-        } => match add {
-            false => dispatch::csr_spmm::<false>(isa, rowptr, colidx, val, x, y, k),
-            true => dispatch::csr_spmm::<true>(isa, rowptr, colidx, val, x, y, k),
-        },
-        FormatView::Sell4 {
-            sliceptr,
-            colidx,
-            val,
-            nrows,
-        } => match add {
-            false => dispatch::sell_spmm::<4, false>(isa, sliceptr, colidx, val, nrows, x, y, k),
-            true => dispatch::sell_spmm::<4, true>(isa, sliceptr, colidx, val, nrows, x, y, k),
-        },
-        FormatView::Sell8 {
-            sliceptr,
-            colidx,
-            val,
-            nrows,
-        }
-        | FormatView::SellEsb {
-            sliceptr,
-            colidx,
-            val,
-            nrows,
-            ..
-        } => match add {
-            false => dispatch::sell_spmm::<8, false>(isa, sliceptr, colidx, val, nrows, x, y, k),
-            true => dispatch::sell_spmm::<8, true>(isa, sliceptr, colidx, val, nrows, x, y, k),
-        },
-        FormatView::Sell16 {
-            sliceptr,
-            colidx,
-            val,
-            nrows,
-        } => match add {
-            false => dispatch::sell_spmm::<16, false>(isa, sliceptr, colidx, val, nrows, x, y, k),
-            true => dispatch::sell_spmm::<16, true>(isa, sliceptr, colidx, val, nrows, x, y, k),
-        },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::csr::Csr;
-    use crate::exec::ExecCtx;
-    use crate::sell::{Sell, Sell8};
-    use crate::sell_esb::SellEsb;
-    use crate::traits::{Apply, MatShape, Operator};
-
-    fn sample() -> Csr {
-        let mut b = crate::coo::CooBuilder::new(21, 21);
-        for i in 0..21usize {
-            for j in 0..(i % 5 + 1) {
-                b.push(i, (i + 3 * j) % 21, (i * 7 + j) as f64 * 0.25 - 2.0);
-            }
-        }
-        b.to_csr()
-    }
-
-    #[test]
-    fn public_entry_matches_trait_spmv_for_every_view() {
-        let a = sample();
-        let x: Vec<f64> = (0..21).map(|i| (i as f64 * 0.4).sin()).collect();
-        let mut want = vec![0.0; 21];
-        a.apply(
-            &ExecCtx::serial(),
-            (&x).into(),
-            (&mut want).into(),
-            Apply::Set,
-        );
-
-        for isa in Isa::available_tiers() {
-            // CSR compares bitwise against the same tier (different tiers
-            // reduce rows in different orders); SELL formats compare with
-            // tolerance against the CSR reference.
-            let mut want_isa = vec![0.0; 21];
-            a.spmv_isa(isa, &x, &mut want_isa);
-            let mut y = vec![0.0; 21];
-            spmv(
-                isa,
-                FormatView::Csr {
-                    rowptr: a.rowptr(),
-                    colidx: a.colidx(),
-                    val: a.values(),
-                },
-                &x,
-                &mut y,
-                SpmvMode::Set,
-            );
-            assert_eq!(y, want_isa, "csr {isa}");
-
-            let s8 = Sell8::from_csr(&a);
-            let view = FormatView::Sell8 {
-                sliceptr: s8.sliceptr(),
-                colidx: s8.colidx(),
-                val: s8.values(),
-                nrows: s8.nrows(),
-            };
-            let mut y = vec![0.0; 21];
-            spmv(isa, view, &x, &mut y, SpmvMode::Set);
-            for i in 0..21 {
-                assert!((y[i] - want[i]).abs() < 1e-12, "sell8 {isa} row {i}");
-            }
-
-            let s4 = Sell::<4>::from_csr(&a);
-            let mut y = vec![1.0; 21];
-            spmv(
-                isa,
-                FormatView::Sell4 {
-                    sliceptr: s4.sliceptr(),
-                    colidx: s4.colidx(),
-                    val: s4.values(),
-                    nrows: 21,
-                },
-                &x,
-                &mut y,
-                SpmvMode::Add,
-            );
-            for i in 0..21 {
-                assert!((y[i] - 1.0 - want[i]).abs() < 1e-12, "sell4+ {isa} row {i}");
-            }
-
-            let s16 = Sell::<16>::from_csr(&a);
-            let mut y = vec![0.0; 21];
-            spmv(
-                isa,
-                FormatView::Sell16 {
-                    sliceptr: s16.sliceptr(),
-                    colidx: s16.colidx(),
-                    val: s16.values(),
-                    nrows: 21,
-                },
-                &x,
-                &mut y,
-                SpmvMode::Set,
-            );
-            for i in 0..21 {
-                assert!((y[i] - want[i]).abs() < 1e-12, "sell16 {isa} row {i}");
-            }
-
-            let esb = SellEsb::from_csr(&a);
-            let view = FormatView::SellEsb {
-                sliceptr: esb.sell().sliceptr(),
-                colidx: esb.sell().colidx(),
-                val: esb.sell().values(),
-                bits: esb.bits(),
-                nrows: 21,
-            };
-            for mode in [SpmvMode::Set, SpmvMode::Add] {
-                let base = if mode == SpmvMode::Add { 2.0 } else { 0.0 };
-                let mut y = vec![base; 21];
-                spmv(isa, view, &x, &mut y, mode);
-                for i in 0..21 {
-                    assert!(
-                        (y[i] - base - want[i]).abs() < 1e-12,
-                        "esb {isa} {mode:?} row {i}"
-                    );
-                }
-            }
-        }
-    }
-}
+pub(crate) use checked::sell_esb_spmv;
+pub(crate) use checked::{csr_spmm, csr_spmv, sell_spmm, sell_spmv, SellParts, SellVals};

@@ -1,0 +1,396 @@
+//! The SELL bodies — Algorithm 2 of the paper, written once over
+//! [`Lanes`], the slice height `C` and the value codec: one slice of `C`
+//! adjacent rows per outer iteration, values and indices streaming in
+//! exactly storage order, `C` output entries per slice and *no remainder
+//! loop* (padding absorbs it).
+//!
+//! Layout contract (see `crate::sell::Sell`): slice `s` occupies entries
+//! `sliceptr[s]..sliceptr[s+1]`, column-major in `C`-entry columns; lane
+//! `r` of slice `s` is row `s*C + r`.  Padding carries the value `0.0` and
+//! the sentinel column `x.len()` (narrow form: offset `0xFFFF`), which the
+//! gathers mask, so it contributes exactly `+0.0`.
+//!
+//! Classic f64 SELL and PackSELL are one body: [`Stored`] picks how a
+//! value widens to an f64 lane and whether slices may use the narrow index
+//! form (`cbase[s] != u32::MAX`: `col = cbase[s] + cidx16[idx]`).
+//!
+//! `sliceptr` (and `cbase`) may be a window `&full[s0..=s1]`: offsets stay
+//! absolute into the full entry arrays, `y`/`nrows` cover the window's
+//! rows and are indexed locally.
+
+use super::lanes::{narrow_col, Lanes, Scalar};
+
+/// How SELL values are stored, and which index forms come with them.
+pub(super) trait Stored {
+    /// One stored value.
+    type Elem: Copy;
+    /// Whether slices may use the narrow (u16 offset) index form; `false`
+    /// means `cidx16`/`cbase` are never read.
+    const NARROW: bool;
+
+    /// `W` consecutive stored values widened to f64 lanes.
+    ///
+    /// # Safety
+    ///
+    /// * `requires: readable(p, W)`
+    unsafe fn load<L: Lanes>(l: L, p: *const Self::Elem) -> L::V;
+}
+
+/// Classic SELL: f64 values, wide u32 column indices only.
+pub(super) struct F64;
+/// PackSELL f32 values (little-endian bytes).
+pub(super) struct F32;
+/// PackSELL bf16 values (little-endian bytes).
+pub(super) struct Bf16;
+
+impl Stored for F64 {
+    type Elem = f64;
+    const NARROW: bool = false;
+    /// # Safety — `requires: readable(p, W)`
+    #[inline(always)]
+    unsafe fn load<L: Lanes>(l: L, p: *const f64) -> L::V {
+        // SAFETY: the caller's contract is `Lanes::load`'s.
+        unsafe { l.load(p) }
+    }
+}
+
+impl Stored for F32 {
+    type Elem = [u8; 4];
+    const NARROW: bool = true;
+    /// # Safety — `requires: readable(p, W)`
+    #[inline(always)]
+    unsafe fn load<L: Lanes>(l: L, p: *const [u8; 4]) -> L::V {
+        // SAFETY: the caller's contract is `Lanes::load_f32`'s.
+        unsafe { l.load_f32(p) }
+    }
+}
+
+impl Stored for Bf16 {
+    type Elem = [u8; 2];
+    const NARROW: bool = true;
+    /// # Safety — `requires: readable(p, W)`
+    #[inline(always)]
+    unsafe fn load<L: Lanes>(l: L, p: *const [u8; 2]) -> L::V {
+        // SAFETY: the caller's contract is `Lanes::load_bf16`'s.
+        unsafe { l.load_bf16(p) }
+    }
+}
+
+/// The entry arrays of a SELL matrix as the SpMV inner loop sees them.
+struct Entries<D: Stored> {
+    colidx: *const u32,
+    cidx16: *const u16,
+    val: *const D::Elem,
+    x: *const f64,
+    xlen: usize,
+}
+
+impl<D: Stored> Entries<D> {
+    /// One slice column at entry offset `at`: `acc[j] += val · x[col]` for
+    /// each of the column's `acc.len()` vectors.  `base` is the slice's
+    /// `cbase` entry (`u32::MAX`: wide indices).
+    ///
+    /// # Safety
+    ///
+    /// * `requires: packed_vals(val, colidx)` — entries
+    ///   `at..at + acc.len() * W` exist.
+    /// * `requires: cols_in_bounds_or_sentinel(colidx, x)`
+    /// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)`
+    #[inline(always)]
+    unsafe fn column<L: Lanes>(&self, l: L, acc: &mut [L::V], mut at: usize, base: u32) {
+        let mut j = 0;
+        while j < acc.len() {
+            // SAFETY: entries at..at + W lie inside the column; wide
+            // indices are < xlen or the sentinel, narrow offsets resolve
+            // inside x or are the 0xFFFF sentinel.
+            unsafe {
+                let v = D::load(l, self.val.add(at));
+                let xv = if base == u32::MAX {
+                    l.gather_live(self.x, self.xlen, self.colidx.add(at))
+                } else {
+                    l.gather_live_narrow(self.x, self.xlen, self.cidx16.add(at), base)
+                };
+                acc[j] = l.fma(v, xv, acc[j]);
+            }
+            at += L::W;
+            j += 1;
+        }
+    }
+}
+
+/// Writes the first `rows <= acc.len() * W` lanes of a slice's accumulators
+/// to `y` (adding `y` first when `ADD`): full vectors whole, the one
+/// straddling `rows` masked, the rest not at all — only a final partial
+/// slice takes the masked path (§5.5).
+///
+/// # Safety
+///
+/// * `requires: writable(y, rows)`
+#[inline(always)]
+unsafe fn store_slice<L: Lanes, const ADD: bool>(l: L, acc: &[L::V], y: *mut f64, rows: usize) {
+    for (j, &a) in acc.iter().enumerate() {
+        let n = rows.saturating_sub(j * L::W).min(L::W);
+        if n == 0 {
+            // Not even the pointer may be formed past the last row.
+            break;
+        }
+        // SAFETY: j*W + n <= rows elements are writable at y.
+        unsafe {
+            let p = y.add(j * L::W);
+            if n == L::W {
+                l.store(p, if ADD { l.add(a, l.load(p)) } else { a });
+            } else {
+                let v = if ADD { l.add(a, l.load_first(p, n)) } else { a };
+                l.store_first(p, n, v);
+            }
+        }
+    }
+}
+
+/// `y = A·x` (or `y += A·x` when `ADD`) for SELL-`C`, `C` a multiple of
+/// `L::W`.
+///
+/// Each slice column is `C / W` vector loads, sentinel-masked gathers and
+/// multiply-adds into the slice's `C / W` accumulators — no reduction, one
+/// lane per row.  With `ADD`, `y` is added when the slice is stored.
+/// `UNROLL` is the §5.5 manual tuning (two slices per iteration, the next
+/// columns prefetched), which the paper finds "does not affect the
+/// performance significantly"; it computes the same bits.
+///
+/// # Safety
+///
+/// * `requires: len(y) == nrows * k` — with `k` = 1.
+/// * `requires: len(sliceptr) == slices(nrows, C) + 1`
+/// * `requires: monotone(sliceptr)` — slice offsets are nondecreasing.
+/// * `requires: in_bounds(sliceptr, colidx)` — every offset `<= colidx.len()`.
+/// * `requires: aligned_offsets(sliceptr, C)` — slices are whole columns.
+/// * `requires: packed_vals(val, colidx)` — `val` points at one `D::Elem`
+///   per `colidx` entry.
+/// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — every wide-form
+///   column index is `< x.len()` or the sentinel `x.len()`.
+/// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)` — when
+///   `D::NARROW`: `cidx16` parallels `colidx`, `cbase` has one entry per
+///   slice, and in every narrow slice each offset is `0xFFFF` or satisfies
+///   `cbase[s] + cidx16[idx] < x.len()`.
+#[inline(always)]
+pub(super) unsafe fn spmv<
+    L: Lanes,
+    D: Stored,
+    const C: usize,
+    const ADD: bool,
+    const UNROLL: bool,
+>(
+    l: L,
+    sliceptr: &[usize],
+    colidx: &[u32],
+    cidx16: &[u16],
+    cbase: &[u32],
+    val: *const D::Elem,
+    nrows: usize,
+    x: &[f64],
+    y: &mut [f64],
+) {
+    let nslices = sliceptr.len() - 1;
+    // Vectors per slice column; the caller keeps them within `L::Acc`.
+    let nvec = C / L::W;
+    let yp = y.as_mut_ptr();
+    let e = Entries::<D> {
+        colidx: colidx.as_ptr(),
+        cidx16: cidx16.as_ptr(),
+        val,
+        x: x.as_ptr(),
+        xlen: x.len(),
+    };
+    let base_of = |s: usize| if D::NARROW { cbase[s] } else { u32::MAX };
+    let mut s = 0usize;
+    if UNROLL {
+        // Independent accumulators for two slices hide gather latency.
+        while s + 2 <= nslices {
+            let (mut acc0, mut acc1) = (l.zero_acc::<C>(), l.zero_acc::<C>());
+            let (acc0, acc1) = (&mut acc0.as_mut()[..nvec], &mut acc1.as_mut()[..nvec]);
+            let (mut i0, e0, e1) = (sliceptr[s], sliceptr[s + 1], sliceptr[s + 2]);
+            let mut i1 = e0;
+            let (b0, b1) = (base_of(s), base_of(s + 1));
+            // SAFETY: as in the plain loop below, for both slices; the
+            // prefetched address is at most one past the entry arrays.
+            unsafe {
+                while i0 < e0 && i1 < e1 {
+                    l.prefetch(e.val.add(i0 + C) as *const f64);
+                    l.prefetch(e.val.add(i1 + C) as *const f64);
+                    e.column(l, acc0, i0, b0);
+                    e.column(l, acc1, i1, b1);
+                    i0 += C;
+                    i1 += C;
+                }
+                // Ragged tails: the two slices have independent widths.
+                while i0 < e0 {
+                    e.column(l, acc0, i0, b0);
+                    i0 += C;
+                }
+                while i1 < e1 {
+                    e.column(l, acc1, i1, b1);
+                    i1 += C;
+                }
+                store_slice::<L, ADD>(l, acc0, yp.add(s * C), C);
+                store_slice::<L, ADD>(l, acc1, yp.add((s + 1) * C), C.min(nrows - (s + 1) * C));
+            }
+            s += 2;
+        }
+    }
+    while s < nslices {
+        let mut acc = l.zero_acc::<C>();
+        let acc = &mut acc.as_mut()[..nvec];
+        let (mut idx, end) = (sliceptr[s], sliceptr[s + 1]);
+        let base = base_of(s);
+        // SAFETY: idx is a C-aligned offset with idx + C <= end <=
+        // colidx.len(), so the column's entries exist in every entry
+        // array; the cols clauses are the caller's.  Slice s holds rows
+        // s*C .. min(s*C + C, nrows), all inside y.
+        unsafe {
+            while idx < end {
+                e.column(l, acc, idx, base);
+                idx += C;
+            }
+            store_slice::<L, ADD>(l, acc, yp.add(s * C), C.min(nrows - s * C));
+        }
+        s += 1;
+    }
+}
+
+/// `Y = A·X` (or `Y += A·X` when `ADD`) for SELL-`C` over a `k`-wide
+/// row-interleaved block (`x[col*k + t]`, `y[row*k + t]`), any `C`.
+///
+/// The lanes run along `k`, one accumulator per row of the slice: each
+/// entry is decoded once and broadcast against the contiguous `k`-block of
+/// its column.  Padding (a column at or past `x.len() / k`) is skipped
+/// outright.  With `ADD`, `y` is *preloaded* into the accumulators.
+///
+/// # Safety
+///
+/// * `requires: k != 0`
+/// * `requires: len(y) == nrows * k` — one `k`-block per row.
+/// * `requires: len(sliceptr) == slices(nrows, C) + 1`
+/// * `requires: monotone(sliceptr)` — slice offsets are nondecreasing.
+/// * `requires: in_bounds(sliceptr, colidx)` — every offset `<= colidx.len()`.
+/// * `requires: aligned_offsets(sliceptr, C)` — slices are whole columns.
+/// * `requires: packed_vals(val, colidx)` — `val` points at one `D::Elem`
+///   per `colidx` entry.
+/// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — every wide-form
+///   column is the sentinel or has its whole block in bounds
+///   (`(col + 1) * k <= x.len()`).
+/// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)` — when
+///   `D::NARROW`, as for [`spmv`], with each resolved column's whole block
+///   in bounds.
+#[inline(always)]
+pub(super) unsafe fn spmm<L: Lanes, D: Stored, const C: usize, const ADD: bool>(
+    l: L,
+    sliceptr: &[usize],
+    colidx: &[u32],
+    cidx16: &[u16],
+    cbase: &[u32],
+    val: *const D::Elem,
+    nrows: usize,
+    x: &[f64],
+    y: &mut [f64],
+    k: usize,
+) {
+    let nslices = sliceptr.len().saturating_sub(1);
+    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
+    let ncols = x.len().checked_div(k).unwrap_or(0);
+    for s in 0..nslices {
+        let rows = C.min(nrows - s * C);
+        let off = sliceptr[s];
+        let width = (sliceptr[s + 1] - off) / C;
+        let base = if D::NARROW { cbase[s] } else { u32::MAX };
+        let mut cb = 0usize;
+        while cb < k {
+            let lanes = (k - cb).min(L::W);
+            let mut acc = [l.zero(); C];
+            // SAFETY: (s*C + r)*k + cb + lanes <= nrows*k == y.len() for
+            // r < rows; entry idx < sliceptr[s+1] exists in every entry
+            // array; a live column has (c+1)*k <= x.len() and cb + lanes
+            // <= k, so its partial load stays inside x.
+            unsafe {
+                if ADD {
+                    for r in 0..rows {
+                        acc[r] = l.load_first(yp.add((s * C + r) * k + cb), lanes);
+                    }
+                }
+                for col in 0..width {
+                    for r in 0..rows {
+                        let idx = off + col * C + r;
+                        let c = if base == u32::MAX {
+                            colidx[idx] as usize
+                        } else {
+                            narrow_col(cidx16[idx], base, ncols)
+                        };
+                        if c < ncols {
+                            let a = l.splat(D::load(Scalar, val.add(idx)));
+                            let xv = l.load_first(xp.add(c * k + cb), lanes);
+                            acc[r] = l.fma(a, xv, acc[r]);
+                        }
+                    }
+                }
+                for r in 0..rows {
+                    l.store_first(yp.add((s * C + r) * k + cb), lanes, acc[r]);
+                }
+            }
+            cb += lanes;
+        }
+    }
+}
+
+/// `y = A·x` for SELL-8 with the ESB bit array (Liu et al.; paper §5.3):
+/// one lane-mask byte per slice column, masked forms of every operation.
+/// The ablation the paper measures ~10 % slower than plain SELL; the only
+/// kernel not written over [`Lanes`].
+///
+/// `bits` starts at the window's first mask byte and is counted locally.
+///
+/// # Safety
+///
+/// * `requires: feature(avx512f,avx512vl)`
+/// * `requires: len(y) == nrows * k` — with `k` = 1.
+/// * `requires: len(sliceptr) == slices(nrows, 8) + 1`
+/// * `requires: monotone(sliceptr)`
+/// * `requires: in_bounds(sliceptr, colidx)`
+/// * `requires: aligned_offsets(sliceptr, 8)`
+/// * `requires: packed_vals(val, colidx)` — `val` parallels `colidx`.
+/// * `requires: cols_in_bounds_or_sentinel(colidx, x)`
+/// * `requires: bits_cover_window(bits, val)` — one mask byte per slice
+///   column of the window, bit `r` set ⇔ lane `r` holds a real nonzero
+///   (so the sentinel is never gathered).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+pub(super) unsafe fn esb_spmv(
+    sliceptr: &[usize],
+    colidx: &[u32],
+    val: &[f64],
+    bits: &[u8],
+    nrows: usize,
+    x: &[f64],
+    y: &mut [f64],
+) {
+    // SAFETY: this function's feature clause.
+    let l = unsafe { super::lanes::Avx512::new() };
+    let nslices = sliceptr.len().saturating_sub(1);
+    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
+    let mut col_at = 0usize;
+    for s in 0..nslices {
+        let mut acc = l.zero();
+        let w = (sliceptr[s + 1] - sliceptr[s]) / 8;
+        for j in 0..w {
+            let at = sliceptr[s] + j * 8;
+            // SAFETY: col_at + j indexes one mask byte per window column;
+            // at + 8 <= sliceptr[s+1] <= colidx.len() == val.len(); lanes
+            // with a set bit hold live columns addressing x.
+            unsafe {
+                let m = *bits.get_unchecked(col_at + j);
+                acc = l.fma_column_bits(m, val.as_ptr().add(at), colidx.as_ptr().add(at), xp, acc);
+            }
+        }
+        col_at += w;
+        // SAFETY: slice s holds rows s*8 .. min(s*8 + 8, nrows) of y.
+        unsafe { l.store_first(yp.add(s * 8), 8.min(nrows - s * 8), acc) };
+    }
+}

@@ -67,7 +67,7 @@ pub mod csr_perm;
 pub mod ellpack;
 pub mod exec;
 pub mod isa;
-pub mod kernels;
+mod kernels;
 pub mod matops;
 pub mod multivec;
 pub mod plan;
@@ -96,4 +96,4 @@ pub use sell::{Sell, Sell16, Sell4, Sell8};
 pub use sell_esb::SellEsb;
 pub use sell_sigma::{SellSigma, SellSigma16, SellSigma4, SellSigma8};
 pub use stats::FormatStats;
-pub use traits::{Apply, FromCsr, MatShape, Operator, SpMv};
+pub use traits::{Apply, FromCsr, MatShape, Operator};

@@ -31,7 +31,7 @@ use crate::codec::{self, Codec};
 use crate::csr::Csr;
 use crate::exec::ExecCtx;
 use crate::isa::Isa;
-use crate::kernels::{dispatch, sell_scalar};
+use crate::kernels;
 use crate::multivec::{VecView, VecViewMut};
 use crate::plan::{PlanCache, SpmvPlan};
 use crate::traits::{check_apply_dims, check_spmv_dims, Apply, MatShape, Operator};
@@ -473,20 +473,14 @@ impl<const C: usize> Sell<C> {
         }
     }
 
-    /// SpMV with an explicit ISA.  Slice heights other than 8 currently run
-    /// the scalar kernel regardless of `isa` (the paper fixes C = 8 on KNL).
+    /// SpMV with an explicit ISA tier.  SELL-4/8/16 are vectorized at every
+    /// tier whose lane count divides the slice height (SELL-4 on AVX-512
+    /// runs the AVX2 lanes); other heights run the scalar lanes.
     pub fn spmv_isa(&self, isa: Isa, x: &[f64], y: &mut [f64]) {
         check_spmv_dims(self.nrows, self.ncols, x, y);
-        match &self.perm {
-            None => self.spmv_raw::<false>(isa, x, y),
-            Some(p) => {
-                let mut scratch = vec![0.0f64; self.nrows];
-                self.spmv_raw::<false>(isa, x, &mut scratch);
-                for (k, &row) in p.iter().enumerate() {
-                    y[row as usize] = scratch[k];
-                }
-            }
-        }
+        self.whole::<false>(y, 1, |y| {
+            self.slices::<false, false>(isa, 0, self.nslices(), x, y, None)
+        });
     }
 
     /// SpMM (`Y = A·X` over a `k`-wide row-interleaved block) with an
@@ -495,76 +489,104 @@ impl<const C: usize> Sell<C> {
     pub fn spmm_isa(&self, isa: Isa, x: &[f64], y: &mut [f64], k: usize) {
         assert_eq!(x.len(), self.ncols * k, "x must hold k interleaved vectors");
         assert_eq!(y.len(), self.nrows * k, "y must hold k interleaved vectors");
-        match &self.perm {
-            None => self.spmm_raw::<false>(isa, x, y, k),
-            Some(p) => {
-                let mut scratch = vec![0.0f64; self.nrows * k];
-                self.spmm_raw::<false>(isa, x, &mut scratch, k);
-                for (j, &row) in p.iter().enumerate() {
-                    let dst = row as usize * k;
-                    y[dst..dst + k].copy_from_slice(&scratch[j * k..(j + 1) * k]);
-                }
-            }
-        }
+        self.whole::<false>(y, k, |y| {
+            self.slices::<false, false>(isa, 0, self.nslices(), x, y, Some(k))
+        });
     }
 
-    /// SpMV through the §5.5 manually-tuned AVX-512 kernel (two-slice
-    /// unroll + software prefetch) when the CPU supports it and `C == 8`;
-    /// falls back to the regular dispatch otherwise.  σ-sorted matrices
-    /// also fall back (the tuned kernel has no permutation path).
+    /// SpMV through the §5.5 manually-tuned loop (two-slice unroll +
+    /// software prefetch) of the matrix's own tier.  σ-sorted matrices use
+    /// the regular loop (the ablation compares kernels, not permutations).
     ///
     /// The paper notes these classic tunings "do not affect the
     /// performance significantly" — benchmark them with `kernels_micro`.
     pub fn spmv_tuned(&self, x: &[f64], y: &mut [f64]) {
         check_spmv_dims(self.nrows, self.ncols, x, y);
-        #[cfg(target_arch = "x86_64")]
-        if C == 8 && self.perm.is_none() && self.codec == Codec::F64 && Isa::Avx512.available() {
-            crate::kernels::dispatch::sell8_spmv_tuned(
-                &self.sliceptr,
-                &self.colidx,
-                &self.val,
-                self.nrows,
-                x,
-                y,
-            );
-            return;
+        if self.perm.is_some() {
+            return self.apply_parts::<false>(&ExecCtx::serial(), x, y, 1);
         }
-        self.spmv_parts::<false>(&ExecCtx::serial(), x, y);
+        self.slices::<false, true>(self.isa, 0, self.nslices(), x, y, None);
     }
 
-    /// Shared body of `spmv_ctx`/`spmv_add_ctx`: serial whole-matrix
-    /// dispatch, or a slice-aligned, nnz-balanced partition on the
-    /// context's pool — the slice is the natural unit of multi-threaded
-    /// SELL SpMV, so a partition never splits one.  σ-sorted matrices
-    /// scatter through their permutation and therefore run serially
-    /// whatever the context.
-    fn spmv_parts<const ADD: bool>(&self, ctx: &ExecCtx, x: &[f64], y: &mut [f64]) {
-        check_spmv_dims(self.nrows, self.ncols, x, y);
-        if self.perm.is_some() || ctx.is_serial() {
-            if ADD {
-                match &self.perm {
-                    None => self.spmv_raw::<true>(self.isa, x, y),
-                    Some(p) => {
-                        let mut scratch = vec![0.0f64; self.nrows];
-                        self.spmv_raw::<false>(self.isa, x, &mut scratch);
-                        for (k, &row) in p.iter().enumerate() {
-                            y[row as usize] += scratch[k];
-                        }
-                    }
-                }
-            } else {
-                match &self.perm {
-                    None => self.spmv_raw::<false>(self.isa, x, y),
-                    Some(p) => {
-                        let mut scratch = vec![0.0f64; self.nrows];
-                        self.spmv_raw::<false>(self.isa, x, &mut scratch);
-                        for (k, &row) in p.iter().enumerate() {
-                            y[row as usize] = scratch[k];
-                        }
-                    }
-                }
+    /// The kernel arrays of slices `s0..s1` — the whole matrix is the
+    /// one-part window `0..nslices`.
+    pub(crate) fn parts(&self, s0: usize, s1: usize) -> kernels::SellParts<'_> {
+        // The whole-matrix half of the kernel contract (`build`
+        // establishes it; a window carries neither end).
+        debug_assert_eq!(self.sliceptr[0], 0, "sliceptr[0]");
+        debug_assert_eq!(
+            self.sliceptr[self.nslices()],
+            self.colidx.len(),
+            "sliceptr end"
+        );
+        kernels::SellParts {
+            sliceptr: &self.sliceptr[s0..=s1],
+            colidx: &self.colidx,
+            vals: match self.codec {
+                Codec::F64 => kernels::SellVals::F64(&self.val),
+                Codec::F32 => kernels::SellVals::F32(&self.pval),
+                Codec::Bf16 => kernels::SellVals::Bf16(&self.pval),
+            },
+            cidx16: &self.cidx16,
+            // Empty for `Codec::F64`, one selector per slice otherwise.
+            cbase: self.cbase.get(s0..s1).unwrap_or(&[]),
+            nrows: self.nrows.min(s1 * C) - self.nrows.min(s0 * C),
+        }
+    }
+
+    /// The product over slices `s0..s1` into the matching window `y`, in
+    /// storage (σ-sorted) row order.  `block` is `None` for SpMV, `Some(k)`
+    /// for the blocked SpMM kernel.
+    fn slices<const ADD: bool, const UNROLL: bool>(
+        &self,
+        isa: Isa,
+        s0: usize,
+        s1: usize,
+        x: &[f64],
+        y: &mut [f64],
+        block: Option<usize>,
+    ) {
+        let m = self.parts(s0, s1);
+        match block {
+            None => kernels::sell_spmv::<C, ADD, UNROLL>(isa, &m, x, y),
+            Some(k) => kernels::sell_spmm::<C, ADD>(isa, &m, x, y, k),
+        }
+    }
+
+    /// Runs a whole-matrix product into logical row order.  `raw` overwrites
+    /// its argument with the product in storage order: that is `y` itself,
+    /// or — for a σ-sorted matrix — a scratch block which is then scattered
+    /// (`ADD`: accumulated) into `y` through `perm`.
+    fn whole<const ADD: bool>(&self, y: &mut [f64], k: usize, raw: impl FnOnce(&mut [f64])) {
+        let Some(perm) = &self.perm else {
+            return raw(y);
+        };
+        let mut scratch = vec![0.0f64; self.nrows * k];
+        raw(&mut scratch);
+        for (j, &row) in perm.iter().enumerate() {
+            let dst = &mut y[row as usize * k..][..k];
+            for (d, s) in dst.iter_mut().zip(&scratch[j * k..][..k]) {
+                *d = if ADD { *d + s } else { *s };
             }
-            return;
+        }
+    }
+
+    /// Shared body of both [`Operator::apply`] modes: the serial
+    /// whole-matrix product, or a slice-aligned, nnz-balanced partition on
+    /// the context's pool — the slice is the natural unit of multi-threaded
+    /// SELL, so a partition never splits one, and it is `k`-independent, so
+    /// SpMV and SpMM share one cached plan.  σ-sorted matrices scatter
+    /// through their permutation and therefore run serially whatever the
+    /// context.
+    fn apply_parts<const ADD: bool>(&self, ctx: &ExecCtx, x: &[f64], y: &mut [f64], k: usize) {
+        let block = (k != 1).then_some(k);
+        if self.perm.is_some() {
+            return self.whole::<ADD>(y, k, |y| {
+                self.slices::<false, false>(self.isa, 0, self.nslices(), x, y, block)
+            });
+        }
+        if ctx.is_serial() {
+            return self.slices::<ADD, false>(self.isa, 0, self.nslices(), x, y, block);
         }
         let plan = self.plan.get_or_build(ctx.threads(), |epoch| {
             SpmvPlan::from_prefix(
@@ -577,238 +599,9 @@ impl<const C: usize> Sell<C> {
             )
         });
         let isa = plan.isa();
-        let (colidx, val) = (&self.colidx[..], &self.val[..]);
-        let sliceptr = &self.sliceptr[..];
-        match self.codec {
-            Codec::F64 => plan.run_on(ctx, y, &|_, part, win| {
-                let sp = &sliceptr[part.item0..=part.item1];
-                let nr = part.row1 - part.row0;
-                match C {
-                    4 => dispatch::sell4_spmv_slices::<ADD>(isa, sp, colidx, val, nr, x, win),
-                    8 => dispatch::sell8_spmv_slices::<ADD>(isa, sp, colidx, val, nr, x, win),
-                    16 => dispatch::sell16_spmv_slices::<ADD>(isa, sp, colidx, val, nr, x, win),
-                    _ => sell_scalar::spmv::<C, ADD>(sp, colidx, val, nr, x, win),
-                }
-            }),
-            Codec::F32 => self.spmv_parts_packed::<ADD, 0>(ctx, &plan, isa, x, y),
-            Codec::Bf16 => self.spmv_parts_packed::<ADD, 1>(ctx, &plan, isa, x, y),
-        }
-    }
-
-    /// Packed threaded SpMV body: each part windows `sliceptr` and the
-    /// per-slice `cbase` selectors, while `colidx`/`cidx16`/`pval` stay
-    /// full-matrix (the windowed `sliceptr` carries absolute offsets).
-    fn spmv_parts_packed<const ADD: bool, const CODEC: u8>(
-        &self,
-        ctx: &ExecCtx,
-        plan: &SpmvPlan,
-        isa: Isa,
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        let sliceptr = &self.sliceptr[..];
-        let (colidx, cidx16) = (&self.colidx[..], &self.cidx16[..]);
-        let (cbase, pval) = (&self.cbase[..], &self.pval[..]);
-        plan.run_on(ctx, y, &|_, part, win| {
-            let sp = &sliceptr[part.item0..=part.item1];
-            let cb = &cbase[part.item0..part.item1];
-            let nr = part.row1 - part.row0;
-            dispatch::sell_packed_spmv_slices::<C, ADD, CODEC>(
-                isa, sp, colidx, cidx16, cb, pval, nr, x, win,
-            );
-        });
-    }
-
-    /// Blocked sibling of `spmv_parts`: `Y = A·X` (or `+=`) over `k`
-    /// row-interleaved right-hand sides.  Every slice column is streamed
-    /// **once** and broadcast against all `k` vectors, and the cached
-    /// slice-aligned plan is shared with SpMV (partitions are
-    /// `k`-independent).  σ-sorted matrices stage through a blocked
-    /// scratch and unsort row blocks, serially like the SpMV path.
-    fn spmm_parts<const ADD: bool>(&self, ctx: &ExecCtx, x: &[f64], y: &mut [f64], k: usize) {
-        if self.perm.is_some() || ctx.is_serial() {
-            match &self.perm {
-                None => self.spmm_raw::<ADD>(self.isa, x, y, k),
-                Some(p) => {
-                    let mut scratch = vec![0.0f64; self.nrows * k];
-                    self.spmm_raw::<false>(self.isa, x, &mut scratch, k);
-                    for (r, &row) in p.iter().enumerate() {
-                        let (sb, yb) = (r * k, row as usize * k);
-                        for t in 0..k {
-                            if ADD {
-                                y[yb + t] += scratch[sb + t];
-                            } else {
-                                y[yb + t] = scratch[sb + t];
-                            }
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        let plan = self.plan.get_or_build(ctx.threads(), |epoch| {
-            SpmvPlan::from_prefix(
-                &self.sliceptr,
-                C,
-                self.nrows,
-                ctx.threads(),
-                self.isa,
-                epoch,
-            )
-        });
-        let isa = plan.isa();
-        let (colidx, val) = (&self.colidx[..], &self.val[..]);
-        let sliceptr = &self.sliceptr[..];
-        match self.codec {
-            Codec::F64 => plan.run_on_blocked(ctx, y, k, &|_, part, win| {
-                let sp = &sliceptr[part.item0..=part.item1];
-                let nr = part.row1 - part.row0;
-                dispatch::sell_spmm_slices::<C, ADD>(isa, sp, colidx, val, nr, x, win, k);
-            }),
-            Codec::F32 => self.spmm_parts_packed::<ADD, 0>(ctx, &plan, isa, x, y, k),
-            Codec::Bf16 => self.spmm_parts_packed::<ADD, 1>(ctx, &plan, isa, x, y, k),
-        }
-    }
-
-    /// Packed threaded SpMM body — the blocked sibling of
-    /// [`Sell::spmv_parts_packed`].
-    fn spmm_parts_packed<const ADD: bool, const CODEC: u8>(
-        &self,
-        ctx: &ExecCtx,
-        plan: &SpmvPlan,
-        isa: Isa,
-        x: &[f64],
-        y: &mut [f64],
-        k: usize,
-    ) {
-        let sliceptr = &self.sliceptr[..];
-        let (colidx, cidx16) = (&self.colidx[..], &self.cidx16[..]);
-        let (cbase, pval) = (&self.cbase[..], &self.pval[..]);
         plan.run_on_blocked(ctx, y, k, &|_, part, win| {
-            let sp = &sliceptr[part.item0..=part.item1];
-            let cb = &cbase[part.item0..part.item1];
-            let nr = part.row1 - part.row0;
-            dispatch::sell_packed_spmm_slices::<C, ADD, CODEC>(
-                isa, sp, colidx, cidx16, cb, pval, nr, x, win, k,
-            );
+            self.slices::<ADD, false>(isa, part.item0, part.item1, x, win, block);
         });
-    }
-
-    fn spmm_raw<const ADD: bool>(&self, isa: Isa, x: &[f64], y: &mut [f64], k: usize) {
-        match self.codec {
-            Codec::F64 => {}
-            Codec::F32 => return self.spmm_raw_packed::<ADD, 0>(isa, x, y, k),
-            Codec::Bf16 => return self.spmm_raw_packed::<ADD, 1>(isa, x, y, k),
-        }
-        dispatch::sell_spmm::<C, ADD>(
-            isa,
-            &self.sliceptr,
-            &self.colidx,
-            &self.val,
-            self.nrows,
-            x,
-            y,
-            k,
-        );
-    }
-
-    fn spmm_raw_packed<const ADD: bool, const CODEC: u8>(
-        &self,
-        isa: Isa,
-        x: &[f64],
-        y: &mut [f64],
-        k: usize,
-    ) {
-        dispatch::sell_packed_spmm::<C, ADD, CODEC>(
-            isa,
-            &self.sliceptr,
-            &self.colidx,
-            &self.cidx16,
-            &self.cbase,
-            &self.pval,
-            self.nrows,
-            x,
-            y,
-            k,
-        );
-    }
-
-    fn spmv_raw_packed<const ADD: bool, const CODEC: u8>(
-        &self,
-        isa: Isa,
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        dispatch::sell_packed_spmv::<C, ADD, CODEC>(
-            isa,
-            &self.sliceptr,
-            &self.colidx,
-            &self.cidx16,
-            &self.cbase,
-            &self.pval,
-            self.nrows,
-            x,
-            y,
-        );
-    }
-
-    fn spmv_raw<const ADD: bool>(&self, isa: Isa, x: &[f64], y: &mut [f64]) {
-        match self.codec {
-            Codec::F64 => {}
-            Codec::F32 => return self.spmv_raw_packed::<ADD, 0>(isa, x, y),
-            Codec::Bf16 => return self.spmv_raw_packed::<ADD, 1>(isa, x, y),
-        }
-        match C {
-            4 => dispatch::sell4_spmv::<ADD>(
-                isa,
-                &self.sliceptr,
-                &self.colidx,
-                &self.val,
-                self.nrows,
-                x,
-                y,
-            ),
-            8 => {
-                if ADD {
-                    dispatch::sell8_spmv_add(
-                        isa,
-                        &self.sliceptr,
-                        &self.colidx,
-                        &self.val,
-                        self.nrows,
-                        x,
-                        y,
-                    );
-                } else {
-                    dispatch::sell8_spmv(
-                        isa,
-                        &self.sliceptr,
-                        &self.colidx,
-                        &self.val,
-                        self.nrows,
-                        x,
-                        y,
-                    );
-                }
-            }
-            16 => dispatch::sell16_spmv::<ADD>(
-                isa,
-                &self.sliceptr,
-                &self.colidx,
-                &self.val,
-                self.nrows,
-                x,
-                y,
-            ),
-            _ => sell_scalar::spmv::<C, ADD>(
-                &self.sliceptr,
-                &self.colidx,
-                &self.val,
-                self.nrows,
-                x,
-                y,
-            ),
-        }
     }
 }
 
@@ -838,11 +631,9 @@ impl<const C: usize> Operator for Sell<C> {
         check_apply_dims(self.nrows, self.ncols, &x, &y);
         let k = x.k();
         let (xd, yd) = (x.data(), y.into_data());
-        match (k, mode) {
-            (1, Apply::Set) => self.spmv_parts::<false>(ctx, xd, yd),
-            (1, Apply::Add) => self.spmv_parts::<true>(ctx, xd, yd),
-            (_, Apply::Set) => self.spmm_parts::<false>(ctx, xd, yd, k),
-            (_, Apply::Add) => self.spmm_parts::<true>(ctx, xd, yd, k),
+        match mode {
+            Apply::Set => self.apply_parts::<false>(ctx, xd, yd, k),
+            Apply::Add => self.apply_parts::<true>(ctx, xd, yd, k),
         }
     }
 

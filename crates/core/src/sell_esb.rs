@@ -78,37 +78,34 @@ impl SellEsb {
     /// SpMV with an explicit ISA.
     pub fn spmv_isa(&self, isa: Isa, x: &[f64], y: &mut [f64]) {
         check_spmv_dims(self.sell.nrows(), self.sell.ncols(), x, y);
+        self.slices(isa, 0, self.sell.nslices(), x, y);
+    }
+
+    /// The product over slices `s0..s1` into the matching window `y` (the
+    /// whole matrix is the one-part window): the masked AVX-512 kernel at
+    /// that tier, the scalar masked kernel at every other.  The bit array
+    /// is windowed to the first slice's mask byte.
+    fn slices(&self, isa: Isa, s0: usize, s1: usize, x: &[f64], y: &mut [f64]) {
+        let m = self.sell.parts(s0, s1);
+        let bits = &self.bits[m.sliceptr[0] / 8..];
         match isa {
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => crate::kernels::dispatch::sell_esb_spmv_avx512(
-                self.sell.sliceptr(),
-                self.sell.colidx(),
+            Isa::Avx512 => crate::kernels::sell_esb_spmv(&m, bits, x, y),
+            _ => esb_spmv_scalar(
+                m.sliceptr,
+                m.colidx,
                 self.sell.values(),
-                &self.bits,
-                self.sell.nrows(),
+                bits,
+                m.nrows,
                 x,
                 y,
             ),
-            _ => self.spmv_scalar(x, y),
         }
-    }
-
-    /// Scalar masked kernel: skips padded lanes via the bit array.
-    fn spmv_scalar(&self, x: &[f64], y: &mut [f64]) {
-        esb_spmv_scalar(
-            self.sell.sliceptr(),
-            self.sell.colidx(),
-            self.sell.values(),
-            &self.bits,
-            self.sell.nrows(),
-            x,
-            y,
-        );
     }
 }
 
-/// The scalar masked kernel body, windowing like the SIMD dispatch
-/// wrappers: `sliceptr` may be a sub-window with absolute offsets into the
+/// The scalar masked kernel body, windowing like the SIMD entry
+/// points: `sliceptr` may be a sub-window with absolute offsets into the
 /// full `val`/`colidx`, `bits` starts at the window's first mask byte
 /// (`full_bits[sliceptr[0] / 8]`), `nrows` and `y` cover the window's rows.
 fn esb_spmv_scalar(
@@ -163,13 +160,11 @@ impl SellEsb {
             self.spmv_isa(self.sell.isa(), x, y);
             return;
         }
-        // Slice-aligned plan, like plain SELL-8; each part windows the
-        // bit array to its first slice's mask byte and runs the *same*
+        // Slice-aligned plan, like plain SELL-8; each part runs the *same*
         // masked kernel the serial path uses (bitwise determinism).
-        let full_sliceptr = self.sell.sliceptr();
         let plan = self.plan.get_or_build(ctx.threads(), |epoch| {
             SpmvPlan::from_prefix(
-                full_sliceptr,
+                self.sell.sliceptr(),
                 8,
                 self.sell.nrows(),
                 ctx.threads(),
@@ -178,18 +173,8 @@ impl SellEsb {
             )
         });
         let isa = plan.isa();
-        let (colidx, val, bits) = (self.sell.colidx(), self.sell.values(), &self.bits[..]);
         plan.run_on(ctx, y, &|_, part, win| {
-            let sliceptr = &full_sliceptr[part.item0..=part.item1];
-            let bits_win = &bits[full_sliceptr[part.item0] / 8..];
-            let nr = part.row1 - part.row0;
-            match isa {
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx512 => crate::kernels::dispatch::sell_esb_spmv_avx512_slices(
-                    sliceptr, colidx, val, bits_win, nr, x, win,
-                ),
-                _ => esb_spmv_scalar(sliceptr, colidx, val, bits_win, nr, x, win),
-            }
+            self.slices(isa, part.item0, part.item1, x, win);
         });
     }
 }

@@ -28,8 +28,7 @@ pub enum Apply {
 /// point: a [`VecView`](crate::VecView) is either a plain `&[f64]`
 /// (`k = 1`, classic SpMV) or a [`MultiVec`](crate::MultiVec) block
 /// (`k > 1`, SpMM — the matrix is streamed once and its `12·nnz` traffic
-/// amortized across all `k` vectors).  The old four methods survive as
-/// deprecated forwarders on [`SpMv`] for one release.
+/// amortized across all `k` vectors).
 ///
 /// Implementations must accept `x.rows() == ncols()`,
 /// `y.rows() == nrows()`, `x.k() == y.k()`, and must not read `y` under
@@ -132,40 +131,6 @@ pub trait Operator: MatShape {
         }
     }
 }
-
-/// Deprecated compatibility surface over [`Operator`]: the pre-redesign
-/// `spmv`/`spmv_add`/`spmv_ctx`/`spmv_add_ctx` quartet, each a thin
-/// forwarder into [`Operator::apply`].  Blanket-implemented for every
-/// operator, so `use …::SpMv` keeps compiling for one release — with
-/// deprecation warnings pointing at the replacement.
-pub trait SpMv: Operator {
-    /// Computes `y = A·x`, overwriting `y`, on the given execution
-    /// context.
-    #[deprecated(note = "use `Operator::apply(ctx, x.into(), y.into(), Apply::Set)`")]
-    fn spmv_ctx(&self, ctx: &crate::ExecCtx, x: &[f64], y: &mut [f64]) {
-        self.apply(ctx, x.into(), y.into(), Apply::Set);
-    }
-
-    /// Computes `y += A·x` on the given execution context.
-    #[deprecated(note = "use `Operator::apply(ctx, x.into(), y.into(), Apply::Add)`")]
-    fn spmv_add_ctx(&self, ctx: &crate::ExecCtx, x: &[f64], y: &mut [f64]) {
-        self.apply(ctx, x.into(), y.into(), Apply::Add);
-    }
-
-    /// Computes `y = A·x`, overwriting `y` (serial).
-    #[deprecated(note = "use `Operator::apply` with `ExecCtx::serial()` and `Apply::Set`")]
-    fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        self.apply(&crate::ExecCtx::serial(), x.into(), y.into(), Apply::Set);
-    }
-
-    /// Computes `y += A·x` (serial).
-    #[deprecated(note = "use `Operator::apply` with `ExecCtx::serial()` and `Apply::Add`")]
-    fn spmv_add(&self, x: &[f64], y: &mut [f64]) {
-        self.apply(&crate::ExecCtx::serial(), x.into(), y.into(), Apply::Add);
-    }
-}
-
-impl<T: Operator + ?Sized> SpMv for T {}
 
 /// Conversion from CSR — every format can be built from assembled CSR,
 /// which is how PETSc's `MatConvert` reaches `SELL`, `AIJPERM`, etc.

@@ -46,6 +46,6 @@ pub use sellkit_solvers as solvers;
 pub use sellkit_workloads as workloads;
 
 pub use sellkit_core::{
-    Apply, Csr, CsrPerm, ExecCtx, Isa, MultiVec, Operator, Sell, Sell8, SellSigma8, SpMv, VecView,
+    Apply, Csr, CsrPerm, ExecCtx, Isa, MultiVec, Operator, Sell, Sell8, SellSigma8, VecView,
     VecViewMut,
 };

@@ -10,8 +10,8 @@
 //! /// * `requires: cols_in_bounds_or_sentinel(colidx, x)`
 //! ```
 //!
-//! On the dispatch side (`kernels/dispatch.rs`), discharge *markers* tie
-//! each clause to the assertion that establishes it:
+//! On the dispatch side (`kernels/checked.rs`, the checked entry points),
+//! discharge *markers* tie each clause to the assertion that establishes it:
 //!
 //! ```text
 //! // discharges: monotone(sliceptr)
@@ -22,8 +22,12 @@
 //! docs (`` `discharges: a, b, c` ``); the declaration is only accepted if
 //! every declared clause has a matching marker in the helper's body (or
 //! comes from a nested helper call, with const-generic substitution — so
-//! `debug_check_sell::<8>` turns `slices(nrows, C)` into
-//! `slices(nrows, 8)`).
+//! `check_sell::<8>` turns `slices(nrows, C)` into `slices(nrows, 8)`).
+//!
+//! An entry point hands its generic body to the one `Isa` match through a
+//! local `impl Kernel` whose `on` forwards to the body; such nested
+//! functions belong to the entry point that contains them — their calls
+//! are its calls, checked against its discharged set.
 //!
 //! The pass then proves, per *dispatch path*:
 //!
@@ -36,28 +40,34 @@
 //!   not state is drift in the other direction;
 //! * **evidence**: clauses that are visible in the kernel body itself must
 //!   be documented — `#[target_feature(enable = "S")]` demands
-//!   `feature(S)`, aligned loads of `val`/`colidx` demand
-//!   `aligned(…, 64)`, and gathers/raw `x` derefs demand a
-//!   `cols_in_bounds*` clause;
-//! * private kernel helpers' clauses must be contained in their file's
-//!   public contract (or same-file markers), with feature sets allowed to
-//!   shrink;
-//! * unsafe kernels may be *called* only from `dispatch.rs` or their own
-//!   file;
+//!   `feature(S)`, aligned loads demand `aligned(…, 64)`, and gathers/raw
+//!   `x` derefs demand a `cols_in_bounds*` clause;
+//! * **helper calls**: wherever one unsafe kernel function calls another
+//!   (a body calling a `Lanes` memory operation or a slice-column helper,
+//!   an operation calling a private helper), the *calling* function's own
+//!   contract (or a same-file marker) must establish every clause of the
+//!   callee — so `narrow_cols_in_bounds` cannot be borrowed from a body in
+//!   another file; a pointer-extent clause (`readable`/`writable`) needs
+//!   the caller to state an extent of its own (`len`, `in_bounds`,
+//!   `packed_vals`, `bits_cover_window`, or a pointer extent it was
+//!   handed); a private helper's feature set must be covered by a public
+//!   `#[target_feature]` function of its file;
+//! * unsafe kernels may be *called* only from `checked.rs` or the kernel
+//!   directory itself;
 //! * markers must sit directly above an assertion, and every marker clause
 //!   must exist somewhere in the contract — stale markers fail.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::diag::Finding;
-use crate::scan::{calls_in, parse_fns, split_top_level, Call, FnInfo, SourceFile};
+use crate::scan::{calls_in, is_word_at, parse_fns, split_top_level, Call, FnInfo, SourceFile};
 
 const PASS: &str = "contract";
 const KERNEL_DIR: &str = "crates/core/src/kernels/";
-const DISPATCH: &str = "crates/core/src/kernels/dispatch.rs";
+const DISPATCH: &str = "crates/core/src/kernels/checked.rs";
 
 /// Clause heads that are predicate names, not argument identifiers.
-const PREDICATES: [&str; 10] = [
+const PREDICATES: [&str; 14] = [
     "len",
     "slices",
     "monotone",
@@ -66,9 +76,76 @@ const PREDICATES: [&str; 10] = [
     "aligned_offsets",
     "cols_in_bounds",
     "cols_in_bounds_or_sentinel",
+    "narrow_cols_in_bounds",
+    "packed_vals",
     "bits_cover_window",
+    "readable",
+    "writable",
     "feature",
 ];
+
+/// The clauses that license dereferencing `x` through stored indices.
+const COLS_CLAUSES: [&str; 3] = [
+    "cols_in_bounds(colidx,x)",
+    "cols_in_bounds_or_sentinel(colidx,x)",
+    "narrow_cols_in_bounds(cidx16,cbase,x)",
+];
+
+/// Predicates that bound how far a pointer or array may be accessed.
+const EXTENTS: [&str; 6] = [
+    "len",
+    "in_bounds",
+    "packed_vals",
+    "bits_cover_window",
+    "readable",
+    "writable",
+];
+
+/// Whether a caller whose contract is `have` establishes its callee's
+/// clause `want`: by stating it, by stating any extent for a pointer-extent
+/// clause (which pointer and how far is the call site's `SAFETY` argument),
+/// or through the two implications among the column clauses — an
+/// always-live index is in particular live-or-sentinel, and a narrow entry
+/// resolves to an in-bounds column or the sentinel.
+fn establishes(have: &BTreeSet<String>, want: &str) -> bool {
+    if want.starts_with("readable(") || want.starts_with("writable(") {
+        return have.iter().any(|c| {
+            EXTENTS
+                .iter()
+                .any(|p| crate::scan::find_word(c, p).is_some())
+        });
+    }
+    have.contains(want)
+        || want == COLS_CLAUSES[1]
+            && (have.contains(COLS_CLAUSES[0]) || have.contains(COLS_CLAUSES[2]))
+}
+
+/// Call sites inside `body` — free, path or method form — of the functions
+/// named in `names`, as `(name, 0-based line)`.
+fn named_calls(
+    file: &SourceFile,
+    body: (usize, usize),
+    names: &BTreeMap<String, BTreeSet<String>>,
+) -> Vec<(String, usize)> {
+    let mut out = Vec::new();
+    for line in body.0..=body.1.min(file.code.len() - 1) {
+        let code = &file.code[line];
+        for name in names.keys() {
+            let mut from = 0usize;
+            while let Some(pos) = code[from..].find(name.as_str()) {
+                let start = from + pos;
+                from = start + name.len();
+                let rest = code[from..].trim_start();
+                let is_call = rest.starts_with('(') || rest.starts_with("::<");
+                let is_decl = code[..start].trim_end().ends_with("fn");
+                if is_word_at(code, start, name.len()) && is_call && !is_decl {
+                    out.push((name.clone(), line));
+                }
+            }
+        }
+    }
+    out
+}
 
 /// Whitespace-insensitive canonical form of a clause.
 fn normalize(clause: &str) -> String {
@@ -250,6 +327,20 @@ pub fn run(tree: &[SourceFile]) -> Vec<Finding> {
     // anywhere, for the stale-marker check.
     let mut all_marker_clauses: BTreeSet<String> = BTreeSet::new();
 
+    // The contract of every unsafe function in the kernel directory, by
+    // name (a trait operation and its impls state the same clauses; the
+    // union holds a call to whichever is meant to all of them).
+    let mut contracts: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for file in &kernel_files {
+        for f in parse_fns(file).into_iter().filter(|f| f.is_unsafe) {
+            contracts.entry(f.name.clone()).or_default().extend(
+                requires_clauses(&f.doc, &file.rel, f.header_line, &mut Vec::new())
+                    .into_iter()
+                    .filter(|c| !c.starts_with("feature(")),
+            );
+        }
+    }
+
     for file in &kernel_files {
         let module = file
             .rel
@@ -269,11 +360,6 @@ pub fn run(tree: &[SourceFile]) -> Vec<Finding> {
             }
         }
         let unsafes: Vec<&FnInfo> = fns.iter().filter(|f| f.is_unsafe).collect();
-        let pub_clause_union: BTreeSet<String> = unsafes
-            .iter()
-            .filter(|f| f.is_pub)
-            .flat_map(|f| requires_clauses(&f.doc, &file.rel, f.header_line, &mut Vec::new()))
-            .collect();
 
         for f in &unsafes {
             let clauses = requires_clauses(&f.doc, &file.rel, f.header_line, &mut findings);
@@ -327,7 +413,7 @@ pub fn run(tree: &[SourceFile]) -> Vec<Finding> {
                             .find(';')
                             .map_or(body_code.len(), |e| at + e);
                         let args = &body_code[at..args_end];
-                        for arr in ["val", "colidx"] {
+                        for arr in ["val", "colidx", "p", "ci"] {
                             let want = format!("aligned({arr},64)");
                             if crate::scan::find_word(args, arr).is_some()
                                 && !clause_set.contains(&want)
@@ -350,11 +436,10 @@ pub fn run(tree: &[SourceFile]) -> Vec<Finding> {
                     }
                 }
                 // Evidence: gathers / raw x derefs demand a cols clause.
-                let gathers = body_code.contains("i32gather")
-                    || body_code.contains("xp.add(")
-                    || body_code.contains("x.get_unchecked");
-                let has_cols = clause_set.contains("cols_in_bounds(colidx,x)")
-                    || clause_set.contains("cols_in_bounds_or_sentinel(colidx,x)");
+                let gathers = ["gather", "xp.add(", "x.add(", "x.get_unchecked"]
+                    .iter()
+                    .any(|g| body_code.contains(g));
+                let has_cols = COLS_CLAUSES.iter().any(|c| clause_set.contains(*c));
                 if gathers && !has_cols {
                     findings.push(
                         Finding::new(
@@ -374,23 +459,46 @@ pub fn run(tree: &[SourceFile]) -> Vec<Finding> {
                 }
             }
 
-            // Private helpers: contract contained in the file's public
-            // contract (feature sets may shrink) or same-file markers.
+            // Helper calls: this function's own contract (or a same-file
+            // marker) establishes every clause of each unsafe kernel
+            // function it calls.
+            let mut have = clause_set.clone();
+            have.extend(file_markers.iter().cloned());
+            for (callee, line) in f
+                .body
+                .map_or(Vec::new(), |b| named_calls(file, b, &contracts))
+            {
+                for c in contracts[&callee].iter().filter(|c| !establishes(&have, c)) {
+                    findings.push(
+                        Finding::new(
+                            &file.rel,
+                            line + 1,
+                            PASS,
+                            format!(
+                                "`{}` calls `{callee}` without stating the clause it requires",
+                                f.name
+                            ),
+                        )
+                        .with_clause(c),
+                    );
+                }
+            }
+
+            // Private helpers: a feature set must be covered by a public
+            // `#[target_feature]` function of the file.
             if !f.is_pub {
                 for c in &clause_set {
-                    let ok = if let Some(feats) =
-                        c.strip_prefix("feature(").and_then(|r| r.strip_suffix(')'))
-                    {
-                        let need: BTreeSet<&str> = feats.split(',').collect();
-                        unsafes.iter().filter(|g| g.is_pub).any(|g| {
-                            g.target_features.iter().any(|s| {
-                                let have: BTreeSet<&str> = s.split(',').collect();
-                                need.is_subset(&have)
-                            })
-                        })
-                    } else {
-                        pub_clause_union.contains(c) || file_markers.contains(c)
+                    let Some(feats) = c.strip_prefix("feature(").and_then(|r| r.strip_suffix(')'))
+                    else {
+                        continue;
                     };
+                    let need: BTreeSet<&str> = feats.split(',').collect();
+                    let ok = unsafes.iter().filter(|g| g.is_pub).any(|g| {
+                        g.target_features.iter().any(|s| {
+                            let have: BTreeSet<&str> = s.split(',').collect();
+                            need.is_subset(&have)
+                        })
+                    });
                     if !ok {
                         findings.push(
                             Finding::new(
@@ -398,8 +506,8 @@ pub fn run(tree: &[SourceFile]) -> Vec<Finding> {
                                 f.header_line + 1,
                                 PASS,
                                 format!(
-                                    "private helper `{}` requires a clause its file's public \
-                                     contract never establishes",
+                                    "private helper `{}` requires a feature set no public \
+                                     kernel of its file enables",
                                     f.name
                                 ),
                             )
@@ -424,12 +532,22 @@ pub fn run(tree: &[SourceFile]) -> Vec<Finding> {
             DISPATCH,
             1,
             PASS,
-            "dispatch.rs missing: unsafe kernels have no checked entry point".into(),
+            "checked.rs missing: unsafe kernels have no checked entry point".into(),
         ));
         return findings;
     };
-    let dfns = parse_fns(dispatch);
-    let by_name: BTreeMap<&str, &FnInfo> = dfns.iter().map(|f| (f.name.as_str(), f)).collect();
+    // A function nested in another's body (an entry point's local
+    // `impl Kernel`) is part of that entry point, not a path of its own.
+    let all = parse_fns(dispatch);
+    let nested = |f: &FnInfo| {
+        all.iter().any(|outer| {
+            outer
+                .body
+                .is_some_and(|(lo, hi)| lo < f.header_line && f.header_line < hi)
+        })
+    };
+    let dfns: Vec<&FnInfo> = all.iter().filter(|f| !nested(f)).collect();
+    let by_name: BTreeMap<&str, &FnInfo> = dfns.iter().map(|f| (f.name.as_str(), *f)).collect();
     let declared: BTreeMap<&str, Vec<String>> = dfns
         .iter()
         .filter_map(|f| declared_clauses(&f.doc).map(|d| (f.name.as_str(), d)))
@@ -643,8 +761,8 @@ pub fn run(tree: &[SourceFile]) -> Vec<Finding> {
         }
     }
 
-    // Unsafe kernels may be entered only from dispatch.rs (or their own
-    // file, for private helpers).
+    // Unsafe kernels may be entered only from checked.rs (or the kernel
+    // directory itself: bodies call the lane operations and helpers).
     for file in tree {
         if file.rel == DISPATCH || file.rel.starts_with(KERNEL_DIR) {
             continue;
@@ -665,7 +783,7 @@ pub fn run(tree: &[SourceFile]) -> Vec<Finding> {
                         call.line + 1,
                         PASS,
                         format!(
-                            "unsafe kernel `{module}::{fname}` called outside dispatch.rs — \
+                            "unsafe kernel `{module}::{fname}` called outside checked.rs — \
                              the contract checks cannot see this entry point"
                         ),
                     ));
@@ -693,7 +811,7 @@ mod tests {
     fn tree(kernel: &str, dispatch: &str) -> Vec<SourceFile> {
         vec![
             SourceFile::new("crates/core/src/kernels/mini.rs", kernel),
-            SourceFile::new("crates/core/src/kernels/dispatch.rs", dispatch),
+            SourceFile::new("crates/core/src/kernels/checked.rs", dispatch),
         ]
     }
 
@@ -816,6 +934,104 @@ mod tests {
     }
 
     #[test]
+    fn nested_kernel_impl_is_checked_as_part_of_its_entry_point() {
+        // The entry point forwards to the kernel from a local `impl`: the
+        // nested `on` is no path of its own, its call is the entry point's.
+        let dispatch = "/// `discharges: len(colidx) == len(val), cols_in_bounds(colidx, x)`\nfn debug_check(colidx: &[u32], val: &[f64], x: &[f64]) {\n    // discharges: len(colidx) == len(val)\n    debug_assert_eq!(colidx.len(), val.len());\n    // discharges: cols_in_bounds(colidx, x)\n    debug_assert!(colidx.iter().all(|&c| (c as usize) < x.len()));\n}\n\npub fn spmv(colidx: &[u32], val: &[f64], x: &[f64], y: &mut [f64]) {\n    debug_check(colidx, val, x);\n    struct Op<'a>(&'a [u32], &'a [f64], &'a [f64], &'a mut [f64]);\n    impl Kernel for Op<'_> {\n        unsafe fn on(self) {\n            unsafe { super::mini::spmv(self.0, self.1, self.2, self.3) }\n        }\n    }\n    // discharges: feature(avx2)\n    assert!(true);\n    unsafe { run(Op(colidx, val, x, y)) }\n}\n";
+        let f = run(&tree(kernel_src(), dispatch));
+        assert!(f.is_empty(), "{f:#?}");
+        let unchecked = dispatch.replace("    debug_check(colidx, val, x);\n", "");
+        let f = run(&tree(kernel_src(), &unchecked));
+        assert!(
+            f.iter().any(|f| f
+                .message
+                .contains("`spmv` calls `mini::spmv` without discharging")),
+            "{f:#?}"
+        );
+    }
+
+    /// A second kernel file: a lane operation with its own contract.
+    fn lanes_src() -> &'static str {
+        "/// Gather.\n///\n/// # Safety\n///\n/// * `requires: readable(ci, W)`\n/// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)`\npub unsafe fn gather_narrow(x: *const f64, ci: *const u16) -> f64 {\n    unsafe { *x.add(*ci as usize) }\n}\n"
+    }
+
+    #[test]
+    fn helper_call_needs_the_clause_on_the_calling_function() {
+        // `mini::spmv` calls the lane operation but states neither of its
+        // clauses' equals: the column clause it has is the strict CSR one.
+        let kernel = kernel_src().replace(
+            "let _ = unsafe { *xp.add(0) };",
+            "let _ = unsafe { gather_narrow(xp, colidx.as_ptr().cast()) };",
+        );
+        let mut t = tree(&kernel, dispatch_src());
+        t.push(SourceFile::new(
+            "crates/core/src/kernels/lanes.rs",
+            lanes_src(),
+        ));
+        let f = run(&t);
+        assert!(
+            f.iter()
+                .any(|f| f.message.contains("`spmv` calls `gather_narrow`")
+                    && f.clause.as_deref() == Some("narrow_cols_in_bounds(cidx16,cbase,x)")),
+            "{f:#?}"
+        );
+        // The extent clause is covered: the caller states `len(..)`.
+        assert!(
+            !f.iter()
+                .any(|f| f.clause.as_deref() == Some("readable(ci,W)")),
+            "{f:#?}"
+        );
+        // A body in *another* file stating the clause does not help.
+        t.push(SourceFile::new(
+            "crates/core/src/kernels/other.rs",
+            "/// Other.\n///\n/// # Safety\n///\n/// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)`\npub unsafe fn other(x: &[f64]) {\n    let _ = x;\n}\n",
+        ));
+        assert!(run(&t)
+            .iter()
+            .any(|f| f.message.contains("`spmv` calls `gather_narrow`")),);
+    }
+
+    #[test]
+    fn pointer_extent_needs_an_extent_on_the_caller() {
+        let kernel = kernel_src()
+            .replace("/// * `requires: len(colidx) == len(val)`\n", "")
+            .replace(
+                "let _ = unsafe { *xp.add(0) };",
+                "let _ = unsafe { gather_narrow(xp, colidx.as_ptr().cast()) };",
+            );
+        let dispatch = dispatch_src()
+            .replace("len(colidx) == len(val), ", "")
+            .replace(
+                "    // discharges: len(colidx) == len(val)\n    debug_assert_eq!(colidx.len(), val.len());\n",
+                "",
+            );
+        let mut t = tree(&kernel, &dispatch);
+        t.push(SourceFile::new(
+            "crates/core/src/kernels/lanes.rs",
+            lanes_src(),
+        ));
+        let f = run(&t);
+        assert!(
+            f.iter()
+                .any(|f| f.clause.as_deref() == Some("readable(ci,W)")),
+            "{f:#?}"
+        );
+    }
+
+    #[test]
+    fn column_clause_implications_run_one_way() {
+        let have = |c: &str| BTreeSet::from([normalize(c)]);
+        let sentinel = COLS_CLAUSES[1];
+        assert!(establishes(&have("cols_in_bounds(colidx, x)"), sentinel));
+        assert!(establishes(
+            &have("narrow_cols_in_bounds(cidx16, cbase, x)"),
+            sentinel
+        ));
+        assert!(!establishes(&have(sentinel), COLS_CLAUSES[0]));
+        assert!(!establishes(&have(sentinel), COLS_CLAUSES[2]));
+    }
+
+    #[test]
     fn kernels_called_outside_dispatch_are_flagged() {
         let mut t = tree(kernel_src(), dispatch_src());
         t.push(SourceFile::new(
@@ -825,7 +1041,7 @@ mod tests {
         let f = run(&t);
         assert!(
             f.iter()
-                .any(|f| f.message.contains("called outside dispatch.rs")),
+                .any(|f| f.message.contains("called outside checked.rs")),
             "{f:#?}"
         );
     }

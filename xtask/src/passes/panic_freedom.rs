@@ -1,7 +1,7 @@
 //! Panic-freedom pass for the hot kernel modules.
 //!
 //! The kernels under `crates/core/src/kernels/` (everything except the
-//! checking layer `dispatch.rs`) run inside the worker pool with panics
+//! checking layer `checked.rs`) run inside the worker pool with panics
 //! funneled through `catch_unwind`; a panic there is survivable but turns
 //! a 10 GF/s SpMV into a poisoned run.  The pass bans the constructs that
 //! can panic at runtime:
@@ -10,7 +10,7 @@
 //!   `unreachable!`) and `.unwrap()` / `.expect(`;
 //! * slice indexing `ident[…]` of anything other than the
 //!   contract-checked arrays — those indexes are bounds-guaranteed by the
-//!   dispatch layer's `debug_check_*` assertions, while an index into an
+//!   checking layer's `check_*` assertions, while an index into an
 //!   ad-hoc local would be an unreviewed panic path.
 //!
 //! `#[cfg(test)]` sections are exempt.
@@ -30,7 +30,7 @@ const CHECKED_ARRAYS: [&str; 11] = [
 pub fn run(tree: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in tree {
-        if !file.rel.starts_with("crates/core/src/kernels/") || file.rel.ends_with("/dispatch.rs") {
+        if !file.rel.starts_with("crates/core/src/kernels/") || file.rel.ends_with("/checked.rs") {
             continue;
         }
         let cutoff = crate::passes::cfg_test_cutoff(file);
@@ -144,7 +144,7 @@ mod tests {
     fn dispatch_and_tests_are_exempt() {
         let tree = vec![
             SourceFile::new(
-                "crates/core/src/kernels/dispatch.rs",
+                "crates/core/src/kernels/checked.rs",
                 "pub fn f(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\n",
             ),
             SourceFile::new(

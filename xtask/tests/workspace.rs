@@ -50,7 +50,7 @@ fn clean_workspace_has_zero_findings() {
     );
 }
 
-const DISPATCH: &str = "crates/core/src/kernels/dispatch.rs";
+const DISPATCH: &str = "crates/core/src/kernels/checked.rs";
 
 #[test]
 fn deleting_a_dispatch_assert_fails_the_contract_pass() {
@@ -102,8 +102,8 @@ fn dropping_a_requires_clause_fails_the_reverse_check() {
     let mut tree = real_tree();
     mutate(
         &mut tree,
-        "crates/core/src/kernels/sell_avx512.rs",
-        "/// * `requires: monotone(sliceptr)`\n",
+        "crates/core/src/kernels/sell.rs",
+        "/// * `requires: monotone(sliceptr)` — slice offsets are nondecreasing.\n",
         "",
     );
     let findings = passes::contract::run(&tree);
@@ -121,9 +121,9 @@ fn dropping_the_feature_clause_fails_the_evidence_check() {
     let mut tree = real_tree();
     mutate(
         &mut tree,
-        "crates/core/src/kernels/csr_avx512.rs",
-        "/// * `requires: feature(avx512f,avx512vl)` — the CPU must support both.\n",
-        "",
+        "crates/core/src/kernels/lanes.rs",
+        "    /// * `requires: feature(avx512f,avx512vl)` — and the contract of `op`'s\n",
+        "    /// * and the contract of `op`'s\n",
     );
     let findings = passes::contract::run(&tree);
     assert!(
@@ -138,18 +138,39 @@ fn dropping_the_feature_clause_fails_the_evidence_check() {
 #[test]
 fn dropping_a_helper_call_fails_the_forward_check() {
     let mut tree = real_tree();
-    // sell8_spmv no longer validates anything before dispatching.
+    // sell_spmv no longer validates anything before dispatching.
     mutate(
         &mut tree,
         DISPATCH,
-        "    debug_check_sell::<8>(sliceptr, colidx, val, nrows, x, y);\n    sell8_dispatch_any::<false>",
-        "    sell8_dispatch_any::<false>",
+        "    check_sell::<C>(m, x, y, 1);\n    struct Op<'a, D: Stored, const C: usize, const ADD: bool, const UNROLL: bool> {",
+        "    struct Op<'a, D: Stored, const C: usize, const ADD: bool, const UNROLL: bool> {",
     );
     let findings = passes::contract::run(&tree);
     assert!(
         findings
             .iter()
             .any(|f| f.message.contains("without discharging its clause")),
+        "{findings:#?}"
+    );
+}
+
+#[test]
+fn borrowing_another_body_s_clause_fails_the_helper_call_check() {
+    let mut tree = real_tree();
+    // The CSR body reaches for the narrow-index gather: only the SELL body
+    // states `narrow_cols_in_bounds`, and that is another function.
+    mutate(
+        &mut tree,
+        "crates/core/src/kernels/csr.rs",
+        "l.gather(xp, cp.add(idx))",
+        "l.gather_live_narrow(xp, x.len(), cp.add(idx).cast(), 0)",
+    );
+    let findings = passes::contract::run(&tree);
+    assert!(
+        findings.iter().any(|f| {
+            f.message.contains("`spmv` calls `gather_live_narrow`")
+                && f.clause.as_deref() == Some("narrow_cols_in_bounds(cidx16,cbase,x)")
+        }),
         "{findings:#?}"
     );
 }
@@ -184,7 +205,7 @@ fn unwrap_in_a_kernel_fails_the_panic_freedom_pass() {
     let mut tree = real_tree();
     mutate(
         &mut tree,
-        "crates/core/src/kernels/csr_scalar.rs",
+        "crates/core/src/kernels/csr.rs",
         "let nrows = y.len();",
         "let nrows = y.len(); let _ = rowptr.first().unwrap();",
     );
@@ -227,13 +248,13 @@ fn calling_a_kernel_outside_dispatch_is_flagged() {
         &mut tree,
         "crates/core/src/exec.rs",
         "use crate::pool::WorkerPool;",
-        "use crate::pool::WorkerPool;\n#[cfg(target_arch = \"x86_64\")]\n#[allow(dead_code)]\nfn rogue(r: &[usize], c: &[u32], v: &[f64], x: &[f64], y: &mut [f64]) {\n    unsafe { crate::kernels::csr_avx512::spmv::<false>(r, c, v, x, y) }\n}",
+        "use crate::pool::WorkerPool;\n#[cfg(target_arch = \"x86_64\")]\n#[allow(dead_code)]\nfn rogue(r: &[usize], c: &[u32], v: &[f64], x: &[f64], y: &mut [f64]) {\n    unsafe { crate::kernels::csr::spmv::<crate::kernels::lanes::Scalar, false>(crate::kernels::lanes::Scalar, r, c, v, x, y) }\n}",
     );
     let findings = passes::contract::run(&tree);
     assert!(
         findings
             .iter()
-            .any(|f| f.message.contains("called outside dispatch.rs")),
+            .any(|f| f.message.contains("called outside checked.rs")),
         "{findings:#?}"
     );
 }
