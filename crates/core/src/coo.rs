@@ -1,8 +1,10 @@
-//! Coordinate-format builder: the assembly front door for every format.
+//! Coordinate-format builder: the assembly front door for unordered input.
 //!
 //! PETSc applications assemble matrices entry-by-entry (`MatSetValues`);
 //! [`CooBuilder`] plays that role here.  Duplicate insertions are summed, as
-//! with PETSc's default `ADD_VALUES` assembly.
+//! with PETSc's default `ADD_VALUES` assembly.  Producers whose rows arrive
+//! in order use [`RowAssembler`](crate::assemble::RowAssembler) and skip
+//! the global sort.
 
 use crate::csr::Csr;
 
@@ -88,6 +90,10 @@ impl CooBuilder {
     /// for later `MatSetValues` calls with the same nonzero structure).
     pub fn to_csr(&self) -> Csr {
         let n = self.vals.len();
+        assert!(
+            n <= u32::MAX as usize,
+            "{n} raw entries exceed the 32-bit permutation index space"
+        );
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_unstable_by_key(|&k| (self.rows[k as usize], self.cols[k as usize]));
 

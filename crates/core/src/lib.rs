@@ -7,7 +7,9 @@
 //!
 //! The crate provides:
 //!
-//! * [`Csr`] — compressed sparse row (PETSc `AIJ`), the baseline format;
+//! * [`Csr`] — compressed sparse row (PETSc `AIJ`), the baseline format,
+//!   assembled from unordered triplets by [`CooBuilder`] or row by row,
+//!   without a global sort, by [`RowAssembler`];
 //! * [`Sell`] — sliced ELLPACK (PETSc `SELL`), the paper's contribution,
 //!   with compile-time slice height `C` ([`Sell8`] is the AVX-512 default);
 //! * [`CsrPerm`] — CSR with permutation (PETSc `AIJPERM`);
@@ -59,6 +61,7 @@
 )]
 
 pub mod aligned;
+pub mod assemble;
 pub mod baij;
 pub mod codec;
 pub mod coo;
@@ -81,6 +84,7 @@ pub mod traffic;
 pub mod traits;
 
 pub use aligned::AVec;
+pub use assemble::RowAssembler;
 pub use baij::Baij;
 pub use codec::Codec;
 pub use coo::CooBuilder;

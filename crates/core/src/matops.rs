@@ -8,7 +8,7 @@
 //! are those operations; they run on CSR (the assembly format) and feed
 //! SELL through `set_values_from_csr`/`from_csr`.
 
-use crate::coo::CooBuilder;
+use crate::assemble::RowAssembler;
 use crate::csr::Csr;
 use crate::traits::MatShape;
 
@@ -32,44 +32,38 @@ pub fn scale_in_place(a: &mut Csr, alpha: f64) {
 pub fn axpy(alpha: f64, a: &Csr, b: &Csr) -> Csr {
     assert_eq!(a.nrows(), b.nrows(), "MatAXPY shape mismatch");
     assert_eq!(a.ncols(), b.ncols(), "MatAXPY shape mismatch");
-    let mut coo = CooBuilder::with_capacity(a.nrows(), a.ncols(), a.nnz() + b.nnz());
+    let mut out = RowAssembler::with_capacity(a.nrows(), a.ncols(), a.nnz() + b.nnz());
     for i in 0..a.nrows() {
-        for (k, &c) in a.row_cols(i).iter().enumerate() {
-            coo.push(i, c as usize, alpha * a.row_vals(i)[k]);
+        for (&c, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
+            out.push(c as usize, alpha * v);
         }
-        for (k, &c) in b.row_cols(i).iter().enumerate() {
-            coo.push(i, c as usize, b.row_vals(i)[k]);
+        for (&c, &v) in b.row_cols(i).iter().zip(b.row_vals(i)) {
+            out.push(c as usize, v);
         }
+        out.end_row();
     }
-    coo.to_csr()
+    out.finish()
 }
 
 /// `C = A + shift·I` with the diagonal added to the pattern if missing
 /// (PETSc `MatShift`).  Square matrices only.
 pub fn shift(a: &Csr, shift: f64) -> Csr {
-    assert_eq!(a.nrows(), a.ncols(), "MatShift needs a square matrix");
-    let mut coo = CooBuilder::with_capacity(a.nrows(), a.ncols(), a.nnz() + a.nrows());
-    for i in 0..a.nrows() {
-        coo.push(i, i, shift);
-        for (k, &c) in a.row_cols(i).iter().enumerate() {
-            coo.push(i, c as usize, a.row_vals(i)[k]);
-        }
-    }
-    coo.to_csr()
+    identity_plus_scaled(shift, 1.0, a)
 }
 
 /// `C = gamma·I + alpha·A` — the Newton-system matrix `I − Δt·θ·J` of the
 /// θ-scheme in one pass (used by `sellkit_solvers::ts`).
 pub fn identity_plus_scaled(gamma: f64, alpha: f64, a: &Csr) -> Csr {
     assert_eq!(a.nrows(), a.ncols(), "needs a square matrix");
-    let mut coo = CooBuilder::with_capacity(a.nrows(), a.ncols(), a.nnz() + a.nrows());
+    let mut out = RowAssembler::with_capacity(a.nrows(), a.ncols(), a.nnz() + a.nrows());
     for i in 0..a.nrows() {
-        coo.push(i, i, gamma);
-        for (k, &c) in a.row_cols(i).iter().enumerate() {
-            coo.push(i, c as usize, alpha * a.row_vals(i)[k]);
+        out.push(i, gamma);
+        for (&c, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
+            out.push(c as usize, alpha * v);
         }
+        out.end_row();
     }
-    coo.to_csr()
+    out.finish()
 }
 
 /// `A = diag(l) · A · diag(r)` in place (PETSc `MatDiagonalScale`).
@@ -143,16 +137,17 @@ pub fn row_sums(a: &Csr) -> Vec<f64> {
 /// dense: the result is `rows.len() × cols.len()`).
 pub fn submatrix(a: &Csr, rows: std::ops::Range<usize>, cols: std::ops::Range<usize>) -> Csr {
     assert!(rows.end <= a.nrows() && cols.end <= a.ncols());
-    let mut coo = CooBuilder::new(rows.len(), cols.len());
-    for (li, i) in rows.clone().enumerate() {
-        for (k, &c) in a.row_cols(i).iter().enumerate() {
+    let mut out = RowAssembler::new(rows.len(), cols.len());
+    for i in rows {
+        for (&c, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
             let c = c as usize;
             if cols.contains(&c) {
-                coo.push(li, c - cols.start, a.row_vals(i)[k]);
+                out.push(c - cols.start, v);
             }
         }
+        out.end_row();
     }
-    coo.to_csr()
+    out.finish()
 }
 
 #[cfg(test)]

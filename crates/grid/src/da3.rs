@@ -2,7 +2,7 @@
 //! for the finite-difference problems (7-point stencils) that PETSc's DMDA
 //! supports in three dimensions.
 
-use sellkit_core::{CooBuilder, Csr};
+use sellkit_core::{Csr, RowAssembler};
 
 /// An `nx × ny × nz` periodic grid with `dof` unknowns per node,
 /// interlaced layout: component `c` of node `(x, y, z)` lives at
@@ -89,14 +89,13 @@ pub fn laplacian_7pt(grid: &Grid3D, coeff: &[f64], h: f64) -> Csr {
     assert!(h > 0.0);
     let n = grid.n_unknowns();
     let ih2 = 1.0 / (h * h);
-    let mut b = CooBuilder::with_capacity(n, n, 7 * n);
+    let mut b = RowAssembler::with_capacity(n, n, 7 * n);
     for z in 0..grid.nz as isize {
         for y in 0..grid.ny as isize {
             for x in 0..grid.nx as isize {
                 for c in 0..grid.dof {
-                    let row = grid.idx(x as usize, y as usize, z as usize, c);
                     let k = coeff[c] * ih2;
-                    b.push(row, grid.idx_wrap(x, y, z, c), 6.0 * k);
+                    b.push(grid.idx_wrap(x, y, z, c), 6.0 * k);
                     for (dx, dy, dz) in [
                         (-1isize, 0isize, 0isize),
                         (1, 0, 0),
@@ -105,13 +104,14 @@ pub fn laplacian_7pt(grid: &Grid3D, coeff: &[f64], h: f64) -> Csr {
                         (0, 0, -1),
                         (0, 0, 1),
                     ] {
-                        b.push(row, grid.idx_wrap(x + dx, y + dy, z + dz, c), -k);
+                        b.push(grid.idx_wrap(x + dx, y + dy, z + dz, c), -k);
                     }
+                    b.end_row();
                 }
             }
         }
     }
-    b.to_csr()
+    b.finish()
 }
 
 /// Builds the trilinear prolongation from `fine.coarsen()` to `fine`
@@ -122,7 +122,7 @@ pub fn trilinear_interpolation(fine: &Grid3D) -> Csr {
     let coarse = fine.coarsen();
     let nf = fine.n_unknowns();
     let nc = coarse.n_unknowns();
-    let mut b = CooBuilder::with_capacity(nf, nc, 8 * nf);
+    let mut b = RowAssembler::with_capacity(nf, nc, 8 * nf);
 
     for z in 0..fine.nz {
         for y in 0..fine.ny {
@@ -146,23 +146,19 @@ pub fn trilinear_interpolation(fine: &Grid3D) -> Csr {
                     &[(0, 0.5), (1, 0.5)]
                 };
                 for c in 0..fine.dof {
-                    let row = fine.idx(x, y, z, c);
                     for &(dx, wx) in xs {
                         for &(dy, wy) in ys {
                             for &(dz, wz) in zs {
-                                b.push(
-                                    row,
-                                    coarse.idx_wrap(cx + dx, cy + dy, cz + dz, c),
-                                    wx * wy * wz,
-                                );
+                                b.push(coarse.idx_wrap(cx + dx, cy + dy, cz + dz, c), wx * wy * wz);
                             }
                         }
                     }
+                    b.end_row();
                 }
             }
         }
     }
-    b.to_csr()
+    b.finish()
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! operators from which the multigrid hierarchy builds its Galerkin coarse
 //! matrices.
 
-use sellkit_core::{CooBuilder, Csr};
+use sellkit_core::{Csr, RowAssembler};
 
 use crate::da::Grid2D;
 
@@ -20,38 +20,38 @@ pub fn bilinear_interpolation(fine: &Grid2D) -> Csr {
     let coarse = fine.coarsen();
     let nf = fine.n_unknowns();
     let nc = coarse.n_unknowns();
-    let mut b = CooBuilder::with_capacity(nf, nc, 4 * nf);
+    let mut b = RowAssembler::with_capacity(nf, nc, 4 * nf);
 
     for y in 0..fine.ny {
         for x in 0..fine.nx {
             let cx = (x / 2) as isize;
             let cy = (y / 2) as isize;
             for c in 0..fine.dof {
-                let row = fine.idx(x, y, c);
                 match (x % 2, y % 2) {
                     (0, 0) => {
-                        b.push(row, coarse.idx_wrap(cx, cy, c), 1.0);
+                        b.push(coarse.idx_wrap(cx, cy, c), 1.0);
                     }
                     (1, 0) => {
-                        b.push(row, coarse.idx_wrap(cx, cy, c), 0.5);
-                        b.push(row, coarse.idx_wrap(cx + 1, cy, c), 0.5);
+                        b.push(coarse.idx_wrap(cx, cy, c), 0.5);
+                        b.push(coarse.idx_wrap(cx + 1, cy, c), 0.5);
                     }
                     (0, 1) => {
-                        b.push(row, coarse.idx_wrap(cx, cy, c), 0.5);
-                        b.push(row, coarse.idx_wrap(cx, cy + 1, c), 0.5);
+                        b.push(coarse.idx_wrap(cx, cy, c), 0.5);
+                        b.push(coarse.idx_wrap(cx, cy + 1, c), 0.5);
                     }
                     (1, 1) => {
-                        b.push(row, coarse.idx_wrap(cx, cy, c), 0.25);
-                        b.push(row, coarse.idx_wrap(cx + 1, cy, c), 0.25);
-                        b.push(row, coarse.idx_wrap(cx, cy + 1, c), 0.25);
-                        b.push(row, coarse.idx_wrap(cx + 1, cy + 1, c), 0.25);
+                        b.push(coarse.idx_wrap(cx, cy, c), 0.25);
+                        b.push(coarse.idx_wrap(cx + 1, cy, c), 0.25);
+                        b.push(coarse.idx_wrap(cx, cy + 1, c), 0.25);
+                        b.push(coarse.idx_wrap(cx + 1, cy + 1, c), 0.25);
                     }
                     _ => unreachable!(),
                 }
+                b.end_row();
             }
         }
     }
-    b.to_csr()
+    b.finish()
 }
 
 /// Builds the whole interpolation chain for `levels` grids:

@@ -1,6 +1,6 @@
 //! 5-point star-stencil assembly on periodic grids.
 
-use sellkit_core::{CooBuilder, Csr};
+use sellkit_core::{Csr, RowAssembler};
 
 use crate::da::Grid2D;
 
@@ -15,21 +15,21 @@ pub fn laplacian_5pt(grid: &Grid2D, coeff: &[f64], h: f64) -> Csr {
     assert!(h > 0.0);
     let n = grid.n_unknowns();
     let ih2 = 1.0 / (h * h);
-    let mut b = CooBuilder::with_capacity(n, n, 5 * n);
+    let mut b = RowAssembler::with_capacity(n, n, 5 * n);
     for y in 0..grid.ny as isize {
         for x in 0..grid.nx as isize {
             for c in 0..grid.dof {
-                let row = grid.idx(x as usize, y as usize, c);
                 let k = coeff[c] * ih2;
-                b.push(row, grid.idx_wrap(x, y, c), 4.0 * k);
-                b.push(row, grid.idx_wrap(x - 1, y, c), -k);
-                b.push(row, grid.idx_wrap(x + 1, y, c), -k);
-                b.push(row, grid.idx_wrap(x, y - 1, c), -k);
-                b.push(row, grid.idx_wrap(x, y + 1, c), -k);
+                b.push(grid.idx_wrap(x, y, c), 4.0 * k);
+                b.push(grid.idx_wrap(x - 1, y, c), -k);
+                b.push(grid.idx_wrap(x + 1, y, c), -k);
+                b.push(grid.idx_wrap(x, y - 1, c), -k);
+                b.push(grid.idx_wrap(x, y + 1, c), -k);
+                b.end_row();
             }
         }
     }
-    b.to_csr()
+    b.finish()
 }
 
 #[cfg(test)]

@@ -154,53 +154,53 @@ impl<M: CoreOperator + FromCsr> Multigrid<M> {
         );
         let mut levels: Vec<Level<M>> = Vec::with_capacity(interps.len() + 1);
         let needs_emax = cfg.smoother == Smoother::Chebyshev;
-        let mut a_l = fine.clone();
+        // The finest operator is the caller's; coarser ones are owned here.
+        let mut coarse: Option<Csr> = None;
         for p in interps {
+            let a_l = coarse.as_ref().unwrap_or(fine);
             assert_eq!(
                 p.nrows(),
                 a_l.nrows(),
                 "interpolation rows must match level size"
             );
             let r = p.transpose();
-            let a_next = rap(&r, &a_l, p);
-            let inv_d = inv_diag(&a_l);
-            let emax = if needs_emax {
-                estimate_emax(&a_l, &inv_d)
-            } else {
-                1.0
+            let a_next = {
+                let _ptap = sellkit_obs::span("MatPtAP");
+                rap(&r, a_l, p)
             };
-            levels.push(Level {
-                a: M::from_csr(&a_l),
-                inv_diag: inv_d,
-                emax,
-                p: Some(p.clone()),
-                r: Some(r),
-                n: a_l.nrows(),
-            });
-            a_l = a_next;
+            levels.push(Self::level(a_l, needs_emax, Some((p.clone(), r))));
+            coarse = Some(a_next);
         }
+        let a_l = coarse.as_ref().unwrap_or(fine);
         let coarse_lu = match cfg.coarse {
-            CoarseSolve::Direct => Some(DenseLu::factor(&a_l)),
+            CoarseSolve::Direct => Some(DenseLu::factor(a_l)),
             CoarseSolve::Jacobi(_) => None,
         };
-        let inv_d = inv_diag(&a_l);
-        let emax = if needs_emax {
-            estimate_emax(&a_l, &inv_d)
-        } else {
-            1.0
-        };
-        levels.push(Level {
-            a: M::from_csr(&a_l),
-            inv_diag: inv_d,
-            emax,
-            p: None,
-            r: None,
-            n: a_l.nrows(),
-        });
+        levels.push(Self::level(a_l, needs_emax, None));
         Self {
             levels,
             cfg,
             coarse_lu,
+        }
+    }
+
+    /// One level around `a`, with its prolongation and restriction unless
+    /// it is the coarsest.
+    fn level(a: &Csr, needs_emax: bool, transfer: Option<(Csr, Csr)>) -> Level<M> {
+        let inv_diag = inv_diag(a);
+        let emax = if needs_emax {
+            estimate_emax(a, &inv_diag)
+        } else {
+            1.0
+        };
+        let (p, r) = transfer.unzip();
+        Level {
+            a: M::from_csr(a),
+            inv_diag,
+            emax,
+            p,
+            r,
+            n: a.nrows(),
         }
     }
 

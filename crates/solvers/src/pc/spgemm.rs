@@ -3,50 +3,45 @@
 //!
 //! Classic Gustavson row-merge algorithm with a dense accumulator.
 
-use sellkit_core::Csr;
+use sellkit_core::{Csr, MatShape, RowAssembler};
 
 /// Computes `C = A · B` in CSR.
 pub fn spgemm(a: &Csr, b: &Csr) -> Csr {
-    use sellkit_core::MatShape;
     assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
     let m = a.nrows();
     let n = b.ncols();
 
-    let mut rowptr = vec![0usize; m + 1];
-    let mut colidx: Vec<u32> = Vec::new();
-    let mut values: Vec<f64> = Vec::new();
+    // A first guess the size of the inputs; the assembler grows past it.
+    let mut out = RowAssembler::with_capacity(m, n, a.nnz() + b.nnz());
 
-    // Dense accumulator + touched list per row (Gustavson).
+    // Dense accumulator + touched list per row (Gustavson); `seen[c]`
+    // holds the last row (plus one) that touched column `c`.
     let mut acc = vec![0.0f64; n];
+    let mut seen = vec![0usize; n];
     let mut touched: Vec<u32> = Vec::with_capacity(64);
 
     for i in 0..m {
         touched.clear();
-        for (ka, &j) in a.row_cols(i).iter().enumerate() {
-            let aij = a.row_vals(i)[ka];
+        for (&j, &aij) in a.row_cols(i).iter().zip(a.row_vals(i)) {
             if aij == 0.0 {
                 continue;
             }
             let j = j as usize;
-            for (kb, &c) in b.row_cols(j).iter().enumerate() {
-                let v = b.row_vals(j)[kb];
-                let c = c as usize;
-                if acc[c] == 0.0 && !touched.contains(&(c as u32)) {
-                    touched.push(c as u32);
+            for (&c, &v) in b.row_cols(j).iter().zip(b.row_vals(j)) {
+                let cu = c as usize;
+                if seen[cu] != i + 1 {
+                    seen[cu] = i + 1;
+                    touched.push(c);
                 }
-                acc[c] += aij * v;
+                acc[cu] += aij * v;
             }
         }
-        touched.sort_unstable();
         for &c in &touched {
-            colidx.push(c);
-            values.push(acc[c as usize]);
-            acc[c as usize] = 0.0;
+            out.push(c as usize, std::mem::take(&mut acc[c as usize]));
         }
-        rowptr[i + 1] = colidx.len();
+        out.end_row();
     }
-
-    Csr::from_parts(m, n, rowptr, colidx, values)
+    out.finish()
 }
 
 /// Computes the Galerkin triple product `R · A · P`.
@@ -105,7 +100,6 @@ mod tests {
         let a = Csr::from_dense(1, 2, &[1.0, 1.0]);
         let b = Csr::from_dense(2, 1, &[1.0, -1.0]);
         let c = spgemm(&a, &b);
-        use sellkit_core::MatShape;
         assert_eq!(c.nnz(), 1);
         assert_eq!(c.to_dense(), vec![0.0]);
     }

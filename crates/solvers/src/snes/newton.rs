@@ -220,10 +220,16 @@ where
         // experiments do: SELL carries every SpMV of the Newton systems).
         let (pc, j_m) = {
             let _je = sellkit_obs::span("SNESJacobianEval");
-            let j_csr = problem.jacobian(x);
-            let pc = pc_factory(&j_csr);
-            let j_m = M::from_csr(&j_csr);
-            (pc, j_m)
+            let j_csr = {
+                let _s = sellkit_obs::span("MatAssembly");
+                problem.jacobian(x)
+            };
+            let pc = {
+                let _s = sellkit_obs::span("PCSetUp");
+                pc_factory(&j_csr)
+            };
+            let _s = sellkit_obs::span("MatConvert");
+            (pc, M::from_csr(&j_csr))
         };
 
         // Solve J d = -F to the (possibly adaptive) inner tolerance.

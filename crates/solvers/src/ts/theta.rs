@@ -93,7 +93,6 @@ pub struct ThetaStepper {
 /// The per-step nonlinear system handed to Newton.
 struct StageProblem<'a, P: OdeProblem> {
     ode: &'a P,
-    u_n: &'a [f64],
     /// Explicit part: `uₙ + Δt(1−θ)·f(tₙ, uₙ)`, precomputed.
     explicit: Vec<f64>,
     t_next: f64,
@@ -110,7 +109,6 @@ impl<P: OdeProblem> NonlinearProblem for StageProblem<'_, P> {
         for i in 0..u.len() {
             g[i] = u[i] - self.explicit[i] - self.dt_theta * g[i];
         }
-        let _ = self.u_n;
     }
 
     fn jacobian(&self, u: &[f64]) -> Csr {
@@ -199,10 +197,8 @@ impl ThetaStepper {
             }
         }
 
-        let u_n = u.to_vec();
         let stage = StageProblem {
             ode,
-            u_n: &u_n,
             explicit,
             t_next: self.t + dt,
             dt_theta: dt * theta,

@@ -13,7 +13,7 @@
 //! `set_values_from_csr` refresh path is never needed and SpMV is an even
 //! larger fraction of the implicit solve.
 
-use sellkit_core::{CooBuilder, Csr};
+use sellkit_core::{Csr, RowAssembler};
 use sellkit_grid::Grid2D;
 use sellkit_solvers::ts::OdeProblem;
 
@@ -124,18 +124,18 @@ impl OdeProblem for AdvectionDiffusion {
     fn rhs_jacobian(&self, _t: f64, _u: &[f64]) -> Csr {
         let (c, w, e, s, n) = self.coefficients();
         let nu = self.grid.n_unknowns();
-        let mut b = CooBuilder::with_capacity(nu, nu, 5 * nu);
+        let mut b = RowAssembler::with_capacity(nu, nu, 5 * nu);
         for y in 0..self.grid.ny as isize {
             for x in 0..self.grid.nx as isize {
-                let i = self.grid.idx(x as usize, y as usize, 0);
-                b.push(i, self.grid.idx_wrap(x, y, 0), c);
-                b.push(i, self.grid.idx_wrap(x - 1, y, 0), w);
-                b.push(i, self.grid.idx_wrap(x + 1, y, 0), e);
-                b.push(i, self.grid.idx_wrap(x, y - 1, 0), s);
-                b.push(i, self.grid.idx_wrap(x, y + 1, 0), n);
+                b.push(self.grid.idx_wrap(x, y, 0), c);
+                b.push(self.grid.idx_wrap(x - 1, y, 0), w);
+                b.push(self.grid.idx_wrap(x + 1, y, 0), e);
+                b.push(self.grid.idx_wrap(x, y - 1, 0), s);
+                b.push(self.grid.idx_wrap(x, y + 1, 0), n);
+                b.end_row();
             }
         }
-        b.to_csr()
+        b.finish()
     }
 }
 

@@ -10,7 +10,7 @@
 
 use std::ops::Range;
 
-use sellkit_core::{CooBuilder, Csr, FromCsr, MatShape, Operator};
+use sellkit_core::{Csr, FromCsr, MatShape, Operator, RowAssembler};
 use sellkit_dist::nonlinear::{dist_newton, DistNonlinearProblem};
 use sellkit_dist::{split_rows, VecScatter};
 use sellkit_mpisim::Comm;
@@ -135,51 +135,16 @@ impl DistGrayScott {
     pub fn local_jacobian(&self, comm: &Comm, w_local: &[f64]) -> Csr {
         let ghost = self.exchange(comm, w_local);
         let grid = *self.gs.grid();
-        let p = self.params();
-        let h = self.gs.spacing();
-        let ih2 = 1.0 / (h * h);
-        let n = grid.n_unknowns();
         let nl = self.rows.len();
-        let mut b = CooBuilder::with_capacity(nl, n, 10 * nl);
-        for (li, r) in self.rows.clone().enumerate() {
+        let mut b = RowAssembler::with_capacity(nl, grid.n_unknowns(), 10 * nl);
+        for r in self.rows.clone() {
             let (x, y, c) = grid.coords(r);
             let (x, y) = (x as isize, y as isize);
             let u = self.at(grid.idx_wrap(x, y, 0), w_local, &ghost);
             let v = self.at(grid.idx_wrap(x, y, 1), w_local, &ghost);
-            for (dx, dy) in [(0isize, 0isize), (-1, 0), (1, 0), (0, -1), (0, 1)] {
-                let center = dx == 0 && dy == 0;
-                let ju = grid.idx_wrap(x + dx, y + dy, 0);
-                let jv = grid.idx_wrap(x + dx, y + dy, 1);
-                if c == 0 {
-                    let duu = if center {
-                        -4.0 * p.d1 * ih2
-                    } else {
-                        p.d1 * ih2
-                    };
-                    let (ruu, ruv) = if center {
-                        (-v * v - p.gamma, -2.0 * u * v)
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    b.push(li, ju, duu + ruu);
-                    b.push(li, jv, ruv);
-                } else {
-                    let dvv = if center {
-                        -4.0 * p.d2 * ih2
-                    } else {
-                        p.d2 * ih2
-                    };
-                    let (rvu, rvv) = if center {
-                        (v * v, 2.0 * u * v - (p.gamma + p.kappa))
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    b.push(li, ju, rvu);
-                    b.push(li, jv, dvv + rvv);
-                }
-            }
+            self.gs.jacobian_row(x, y, c, u, v, &mut b);
         }
-        b.to_csr()
+        b.finish()
     }
 
     fn params(&self) -> &GrayScottParams {
@@ -222,14 +187,15 @@ impl DistNonlinearProblem for DistThetaStage<'_> {
         // Local rows of I − Δt·θ·J_f: add 1 on the global diagonal.
         let nl = jf.nrows();
         let start = self.problem.rows().start;
-        let mut b = CooBuilder::with_capacity(nl, jf.ncols(), jf.nnz() + nl);
+        let mut b = RowAssembler::with_capacity(nl, jf.ncols(), jf.nnz() + nl);
         for li in 0..nl {
-            b.push(li, start + li, 1.0);
-            for (k, &c) in jf.row_cols(li).iter().enumerate() {
-                b.push(li, c as usize, -self.dt_theta * jf.row_vals(li)[k]);
+            b.push(start + li, 1.0);
+            for (&c, &v) in jf.row_cols(li).iter().zip(jf.row_vals(li)) {
+                b.push(c as usize, -self.dt_theta * v);
             }
+            b.end_row();
         }
-        b.to_csr()
+        b.finish()
     }
 }
 

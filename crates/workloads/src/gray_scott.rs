@@ -18,7 +18,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sellkit_core::{CooBuilder, Csr};
+use sellkit_core::{Csr, RowAssembler};
 use sellkit_grid::Grid2D;
 use sellkit_solvers::ts::OdeProblem;
 
@@ -123,58 +123,66 @@ impl GrayScott {
     /// builds for [`DistMat::from_local_rows`] without ever forming the
     /// global matrix (how real PETSc applications assemble).
     ///
+    /// 10 nonzeros per row — the 5-point diffusion stencil (diagonal in the
+    /// components) plus the dense 2×2 reaction block at the grid point
+    /// (§7: "the matrix consists of small 2 × 2 blocks. Each row has 10
+    /// elements").
+    ///
     /// Requires the full state `w` only for the stencil neighbourhood of
     /// the owned rows; passing the whole vector keeps the API simple here.
     ///
     /// [`DistMat::from_local_rows`]: ../../sellkit_dist/dmat/struct.DistMat.html
     pub fn rhs_jacobian_rows(&self, _t: f64, w: &[f64], rows: std::ops::Range<usize>) -> Csr {
-        let p = &self.params;
         let n = self.grid.n_unknowns();
         assert!(rows.end <= n);
-        let ih2 = 1.0 / (self.h * self.h);
-        let nlocal = rows.len();
-        let mut b = CooBuilder::with_capacity(nlocal, n, 10 * nlocal);
-        for row in rows.clone() {
+        let mut b = RowAssembler::with_capacity(rows.len(), n, 10 * rows.len());
+        for row in rows {
             let (x, y, c) = self.grid.coords(row);
-            let (x, y) = (x as isize, y as isize);
-            let iu = self.grid.idx(x as usize, y as usize, 0);
-            let u = w[iu];
-            let v = w[iu + 1];
-            for (dx, dy) in [(0isize, 0isize), (-1, 0), (1, 0), (0, -1), (0, 1)] {
-                let center = dx == 0 && dy == 0;
-                let ju = self.grid.idx_wrap(x + dx, y + dy, 0);
-                let jv = self.grid.idx_wrap(x + dx, y + dy, 1);
-                let local = row - rows.start;
-                if c == 0 {
-                    let duu = if center {
-                        -4.0 * p.d1 * ih2
-                    } else {
-                        p.d1 * ih2
-                    };
-                    let (ruu, ruv) = if center {
-                        (-v * v - p.gamma, -2.0 * u * v)
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    b.push(local, ju, duu + ruu);
-                    b.push(local, jv, ruv);
-                } else {
-                    let dvv = if center {
-                        -4.0 * p.d2 * ih2
-                    } else {
-                        p.d2 * ih2
-                    };
-                    let (rvu, rvv) = if center {
-                        (v * v, 2.0 * u * v - (p.gamma + p.kappa))
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    b.push(local, ju, rvu);
-                    b.push(local, jv, dvv + rvv);
-                }
+            let iu = self.grid.idx(x, y, 0);
+            self.jacobian_row(x as isize, y as isize, c, w[iu], w[iu + 1], &mut b);
+        }
+        b.finish()
+    }
+
+    /// Pushes and closes the row of component `c` at node `(x, y)`, where
+    /// the state is `(u, v)`.
+    ///
+    /// Full 2×2 blocks at all 5 stencil points, as PETSc's blocked
+    /// preallocation stores them: off-center blocks are diagonal
+    /// (cross-component entries are explicit zeros), so every row has
+    /// exactly 10 stored elements (§7).
+    pub(crate) fn jacobian_row(
+        &self,
+        x: isize,
+        y: isize,
+        c: usize,
+        u: f64,
+        v: f64,
+        b: &mut RowAssembler,
+    ) {
+        let p = &self.params;
+        let ih2 = 1.0 / (self.h * self.h);
+        // The row's diffusion coefficient and its half of the reaction block.
+        let (d, reaction) = if c == 0 {
+            (p.d1, (-v * v - p.gamma, -2.0 * u * v))
+        } else {
+            (p.d2, (v * v, 2.0 * u * v - (p.gamma + p.kappa)))
+        };
+        for (dx, dy) in [(0isize, 0isize), (-1, 0), (1, 0), (0, -1), (0, 1)] {
+            let center = dx == 0 && dy == 0;
+            let ju = self.grid.idx_wrap(x + dx, y + dy, 0);
+            let diffusion = if center { -4.0 * d * ih2 } else { d * ih2 };
+            let (to_u, to_v) = if center { reaction } else { (0.0, 0.0) };
+            // Diffusion couples a component only to itself.
+            if c == 0 {
+                b.push(ju, diffusion + to_u);
+                b.push(ju + 1, to_v);
+            } else {
+                b.push(ju, to_u);
+                b.push(ju + 1, diffusion + to_v);
             }
         }
-        b.to_csr()
+        b.end_row();
     }
 }
 
@@ -198,52 +206,8 @@ impl OdeProblem for GrayScott {
         }
     }
 
-    /// Analytic Jacobian: 10 nonzeros per row — the 5-point diffusion
-    /// stencil (diagonal in the components) plus the dense 2×2 reaction
-    /// block at the grid point (§7: "the matrix consists of small 2 × 2
-    /// blocks. Each row has 10 elements").
-    fn rhs_jacobian(&self, _t: f64, w: &[f64]) -> Csr {
-        let p = &self.params;
-        let n = self.grid.n_unknowns();
-        let ih2 = 1.0 / (self.h * self.h);
-        let mut b = CooBuilder::with_capacity(n, n, 10 * n);
-        for y in 0..self.grid.ny as isize {
-            for x in 0..self.grid.nx as isize {
-                let iu = self.grid.idx(x as usize, y as usize, 0);
-                let iv = iu + 1;
-                let u = w[iu];
-                let v = w[iv];
-                // Full 2×2 blocks at all 5 stencil points, as PETSc's
-                // blocked preallocation stores them: off-center blocks are
-                // diagonal (cross-component entries are explicit zeros),
-                // so every row has exactly 10 stored elements (§7).
-                for (dx, dy) in [(0isize, 0isize), (-1, 0), (1, 0), (0, -1), (0, 1)] {
-                    let center = dx == 0 && dy == 0;
-                    let ju = self.grid.idx_wrap(x + dx, y + dy, 0);
-                    let jv = self.grid.idx_wrap(x + dx, y + dy, 1);
-                    let (duu, dvv) = if center {
-                        (-4.0 * p.d1 * ih2, -4.0 * p.d2 * ih2)
-                    } else {
-                        (p.d1 * ih2, p.d2 * ih2)
-                    };
-                    let (ruu, ruv, rvu, rvv) = if center {
-                        (
-                            -v * v - p.gamma,
-                            -2.0 * u * v,
-                            v * v,
-                            2.0 * u * v - (p.gamma + p.kappa),
-                        )
-                    } else {
-                        (0.0, 0.0, 0.0, 0.0)
-                    };
-                    b.push(iu, ju, duu + ruu);
-                    b.push(iu, jv, ruv);
-                    b.push(iv, ju, rvu);
-                    b.push(iv, jv, dvv + rvv);
-                }
-            }
-        }
-        b.to_csr()
+    fn rhs_jacobian(&self, t: f64, w: &[f64]) -> Csr {
+        self.rhs_jacobian_rows(t, w, 0..self.dim())
     }
 }
 

@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sellkit_core::{CooBuilder, Csr};
+use sellkit_core::{Csr, RowAssembler};
 use sellkit_grid::Grid3D;
 use sellkit_solvers::ts::OdeProblem;
 
@@ -108,42 +108,39 @@ impl OdeProblem for GrayScott3D {
         let g = &self.grid;
         let n = g.n_unknowns();
         let ih2 = 1.0 / (self.h * self.h);
-        let mut b = CooBuilder::with_capacity(n, n, 14 * n);
+        let mut b = RowAssembler::with_capacity(n, n, 14 * n);
         for z in 0..g.nz as isize {
             for y in 0..g.ny as isize {
                 for x in 0..g.nx as isize {
                     let iu = g.idx(x as usize, y as usize, z as usize, 0);
-                    let iv = iu + 1;
                     let u = w[iu];
-                    let v = w[iv];
-                    for &(dx, dy, dz) in &Self::STENCIL {
-                        let center = dx == 0 && dy == 0 && dz == 0;
-                        let ju = g.idx_wrap(x + dx, y + dy, z + dz, 0);
-                        let jv = g.idx_wrap(x + dx, y + dy, z + dz, 1);
-                        let (duu, dvv) = if center {
-                            (-6.0 * p.d1 * ih2, -6.0 * p.d2 * ih2)
+                    let v = w[iu + 1];
+                    // One pass per component: row `iu`, then row `iu + 1`.
+                    for c in 0..2 {
+                        let (d, reaction) = if c == 0 {
+                            (p.d1, (-v * v - p.gamma, -2.0 * u * v))
                         } else {
-                            (p.d1 * ih2, p.d2 * ih2)
+                            (p.d2, (v * v, 2.0 * u * v - (p.gamma + p.kappa)))
                         };
-                        let (ruu, ruv, rvu, rvv) = if center {
-                            (
-                                -v * v - p.gamma,
-                                -2.0 * u * v,
-                                v * v,
-                                2.0 * u * v - (p.gamma + p.kappa),
-                            )
-                        } else {
-                            (0.0, 0.0, 0.0, 0.0)
-                        };
-                        b.push(iu, ju, duu + ruu);
-                        b.push(iu, jv, ruv);
-                        b.push(iv, ju, rvu);
-                        b.push(iv, jv, dvv + rvv);
+                        for &(dx, dy, dz) in &Self::STENCIL {
+                            let center = dx == 0 && dy == 0 && dz == 0;
+                            let ju = g.idx_wrap(x + dx, y + dy, z + dz, 0);
+                            let diffusion = if center { -6.0 * d * ih2 } else { d * ih2 };
+                            let (to_u, to_v) = if center { reaction } else { (0.0, 0.0) };
+                            if c == 0 {
+                                b.push(ju, diffusion + to_u);
+                                b.push(ju + 1, to_v);
+                            } else {
+                                b.push(ju, to_u);
+                                b.push(ju + 1, diffusion + to_v);
+                            }
+                        }
+                        b.end_row();
                     }
                 }
             }
         }
-        b.to_csr()
+        b.finish()
     }
 }
 

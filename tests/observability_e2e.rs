@@ -9,7 +9,9 @@
 //!   the clients themselves observed per request;
 //! * the Chrome trace carries one flow-start per request, flow-ends on
 //!   the batch spans, and per-track monotone slice timestamps;
-//! * a poisoned batch dumps the flight ring, naming the offending ids.
+//! * a poisoned batch dumps the flight ring, naming the offending ids;
+//! * a Newton step's `SNESJacobianEval` time is accounted for by its
+//!   `MatAssembly`, `PCSetUp` and `MatConvert` children.
 //!
 //! Everything shares **one** `#[test]` (the obs registry and flight ring
 //! are process-global); trace-id uniqueness at volume has its own test
@@ -19,8 +21,12 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use sellkit::core::{Apply, CooBuilder, Csr, ExecCtx, MatShape, Operator, VecView, VecViewMut};
+use sellkit::grid::interpolation_chain;
 use sellkit::obs::{flight, TraceId};
 use sellkit::serve::{ServeConfig, Server};
+use sellkit::solvers::pc::mg::{Multigrid, MultigridConfig};
+use sellkit::solvers::ts::{ThetaConfig, ThetaStepper};
+use sellkit::workloads::{GrayScott, GrayScottParams};
 
 /// 5-point Laplacian on an `n × n` periodic grid.
 fn laplacian_2d(n: usize) -> Csr {
@@ -73,6 +79,45 @@ fn tracing_flows_histograms_and_flight_dump() {
     sellkit::obs::set_enabled(true);
     flight::set_enabled(true);
     flight::clear();
+
+    // ---- One Crank-Nicolson step: nothing of a Jacobian evaluation is
+    // left without a name.
+    {
+        let gs = GrayScott::new(64, GrayScottParams::default());
+        let interps = interpolation_chain(gs.grid(), 3);
+        let mut u = gs.initial_condition(42);
+        let res = ThetaStepper::new(ThetaConfig::default()).step::<sellkit::Sell8, _, _>(
+            &gs,
+            &mut u,
+            |j| Multigrid::<sellkit::Sell8>::new(j, &interps, MultigridConfig::default()),
+        );
+        assert!(res.converged());
+        let rep = sellkit::obs::report();
+        let seconds = |suffix: &str| {
+            rep.events
+                .iter()
+                .filter(|e| e.path.ends_with(suffix))
+                .map(|e| e.seconds)
+                .sum::<f64>()
+        };
+        let parent = seconds("SNESSolve>SNESJacobianEval");
+        let children: f64 = ["MatAssembly", "PCSetUp", "MatConvert"]
+            .iter()
+            .map(|c| seconds(&format!("SNESSolve>SNESJacobianEval>{c}")))
+            .sum();
+        assert!(parent > 0.0, "no SNESJacobianEval span recorded");
+        assert!(
+            children >= 0.98 * parent && children <= parent,
+            "children cover {children} s of the {parent} s SNESJacobianEval span"
+        );
+        // The Galerkin products are named inside the set-up.
+        assert_eq!(
+            rep.event("MatPtAP").map(|e| e.count),
+            Some(2 * res.iterations as u64),
+            "two coarse operators per Newton iteration"
+        );
+        assert!(seconds("PCSetUp>MatPtAP") > 0.0);
+    }
 
     // ---- Concurrent load: 8 clients × 5 requests with coalescing on.
     const CLIENTS: usize = 8;
