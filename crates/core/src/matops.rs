@@ -123,8 +123,13 @@ pub fn norm(a: &Csr, which: MatNorm) -> f64 {
 
 /// Extracts the main diagonal (missing entries are 0) — `MatGetDiagonal`.
 pub fn diagonal(a: &Csr) -> Vec<f64> {
+    let (rowptr, colidx, vals) = (a.rowptr(), a.colidx(), a.values());
     (0..a.nrows().min(a.ncols()))
-        .map(|i| a.get(i, i).unwrap_or(0.0))
+        .map(|i| {
+            (rowptr[i]..rowptr[i + 1])
+                .find(|&k| colidx[k] as usize == i)
+                .map_or(0.0, |k| vals[k])
+        })
         .collect()
 }
 

@@ -47,6 +47,12 @@ pub fn fgmres<O: Operator, P: Precond, D: InnerProduct>(
         };
     }
 
+    // Krylov basis and the stored preconditioned vectors.  Both grow to at
+    // most m+1 and m vectors and are then recycled by every restart cycle;
+    // `basis[j + 1]` doubles as iteration j's work vector `w`.
+    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
+    let mut zs: Vec<Vec<f64>> = Vec::with_capacity(m);
+    let mut y = vec![0.0f64; m];
     let mut h = vec![0.0f64; (m + 1) * m];
     let mut cs = vec![0.0f64; m];
     let mut sn = vec![0.0f64; m];
@@ -64,13 +70,12 @@ pub fn fgmres<O: Operator, P: Precond, D: InnerProduct>(
                 history,
             };
         }
-        let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
-        let mut zs: Vec<Vec<f64>> = Vec::with_capacity(m);
-        let mut v0 = r.clone();
-        for vi in &mut v0 {
-            *vi /= beta;
+        if basis.is_empty() {
+            basis.push(vec![0.0; n]);
         }
-        basis.push(v0);
+        for (vi, ri) in basis[0].iter_mut().zip(&r) {
+            *vi = ri / beta;
+        }
         g.iter_mut().for_each(|gi| *gi = 0.0);
         g[0] = beta;
 
@@ -78,21 +83,25 @@ pub fn fgmres<O: Operator, P: Precond, D: InnerProduct>(
         let mut stop: Option<StopReason> = None;
 
         for j in 0..m {
-            // z_j = M⁻¹ v_j (stored!), w = A z_j.
-            let mut z = vec![0.0; n];
-            pc.apply(&basis[j], &mut z);
-            let mut w = vec![0.0; n];
-            op.apply(&z, &mut w);
-            zs.push(z);
+            // z_j = M⁻¹ v_j (stored!), w = A z_j; both applies overwrite
+            // their output whole.
+            if basis.len() == j + 1 {
+                basis.push(vec![0.0; n]);
+                zs.push(vec![0.0; n]);
+            }
+            let (vs, rest) = basis.split_at_mut(j + 1);
+            let w = &mut rest[0];
+            pc.apply(&vs[j], &mut zs[j]);
+            op.apply(&zs[j], w);
 
-            for (i, vi) in basis.iter().enumerate() {
-                let hij = ip.dot(&w, vi);
+            for (i, vi) in vs.iter().enumerate() {
+                let hij = ip.dot(w, vi);
                 h[i + j * (m + 1)] = hij;
                 for (wk, vk) in w.iter_mut().zip(vi) {
                     *wk -= hij * vk;
                 }
             }
-            let hj1 = ip.norm(&w);
+            let hj1 = ip.norm(w);
             h[(j + 1) + j * (m + 1)] = hj1;
 
             for i in 0..j {
@@ -131,17 +140,15 @@ pub fn fgmres<O: Operator, P: Precond, D: InnerProduct>(
                 });
                 break;
             }
-            let mut vj1 = w;
-            for vi in &mut vj1 {
+            // v_{j+1} = w / h_{j+1,j}, in place.
+            for vi in w.iter_mut() {
                 *vi /= hj1;
             }
-            basis.push(vj1);
         }
 
         // x += Z y (correction built from the *stored preconditioned*
         // vectors — the flexible part).  Zero H diagonals (singular
         // operator) contribute nothing instead of NaNs.
-        let mut y = vec![0.0f64; j_used];
         for i in (0..j_used).rev() {
             let hii = h[i + i * (m + 1)];
             if hii.abs() < 1e-300 {
@@ -154,7 +161,7 @@ pub fn fgmres<O: Operator, P: Precond, D: InnerProduct>(
             }
             y[i] = s / hii;
         }
-        for (k, &yk) in y.iter().enumerate() {
+        for (k, &yk) in y[..j_used].iter().enumerate() {
             for (xi, zk) in x.iter_mut().zip(&zs[k]) {
                 *xi += yk * zk;
             }

@@ -81,8 +81,11 @@ pub fn gmres_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor +
         };
     }
 
-    // Krylov basis (m+1 vectors) and Hessenberg in compact column storage.
+    // Krylov basis and Hessenberg in compact column storage.  The basis
+    // grows to at most m+1 vectors and is then recycled by every restart
+    // cycle; `basis[j + 1]` doubles as iteration j's work vector `w`.
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
+    let mut y = vec![0.0f64; m]; // solution of the small triangular system
     let mut h = vec![0.0f64; (m + 1) * m]; // h[i + j*(m+1)] = H(i, j)
     let mut cs = vec![0.0f64; m];
     let mut sn = vec![0.0f64; m];
@@ -102,12 +105,12 @@ pub fn gmres_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor +
                 history,
             };
         }
-        basis.clear();
-        let mut v0 = z.clone();
-        for vi in &mut v0 {
-            *vi /= beta;
+        if basis.is_empty() {
+            basis.push(vec![0.0; n]);
         }
-        basis.push(v0);
+        for (vi, zi) in basis[0].iter_mut().zip(&z) {
+            *vi = zi / beta;
+        }
         g.iter_mut().for_each(|gi| *gi = 0.0);
         g[0] = beta;
 
@@ -115,20 +118,24 @@ pub fn gmres_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor +
         let mut stop: Option<StopReason> = None;
 
         for j in 0..m {
-            // w = M⁻¹ A v_j
-            let mut w = vec![0.0; n];
-            op.apply(&basis[j], &mut r);
-            pc.apply(&r, &mut w);
+            // w = M⁻¹ A v_j, which `pc.apply` overwrites whole.
+            if basis.len() == j + 1 {
+                basis.push(vec![0.0; n]);
+            }
+            let (vs, rest) = basis.split_at_mut(j + 1);
+            let w = &mut rest[0];
+            op.apply(&vs[j], &mut r);
+            pc.apply(&r, w);
 
             // Modified Gram-Schmidt.
-            for (i, vi) in basis.iter().enumerate() {
-                let hij = ip.dot(&w, vi);
+            for (i, vi) in vs.iter().enumerate() {
+                let hij = ip.dot(w, vi);
                 h[i + j * (m + 1)] = hij;
                 for (wk, vk) in w.iter_mut().zip(vi) {
                     *wk -= hij * vk;
                 }
             }
-            let hj1 = ip.norm(&w);
+            let hj1 = ip.norm(w);
             h[(j + 1) + j * (m + 1)] = hj1;
 
             // Apply the accumulated Givens rotations to column j.
@@ -177,18 +184,16 @@ pub fn gmres_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor +
                 });
                 break;
             }
-            let mut vj1 = w;
-            for vi in &mut vj1 {
+            // v_{j+1} = w / h_{j+1,j}, in place.
+            for vi in w.iter_mut() {
                 *vi /= hj1;
             }
-            basis.push(vj1);
         }
 
         // Solve the small triangular system and update x.  A (numerically)
         // singular operator produces zero diagonal entries in H; those
         // directions carry no information, so their coefficients are set
         // to zero instead of poisoning the iterate with NaNs.
-        let mut y = vec![0.0f64; j_used];
         for i in (0..j_used).rev() {
             let hii = h[i + i * (m + 1)];
             if hii.abs() < 1e-300 {
@@ -201,7 +206,7 @@ pub fn gmres_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor +
             }
             y[i] = s / hii;
         }
-        for (k, &yk) in y.iter().enumerate() {
+        for (k, &yk) in y[..j_used].iter().enumerate() {
             for (xi, vk) in x.iter_mut().zip(&basis[k]) {
                 *xi += yk * vk;
             }

@@ -16,11 +16,12 @@
 //! CSR — as in the paper, where every level's MatMult uses the chosen
 //! matrix type.
 
-use sellkit_core::{Apply, Csr, ExecCtx, FromCsr, MatShape, Operator as CoreOperator};
+use std::sync::{Mutex, PoisonError};
+
+use sellkit_core::{matops, Apply, Csr, ExecCtx, FromCsr, MatShape, Operator as CoreOperator};
 
 use super::spgemm::rap;
 use super::Precond;
-use crate::vecops;
 
 /// Multigrid configuration.
 #[derive(Clone, Copy, Debug)]
@@ -70,16 +71,22 @@ impl Default for MultigridConfig {
     }
 }
 
-/// One MatMult with §6 traffic attribution when logging is enabled; the
-/// disabled path costs one relaxed atomic load.
-fn mult<M: CoreOperator>(a: &M, x: &[f64], y: &mut [f64]) {
-    if sellkit_obs::enabled() {
+/// One sparse product on `ctx`, `y = A·x` or `y += A·x` by `mode`, under
+/// the span `name` with §6 traffic attribution when logging is enabled;
+/// the disabled path costs one relaxed atomic load.
+fn mult<M: CoreOperator>(
+    name: &'static str,
+    a: &M,
+    ctx: &ExecCtx,
+    x: &[f64],
+    y: &mut [f64],
+    mode: Apply,
+) {
+    let _span = sellkit_obs::enabled().then(|| {
         let t = a.spmv_traffic();
-        let _mm = sellkit_obs::span_traffic("MatMult", t.flops as f64, t.bytes as f64);
-        a.apply(&ExecCtx::serial(), (x).into(), (y).into(), Apply::Set);
-    } else {
-        a.apply(&ExecCtx::serial(), (x).into(), (y).into(), Apply::Set);
-    }
+        sellkit_obs::span_traffic(name, t.flops as f64, t.bytes as f64)
+    });
+    a.apply(ctx, x.into(), y.into(), mode);
 }
 
 struct Level<M> {
@@ -133,11 +140,44 @@ fn estimate_emax(a: &Csr, inv_diag: &[f64]) -> f64 {
     lambda
 }
 
+/// The scratch vectors one level of the V-cycle works in.  Allocated once
+/// by [`Multigrid::new`] and overwritten before they are read in every
+/// apply, so nothing carries over from one apply to the next.
+struct Scratch {
+    /// The level's only full-length temporary: `A·x` inside a smoothing
+    /// step, and `A·x` turned in place into the residual `b − A·x`.
+    t: Vec<f64>,
+    /// The Chebyshev direction vector (empty under the Jacobi smoother).
+    d: Vec<f64>,
+    /// The restricted residual — the next level's right-hand side (empty
+    /// on the coarsest level).
+    res_c: Vec<f64>,
+    /// The coarse-grid correction — the next level's iterate (empty on the
+    /// coarsest level).
+    e_c: Vec<f64>,
+}
+
 /// A V-cycle multigrid preconditioner with Galerkin coarse operators.
+///
+/// The cycle starts from a zero guess on every level, and it carries that
+/// as a fact instead of as a zero-filled vector: the first smoothing step
+/// from `x = 0` needs no MatMult (`A·0` is `+0.0` in every row and
+/// `b − 0.0` is `b`), so it is `x = 0.0 + ω·D⁻¹·b` — the same bits as the
+/// step that multiplies by the zeros, one MatMult per level cheaper.  With
+/// the paper's options (one pre- and one post-smoothing step, three
+/// levels, eight coarse Jacobi iterations) an apply is 11 MatMults.
+///
+/// All temporaries live in a per-level workspace behind a mutex, so a warm
+/// [`Precond::apply`] allocates nothing and `&self` stays enough to apply;
+/// concurrent applies of one hierarchy take turns.  The workspace is pure
+/// scratch: a panic inside an apply leaves it poisoned but harmless, and
+/// the next apply takes it over.
 pub struct Multigrid<M> {
     levels: Vec<Level<M>>,
     cfg: MultigridConfig,
     coarse_lu: Option<DenseLu>,
+    /// One [`Scratch`] per level, finest first.
+    work: Mutex<Vec<Scratch>>,
 }
 
 impl<M: CoreOperator + FromCsr> Multigrid<M> {
@@ -177,10 +217,23 @@ impl<M: CoreOperator + FromCsr> Multigrid<M> {
             CoarseSolve::Jacobi(_) => None,
         };
         levels.push(Self::level(a_l, needs_emax, None));
+        let work = (0..levels.len())
+            .map(|l| {
+                let n = levels[l].n;
+                let nc = levels.get(l + 1).map_or(0, |next| next.n);
+                Scratch {
+                    t: vec![0.0; n],
+                    d: vec![0.0; if needs_emax { n } else { 0 }],
+                    res_c: vec![0.0; nc],
+                    e_c: vec![0.0; nc],
+                }
+            })
+            .collect();
         Self {
             levels,
             cfg,
             coarse_lu,
+            work: Mutex::new(work),
         }
     }
 
@@ -214,43 +267,96 @@ impl<M: CoreOperator + FromCsr> Multigrid<M> {
         self.levels.iter().map(|l| l.n).collect()
     }
 
-    fn smooth(&self, l: usize, b: &[f64], x: &mut [f64], steps: usize) {
+    /// `steps` smoothing steps on level `l`.  With `zero_guess` the
+    /// iterate is to be read as zero whatever `x` holds, and `x` is
+    /// overwritten; either way `x` holds the real iterate on return.
+    fn smooth(
+        &self,
+        ctx: &ExecCtx,
+        l: usize,
+        w: &mut Scratch,
+        b: &[f64],
+        x: &mut [f64],
+        steps: usize,
+        zero_guess: bool,
+    ) {
+        if steps == 0 {
+            // No step writes `x`, so the zero has to be stored after all.
+            if zero_guess {
+                x.fill(0.0);
+            }
+            return;
+        }
+        let _sm = sellkit_obs::span("MGSmooth");
         match self.cfg.smoother {
-            Smoother::Jacobi => self.smooth_jacobi(l, b, x, steps),
-            Smoother::Chebyshev => self.smooth_chebyshev(l, b, x, steps),
+            Smoother::Jacobi => self.smooth_jacobi(ctx, l, w, b, x, steps, zero_guess),
+            Smoother::Chebyshev => self.smooth_chebyshev(ctx, l, w, b, x, steps, zero_guess),
         }
     }
 
-    fn smooth_jacobi(&self, l: usize, b: &[f64], x: &mut [f64], steps: usize) {
-        let _sm = sellkit_obs::span("MGSmooth");
+    /// `steps ≥ 1` weighted-Jacobi steps `x += ω D⁻¹ (b − A x)`.
+    fn smooth_jacobi(
+        &self,
+        ctx: &ExecCtx,
+        l: usize,
+        w: &mut Scratch,
+        b: &[f64],
+        x: &mut [f64],
+        mut steps: usize,
+        zero_guess: bool,
+    ) {
         let lev = &self.levels[l];
-        let mut r = vec![0.0; lev.n];
-        for _ in 0..steps {
-            // r = b - A x;  x += ω D⁻¹ r
-            mult(&lev.a, x, &mut r);
+        let omega = self.cfg.omega;
+        if zero_guess {
+            // From x = 0 the residual is `b` itself.  The `0.0 +` is the
+            // `x +=` of the general step: it turns a −0.0 product into the
+            // +0.0 that adding to a stored zero gives.
             for i in 0..lev.n {
-                x[i] += self.cfg.omega * lev.inv_diag[i] * (b[i] - r[i]);
+                x[i] = 0.0 + omega * lev.inv_diag[i] * b[i];
+            }
+            steps -= 1;
+        }
+        for _ in 0..steps {
+            mult("MatMult", &lev.a, ctx, x, &mut w.t, Apply::Set);
+            for i in 0..lev.n {
+                x[i] += omega * lev.inv_diag[i] * (b[i] - w.t[i]);
             }
         }
     }
 
-    /// `steps` applications of a degree-2 Chebyshev smoother (each "step"
-    /// runs the three-term recurrence twice) over `[0.1, 1.1]·λmax` of
-    /// `D⁻¹A`, PETSc's standard smoothing window.
-    fn smooth_chebyshev(&self, l: usize, b: &[f64], x: &mut [f64], steps: usize) {
-        let _sm = sellkit_obs::span("MGSmooth");
+    /// `steps ≥ 1` applications of a degree-2 Chebyshev smoother (each
+    /// "step" runs the three-term recurrence twice) over `[0.1, 1.1]·λmax`
+    /// of `D⁻¹A`, PETSc's standard smoothing window.
+    fn smooth_chebyshev(
+        &self,
+        ctx: &ExecCtx,
+        l: usize,
+        w: &mut Scratch,
+        b: &[f64],
+        x: &mut [f64],
+        steps: usize,
+        zero_guess: bool,
+    ) {
         let lev = &self.levels[l];
         let (emin, emax) = (0.1 * lev.emax, 1.1 * lev.emax);
         let theta = 0.5 * (emax + emin);
         let delta = 0.5 * (emax - emin);
         let sigma1 = theta / delta;
         let n = lev.n;
-        let mut r = vec![0.0; n];
-        let mut d = vec![0.0; n];
+        let (r, d) = (&mut w.t, &mut w.d);
         let mut rho = 1.0 / sigma1;
-        let degree = 2 * steps;
-        for it in 0..degree {
-            mult(&lev.a, x, &mut r);
+        for it in 0..2 * steps {
+            if it == 0 && zero_guess {
+                // From x = 0 the preconditioned residual is D⁻¹ b and the
+                // first direction is the whole iterate (`0.0 +` as in the
+                // Jacobi step).
+                for i in 0..n {
+                    d[i] = lev.inv_diag[i] * b[i] / theta;
+                    x[i] = 0.0 + d[i];
+                }
+                continue;
+            }
+            mult("MatMult", &lev.a, ctx, x, r, Apply::Set);
             for i in 0..n {
                 r[i] = lev.inv_diag[i] * (b[i] - r[i]); // preconditioned residual
             }
@@ -273,11 +379,26 @@ impl<M: CoreOperator + FromCsr> Multigrid<M> {
         }
     }
 
-    fn vcycle(&self, l: usize, b: &[f64], x: &mut [f64]) {
+    /// One V-cycle on level `l` for `A x = b`; `work[0]` is this level's
+    /// scratch and the rest belongs to the coarser levels.  `zero_guess` as
+    /// in [`Multigrid::smooth`].
+    fn vcycle(
+        &self,
+        ctx: &ExecCtx,
+        l: usize,
+        work: &mut [Scratch],
+        b: &[f64],
+        x: &mut [f64],
+        zero_guess: bool,
+    ) {
         let lev = &self.levels[l];
-        if l + 1 == self.levels.len() {
+        let (w, coarser) = work
+            .split_first_mut()
+            .expect("one scratch set per level, built with the hierarchy");
+        let (Some(r_op), Some(p_op)) = (&lev.r, &lev.p) else {
             match self.cfg.coarse {
-                CoarseSolve::Jacobi(iters) => self.smooth(l, b, x, iters),
+                CoarseSolve::Jacobi(iters) => self.smooth(ctx, l, w, b, x, iters, zero_guess),
+                // The triangular solves overwrite `x` before reading it.
                 CoarseSolve::Direct => self
                     .coarse_lu
                     .as_ref()
@@ -285,59 +406,50 @@ impl<M: CoreOperator + FromCsr> Multigrid<M> {
                     .solve(b, x),
             }
             return;
-        }
-        self.smooth(l, b, x, self.cfg.pre_smooth);
+        };
+        self.smooth(ctx, l, w, b, x, self.cfg.pre_smooth, zero_guess);
 
-        // Residual restriction.
-        let mut ax = vec![0.0; lev.n];
-        mult(&lev.a, x, &mut ax);
-        let mut res = vec![0.0; lev.n];
+        // Residual, formed where `A·x` landed, and its restriction.
+        mult("MatMult", &lev.a, ctx, x, &mut w.t, Apply::Set);
         for i in 0..lev.n {
-            res[i] = b[i] - ax[i];
+            w.t[i] = b[i] - w.t[i];
         }
-        let r_op = lev.r.as_ref().expect("non-coarsest level has restriction");
-        let nc = self.levels[l + 1].n;
-        let mut res_c = vec![0.0; nc];
-        r_op.apply(
-            &ExecCtx::serial(),
-            (&res).into(),
-            (&mut res_c).into(),
-            Apply::Set,
-        );
+        mult("MatRestrict", r_op, ctx, &w.t, &mut w.res_c, Apply::Set);
 
-        // Coarse-grid correction.
-        let mut e_c = vec![0.0; nc];
-        self.vcycle(l + 1, &res_c, &mut e_c);
+        // Coarse-grid correction, always from a zero guess.
+        self.vcycle(ctx, l + 1, coarser, &w.res_c, &mut w.e_c, true);
+        // x += P·e_c: the CSR kernel sums a row from zero and then adds it
+        // to `x[i]`, as `e_f = P·e_c; x += e_f` did through a temporary.
+        mult("MatInterpolate", p_op, ctx, &w.e_c, x, Apply::Add);
 
-        let p_op = lev.p.as_ref().expect("non-coarsest level has prolongation");
-        let mut e_f = vec![0.0; lev.n];
-        p_op.apply(
-            &ExecCtx::serial(),
-            (&e_c).into(),
-            (&mut e_f).into(),
-            Apply::Set,
-        );
-        vecops::axpy(1.0, &e_f, x);
-
-        self.smooth(l, b, x, self.cfg.post_smooth);
+        self.smooth(ctx, l, w, b, x, self.cfg.post_smooth, false);
     }
 }
 
 impl<M: CoreOperator + FromCsr> Precond for Multigrid<M> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.apply_ctx(&ExecCtx::serial(), r, z);
+    }
+
+    /// Every MatMult, restriction and prolongation of the cycle runs on
+    /// `ctx`'s pool (the element-wise loops between them stay on the
+    /// caller); bitwise identical to [`Precond::apply`] for any pool size.
+    fn apply_ctx(&self, ctx: &ExecCtx, r: &[f64], z: &mut [f64]) {
         let _pc = sellkit_obs::span("PCApply");
-        z.fill(0.0);
-        self.vcycle(0, r, z);
+        // A poisoned lock only says an earlier apply panicked half-way;
+        // the vectors behind it are overwritten before they are read.
+        let mut work = self.work.lock().unwrap_or_else(PoisonError::into_inner);
+        self.vcycle(ctx, 0, &mut work, r, z, true);
     }
 }
 
+/// `1/aᵢᵢ` per row; a missing or zero diagonal entry counts as 1.
 fn inv_diag(a: &Csr) -> Vec<f64> {
-    (0..a.nrows())
-        .map(|i| match a.get(i, i) {
-            Some(d) if d != 0.0 => 1.0 / d,
-            _ => 1.0,
-        })
-        .collect()
+    let mut d = matops::diagonal(a);
+    for di in &mut d {
+        *di = if *di != 0.0 { 1.0 / *di } else { 1.0 };
+    }
+    d
 }
 
 /// Minimal dense LU with partial pivoting for the exact coarse solve.
@@ -405,6 +517,7 @@ impl DenseLu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vecops;
     use sellkit_core::{CooBuilder, Sell8};
 
     /// 1D Laplacian, Dirichlet.
@@ -447,6 +560,16 @@ mod tests {
             ax[i] -= b[i];
         }
         vecops::norm2(&ax)
+    }
+
+    /// The workspace sits behind a `Mutex`, not a `RefCell`: the hierarchy
+    /// is as shareable between threads and across unwinding as before.
+    #[test]
+    fn workspace_keeps_the_auto_traits() {
+        use std::panic::{RefUnwindSafe, UnwindSafe};
+        fn check<T: Send + Sync + Unpin + UnwindSafe + RefUnwindSafe>() {}
+        check::<Multigrid<Csr>>();
+        check::<Multigrid<Sell8>>();
     }
 
     #[test]

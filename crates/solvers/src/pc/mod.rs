@@ -21,6 +21,8 @@ pub use jacobi::JacobiPc;
 pub use mg::{CoarseSolve, Multigrid, MultigridConfig, Smoother};
 pub use sor::SorPc;
 
+use std::sync::{Mutex, PoisonError};
+
 /// An approximate inverse: `z = M⁻¹ r`.
 pub trait Precond {
     /// Applies the preconditioner, overwriting `z`.
@@ -77,15 +79,30 @@ impl Precond for IdentityPc {
 /// what remains — multiplicative composition `z = M₂⁻¹ r + M₁⁻¹ (r - A M₂⁻¹ r)`
 /// is overkill here; this additive chain is sufficient for experiments.
 pub struct ChainPc<P1, P2> {
-    /// First stage.
-    pub first: P1,
-    /// Second stage, applied to the first stage's output.
-    pub second: P2,
+    first: P1,
+    second: P2,
+    /// The vector between the stages; sized by the first apply and kept,
+    /// so a warm apply allocates nothing.
+    mid: Mutex<Vec<f64>>,
+}
+
+impl<P1, P2> ChainPc<P1, P2> {
+    /// `second` applied to the output of `first`.
+    pub fn new(first: P1, second: P2) -> Self {
+        Self {
+            first,
+            second,
+            mid: Mutex::new(Vec::new()),
+        }
+    }
 }
 
 impl<P1: Precond, P2: Precond> Precond for ChainPc<P1, P2> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let mut mid = vec![0.0; r.len()];
+        // `first` overwrites `mid`, so a guard poisoned by an earlier
+        // panic is as good as a clean one.
+        let mut mid = self.mid.lock().unwrap_or_else(PoisonError::into_inner);
+        mid.resize(r.len(), 0.0);
         self.first.apply(r, &mut mid);
         self.second.apply(&mid, z);
     }
@@ -136,12 +153,11 @@ mod tests {
                 }
             }
         }
-        let pc = ChainPc {
-            first: Scale(2.0),
-            second: Scale(5.0),
-        };
+        let pc = ChainPc::new(Scale(2.0), Scale(5.0));
         let mut z = vec![0.0];
-        pc.apply(&[1.0], &mut z);
-        assert_eq!(z, vec![10.0]);
+        for _ in 0..2 {
+            pc.apply(&[1.0], &mut z);
+            assert_eq!(z, vec![10.0]);
+        }
     }
 }

@@ -184,6 +184,9 @@ where
     let mut f = vec![0.0; n];
     let mut trial = vec![0.0; n];
     let mut ftrial = vec![0.0; n];
+    // Right-hand side and step of the Newton system.
+    let mut rhs = vec![0.0; n];
+    let mut d = vec![0.0; n];
 
     {
         let _fe = sellkit_obs::span("SNESFunctionEval");
@@ -233,8 +236,10 @@ where
         };
 
         // Solve J d = -F to the (possibly adaptive) inner tolerance.
-        let rhs: Vec<f64> = f.iter().map(|&v| -v).collect();
-        let mut d = vec![0.0; n];
+        for (ri, &fi) in rhs.iter_mut().zip(&f) {
+            *ri = -fi;
+        }
+        d.fill(0.0);
         let ksp_cfg = KspConfig {
             rtol: cfg.forcing.eta(cfg.ksp.rtol, fnorm, fnorm_prev),
             ..cfg.ksp

@@ -167,8 +167,17 @@ impl ThetaStepper {
     }
 
     /// [`ThetaStepper::step`] with the Newton systems' SpMVs and
-    /// preconditioner applies running on `ctx`'s worker pool — the hook
-    /// that makes a whole Gray-Scott time step thread-parallel.
+    /// preconditioner applies dispatched on `ctx`'s worker pool.
+    ///
+    /// What that covers: every Jacobian MatMult of GMRES, and whatever the
+    /// preconditioner's [`Precond::apply_ctx`] puts on the pool —
+    /// [`JacobiPc`](crate::pc::JacobiPc) its scaling,
+    /// [`Multigrid`](crate::pc::Multigrid) every MatMult, restriction and
+    /// prolongation of the V-cycle; a preconditioner that does not override
+    /// `apply_ctx` runs on the calling thread.  Assembly, the
+    /// preconditioner set-up, GMRES's Gram-Schmidt and the smoothers'
+    /// element-wise loops are serial.  The iterates are bitwise those of
+    /// [`ThetaStepper::step`] for any pool size.
     pub fn step_ctx<M, P, Pc>(
         &mut self,
         ode: &P,

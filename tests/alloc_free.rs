@@ -1,28 +1,43 @@
-//! Acceptance test (ISSUE 4): warm `spmv_ctx` performs **zero heap
-//! allocations** at any thread count, once the execution plan has been
-//! built.
+//! Warm hot paths perform **zero heap allocations**:
 //!
-//! A counting global allocator tallies every `alloc`/`realloc` made by
-//! this process; the test warms each format (first threaded product
-//! builds and caches its `SpmvPlan`; the pool threads are already
-//! spawned by `ExecCtx::new`), snapshots the counter, runs many products,
-//! and asserts the counter did not move.  One `#[test]` only: Rust runs
-//! tests in one process, and a second test's allocations would race the
-//! snapshot.
+//! * `spmv_ctx` at any thread count, once the execution plan has been built
+//!   (ISSUE 4);
+//! * a multigrid V-cycle, serial and on a pool, once the hierarchy exists;
+//! * a restarted GMRES solve allocates no vector after its first restart
+//!   cycle.
+//!
+//! A counting global allocator tallies every `alloc`/`realloc` **per
+//! thread**; a measurement sums the tallies of the threads that take part
+//! in it — the calling thread and the workers of its [`ExecCtx`] — so the
+//! libtest thread and the other tests of this file, which allocate whenever
+//! they like, are not in it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised and without destructors: reading them inside the
+    // allocator neither allocates nor meets torn-down thread-local storage.
+    /// `alloc` and `realloc` calls made by this thread.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes those calls asked for.
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn tally(bytes: usize) {
+    ALLOCS.set(ALLOCS.get() + 1);
+    BYTES.set(BYTES.get() + bytes);
+}
 
 // SAFETY: delegates every operation to the `System` allocator unchanged;
-// the counter is a side effect with no influence on the returned memory.
+// the counters are a side effect with no influence on the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same contract as `System::alloc`, to which this forwards.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        tally(layout.size());
         // SAFETY: forwarding the caller's contract directly to `System`.
         unsafe { System.alloc(layout) }
     }
@@ -33,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
     // SAFETY: same contract as `System::realloc`, to which this forwards.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        tally(new_size);
         // SAFETY: forwarding the caller's contract directly to `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -42,7 +57,27 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-use sellkit::core::{Apply, CooBuilder, Csr, ExecCtx, Operator, Sell8, SellSigma8};
+use sellkit::core::{
+    matops, Apply, CooBuilder, Csr, ExecCtx, MatShape, Operator, Sell8, SellSigma8,
+};
+use sellkit::grid::{interpolation_chain, laplacian_5pt, Grid2D};
+use sellkit::solvers::ksp::{gmres_monitored, IterationRecord, KspConfig, KspMonitor};
+use sellkit::solvers::operator::{MatOperator, SeqDot};
+use sellkit::solvers::pc::mg::{Multigrid, MultigridConfig};
+use sellkit::solvers::pc::{JacobiPc, Precond};
+use sellkit::solvers::ts::OdeProblem;
+use sellkit::workloads::{GrayScott, GrayScottParams};
+
+/// Allocations made so far by the threads of `ctx`.  Part `p` of a dispatch
+/// always runs on lane `p`, the caller being lane 0, so `threads()` parts
+/// visit every thread once.
+fn allocs_on(ctx: &ExecCtx) -> usize {
+    let total = AtomicUsize::new(0);
+    ctx.dispatch(ctx.threads(), &|_| {
+        total.fetch_add(ALLOCS.get(), Ordering::Relaxed);
+    });
+    total.into_inner()
+}
 
 fn irregular(n: usize) -> Csr {
     let mut b = CooBuilder::new(n, n);
@@ -65,12 +100,12 @@ fn allocs_during<M: Operator>(
     // Warmup: builds the cached plan, faults in pool state.
     m.apply(ctx, (x).into(), (y).into(), Apply::Set);
     m.apply(ctx, (x).into(), (y).into(), Apply::Add);
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs_on(ctx);
     for _ in 0..reps {
         m.apply(ctx, (x).into(), (y).into(), Apply::Set);
         m.apply(ctx, (x).into(), (y).into(), Apply::Add);
     }
-    ALLOCS.load(Ordering::SeqCst) - before
+    allocs_on(ctx) - before
 }
 
 #[test]
@@ -100,4 +135,95 @@ fn warm_spmv_ctx_is_allocation_free() {
             "sell-c-sigma allocated at {threads} threads"
         );
     }
+}
+
+/// The paper's preconditioner on a Gray-Scott Newton matrix: after one
+/// apply (which builds the level plans on a pool) every further one works
+/// in the hierarchy's own vectors.
+#[test]
+fn warm_multigrid_apply_is_allocation_free() {
+    let gs = GrayScott::new(32, GrayScottParams::default());
+    let j = gs.rhs_jacobian(0.0, &gs.initial_condition(42));
+    let a = matops::identity_plus_scaled(1.0, -0.5, &j);
+    let interps = interpolation_chain(gs.grid(), 3);
+    let mg = Multigrid::<Sell8>::new(&a, &interps, MultigridConfig::default());
+    let n = a.nrows();
+    let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin()).collect();
+    let mut z = vec![0.0; n];
+
+    for threads in [1usize, 3] {
+        let ctx = ExecCtx::new(threads);
+        mg.apply_ctx(&ctx, &r, &mut z);
+        let before = allocs_on(&ctx);
+        for _ in 0..10 {
+            mg.apply_ctx(&ctx, &r, &mut z);
+        }
+        assert_eq!(
+            allocs_on(&ctx) - before,
+            0,
+            "V-cycle allocated at {threads} threads"
+        );
+    }
+    mg.apply(&r, &mut z);
+    let before = ALLOCS.get();
+    mg.apply(&r, &mut z);
+    assert_eq!(ALLOCS.get() - before, 0, "Precond::apply allocated");
+}
+
+/// Remembers how many bytes this thread had asked for when iteration
+/// `at` was reported.
+struct BytesAt {
+    at: usize,
+    bytes: Cell<Option<usize>>,
+}
+
+impl KspMonitor for BytesAt {
+    fn monitor(&self, rec: &IterationRecord) {
+        if rec.iteration == self.at {
+            self.bytes.set(Some(BYTES.get()));
+        }
+    }
+}
+
+/// GMRES(5) over forty restart cycles: the basis and every work vector are
+/// allocated during the first cycle and recycled by the later ones, which
+/// only ever grow the residual history — all of them together ask for less
+/// memory than one vector takes.
+#[test]
+fn restarted_gmres_allocates_no_vector_after_its_first_cycle() {
+    // Periodic 5-point Laplacian plus a small shift: regular, and far too
+    // ill-conditioned for GMRES(5) with Jacobi to finish in forty cycles.
+    let grid = Grid2D::new(64, 64, 1);
+    let a = matops::shift(&laplacian_5pt(&grid, &[1.0], 1.0), 1e-3);
+    let n = a.nrows();
+    let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin()).collect();
+    let mut x = vec![0.0; n];
+    let restart = 5;
+    let first_cycle = BytesAt {
+        at: restart,
+        bytes: Cell::new(None),
+    };
+    let res = gmres_monitored(
+        &MatOperator(&a),
+        &JacobiPc::from_csr(&a),
+        &SeqDot,
+        &rhs,
+        &mut x,
+        &KspConfig {
+            rtol: 1e-12,
+            max_it: 40 * restart,
+            restart,
+            ..Default::default()
+        },
+        &first_cycle,
+    );
+    let after_solve = BYTES.get();
+    assert_eq!(res.iterations, 40 * restart, "forty restart cycles");
+    let after_first_cycle = first_cycle.bytes.get().expect("iteration 5 was reported");
+    assert!(
+        after_solve - after_first_cycle < n * std::mem::size_of::<f64>(),
+        "{} bytes allocated after the first restart cycle; a vector is {}",
+        after_solve - after_first_cycle,
+        n * std::mem::size_of::<f64>()
+    );
 }

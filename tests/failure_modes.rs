@@ -2,11 +2,18 @@
 //! misuse, and degrade gracefully (reported breakdown, not garbage) on
 //! pathological numerics.
 
-use sellkit::core::{Apply, CooBuilder, Csr, ExecCtx, Isa, Operator, Sell8};
+mod common;
+
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use sellkit::core::{
+    Apply, CooBuilder, Csr, ExecCtx, FromCsr, Isa, MatShape, Operator, Sell8, VecView, VecViewMut,
+};
 use sellkit::mpisim::run;
 use sellkit::solvers::ksp::{bicgstab, cg, gmres, KspConfig, StopReason};
 use sellkit::solvers::operator::{MatOperator, SeqDot};
-use sellkit::solvers::pc::{IdentityPc, Ilu0};
+use sellkit::solvers::pc::mg::{Multigrid, MultigridConfig};
+use sellkit::solvers::pc::{IdentityPc, Ilu0, Precond};
 
 #[test]
 #[should_panic(expected = "x rows")]
@@ -187,4 +194,63 @@ fn coo_rejects_oversized_dimensions_gracefully() {
 fn invalid_sigma_rejected() {
     let a = Csr::from_dense(4, 4, &[1.0; 16]);
     let _ = Sell8::from_csr_sigma(&a, 3);
+}
+
+/// While set, every [`Flaky`] product panics.
+static FLAKY_ARMED: AtomicBool = AtomicBool::new(false);
+
+/// CSR whose products panic on demand — a smoother failing half-way
+/// through a V-cycle, with the hierarchy's workspace lock held.
+struct Flaky(Csr);
+
+impl MatShape for Flaky {
+    fn nrows(&self) -> usize {
+        self.0.nrows()
+    }
+    fn ncols(&self) -> usize {
+        self.0.ncols()
+    }
+    fn nnz(&self) -> usize {
+        self.0.nnz()
+    }
+}
+
+impl Operator for Flaky {
+    fn apply(&self, ctx: &ExecCtx, x: VecView<'_>, y: VecViewMut<'_>, mode: Apply) {
+        assert!(
+            !FLAKY_ARMED.load(Ordering::SeqCst),
+            "injected kernel failure"
+        );
+        self.0.apply(ctx, x, y, mode);
+    }
+}
+
+impl FromCsr for Flaky {
+    fn from_csr(csr: &Csr) -> Self {
+        Flaky(csr.clone())
+    }
+}
+
+/// The V-cycle's scratch vectors sit behind a mutex that a panicking
+/// apply poisons.  They are scratch: the next apply must take the guard
+/// over and give the answer an untouched hierarchy gives.
+#[test]
+fn a_panic_inside_a_vcycle_does_not_poison_the_preconditioner() {
+    let n = 32;
+    let (a, interps) = common::laplace_1d_hierarchy(n);
+    let cfg = MultigridConfig::default();
+    let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.4).sin()).collect();
+
+    let mut want = vec![0.0; n];
+    Multigrid::<Csr>::new(&a, &interps, cfg).apply(&r, &mut want);
+
+    let mg = Multigrid::<Flaky>::new(&a, &interps, cfg);
+    let mut z = vec![0.0; n];
+    FLAKY_ARMED.store(true, Ordering::SeqCst);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mg.apply(&r, &mut z)));
+    FLAKY_ARMED.store(false, Ordering::SeqCst);
+    assert!(caught.is_err(), "the armed product must have panicked");
+
+    mg.apply(&r, &mut z);
+    assert_eq!(z, want);
 }

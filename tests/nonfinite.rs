@@ -10,11 +10,19 @@
 //! The fixtures use power-of-two matrix values so every product and
 //! partial sum is exact — bitwise equality then holds at every ISA tier
 //! regardless of the kernel's accumulation order.
+//!
+//! One layer up, the multigrid V-cycle skips the MatMult of its first
+//! smoothing step (the iterate is zero there); a NaN in the right-hand
+//! side or in the operator must reach the output all the same.
+
+mod common;
 
 use sellkit::core::{
     Apply, CooBuilder, Csr, CsrPerm, Ellpack, EllpackR, ExecCtx, Isa, MatShape, Operator, Sell,
     Sell16, Sell4, Sell8, SellEsb, SellSigma8,
 };
+use sellkit::solvers::pc::mg::{Multigrid, MultigridConfig};
+use sellkit::solvers::pc::Precond;
 
 /// A 13-row matrix (ragged tail at every C ∈ {4, 8, 16}) with one long
 /// row and many short ones, so every slice carries padding.  Values are
@@ -261,4 +269,41 @@ fn ragged_fixture_round_trips() {
     let a = ragged();
     assert_eq!(Sell::<4>::from_csr(&a).to_csr().to_dense(), a.to_dense());
     assert_eq!(Sell::<16>::from_csr(&a).to_csr().to_dense(), a.to_dense());
+}
+
+/// The V-cycle's first smoothing step on each level multiplies nothing: it
+/// knows the iterate is zero.  A NaN must not get lost with that product —
+/// one in `r` enters through the step itself, one in the operator through
+/// the residual MatMult right after it, even when `r` is all zeros.
+#[test]
+fn multigrid_vcycle_surfaces_nan_in_rhs_and_operator() {
+    fn check<M: Operator + sellkit::core::FromCsr>(fmt: &str) {
+        let n = 64;
+        let cfg = MultigridConfig::default();
+
+        let (mut a, interps) = common::laplace_1d_hierarchy(n);
+        let mg = Multigrid::<M>::new(&a, &interps, cfg);
+        let mut r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
+        let mut z = vec![0.0; n];
+        mg.apply(&r, &mut z);
+        assert!(
+            z.iter().all(|v| v.is_finite()),
+            "{fmt}: finite in, finite out"
+        );
+        r[17] = f64::NAN;
+        mg.apply(&r, &mut z);
+        assert!(z[17].is_nan(), "{fmt}: NaN in r[17] must reach z[17]");
+
+        // Row 3 is (2, 3, 4): its last entry is A(3, 4).
+        let k = a.rowptr()[4] - 1;
+        a.values_mut()[k] = f64::NAN;
+        let mg = Multigrid::<M>::new(&a, &interps, cfg);
+        for r in [vec![0.0; n], vec![1.0; n]] {
+            z.fill(0.0);
+            mg.apply(&r, &mut z);
+            assert!(z[3].is_nan(), "{fmt}: NaN in A(3, 4) must reach z[3]");
+        }
+    }
+    check::<Csr>("csr");
+    check::<Sell8>("sell8");
 }

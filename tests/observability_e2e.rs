@@ -11,7 +11,10 @@
 //!   the batch spans, and per-track monotone slice timestamps;
 //! * a poisoned batch dumps the flight ring, naming the offending ids;
 //! * a Newton step's `SNESJacobianEval` time is accounted for by its
-//!   `MatAssembly`, `PCSetUp` and `MatConvert` children.
+//!   `MatAssembly`, `PCSetUp` and `MatConvert` children;
+//! * a multigrid apply is 11 `MatMult`s with the paper's options, and its
+//!   `PCApply` time is accounted for by `MGSmooth`, `MatMult`,
+//!   `MatRestrict` and `MatInterpolate`.
 //!
 //! Everything shares **one** `#[test]` (the obs registry and flight ring
 //! are process-global); trace-id uniqueness at volume has its own test
@@ -117,6 +120,47 @@ fn tracing_flows_histograms_and_flight_dump() {
             "two coarse operators per Newton iteration"
         );
         assert!(seconds("PCSetUp>MatPtAP") > 0.0);
+
+        // ---- One V-cycle with the paper's options (1 pre, 1 post, 3
+        // levels, 8 coarse Jacobi iterations) is 11 MatMults: the first
+        // smoothing step on each level starts from zero and multiplies
+        // nothing.
+        let a = sellkit::core::matops::identity_plus_scaled(
+            1.0,
+            -0.5,
+            &sellkit::solvers::ts::OdeProblem::rhs_jacobian(&gs, 0.0, &u),
+        );
+        let mg = Multigrid::<sellkit::Sell8>::new(&a, &interps, MultigridConfig::default());
+        let count = |name: &str| sellkit::obs::report().event(name).map_or(0, |e| e.count);
+        let mut z = vec![0.0; u.len()];
+        let before = ["MatMult", "MatRestrict", "MatInterpolate"].map(count);
+        sellkit::solvers::pc::Precond::apply(&mg, &u, &mut z);
+        let after = ["MatMult", "MatRestrict", "MatInterpolate"].map(count);
+        assert_eq!(after[0] - before[0], 11, "MatMults in one V-cycle");
+        assert_eq!(after[1] - before[1], 2, "one restriction per level pair");
+        assert_eq!(after[2] - before[2], 2, "one prolongation per level pair");
+
+        // ---- Nothing much of a preconditioner apply is left without a
+        // name either: smoothing, the residual MatMult and the two grid
+        // transfers (over the step's applies and the one above).
+        let rep = sellkit::obs::report();
+        let seconds = |suffix: &str| {
+            rep.events
+                .iter()
+                .filter(|e| e.path.ends_with(suffix))
+                .map(|e| e.seconds)
+                .sum::<f64>()
+        };
+        let parent = seconds("PCApply");
+        let children: f64 = ["MGSmooth", "MatMult", "MatRestrict", "MatInterpolate"]
+            .iter()
+            .map(|c| seconds(&format!("PCApply>{c}")))
+            .sum();
+        assert!(parent > 0.0, "no PCApply span recorded");
+        assert!(
+            children >= 0.90 * parent && children <= parent,
+            "children cover {children} s of the {parent} s PCApply spans"
+        );
     }
 
     // ---- Concurrent load: 8 clients × 5 requests with coalescing on.
