@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sellkit_core::{Apply, ExecCtx, MatShape, Operator, Sell8};
+use sellkit_core::{Apply, ExecCtx, MatShape, Operator, Sell8, SellSigma8};
 use sellkit_workloads::generators;
 
 fn bench_sigma(c: &mut Criterion) {
@@ -17,8 +17,8 @@ fn bench_sigma(c: &mut Criterion) {
         ),
     ] {
         let plain = Sell8::from_csr(&a);
-        let sigma32 = Sell8::from_csr_sigma(&a, 32);
-        let sigma_global = Sell8::from_csr_sigma(&a, a.nrows().div_ceil(8) * 8);
+        let sigma32 = SellSigma8::from_csr_sigma(&a, 32);
+        let sigma_global = SellSigma8::from_csr_sigma(&a, a.nrows());
         let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.02).sin()).collect();
         let mut y = vec![0.0; a.nrows()];
 

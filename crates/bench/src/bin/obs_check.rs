@@ -1,8 +1,8 @@
 //! Validates a `sellkit-obs-report` JSON document against the versioned
-//! schema — the CI gate keeping `BENCH_*.json` artifacts machine-readable.
+//! schema — the CI gate keeping the reports the e2e tests write machine-readable.
 //!
 //! ```sh
-//! cargo run -p sellkit-bench --bin obs_check -- BENCH_gray_scott.json
+//! cargo run -p sellkit-bench --bin obs_check -- target/tmp/obs_gray_scott.json
 //! ```
 //!
 //! Exits nonzero (with the first problem found) on any schema violation.

@@ -1,9 +1,9 @@
 //! Renders a `sellkit-obs-report` JSON document as Prometheus text
-//! exposition — the scrape-side bridge from `BENCH_*.json` artifacts (or
+//! exposition — the scrape-side bridge from a written report (or
 //! a live [`sellkit_obs::snapshot`] dump) to a metrics pipeline.
 //!
 //! ```sh
-//! cargo run -p sellkit-bench --bin obs_scrape -- BENCH_serve.json
+//! cargo run -p sellkit-bench --bin obs_scrape -- target/tmp/obs_serve.json
 //! cargo run -p sellkit-bench --bin obs_scrape -- --demo
 //! ```
 //!

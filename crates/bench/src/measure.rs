@@ -110,7 +110,7 @@ pub fn build_variants(a: &Csr) -> Vec<Variant> {
 /// Additional measured variants beyond the Figure 8 set: the §5.5 tuned
 /// kernel and alternative slice heights (§5.1 trade-off).
 pub fn build_extended_variants(a: &Csr) -> Vec<Variant> {
-    use sellkit_core::Sell;
+    use sellkit_core::{Sell, SellSigma8};
     let mut out = Vec::new();
     let tuned = Sell8::from_csr(a);
     out.push(Variant {
@@ -129,7 +129,7 @@ pub fn build_extended_variants(a: &Csr) -> Vec<Variant> {
             s16.apply(&ExecCtx::serial(), (x).into(), (y).into(), Apply::Set)
         }),
     });
-    let sigma = Sell8::from_csr_sigma(a, a.nrows().div_ceil(8) * 8);
+    let sigma = SellSigma8::from_csr_sigma(a, a.nrows().max(1));
     out.push(Variant {
         label: "SELL sigma=global".into(),
         run: Box::new(move |x, y| {

@@ -507,7 +507,8 @@ pub fn check_csr_parts(
 /// and `sum(rlen) == nnz`.
 ///
 /// `lanes` is the slice height `C`; `perm`, if present, maps storage lane
-/// `k` to logical row `perm[k]` (σ-sorting).
+/// `k` to logical row `perm[k]` — [`check_sell_sigma_parts`] passes the
+/// σ-sort permutation, a plain [`Sell`] has none.
 #[allow(clippy::too_many_arguments)]
 pub fn check_sell_parts(
     lanes: usize,
@@ -1129,7 +1130,7 @@ impl<const C: usize> Validate for Sell<C> {
             self.colidx(),
             self.values(),
             self.rlen(),
-            self.perm(),
+            None,
         );
         out.extend(check_alignment("colidx", self.colidx()));
         out.extend(check_alignment("val", self.values()));
@@ -1294,14 +1295,6 @@ mod tests {
     }
 
     #[test]
-    fn sigma_sorted_sell_validates() {
-        let a = irregular(53);
-        let s = sellkit_core::Sell8::from_csr_sigma(&a, 16);
-        assert!(s.perm().is_some());
-        assert_eq!(s.validate(), Ok(()));
-    }
-
-    #[test]
     fn packed_sell_validates_clean() {
         let a = irregular(41);
         for codec in [Codec::F32, Codec::Bf16] {
@@ -1311,9 +1304,9 @@ mod tests {
                 "{codec:?}"
             );
             assert_eq!(
-                sellkit_core::Sell4::from_csr_sigma_codec(&a, 8, codec).validate(),
+                SellSigma::<4>::from_csr_sigma_codec(&a, 8, codec).validate(),
                 Ok(()),
-                "{codec:?} sigma"
+                "{codec:?} SellSigma C=4"
             );
             assert_eq!(
                 SellSigma::<8>::from_csr_sigma_codec(&a, 16, codec).validate(),

@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn f32_quantize_roundtrips_through_encode() {
         let mut buf = [0u8; 4];
-        for v in [0.0, -2.75, 1e-8, 3.141592653589793, -1e30] {
+        for v in [0.0, -2.75, 1e-8, std::f64::consts::PI, -1e30] {
             let q = Codec::F32.quantize(v);
             encode_into(Codec::F32, q, &mut buf);
             let back = f32::from_le_bytes(buf) as f64;
@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn bf16_quantize_roundtrips_through_encode() {
         let mut buf = [0u8; 2];
-        for v in [0.0, -2.75, 1e-8, 3.141592653589793, -1e30, 1.0 / 3.0] {
+        for v in [0.0, -2.75, 1e-8, std::f64::consts::PI, -1e30, 1.0 / 3.0] {
             let q = Codec::Bf16.quantize(v);
             encode_into(Codec::Bf16, q, &mut buf);
             let hi = u16::from_le_bytes(buf);

@@ -230,7 +230,6 @@ mod tests {
                 match c {
                     4 => {
                         check(Sell::<4>::from_csr(&a).to_csr(), "sell");
-                        check(Sell::<4>::from_csr_sigma(&a, 2 * c).to_csr(), "sell_sigma");
                         check(
                             SellSigma::<4>::from_csr_sigma(&a, 2 * c).to_csr(),
                             "sell_c_sigma",
@@ -238,7 +237,6 @@ mod tests {
                     }
                     8 => {
                         check(Sell::<8>::from_csr(&a).to_csr(), "sell");
-                        check(Sell::<8>::from_csr_sigma(&a, 2 * c).to_csr(), "sell_sigma");
                         check(
                             SellSigma::<8>::from_csr_sigma(&a, 2 * c).to_csr(),
                             "sell_c_sigma",
@@ -246,7 +244,6 @@ mod tests {
                     }
                     _ => {
                         check(Sell::<16>::from_csr(&a).to_csr(), "sell");
-                        check(Sell::<16>::from_csr_sigma(&a, 2 * c).to_csr(), "sell_sigma");
                         check(
                             SellSigma::<16>::from_csr_sigma(&a, 2 * c).to_csr(),
                             "sell_c_sigma",

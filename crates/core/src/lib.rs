@@ -11,14 +11,16 @@
 //!   assembled from unordered triplets by [`CooBuilder`] or row by row,
 //!   without a global sort, by [`RowAssembler`];
 //! * [`Sell`] — sliced ELLPACK (PETSc `SELL`), the paper's contribution,
-//!   with compile-time slice height `C` ([`Sell8`] is the AVX-512 default);
+//!   with compile-time slice height `C` ([`Sell8`] is the AVX-512 default)
+//!   and rows in their original order (§5.4: no sorting);
 //! * [`CsrPerm`] — CSR with permutation (PETSc `AIJPERM`);
 //! * [`Ellpack`] / [`EllpackR`] — classic (unsliced) ELLPACK variants;
 //! * [`Baij`] — block CSR (PETSc `BAIJ`) for matrices with natural blocks;
 //! * [`SellEsb`] — SELL with an ESB-style bit array (the §5.3 ablation);
 //! * [`SellSigma`] — SELL-C-σ with σ-window row sorting and
 //!   unsort-on-output (the Kreutzer et al. variant the paper's §5.4
-//!   chooses not to default to);
+//!   chooses not to default to), the only σ-sorted type: a [`Sell`] of
+//!   the row-permuted matrix plus the permutation;
 //! * hand-written SpMV kernels for scalar, AVX, AVX2, and AVX-512 ISAs
 //!   (Algorithms 1 and 2 of the paper) with runtime dispatch ([`Isa`]);
 //! * a shared-memory execution engine ([`ExecCtx`]) that runs the same

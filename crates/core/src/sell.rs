@@ -21,8 +21,9 @@
 //! * slice height `C` is a multiple of the SIMD width; **8** for AVX-512
 //!   doubles ([`Sell8`], fixed on KNL);
 //! * **no bit array** (§5.3) — contrast [`crate::SellEsb`];
-//! * **no sorting** by default (§5.4) — σ-sorting is available explicitly
-//!   via [`Sell::from_csr_sigma`] for the SELL-C-σ ablation;
+//! * **no sorting** (§5.4) — storage lane `k` is row `k`; σ-window
+//!   sorting is the separate [`crate::SellSigma`] format, which wraps a
+//!   `Sell` of the row-permuted matrix;
 //! * the final partial slice is padded to full height so only its *store*
 //!   is masked (§5.5).
 
@@ -67,9 +68,6 @@ pub struct Sell<const C: usize> {
     colidx: AVec<u32>,
     val: AVec<f64>,
     rlen: Vec<u32>,
-    /// σ-sorting permutation: storage lane `k` holds logical row `perm[k]`.
-    /// `None` for the paper's default unsorted format.
-    perm: Option<Vec<u32>>,
     isa: Isa,
     /// Cached threaded execution plans; invalidated on pattern/ISA change.
     plan: PlanCache,
@@ -102,45 +100,16 @@ pub type Sell8 = Sell<8>;
 pub type Sell16 = Sell<16>;
 
 impl<const C: usize> Sell<C> {
-    /// Converts a CSR matrix without any row reordering (the default, §5.4).
+    /// Converts a CSR matrix; rows keep their order (§5.4).
     pub fn from_csr(csr: &Csr) -> Self {
         Self::from_csr_codec(csr, Codec::F64)
     }
 
-    /// Converts without row reordering, storing values through `codec`
-    /// (PackSELL).  For `F32`/`Bf16` the master `val` array holds the
-    /// **quantized** values — `codec.quantize(v)` — so the packed bytes
-    /// decode bit-exactly to `val` and `get`/`to_csr` observe the same
-    /// matrix the kernels multiply by.
+    /// Converts, storing values through `codec` (PackSELL).  For
+    /// `F32`/`Bf16` the master `val` array holds the **quantized** values —
+    /// `codec.quantize(v)` — so the packed bytes decode bit-exactly to `val`
+    /// and `get`/`to_csr` observe the same matrix the kernels multiply by.
     pub fn from_csr_codec(csr: &Csr, codec: Codec) -> Self {
-        let ident: Vec<u32> = (0..csr.nrows() as u32).collect();
-        Self::build(csr, &ident, false, codec)
-    }
-
-    /// Converts with SELL-C-σ row sorting: rows are sorted by descending
-    /// length within windows of `sigma` rows (σ must be a positive multiple
-    /// of `C`; σ = nrows gives full pJDS-style sorting).
-    pub fn from_csr_sigma(csr: &Csr, sigma: usize) -> Self {
-        Self::from_csr_sigma_codec(csr, sigma, Codec::F64)
-    }
-
-    /// σ-sorted conversion with a PackSELL value codec — see
-    /// [`Sell::from_csr_codec`] for the quantization contract.
-    pub fn from_csr_sigma_codec(csr: &Csr, sigma: usize, codec: Codec) -> Self {
-        assert!(
-            sigma > 0 && sigma.is_multiple_of(C),
-            "sigma must be a positive multiple of C"
-        );
-        let nrows = csr.nrows();
-        let mut perm: Vec<u32> = (0..nrows as u32).collect();
-        for window in perm.chunks_mut(sigma) {
-            window.sort_by_key(|&i| std::cmp::Reverse(csr.row_len(i as usize)));
-        }
-        Self::build(csr, &perm, true, codec)
-    }
-
-    /// Core conversion: storage lane `k` takes logical row `perm[k]`.
-    fn build(csr: &Csr, perm: &[u32], keep_perm: bool, codec: Codec) -> Self {
         assert!(
             C > 0 && C.is_multiple_of(4) || C == 1 || C == 2,
             "unsupported slice height {C}"
@@ -152,11 +121,8 @@ impl<const C: usize> Sell<C> {
         let mut widths = vec![0usize; nslices];
         for s in 0..nslices {
             let mut w = 0usize;
-            for r in 0..C {
-                let k = s * C + r;
-                if k < nrows {
-                    w = w.max(csr.row_len(perm[k] as usize));
-                }
+            for row in s * C..((s + 1) * C).min(nrows) {
+                w = w.max(csr.row_len(row));
             }
             widths[s] = w;
             sliceptr[s + 1] = sliceptr[s] + C * w;
@@ -170,9 +136,8 @@ impl<const C: usize> Sell<C> {
             let base = sliceptr[s];
             let w = widths[s];
             for r in 0..C {
-                let k = s * C + r;
-                let (cols, vals, len) = if k < nrows {
-                    let row = perm[k] as usize;
+                let row = s * C + r;
+                let (cols, vals, len) = if row < nrows {
                     rlen[row] = csr.row_len(row) as u32;
                     (csr.row_cols(row), csr.row_vals(row), csr.row_len(row))
                 } else {
@@ -198,7 +163,7 @@ impl<const C: usize> Sell<C> {
         }
 
         let (pval, cidx16, cbase, narrow_nnz) =
-            Self::pack(codec, &sliceptr, &colidx, &val, &rlen, perm, ncols);
+            Self::pack(codec, &sliceptr, &colidx, &val, &rlen, ncols);
 
         Self {
             nrows,
@@ -208,7 +173,6 @@ impl<const C: usize> Sell<C> {
             colidx,
             val,
             rlen,
-            perm: keep_perm.then(|| perm.to_vec()),
             isa: Isa::detect(),
             plan: PlanCache::new(),
             codec,
@@ -225,14 +189,12 @@ impl<const C: usize> Sell<C> {
     /// from the slice's minimum column (`cbase[s]`); a wider slice keeps
     /// the classic 4-byte indices and marks `cbase[s] = u32::MAX`.  For
     /// `F64` all sidecars stay empty and `narrow_nnz = 0`.
-    #[allow(clippy::too_many_arguments)]
     fn pack(
         codec: Codec,
         sliceptr: &[usize],
         colidx: &[u32],
         val: &[f64],
         rlen: &[u32],
-        perm: &[u32],
         ncols: usize,
     ) -> (AVec<u8>, AVec<u16>, Vec<u32>, u64) {
         if codec == Codec::F64 {
@@ -278,11 +240,8 @@ impl<const C: usize> Sell<C> {
             // Live entries in this slice: sum of true row lengths clipped
             // to the slice width (padding never counts).
             let w = (sliceptr[s + 1] - sliceptr[s]) / C;
-            for r in 0..C {
-                let k = s * C + r;
-                if k < perm.len() {
-                    narrow_nnz += (rlen[perm[k] as usize] as usize).min(w) as u64;
-                }
+            for row in s * C..((s + 1) * C).min(rlen.len()) {
+                narrow_nnz += (rlen[row] as usize).min(w) as u64;
             }
         }
         (pval, cidx16, cbase, narrow_nnz)
@@ -330,12 +289,6 @@ impl<const C: usize> Sell<C> {
     /// True row lengths (the `rlen` array of §5.2).
     pub fn rlen(&self) -> &[u32] {
         &self.rlen
-    }
-
-    /// σ-sorting permutation if this matrix was built with
-    /// [`Sell::from_csr_sigma`].
-    pub fn perm(&self) -> Option<&[u32]> {
-        self.perm.as_deref()
     }
 
     /// The value-storage codec (PackSELL); [`Codec::F64`] for the classic
@@ -390,14 +343,7 @@ impl<const C: usize> Sell<C> {
 
     /// The stored value at logical position `(i, j)`, or `None`.
     pub fn get(&self, i: usize, j: usize) -> Option<f64> {
-        let k = match &self.perm {
-            None => i,
-            Some(p) => p
-                .iter()
-                .position(|&r| r as usize == i)
-                .expect("perm covers all rows"),
-        };
-        let (s, r) = (k / C, k % C);
+        let (s, r) = (i / C, i % C);
         let base = self.sliceptr[s];
         let w = (self.sliceptr[s + 1] - base) / C;
         let len = self.rlen[i] as usize;
@@ -409,7 +355,7 @@ impl<const C: usize> Sell<C> {
         None
     }
 
-    /// Converts back to CSR, dropping padding (and undoing σ-sorting).
+    /// Converts back to CSR, dropping padding.
     pub fn to_csr(&self) -> Csr {
         let mut rowptr = vec![0usize; self.nrows + 1];
         for i in 0..self.nrows {
@@ -417,12 +363,8 @@ impl<const C: usize> Sell<C> {
         }
         let mut colidx = vec![0u32; self.nnz];
         let mut vals = vec![0.0f64; self.nnz];
-        for k in 0..self.nrows {
-            let row = match &self.perm {
-                None => k,
-                Some(p) => p[k] as usize,
-            };
-            let (s, r) = (k / C, k % C);
+        for row in 0..self.nrows {
+            let (s, r) = (row / C, row % C);
             let base = self.sliceptr[s];
             let len = self.rlen[row] as usize;
             let at = rowptr[row];
@@ -441,17 +383,13 @@ impl<const C: usize> Sell<C> {
     pub fn set_values_from_csr(&mut self, csr: &Csr) {
         assert_eq!(csr.nrows(), self.nrows, "pattern mismatch: nrows");
         assert_eq!(csr.nnz(), self.nnz, "pattern mismatch: nnz");
-        for k in 0..self.nrows {
-            let row = match &self.perm {
-                None => k,
-                Some(p) => p[k] as usize,
-            };
+        for row in 0..self.nrows {
             assert_eq!(
                 csr.row_len(row),
                 self.rlen[row] as usize,
                 "pattern mismatch: row {row}"
             );
-            let (s, r) = (k / C, k % C);
+            let (s, r) = (row / C, row % C);
             let base = self.sliceptr[s];
             let vals = csr.row_vals(row);
             let stride = self.codec.bytes_per_value();
@@ -478,9 +416,7 @@ impl<const C: usize> Sell<C> {
     /// runs the AVX2 lanes); other heights run the scalar lanes.
     pub fn spmv_isa(&self, isa: Isa, x: &[f64], y: &mut [f64]) {
         check_spmv_dims(self.nrows, self.ncols, x, y);
-        self.whole::<false>(y, 1, |y| {
-            self.slices::<false, false>(isa, 0, self.nslices(), x, y, None)
-        });
+        self.slices::<false, false>(isa, 0, self.nslices(), x, y, None);
     }
 
     /// SpMM (`Y = A·X` over a `k`-wide row-interleaved block) with an
@@ -489,22 +425,16 @@ impl<const C: usize> Sell<C> {
     pub fn spmm_isa(&self, isa: Isa, x: &[f64], y: &mut [f64], k: usize) {
         assert_eq!(x.len(), self.ncols * k, "x must hold k interleaved vectors");
         assert_eq!(y.len(), self.nrows * k, "y must hold k interleaved vectors");
-        self.whole::<false>(y, k, |y| {
-            self.slices::<false, false>(isa, 0, self.nslices(), x, y, Some(k))
-        });
+        self.slices::<false, false>(isa, 0, self.nslices(), x, y, Some(k));
     }
 
     /// SpMV through the §5.5 manually-tuned loop (two-slice unroll +
-    /// software prefetch) of the matrix's own tier.  σ-sorted matrices use
-    /// the regular loop (the ablation compares kernels, not permutations).
+    /// software prefetch) of the matrix's own tier.
     ///
     /// The paper notes these classic tunings "do not affect the
     /// performance significantly" — benchmark them with `kernels_micro`.
     pub fn spmv_tuned(&self, x: &[f64], y: &mut [f64]) {
         check_spmv_dims(self.nrows, self.ncols, x, y);
-        if self.perm.is_some() {
-            return self.apply_parts::<false>(&ExecCtx::serial(), x, y, 1);
-        }
         self.slices::<false, true>(self.isa, 0, self.nslices(), x, y, None);
     }
 
@@ -534,8 +464,8 @@ impl<const C: usize> Sell<C> {
         }
     }
 
-    /// The product over slices `s0..s1` into the matching window `y`, in
-    /// storage (σ-sorted) row order.  `block` is `None` for SpMV, `Some(k)`
+    /// The product over slices `s0..s1` into the matching window `y`.
+    /// `block` is `None` for SpMV, `Some(k)`
     /// for the blocked SpMM kernel.
     fn slices<const ADD: bool, const UNROLL: bool>(
         &self,
@@ -553,38 +483,13 @@ impl<const C: usize> Sell<C> {
         }
     }
 
-    /// Runs a whole-matrix product into logical row order.  `raw` overwrites
-    /// its argument with the product in storage order: that is `y` itself,
-    /// or — for a σ-sorted matrix — a scratch block which is then scattered
-    /// (`ADD`: accumulated) into `y` through `perm`.
-    fn whole<const ADD: bool>(&self, y: &mut [f64], k: usize, raw: impl FnOnce(&mut [f64])) {
-        let Some(perm) = &self.perm else {
-            return raw(y);
-        };
-        let mut scratch = vec![0.0f64; self.nrows * k];
-        raw(&mut scratch);
-        for (j, &row) in perm.iter().enumerate() {
-            let dst = &mut y[row as usize * k..][..k];
-            for (d, s) in dst.iter_mut().zip(&scratch[j * k..][..k]) {
-                *d = if ADD { *d + s } else { *s };
-            }
-        }
-    }
-
     /// Shared body of both [`Operator::apply`] modes: the serial
     /// whole-matrix product, or a slice-aligned, nnz-balanced partition on
     /// the context's pool — the slice is the natural unit of multi-threaded
     /// SELL, so a partition never splits one, and it is `k`-independent, so
-    /// SpMV and SpMM share one cached plan.  σ-sorted matrices scatter
-    /// through their permutation and therefore run serially whatever the
-    /// context.
+    /// SpMV and SpMM share one cached plan.
     fn apply_parts<const ADD: bool>(&self, ctx: &ExecCtx, x: &[f64], y: &mut [f64], k: usize) {
         let block = (k != 1).then_some(k);
-        if self.perm.is_some() {
-            return self.whole::<ADD>(y, k, |y| {
-                self.slices::<false, false>(self.isa, 0, self.nslices(), x, y, block)
-            });
-        }
         if ctx.is_serial() {
             return self.slices::<ADD, false>(self.isa, 0, self.nslices(), x, y, block);
         }
@@ -619,9 +524,8 @@ impl<const C: usize> MatShape for Sell<C> {
 
 impl<const C: usize> Operator for Sell<C> {
     /// Single entry point for SpMV (`k = 1`) and SpMM (`k > 1`).  The
-    /// accumulate path is fused — no scratch vector at any thread count
-    /// (σ-sorted matrices still stage through scratch to undo the
-    /// permutation, but accumulate directly into `y`).  At `k > 1` each
+    /// accumulate path is fused — no scratch vector at any thread count.
+    /// At `k > 1` each
     /// slice column is streamed **once** and multiplied against all `k`
     /// vectors — the blocked-RHS optimization that matters exactly
     /// because SpMV is bandwidth-bound (§6): matrix bytes dominate, so
@@ -688,27 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_with_sigma_sorting() {
-        let a = random_csr(64, 64, 3);
-        let s = Sell8::from_csr_sigma(&a, 16);
-        assert!(s.perm().is_some());
-        assert_eq!(s.to_csr().to_dense(), a.to_dense());
-    }
-
-    #[test]
-    fn sigma_sorting_reduces_padding_on_irregular_matrix() {
-        let a = random_csr(512, 512, 11);
-        let plain = Sell8::from_csr(&a);
-        let sorted = Sell8::from_csr_sigma(&a, 64);
-        assert!(
-            sorted.padded_elems() <= plain.padded_elems(),
-            "sorting must not increase padding: {} vs {}",
-            sorted.padded_elems(),
-            plain.padded_elems()
-        );
-    }
-
-    #[test]
     fn spmv_matches_csr_all_isas() {
         let a = random_csr(100, 90, 42);
         let x: Vec<f64> = (0..90).map(|i| (i as f64 * 0.37).cos()).collect();
@@ -725,27 +608,6 @@ mod tests {
                     got[i],
                     want[i]
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn spmv_with_sigma_matches_csr() {
-        let a = random_csr(77, 77, 5);
-        let x: Vec<f64> = (0..77).map(|i| i as f64 + 0.5).collect();
-        let mut want = vec![0.0; 77];
-        a.apply(
-            &ExecCtx::serial(),
-            (&x).into(),
-            (&mut want).into(),
-            Apply::Set,
-        );
-        let s = Sell8::from_csr_sigma(&a, 8);
-        for isa in Isa::available_tiers() {
-            let mut got = vec![0.0; 77];
-            s.spmv_isa(isa, &x, &mut got);
-            for i in 0..77 {
-                assert!((got[i] - want[i]).abs() < 1e-10, "{isa} row {i}");
             }
         }
     }
@@ -898,21 +760,17 @@ mod tests {
     }
 
     #[test]
-    fn spmm_with_sigma_and_c16() {
+    fn spmm_with_c16() {
         let a = random_csr(30, 30, 71);
         let k = 2;
         let x: Vec<f64> = (0..k * 30).map(|i| i as f64 * 0.05).collect();
         let mut want = vec![0.0; k * 30];
         a.spmm(&x, k, &mut want); // CSR default path
-        let sigma = Sell8::from_csr_sigma(&a, 16);
-        let mut y1 = vec![0.0; k * 30];
-        sigma.spmm(&x, k, &mut y1);
         let s16 = Sell16::from_csr(&a);
-        let mut y2 = vec![0.0; k * 30];
-        s16.spmm(&x, k, &mut y2);
+        let mut y = vec![0.0; k * 30];
+        s16.spmm(&x, k, &mut y);
         for i in 0..k * 30 {
-            assert!((y1[i] - want[i]).abs() < 1e-12, "sigma i={i}");
-            assert!((y2[i] - want[i]).abs() < 1e-12, "C=16 i={i}");
+            assert!((y[i] - want[i]).abs() < 1e-12, "C=16 i={i}");
         }
     }
 
@@ -1008,23 +866,6 @@ mod tests {
                 assert!((plain[i] - tuned[i]).abs() < 1e-12, "n={n} row {i}");
             }
         }
-    }
-
-    #[test]
-    fn tuned_kernel_falls_back_for_sigma() {
-        let a = random_csr(50, 50, 77);
-        let s = Sell8::from_csr_sigma(&a, 16);
-        let x = vec![1.0; 50];
-        let mut y1 = vec![0.0; 50];
-        let mut y2 = vec![0.0; 50];
-        s.apply(
-            &ExecCtx::serial(),
-            (&x).into(),
-            (&mut y1).into(),
-            Apply::Set,
-        );
-        s.spmv_tuned(&x, &mut y2);
-        assert_eq!(y1, y2);
     }
 
     /// Quantizes every value of a CSR matrix through `codec` — the f64
@@ -1125,26 +966,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_sigma_sorted_matches() {
-        let a = random_csr(96, 96, 55);
-        let x: Vec<f64> = (0..96).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
-        for codec in [Codec::F32, Codec::Bf16] {
-            let q = quantized_csr(&a, codec);
-            let mut want = vec![0.0; 96];
-            q.spmv_isa(Isa::Scalar, &x, &mut want);
-            let s = Sell8::from_csr_sigma_codec(&a, 32, codec);
-            assert!(s.perm().is_some());
-            for isa in Isa::available_tiers() {
-                let mut got = vec![0.0; 96];
-                s.spmv_isa(isa, &x, &mut got);
-                for i in 0..96 {
-                    assert!((got[i] - want[i]).abs() < 1e-12, "{codec:?} {isa} row {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn packed_wide_slices_fall_back_to_u32_indices() {
         // A matrix wide enough that some slice spans ≥ 0xFFFF columns and
         // must keep wide indices, mixed with narrow-compressible slices.
@@ -1158,10 +979,7 @@ mod tests {
         }
         let a = b.to_csr();
         let s = Sell8::from_csr_codec(&a, Codec::F32);
-        assert!(
-            s.cbase().iter().any(|&b| b == u32::MAX),
-            "wide slice expected"
-        );
+        assert!(s.cbase().contains(&u32::MAX), "wide slice expected");
         assert!(
             s.cbase().iter().any(|&b| b != u32::MAX),
             "narrow slice expected"

@@ -35,7 +35,6 @@
 )]
 
 pub mod calibrate;
-pub mod fingerprint;
 pub mod modes;
 pub mod predict;
 pub mod roofline;
@@ -43,9 +42,6 @@ pub mod specs;
 pub mod stream_model;
 
 pub use calibrate::KernelKind;
-pub use fingerprint::{
-    fingerprint_for, gating_host, host_cores, host_fingerprint, MIN_GATING_CORES,
-};
 pub use modes::MemoryMode;
 pub use predict::{predict_gflops, predict_spmv_seconds, MatrixShape};
 pub use roofline::{Roofline, RooflinePoint};

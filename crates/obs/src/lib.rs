@@ -43,8 +43,8 @@ pub use hist::HistSnapshot;
 pub use json::{parse as parse_json, Json};
 pub use registry::{Registry, Span, TraceId};
 pub use report::{
-    prometheus_from_report_json, validate_report_json, EventReport, MachineStamp, Report,
-    SeriesPoint, ThreadReport, TraceSpan, MIN_SUPPORTED_SCHEMA_VERSION, REPORT_SCHEMA_VERSION,
+    prometheus_from_report_json, validate_report_json, EventReport, Report, SeriesPoint,
+    ThreadReport, TraceSpan, MIN_SUPPORTED_SCHEMA_VERSION, REPORT_SCHEMA_VERSION,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

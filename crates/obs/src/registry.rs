@@ -65,7 +65,7 @@ struct EventAcc {
     flops: f64,
     bytes: f64,
     /// Global sequence number of the first record, so merged reports can
-    /// list events in first-use order like the old `Profiler` did.
+    /// list events in first-use order.
     first_seq: u64,
 }
 
@@ -108,8 +108,8 @@ struct RegistryInner {
 ///
 /// Cloning is cheap (`Arc`); all clones share the same accumulators.  Most
 /// code uses the process-global registry through the free functions in the
-/// crate root, but private registries (as used by
-/// `sellkit_solvers::Profiler`) keep test runs isolated from one another.
+/// crate root, but a private registry (`tests/extensions.rs`,
+/// `examples/advection_diffusion.rs`) keeps a run isolated from every other.
 #[derive(Clone)]
 pub struct Registry {
     inner: Arc<RegistryInner>,
@@ -574,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn record_and_add_flops_match_profiler_semantics() {
+    fn add_flops_adds_to_a_record_without_counting_a_call() {
         let reg = Registry::new();
         reg.record("MatMult", 0.5, 1e9);
         reg.add_flops("MatMult", 1e9);

@@ -113,21 +113,6 @@ pub struct TraceSpan {
     pub flow_out: Vec<u64>,
 }
 
-/// Host identity stamped into v2 reports so baselines and gates can tell
-/// which machine produced a number — and refuse to treat undersized CI
-/// hosts as canonical.
-#[derive(Clone, Debug)]
-pub struct MachineStamp {
-    /// Stable host key: core count + modeled STREAM bandwidth (built by
-    /// `sellkit_machine::host_fingerprint`; obs itself stays model-free).
-    pub fingerprint: String,
-    /// `std::thread::available_parallelism` at report time.
-    pub host_cores: u64,
-    /// Whether perf numbers from this host may gate regressions
-    /// (sub-4-core hosts cannot meaningfully exercise the pool).
-    pub gating: bool,
-}
-
 /// An immutable merged snapshot of everything a registry recorded.
 #[derive(Clone, Debug)]
 pub struct Report {
@@ -256,25 +241,13 @@ impl Report {
         out
     }
 
-    /// Serializes the report to the versioned JSON schema with no machine
-    /// stamp (`"machine": null`).  Prefer [`Report::to_json_stamped`] for
-    /// checked-in `BENCH_*.json` artifacts, which baseline gating keys on.
-    pub fn to_json(&self, roofline_bw_gbs: Option<f64>) -> String {
-        self.to_json_stamped(roofline_bw_gbs, None)
-    }
-
     /// Serializes the report to the versioned JSON schema.
     ///
     /// When `roofline_bw_gbs` (a STREAM-model bandwidth ceiling, GB/s) is
     /// given, every event with modeled bytes also carries `roof_pct` —
-    /// achieved GB/s as a percentage of that ceiling.  When `machine` is
-    /// given, the document carries the host fingerprint and gating flag
-    /// `xtask bench-gate` keys its baselines on.
-    pub fn to_json_stamped(
-        &self,
-        roofline_bw_gbs: Option<f64>,
-        machine: Option<&MachineStamp>,
-    ) -> String {
+    /// achieved GB/s as a percentage of that ceiling.  The v2 `machine`
+    /// member is always written as `null`.
+    pub fn to_json(&self, roofline_bw_gbs: Option<f64>) -> String {
         let events: Vec<Json> = self
             .events
             .iter()
@@ -330,13 +303,6 @@ impl Report {
                 .map(|(name, h)| (name.clone(), h.to_json()))
                 .collect(),
         );
-        let machine_json = machine.map_or(Json::Null, |m| {
-            Json::obj(vec![
-                ("fingerprint", Json::from(m.fingerprint.as_str())),
-                ("host_cores", Json::from(m.host_cores)),
-                ("gating", Json::Bool(m.gating)),
-            ])
-        });
         let doc = Json::obj(vec![
             ("schema", Json::from("sellkit-obs-report")),
             ("version", Json::from(REPORT_SCHEMA_VERSION)),
@@ -345,7 +311,7 @@ impl Report {
                 "roofline_bw_gbs",
                 roofline_bw_gbs.map_or(Json::Null, Json::from),
             ),
-            ("machine", machine_json),
+            ("machine", Json::Null),
             ("threads", Json::Arr(threads)),
             ("events", Json::Arr(events)),
             ("counters", Json::from_map(&self.counters)),
@@ -712,19 +678,14 @@ mod tests {
     }
 
     #[test]
-    fn machine_stamp_round_trips_and_validates() {
-        let report = sample_report();
-        let stamp = MachineStamp {
-            fingerprint: "c4-bw25".to_string(),
-            host_cores: 4,
-            gating: true,
-        };
-        let text = report.to_json_stamped(Some(100.0), Some(&stamp));
-        validate_report_json(&text).expect("stamped report validates");
+    fn validator_checks_the_machine_member_of_stamped_input() {
+        // `to_json` writes `"machine": null`; reports that carry a stamp
+        // (written before the stamp was dropped) are input the validator
+        // still checks.
+        let text = sample_report().to_json(Some(100.0));
+        validate_report_json(&text).expect("unstamped report validates");
         let doc = parse(&text).unwrap();
-        let m = doc.get("machine").unwrap();
-        assert_eq!(m.get("fingerprint").and_then(Json::as_str), Some("c4-bw25"));
-        assert_eq!(m.get("gating"), Some(&Json::Bool(true)));
+        assert_eq!(doc.get("machine"), Some(&Json::Null));
         let h = doc
             .get("hists")
             .and_then(|h| h.get("serve.latency_ms"))
@@ -732,9 +693,17 @@ mod tests {
         assert_eq!(h.get("count").and_then(Json::as_f64), Some(50.0));
         assert!(h.get("p99").and_then(Json::as_f64).unwrap() > 0.0);
 
-        // A corrupted stamp fails validation.
-        let bad = text.replace("\"host_cores\":4,", "");
-        assert!(validate_report_json(&bad).is_err());
+        let stamped = text.replace(
+            "\"machine\":null",
+            "\"machine\":{\"fingerprint\":\"c4-bw25\",\"host_cores\":4,\"gating\":true}",
+        );
+        assert_ne!(stamped, text);
+        validate_report_json(&stamped).expect("a well-formed stamp validates");
+        let bad = stamped.replace("\"host_cores\":4,", "");
+        assert!(
+            validate_report_json(&bad).is_err(),
+            "a corrupted stamp fails"
+        );
     }
 
     #[test]

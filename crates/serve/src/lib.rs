@@ -27,8 +27,8 @@
 //! * **Observability** — queue depth, a batch-size histogram
 //!   (`serve.batch.k*` counters), per-request latency
 //!   (`serve.latency_ms`), and per-batch traffic attribution flow
-//!   through `sellkit-obs` into `BENCH_serve.json` (see
-//!   `tests/serve_e2e.rs`).
+//!   through `sellkit-obs` into the report `tests/serve_e2e.rs` writes
+//!   under `target/tmp/`.
 //!
 //! ```
 //! use sellkit_core::CooBuilder;

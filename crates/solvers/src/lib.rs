@@ -31,7 +31,6 @@
 pub mod ksp;
 pub mod operator;
 pub mod pc;
-pub mod profile;
 pub mod refine;
 pub mod snes;
 pub mod ts;
@@ -46,7 +45,6 @@ pub use operator::{Counting, InnerProduct, MatOperator, Operator, SeqDot};
 pub use pc::{
     BlockJacobiPc, ChainPc, IdentityPc, Ilu0, JacobiPc, Multigrid, MultigridConfig, Precond, SorPc,
 };
-pub use profile::{EventStats, Profiler};
 pub use refine::{refine, RefineConfig, RefineResult};
 pub use snes::{newton, NewtonConfig, NewtonResult, NonlinearProblem};
 pub use ts::{OdeProblem, ThetaConfig, ThetaStepper};

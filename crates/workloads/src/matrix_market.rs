@@ -62,6 +62,10 @@ impl From<std::io::Error> for MtxError {
     }
 }
 
+/// Most entries preallocated on the word of a size line (16 MiB of
+/// triplets); larger files grow their buffers as they are read.
+const MAX_HEADER_RESERVE: usize = 1 << 20;
+
 fn parse_err(msg: impl Into<String>) -> MtxError {
     MtxError::Parse(msg.into())
 }
@@ -134,7 +138,20 @@ pub fn read_mtx<R: Read>(reader: R) -> Result<Csr, MtxError> {
         return Err(parse_err(format!("size line needs 3 fields: {size_line}")));
     };
 
-    let mut b = CooBuilder::with_capacity(m, n, if symmetric { 2 * nnz } else { nnz });
+    if m > u32::MAX as usize || n > u32::MAX as usize {
+        return Err(parse_err(format!(
+            "dimensions {m}x{n} exceed the 32-bit index space"
+        )));
+    }
+    let claimed = if symmetric {
+        nnz.checked_mul(2)
+    } else {
+        Some(nnz)
+    }
+    .ok_or_else(|| parse_err(format!("entry count {nnz} overflows")))?;
+    // The header's count is a claim: reserve for a bounded part of it and
+    // let the vectors grow as entries actually arrive.
+    let mut b = CooBuilder::with_capacity(m, n, claimed.min(MAX_HEADER_RESERVE));
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -313,6 +330,48 @@ mod tests {
             read_mtx(short.as_bytes()).is_err(),
             "entry count mismatch detected"
         );
+    }
+
+    fn expect_parse_error(text: &str) -> String {
+        match read_mtx(text.as_bytes()) {
+            Err(MtxError::Parse(msg)) => msg,
+            other => panic!("want MtxError::Parse, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn dimensions_past_u32_are_a_parse_error() {
+        let msg =
+            expect_parse_error("%%MatrixMarket matrix coordinate real general\n5000000000 1 0\n");
+        assert!(msg.contains("32-bit"), "{msg}");
+        let msg =
+            expect_parse_error("%%MatrixMarket matrix coordinate real general\n1 5000000000 0\n");
+        assert!(msg.contains("32-bit"), "{msg}");
+    }
+
+    #[test]
+    fn entry_count_at_usize_max_is_a_parse_error() {
+        // General: nothing is reserved on the header's word; the count
+        // mismatch is reported once the (empty) body has been read.
+        let msg = expect_parse_error(
+            "%%MatrixMarket matrix coordinate real general\n2 2 18446744073709551615\n",
+        );
+        assert!(msg.contains("found 0"), "{msg}");
+        // Symmetric: `2 * nnz` is checked, not wrapped.
+        let msg = expect_parse_error(
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 18446744073709551615\n",
+        );
+        assert!(msg.contains("overflows"), "{msg}");
+    }
+
+    #[test]
+    fn huge_claimed_entry_count_does_not_allocate() {
+        // 10^12 claimed entries would be a 16 TB reserve; the one entry
+        // present is read and the shortfall reported.
+        let msg = expect_parse_error(
+            "%%MatrixMarket matrix coordinate real general\n2 2 1000000000000\n1 1 1.0\n",
+        );
+        assert!(msg.contains("found 1"), "{msg}");
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Advection-diffusion transport integrated implicitly — the second PDE
 //! workload (the PETSc tutorial family the paper's test problem lives in),
-//! with a `Profiler` breakdown showing where the solve time goes.
+//! with a `-log_view`-style breakdown (a private `sellkit::obs::Registry`)
+//! showing where the solve time goes.
 //!
 //! ```sh
 //! cargo run --release -p sellkit --example advection_diffusion -- [grid] [steps]
 //! ```
 
 use sellkit::core::{matops, Apply, Csr, ExecCtx, MatShape, Operator, Sell8};
+use sellkit::obs::Registry;
 use sellkit::solvers::ksp::{gmres, KspConfig};
 use sellkit::solvers::operator::{Counting, CtxMatOperator, SeqDot};
 use sellkit::solvers::pc::Ilu0;
-use sellkit::solvers::Profiler;
 use sellkit::workloads::{AdvectionDiffusion, AdvectionDiffusionParams};
 use sellkit_solvers::ts::OdeProblem;
 
@@ -25,18 +26,25 @@ fn main() {
         "advection-diffusion on {grid}x{grid} periodic grid ({n} unknowns), {steps} BE steps\n"
     );
 
-    let profiler = Profiler::new();
+    let profiler = Registry::new();
 
     // Linear problem: the backward-Euler matrix (I − Δt·J) is constant, so
     // assemble and factor once — unlike Gray-Scott, where §7's per-Newton
     // re-assembly dominates.
     let dt = 0.01;
-    let j = profiler.time("MatAssembly", || {
-        prob.rhs_jacobian(0.0, &prob.gaussian_initial())
-    });
-    let a: Csr = profiler.time("MatAssembly", || matops::identity_plus_scaled(1.0, -dt, &j));
-    let ilu = profiler.time("PCSetUp(ILU0)", || Ilu0::factor(&a));
-    let sell = profiler.time("MatConvert(SELL)", || Sell8::from_csr(&a));
+    let a: Csr = {
+        let _span = profiler.span("MatAssembly");
+        let j = prob.rhs_jacobian(0.0, &prob.gaussian_initial());
+        matops::identity_plus_scaled(1.0, -dt, &j)
+    };
+    let ilu = {
+        let _span = profiler.span("PCSetUp(ILU0)");
+        Ilu0::factor(&a)
+    };
+    let sell = {
+        let _span = profiler.span("MatConvert(SELL)");
+        Sell8::from_csr(&a)
+    };
 
     // SELLKIT_THREADS picks the worker-pool width (1 = serial); every
     // MatMult the solver issues runs on the pool.
@@ -53,21 +61,26 @@ fn main() {
     let mut total_iters = 0usize;
     for _ in 0..steps {
         let b = u.clone();
-        let res = profiler.time("KSPSolve", || gmres(&op, &ilu, &SeqDot, &b, &mut u, &cfg));
+        let res = {
+            let _span = profiler.span("KSPSolve");
+            gmres(&op, &ilu, &SeqDot, &b, &mut u, &cfg)
+        };
         assert!(res.converged());
         total_iters += res.iterations;
     }
-    profiler.add_flops("KSPSolve", op.applies() as u64 * 2 * a.nnz() as u64);
-    // Final true-residual MatMult: time_flops attributes the flops with
+    profiler.add_flops("KSPSolve", (op.applies() * 2 * a.nnz()) as f64);
+    // Final true-residual MatMult: span_traffic attributes the flops with
     // the timing atomically, so the event's Gflop/s can't read 0 flops.
     let mut au = vec![0.0; n];
-    profiler.time_flops("MatMult", 2 * a.nnz() as u64, || {
-        sell.apply(&ctx, (&u).into(), (&mut au).into(), Apply::Set)
-    });
+    {
+        let _span = profiler.span_traffic("MatMult", 2.0 * a.nnz() as f64, 0.0);
+        sell.apply(&ctx, (&u).into(), (&mut au).into(), Apply::Set);
+    }
     profiler.stop();
+    let report = profiler.report();
 
     let mass1: f64 = u.iter().sum();
-    println!("{profiler}");
+    println!("{}", report.log_view());
     println!(
         "GMRES iterations total: {total_iters} ({} MatMults)",
         op.applies()
@@ -78,7 +91,7 @@ fn main() {
     );
     println!(
         "KSPSolve share of runtime: {:.0}%",
-        profiler.fraction("KSPSolve") * 100.0
+        report.event("KSPSolve").map_or(0.0, |e| e.seconds) / report.total_s * 100.0
     );
     assert!(
         (mass1 - mass0).abs() / mass0 < 1e-8,

@@ -5,7 +5,9 @@
 //! cargo run --release --example format_explorer
 //! ```
 
-use sellkit::core::{stats::FormatStats, Baij, Ellpack, MatShape, Sell, Sell8, SellEsb};
+use sellkit::core::{
+    stats::FormatStats, Baij, Ellpack, MatShape, Sell, Sell8, SellEsb, SellSigma8,
+};
 use sellkit::workloads::generators;
 
 fn main() {
@@ -41,7 +43,7 @@ fn main() {
             println!("  {}", FormatStats::for_baij(&Baij::from_csr(a, 2)));
         }
         // σ-sorting: how much padding does SELL-C-σ recover?
-        let sigma = Sell8::from_csr_sigma(a, a.nrows().div_ceil(8) * 8);
+        let sigma = SellSigma8::from_csr_sigma(a, a.nrows());
         println!(
             "  SELL sigma=global: padding {:.2}% (vs {:.2}% unsorted)",
             sigma.padding_ratio() * 100.0,

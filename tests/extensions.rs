@@ -6,6 +6,7 @@
 
 use sellkit::core::{Apply, Csr, ExecCtx, MatShape, Sell8};
 use sellkit::grid::{interpolation_chain, laplacian_5pt, Grid2D};
+use sellkit::obs::Registry;
 use sellkit::solvers::ksp::monitor::{format_monitor, summarize};
 use sellkit::solvers::ksp::{fgmres, gmres, tfqmr, KspConfig};
 use sellkit::solvers::operator::{Counting, MatOperator, SeqDot};
@@ -13,7 +14,6 @@ use sellkit::solvers::pc::mg::{CoarseSolve, Multigrid, MultigridConfig, Smoother
 use sellkit::solvers::pc::{AsmPc, JacobiPc, SubSolve};
 use sellkit::solvers::snes::{Forcing, NewtonConfig};
 use sellkit::solvers::ts::{AdaptConfig, AdaptiveTheta, ThetaConfig, ThetaStepper};
-use sellkit::solvers::Profiler;
 use sellkit::workloads::{GrayScott, GrayScottParams};
 use sellkit_solvers::ts::OdeProblem;
 
@@ -172,17 +172,24 @@ fn tfqmr_with_asm_on_gray_scott_newton_system() {
 fn profiler_attributes_the_solve_phases() {
     let gs = GrayScott::new(24, GrayScottParams::default());
     let w = gs.initial_condition(1);
-    let prof = Profiler::new();
+    let prof = Registry::new();
     use sellkit::core::Operator;
-    let j = prof.time("MatAssembly", || gs.rhs_jacobian(0.0, &w));
-    let sell = prof.time("MatConvert", || Sell8::from_csr(&j));
+    let j = {
+        let _span = prof.span("MatAssembly");
+        gs.rhs_jacobian(0.0, &w)
+    };
+    let sell = {
+        let _span = prof.span("MatConvert");
+        Sell8::from_csr(&j)
+    };
     let op = Counting::new(MatOperator(&sell));
     let rhs = vec![1.0; j.nrows()];
     let mut x = vec![0.0; j.nrows()];
     let a_shift = sellkit::core::matops::shift(&j.clone(), 2.0);
     let pc = JacobiPc::from_csr(&a_shift);
-    let _ = prof.time("KSPSolve", || {
-        gmres(
+    {
+        let _span = prof.span("KSPSolve");
+        let _ = gmres(
             &op,
             &pc,
             &SeqDot,
@@ -193,29 +200,31 @@ fn profiler_attributes_the_solve_phases() {
                 max_it: 60,
                 ..Default::default()
             },
-        )
-    });
-    prof.add_flops("KSPSolve", 2 * (j.nnz() as u64) * op.applies() as u64);
+        );
+    }
+    prof.add_flops("KSPSolve", (2 * j.nnz() * op.applies()) as f64);
     // True-residual MatMult with its flops attributed atomically — the
-    // time_flops pattern every explicit MatMult call site uses, so the
+    // span_traffic pattern every explicit MatMult call site uses, so the
     // event can never report time with zero flops.
     let mut ax = vec![0.0; j.nrows()];
-    prof.time_flops("MatMult", 2 * j.nnz() as u64, || {
+    {
+        let _span = prof.span_traffic("MatMult", 2.0 * j.nnz() as f64, 0.0);
         sell.apply(
             &ExecCtx::serial(),
             (&x).into(),
             (&mut ax).into(),
             Apply::Set,
-        )
-    });
-    let total = prof.stop();
-    assert!(total > 0.0);
-    let ksp = prof.event("KSPSolve").expect("recorded");
-    assert!(ksp.flops > 0 && ksp.count == 1);
-    let mm = prof.event("MatMult").expect("recorded");
+        );
+    }
+    prof.stop();
+    assert!(prof.elapsed() > 0.0);
+    let rep = prof.report();
+    let ksp = rep.event("KSPSolve").expect("recorded");
+    assert!(ksp.flops > 0.0 && ksp.count == 1);
+    let mm = rep.event("MatMult").expect("recorded");
     assert_eq!(mm.count, 1);
-    assert_eq!(mm.flops, 2 * j.nnz() as u64, "flops attributed with time");
-    let report = prof.to_string();
+    assert_eq!(mm.flops, 2.0 * j.nnz() as f64, "flops attributed with time");
+    let report = rep.log_view();
     for name in ["MatAssembly", "MatConvert", "KSPSolve", "MatMult"] {
         assert!(report.contains(name), "{name} in report:\n{report}");
     }

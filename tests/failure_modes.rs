@@ -7,7 +7,8 @@ mod common;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use sellkit::core::{
-    Apply, CooBuilder, Csr, ExecCtx, FromCsr, Isa, MatShape, Operator, Sell8, VecView, VecViewMut,
+    Apply, CooBuilder, Csr, ExecCtx, FromCsr, Isa, MatShape, Operator, Sell8, SellSigma8, VecView,
+    VecViewMut,
 };
 use sellkit::mpisim::run;
 use sellkit::solvers::ksp::{bicgstab, cg, gmres, KspConfig, StopReason};
@@ -190,10 +191,10 @@ fn coo_rejects_oversized_dimensions_gracefully() {
 }
 
 #[test]
-#[should_panic(expected = "sigma must be a positive multiple")]
+#[should_panic(expected = "sigma must be at least 1")]
 fn invalid_sigma_rejected() {
     let a = Csr::from_dense(4, 4, &[1.0; 16]);
-    let _ = Sell8::from_csr_sigma(&a, 3);
+    let _ = SellSigma8::from_csr_sigma(&a, 0);
 }
 
 /// While set, every [`Flaky`] product panics.

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use sellkit::core::{
     Apply, Baij, CooBuilder, Csr, CsrPerm, Ellpack, EllpackR, ExecCtx, Isa, MatShape, Operator,
-    Sell, Sell8, SellEsb,
+    Sell, Sell8, SellEsb, SellSigma8,
 };
 use sellkit::workloads::generators;
 
@@ -53,8 +53,13 @@ fn check_all_formats(a: &Csr) {
     assert_close(&y, "Sell4");
     Sell::<16>::from_csr(a).apply(&ExecCtx::serial(), (&x).into(), (&mut y).into(), Apply::Set);
     assert_close(&y, "Sell16");
-    Sell8::from_csr_sigma(a, 8).apply(&ExecCtx::serial(), (&x).into(), (&mut y).into(), Apply::Set);
-    assert_close(&y, "Sell8 sigma=8");
+    SellSigma8::from_csr_sigma(a, 8).apply(
+        &ExecCtx::serial(),
+        (&x).into(),
+        (&mut y).into(),
+        Apply::Set,
+    );
+    assert_close(&y, "SellSigma8 sigma=8");
     if a.nrows() == a.ncols() && a.nrows().is_multiple_of(2) {
         Baij::from_csr(a, 2).apply(&ExecCtx::serial(), (&x).into(), (&mut y).into(), Apply::Set);
         assert_close(&y, "Baij bs=2");
@@ -132,7 +137,7 @@ proptest! {
         let a = b.to_csr();
         let s = Sell8::from_csr(&a);
         prop_assert_eq!(s.to_csr().to_dense(), a.to_dense());
-        let sorted = Sell8::from_csr_sigma(&a, 16);
+        let sorted = SellSigma8::from_csr_sigma(&a, 16);
         prop_assert_eq!(sorted.to_csr().to_dense(), a.to_dense());
     }
 

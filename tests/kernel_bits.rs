@@ -27,8 +27,8 @@ use std::sync::OnceLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sellkit::core::{
-    Apply, Codec, CooBuilder, Csr, ExecCtx, Isa, MatShape, Operator, Sell, SellEsb, VecView,
-    VecViewMut,
+    Apply, Codec, CooBuilder, Csr, ExecCtx, Isa, MatShape, Operator, Sell, SellEsb, SellSigma8,
+    VecView, VecViewMut,
 };
 use sellkit_fuzz::gen::{build, make_x, XClass, FAMILIES};
 
@@ -100,7 +100,7 @@ fn formats() -> Vec<(String, Builder)> {
     }
     out.push((
         "sell8sigma-f64".into(),
-        Box::new(|a, tier| Some(Box::new(Sell::<8>::from_csr_sigma(a, 16).with_isa(tier)))),
+        Box::new(|a, tier| Some(Box::new(SellSigma8::from_csr_sigma(a, 16).with_isa(tier)))),
     ));
     out.push((
         "esb".into(),

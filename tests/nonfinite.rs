@@ -91,8 +91,8 @@ fn check_padded_formats_match_csr(a: &Csr, x: &[f64], label: &str) {
     check(&Sell4::from_csr(a), "sell4");
     check(&Sell8::from_csr(a), "sell8");
     check(&Sell16::from_csr(a), "sell16");
-    check(&Sell8::from_csr_sigma(a, 8), "sell8_sigma");
-    check(&SellSigma8::from_csr_sigma(a, 16), "sell_c_sigma");
+    check(&SellSigma8::from_csr_sigma(a, 8), "sell_c_sigma(8)");
+    check(&SellSigma8::from_csr_sigma(a, 16), "sell_c_sigma(16)");
     check(&SellEsb::from_csr(a), "sell_esb");
     check(&Ellpack::from_csr(a), "ellpack");
     check(&EllpackR::from_csr(a), "ellpack_r");

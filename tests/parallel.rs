@@ -92,12 +92,8 @@ proptest! {
         assert_parallel_matches_serial(&Sell::<4>::from_csr(&a), &x, "sell4");
         assert_parallel_matches_serial(&Sell::<8>::from_csr(&a), &x, "sell8");
         assert_parallel_matches_serial(&Sell::<16>::from_csr(&a), &x, "sell16");
-        // σ-sorted SELL scatters through the permutation: the documented
-        // serial fallback must still honor the contract.
-        let sigma = Sell::<8>::from_csr_sigma(&a, n.div_ceil(8) * 8);
-        assert_parallel_matches_serial(&sigma, &x, "sell8_sigma");
-        // The dedicated SELL-C-σ format runs its threaded plan + parallel
-        // unsort scatter; cover no-sorting, default, and global windows.
+        // SELL-C-σ runs its threaded plan + parallel unsort scatter; cover
+        // no-sorting, default, and global windows.
         for s in [1usize, 32, n] {
             assert_parallel_matches_serial(
                 &SellSigma8::from_csr_sigma(&a, s),

@@ -14,7 +14,10 @@
 //! tests in `sellkit-core` and the parallel-invariance suite.)
 
 use proptest::prelude::*;
-use sellkit::core::{Apply, CooBuilder, Csr, ExecCtx, Isa, MatShape, Operator, SellSigma8};
+use sellkit::core::{
+    Apply, Codec, CooBuilder, Csr, ExecCtx, Isa, MatShape, Operator, SellSigma, SellSigma8,
+    VecView, VecViewMut,
+};
 
 /// σ values exercising the whole range: no sorting, one slice, the
 /// 4C default, and global sorting.
@@ -132,4 +135,78 @@ fn validator_accepts_sigma_variants() {
         let s = SellSigma8::from_csr_sigma(&a, sigma);
         assert_eq!(s.validate(), Ok(()), "sigma={sigma}");
     }
+}
+
+/// Ragged 61-row matrix (row lengths 0–8, scattered columns).
+fn ragged() -> Csr {
+    let n = 61usize;
+    let mut b = CooBuilder::new(n, n);
+    for i in 0..n {
+        for j in 0..(i * 7 % 9) {
+            b.push(i, (i * 5 + j * 11) % n, (i + 2 * j) as f64 * 0.17 - 3.0);
+        }
+    }
+    b.to_csr()
+}
+
+/// A packed `SellSigma<C>` against scalar CSR on the codec-quantized
+/// values: round trip, then `y += A·X` for block widths 1 and 3 at every
+/// ISA tier, serially and on a 3-lane pool.
+fn check_packed_blocked_add<const C: usize>(a: &Csr, sigma: usize, codec: Codec) {
+    let n = a.nrows();
+    let mut q = a.clone();
+    for v in q.values_mut() {
+        *v = codec.quantize(*v);
+    }
+    let q = q.with_isa(Isa::Scalar);
+    let label = format!("C={C} sigma={sigma} {codec:?}");
+    let built = SellSigma::<C>::from_csr_sigma_codec(a, sigma, codec);
+    assert_eq!(built.codec(), codec, "{label}");
+    assert_eq!(built.to_csr().to_dense(), q.to_dense(), "{label}");
+    for k in [1usize, 3] {
+        let x: Vec<f64> = (0..n * k).map(|i| (i as f64 * 0.19).sin() * 2.0).collect();
+        let y0: Vec<f64> = (0..n * k).map(|i| i as f64 * 0.07 - 1.0).collect();
+        let mut want = y0.clone();
+        q.apply(
+            &ExecCtx::serial(),
+            VecView::blocked(&x, k),
+            VecViewMut::blocked(&mut want, k),
+            Apply::Add,
+        );
+        for isa in Isa::available_tiers() {
+            let s = built.clone().with_isa(isa);
+            for threads in [1usize, 3] {
+                let mut got = y0.clone();
+                s.apply(
+                    &ExecCtx::new(threads),
+                    VecView::blocked(&x, k),
+                    VecViewMut::blocked(&mut got, k),
+                    Apply::Add,
+                );
+                for i in 0..n * k {
+                    assert!(
+                        (got[i] - want[i]).abs() < 1e-12,
+                        "{label} k={k} {isa} threads={threads} entry {i}: {} vs {}",
+                        got[i],
+                        want[i]
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The cases that lived on `Sell::from_csr_sigma` before `SellSigma` became
+/// the only σ-sorted type: packed codecs at slice heights other than 8,
+/// blocked products in `Add` mode, and windows that are no multiple of `C`.
+#[test]
+fn packed_codecs_blocked_add_and_odd_windows() {
+    let a = ragged();
+    for codec in [Codec::F32, Codec::Bf16] {
+        for sigma in [8usize, 10, 61] {
+            check_packed_blocked_add::<4>(&a, sigma, codec);
+            check_packed_blocked_add::<16>(&a, sigma, codec);
+        }
+    }
+    check_packed_blocked_add::<8>(&a, 13, Codec::F64);
 }

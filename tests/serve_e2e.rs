@@ -2,7 +2,7 @@
 //! against one [`Server`], proving the coalescing policy actually
 //! amortizes matrix traffic (the `12·nnz/k` argument of DESIGN.md §15),
 //! checking the distributed (sharded) tenant path against the local one,
-//! and leaving `BENCH_serve.json` at the repo root for CI to upload.
+//! and leaving the obs report under `target/tmp/` for CI to upload.
 //!
 //! Everything lives in **one** `#[test]`: the obs registry is process
 //! global, and the traffic assertions diff counter snapshots — a second
@@ -213,13 +213,8 @@ fn serve_coalesces_amortizes_traffic_and_exports_json() {
     );
 
     let bw = sellkit::machine::host_stream_bw_gbs(threads);
-    let stamp = sellkit::obs::MachineStamp {
-        fingerprint: sellkit::machine::host_fingerprint(),
-        host_cores: sellkit::machine::host_cores() as u64,
-        gating: sellkit::machine::gating_host(),
-    };
-    let text = rep.to_json_stamped(Some(bw), Some(&stamp));
+    let text = rep.to_json(Some(bw));
     sellkit::obs::validate_report_json(&text).expect("schema-valid report");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_serve.json");
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/obs_serve.json");
     std::fs::write(path, format!("{text}\n")).expect("write bench report");
 }

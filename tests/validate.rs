@@ -296,7 +296,6 @@ proptest! {
         prop_assert_eq!(Sell4::from_csr(&a).validate(), Ok(()));
         prop_assert_eq!(Sell8::from_csr(&a).validate(), Ok(()));
         prop_assert_eq!(Sell16::from_csr(&a).validate(), Ok(()));
-        prop_assert_eq!(Sell8::from_csr_sigma(&a, 8).validate(), Ok(()));
         prop_assert_eq!(SellSigma8::from_csr_sigma(&a, 16).validate(), Ok(()));
         prop_assert_eq!(SellEsb::from_csr(&a).validate(), Ok(()));
         prop_assert_eq!(Baij::from_csr(&a, 2).validate(), Ok(()));

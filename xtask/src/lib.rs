@@ -9,15 +9,12 @@
 //!   panic freedom, atomics hygiene), each a pure function over a
 //!   virtual tree so tests can run them against mutated sources;
 //! * [`diag`] — Loc-style findings with table and `--json` rendering.
-//! * [`bench_gate`] — the perf-baseline gate diffing `BENCH_*.json`
-//!   artifacts against per-host baselines (`-- bench-gate`).
 //!
 //! Exposed as a library so the integration tests under `tests/` can run
 //! the passes against the real workspace and against seeded mutations.
 
 #![forbid(unsafe_code)]
 
-pub mod bench_gate;
 pub mod diag;
 pub mod passes;
 pub mod scan;

@@ -6,9 +6,6 @@
 //! * `verify [--json] [--quick]` — `lint`, then the pool-protocol model
 //!   checker (`cargo run --release -p sellkit-verify`).  The complete
 //!   offline correctness gate.
-//! * `bench-gate [--update] [--tolerance X] [--root DIR]` — diff the
-//!   `BENCH_*.json` artifacts against the per-host baseline under
-//!   `baselines/`; self-skips on unknown or non-gating hosts.
 
 #![forbid(unsafe_code)]
 
@@ -25,25 +22,13 @@ fn main() -> ExitCode {
     };
     let mut json = false;
     let mut quick = false;
-    let mut update = false;
     let mut pass_filter: Option<String> = None;
-    let mut tolerance: Option<f64> = None;
-    let mut root: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
             "--quick" => quick = true,
-            "--update" => update = true,
             "--pass" => match args.next() {
                 Some(p) => pass_filter = Some(p),
-                None => return usage(),
-            },
-            "--tolerance" => match args.next().and_then(|t| t.parse().ok()) {
-                Some(t) => tolerance = Some(t),
-                None => return usage(),
-            },
-            "--root" => match args.next() {
-                Some(r) => root = Some(r),
                 None => return usage(),
             },
             _ => return usage(),
@@ -60,32 +45,7 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
         }
-        "bench-gate" => bench_gate(update, tolerance, root.as_deref()),
         _ => usage(),
-    }
-}
-
-fn bench_gate(update: bool, tolerance: Option<f64>, root: Option<&str>) -> ExitCode {
-    use xtask::bench_gate::{run_gate, GateConfig};
-    let root = root.map_or_else(workspace_root, std::path::PathBuf::from);
-    let mut cfg = GateConfig::at_root(&root);
-    cfg.update = update;
-    if let Some(t) = tolerance {
-        cfg.tolerance = t;
-    }
-    match run_gate(&cfg) {
-        Ok(outcome) => {
-            print!("{}", outcome.describe());
-            if outcome.is_failure() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("bench-gate: {e}");
-            ExitCode::FAILURE
-        }
     }
 }
 
@@ -155,9 +115,7 @@ fn usage() -> ExitCode {
          \n\
          commands:\n\
          \x20 lint       [--json] [--pass NAME]  static passes over the workspace\n\
-         \x20 verify     [--json] [--quick]      lint + pool-protocol model checker\n\
-         \x20 bench-gate [--update] [--tolerance X] [--root DIR]\n\
-         \x20                                    diff BENCH_*.json vs per-host baselines"
+         \x20 verify     [--json] [--quick]      lint + pool-protocol model checker"
     );
     ExitCode::from(2)
 }
