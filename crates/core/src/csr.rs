@@ -41,10 +41,33 @@ impl Csr {
         colidx: Vec<u32>,
         val: Vec<f64>,
     ) -> Self {
+        assert_eq!(colidx.len(), val.len(), "colidx/val length mismatch");
+        Self::checked(nrows, ncols, rowptr, &colidx, AVec::from_slice(&val))
+    }
+
+    /// A matrix that stores `+0.0` at every position of the given pattern
+    /// (validated as by [`Csr::from_parts`]) — what a symbolic phase hands
+    /// to the numeric one.
+    pub fn zeros_with_pattern(
+        nrows: usize,
+        ncols: usize,
+        rowptr: Vec<usize>,
+        colidx: Vec<u32>,
+    ) -> Self {
+        let val = AVec::zeroed(colidx.len());
+        Self::checked(nrows, ncols, rowptr, &colidx, val)
+    }
+
+    fn checked(
+        nrows: usize,
+        ncols: usize,
+        rowptr: Vec<usize>,
+        colidx: &[u32],
+        val: AVec<f64>,
+    ) -> Self {
         assert_eq!(rowptr.len(), nrows + 1, "rowptr must have nrows+1 entries");
         assert_eq!(rowptr[0], 0, "rowptr must start at 0");
         assert_eq!(*rowptr.last().expect("nonempty rowptr"), colidx.len());
-        assert_eq!(colidx.len(), val.len(), "colidx/val length mismatch");
         for i in 0..nrows {
             assert!(rowptr[i] <= rowptr[i + 1], "rowptr not monotone at row {i}");
             let row = &colidx[rowptr[i]..rowptr[i + 1]];
@@ -59,8 +82,8 @@ impl Csr {
             nrows,
             ncols,
             rowptr,
-            colidx: AVec::from_slice(&colidx),
-            val: AVec::from_slice(&val),
+            colidx: AVec::from_slice(colidx),
+            val,
             isa: Isa::detect(),
             plan: PlanCache::new(),
         }
@@ -127,10 +150,25 @@ impl Csr {
         &self.val
     }
 
+    /// Whether `other` has this matrix's shape and stores exactly the same
+    /// positions — an array comparison, not a hash.
+    pub fn same_pattern(&self, other: &Csr) -> bool {
+        (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            && self.rowptr == other.rowptr
+            && self.colidx.as_slice() == other.colidx.as_slice()
+    }
+
     /// Mutable value array (same sparsity pattern; used by Jacobian
     /// re-assembly to overwrite values in place).
     pub fn values_mut(&mut self) -> &mut [f64] {
         self.val.as_mut_slice()
+    }
+
+    /// The pattern next to the mutable values: what an in-place numeric
+    /// update (`MatDiagonalScale`, the numeric phase of a kept product)
+    /// reads and writes at once.
+    pub fn pattern_and_values_mut(&mut self) -> (&[usize], &[u32], &mut [f64]) {
+        (&self.rowptr, &self.colidx, self.val.as_mut_slice())
     }
 
     /// Column indices of row `i`.

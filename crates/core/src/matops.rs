@@ -8,6 +8,8 @@
 //! are those operations; they run on CSR (the assembly format) and feed
 //! SELL through `set_values_from_csr`/`from_csr`.
 
+use std::cmp::Ordering;
+
 use crate::assemble::RowAssembler;
 use crate::csr::Csr;
 use crate::traits::MatShape;
@@ -28,21 +30,43 @@ pub fn scale_in_place(a: &mut Csr, alpha: f64) {
 }
 
 /// `C = alpha·A + B` with pattern union (PETSc `MatAXPY` with
-/// `DIFFERENT_NONZERO_PATTERN`).
+/// `DIFFERENT_NONZERO_PATTERN`).  Rows of a [`Csr`] are strictly increasing,
+/// so the union is a two-pointer merge; where both store a position the
+/// entry is `alpha·a + b`, in that order.
 pub fn axpy(alpha: f64, a: &Csr, b: &Csr) -> Csr {
     assert_eq!(a.nrows(), b.nrows(), "MatAXPY shape mismatch");
     assert_eq!(a.ncols(), b.ncols(), "MatAXPY shape mismatch");
-    let mut out = RowAssembler::with_capacity(a.nrows(), a.ncols(), a.nnz() + b.nnz());
+    let mut out = SortedRows::with_capacity(a.nrows(), a.nnz() + b.nnz());
     for i in 0..a.nrows() {
-        for (&c, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
-            out.push(c as usize, alpha * v);
+        let (ac, av) = (a.row_cols(i), a.row_vals(i));
+        let (bc, bv) = (b.row_cols(i), b.row_vals(i));
+        let (mut ka, mut kb) = (0, 0);
+        while ka < ac.len() && kb < bc.len() {
+            match ac[ka].cmp(&bc[kb]) {
+                Ordering::Less => {
+                    out.push(ac[ka], alpha * av[ka]);
+                    ka += 1;
+                }
+                Ordering::Greater => {
+                    out.push(bc[kb], bv[kb]);
+                    kb += 1;
+                }
+                Ordering::Equal => {
+                    out.push(ac[ka], alpha * av[ka] + bv[kb]);
+                    ka += 1;
+                    kb += 1;
+                }
+            }
         }
-        for (&c, &v) in b.row_cols(i).iter().zip(b.row_vals(i)) {
-            out.push(c as usize, v);
+        for k in ka..ac.len() {
+            out.push(ac[k], alpha * av[k]);
+        }
+        for k in kb..bc.len() {
+            out.push(bc[k], bv[k]);
         }
         out.end_row();
     }
-    out.finish()
+    out.finish(a.ncols())
 }
 
 /// `C = A + shift·I` with the diagonal added to the pattern if missing
@@ -52,18 +76,100 @@ pub fn shift(a: &Csr, shift: f64) -> Csr {
 }
 
 /// `C = gamma·I + alpha·A` — the Newton-system matrix `I − Δt·θ·J` of the
-/// θ-scheme in one pass (used by `sellkit_solvers::ts`).
+/// θ-scheme in one pass (used by `sellkit_solvers::ts`): a linear copy of
+/// each sorted row that scales the values and adds `gamma` at the diagonal
+/// (`gamma + alpha·v`, in that order), inserting it where `A` stores none.
 pub fn identity_plus_scaled(gamma: f64, alpha: f64, a: &Csr) -> Csr {
     assert_eq!(a.nrows(), a.ncols(), "needs a square matrix");
-    let mut out = RowAssembler::with_capacity(a.nrows(), a.ncols(), a.nnz() + a.nrows());
+    let mut out = SortedRows::with_capacity(a.nrows(), a.nnz() + a.nrows());
     for i in 0..a.nrows() {
-        out.push(i, gamma);
-        for (&c, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
-            out.push(c as usize, alpha * v);
+        let (cols, vals) = (a.row_cols(i), a.row_vals(i));
+        // Lossless: `Csr` dimensions fit 32 bits.
+        let diag = i as u32;
+        let below = cols.partition_point(|&c| c < diag);
+        for k in 0..below {
+            out.push(cols[k], alpha * vals[k]);
+        }
+        let mut rest = below;
+        if cols.get(below) == Some(&diag) {
+            out.push(diag, gamma + alpha * vals[below]);
+            rest += 1;
+        } else {
+            out.push(diag, gamma);
+        }
+        for k in rest..cols.len() {
+            out.push(cols[k], alpha * vals[k]);
         }
         out.end_row();
     }
-    out.finish()
+    out.finish(a.ncols())
+}
+
+/// [`identity_plus_scaled`] of a matrix the caller is done with: when every
+/// row stores its diagonal — a Jacobian's does — the values are rewritten
+/// where they are (same bits, no allocation and no pattern to validate);
+/// otherwise the pattern has to grow and the copy is made.
+pub fn identity_plus_scaled_owned(gamma: f64, alpha: f64, mut a: Csr) -> Csr {
+    assert_eq!(a.nrows(), a.ncols(), "needs a square matrix");
+    let (rowptr, colidx, vals) = a.pattern_and_values_mut();
+    let diagonal_of = |i: usize| {
+        let row = &colidx[rowptr[i]..rowptr[i + 1]];
+        // Lossless: `Csr` dimensions fit 32 bits.
+        Some(rowptr[i] + row.binary_search(&(i as u32)).ok()?)
+    };
+    // Nothing is written before every row is known to have its diagonal.
+    if (0..rowptr.len() - 1).any(|i| diagonal_of(i).is_none()) {
+        return identity_plus_scaled(gamma, alpha, &a);
+    }
+    for v in vals.iter_mut() {
+        *v *= alpha;
+    }
+    for i in 0..rowptr.len() - 1 {
+        // IEEE addition commutes: the bits of `gamma + alpha·v`.
+        vals[diagonal_of(i).expect("checked above")] += gamma;
+    }
+    a
+}
+
+/// CSR arrays filled by producers that emit every row in increasing column
+/// order already — what [`RowAssembler`] is without the per-row buffer and
+/// sort.  [`Csr::from_parts`] checks the order.
+struct SortedRows {
+    rowptr: Vec<usize>,
+    colidx: Vec<u32>,
+    val: Vec<f64>,
+}
+
+impl SortedRows {
+    fn with_capacity(nrows: usize, nnz: usize) -> Self {
+        let mut rowptr = Vec::with_capacity(nrows + 1);
+        rowptr.push(0);
+        Self {
+            rowptr,
+            colidx: Vec::with_capacity(nnz),
+            val: Vec::with_capacity(nnz),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, c: u32, v: f64) {
+        self.colidx.push(c);
+        self.val.push(v);
+    }
+
+    fn end_row(&mut self) {
+        self.rowptr.push(self.colidx.len());
+    }
+
+    fn finish(self, ncols: usize) -> Csr {
+        Csr::from_parts(
+            self.rowptr.len() - 1,
+            ncols,
+            self.rowptr,
+            self.colidx,
+            self.val,
+        )
+    }
 }
 
 /// `A = diag(l) · A · diag(r)` in place (PETSc `MatDiagonalScale`).
@@ -74,9 +180,7 @@ pub fn diagonal_scale(a: &mut Csr, left: Option<&[f64]>, right: Option<&[f64]>) 
     if let Some(r) = right {
         assert_eq!(r.len(), a.ncols());
     }
-    let rowptr = a.rowptr().to_vec();
-    let colidx = a.colidx().to_vec();
-    let vals = a.values_mut();
+    let (rowptr, colidx, vals) = a.pattern_and_values_mut();
     for i in 0..rowptr.len() - 1 {
         for k in rowptr[i]..rowptr[i + 1] {
             let mut v = vals[k];
@@ -216,6 +320,43 @@ mod tests {
         for i in 0..3 {
             assert!((gx[i] - (x[i] - 0.5 * jx[i])).abs() < 1e-14);
         }
+    }
+
+    #[test]
+    fn owned_shift_is_the_copying_one_bit_for_bit() {
+        // Every diagonal stored: rewritten in place.  A stored -0.0 and a
+        // stored 0.0 on the diagonal tell `gamma + alpha·v` from anything
+        // that drops the sum.
+        let full = Csr::from_parts(
+            3,
+            3,
+            vec![0, 2, 5, 7],
+            vec![0, 2, 0, 1, 2, 1, 2],
+            vec![-0.0, 0.1, 3.0, 0.0, -1.0, 0.7, 1e-300],
+        );
+        // Row 1 stores no diagonal: the pattern grows, through the copy.
+        let missing = Csr::from_dense(3, 3, &[2.0, -1.0, 0.0, -1.0, 0.0, -1.0, 0.0, -1.0, 2.0]);
+        for a in [&full, &missing, &sample()] {
+            for (gamma, alpha) in [(1.0, -0.5), (0.0, 1.0), (-2.5, 0.0)] {
+                let want = identity_plus_scaled(gamma, alpha, a);
+                let got = identity_plus_scaled_owned(gamma, alpha, a.clone());
+                assert_eq!(got.rowptr(), want.rowptr());
+                assert_eq!(got.colidx(), want.colidx());
+                let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "gamma {gamma}, alpha {alpha}");
+            }
+        }
+    }
+
+    #[test]
+    fn axpy_merges_rows_in_column_order() {
+        let a = Csr::from_dense(2, 4, &[1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 3.0]);
+        let b = Csr::from_dense(2, 4, &[0.0, 4.0, 5.0, 6.0, 7.0, 0.0, 0.0, 0.0]);
+        let c = axpy(-2.0, &a, &b);
+        assert_eq!(c.row_cols(0), &[0, 1, 2, 3]);
+        assert_eq!(c.row_vals(0), &[-2.0, 4.0, 1.0, 6.0]);
+        assert_eq!(c.row_cols(1), &[0, 3]);
+        assert_eq!(c.row_vals(1), &[7.0, -6.0]);
     }
 
     #[test]

@@ -380,22 +380,41 @@ impl<const C: usize> Sell<C> {
     /// sparsity pattern** (the Jacobian-refresh path: TS/SNES re-assemble
     /// values every Newton step without changing the pattern).  Cached
     /// execution plans survive: the partition depends only on the pattern.
+    ///
+    /// # Panics
+    /// If the shape, a row length or a column of `csr` differs from the
+    /// stored pattern — in every build profile.  Values of the rows before
+    /// the first difference have been overwritten by then.
     pub fn set_values_from_csr(&mut self, csr: &Csr) {
-        assert_eq!(csr.nrows(), self.nrows, "pattern mismatch: nrows");
-        assert_eq!(csr.nnz(), self.nnz, "pattern mismatch: nnz");
+        assert!(
+            self.try_set_values(csr, |row| row),
+            "pattern mismatch: shape, row lengths or columns differ from the stored pattern"
+        );
+    }
+
+    /// The value-only update behind [`Sell::set_values_from_csr`]: stored
+    /// row `k` takes the values of `csr`'s row `src(k)`.  Returns `false`
+    /// at the first entry whose position differs from the stored pattern;
+    /// the values before it are already overwritten, so the caller either
+    /// panics or rebuilds.
+    pub(crate) fn try_set_values(&mut self, csr: &Csr, src: impl Fn(usize) -> usize) -> bool {
+        if (csr.nrows(), csr.ncols(), csr.nnz()) != (self.nrows, self.ncols, self.nnz) {
+            return false;
+        }
+        let stride = self.codec.bytes_per_value();
         for row in 0..self.nrows {
-            assert_eq!(
-                csr.row_len(row),
-                self.rlen[row] as usize,
-                "pattern mismatch: row {row}"
-            );
+            let from = src(row);
+            let (cols, vals) = (csr.row_cols(from), csr.row_vals(from));
+            if cols.len() != self.rlen[row] as usize {
+                return false;
+            }
             let (s, r) = (row / C, row % C);
             let base = self.sliceptr[s];
-            let vals = csr.row_vals(row);
-            let stride = self.codec.bytes_per_value();
-            for (j, &v) in vals.iter().enumerate() {
-                debug_assert_eq!(self.colidx[base + j * C + r], csr.row_cols(row)[j]);
+            for (j, (&c, &v)) in cols.iter().zip(vals).enumerate() {
                 let at = base + j * C + r;
+                if self.colidx[at] != c {
+                    return false;
+                }
                 let q = self.codec.quantize(v);
                 self.val[at] = q;
                 if self.codec != Codec::F64 {
@@ -409,6 +428,7 @@ impl<const C: usize> Sell<C> {
                 }
             }
         }
+        true
     }
 
     /// SpMV with an explicit ISA tier.  SELL-4/8/16 are vectorized at every

@@ -179,9 +179,22 @@ impl<const C: usize> SellSigma<C> {
     /// sparsity pattern** (the Jacobian-refresh path).  The permutation
     /// depends only on row lengths, so it — and any cached execution
     /// plans — survive.
+    ///
+    /// # Panics
+    /// As [`Sell::set_values_from_csr`]: on any difference in shape, row
+    /// lengths or columns, in every build profile.
     pub fn set_values_from_csr(&mut self, csr: &Csr) {
-        self.inner
-            .set_values_from_csr(&permute_rows(csr, self.perm.as_slice()));
+        assert!(
+            self.try_set_values(csr),
+            "pattern mismatch: shape, row lengths or columns differ from the stored pattern"
+        );
+    }
+
+    /// Stored row `k` takes the values of logical row `perm[k]`; `false`
+    /// on a pattern difference (see [`Sell::try_set_values`]).
+    pub(crate) fn try_set_values(&mut self, csr: &Csr) -> bool {
+        let perm = self.perm.as_slice();
+        self.inner.try_set_values(csr, |k| perm[k] as usize)
     }
 
     /// Shared body of [`Operator::apply`]: the plain SELL kernels compute

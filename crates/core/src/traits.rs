@@ -138,17 +138,41 @@ pub trait Operator: MatShape {
 pub trait FromCsr: Sized {
     /// Builds this format from a CSR matrix.
     fn from_csr(csr: &crate::csr::Csr) -> Self;
+
+    /// Makes `self` the matrix `csr` (PETSc `MatConvert` with
+    /// `MAT_REUSE_MATRIX`): afterwards `self` equals `Self::from_csr(csr)`
+    /// in every stored bit.  The default rebuilds; formats with a
+    /// value-only path take it when `csr` has the pattern they hold —
+    /// keeping layout, permutation and cached execution plans — and
+    /// rebuild otherwise, so a pattern change is never an error here.
+    fn set_from_csr(&mut self, csr: &crate::csr::Csr) {
+        *self = Self::from_csr(csr);
+    }
 }
 
 impl FromCsr for crate::csr::Csr {
     fn from_csr(csr: &crate::csr::Csr) -> Self {
         csr.clone()
     }
+
+    fn set_from_csr(&mut self, csr: &crate::csr::Csr) {
+        if self.same_pattern(csr) {
+            self.values_mut().copy_from_slice(csr.values());
+        } else {
+            *self = csr.clone();
+        }
+    }
 }
 
 impl<const C: usize> FromCsr for crate::sell::Sell<C> {
     fn from_csr(csr: &crate::csr::Csr) -> Self {
         crate::sell::Sell::<C>::from_csr(csr)
+    }
+
+    fn set_from_csr(&mut self, csr: &crate::csr::Csr) {
+        if !self.try_set_values(csr, |row| row) {
+            *self = Self::from_csr_codec(csr, self.codec()).with_isa(self.isa());
+        }
     }
 }
 
@@ -182,6 +206,14 @@ impl<const C: usize> FromCsr for crate::sell_sigma::SellSigma<C> {
     /// cache behaviour benign.
     fn from_csr(csr: &crate::csr::Csr) -> Self {
         crate::sell_sigma::SellSigma::<C>::from_csr_sigma(csr, 4 * C)
+    }
+
+    /// A rebuild keeps this matrix's own σ, codec and ISA.
+    fn set_from_csr(&mut self, csr: &crate::csr::Csr) {
+        if !self.try_set_values(csr) {
+            *self =
+                Self::from_csr_sigma_codec(csr, self.sigma(), self.codec()).with_isa(self.isa());
+        }
     }
 }
 

@@ -34,7 +34,9 @@ pub trait DistNonlinearProblem {
 /// Distributed Newton-GMRES: solves `F(x) = 0` over the communicator,
 /// with the Jacobian applied in format `M` and `pc_factory` building a
 /// *local* preconditioner from each rank's diagonal block (block-Jacobi
-/// globally — PETSc's parallel default).
+/// globally — PETSc's parallel default).  As in the single-rank loop the
+/// factory is called when there is nothing to refresh
+/// ([`Precond::refresh`]).
 ///
 /// `tag_base` reserves a tag range for this solve's scatters; each Newton
 /// iteration uses a fresh tag.
@@ -94,15 +96,20 @@ where
         };
     }
 
+    // The rank-local preconditioner lives for the whole solve, as in the
+    // single-rank loop; the distributed operator is rebuilt (its scatter is
+    // a collective with a tag of its own).
+    let mut kept_pc = None;
     for it in 1..=cfg.max_it {
         let j_local = problem.local_jacobian(comm, x_local);
-        let pc = pc_factory(&diag_block_of(comm, &j_local, nglobal, &rows));
+        let diag_block = diag_block_of(comm, &j_local, nglobal, &rows);
+        let pc = sellkit_solvers::pc::set_up(&mut kept_pc, &diag_block, &pc_factory);
         let dm =
             DistMat::<M>::from_local_rows(comm, nglobal, nglobal, &j_local, tag_base + it as u64);
 
         let rhs: Vec<f64> = f.iter().map(|&v| -v).collect();
         let mut d = vec![0.0; nl];
-        let lin = gmres(&DistOp { comm, mat: &dm }, &pc, &ip, &rhs, &mut d, &cfg.ksp);
+        let lin = gmres(&DistOp { comm, mat: &dm }, pc, &ip, &rhs, &mut d, &cfg.ksp);
         linear_iterations += lin.iterations;
 
         // Globalize with *global* norms so every rank picks the same λ.

@@ -19,15 +19,8 @@ impl JacobiPc {
     /// `PCJacobiSetUseAbs`-adjacent fallback keeps the solver running on
     /// structurally deficient rows).
     pub fn from_csr(a: &Csr) -> Self {
-        let n = a.nrows().min(a.ncols());
-        let mut inv_diag = vec![1.0; a.nrows()];
-        for (i, d) in inv_diag.iter_mut().enumerate().take(n) {
-            if let Some(v) = a.get(i, i) {
-                if v != 0.0 {
-                    *d = 1.0 / v;
-                }
-            }
-        }
+        let mut inv_diag = vec![0.0; a.nrows()];
+        invert_diagonal(a, &mut inv_diag);
         Self { inv_diag }
     }
 
@@ -44,6 +37,18 @@ impl JacobiPc {
     /// The stored inverse diagonal.
     pub fn inv_diag(&self) -> &[f64] {
         &self.inv_diag
+    }
+}
+
+/// `out[i] = 1/aᵢᵢ`, one entry per row of `a`; a missing or zero diagonal
+/// entry counts as 1.
+pub(crate) fn invert_diagonal(a: &Csr, out: &mut [f64]) {
+    debug_assert_eq!(out.len(), a.nrows());
+    for (i, d) in out.iter_mut().enumerate() {
+        *d = match a.get(i, i) {
+            Some(aii) if aii != 0.0 => 1.0 / aii,
+            _ => 1.0,
+        };
     }
 }
 

@@ -15,12 +15,23 @@
 //! *generic* format `M`, so the whole hierarchy runs its SpMVs in SELL or
 //! CSR — as in the paper, where every level's MatMult uses the chosen
 //! matrix type.
+//!
+//! Set-up has PETSc's two halves.  The **symbolic** half runs once per
+//! hierarchy: transposed interpolations, the patterns of both Galerkin
+//! products of every level, the level operators' layouts, the workspace.
+//! The **numeric** half runs once per fine matrix: product values, level
+//! operator values, inverse diagonals, and the eigenvalue estimates or the
+//! dense factorisation when configured.  [`Multigrid::new`] is the first
+//! followed by the second; [`Precond::refresh`] is the second alone, for a
+//! fine matrix with the pattern the hierarchy was built for
+//! (`SAME_NONZERO_PATTERN`), and gives the hierarchy a cold build gives, bit
+//! for bit.
 
 use std::sync::{Mutex, PoisonError};
 
-use sellkit_core::{matops, Apply, Csr, ExecCtx, FromCsr, MatShape, Operator as CoreOperator};
+use sellkit_core::{Apply, Csr, ExecCtx, FromCsr, MatShape, Operator as CoreOperator};
 
-use super::spgemm::rap;
+use super::spgemm::Product;
 use super::Precond;
 
 /// Multigrid configuration.
@@ -89,18 +100,88 @@ fn mult<M: CoreOperator>(
     a.apply(ctx, x.into(), y.into(), mode);
 }
 
+/// The way from a level to the next-coarser one.
+struct Transfer {
+    /// Prolongation from the next-coarser level up to this level.
+    p: Csr,
+    /// Restriction (`= Pᵀ`) from this level down.
+    r: Csr,
+    /// The kept product `R·A` of this level's operator.
+    ra: Product,
+    /// The kept product `(R·A)·P`: the next level's operator in CSR.
+    rap: Product,
+}
+
 struct Level<M> {
     /// The level operator in the experiment's matrix format.
     a: M,
     inv_diag: Vec<f64>,
     /// Estimated λmax of `D⁻¹A` (for the Chebyshev smoother).
     emax: f64,
-    /// Prolongation from the next-coarser level up to this level.
     /// `None` on the coarsest level.
-    p: Option<Csr>,
-    /// Restriction (`= Pᵀ`) from this level down.  `None` on coarsest.
-    r: Option<Csr>,
+    down: Option<Transfer>,
     n: usize,
+}
+
+impl<M: CoreOperator + FromCsr> Level<M> {
+    /// The symbolic half of this level's set-up for the operator `a` (the
+    /// interpolation's transpose, the patterns of both Galerkin products
+    /// and the operator's layout), then the numeric half.
+    fn new(a: &Csr, p: Option<&Csr>, cfg: &MultigridConfig) -> Self {
+        let down = p.map(|p| {
+            assert_eq!(
+                p.nrows(),
+                a.nrows(),
+                "interpolation rows must match level size"
+            );
+            let _ptap = sellkit_obs::span("MatPtAPSymbolic");
+            let r = p.transpose();
+            let ra = Product::symbolic(&r, a);
+            let rap = Product::symbolic(ra.matrix(), p);
+            Transfer {
+                p: p.clone(),
+                r,
+                ra,
+                rap,
+            }
+        });
+        let mut level = Level {
+            a: M::from_csr(a),
+            inv_diag: vec![0.0; a.nrows()],
+            emax: 1.0,
+            down,
+            n: a.nrows(),
+        };
+        level.numeric(a, cfg);
+        level
+    }
+
+    /// The numeric half of this level's set-up, the operator's own values
+    /// apart: everything here that depends on the values of `a`, written
+    /// into storage the level already owns.
+    fn numeric(&mut self, a: &Csr, cfg: &MultigridConfig) {
+        super::jacobi::invert_diagonal(a, &mut self.inv_diag);
+        if cfg.smoother == Smoother::Chebyshev {
+            self.emax = estimate_emax(a, &self.inv_diag);
+        }
+        if let Some(t) = &mut self.down {
+            let _ptap = sellkit_obs::span("MatPtAPNumeric");
+            t.ra.numeric(&t.r, a);
+            t.rap.numeric(t.ra.matrix(), &t.p);
+        }
+    }
+}
+
+/// The operator of the level below `above` — the fine matrix itself when
+/// there is none above.
+fn operator_below<'a, M>(above: &'a [Level<M>], fine: &'a Csr) -> &'a Csr {
+    above.last().map_or(fine, |level| {
+        let down = level
+            .down
+            .as_ref()
+            .expect("only the last level has no way down");
+        down.rap.matrix()
+    })
 }
 
 /// Power iteration estimate of the largest eigenvalue of `D⁻¹A` (a few
@@ -178,6 +259,9 @@ pub struct Multigrid<M> {
     coarse_lu: Option<DenseLu>,
     /// One [`Scratch`] per level, finest first.
     work: Mutex<Vec<Scratch>>,
+    /// `rowptr` and `colidx` of the fine matrix the hierarchy was built
+    /// for: what [`Precond::refresh`] compares a new one against.
+    fine_pattern: (Vec<usize>, Vec<u32>),
 }
 
 impl<M: CoreOperator + FromCsr> Multigrid<M> {
@@ -193,68 +277,53 @@ impl<M: CoreOperator + FromCsr> Multigrid<M> {
             "multigrid needs square operators"
         );
         let mut levels: Vec<Level<M>> = Vec::with_capacity(interps.len() + 1);
-        let needs_emax = cfg.smoother == Smoother::Chebyshev;
-        // The finest operator is the caller's; coarser ones are owned here.
-        let mut coarse: Option<Csr> = None;
-        for p in interps {
-            let a_l = coarse.as_ref().unwrap_or(fine);
-            assert_eq!(
-                p.nrows(),
-                a_l.nrows(),
-                "interpolation rows must match level size"
-            );
-            let r = p.transpose();
-            let a_next = {
-                let _ptap = sellkit_obs::span("MatPtAP");
-                rap(&r, a_l, p)
-            };
-            levels.push(Self::level(a_l, needs_emax, Some((p.clone(), r))));
-            coarse = Some(a_next);
+        // Every interpolation leads down from a level; the last level has
+        // none.
+        for p in interps.iter().map(Some).chain([None]) {
+            let level = Level::new(operator_below(&levels, fine), p, &cfg);
+            levels.push(level);
         }
-        let a_l = coarse.as_ref().unwrap_or(fine);
-        let coarse_lu = match cfg.coarse {
-            CoarseSolve::Direct => Some(DenseLu::factor(a_l)),
-            CoarseSolve::Jacobi(_) => None,
-        };
-        levels.push(Self::level(a_l, needs_emax, None));
+        let needs_d = cfg.smoother == Smoother::Chebyshev;
         let work = (0..levels.len())
             .map(|l| {
                 let n = levels[l].n;
                 let nc = levels.get(l + 1).map_or(0, |next| next.n);
                 Scratch {
                     t: vec![0.0; n],
-                    d: vec![0.0; if needs_emax { n } else { 0 }],
+                    d: vec![0.0; if needs_d { n } else { 0 }],
                     res_c: vec![0.0; nc],
                     e_c: vec![0.0; nc],
                 }
             })
             .collect();
-        Self {
+        let mut mg = Self {
             levels,
             cfg,
-            coarse_lu,
+            coarse_lu: None,
             work: Mutex::new(work),
+            fine_pattern: (fine.rowptr().to_vec(), fine.colidx().to_vec()),
+        };
+        mg.factor_coarsest(fine);
+        mg
+    }
+
+    /// The numeric set-up of [`CoarseSolve::Direct`]: the dense LU of the
+    /// coarsest operator as it stands.
+    fn factor_coarsest(&mut self, fine: &Csr) {
+        if let CoarseSolve::Direct = self.cfg.coarse {
+            let above = &self.levels[..self.levels.len() - 1];
+            self.coarse_lu = Some(DenseLu::factor(operator_below(above, fine)));
         }
     }
 
-    /// One level around `a`, with its prolongation and restriction unless
-    /// it is the coarsest.
-    fn level(a: &Csr, needs_emax: bool, transfer: Option<(Csr, Csr)>) -> Level<M> {
-        let inv_diag = inv_diag(a);
-        let emax = if needs_emax {
-            estimate_emax(a, &inv_diag)
-        } else {
-            1.0
-        };
-        let (p, r) = transfer.unzip();
-        Level {
-            a: M::from_csr(a),
-            inv_diag,
-            emax,
-            p,
-            r,
-            n: a.nrows(),
-        }
+    /// The operator of level `l` (0 is the finest) as the cycle applies it.
+    pub fn level_operator(&self, l: usize) -> &M {
+        &self.levels[l].a
+    }
+
+    /// `1/aᵢᵢ` of level `l`'s operator, the smoothers' diagonal scaling.
+    pub fn level_inv_diag(&self, l: usize) -> &[f64] {
+        &self.levels[l].inv_diag
     }
 
     /// Number of levels (paper default: 3 single-node, 6 multinode).
@@ -395,7 +464,10 @@ impl<M: CoreOperator + FromCsr> Multigrid<M> {
         let (w, coarser) = work
             .split_first_mut()
             .expect("one scratch set per level, built with the hierarchy");
-        let (Some(r_op), Some(p_op)) = (&lev.r, &lev.p) else {
+        let Some(Transfer {
+            r: r_op, p: p_op, ..
+        }) = &lev.down
+        else {
             match self.cfg.coarse {
                 CoarseSolve::Jacobi(iters) => self.smooth(ctx, l, w, b, x, iters, zero_guess),
                 // The triangular solves overwrite `x` before reading it.
@@ -441,15 +513,28 @@ impl<M: CoreOperator + FromCsr> Precond for Multigrid<M> {
         let mut work = self.work.lock().unwrap_or_else(PoisonError::into_inner);
         self.vcycle(ctx, 0, &mut work, r, z, true);
     }
-}
 
-/// `1/aᵢᵢ` per row; a missing or zero diagonal entry counts as 1.
-fn inv_diag(a: &Csr) -> Vec<f64> {
-    let mut d = matops::diagonal(a);
-    for di in &mut d {
-        *di = if *di != 0.0 { 1.0 / *di } else { 1.0 };
+    /// The numeric half of [`Multigrid::new`] for a fine matrix that stores
+    /// exactly the positions the hierarchy was built for (`rowptr` and
+    /// `colidx` are compared, not hashed); any other matrix is refused
+    /// before anything is written.  Interpolations, patterns, layouts,
+    /// execution plans and the workspace stay; with the Jacobi smoother and
+    /// a Jacobi coarse solve nothing is allocated.
+    fn refresh(&mut self, a: &Csr) -> bool {
+        let n = self.levels[0].n;
+        let (rowptr, colidx) = &self.fine_pattern;
+        if (a.nrows(), a.ncols()) != (n, n) || a.rowptr() != rowptr || a.colidx() != colidx {
+            return false;
+        }
+        for l in 0..self.levels.len() {
+            let (above, rest) = self.levels.split_at_mut(l);
+            let a_l = operator_below(above, a);
+            rest[0].a.set_from_csr(a_l);
+            rest[0].numeric(a_l, &self.cfg);
+        }
+        self.factor_coarsest(a);
+        true
     }
-    d
 }
 
 /// Minimal dense LU with partial pivoting for the exact coarse solve.
@@ -707,8 +792,7 @@ mod tests {
     fn emax_estimate_is_sane_for_laplacian() {
         // D⁻¹A for the 1D Laplacian has spectrum in (0, 2).
         let a = laplace1d(64);
-        let inv_d = inv_diag(&a);
-        let emax = estimate_emax(&a, &inv_d);
+        let emax = estimate_emax(&a, crate::pc::JacobiPc::from_csr(&a).inv_diag());
         assert!((1.5..=2.1).contains(&emax), "emax = {emax}");
     }
 

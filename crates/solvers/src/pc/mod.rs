@@ -37,6 +37,36 @@ pub trait Precond {
     fn apply_ctx(&self, _ctx: &sellkit_core::ExecCtx, r: &[f64], z: &mut [f64]) {
         self.apply(r, z);
     }
+
+    /// Re-does the numeric set-up for `a` (PETSc `PCSetUp` with
+    /// `SAME_NONZERO_PATTERN`) if `a` has the pattern this preconditioner
+    /// was built for, leaving it what a build from `a` would give.
+    /// `false` means "build me again": nothing was changed and the
+    /// preconditioner still serves the matrix it had.  The default is
+    /// `false`, which is correct for every preconditioner; wrappers that
+    /// do not forward the call take the rebuild path.
+    fn refresh(&mut self, _a: &sellkit_core::Csr) -> bool {
+        false
+    }
+}
+
+/// `PCSetUp` for the matrix `a`: the kept preconditioner re-does its numeric
+/// set-up if it can ([`Precond::refresh`]); where there is none, or it
+/// declines, `factory` builds one and it is kept instead.  Counted as
+/// `pc.refresh` or `pc.rebuild` when logging is on.
+pub fn set_up<'k, Pc: Precond>(
+    kept: &'k mut Option<Pc>,
+    a: &sellkit_core::Csr,
+    factory: impl FnOnce(&sellkit_core::Csr) -> Pc,
+) -> &'k Pc {
+    let _s = sellkit_obs::span("PCSetUp");
+    if kept.as_mut().is_some_and(|pc| pc.refresh(a)) {
+        sellkit_obs::counter("pc.refresh", 1.0);
+    } else {
+        sellkit_obs::counter("pc.rebuild", 1.0);
+        *kept = Some(factory(a));
+    }
+    kept.as_ref().expect("refreshed or rebuilt just above")
 }
 
 /// Binds a preconditioner to an execution context: `apply` forwards to
@@ -108,15 +138,19 @@ impl<P1: Precond, P2: Precond> Precond for ChainPc<P1, P2> {
     }
 }
 
-/// Boxed preconditioners compose too.  `apply_ctx` is forwarded
-/// explicitly so a boxed [`JacobiPc`] keeps its parallel path instead of
-/// falling back to the trait default.
+/// Boxed preconditioners compose too.  `apply_ctx` and `refresh` are
+/// forwarded explicitly so a boxed [`JacobiPc`] keeps its parallel path and
+/// a boxed [`Multigrid`] its value-only set-up instead of falling back to
+/// the trait defaults.
 impl Precond for Box<dyn Precond> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         (**self).apply(r, z);
     }
     fn apply_ctx(&self, ctx: &sellkit_core::ExecCtx, r: &[f64], z: &mut [f64]) {
         (**self).apply_ctx(ctx, r, z);
+    }
+    fn refresh(&mut self, a: &sellkit_core::Csr) -> bool {
+        (**self).refresh(a)
     }
 }
 

@@ -146,8 +146,41 @@ impl NewtonResult {
     }
 }
 
+/// What a Newton loop carries from one linearisation to the next: the
+/// Jacobian in the solve's format `M` and the preconditioner (PETSc's `KSP`
+/// with its operators set).  Whoever owns it decides how long set-up work
+/// lives — [`newton_ctx`] keeps one for a solve, the θ-stepper's `run` for
+/// a whole trajectory.
+pub(crate) struct LinearSolve<M, Pc> {
+    op: Option<M>,
+    pc: Option<Pc>,
+}
+
+impl<M, Pc> Default for LinearSolve<M, Pc> {
+    fn default() -> Self {
+        Self { op: None, pc: None }
+    }
+}
+
+impl<M: FromCsr, Pc: Precond> LinearSolve<M, Pc> {
+    /// Makes both halves serve the Jacobian `j`: the preconditioner through
+    /// [`pc::set_up`](crate::pc::set_up) (`pc_factory` is consulted only
+    /// when there is nothing to refresh), the operator through
+    /// [`FromCsr::set_from_csr`].
+    fn set_up(&mut self, j: &Csr, pc_factory: &impl Fn(&Csr) -> Pc) -> (&M, &Pc) {
+        let pc = crate::pc::set_up(&mut self.pc, j, pc_factory);
+        let _s = sellkit_obs::span("MatConvert");
+        match &mut self.op {
+            Some(op) => op.set_from_csr(j),
+            None => self.op = Some(M::from_csr(j)),
+        }
+        (self.op.as_ref().expect("set just above"), pc)
+    }
+}
+
 /// Solves `F(x) = 0` by Newton-GMRES with the Jacobian applied in format
-/// `M`; `pc_factory` builds a preconditioner from each assembled Jacobian.
+/// `M`; `pc_factory` builds the preconditioner from the first assembled
+/// Jacobian (see [`newton_ctx`] for when it is called again).
 pub fn newton<M, Prob, Pc>(
     problem: &Prob,
     x: &mut [f64],
@@ -166,12 +199,46 @@ where
 /// dispatched on `ctx`'s worker pool.  The SpMV determinism contract
 /// makes the iterates bitwise identical to the serial [`newton`] for any
 /// thread count.
+///
+/// The operator and the preconditioner live for the whole solve.  Each
+/// iteration the preconditioner is asked to [`Precond::refresh`] itself for
+/// the new Jacobian and the operator to take its values
+/// ([`FromCsr::set_from_csr`]); **`pc_factory` is called when there is
+/// nothing to refresh** — on the first iteration, when the Jacobian's
+/// pattern changed, or when the preconditioner has no value-only set-up.
+/// A refreshed preconditioner equals a rebuilt one bit for bit, so the
+/// iterates do not depend on which path was taken.
 pub fn newton_ctx<M, Prob, Pc>(
     problem: &Prob,
     x: &mut [f64],
     cfg: &NewtonConfig,
     ctx: &ExecCtx,
     pc_factory: impl Fn(&Csr) -> Pc,
+) -> NewtonResult
+where
+    M: CoreOperator + FromCsr,
+    Prob: NonlinearProblem,
+    Pc: Precond,
+{
+    newton_kept::<M, _, _>(
+        problem,
+        x,
+        cfg,
+        ctx,
+        &mut LinearSolve::default(),
+        &pc_factory,
+    )
+}
+
+/// [`newton_ctx`] with the linear-solve context owned by the caller, who
+/// may hand the same one to the next solve.
+pub(crate) fn newton_kept<M, Prob, Pc>(
+    problem: &Prob,
+    x: &mut [f64],
+    cfg: &NewtonConfig,
+    ctx: &ExecCtx,
+    kept: &mut LinearSolve<M, Pc>,
+    pc_factory: &impl Fn(&Csr) -> Pc,
 ) -> NewtonResult
 where
     M: CoreOperator + FromCsr,
@@ -221,18 +288,13 @@ where
     for it in 1..=cfg.max_it {
         // Assemble in CSR, run the linear solve in format M (as the paper's
         // experiments do: SELL carries every SpMV of the Newton systems).
-        let (pc, j_m) = {
+        let (j_m, pc) = {
             let _je = sellkit_obs::span("SNESJacobianEval");
             let j_csr = {
                 let _s = sellkit_obs::span("MatAssembly");
                 problem.jacobian(x)
             };
-            let pc = {
-                let _s = sellkit_obs::span("PCSetUp");
-                pc_factory(&j_csr)
-            };
-            let _s = sellkit_obs::span("MatConvert");
-            (pc, M::from_csr(&j_csr))
+            kept.set_up(&j_csr, pc_factory)
         };
 
         // Solve J d = -F to the (possibly adaptive) inner tolerance.
@@ -245,8 +307,8 @@ where
             ..cfg.ksp
         };
         let lin = gmres(
-            &CtxMatOperator::new(&j_m, ctx),
-            &CtxPrecond::new(&pc, ctx),
+            &CtxMatOperator::new(j_m, ctx),
+            &CtxPrecond::new(pc, ctx),
             &SeqDot,
             &rhs,
             &mut d,

@@ -9,7 +9,7 @@
 use sellkit_core::{Csr, FromCsr, Operator as CoreOperator};
 
 use crate::pc::Precond;
-use crate::snes::newton::NewtonConfig;
+use crate::snes::newton::{LinearSolve, NewtonConfig};
 use crate::ts::theta::{OdeProblem, ThetaConfig, ThetaStepper};
 use crate::vecops;
 
@@ -120,9 +120,12 @@ impl AdaptiveTheta {
             newton: self.newton,
         };
         let mut ts = ThetaStepper::new(cfg);
+        let serial = sellkit_core::ExecCtx::serial();
+        let mut kept = LinearSolve::default();
         let steps = if halves { 2 } else { 1 };
         for _ in 0..steps {
-            if !ts.step::<M, _, _>(ode, u, pc_factory).converged() {
+            let res = ts.step_kept::<M, _, _>(ode, u, &serial, &mut kept, pc_factory);
+            if !res.converged() {
                 return false;
             }
         }

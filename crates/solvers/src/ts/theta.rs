@@ -16,7 +16,7 @@
 use sellkit_core::{Csr, FromCsr, Operator as CoreOperator};
 
 use crate::pc::Precond;
-use crate::snes::newton::{NewtonConfig, NewtonResult, NonlinearProblem};
+use crate::snes::newton::{newton_kept, LinearSolve, NewtonConfig, NewtonResult, NonlinearProblem};
 
 /// An autonomous-or-not ODE system `du/dt = f(t, u)` with Jacobian.
 pub trait OdeProblem {
@@ -114,7 +114,7 @@ impl<P: OdeProblem> NonlinearProblem for StageProblem<'_, P> {
     fn jacobian(&self, u: &[f64]) -> Csr {
         // G' = I − Δt·θ·J_f.
         let jf = self.ode.rhs_jacobian(self.t_next, u);
-        sellkit_core::matops::identity_plus_scaled(1.0, -self.dt_theta, &jf)
+        sellkit_core::matops::identity_plus_scaled_owned(1.0, -self.dt_theta, jf)
     }
 }
 
@@ -151,7 +151,9 @@ impl ThetaStepper {
     }
 
     /// Advances one step in place, running every linear-solve SpMV in
-    /// format `M`.  Returns the Newton result for the step.
+    /// format `M`.  Returns the Newton result for the step.  `pc_factory`
+    /// is called when there is nothing to refresh — see
+    /// [`ThetaStepper::step_ctx`].
     pub fn step<M, P, Pc>(
         &mut self,
         ode: &P,
@@ -178,12 +180,39 @@ impl ThetaStepper {
     /// preconditioner set-up, GMRES's Gram-Schmidt and the smoothers'
     /// element-wise loops are serial.  The iterates are bitwise those of
     /// [`ThetaStepper::step`] for any pool size.
+    ///
+    /// **`pc_factory` is called when there is nothing to refresh**: the
+    /// step's first Newton iteration builds the operator and the
+    /// preconditioner, every later one re-does only their numeric set-up
+    /// ([`Precond::refresh`], [`FromCsr::set_from_csr`]) as long as the
+    /// Jacobian keeps its pattern.  The pair lives as long as the call that
+    /// names its types — this step here, the whole trajectory in
+    /// [`ThetaStepper::run`] — so a new preconditioner configuration takes
+    /// effect with the next call.
     pub fn step_ctx<M, P, Pc>(
         &mut self,
         ode: &P,
         u: &mut [f64],
         ctx: &sellkit_core::ExecCtx,
         pc_factory: impl Fn(&Csr) -> Pc,
+    ) -> NewtonResult
+    where
+        M: CoreOperator + FromCsr,
+        P: OdeProblem,
+        Pc: Precond,
+    {
+        self.step_kept::<M, _, _>(ode, u, ctx, &mut LinearSolve::default(), &pc_factory)
+    }
+
+    /// [`ThetaStepper::step_ctx`] with the linear-solve context owned by the
+    /// caller, who may hand the same one to the next step.
+    pub(crate) fn step_kept<M, P, Pc>(
+        &mut self,
+        ode: &P,
+        u: &mut [f64],
+        ctx: &sellkit_core::ExecCtx,
+        kept: &mut LinearSolve<M, Pc>,
+        pc_factory: &impl Fn(&Csr) -> Pc,
     ) -> NewtonResult
     where
         M: CoreOperator + FromCsr,
@@ -212,7 +241,7 @@ impl ThetaStepper {
             t_next: self.t + dt,
             dt_theta: dt * theta,
         };
-        let res = crate::snes::newton_ctx::<M, _, _>(&stage, u, &self.cfg.newton, ctx, pc_factory);
+        let res = newton_kept::<M, _, _>(&stage, u, &self.cfg.newton, ctx, kept, pc_factory);
 
         self.t += dt;
         self.steps_taken += 1;
@@ -225,6 +254,9 @@ impl ThetaStepper {
     }
 
     /// Runs `nsteps` steps; panics if any Newton solve fails to converge.
+    /// One operator and one preconditioner serve the whole run: after the
+    /// first Newton iteration of the first step, `pc_factory` is called
+    /// again only if the Jacobian's pattern changes.
     pub fn run<M, P, Pc>(
         &mut self,
         ode: &P,
@@ -236,8 +268,10 @@ impl ThetaStepper {
         P: OdeProblem,
         Pc: Precond,
     {
+        let serial = sellkit_core::ExecCtx::serial();
+        let mut kept = LinearSolve::default();
         for s in 0..nsteps {
-            let res = self.step::<M, _, _>(ode, u, &pc_factory);
+            let res = self.step_kept::<M, _, _>(ode, u, &serial, &mut kept, &pc_factory);
             assert!(
                 res.converged(),
                 "Newton failed at step {s} (t = {}): {:?}, ‖F‖ = {}",

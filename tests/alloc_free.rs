@@ -3,6 +3,8 @@
 //! * `spmv_ctx` at any thread count, once the execution plan has been built
 //!   (ISSUE 4);
 //! * a multigrid V-cycle, serial and on a pool, once the hierarchy exists;
+//! * the numeric set-up of that hierarchy for a new fine matrix
+//!   (`Precond::refresh`) with the paper's options;
 //! * a restarted GMRES solve allocates no vector after its first restart
 //!   cycle.
 //!
@@ -168,6 +170,26 @@ fn warm_multigrid_apply_is_allocation_free() {
     let before = ALLOCS.get();
     mg.apply(&r, &mut z);
     assert_eq!(ALLOCS.get() - before, 0, "Precond::apply allocated");
+}
+
+/// `PCSetUp` on kept patterns: with the paper's options (Jacobi smoother,
+/// `Jacobi(8)` coarse solve) the Galerkin values, the level operators'
+/// values and the inverse diagonals are written into storage the hierarchy
+/// already owns.
+#[test]
+fn warm_multigrid_refresh_is_allocation_free() {
+    let gs = GrayScott::new(32, GrayScottParams::default());
+    let newton = |w: &[f64]| matops::identity_plus_scaled(1.0, -0.5, &gs.rhs_jacobian(0.0, w));
+    let a1 = newton(&gs.initial_condition(42));
+    let a2 = newton(&vec![0.4; gs.dim()]);
+    let interps = interpolation_chain(gs.grid(), 3);
+    let mut mg = Multigrid::<Sell8>::new(&a1, &interps, MultigridConfig::default());
+    assert!(mg.refresh(&a2));
+    let before = ALLOCS.get();
+    for a in [&a1, &a2, &a1] {
+        assert!(mg.refresh(a));
+    }
+    assert_eq!(ALLOCS.get() - before, 0, "Precond::refresh allocated");
 }
 
 /// Remembers how many bytes this thread had asked for when iteration

@@ -9,6 +9,10 @@
 //!   products): the Newton matrix, both coarse operators and a two-step
 //!   trajectory must not move by a bit;
 //! * SpGEMM against the Gustavson loop it replaced, cancellations included.
+//!   That loop left a stored zero of the first operand out of the
+//!   *pattern*; `spgemm` keeps the pattern structural and leaves the zero
+//!   out of the *values*, so its product is the loop's plus entries that
+//!   are exactly `+0.0` — the relation `assert_oracle_plus_zeros` pins.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -236,13 +240,28 @@ fn parent_commit_goldens_hold() {
     let j = gs.rhs_jacobian(0.0, &w);
     let g = matops::identity_plus_scaled(1.0, -0.5, &j);
     let interps = interpolation_chain(gs.grid(), 3);
-    let a1 = rap(&interps[0].transpose(), &g, &interps[0]);
-    let a2 = rap(&interps[1].transpose(), &a1, &interps[1]);
-    for (m, (name, nnz, values, csr)) in [&j, &g, &a1, &a2].into_iter().zip(GOLDEN) {
+    // The Galerkin goldens were captured at the initial condition, where
+    // `v = 0` on most nodes stores zeros in `g`: they are the products of
+    // the loop that skipped those in the pattern, kept below as the oracle.
+    let rap_oracle = |a: &Csr, p: &Csr| oracle_csr(&oracle_csr(&p.transpose(), a), p);
+    let o1 = rap_oracle(&g, &interps[0]);
+    let o2 = rap_oracle(&o1, &interps[1]);
+    for (m, (name, nnz, values, csr)) in [&j, &g, &o1, &o2].into_iter().zip(GOLDEN) {
         assert_eq!(m.nnz(), nnz, "{name}");
         assert_eq!(hash_values(m.values()), values, "{name}: value bits");
         assert_eq!(hash_csr(m), csr, "{name}: pattern and value bits");
     }
+    // What the hierarchy builds today: the same entries, bit for bit, in a
+    // pattern that no longer depends on the state.
+    let a1 = rap(&interps[0].transpose(), &g, &interps[0]);
+    let a2 = rap(&interps[1].transpose(), &a1, &interps[1]);
+    assert_oracle_plus_zeros(&a1, &o1, "Galerkin 1");
+    assert_oracle_plus_zeros(&a2, &o2, "Galerkin 2");
+    let later =
+        matops::identity_plus_scaled(1.0, -0.5, &gs.rhs_jacobian(0.0, &vec![0.3; gs.dim()]));
+    let b1 = rap(&interps[0].transpose(), &later, &interps[0]);
+    assert_eq!(b1.rowptr(), a1.rowptr(), "pattern independent of the state");
+    assert_eq!(b1.colidx(), a1.colidx(), "pattern independent of the state");
 
     let cfg = ThetaConfig {
         theta: 0.5,
@@ -279,7 +298,8 @@ fn parent_commit_goldens_hold() {
     }
 }
 
-/// Gustavson with the `touched.contains` scan `spgemm` used to have.
+/// Gustavson with the `touched.contains` scan `spgemm` used to have, and
+/// with its pattern: a stored zero of `a` opens no position.
 fn spgemm_oracle(a: &Csr, b: &Csr) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
     let mut rowptr = vec![0usize];
     let (mut colidx, mut vals): (Vec<u32>, Vec<f64>) = (Vec::new(), Vec::new());
@@ -308,6 +328,35 @@ fn spgemm_oracle(a: &Csr, b: &Csr) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
     (rowptr, colidx, bits(&vals))
 }
 
+fn oracle_csr(a: &Csr, b: &Csr) -> Csr {
+    let (rowptr, colidx, vals) = spgemm_oracle(a, b);
+    let vals = vals.into_iter().map(f64::from_bits).collect();
+    Csr::from_parts(a.nrows(), b.ncols(), rowptr, colidx, vals)
+}
+
+/// Every entry of `oracle` is in `got` with the same bits, and every entry
+/// `got` stores beyond those is exactly `+0.0`.
+fn assert_oracle_plus_zeros(got: &Csr, oracle: &Csr, what: &str) {
+    assert_eq!(
+        (got.nrows(), got.ncols()),
+        (oracle.nrows(), oracle.ncols()),
+        "{what}"
+    );
+    for i in 0..got.nrows() {
+        let mut want = oracle.row_cols(i).iter().zip(oracle.row_vals(i)).peekable();
+        for (&c, &v) in got.row_cols(i).iter().zip(got.row_vals(i)) {
+            match want.next_if(|(&oc, _)| oc == c) {
+                Some((_, ov)) => assert_eq!(v.to_bits(), ov.to_bits(), "{what}: ({i}, {c})"),
+                None => assert_eq!(v.to_bits(), 0.0f64.to_bits(), "{what}: extra ({i}, {c})"),
+            }
+        }
+        assert!(
+            want.next().is_none(),
+            "{what}: row {i} lacks an oracle entry"
+        );
+    }
+}
+
 fn from_triplets(m: usize, n: usize, entries: &[(usize, usize, i32)]) -> Csr {
     let mut b = CooBuilder::new(m, n);
     for &(i, j, v) in entries {
@@ -320,7 +369,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Values in {-2..2}: products cancel exactly and often, and stored
-    /// zeros in `A` are skipped; the pattern keeps every cancelled entry.
+    /// zeros in `A` multiply nothing; the pattern keeps every cancelled
+    /// entry and every position a stored zero opens, and depends on the
+    /// operand patterns alone.
     #[test]
     fn spgemm_equals_gustavson_with_cancellation(
         m in 1usize..12,
@@ -342,10 +393,17 @@ proptest! {
         let a = from_triplets(m, k, &ea);
         let b = from_triplets(k, n, &eb);
         let c = spgemm(&a, &b);
-        let (rowptr, colidx, vals) = spgemm_oracle(&a, &b);
+        assert_oracle_plus_zeros(&c, &oracle_csr(&a, &b), "spgemm");
+        // With every stored value non-zero the oracle's pattern is the
+        // structural one.
+        let ones = |m: &Csr| {
+            let mut m = m.clone();
+            m.values_mut().fill(1.0);
+            m
+        };
+        let (rowptr, colidx, _) = spgemm_oracle(&ones(&a), &ones(&b));
         prop_assert_eq!(c.rowptr(), &rowptr[..]);
         prop_assert_eq!(c.colidx(), &colidx[..]);
-        prop_assert_eq!(bits(c.values()), vals);
         if k >= 2 {
             prop_assert_eq!(c.get(0, 0).map(f64::to_bits), Some(0.0f64.to_bits()));
         }

@@ -51,6 +51,64 @@ fn sell_value_refresh_rejects_different_pattern() {
     s.set_values_from_csr(&b);
 }
 
+/// Same shape, same row lengths, one column elsewhere
+/// (`[[1,2,0],[0,0,3]]` → `[[1,0,2],[0,0,3]]`): the check that used to be a
+/// `debug_assert` and let a release build file the values under the old
+/// columns.  CI runs this target with `--release` too.
+fn same_lengths_other_columns() -> (Csr, Csr) {
+    (
+        Csr::from_dense(2, 3, &[1.0, 2.0, 0.0, 0.0, 0.0, 3.0]),
+        Csr::from_dense(2, 3, &[1.0, 0.0, 2.0, 0.0, 0.0, 3.0]),
+    )
+}
+
+#[test]
+#[should_panic(expected = "pattern mismatch")]
+fn sell_value_refresh_rejects_moved_column() {
+    let (a, b) = same_lengths_other_columns();
+    assert_eq!(a.rowptr(), b.rowptr());
+    Sell8::from_csr(&a).set_values_from_csr(&b);
+}
+
+#[test]
+#[should_panic(expected = "pattern mismatch")]
+fn sell_sigma_value_refresh_rejects_moved_column() {
+    let (a, b) = same_lengths_other_columns();
+    SellSigma8::from_csr_sigma(&a, 2).set_values_from_csr(&b);
+}
+
+/// `set_from_csr` is the forgiving twin: the value-only path when the
+/// pattern matches, a rebuild — never a panic, never the old columns —
+/// when it does not.
+#[test]
+fn set_from_csr_rebuilds_on_another_pattern() {
+    fn check<M: FromCsr + Operator>(what: &str, to_csr: impl Fn(&M) -> Csr) {
+        let (a, b) = same_lengths_other_columns();
+        let scaled = {
+            let mut m = a.clone();
+            m.values_mut().iter_mut().for_each(|v| *v *= -3.0);
+            m
+        };
+        let wider = Csr::from_dense(2, 4, &[0.0, 5.0, 0.0, 6.0, 7.0, 0.0, 0.0, 0.0]);
+        let mut m = M::from_csr(&a);
+        for next in [&scaled, &b, &wider, &a] {
+            m.set_from_csr(next);
+            let got = to_csr(&m);
+            assert_eq!(got.rowptr(), next.rowptr(), "{what}");
+            assert_eq!(got.colidx(), next.colidx(), "{what}");
+            assert_eq!(got.values(), next.values(), "{what}");
+            assert_eq!(
+                (m.nrows(), m.ncols()),
+                (next.nrows(), next.ncols()),
+                "{what}"
+            );
+        }
+    }
+    check::<Csr>("Csr", Csr::clone);
+    check::<Sell8>("Sell8", Sell8::to_csr);
+    check::<SellSigma8>("SellSigma8", SellSigma8::to_csr);
+}
+
 #[test]
 #[should_panic(expected = "not available")]
 fn forcing_unavailable_isa_panics_cleanly() {

@@ -11,7 +11,9 @@
 //!   the batch spans, and per-track monotone slice timestamps;
 //! * a poisoned batch dumps the flight ring, naming the offending ids;
 //! * a Newton step's `SNESJacobianEval` time is accounted for by its
-//!   `MatAssembly`, `PCSetUp` and `MatConvert` children;
+//!   `MatAssembly`, `PCSetUp` and `MatConvert` children, and its
+//!   preconditioner is built once and refreshed after that
+//!   (`MatPtAPSymbolic` / `MatPtAPNumeric`, `pc.rebuild` / `pc.refresh`);
 //! * a multigrid apply is 11 `MatMult`s with the paper's options, and its
 //!   `PCApply` time is accounted for by `MGSmooth`, `MatMult`,
 //!   `MatRestrict` and `MatInterpolate`.
@@ -113,13 +115,25 @@ fn tracing_flows_histograms_and_flight_dump() {
             children >= 0.98 * parent && children <= parent,
             "children cover {children} s of the {parent} s SNESJacobianEval span"
         );
-        // The Galerkin products are named inside the set-up.
+        // The Galerkin products are named inside the set-up, by half: the
+        // patterns are found once per coarse level, the values once per
+        // coarse level and Newton iteration — the first iteration builds
+        // the hierarchy, every later one refreshes it.
+        assert!(res.iterations >= 2, "one iteration would refresh nothing");
+        let count = |name: &str| rep.event(name).map_or(0, |e| e.count);
+        assert_eq!(count("MatPtAPSymbolic"), 2, "once per coarse level");
         assert_eq!(
-            rep.event("MatPtAP").map(|e| e.count),
-            Some(2 * res.iterations as u64),
+            count("MatPtAPNumeric"),
+            2 * res.iterations as u64,
             "two coarse operators per Newton iteration"
         );
-        assert!(seconds("PCSetUp>MatPtAP") > 0.0);
+        assert!(seconds("PCSetUp>MatPtAPSymbolic") > 0.0);
+        assert!(seconds("PCSetUp>MatPtAPNumeric") > 0.0);
+        assert_eq!(rep.counters.get("pc.rebuild"), Some(&1.0));
+        assert_eq!(
+            rep.counters.get("pc.refresh"),
+            Some(&((res.iterations - 1) as f64))
+        );
 
         // ---- One V-cycle with the paper's options (1 pre, 1 post, 3
         // levels, 8 coarse Jacobi iterations) is 11 MatMults: the first
