@@ -8,7 +8,6 @@ use sellkit_core::{Apply, ExecCtx, Isa, MatShape, Operator, Sell8, SellEsb};
 use sellkit_workloads::generators;
 
 fn bench_bitarray(c: &mut Criterion) {
-    let isa = Isa::detect();
     for (name, a) in [
         ("stencil5_256", generators::stencil5(256)),
         (
@@ -16,8 +15,6 @@ fn bench_bitarray(c: &mut Criterion) {
             generators::power_law(20_000, 2, 64, 1.3, 11),
         ),
     ] {
-        let sell = Sell8::from_csr(&a).with_isa(isa);
-        let esb = SellEsb::from_csr(&a);
         let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.01).cos()).collect();
         let mut y = vec![0.0; a.nrows()];
 
@@ -26,12 +23,16 @@ fn bench_bitarray(c: &mut Criterion) {
         g.sample_size(20);
         g.warm_up_time(Duration::from_millis(200));
         g.measurement_time(Duration::from_millis(1000));
-        g.bench_function("SELL (no bit array)", |b| {
-            b.iter(|| sell.apply(&ExecCtx::serial(), (&x).into(), (&mut y).into(), Apply::Set))
-        });
-        g.bench_function("SELL+bitarray (ESB-style)", |b| {
-            b.iter(|| esb.spmv_isa(isa, &x, &mut y))
-        });
+        for isa in Isa::available_tiers() {
+            let sell = Sell8::from_csr(&a).with_isa(isa);
+            let esb = SellEsb::from_csr(&a).with_isa(isa);
+            g.bench_function(format!("SELL (no bit array) {isa}"), |b| {
+                b.iter(|| sell.apply(&ExecCtx::serial(), (&x).into(), (&mut y).into(), Apply::Set))
+            });
+            g.bench_function(format!("SELL+bitarray (ESB-style) {isa}"), |b| {
+                b.iter(|| esb.apply(&ExecCtx::serial(), (&x).into(), (&mut y).into(), Apply::Set))
+            });
+        }
         g.finish();
     }
 }

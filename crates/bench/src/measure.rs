@@ -6,7 +6,7 @@
 
 use std::time::Instant;
 
-use sellkit_core::{Apply, Csr, CsrPerm, ExecCtx, Isa, MatShape, Operator, Sell8};
+use sellkit_core::{Apply, Csr, ExecCtx, Isa, MatShape, Operator, Sell8};
 
 /// A named, runnable SpMV closure.
 pub struct Variant {
@@ -49,6 +49,56 @@ impl MklLikeCsr {
     }
 }
 
+/// Figure 8's "CSRPerm" series (PETSc `AIJPERM`, §2.4): CSR storage plus
+/// a permutation grouping rows of equal length, so a group is swept
+/// across the row index with non-unit-stride access to `val`/`colidx`.
+/// A measurement stand-in, not a format.
+struct AijPerm {
+    a: Csr,
+    /// Row indices sorted by row length.
+    perm: Vec<u32>,
+    /// `(end in perm, common row length)` of each group.
+    groups: Vec<(usize, usize)>,
+}
+
+impl AijPerm {
+    fn new(a: &Csr) -> Self {
+        let mut perm: Vec<u32> = (0..a.nrows() as u32).collect();
+        perm.sort_by_key(|&i| a.row_len(i as usize));
+        let mut groups: Vec<(usize, usize)> = Vec::new();
+        for (at, &r) in perm.iter().enumerate() {
+            let len = a.row_len(r as usize);
+            match groups.last_mut() {
+                Some(g) if g.1 == len => g.0 = at + 1,
+                _ => groups.push((at + 1, len)),
+            }
+        }
+        Self {
+            a: a.clone(),
+            perm,
+            groups,
+        }
+    }
+
+    fn spmv(&self, x: &[f64], y: &mut [f64]) {
+        let (rowptr, colidx, val) = (self.a.rowptr(), self.a.colidx(), self.a.values());
+        let mut start = 0;
+        for &(end, len) in &self.groups {
+            let rows = &self.perm[start..end];
+            for &r in rows {
+                y[r as usize] = 0.0;
+            }
+            for j in 0..len {
+                for &r in rows {
+                    let k = rowptr[r as usize] + j;
+                    y[r as usize] += val[k] * x[colidx[k] as usize];
+                }
+            }
+            start = end;
+        }
+    }
+}
+
 /// Builds all kernel variants the host CPU can run, in Figure 8 order.
 pub fn build_variants(a: &Csr) -> Vec<Variant> {
     let mut out: Vec<Variant> = Vec::new();
@@ -78,12 +128,10 @@ pub fn build_variants(a: &Csr) -> Vec<Variant> {
             }),
         });
     }
-    let perm = CsrPerm::from_csr(a);
+    let perm = AijPerm::new(a);
     out.push(Variant {
         label: "CSRPerm".into(),
-        run: Box::new(move |x, y| {
-            perm.apply(&ExecCtx::serial(), (x).into(), (y).into(), Apply::Set)
-        }),
+        run: Box::new(move |x, y| perm.spmv(x, y)),
     });
     let base = a.clone().with_isa(Isa::Scalar);
     out.push(Variant {

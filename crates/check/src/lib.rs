@@ -11,9 +11,8 @@
 //! breaks one of these produces silently wrong numerics — or, with aligned
 //! loads, a crash.  This crate makes the invariants explicit and checkable:
 //!
-//! * [`Validate`] is implemented by every format (`COO`, `CSR`, `CSR-perm`,
-//!   `ELLPACK`, `ELLPACK-R`, `SELL<4/8/16>`, `SELL-ESB`, `SELL-C-σ`,
-//!   `BAIJ`, `SBAIJ`);
+//! * [`Validate`] is implemented by every format (`COO`, `CSR`,
+//!   `SELL<4/8/16>`, `SELL-ESB`, `SELL-C-σ`, `BAIJ`, `SBAIJ`);
 //! * violations come back as structured [`Violation`] values carrying
 //!   row/slice coordinates, so tests can assert the exact defect and
 //!   diagnostics can point at the offending entry;
@@ -29,10 +28,7 @@
 #![forbid(unsafe_code)]
 
 use sellkit_core::aligned::ALIGN;
-use sellkit_core::{
-    Baij, Codec, CooBuilder, Csr, CsrPerm, Ellpack, EllpackR, MatShape, Sbaij, Sell, SellEsb,
-    SellSigma,
-};
+use sellkit_core::{Baij, Codec, CooBuilder, Csr, MatShape, Sbaij, Sell, SellEsb, SellSigma};
 use std::fmt;
 
 /// Location of an offending entry inside a format's flat storage.
@@ -52,7 +48,7 @@ pub struct Loc {
 /// [`Violation::kind`] strips the payload for easy matching in tests.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
-    /// A pointer array (`rowptr`/`sliceptr`/`browptr`/`group`) has the
+    /// A pointer array (`rowptr`/`sliceptr`/`browptr`) has the
     /// wrong length.
     PtrLen {
         array: &'static str,
@@ -117,13 +113,6 @@ pub enum Violation {
         first: usize,
         second: usize,
     },
-    /// A row's length disagrees with its group's common length (AIJPERM).
-    GroupLenMismatch {
-        group: usize,
-        row: usize,
-        expected: usize,
-        found: usize,
-    },
     /// An SBAIJ block lies below the diagonal (only the upper triangle may
     /// be stored).
     NotUpperTriangular { brow: usize, at: usize, bcol: u32 },
@@ -170,7 +159,6 @@ pub enum ViolationKind {
     Misaligned,
     PermOutOfRange,
     PermDuplicate,
-    GroupLenMismatch,
     NotUpperTriangular,
     BitMaskMismatch,
     SigmaWindowNotSorted,
@@ -196,7 +184,6 @@ impl Violation {
             Violation::Misaligned { .. } => ViolationKind::Misaligned,
             Violation::PermOutOfRange { .. } => ViolationKind::PermOutOfRange,
             Violation::PermDuplicate { .. } => ViolationKind::PermDuplicate,
-            Violation::GroupLenMismatch { .. } => ViolationKind::GroupLenMismatch,
             Violation::NotUpperTriangular { .. } => ViolationKind::NotUpperTriangular,
             Violation::BitMaskMismatch { .. } => ViolationKind::BitMaskMismatch,
             Violation::SigmaWindowNotSorted { .. } => ViolationKind::SigmaWindowNotSorted,
@@ -299,17 +286,6 @@ impl fmt::Display for Violation {
             }
             Violation::PermDuplicate { row, first, second } => {
                 write!(f, "perm maps lanes {first} and {second} both to row {row}")
-            }
-            Violation::GroupLenMismatch {
-                group,
-                row,
-                expected,
-                found,
-            } => {
-                write!(
-                    f,
-                    "group {group}: row {row} has {found} nonzeros, group length is {expected}"
-                )
             }
             Violation::NotUpperTriangular { brow, at, bcol } => {
                 write!(
@@ -683,105 +659,6 @@ pub fn check_sell_sigma_parts(
     out
 }
 
-/// Checks ELLPACK(-R) invariants over raw parts.  `rlen` is `None` for
-/// plain ELLPACK, whose padding cannot be told apart from explicit zeros
-/// without row lengths (only in-bounds columns are checked then).
-pub fn check_ellpack_parts(
-    nrows: usize,
-    ncols: usize,
-    nnz: usize,
-    width: usize,
-    colidx: &[u32],
-    val: &[f64],
-    rlen: Option<&[u32]>,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let expected = nrows * width;
-    if val.len() != expected {
-        out.push(Violation::ArrLen {
-            array: "val",
-            expected,
-            found: val.len(),
-        });
-    }
-    if colidx.len() != expected {
-        out.push(Violation::ArrLen {
-            array: "colidx",
-            expected,
-            found: colidx.len(),
-        });
-    }
-    if let Some(r) = rlen {
-        if r.len() != nrows {
-            out.push(Violation::ArrLen {
-                array: "rlen",
-                expected: nrows,
-                found: r.len(),
-            });
-        }
-    }
-    if !out.is_empty() {
-        return out;
-    }
-    if nnz > expected {
-        out.push(Violation::NnzMismatch {
-            claimed: nnz,
-            found: expected,
-        });
-    }
-    if let Some(r) = rlen {
-        let total: usize = r.iter().map(|&l| l as usize).sum();
-        if total != nnz {
-            out.push(Violation::NnzMismatch {
-                claimed: nnz,
-                found: total,
-            });
-        }
-    }
-    for i in 0..nrows {
-        let len = rlen.map_or(width, |r| (r[i] as usize).min(width));
-        if let Some(r) = rlen {
-            if r[i] as usize > width {
-                out.push(Violation::RlenExceedsWidth {
-                    row: i,
-                    rlen: r[i] as usize,
-                    width,
-                });
-            }
-        }
-        for j in 0..width {
-            let at = j * nrows + i;
-            let c = colidx[at];
-            let loc = Loc {
-                at,
-                row: i,
-                slice: 0,
-            };
-            if j < len {
-                // Real entries (or, without rlen, any entry): a valid
-                // column, or — indistinguishable from padding when rlen is
-                // absent — the sentinel paired with a zero value.
-                let sentinel_pad = rlen.is_none() && c as usize == ncols && val[at] == 0.0;
-                if c as usize >= ncols && !sentinel_pad {
-                    out.push(Violation::ColOutOfBounds { loc, col: c, ncols });
-                }
-            } else {
-                // Padding: zero value and the masked sentinel column.
-                if c as usize != ncols {
-                    out.push(Violation::PaddingAliasesLiveColumn { loc, col: c });
-                }
-                if val[at] != 0.0 {
-                    out.push(Violation::PaddingValueNonzero {
-                        loc,
-                        value: val[at],
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Checks block-CSR invariants over raw parts (`upper_triangular` adds the
 /// SBAIJ `bcol >= brow` requirement and symmetric nnz accounting).
 #[allow(clippy::too_many_arguments)]
@@ -942,70 +819,6 @@ impl Validate for Csr {
         );
         out.extend(check_alignment("colidx", self.colidx()));
         out.extend(check_alignment("val", self.values()));
-        finish(out)
-    }
-}
-
-impl Validate for CsrPerm {
-    fn validate(&self) -> Result<(), Vec<Violation>> {
-        let csr = self.csr();
-        let nrows = csr.nrows();
-        let mut out = csr.validate().err().unwrap_or_default();
-        out.extend(check_permutation(self.perm(), nrows));
-        // `group` is a pointer array into `perm`, ending at nrows.
-        let ptr_issues = check_ptr_array("group", self.group(), self.glen().len(), nrows);
-        let ptr_ok = ptr_issues.is_empty();
-        out.extend(ptr_issues);
-        if self.perm().len() == nrows && ptr_ok {
-            for g in 0..self.glen().len() {
-                for &r in &self.perm()[self.group()[g]..self.group()[g + 1]] {
-                    let row = r as usize;
-                    if row < nrows && csr.row_len(row) != self.glen()[g] {
-                        out.push(Violation::GroupLenMismatch {
-                            group: g,
-                            row,
-                            expected: self.glen()[g],
-                            found: csr.row_len(row),
-                        });
-                    }
-                }
-            }
-        }
-        finish(out)
-    }
-}
-
-impl Validate for Ellpack {
-    fn validate(&self) -> Result<(), Vec<Violation>> {
-        let mut out = check_ellpack_parts(
-            self.nrows(),
-            self.ncols(),
-            self.nnz(),
-            self.width(),
-            self.colidx(),
-            self.values(),
-            None,
-        );
-        out.extend(check_alignment("colidx", self.colidx()));
-        out.extend(check_alignment("val", self.values()));
-        finish(out)
-    }
-}
-
-impl Validate for EllpackR {
-    fn validate(&self) -> Result<(), Vec<Violation>> {
-        let ell = self.ell();
-        let mut out = check_ellpack_parts(
-            ell.nrows(),
-            ell.ncols(),
-            ell.nnz(),
-            ell.width(),
-            ell.colidx(),
-            ell.values(),
-            Some(self.rlen()),
-        );
-        out.extend(check_alignment("colidx", ell.colidx()));
-        out.extend(check_alignment("val", ell.values()));
         finish(out)
     }
 }
@@ -1282,9 +1095,6 @@ mod tests {
     fn all_formats_validate_clean() {
         let a = irregular(37);
         assert_eq!(a.validate(), Ok(()));
-        assert_eq!(CsrPerm::from_csr(&a).validate(), Ok(()));
-        assert_eq!(Ellpack::from_csr(&a).validate(), Ok(()));
-        assert_eq!(EllpackR::from_csr(&a).validate(), Ok(()));
         assert_eq!(sellkit_core::Sell4::from_csr(&a).validate(), Ok(()));
         assert_eq!(sellkit_core::Sell8::from_csr(&a).validate(), Ok(()));
         assert_eq!(sellkit_core::Sell16::from_csr(&a).validate(), Ok(()));
@@ -1509,7 +1319,6 @@ mod tests {
         let a = CooBuilder::new(0, 0).to_csr();
         assert_eq!(a.validate(), Ok(()));
         assert_eq!(sellkit_core::Sell8::from_csr(&a).validate(), Ok(()));
-        assert_eq!(Ellpack::from_csr(&a).validate(), Ok(()));
     }
 
     #[test]
@@ -1552,13 +1361,6 @@ mod tests {
         ];
         for (name, a) in &mats {
             assert_eq!(a.validate(), Ok(()), "{name}: csr");
-            assert_eq!(CsrPerm::from_csr(a).validate(), Ok(()), "{name}: csr-perm");
-            assert_eq!(Ellpack::from_csr(a).validate(), Ok(()), "{name}: ellpack");
-            assert_eq!(
-                EllpackR::from_csr(a).validate(),
-                Ok(()),
-                "{name}: ellpack-r"
-            );
             assert_eq!(
                 sellkit_core::Sell4::from_csr(a).validate(),
                 Ok(()),

@@ -44,8 +44,8 @@ impl<T: Copy> AVec<T> {
 
     /// Allocates a zero-initialized aligned vector of `len` elements.
     ///
-    /// Zero-initialization is exactly what the padded entries of SELL and
-    /// ELLPACK formats require, so construction doubles as padding.
+    /// Zero-initialization is exactly what the padded entries of the SELL
+    /// formats require, so construction doubles as padding.
     pub fn zeroed(len: usize) -> Self {
         let layout = Self::layout(len);
         // SAFETY: layout has non-zero size (max(1)) and valid alignment.

@@ -403,6 +403,23 @@ mod tests {
     }
 
     #[test]
+    fn one_long_row_blows_up_ellpack_padding() {
+        // §2.5, the pathology motivating slicing: one dense row forces the
+        // unsliced ELLPACK width to n, so it would store n² entries.
+        let n = 64;
+        let mut b = crate::coo::CooBuilder::new(n, n);
+        for j in 0..n {
+            b.push(0, j, 1.0);
+        }
+        for i in 1..n {
+            b.push(i, i, 1.0);
+        }
+        let a = b.to_csr();
+        assert_eq!(a.nrows() * a.max_row_len(), n * n);
+        assert!(crate::sell::Sell8::from_csr(&a).stored_elems() < n * n / 4);
+    }
+
+    #[test]
     #[should_panic(expected = "not strictly increasing")]
     fn unsorted_rows_rejected() {
         Csr::from_parts(1, 3, vec![0, 2], vec![2, 0], vec![1.0, 2.0]);

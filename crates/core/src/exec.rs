@@ -10,7 +10,7 @@
 //!   unit of multi-threaded SELL SpMV (Kreutzer et al.): every thread
 //!   runs the identical SIMD kernel over whole slices, writing a disjoint
 //!   `C`-aligned window of `y`;
-//! * CSR/ELLPACK partition at row boundaries, BAIJ at block-row
+//! * CSR partitions at row boundaries, BAIJ at block-row
 //!   boundaries — again whole rows per thread, disjoint `y` windows.
 //!
 //! Balancing by nnz (binary search over the format's prefix-sum array)
@@ -269,17 +269,6 @@ pub fn split_by_weight(prefix: &[usize], parts: usize) -> Vec<(usize, usize)> {
     bounds.windows(2).map(|w| (w[0], w[1])).collect()
 }
 
-/// Splits `items` into at most `parts` contiguous ranges of near-equal
-/// size (for formats without a prefix array, e.g. ELLPACK's uniform-width
-/// rows).  Ranges may be empty when `parts > items`; the product
-/// `items · parts` is computed in `u128` so huge item counts cannot
-/// overflow the boundary arithmetic.
-pub fn split_even(items: usize, parts: usize) -> Vec<(usize, usize)> {
-    assert!(parts >= 1, "need at least one part");
-    let bound = |p: usize| (items as u128 * p as u128 / parts as u128) as usize;
-    (0..parts).map(|p| (bound(p), bound(p + 1))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,14 +421,6 @@ mod tests {
         check_cover(&parts, 1);
         assert_eq!(parts[0], (0, 1));
         assert!(parts[1..].iter().all(|&(a, b)| a == b));
-    }
-
-    #[test]
-    fn split_even_covers() {
-        check_cover(&split_even(10, 3), 10);
-        check_cover(&split_even(2, 5), 2);
-        check_cover(&split_even(0, 2), 0);
-        check_cover(&split_even(usize::MAX / 2, 3), usize::MAX / 2);
     }
 
     #[test]

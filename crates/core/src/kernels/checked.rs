@@ -408,14 +408,18 @@ pub(crate) fn sell_spmm<const C: usize, const ADD: bool>(
     }
 }
 
-/// SELL-ESB (bit-array) `y = A·x` over a slice window through the masked
-/// AVX-512 kernel.  `m` is a window of an f64 SELL-8 matrix and `bits`
-/// starts at that window's first mask byte (`full_bits[sliceptr[0] / 8]`).
+/// SELL-ESB (bit-array) `y = A·x` (or `y += A·x` when `ADD`) over a slice
+/// window.  `m` is a window of an f64 SELL-8 matrix and `bits` starts at
+/// that window's first mask byte (`full_bits[sliceptr[0] / 8]`).
 ///
-/// Panics if AVX-512 is not available; callers check [`Isa::available`]
-/// first and fall back to the scalar ESB path.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn sell_esb_spmv(m: &SellParts<'_>, bits: &[u8], x: &[f64], y: &mut [f64]) {
+/// Panics if `isa` is not available on the running CPU.
+pub(crate) fn sell_esb_spmv<const ADD: bool>(
+    isa: Isa,
+    m: &SellParts<'_>,
+    bits: &[u8],
+    x: &[f64],
+    y: &mut [f64],
+) {
     check_sell::<8>(m, x, y, 1);
     let SellVals::F64(val) = m.vals else {
         panic!("SELL-ESB stores f64 values");
@@ -426,16 +430,34 @@ pub(crate) fn sell_esb_spmv(m: &SellParts<'_>, bits: &[u8], x: &[f64], y: &mut [
             >= m.sliceptr.last().copied().unwrap_or(0) - m.sliceptr.first().copied().unwrap_or(0),
         "one mask byte per slice column of the window"
     );
-    // discharges: feature(avx512f,avx512vl)
-    assert!(
-        Isa::Avx512.available(),
-        "ISA AVX512 not available on this CPU"
-    );
-    // SAFETY: AVX-512 availability asserted above; `check_sell` asserted
-    // the SELL-8 contract in debug builds and `Sell8::from_csr` upholds it;
-    // `SellEsb::from_csr` sizes the bit array one byte per column and sets
-    // bits only on live lanes.
-    unsafe { sell::esb_spmv(m.sliceptr, m.colidx, val, bits, m.nrows, x, y) }
+    struct Op<'a, const ADD: bool> {
+        m: &'a SellParts<'a>,
+        val: &'a [f64],
+        bits: &'a [u8],
+        x: &'a [f64],
+        y: &'a mut [f64],
+    }
+    impl<const ADD: bool> Kernel for Op<'_, ADD> {
+        fn supports(w: usize) -> bool {
+            8usize.is_multiple_of(w)
+        }
+        /// # Safety — the contract of [`sell::esb_spmv`].
+        #[inline(always)]
+        unsafe fn on<L: Lanes>(self, l: L) {
+            let m = self.m;
+            // SAFETY: the caller's contract is the body's; `supports`
+            // keeps `8 / L::W` whole and within the tier's `Lanes::Acc`.
+            unsafe {
+                sell::esb_spmv::<L, ADD>(
+                    l, m.sliceptr, m.colidx, self.val, self.bits, m.nrows, self.x, self.y,
+                )
+            }
+        }
+    }
+    // SAFETY: `check_sell` asserted the SELL-8 contract in debug builds and
+    // `Sell8::from_csr` upholds it; `SellEsb::from_csr` sizes the bit array
+    // one byte per column and sets bits only on live lanes.
+    unsafe { run(isa, Op::<ADD> { m, val, bits, x, y }) }
 }
 
 #[cfg(test)]
@@ -543,6 +565,35 @@ mod tests {
                         "narrow {i}"
                     );
                     assert_eq!(plain[i], x[5 * i % 31], "gather {i}");
+                }
+
+                // Masked multiply-add: a lane with a clear bit keeps its
+                // accumulator (the sign of -0.0 included) and its index,
+                // the sentinel, is not read.
+                for bits in 0..=u8::MAX {
+                    let on = |i: usize| bits >> i & 1 != 0;
+                    let ci: Vec<u32> = (0..w)
+                        .map(|i| if on(i) { 3 * i as u32 } else { 40 })
+                        .collect();
+                    let got = spill(l.fma_masked(
+                        bits,
+                        x[9..].as_ptr(),
+                        ci.as_ptr(),
+                        x.as_ptr(),
+                        l.splat(-0.0),
+                    ));
+                    for i in 0..w {
+                        let want = if on(i) {
+                            x[9 + i] * x[3 * i] + -0.0
+                        } else {
+                            -0.0
+                        };
+                        assert_eq!(
+                            got[i].to_bits(),
+                            want.to_bits(),
+                            "fma_masked {bits:#x} lane {i}"
+                        );
+                    }
                 }
 
                 for n in 0..w {

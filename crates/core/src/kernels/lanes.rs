@@ -170,6 +170,25 @@ pub(super) trait Lanes: Copy + sealed::Sealed {
         off: *const u16,
         base: u32,
     ) -> Self::V;
+    /// One vector of a SELL-ESB slice column (§5.3): `acc + val·x[ci]` on
+    /// the lanes whose bit is set in the low `W` bits of `bits`, `acc`
+    /// unchanged on the rest — a masked form of every operation, the
+    /// overhead the paper measures.
+    ///
+    /// # Safety
+    ///
+    /// * `requires: readable(val, W)`
+    /// * `requires: readable(ci, W)`
+    /// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — each `ci[i]`
+    ///   with its bit set addresses `x`.
+    unsafe fn fma_masked(
+        self,
+        bits: u8,
+        val: *const f64,
+        ci: *const u32,
+        x: *const f64,
+        acc: Self::V,
+    ) -> Self::V;
     /// Folds a CSR row's last `hi - lo < W` products (entries `lo..hi` of
     /// `val`/`ci`): either into `acc` (one masked vector step) or into the
     /// returned scalar, which the caller adds after [`Lanes::hsum`].
@@ -300,10 +319,27 @@ impl Lanes for Scalar {
         // sentinel maps to xlen and is never dereferenced.
         unsafe { live(x, xlen, narrow_col(*off, base, xlen)) }
     }
+    /// # Safety — `requires: readable(val, W)`, `requires: readable(ci, W)`, `requires: cols_in_bounds_or_sentinel(colidx, x)`
+    #[inline(always)]
+    unsafe fn fma_masked(
+        self,
+        bits: u8,
+        val: *const f64,
+        ci: *const u32,
+        x: *const f64,
+        acc: f64,
+    ) -> f64 {
+        if bits & 1 == 0 {
+            return acc;
+        }
+        // SAFETY: val and ci are readable, and the set bit makes the
+        // index live, addressing x.
+        unsafe { self.fma(*val, *x.add(*ci as usize), acc) }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(super) use x86::{enter_avx, enter_avx2, enter_avx512, Avx512};
+pub(super) use x86::{enter_avx, enter_avx2, enter_avx512};
 
 /// The three x86 tiers and the shims that enter a kernel at each.
 #[cfg(target_arch = "x86_64")]
@@ -351,9 +387,15 @@ mod x86 {
         unsafe { op.on(Avx512::new()) }
     }
 
-    /// `-1` in the first four slots: the 4-lane window starting at slot
-    /// `4 - n` is the `vmaskmovpd` mask of the first `n` lanes.
-    static FIRST_N: [i64; 8] = [-1, -1, -1, -1, 0, 0, 0, 0];
+    /// Slots `4b .. 4b + 4` hold `-1` in the lanes whose bit is set in the 4-bit
+    /// `b`: the `vmaskmovpd`/blend mask of an arbitrary lane set.
+    #[rustfmt::skip]
+    static LANE_SETS: [i64; 64] = [
+        0, 0, 0, 0,  -1, 0, 0, 0,  0, -1, 0, 0,  -1, -1, 0, 0,
+        0, 0, -1, 0,  -1, 0, -1, 0,  0, -1, -1, 0,  -1, -1, -1, 0,
+        0, 0, 0, -1,  -1, 0, 0, -1,  0, -1, 0, -1,  -1, -1, 0, -1,
+        0, 0, -1, -1,  -1, 0, -1, -1,  0, -1, -1, -1,  -1, -1, -1, -1,
+    ];
 
     /// 256-bit lanes.  AVX and AVX2 differ only by instruction
     /// substitution (§5.5): with `AVX2 = false` the gathers are emulated
@@ -375,11 +417,18 @@ mod x86 {
             Self(())
         }
 
+        /// `vmaskmovpd`/blend mask selecting the lanes set in the low four
+        /// bits of `bits`.
+        #[inline(always)]
+        fn lane_mask(self, bits: u8) -> __m256i {
+            // SAFETY: slots 4b .. 4b + 4 of the 64-slot table, for b < 16.
+            unsafe { _mm256_loadu_si256(LANE_SETS.as_ptr().add(4 * (bits & 15) as usize).cast()) }
+        }
+
         /// `vmaskmovpd` mask selecting the first `n <= 4` lanes.
         #[inline(always)]
         fn first_mask(self, n: usize) -> __m256i {
-            // SAFETY: slots 4-n .. 8-n of the 8-slot table, for n <= 4.
-            unsafe { _mm256_loadu_si256(FIRST_N.as_ptr().add(4 - n) as *const __m256i) }
+            self.lane_mask((1u8 << n) - 1)
         }
 
         /// Hardware gather with sentinel lanes (`idx >= xlen`) masked to
@@ -555,6 +604,38 @@ mod x86 {
                 )
             }
         }
+        /// # Safety — `requires: readable(val, W)`, `requires: readable(ci, W)`, `requires: cols_in_bounds_or_sentinel(colidx, x)`
+        #[inline(always)]
+        unsafe fn fma_masked(
+            self,
+            bits: u8,
+            val: *const f64,
+            ci: *const u32,
+            x: *const f64,
+            acc: __m256d,
+        ) -> __m256d {
+            // SAFETY: val/ci hold one full vector; only lanes with a set
+            // bit are loaded from x, and those address x.
+            unsafe {
+                let k = self.lane_mask(bits);
+                let v = _mm256_maskload_pd(val, k);
+                let k = _mm256_castsi256_pd(k);
+                let xv = if AVX2 {
+                    let idx = _mm_loadu_si128(ci as *const __m128i);
+                    _mm256_mask_i32gather_pd::<8>(_mm256_setzero_pd(), x, idx, k)
+                } else {
+                    let at = |i: usize| {
+                        if (bits >> i) & 1 != 0 {
+                            *x.add(*ci.add(i) as usize)
+                        } else {
+                            0.0
+                        }
+                    };
+                    _mm256_setr_pd(at(0), at(1), at(2), at(3))
+                };
+                _mm256_blendv_pd(acc, self.fma(v, xv, acc), k)
+            }
+        }
     }
 
     /// 512-bit lanes with opmask registers (AVX-512F + VL).
@@ -577,7 +658,7 @@ mod x86 {
         /// * `requires: feature(avx512f,avx512vl)` — the token is the proof
         ///   the safe lane operations rely on.
         #[inline(always)]
-        pub unsafe fn new() -> Self {
+        unsafe fn new() -> Self {
             Self(())
         }
 
@@ -595,36 +676,6 @@ mod x86 {
             unsafe {
                 let is_live = _mm256_cmplt_epu32_mask(idx, _mm256_set1_epi32(xlen as u32 as i32));
                 _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), is_live, idx, x)
-            }
-        }
-
-        /// One SELL-ESB slice column (§5.3): `acc + val·x[ci]` on the
-        /// lanes whose bit is set in `bits`, `acc` unchanged on the rest —
-        /// a masked form of every operation, the overhead the paper
-        /// measures.
-        ///
-        /// # Safety
-        ///
-        /// * `requires: readable(val, W)`
-        /// * `requires: readable(ci, W)`
-        /// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — each lane
-        ///   of `ci` with its bit set addresses `x`.
-        #[inline(always)]
-        pub unsafe fn fma_column_bits(
-            self,
-            bits: u8,
-            val: *const f64,
-            ci: *const u32,
-            x: *const f64,
-            acc: __m512d,
-        ) -> __m512d {
-            // SAFETY: val/ci hold one full column; only lanes with a set
-            // bit are gathered, and those address x.
-            unsafe {
-                let v = _mm512_maskz_loadu_pd(bits, val);
-                let idx = _mm256_loadu_si256(ci as *const __m256i);
-                let xv = _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), bits, idx, x);
-                _mm512_mask3_fmadd_pd(v, xv, acc, bits)
             }
         }
     }
@@ -740,6 +791,25 @@ mod x86 {
                 let pad = _mm256_cmpeq_epi32_mask(off32, _mm256_set1_epi32(0xFFFF));
                 let idx = _mm256_mask_set1_epi32(wide, pad, xlen as u32 as i32);
                 self.gather_idx(x, xlen, idx)
+            }
+        }
+        /// # Safety — `requires: readable(val, W)`, `requires: readable(ci, W)`, `requires: cols_in_bounds_or_sentinel(colidx, x)`
+        #[inline(always)]
+        unsafe fn fma_masked(
+            self,
+            bits: u8,
+            val: *const f64,
+            ci: *const u32,
+            x: *const f64,
+            acc: __m512d,
+        ) -> __m512d {
+            // SAFETY: val/ci hold one full column; only lanes with a set
+            // bit are gathered, and those address x.
+            unsafe {
+                let v = _mm512_maskz_loadu_pd(bits, val);
+                let idx = _mm256_loadu_si256(ci as *const __m256i);
+                let xv = _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), bits, idx, x);
+                _mm512_mask3_fmadd_pd(v, xv, acc, bits)
             }
         }
         /// A remainder longer than two runs as one masked gather + FMA

@@ -14,7 +14,7 @@
 //! | `csr::spmm` | `L`, `ADD` | `k`-wide blocks, lanes along `k` |
 //! | `sell::spmv` | `L`, codec, `C`, `ADD`, `UNROLL` | Algorithm 2 for f64 and PackSELL values, wide and narrow indices; `UNROLL` = the §5.5 tuning ablation |
 //! | `sell::spmm` | `L`, codec, `C`, `ADD` | `k`-wide blocks, lanes along `k` |
-//! | `sell::esb_spmv` | – (AVX-512 only) | the §5.3 bit-array ablation |
+//! | `sell::esb_spmv` | `L`, `ADD` | the §5.3 bit-array ablation: SELL-8, one masked multiply-add per vector |
 //!
 //! | tier | lanes `W` | gather | multiply-add |
 //! |---|---|---|---|
@@ -44,6 +44,6 @@ mod csr;
 mod lanes;
 mod sell;
 
-#[cfg(target_arch = "x86_64")]
-pub(crate) use checked::sell_esb_spmv;
-pub(crate) use checked::{csr_spmm, csr_spmv, sell_spmm, sell_spmv, SellParts, SellVals};
+pub(crate) use checked::{
+    csr_spmm, csr_spmv, sell_esb_spmv, sell_spmm, sell_spmv, SellParts, SellVals,
+};

@@ -340,16 +340,15 @@ pub(super) unsafe fn spmm<L: Lanes, D: Stored, const C: usize, const ADD: bool>(
     }
 }
 
-/// `y = A·x` for SELL-8 with the ESB bit array (Liu et al.; paper §5.3):
-/// one lane-mask byte per slice column, masked forms of every operation.
-/// The ablation the paper measures ~10 % slower than plain SELL; the only
-/// kernel not written over [`Lanes`].
+/// `y = A·x` (or `y += A·x` when `ADD`) for SELL-8 with the ESB bit array
+/// (Liu et al.; paper §5.3): one lane-mask byte per slice column, masked
+/// forms of every operation, `8 / W` accumulators per slice.  The ablation
+/// the paper measures ~10 % slower than plain SELL.
 ///
 /// `bits` starts at the window's first mask byte and is counted locally.
 ///
 /// # Safety
 ///
-/// * `requires: feature(avx512f,avx512vl)`
 /// * `requires: len(y) == nrows * k` — with `k` = 1.
 /// * `requires: len(sliceptr) == slices(nrows, 8) + 1`
 /// * `requires: monotone(sliceptr)`
@@ -360,9 +359,9 @@ pub(super) unsafe fn spmm<L: Lanes, D: Stored, const C: usize, const ADD: bool>(
 /// * `requires: bits_cover_window(bits, val)` — one mask byte per slice
 ///   column of the window, bit `r` set ⇔ lane `r` holds a real nonzero
 ///   (so the sentinel is never gathered).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl")]
-pub(super) unsafe fn esb_spmv(
+#[inline(always)]
+pub(super) unsafe fn esb_spmv<L: Lanes, const ADD: bool>(
+    l: L,
     sliceptr: &[usize],
     colidx: &[u32],
     val: &[f64],
@@ -371,13 +370,12 @@ pub(super) unsafe fn esb_spmv(
     x: &[f64],
     y: &mut [f64],
 ) {
-    // SAFETY: this function's feature clause.
-    let l = unsafe { super::lanes::Avx512::new() };
     let nslices = sliceptr.len().saturating_sub(1);
-    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
+    let (vp, cp, xp, yp) = (val.as_ptr(), colidx.as_ptr(), x.as_ptr(), y.as_mut_ptr());
     let mut col_at = 0usize;
     for s in 0..nslices {
-        let mut acc = l.zero();
+        let mut acc = l.zero_acc::<8>();
+        let acc = &mut acc.as_mut()[..8 / L::W];
         let w = (sliceptr[s + 1] - sliceptr[s]) / 8;
         for j in 0..w {
             let at = sliceptr[s] + j * 8;
@@ -386,11 +384,14 @@ pub(super) unsafe fn esb_spmv(
             // with a set bit hold live columns addressing x.
             unsafe {
                 let m = *bits.get_unchecked(col_at + j);
-                acc = l.fma_column_bits(m, val.as_ptr().add(at), colidx.as_ptr().add(at), xp, acc);
+                for (i, a) in acc.iter_mut().enumerate() {
+                    let lane0 = i * L::W;
+                    *a = l.fma_masked(m >> lane0, vp.add(at + lane0), cp.add(at + lane0), xp, *a);
+                }
             }
         }
         col_at += w;
         // SAFETY: slice s holds rows s*8 .. min(s*8 + 8, nrows) of y.
-        unsafe { l.store_first(yp.add(s * 8), 8.min(nrows - s * 8), acc) };
+        unsafe { store_slice::<L, ADD>(l, acc, yp.add(s * 8), 8.min(nrows - s * 8)) };
     }
 }

@@ -13,8 +13,6 @@
 //! * [`Sell`] — sliced ELLPACK (PETSc `SELL`), the paper's contribution,
 //!   with compile-time slice height `C` ([`Sell8`] is the AVX-512 default)
 //!   and rows in their original order (§5.4: no sorting);
-//! * [`CsrPerm`] — CSR with permutation (PETSc `AIJPERM`);
-//! * [`Ellpack`] / [`EllpackR`] — classic (unsliced) ELLPACK variants;
 //! * [`Baij`] — block CSR (PETSc `BAIJ`) for matrices with natural blocks;
 //! * [`SellEsb`] — SELL with an ESB-style bit array (the §5.3 ablation);
 //! * [`SellSigma`] — SELL-C-σ with σ-window row sorting and
@@ -68,8 +66,6 @@ pub mod baij;
 pub mod codec;
 pub mod coo;
 pub mod csr;
-pub mod csr_perm;
-pub mod ellpack;
 pub mod exec;
 pub mod isa;
 mod kernels;
@@ -91,8 +87,6 @@ pub use baij::Baij;
 pub use codec::Codec;
 pub use coo::CooBuilder;
 pub use csr::Csr;
-pub use csr_perm::CsrPerm;
-pub use ellpack::{Ellpack, EllpackR};
 pub use exec::ExecCtx;
 pub use isa::Isa;
 pub use multivec::{MultiVec, VecView, VecViewMut, SPECIALIZED_K};

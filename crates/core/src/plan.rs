@@ -27,7 +27,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::exec::{split_by_weight, split_even, DisjointParts, ExecCtx};
+use crate::exec::{split_by_weight, DisjointParts, ExecCtx};
 use crate::isa::Isa;
 
 /// One lane's share of a planned product: items (slices, rows, block
@@ -75,35 +75,9 @@ impl SpmvPlan {
         isa: Isa,
         epoch: u64,
     ) -> Self {
-        let ranges = split_by_weight(prefix, threads.max(1));
-        Self::from_item_ranges(&ranges, rows_per_item, nrows, threads, isa, epoch)
-    }
-
-    /// Plans an even split of `nitems` uniform-weight items (ELLPACK
-    /// rows, vector windows).
-    pub fn from_even(
-        nitems: usize,
-        rows_per_item: usize,
-        nrows: usize,
-        threads: usize,
-        isa: Isa,
-        epoch: u64,
-    ) -> Self {
-        let ranges = split_even(nitems, threads.max(1));
-        Self::from_item_ranges(&ranges, rows_per_item, nrows, threads, isa, epoch)
-    }
-
-    fn from_item_ranges(
-        ranges: &[(usize, usize)],
-        rows_per_item: usize,
-        nrows: usize,
-        threads: usize,
-        isa: Isa,
-        epoch: u64,
-    ) -> Self {
-        let parts = ranges
-            .iter()
-            .map(|&(a, b)| PlanPart {
+        let parts = split_by_weight(prefix, threads.max(1))
+            .into_iter()
+            .map(|(a, b)| PlanPart {
                 item0: a,
                 item1: b,
                 row0: (a * rows_per_item).min(nrows),
@@ -440,6 +414,13 @@ impl Permutation {
 mod tests {
     use super::*;
 
+    /// A plan over ten one-entry rows, for the cache tests (which never
+    /// run it).
+    fn plan(threads: usize, epoch: u64) -> SpmvPlan {
+        let rowptr: Vec<usize> = (0..=10).collect();
+        SpmvPlan::from_prefix(&rowptr, 1, 10, threads, Isa::Scalar, epoch)
+    }
+
     #[test]
     fn plan_from_prefix_tiles_rows() {
         // 4 slices of 8 rows, last slice ragged (nrows = 29).
@@ -471,7 +452,7 @@ mod tests {
     #[test]
     fn cache_hits_until_invalidated() {
         let cache = PlanCache::new();
-        let build = |epoch| SpmvPlan::from_even(10, 1, 10, 2, Isa::Scalar, epoch);
+        let build = |epoch| plan(2, epoch);
         let a = cache.get_or_build(2, build);
         let b = cache.get_or_build(2, build);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit");
@@ -484,26 +465,20 @@ mod tests {
     #[test]
     fn cache_keys_by_thread_count() {
         let cache = PlanCache::new();
-        let two = cache.get_or_build(2, |e| SpmvPlan::from_even(10, 1, 10, 2, Isa::Scalar, e));
-        let four = cache.get_or_build(4, |e| SpmvPlan::from_even(10, 1, 10, 4, Isa::Scalar, e));
+        let two = cache.get_or_build(2, |e| plan(2, e));
+        let four = cache.get_or_build(4, |e| plan(4, e));
         assert!(!Arc::ptr_eq(&two, &four));
         // Both stay cached: alternating counts don't thrash.
-        assert!(Arc::ptr_eq(
-            &two,
-            &cache.get_or_build(2, |e| SpmvPlan::from_even(10, 1, 10, 2, Isa::Scalar, e))
-        ));
-        assert!(Arc::ptr_eq(
-            &four,
-            &cache.get_or_build(4, |e| SpmvPlan::from_even(10, 1, 10, 4, Isa::Scalar, e))
-        ));
+        assert!(Arc::ptr_eq(&two, &cache.get_or_build(2, |e| plan(2, e))));
+        assert!(Arc::ptr_eq(&four, &cache.get_or_build(4, |e| plan(4, e))));
     }
 
     #[test]
     fn clone_starts_empty() {
         let cache = PlanCache::new();
-        let a = cache.get_or_build(2, |e| SpmvPlan::from_even(4, 1, 4, 2, Isa::Scalar, e));
+        let a = cache.get_or_build(2, |e| plan(2, e));
         let cloned = cache.clone();
-        let b = cloned.get_or_build(2, |e| SpmvPlan::from_even(4, 1, 4, 2, Isa::Scalar, e));
+        let b = cloned.get_or_build(2, |e| plan(2, e));
         assert!(!Arc::ptr_eq(&a, &b), "cloned caches re-derive plans");
     }
 

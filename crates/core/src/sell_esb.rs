@@ -75,65 +75,51 @@ impl SellEsb {
         self.bits.len()
     }
 
+    /// Overrides the dispatch ISA (panics if unavailable on this CPU).
+    pub fn with_isa(mut self, isa: Isa) -> Self {
+        self.sell = self.sell.with_isa(isa);
+        // Plans resolve kernels at build time; force a re-plan.
+        self.plan.invalidate();
+        self
+    }
+
     /// SpMV with an explicit ISA.
     pub fn spmv_isa(&self, isa: Isa, x: &[f64], y: &mut [f64]) {
         check_spmv_dims(self.sell.nrows(), self.sell.ncols(), x, y);
-        self.slices(isa, 0, self.sell.nslices(), x, y);
+        self.slices::<false>(isa, 0, self.sell.nslices(), x, y);
     }
 
-    /// The product over slices `s0..s1` into the matching window `y` (the
-    /// whole matrix is the one-part window): the masked AVX-512 kernel at
-    /// that tier, the scalar masked kernel at every other.  The bit array
-    /// is windowed to the first slice's mask byte.
-    fn slices(&self, isa: Isa, s0: usize, s1: usize, x: &[f64], y: &mut [f64]) {
+    /// The masked product over slices `s0..s1` into the matching window
+    /// `y` (the whole matrix is the one-part window), at tier `isa`.  The
+    /// bit array is windowed to the first slice's mask byte.
+    fn slices<const ADD: bool>(&self, isa: Isa, s0: usize, s1: usize, x: &[f64], y: &mut [f64]) {
         let m = self.sell.parts(s0, s1);
         let bits = &self.bits[m.sliceptr[0] / 8..];
-        match isa {
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => crate::kernels::sell_esb_spmv(&m, bits, x, y),
-            _ => esb_spmv_scalar(
-                m.sliceptr,
-                m.colidx,
-                self.sell.values(),
-                bits,
-                m.nrows,
-                x,
-                y,
-            ),
-        }
+        crate::kernels::sell_esb_spmv::<ADD>(isa, &m, bits, x, y);
     }
-}
 
-/// The scalar masked kernel body, windowing like the SIMD entry
-/// points: `sliceptr` may be a sub-window with absolute offsets into the
-/// full `val`/`colidx`, `bits` starts at the window's first mask byte
-/// (`full_bits[sliceptr[0] / 8]`), `nrows` and `y` cover the window's rows.
-fn esb_spmv_scalar(
-    sliceptr: &[usize],
-    colidx: &[u32],
-    val: &[f64],
-    bits: &[u8],
-    nrows: usize,
-    x: &[f64],
-    y: &mut [f64],
-) {
-    let nslices = sliceptr.len().saturating_sub(1);
-    let mut col_at = 0usize;
-    for s in 0..nslices {
-        let mut acc = [0.0f64; 8];
-        let w = (sliceptr[s + 1] - sliceptr[s]) / 8;
-        for j in 0..w {
-            let m = bits[col_at + j];
-            let base = sliceptr[s] + j * 8;
-            for r in 0..8 {
-                if m & (1 << r) != 0 {
-                    acc[r] += val[base + r] * x[colidx[base + r] as usize];
-                }
-            }
+    /// Shared body of both [`Operator::apply`] modes for one vector: the
+    /// serial whole-matrix product, or the slice-aligned plan plain SELL-8
+    /// uses, each part running the *same* masked kernel (bitwise
+    /// determinism).
+    fn spmv<const ADD: bool>(&self, ctx: &ExecCtx, x: &[f64], y: &mut [f64]) {
+        if ctx.is_serial() {
+            return self.slices::<ADD>(self.sell.isa(), 0, self.sell.nslices(), x, y);
         }
-        col_at += w;
-        let lanes = 8.min(nrows - s * 8);
-        y[s * 8..s * 8 + lanes].copy_from_slice(&acc[..lanes]);
+        let plan = self.plan.get_or_build(ctx.threads(), |epoch| {
+            SpmvPlan::from_prefix(
+                self.sell.sliceptr(),
+                8,
+                self.sell.nrows(),
+                ctx.threads(),
+                self.sell.isa(),
+                epoch,
+            )
+        });
+        let isa = plan.isa();
+        plan.run_on(ctx, y, &|_, part, win| {
+            self.slices::<ADD>(isa, part.item0, part.item1, x, win);
+        });
     }
 }
 
@@ -149,55 +135,23 @@ impl MatShape for SellEsb {
     }
 }
 
-impl SellEsb {
-    /// Overwriting `y = A·x` body shared by both [`Operator::apply`]
-    /// modes (the accumulate mode stages through a scratch column: the
-    /// masked ESB kernels overwrite `y`, and this ablation format sits on
-    /// no solver hot path that needs a fused accumulate).
-    fn spmv_set(&self, ctx: &ExecCtx, x: &[f64], y: &mut [f64]) {
-        check_spmv_dims(self.sell.nrows(), self.sell.ncols(), x, y);
-        if ctx.is_serial() {
-            self.spmv_isa(self.sell.isa(), x, y);
-            return;
-        }
-        // Slice-aligned plan, like plain SELL-8; each part runs the *same*
-        // masked kernel the serial path uses (bitwise determinism).
-        let plan = self.plan.get_or_build(ctx.threads(), |epoch| {
-            SpmvPlan::from_prefix(
-                self.sell.sliceptr(),
-                8,
-                self.sell.nrows(),
-                ctx.threads(),
-                self.sell.isa(),
-                epoch,
-            )
-        });
-        let isa = plan.isa();
-        plan.run_on(ctx, y, &|_, part, win| {
-            self.slices(isa, part.item0, part.item1, x, win);
-        });
-    }
-}
-
 impl Operator for SellEsb {
     /// Blocked operands (`k > 1`) run column by column; the ESB bit-array
     /// ablation has no native SpMM kernel.
     fn apply(&self, ctx: &ExecCtx, x: VecView<'_>, y: VecViewMut<'_>, mode: Apply) {
         check_apply_dims(self.sell.nrows(), self.sell.ncols(), &x, &y);
         crate::multivec::apply_columnwise(ctx, x, y, mode, |ctx, xc, yc, m| match m {
-            Apply::Set => self.spmv_set(ctx, xc, yc),
-            Apply::Add => {
-                let mut tmp = vec![0.0; yc.len()];
-                self.spmv_set(ctx, xc, &mut tmp);
-                for (o, t) in yc.iter_mut().zip(&tmp) {
-                    *o += *t;
-                }
-            }
+            Apply::Set => self.spmv::<false>(ctx, xc, yc),
+            Apply::Add => self.spmv::<true>(ctx, xc, yc),
         });
     }
 
+    /// Plain SELL-8 traffic plus the bit array the kernel streams: one
+    /// byte per slice column (§5.3's "extra memory traffic").
     fn spmv_traffic(&self) -> crate::traffic::TrafficEstimate {
-        crate::traffic::sell_traffic(self.sell.nrows(), self.sell.ncols(), self.sell.nnz())
+        let mut t = self.sell.spmv_traffic();
+        t.bytes += self.bits.len() as u64;
+        t
     }
 }
 
@@ -226,9 +180,8 @@ mod tests {
     }
 
     #[test]
-    fn scalar_matches_csr() {
+    fn every_tier_matches_csr_in_both_modes() {
         let a = irregular(61);
-        let e = SellEsb::from_csr(&a);
         let x: Vec<f64> = (0..61).map(|i| 1.0 / (i + 1) as f64).collect();
         let mut want = vec![0.0; 61];
         a.apply(
@@ -237,28 +190,30 @@ mod tests {
             (&mut want).into(),
             Apply::Set,
         );
-        let mut got = vec![0.0; 61];
-        e.spmv_isa(Isa::Scalar, &x, &mut got);
-        for i in 0..61 {
-            assert!((got[i] - want[i]).abs() < 1e-12, "row {i}");
+        for isa in Isa::available_tiers() {
+            let e = SellEsb::from_csr(&a).with_isa(isa);
+            let mut got = vec![f64::NAN; 61];
+            e.spmv_isa(isa, &x, &mut got);
+            let mut acc = vec![0.5; 61];
+            e.apply(
+                &ExecCtx::serial(),
+                (&x).into(),
+                (&mut acc).into(),
+                Apply::Add,
+            );
+            for i in 0..61 {
+                assert!((got[i] - want[i]).abs() < 1e-12, "{isa} row {i}");
+                assert!((acc[i] - want[i] - 0.5).abs() < 1e-12, "{isa} add row {i}");
+            }
         }
     }
 
     #[test]
-    fn avx512_matches_scalar_if_available() {
-        if !Isa::Avx512.available() {
-            return;
-        }
-        let a = irregular(100);
-        let e = SellEsb::from_csr(&a);
-        let x: Vec<f64> = (0..100).map(|i| (i as f64).cos()).collect();
-        let mut want = vec![0.0; 100];
-        e.spmv_isa(Isa::Scalar, &x, &mut want);
-        let mut got = vec![0.0; 100];
-        e.spmv_isa(Isa::Avx512, &x, &mut got);
-        for i in 0..100 {
-            assert!((got[i] - want[i]).abs() < 1e-12, "row {i}");
-        }
+    fn traffic_counts_the_bit_array() {
+        let e = SellEsb::from_csr(&irregular(100));
+        let (esb, sell) = (e.spmv_traffic(), crate::traffic::for_sell(e.sell()));
+        assert_eq!(esb.bytes - sell.bytes, e.bit_array_bytes() as u64);
+        assert_eq!(esb.flops, sell.flops);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use crate::baij::Baij;
 use crate::csr::Csr;
-use crate::ellpack::Ellpack;
 use crate::sell::Sell;
 use crate::sell_esb::SellEsb;
 use crate::traffic::{BYTES_F64, BYTES_IDX};
@@ -69,18 +68,6 @@ impl FormatStats {
             bytes: a.stored_elems() * (BYTES_F64 + BYTES_IDX)
                 + (a.nslices() + 1) * 8
                 + a.nrows() * 4, // rlen
-        }
-    }
-
-    /// Stats for a plain ELLPACK matrix.
-    pub fn for_ellpack(a: &Ellpack) -> Self {
-        Self {
-            format: "ELLPACK",
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            nnz: a.nnz(),
-            stored_elems: a.stored_elems(),
-            bytes: a.stored_elems() * (BYTES_F64 + BYTES_IDX),
         }
     }
 

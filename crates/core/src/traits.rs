@@ -133,7 +133,7 @@ pub trait Operator: MatShape {
 }
 
 /// Conversion from CSR — every format can be built from assembled CSR,
-/// which is how PETSc's `MatConvert` reaches `SELL`, `AIJPERM`, etc.
+/// which is how PETSc's `MatConvert` reaches `SELL`, `BAIJ`, etc.
 /// Lets distributed matrices and solvers be generic over the local format.
 pub trait FromCsr: Sized {
     /// Builds this format from a CSR matrix.
@@ -173,24 +173,6 @@ impl<const C: usize> FromCsr for crate::sell::Sell<C> {
         if !self.try_set_values(csr, |row| row) {
             *self = Self::from_csr_codec(csr, self.codec()).with_isa(self.isa());
         }
-    }
-}
-
-impl FromCsr for crate::csr_perm::CsrPerm {
-    fn from_csr(csr: &crate::csr::Csr) -> Self {
-        crate::csr_perm::CsrPerm::from_csr(csr)
-    }
-}
-
-impl FromCsr for crate::ellpack::Ellpack {
-    fn from_csr(csr: &crate::csr::Csr) -> Self {
-        crate::ellpack::Ellpack::from_csr(csr)
-    }
-}
-
-impl FromCsr for crate::ellpack::EllpackR {
-    fn from_csr(csr: &crate::csr::Csr) -> Self {
-        crate::ellpack::EllpackR::from_csr(csr)
     }
 }
 

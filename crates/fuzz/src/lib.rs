@@ -1,7 +1,7 @@
 //! # sellkit-fuzz — adversarial differential-fuzz harness
 //!
-//! Differentially tests all ten storage formats (`CsrPerm`, `Ellpack`,
-//! `EllpackR`, `Sell4/8/16`, `SellEsb`, `SellSigma8`, `Baij`, `Sbaij`)
+//! Differentially tests all seven storage formats (`Sell4/8/16`, `SellEsb`,
+//! `SellSigma8`, `Baij`, `Sbaij`) — `SellEsb` at every forced ISA tier —
 //! plus CSR's own SIMD tiers against a scalar-CSR oracle, across ISA
 //! levels, thread counts, both [`Apply`](sellkit_core::Apply) modes, and
 //! — through the blocked SpMM sweep — every block width in

@@ -9,7 +9,7 @@ use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 use sellkit_fuzz::diff::{
-    run_case, run_codec_case, run_huge_shape_case, run_spmm_case, Config, Ctxs, Finding,
+    run_case, run_codec_case, run_huge_shape_case, run_spmm_case, Config, Ctxs, Finding, FORMATS,
 };
 use sellkit_fuzz::gen::{build, FAMILIES};
 use sellkit_fuzz::shrink::{emit_test_snippet, minimize};
@@ -195,9 +195,10 @@ fn main() {
             )
         } else {
             format!(
-                "{} families x 8 vector classes x 10 formats x {:?} threads \
+                "{} families x 8 vector classes x {} formats x {:?} threads \
                  x spmm k in {{1,2,4,7,8}} x packed codecs {{f32,bf16}}",
                 FAMILIES.len(),
+                FORMATS.len(),
                 cfg.threads,
             )
         };

@@ -179,9 +179,6 @@ pub fn emit_test_snippet(r: &Repro, detail: &str) -> String {
     } else {
         match r.format.name() {
             "csr" => "a.clone()".to_string(),
-            "csr_perm" => "CsrPerm::from_csr(&a)".to_string(),
-            "ellpack" => "Ellpack::from_csr(&a)".to_string(),
-            "ellpack_r" => "EllpackR::from_csr(&a)".to_string(),
             "sell4" => "Sell4::from_csr(&a)".to_string(),
             "sell8" => "Sell8::from_csr(&a)".to_string(),
             "sell16" => "Sell16::from_csr(&a)".to_string(),

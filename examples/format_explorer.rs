@@ -5,9 +5,7 @@
 //! cargo run --release --example format_explorer
 //! ```
 
-use sellkit::core::{
-    stats::FormatStats, Baij, Ellpack, MatShape, Sell, Sell8, SellEsb, SellSigma8,
-};
+use sellkit::core::{stats::FormatStats, Baij, MatShape, Sell, Sell8, SellEsb, SellSigma8};
 use sellkit::workloads::generators;
 
 fn main() {
@@ -38,7 +36,11 @@ fn main() {
         let sell = Sell8::from_csr(a);
         println!("  {}", FormatStats::for_sell(&sell));
         println!("  {}", FormatStats::for_sell_esb(&SellEsb::from_csr(a)));
-        println!("  {}", FormatStats::for_ellpack(&Ellpack::from_csr(a)));
+        // §2.5: unsliced ELLPACK would pad every row to the longest one.
+        println!(
+            "  unsliced ELLPACK would be {:.2}% padding",
+            100.0 * (1.0 - a.nnz() as f64 / (a.nrows() * a.max_row_len()) as f64)
+        );
         if a.nrows() % 2 == 0 {
             println!("  {}", FormatStats::for_baij(&Baij::from_csr(a, 2)));
         }

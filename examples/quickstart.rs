@@ -6,8 +6,8 @@
 //! ```
 
 use sellkit::core::{
-    stats::FormatStats, traffic, Apply, CooBuilder, CsrPerm, Ellpack, ExecCtx, Isa, Operator,
-    Sell8, SellEsb,
+    stats::FormatStats, traffic, Apply, CooBuilder, ExecCtx, Isa, MatShape, Operator, Sell8,
+    SellEsb,
 };
 
 fn main() {
@@ -55,9 +55,12 @@ fn main() {
     println!("\nstorage comparison:");
     println!("  {}", FormatStats::for_csr(&csr));
     println!("  {}", FormatStats::for_sell(&sell));
-    println!("  {}", FormatStats::for_ellpack(&Ellpack::from_csr(&csr)));
     println!("  {}", FormatStats::for_sell_esb(&SellEsb::from_csr(&csr)));
-    let _perm = CsrPerm::from_csr(&csr);
+    // §2.5: unsliced ELLPACK would pad every row to the longest one.
+    println!(
+        "  unsliced ELLPACK would be {:.2}% padding",
+        100.0 * (1.0 - csr.nnz() as f64 / (csr.nrows() * csr.max_row_len()) as f64)
+    );
 
     // 5. The §6 minimum-traffic model.
     let tc = traffic::for_csr(&csr);

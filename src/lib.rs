@@ -6,7 +6,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`core`] | matrix formats (CSR, SELL, ELLPACK, BAIJ, …) and AVX/AVX2/AVX-512 SpMV kernels |
+//! | [`core`] | matrix formats (CSR, SELL, SELL-C-σ, BAIJ, …) and AVX/AVX2/AVX-512 SpMV kernels |
 //! | [`mpisim`] | rank-per-thread message-passing runtime (MPI substitute) |
 //! | [`dist`] | row-distributed matrices/vectors with overlapped communication |
 //! | [`solvers`] | KSP (GMRES/CG/BiCGStab), PC (Jacobi/SOR/ILU/multigrid), SNES, TS |
@@ -46,6 +46,5 @@ pub use sellkit_solvers as solvers;
 pub use sellkit_workloads as workloads;
 
 pub use sellkit_core::{
-    Apply, Csr, CsrPerm, ExecCtx, Isa, MultiVec, Operator, Sell, Sell8, SellSigma8, VecView,
-    VecViewMut,
+    Apply, Csr, ExecCtx, Isa, MultiVec, Operator, Sell, Sell8, SellSigma8, VecView, VecViewMut,
 };

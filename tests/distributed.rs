@@ -1,7 +1,7 @@
 //! Distributed-memory integration: the §2.2 overlapped MatMult and
 //! distributed Krylov solves across rank counts, formats, and partitions.
 
-use sellkit::core::{Apply, Csr, Ellpack, ExecCtx, MatShape, Operator, Sell8};
+use sellkit::core::{Apply, Csr, ExecCtx, MatShape, Operator, Sell8, SellSigma8};
 use sellkit::dist::{split_rows, DistDot, DistMat, DistOp, DistVec};
 use sellkit::mpisim::run;
 use sellkit::solvers::ksp::{gmres, KspConfig};
@@ -51,8 +51,9 @@ fn matmult_equals_sequential_for_many_rank_counts() {
 }
 
 #[test]
-fn ellpack_blocks_work_distributed_too() {
-    // The DistMat is generic over any FromCsr+Operator local format.
+fn sell_sigma_blocks_work_distributed_too() {
+    // The DistMat is generic over any FromCsr+Operator local format,
+    // here one that is neither CSR nor SELL.
     let a = generators::banded(60, 2, 3);
     let n = a.nrows();
     let x: Vec<f64> = (0..n).map(|g| g as f64).collect();
@@ -64,7 +65,7 @@ fn ellpack_blocks_work_distributed_too() {
         Apply::Set,
     );
     let out = run(3, move |comm| {
-        let dm = DistMat::<Ellpack>::from_global_csr(comm, &a, 1);
+        let dm = DistMat::<SellSigma8>::from_global_csr(comm, &a, 1);
         let me = dm.row_range();
         let mut y = vec![0.0; me.len()];
         dm.mult(comm, &x[me.start..me.end], &mut y);

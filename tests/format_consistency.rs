@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use sellkit::core::{
-    Apply, Baij, CooBuilder, Csr, CsrPerm, Ellpack, EllpackR, ExecCtx, Isa, MatShape, Operator,
-    Sell, Sell8, SellEsb, SellSigma8,
+    Apply, Baij, CooBuilder, Csr, ExecCtx, Isa, MatShape, Operator, Sell, Sell8, SellEsb,
+    SellSigma8,
 };
 use sellkit::workloads::generators;
 
@@ -41,12 +41,6 @@ fn check_all_formats(a: &Csr) {
         Sell8::from_csr(a).spmv_isa(isa, &x, &mut y);
         assert_close(&y, &format!("SELL8 {isa}"));
     }
-    CsrPerm::from_csr(a).apply(&ExecCtx::serial(), (&x).into(), (&mut y).into(), Apply::Set);
-    assert_close(&y, "CsrPerm");
-    Ellpack::from_csr(a).apply(&ExecCtx::serial(), (&x).into(), (&mut y).into(), Apply::Set);
-    assert_close(&y, "Ellpack");
-    EllpackR::from_csr(a).apply(&ExecCtx::serial(), (&x).into(), (&mut y).into(), Apply::Set);
-    assert_close(&y, "EllpackR");
     SellEsb::from_csr(a).apply(&ExecCtx::serial(), (&x).into(), (&mut y).into(), Apply::Set);
     assert_close(&y, "SellEsb");
     Sell::<4>::from_csr(a).apply(&ExecCtx::serial(), (&x).into(), (&mut y).into(), Apply::Set);

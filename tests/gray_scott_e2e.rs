@@ -2,7 +2,7 @@
 //! PETSc-style stack, verifying the paper's correctness-relevant claims:
 //! the format never changes the simulation, only its speed.
 
-use sellkit::core::{Apply, Csr, CsrPerm, ExecCtx, FromCsr, MatShape, Operator, Sell8};
+use sellkit::core::{Apply, Csr, ExecCtx, FromCsr, MatShape, Operator, Sell8};
 use sellkit::grid::interpolation_chain;
 use sellkit::solvers::ksp::KspConfig;
 use sellkit::solvers::pc::mg::{CoarseSolve, Multigrid, MultigridConfig};
@@ -60,15 +60,6 @@ fn csr_and_sell_trajectories_match() {
     );
     for i in 0..u_csr.len() {
         assert!((u_csr[i] - u_sell[i]).abs() < 1e-10, "dof {i}");
-    }
-}
-
-#[test]
-fn csrperm_trajectory_matches_too() {
-    let (u_csr, _) = simulate::<Csr>(16, 2);
-    let (u_perm, _) = simulate::<CsrPerm>(16, 2);
-    for i in 0..u_csr.len() {
-        assert!((u_csr[i] - u_perm[i]).abs() < 1e-10, "dof {i}");
     }
 }
 

@@ -79,19 +79,17 @@ fn matrices(family: &str) -> Vec<Csr> {
         .collect()
 }
 
-/// One format under test: the operator at `tier`, or `None` when the tier
-/// can only be forced on the serial `spmv_isa` path (SELL-ESB has no
-/// `with_isa`; its operator runs at the host's detected tier).
-type Builder = Box<dyn Fn(&Csr, Isa) -> Option<Box<dyn Operator>>>;
+/// One format under test: the operator at `tier`.
+type Builder = Box<dyn Fn(&Csr, Isa) -> Box<dyn Operator>>;
 
 fn sell_builder<const C: usize>(codec: Codec) -> Builder {
-    Box::new(move |a, tier| Some(Box::new(Sell::<C>::from_csr_codec(a, codec).with_isa(tier))))
+    Box::new(move |a, tier| Box::new(Sell::<C>::from_csr_codec(a, codec).with_isa(tier)))
 }
 
 fn formats() -> Vec<(String, Builder)> {
     let mut out: Vec<(String, Builder)> = vec![(
         "csr".into(),
-        Box::new(|a, tier| Some(Box::new(a.clone().with_isa(tier)))),
+        Box::new(|a, tier| Box::new(a.clone().with_isa(tier))),
     )];
     for (codec, cname) in CODECS {
         out.push((format!("sell4-{cname}"), sell_builder::<4>(codec)));
@@ -100,13 +98,11 @@ fn formats() -> Vec<(String, Builder)> {
     }
     out.push((
         "sell8sigma-f64".into(),
-        Box::new(|a, tier| Some(Box::new(SellSigma8::from_csr_sigma(a, 16).with_isa(tier)))),
+        Box::new(|a, tier| Box::new(SellSigma8::from_csr_sigma(a, 16).with_isa(tier))),
     ));
     out.push((
         "esb".into(),
-        Box::new(|a, tier| {
-            (tier == Isa::detect()).then(|| Box::new(SellEsb::from_csr(a)) as Box<dyn Operator>)
-        }),
+        Box::new(|a, tier| Box::new(SellEsb::from_csr(a).with_isa(tier))),
     ));
     out
 }
@@ -136,48 +132,38 @@ fn inputs(a: &Csr, mi: usize, k: usize) -> Vec<Vec<f64>> {
 /// asserts the windowed path reproduces the whole-matrix bits on the way.
 /// `ops[mi]` is matrix `mi` with its operator, `xs[mi]` its input blocks.
 fn cell(
-    ops: &[(&Csr, Option<Box<dyn Operator>>)],
+    ops: &[(&Csr, Box<dyn Operator>)],
     xs: &[Vec<Vec<f64>>],
-    tier: Isa,
     k: usize,
     mode: Apply,
     ctx3: &ExecCtx,
     what: &str,
-) -> Option<u32> {
+) -> u32 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for (mi, (a, op)) in ops.iter().enumerate() {
         for x in &xs[mi] {
             let mut full = y0(a.nrows() * k, mode);
-            match op {
-                Some(op) => {
-                    let xv = VecView::blocked(x, k);
-                    op.apply(
-                        &ExecCtx::serial(),
-                        xv,
-                        VecViewMut::blocked(&mut full, k),
-                        mode,
-                    );
-                    let mut win = y0(a.nrows() * k, mode);
-                    op.apply(ctx3, xv, VecViewMut::blocked(&mut win, k), mode);
-                    for i in 0..full.len() {
-                        assert!(
-                            canon_bits(full[i]) == canon_bits(win[i]),
-                            "{what} matrix {mi}: windowed row {i} {:e} != whole-matrix {:e}",
-                            win[i],
-                            full[i]
-                        );
-                    }
-                }
-                // SELL-ESB off the detected tier: serial overwrite only.
-                None if k == 1 && mode == Apply::Set => {
-                    SellEsb::from_csr(a).spmv_isa(tier, x, &mut full);
-                }
-                None => return None,
+            let xv = VecView::blocked(x, k);
+            op.apply(
+                &ExecCtx::serial(),
+                xv,
+                VecViewMut::blocked(&mut full, k),
+                mode,
+            );
+            let mut win = y0(a.nrows() * k, mode);
+            op.apply(ctx3, xv, VecViewMut::blocked(&mut win, k), mode);
+            for i in 0..full.len() {
+                assert!(
+                    canon_bits(full[i]) == canon_bits(win[i]),
+                    "{what} matrix {mi}: windowed row {i} {:e} != whole-matrix {:e}",
+                    win[i],
+                    full[i]
+                );
             }
             fnv1a(&mut h, &full);
         }
     }
-    Some((h >> 32) as u32 ^ h as u32)
+    (h >> 32) as u32 ^ h as u32
 }
 
 /// Every cell the host can run, as golden-file lines keyed by
@@ -207,10 +193,8 @@ fn cells() -> &'static BTreeMap<String, String> {
                     for (ki, k) in KS.into_iter().enumerate() {
                         for (mode, m) in [(Apply::Set, 's'), (Apply::Add, 'a')] {
                             let what = format!("{key} k{k}{m}");
-                            let h = cell(&ops, &xs[ki], tier, k, mode, &ctx3, &what);
-                            if let Some(h) = h {
-                                write!(tokens, " k{k}{m}={h:08x}").expect("write to String");
-                            }
+                            let h = cell(&ops, &xs[ki], k, mode, &ctx3, &what);
+                            write!(tokens, " k{k}{m}={h:08x}").expect("write to String");
                         }
                     }
                     out.insert(key, tokens);
@@ -286,6 +270,29 @@ fn slice_height_does_not_change_a_single_bit() {
         for c in [4, 16] {
             let other = format!("{family} sell{c}-{rest}");
             assert_eq!(cells[&other], *tokens, "{other} vs {key}");
+        }
+    }
+}
+
+/// SELL-ESB and SELL-8 are bitwise equal at every tier wherever ESB runs
+/// the same accumulation: a masked-off lane and a `+0.0` padding product
+/// leave the same accumulator.  (`k >= 2` Add differs: ESB runs blocks
+/// column by column, adding `y` last, where SELL SpMM preloads it.)
+#[test]
+fn esb_equals_sell8_bit_for_bit() {
+    let cells = cells();
+    let token = |line: &str, cell: &str| {
+        let t = line.split_whitespace().find(|t| t.starts_with(cell));
+        t.unwrap_or_else(|| panic!("{cell} missing from {line}"))
+            .to_string()
+    };
+    for (key, tokens) in cells {
+        let Some((family, tier)) = key.split_once(" esb ") else {
+            continue;
+        };
+        let sell = &cells[&format!("{family} sell8-f64 {tier}")];
+        for cell in ["k1s=", "k1a=", "k2s=", "k3s=", "k8s="] {
+            assert_eq!(token(tokens, cell), token(sell, cell), "{key} vs sell8-f64");
         }
     }
 }

@@ -18,8 +18,8 @@
 mod common;
 
 use sellkit::core::{
-    Apply, CooBuilder, Csr, CsrPerm, Ellpack, EllpackR, ExecCtx, Isa, MatShape, Operator, Sell,
-    Sell16, Sell4, Sell8, SellEsb, SellSigma8,
+    Apply, CooBuilder, Csr, ExecCtx, Isa, MatShape, Operator, Sell, Sell16, Sell4, Sell8, SellEsb,
+    SellSigma8,
 };
 use sellkit::solvers::pc::mg::{Multigrid, MultigridConfig};
 use sellkit::solvers::pc::Precond;
@@ -94,9 +94,6 @@ fn check_padded_formats_match_csr(a: &Csr, x: &[f64], label: &str) {
     check(&SellSigma8::from_csr_sigma(a, 8), "sell_c_sigma(8)");
     check(&SellSigma8::from_csr_sigma(a, 16), "sell_c_sigma(16)");
     check(&SellEsb::from_csr(a), "sell_esb");
-    check(&Ellpack::from_csr(a), "ellpack");
-    check(&EllpackR::from_csr(a), "ellpack_r");
-    check(&CsrPerm::from_csr(a), "csr_perm");
 }
 
 /// The acceptance regression: an Inf-bearing `x` must flow through SELL

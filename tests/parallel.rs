@@ -10,8 +10,7 @@
 
 use proptest::prelude::*;
 use sellkit::core::{
-    Apply, Baij, CooBuilder, CsrPerm, Ellpack, EllpackR, ExecCtx, MatShape, Operator, Sbaij, Sell,
-    SellEsb, SellSigma8,
+    Apply, Baij, CooBuilder, ExecCtx, MatShape, Operator, Sbaij, Sell, SellEsb, SellSigma8,
 };
 
 /// NaN-safe bitwise equality: `assert_eq!` on floats would reject a
@@ -88,7 +87,6 @@ proptest! {
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.1).collect();
 
         assert_parallel_matches_serial(&a, &x, "csr");
-        assert_parallel_matches_serial(&CsrPerm::from_csr(&a), &x, "csr_perm");
         assert_parallel_matches_serial(&Sell::<4>::from_csr(&a), &x, "sell4");
         assert_parallel_matches_serial(&Sell::<8>::from_csr(&a), &x, "sell8");
         assert_parallel_matches_serial(&Sell::<16>::from_csr(&a), &x, "sell16");
@@ -102,8 +100,6 @@ proptest! {
             );
         }
         assert_parallel_matches_serial(&SellEsb::from_csr(&a), &x, "sell_esb");
-        assert_parallel_matches_serial(&Ellpack::from_csr(&a), &x, "ellpack");
-        assert_parallel_matches_serial(&EllpackR::from_csr(&a), &x, "ellpack_r");
         assert_parallel_matches_serial(&Baij::from_csr(&a, 2), &x, "baij");
         assert_parallel_matches_serial(&Sbaij::from_csr(&sym, 2), &x, "sbaij");
     }
@@ -125,7 +121,6 @@ fn more_threads_than_slices_is_handled() {
     assert_parallel_matches_serial(&SellSigma8::from_csr_sigma(&a, 8), &x, "sell_c_sigma tiny");
     assert_parallel_matches_serial(&Sell::<16>::from_csr(&a), &x, "sell16 tiny");
     assert_parallel_matches_serial(&SellEsb::from_csr(&a), &x, "esb tiny");
-    assert_parallel_matches_serial(&Ellpack::from_csr(&a), &x, "ellpack tiny");
 }
 
 /// Regression: an empty matrix (0 × 0) must be a no-op at any width, in
@@ -192,7 +187,7 @@ proptest! {
     /// Adversarial generator pool: every fuzz family (ragged tails, a
     /// dense row among empties, duplicate/unsorted COO, ...) × every
     /// vector hazard class (NaN/±Inf/subnormal/signed-zero) keeps the
-    /// bitwise parallel-vs-serial contract for all ten formats.
+    /// bitwise parallel-vs-serial contract for all seven formats.
     #[test]
     fn adversarial_pool_is_bitwise_parallel_invariant(
         family_ix in 0usize..sellkit_fuzz::gen::FAMILIES.len(),

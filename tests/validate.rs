@@ -7,13 +7,10 @@
 //! slices — the same checks the `Validate` impls run on the owned formats.
 
 use proptest::prelude::*;
-use sellkit::core::{
-    Baij, CooBuilder, CsrPerm, Ellpack, EllpackR, MatShape, Sbaij, Sell16, Sell4, Sell8, SellEsb,
-    SellSigma8,
-};
+use sellkit::core::{Baij, CooBuilder, Sbaij, Sell16, Sell4, Sell8, SellEsb, SellSigma8};
 use sellkit_check::{
-    check_alignment, check_block_parts, check_csr_parts, check_ellpack_parts, check_sell_parts,
-    Loc, Validate, Violation, ViolationKind,
+    check_alignment, check_block_parts, check_csr_parts, check_sell_parts, Loc, Validate,
+    Violation, ViolationKind,
 };
 
 /// 10×10 fixture with a known SELL-8 layout: row 0 has three nonzeros
@@ -227,29 +224,6 @@ fn unsorted_csr_columns_are_reported() {
 }
 
 #[test]
-fn ellpack_r_padding_corruption_is_reported() {
-    let e = EllpackR::from_csr(&fixture().to_csr());
-    let ell = e.ell();
-    let mut val = ell.values().to_vec();
-    // Row 3 (length 1, width 3): padding slot at column position 1 is
-    // `1 * nrows + 3`.
-    let at = ell.nrows() + 3;
-    val[at] = -4.0;
-    let v = check_ellpack_parts(10, 10, 12, 3, ell.colidx(), &val, Some(e.rlen()));
-    assert_eq!(
-        v,
-        vec![Violation::PaddingValueNonzero {
-            loc: Loc {
-                at,
-                row: 3,
-                slice: 0
-            },
-            value: -4.0
-        }]
-    );
-}
-
-#[test]
 fn lower_triangle_block_in_sbaij_is_reported() {
     // Hand-built 2-block-row bs=1 pattern with a block below the diagonal.
     let browptr = vec![0usize, 1, 3];
@@ -290,9 +264,6 @@ proptest! {
         prop_assert_eq!(b.validate(), Ok(()));
         let a = b.to_csr();
         prop_assert_eq!(a.validate(), Ok(()));
-        prop_assert_eq!(CsrPerm::from_csr(&a).validate(), Ok(()));
-        prop_assert_eq!(Ellpack::from_csr(&a).validate(), Ok(()));
-        prop_assert_eq!(EllpackR::from_csr(&a).validate(), Ok(()));
         prop_assert_eq!(Sell4::from_csr(&a).validate(), Ok(()));
         prop_assert_eq!(Sell8::from_csr(&a).validate(), Ok(()));
         prop_assert_eq!(Sell16::from_csr(&a).validate(), Ok(()));
