@@ -3,7 +3,10 @@
 //! * slice-height sweep (C = 1/4/8/16) — §5.1's trade-off;
 //! * CSR remainder-loop sensitivity: row lengths straddling the SIMD
 //!   width (§2.3 drawback 1 / §3.3);
-//! * BAIJ 2×2 block kernel vs scalar CSR on the natural-block matrix.
+//! * BAIJ 2×2 block kernel vs scalar CSR on the natural-block matrix;
+//! * `gather_hw_vs_loads`: SELL-8 reading `x` with scalar loads (what
+//!   every tier of `sellkit-core` does) against the same loop through
+//!   `vgatherdpd`, in and out of cache.
 
 use std::time::Duration;
 
@@ -92,10 +95,36 @@ fn bench_baij(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_gather(c: &mut Criterion) {
+    // Gray-Scott Jacobians at grid 64 (82 k nonzeros, 1 MB: cache
+    // resident) and grid 1024 (21 M nonzeros, 250 MB: several times the
+    // last-level cache).  The ratio is a property of the host's microcode:
+    // EXPERIMENTS.md §5.5 records it for the hosts it was run on.
+    let mut g = c.benchmark_group("kernels_micro/gather_hw_vs_loads");
+    g.sample_size(15);
+    g.warm_up_time(Duration::from_millis(200));
+    g.measurement_time(Duration::from_millis(1500));
+    for (place, grid) in [("in_cache", 64usize), ("dram", 1024)] {
+        let gs = GrayScott::new(grid, GrayScottParams::default());
+        let a = gs.rhs_jacobian(0.0, &gs.initial_condition(1));
+        let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.003).sin()).collect();
+        let mut y = vec![0.0; a.nrows()];
+        g.throughput(Throughput::Elements(a.nnz() as u64));
+        for v in sellkit_bench::measure::build_gather_variants(&a) {
+            g.bench_function(format!("{}/{place}", v.label), |b| {
+                b.iter(|| (v.run)(&x, &mut y))
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_tuned_kernel(c: &mut Criterion) {
     // §5.5: "we have manually unrolled the outer loop and performed a
     // prefetch operation ... these classic optimization techniques do not
-    // affect the performance significantly."  Re-measure that claim.
+    // affect the performance significantly."  Re-measure that claim: both
+    // loops prefetch the same measured distance ahead (`PREFETCH_COLS` in
+    // `kernels::sell`), so the pair isolates the two-slice unroll.
     let gs = GrayScott::new(192, GrayScottParams::default());
     let w = gs.initial_condition(1);
     let a = gs.rhs_jacobian(0.0, &w);
@@ -107,10 +136,10 @@ fn bench_tuned_kernel(c: &mut Criterion) {
     g.sample_size(15);
     g.warm_up_time(Duration::from_millis(200));
     g.measurement_time(Duration::from_millis(800));
-    g.bench_function("plain AVX-512", |b| {
+    g.bench_function("plain", |b| {
         b.iter(|| sell.apply(&ExecCtx::serial(), (&x).into(), (&mut y).into(), Apply::Set))
     });
-    g.bench_function("unroll+prefetch", |b| {
+    g.bench_function("two-slice unroll", |b| {
         b.iter(|| sell.spmv_tuned(&x, &mut y))
     });
     g.finish();
@@ -177,6 +206,7 @@ criterion_group!(
     bench_slice_heights,
     bench_csr_remainder,
     bench_baij,
+    bench_gather,
     bench_tuned_kernel,
     bench_thread_scaling,
     bench_spmm

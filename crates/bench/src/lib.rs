@@ -20,7 +20,6 @@
 //! section (the `sellkit-machine` KNL/Xeon model), clearly labeled.
 //! Criterion micro-benchmarks live in `benches/`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Indexed loops mirror the paper's kernel pseudocode and stay readable
 // next to the intrinsics; a few solver signatures are wide by nature.

@@ -99,6 +99,133 @@ impl AijPerm {
     }
 }
 
+/// SELL-8 `y = A·x` through the hardware gather — `vgatherdpd` under the
+/// sentinel mask, the inner loop `sellkit-core` ran on its AVX2 and AVX-512
+/// tiers until scalar loads replaced it (EXPERIMENTS.md §5.5).  A
+/// measurement stand-in, not a kernel: f64 only, no plan, no windows.
+#[cfg(target_arch = "x86_64")]
+mod hw_gather {
+    use std::arch::x86_64::*;
+
+    use std::rc::Rc;
+
+    use sellkit_core::{MatShape, Sell8};
+
+    pub struct HwGatherSell8 {
+        sell: Rc<Sell8>,
+        wide: bool,
+    }
+
+    impl HwGatherSell8 {
+        /// `wide` picks the 8-lane `zmm` gather over the 4-lane `ymm` one;
+        /// `None` if the host lacks the instruction.
+        pub fn new(sell: Rc<Sell8>, wide: bool) -> Option<Self> {
+            let has = if wide {
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")
+            } else {
+                is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+            };
+            has.then_some(Self { sell, wide })
+        }
+
+        pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
+            assert_eq!((x.len(), y.len()), (self.sell.ncols(), self.sell.nrows()));
+            // SAFETY: `new` detected the features of the loop `wide`
+            // selects; `Sell8` keeps every slice a whole number of 8-entry
+            // columns inside `colidx`/`values` and every column index
+            // below `ncols == x.len()` or equal to it (padding), which the
+            // gathers mask off.
+            unsafe {
+                if self.wide {
+                    zmm(&self.sell, x, y)
+                } else {
+                    ymm(&self.sell, x, y)
+                }
+            }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// `avx512f` and `avx512vl` present; `x.len() == s.ncols()`,
+    /// `y.len() == s.nrows()`.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    unsafe fn zmm(s: &Sell8, x: &[f64], y: &mut [f64]) {
+        let (sp, ci, val) = (s.sliceptr(), s.colidx().as_ptr(), s.values().as_ptr());
+        // SAFETY: see `spmv`.
+        unsafe {
+            let xlen = _mm256_set1_epi32(x.len() as i32);
+            for (slice, out) in y.chunks_mut(8).enumerate() {
+                let mut acc = _mm512_setzero_pd();
+                for at in (sp[slice]..sp[slice + 1]).step_by(8) {
+                    let idx = _mm256_loadu_si256(ci.add(at).cast());
+                    let live = _mm256_cmplt_epu32_mask(idx, xlen);
+                    let xv =
+                        _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), live, idx, x.as_ptr());
+                    acc = _mm512_fmadd_pd(_mm512_loadu_pd(val.add(at)), xv, acc);
+                }
+                _mm512_mask_storeu_pd(out.as_mut_ptr(), ((1u16 << out.len()) - 1) as u8, acc);
+            }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// `avx2` and `fma` present; `x.len() == s.ncols()`,
+    /// `y.len() == s.nrows()`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn ymm(s: &Sell8, x: &[f64], y: &mut [f64]) {
+        let (sp, ci, val) = (s.sliceptr(), s.colidx().as_ptr(), s.values().as_ptr());
+        // SAFETY: see `spmv`.
+        unsafe {
+            let (xlen, zero) = (_mm_set1_epi32(x.len() as i32), _mm256_setzero_pd());
+            for (slice, out) in y.chunks_mut(8).enumerate() {
+                let mut acc = [zero; 2];
+                for at in (sp[slice]..sp[slice + 1]).step_by(8) {
+                    for (half, a) in acc.iter_mut().enumerate() {
+                        let at = at + 4 * half;
+                        let idx = _mm_loadu_si128(ci.add(at).cast());
+                        let live = _mm256_cvtepi32_epi64(_mm_cmpgt_epi32(xlen, idx));
+                        let live = _mm256_castsi256_pd(live);
+                        let xv = _mm256_mask_i32gather_pd::<8>(zero, x.as_ptr(), idx, live);
+                        *a = _mm256_fmadd_pd(_mm256_loadu_pd(val.add(at)), xv, *a);
+                    }
+                }
+                let mut lanes = [0.0f64; 8];
+                _mm256_storeu_pd(lanes.as_mut_ptr(), acc[0]);
+                _mm256_storeu_pd(lanes.as_mut_ptr().add(4), acc[1]);
+                out.copy_from_slice(&lanes[..out.len()]);
+            }
+        }
+    }
+}
+
+/// The `kernels_micro/gather_hw_vs_loads` exhibit: SELL-8 at each SIMD tier
+/// as `sellkit-core` runs it (`x` read with scalar loads), next to the same
+/// loop through `vgatherdpd` where the host has it.
+pub fn build_gather_variants(a: &Csr) -> Vec<Variant> {
+    let mut out: Vec<Variant> = Vec::new();
+    // One copy of the matrix for every variant: out of cache it is 250 MB.
+    let shared = std::rc::Rc::new(Sell8::from_csr(a));
+    for isa in Isa::available_tiers().into_iter().skip(1) {
+        let sell = shared.clone();
+        out.push(Variant {
+            label: format!("scalar loads {isa}"),
+            run: Box::new(move |x, y| sell.spmv_isa(isa, x, y)),
+        });
+    }
+    #[cfg(target_arch = "x86_64")]
+    for (wide, label) in [(false, "vgatherdpd ymm"), (true, "vgatherdpd zmm")] {
+        if let Some(hw) = hw_gather::HwGatherSell8::new(shared.clone(), wide) {
+            out.push(Variant {
+                label: label.into(),
+                run: Box::new(move |x, y| hw.spmv(x, y)),
+            });
+        }
+    }
+    out
+}
+
 /// Builds all kernel variants the host CPU can run, in Figure 8 order.
 pub fn build_variants(a: &Csr) -> Vec<Variant> {
     let mut out: Vec<Variant> = Vec::new();
@@ -162,7 +289,7 @@ pub fn build_extended_variants(a: &Csr) -> Vec<Variant> {
     let mut out = Vec::new();
     let tuned = Sell8::from_csr(a);
     out.push(Variant {
-        label: "SELL tuned (unroll+prefetch)".into(),
+        label: "SELL tuned (two-slice unroll)".into(),
         run: Box::new(move |x, y| tuned.spmv_tuned(x, y)),
     });
     let s4 = Sell::<4>::from_csr(a);
@@ -228,6 +355,24 @@ mod tests {
         );
         for v in build_variants(&a) {
             let mut got = vec![0.0; a.nrows()];
+            (v.run)(&x, &mut got);
+            for i in 0..a.nrows() {
+                assert!((got[i] - want[i]).abs() < 1e-12, "{} row {i}", v.label);
+            }
+        }
+    }
+
+    /// The hardware-gather stand-in computes the product the tiers do, a
+    /// partial last slice and padded lanes included, and does not read `x`
+    /// through a padding lane.
+    #[test]
+    fn gather_variants_agree_numerically() {
+        let a = sellkit_workloads::generators::power_law(203, 1, 12, 1.3, 7);
+        let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.01).sin()).collect();
+        let mut want = vec![0.0; a.nrows()];
+        a.spmv_isa(Isa::Scalar, &x, &mut want);
+        for v in build_gather_variants(&a) {
+            let mut got = vec![f64::NAN; a.nrows()];
             (v.run)(&x, &mut got);
             for i in 0..a.nrows() {
                 assert!((got[i] - want[i]).abs() < 1e-12, "{} row {i}", v.label);

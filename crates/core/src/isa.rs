@@ -14,10 +14,12 @@ pub enum Isa {
     /// Portable scalar code (what the compiler auto-vectorizes; the paper's
     /// "CSR baseline" role).
     Scalar,
-    /// 256-bit AVX: no gather, no FMA — loads are emulated with 128-bit
-    /// inserts and multiply/add are issued separately (§5.5).
+    /// 256-bit AVX: no FMA — multiply and add are issued separately
+    /// (§5.5).
     Avx,
-    /// 256-bit AVX2: hardware gather and FMA, half the AVX-512 width.
+    /// 256-bit AVX2 + FMA: the AVX lanes with a fused multiply-add, half
+    /// the AVX-512 width.  (No tier uses the hardware gather: `x` is read
+    /// with scalar loads everywhere, the §5.5 emulation.)
     Avx2,
     /// 512-bit AVX-512 (F + VL as on KNL and Skylake-SP).
     Avx512,
@@ -63,12 +65,6 @@ impl Isa {
         }
     }
 
-    /// Whether the tier has a hardware gather instruction (§5.5: AVX does
-    /// not; its gather is emulated with loads and inserts).
-    pub fn has_gather(self) -> bool {
-        matches!(self, Isa::Avx2 | Isa::Avx512)
-    }
-
     /// Whether the tier has fused multiply-add.
     pub fn has_fma(self) -> bool {
         matches!(self, Isa::Avx2 | Isa::Avx512)
@@ -101,9 +97,8 @@ mod tests {
 
     #[test]
     fn feature_matrix_matches_paper() {
-        assert!(!Isa::Avx.has_gather() && !Isa::Avx.has_fma());
-        assert!(Isa::Avx2.has_gather() && Isa::Avx2.has_fma());
-        assert!(Isa::Avx512.has_gather() && Isa::Avx512.has_fma());
+        assert!(!Isa::Scalar.has_fma() && !Isa::Avx.has_fma());
+        assert!(Isa::Avx2.has_fma() && Isa::Avx512.has_fma());
     }
 
     #[test]

@@ -468,6 +468,14 @@ mod tests {
     use crate::sell::Sell;
     use crate::traits::MatShape;
 
+    /// The `W` lanes of `v`.
+    fn spill<L: Lanes>(l: L, v: L::V) -> Vec<f64> {
+        let mut o = vec![0.0f64; L::W];
+        // SAFETY: `o` holds W elements.
+        unsafe { l.store(o.as_mut_ptr(), v) };
+        o
+    }
+
     /// Exercises every [`Lanes`] operation of one tier against plain
     /// arithmetic on the same data.
     struct LaneProbe;
@@ -478,12 +486,7 @@ mod tests {
             let w = L::W;
             let x: Vec<f64> = (0..40).map(|i| i as f64 * 0.5 - 3.0).collect();
             let mut out = vec![0.0f64; w];
-            let spill = |v: L::V| {
-                let mut o = vec![0.0f64; w];
-                // SAFETY: `o` holds W elements.
-                unsafe { l.store(o.as_mut_ptr(), v) };
-                o
-            };
+            let spill = |v: L::V| spill(l, v);
             // SAFETY: every pointer below addresses at least W (or the
             // stated n) elements of a live Vec; every live index is < 40.
             unsafe {
@@ -550,7 +553,7 @@ mod tests {
                 let off: Vec<u16> = (0..w as u16)
                     .map(|i| if i == 1 { u16::MAX } else { 3 * i })
                     .collect();
-                let narrow = spill(l.gather_live_narrow(px.as_ptr(), xlen, off.as_ptr(), 4));
+                let narrow = spill(l.gather_live_narrow(px.as_ptr(), off.as_ptr(), 4));
                 let all: Vec<u32> = (0..w as u32).map(|i| 5 * i % 31).collect();
                 let plain = spill(l.gather(px.as_ptr(), all.as_ptr()));
                 for i in 0..w {
@@ -612,6 +615,125 @@ mod tests {
         for isa in Isa::available_tiers() {
             // SAFETY: the probe reads and writes only its own buffers.
             unsafe { run(isa, LaneProbe) };
+        }
+    }
+
+    /// Holds every operation that reads `x` through an index, lane for lane
+    /// and bit for bit, to the one-lane tier on the same data: random
+    /// indices with no, all or some lanes padding, and `x` a boxed slice of
+    /// exactly `xlen` elements that is NaN wherever no live lane points —
+    /// so a lane that dereferences its sentinel, or reads a neighbour,
+    /// either leaves the allocation or shows up as NaN.
+    struct GatherProbe;
+
+    impl Kernel for GatherProbe {
+        /// # Safety — none beyond the tier being available.
+        unsafe fn on<L: Lanes>(self, l: L) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let w = L::W;
+            let mut rng = StdRng::seed_from_u64(0x5E11);
+            let spill = |v: L::V| spill(l, v);
+            let same = |got: L::V, want: &[f64], what: &str| {
+                for (i, (g, s)) in spill(got).iter().zip(want).enumerate() {
+                    assert_eq!(g.to_bits(), s.to_bits(), "{what}: lane {i} of {w}");
+                }
+            };
+            // Small multiples of 1/2: every product and every sum below is
+            // exact, so fused and unfused tiers agree bitwise.
+            let half = |rng: &mut StdRng| (rng.gen_range(0..65) - 32) as f64 * 0.5;
+            for xlen in [0usize, 1, 7, 300, 70_000] {
+                // 0 = no lane is padding, 1 = every lane, 2 = a coin per lane.
+                for pads in 0..3 {
+                    if xlen == 0 && pads != 1 {
+                        continue;
+                    }
+                    for _ in 0..24 {
+                        let pad: Vec<bool> = (0..w)
+                            .map(|_| pads == 1 || pads == 2 && rng.gen_range(0..2) == 0)
+                            .collect();
+                        // The narrow form reaches x's last element: offsets
+                        // 0..span count from `base = xlen - span`, and the
+                        // first live lane takes the largest one.
+                        let span = xlen.min(0xFFFF);
+                        let base = (xlen - span) as u32;
+                        let mut reach = span;
+                        let off: Vec<u16> = (0..w)
+                            .map(|i| {
+                                if pad[i] {
+                                    return u16::MAX;
+                                }
+                                let o = std::mem::replace(&mut reach, rng.gen_range(0..span) + 1);
+                                (o - 1) as u16
+                            })
+                            .collect();
+                        let ci: Vec<u32> = (0..w)
+                            .map(|i| match pad[i] {
+                                false => base + off[i] as u32,
+                                true if rng.gen_range(0..4) == 0 => u32::MAX,
+                                true => xlen as u32,
+                            })
+                            .collect();
+                        let mut x = vec![f64::NAN; xlen].into_boxed_slice();
+                        for i in (0..w).filter(|&i| !pad[i]) {
+                            x[ci[i] as usize] = half(&mut rng);
+                        }
+                        let (xp, cp) = (x.as_ptr(), ci.as_ptr());
+                        let bits = pad.iter().rev().fold(0u8, |b, &p| b << 1 | !p as u8);
+                        let val: Vec<f64> = (0..w).map(|_| half(&mut rng)).collect();
+                        let acc: Vec<f64> = (0..w).map(|_| half(&mut rng)).collect();
+                        // SAFETY: ci/off/val/acc hold W elements; every live
+                        // index is < xlen and every sentinel marks a pad.
+                        unsafe {
+                            let s = |f: &dyn Fn(usize) -> f64| (0..w).map(f).collect::<Vec<_>>();
+                            same(
+                                l.gather_live(xp, xlen, cp),
+                                &s(&|i| Scalar.gather_live(xp, xlen, cp.add(i))),
+                                "gather_live",
+                            );
+                            same(
+                                l.gather_live_narrow(xp, off.as_ptr(), base),
+                                &s(&|i| Scalar.gather_live_narrow(xp, off.as_ptr().add(i), base)),
+                                "gather_live_narrow",
+                            );
+                            same(
+                                l.fma_masked(bits, val.as_ptr(), cp, xp, l.load(acc.as_ptr())),
+                                &s(&|i| {
+                                    let (v, c) = (val.as_ptr().add(i), cp.add(i));
+                                    Scalar.fma_masked(bits >> i, v, c, xp, acc[i])
+                                }),
+                                "fma_masked",
+                            );
+                            if pads == 0 {
+                                same(
+                                    l.gather(xp, cp),
+                                    &s(&|i| Scalar.gather(xp, cp.add(i))),
+                                    "gather",
+                                );
+                                // Entries 1..hi of arrays exactly hi long.
+                                for hi in 1..=w {
+                                    let (v, c) = (val[..hi].to_vec(), ci[..hi].to_vec());
+                                    let mut a = l.load(acc.as_ptr());
+                                    let t = l.dot_tail(&mut a, v.as_ptr(), c.as_ptr(), 1, hi, xp);
+                                    let mut sa = 0.0;
+                                    let st =
+                                        Scalar.dot_tail(&mut sa, v.as_ptr(), c.as_ptr(), 1, hi, xp);
+                                    let got = l.hsum(a) + t;
+                                    let want = acc.iter().sum::<f64>() + sa + st;
+                                    assert_eq!(got.to_bits(), want.to_bits(), "dot_tail 1..{hi}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_gathers_the_bits_the_scalar_tier_does() {
+        for isa in Isa::available_tiers() {
+            // SAFETY: the probe reads and writes only its own buffers.
+            unsafe { run(isa, GatherProbe) };
         }
     }
 

@@ -3,21 +3,38 @@
 //! shims that enter a body at a tier.  The only file with `std::arch`
 //! intrinsics.
 //!
-//! | tier | type | `W` | gather | `fma` | partial vectors |
-//! |---|---|---|---|---|---|
-//! | scalar | [`Scalar`] | 1 | plain load | `a*b + c`, two roundings | – |
-//! | AVX | `Ymm<false>` | 4 | emulated (§5.5) | `vmulpd` + `vaddpd` | `vmaskmovpd` |
-//! | AVX2 | `Ymm<true>` | 4 | `vgatherdpd` | fused | `vmaskmovpd` |
-//! | AVX-512 | `Avx512` | 8 | opmask `vgatherdpd` | fused | opmask |
+//! | tier | type | `W` | `fma` | partial vectors |
+//! |---|---|---|---|---|
+//! | scalar | [`Scalar`] | 1 | `a*b + c`, two roundings | – |
+//! | AVX | `Ymm<false>` | 4 | `vmulpd` + `vaddpd` | `vmaskmovpd` |
+//! | AVX2 | `Ymm<true>` | 4 | fused | `vmaskmovpd` |
+//! | AVX-512 | `Avx512` | 8 | fused | opmask |
 //!
 //! Register operations are safe: an x86 lane value is a token that only
 //! [`Ymm::new`]/[`Avx512::new`] mint, inside code compiled with the tier's
 //! features.  Memory operations are `unsafe` and state what they read.
 //!
-//! The sentinel-masked gathers are the §5.5 fix: a SELL padding entry
-//! carries column `x.len()` (narrow form: offset `0xFFFF`), which loads
-//! `0.0` instead of dereferencing `x`, so padding contributes exactly
-//! `+0.0` even when `x` holds Inf/NaN.
+//! No tier issues a hardware gather: every gather is written once, as `W`
+//! scalar loads of `x` handed to the tier's [`Lanes::build`] — the §5.5
+//! emulation, which the paper already measured ahead of `vgatherdpd` on
+//! KNL and which EXPERIMENTS.md §5.5 measures 1.6–2.8× ahead of it out of
+//! cache on a host under gather-mitigation microcode (`xtask lint` rejects
+//! the intrinsic).  A SELL padding entry carries column `x.len()` (narrow
+//! form: offset `0xFFFF`), which loads a static `0.0` instead of
+//! dereferencing `x`, so padding contributes exactly `+0.0` even when `x`
+//! holds Inf/NaN.
+
+/// `p` if `on`, `pad` otherwise.  Selecting the *address* keeps the load
+/// that follows unconditional, so no branch depends on the matrix's padding
+/// pattern (a SELL matrix can be three quarters padding).
+#[inline(always)]
+fn ptr_if<T>(on: bool, p: *const T, pad: &'static T) -> *const T {
+    if on {
+        p
+    } else {
+        pad
+    }
+}
 
 /// Reads `x[c]`, or `0.0` for the padding sentinel `c >= xlen`.
 ///
@@ -27,12 +44,15 @@
 ///   address the `xlen`-element vector behind `x`.
 #[inline(always)]
 unsafe fn live(x: *const f64, xlen: usize, c: usize) -> f64 {
-    if c < xlen {
-        // SAFETY: c < xlen, in bounds of x per the caller's contract.
-        unsafe { *x.add(c) }
-    } else {
-        0.0
-    }
+    // SAFETY: c < xlen is in bounds of x per the caller's contract; the
+    // wrapped address of a sentinel is formed but never dereferenced.
+    unsafe { *ptr_if(c < xlen, x.wrapping_add(c), &0.0) }
+}
+
+/// Bit mask selecting the first `n <= 8` lanes.
+#[inline(always)]
+fn first_bits(n: usize) -> u8 {
+    ((1u16 << n) - 1) as u8
 }
 
 /// Column of a narrow-form entry: `base + off`, or the sentinel `xlen`
@@ -84,6 +104,15 @@ pub(super) trait Lanes: Copy + sealed::Sealed {
     /// (16 rows) — and the bodies use the first `C / W`.
     type Acc<const C: usize>: AsMut<[Self::V]>;
 
+    /// Whether a CSR row remainder longer than two entries runs as one
+    /// masked vector step ([`Lanes::dot_tail`]): only where masking a load
+    /// is free (§3.3, §4).
+    const MASKED_TAIL: bool = false;
+
+    /// Lane `i` is `f(i)`, called for `i = 0 .. W` in order: the one way a
+    /// vector is built from scalars, and so the only thing a tier
+    /// contributes to the gathers below.
+    fn build(self, f: impl FnMut(usize) -> f64) -> Self::V;
     /// All lanes `+0.0`.
     fn zero(self) -> Self::V;
     /// Every accumulator of a slice [`Lanes::zero`].
@@ -99,7 +128,7 @@ pub(super) trait Lanes: Copy + sealed::Sealed {
     fn hsum(self, v: Self::V) -> f64;
     /// Prefetch hint for the cache line at `p` (any address; a no-op off
     /// x86).
-    fn prefetch(self, p: *const f64);
+    fn prefetch(self, p: *const u8);
 
     /// `W` consecutive f64, unaligned.
     ///
@@ -139,37 +168,6 @@ pub(super) trait Lanes: Copy + sealed::Sealed {
     ///
     /// * `requires: writable(p, n)`
     unsafe fn store_first(self, p: *mut f64, n: usize, v: Self::V);
-    /// `x[ci[0..W]]`, every index live (CSR).
-    ///
-    /// # Safety
-    ///
-    /// * `requires: readable(ci, W)`
-    /// * `requires: cols_in_bounds(colidx, x)` — each `ci[i]` addresses `x`.
-    unsafe fn gather(self, x: *const f64, ci: *const u32) -> Self::V;
-    /// `x[ci[0..W]]` with sentinel lanes (`ci[i] >= xlen`) loading `0.0`
-    /// undereferenced (SELL, wide u32 indices).
-    ///
-    /// # Safety
-    ///
-    /// * `requires: readable(ci, W)`
-    /// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — each
-    ///   `ci[i] < xlen` addresses the `xlen`-element vector `x`.
-    unsafe fn gather_live(self, x: *const f64, xlen: usize, ci: *const u32) -> Self::V;
-    /// `x[base + off[0..W]]` with sentinel lanes (`off[i] == 0xFFFF`)
-    /// loading `0.0` undereferenced (SELL, narrow u16 offsets).
-    ///
-    /// # Safety
-    ///
-    /// * `requires: readable(off, W)`
-    /// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)` — each
-    ///   `base + off[i]` with `off[i] != 0xFFFF` addresses `x`.
-    unsafe fn gather_live_narrow(
-        self,
-        x: *const f64,
-        xlen: usize,
-        off: *const u16,
-        base: u32,
-    ) -> Self::V;
     /// One vector of a SELL-ESB slice column (§5.3): `acc + val·x[ci]` on
     /// the lanes whose bit is set in the low `W` bits of `bits`, `acc`
     /// unchanged on the rest — a masked form of every operation, the
@@ -189,8 +187,77 @@ pub(super) trait Lanes: Copy + sealed::Sealed {
         x: *const f64,
         acc: Self::V,
     ) -> Self::V;
+
+    /// `x[ci[0..W]]`, every index live (CSR).
+    ///
+    /// # Safety
+    ///
+    /// * `requires: readable(ci, W)`
+    /// * `requires: cols_in_bounds(colidx, x)` — each `ci[i]` addresses `x`.
+    #[inline(always)]
+    unsafe fn gather(self, x: *const f64, ci: *const u32) -> Self::V {
+        // SAFETY: ci[0..W] are readable and each addresses x.
+        self.build(|i| unsafe { *x.add(*ci.add(i) as usize) })
+    }
+    /// `x[ci[0..W]]` with sentinel lanes (`ci[i] >= xlen`) loading `0.0`
+    /// undereferenced (SELL, wide u32 indices).
+    ///
+    /// # Safety
+    ///
+    /// * `requires: readable(ci, W)`
+    /// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — each
+    ///   `ci[i] < xlen` addresses the `xlen`-element vector `x`.
+    #[inline(always)]
+    unsafe fn gather_live(self, x: *const f64, xlen: usize, ci: *const u32) -> Self::V {
+        // SAFETY: ci[0..W] are readable; live()'s contract is the caller's.
+        self.build(|i| unsafe { live(x, xlen, *ci.add(i) as usize) })
+    }
+    /// `x[base + off[0..W]]` with sentinel lanes (`off[i] == 0xFFFF`)
+    /// loading `0.0` undereferenced (SELL, narrow u16 offsets).
+    ///
+    /// # Safety
+    ///
+    /// * `requires: readable(off, W)`
+    /// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)` — each
+    ///   `base + off[i]` with `off[i] != 0xFFFF` addresses `x`.
+    #[inline(always)]
+    unsafe fn gather_live_narrow(self, x: *const f64, off: *const u16, base: u32) -> Self::V {
+        self.build(|i| {
+            // SAFETY: off[0..W] are readable; a live offset resolves to a
+            // column addressing x, the sentinel's is never dereferenced.
+            unsafe {
+                let o = *off.add(i);
+                *ptr_if(
+                    o != u16::MAX,
+                    x.wrapping_add(base as usize + o as usize),
+                    &0.0,
+                )
+            }
+        })
+    }
+    /// `x[ci[i]]` on the lanes whose bit is set in the low `W` bits of
+    /// `bits`; a clear lane is `+0.0` and reads neither `ci[i]` nor `x`.
+    ///
+    /// # Safety
+    ///
+    /// * `requires: readable(ci, W)` — on the set lanes only.
+    /// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — each `ci[i]`
+    ///   with its bit set addresses `x`.
+    #[inline(always)]
+    unsafe fn gather_bits(self, bits: u8, x: *const f64, ci: *const u32) -> Self::V {
+        self.build(|i| {
+            let on = bits >> i & 1 != 0;
+            // SAFETY: a set lane's index is readable and addresses x; a
+            // clear lane reads the two pads (index 0 forms x itself).
+            unsafe {
+                let c = *ptr_if(on, ci.wrapping_add(i), &0);
+                *ptr_if(on, x.wrapping_add(c as usize), &0.0)
+            }
+        })
+    }
     /// Folds a CSR row's last `hi - lo < W` products (entries `lo..hi` of
-    /// `val`/`ci`): either into `acc` (one masked vector step) or into the
+    /// `val`/`ci`): either into `acc` (one masked vector step, where
+    /// [`Lanes::MASKED_TAIL`] and there are more than two) or into the
     /// returned scalar, which the caller adds after [`Lanes::hsum`].
     ///
     /// # Safety
@@ -201,15 +268,24 @@ pub(super) trait Lanes: Copy + sealed::Sealed {
     #[inline(always)]
     unsafe fn dot_tail(
         self,
-        _acc: &mut Self::V,
+        acc: &mut Self::V,
         val: *const f64,
         ci: *const u32,
         lo: usize,
         hi: usize,
         x: *const f64,
     ) -> f64 {
-        // SAFETY: the caller's contract is scalar_tail's.
-        unsafe { scalar_tail(val, ci, lo, hi, x) }
+        // SAFETY: both arms touch only entries lo..hi: readable val/ci
+        // elements whose indices address x.
+        unsafe {
+            if !Self::MASKED_TAIL || hi - lo <= 2 {
+                return scalar_tail(val, ci, lo, hi, x);
+            }
+            let v = self.load_first(val.add(lo), hi - lo);
+            let xv = self.gather_bits(first_bits(hi - lo), x, ci.add(lo));
+            *acc = self.fma(v, xv, *acc);
+            0.0
+        }
     }
 }
 
@@ -225,6 +301,10 @@ impl Lanes for Scalar {
     type V = f64;
     type Acc<const C: usize> = [f64; C];
 
+    #[inline(always)]
+    fn build(self, mut f: impl FnMut(usize) -> f64) -> f64 {
+        f(0)
+    }
     #[inline(always)]
     fn zero(self) -> f64 {
         0.0
@@ -250,7 +330,7 @@ impl Lanes for Scalar {
         v
     }
     #[inline(always)]
-    fn prefetch(self, _p: *const f64) {}
+    fn prefetch(self, _p: *const u8) {}
 
     /// # Safety — `requires: readable(p, W)`
     #[inline(always)]
@@ -294,31 +374,6 @@ impl Lanes for Scalar {
             unsafe { *p = v }
         }
     }
-    /// # Safety — `requires: readable(ci, W)`, `requires: cols_in_bounds(colidx, x)`
-    #[inline(always)]
-    unsafe fn gather(self, x: *const f64, ci: *const u32) -> f64 {
-        // SAFETY: ci is readable and its index addresses x.
-        unsafe { *x.add(*ci as usize) }
-    }
-    /// # Safety — `requires: readable(ci, W)`, `requires: cols_in_bounds_or_sentinel(colidx, x)`
-    #[inline(always)]
-    unsafe fn gather_live(self, x: *const f64, xlen: usize, ci: *const u32) -> f64 {
-        // SAFETY: ci is readable; live()'s contract is the caller's.
-        unsafe { live(x, xlen, *ci as usize) }
-    }
-    /// # Safety — `requires: readable(off, W)`, `requires: narrow_cols_in_bounds(cidx16, cbase, x)`
-    #[inline(always)]
-    unsafe fn gather_live_narrow(
-        self,
-        x: *const f64,
-        xlen: usize,
-        off: *const u16,
-        base: u32,
-    ) -> f64 {
-        // SAFETY: off is readable; a live narrow column addresses x, the
-        // sentinel maps to xlen and is never dereferenced.
-        unsafe { live(x, xlen, narrow_col(*off, base, xlen)) }
-    }
     /// # Safety — `requires: readable(val, W)`, `requires: readable(ci, W)`, `requires: cols_in_bounds_or_sentinel(colidx, x)`
     #[inline(always)]
     unsafe fn fma_masked(
@@ -347,7 +402,7 @@ mod x86 {
     use std::arch::x86_64::*;
 
     use super::super::checked::Kernel;
-    use super::{live, narrow_col, scalar_tail, sealed, Lanes};
+    use super::{first_bits, sealed, Lanes};
 
     /// Runs `op` with AVX lanes.
     ///
@@ -397,9 +452,8 @@ mod x86 {
         0, 0, -1, -1,  -1, 0, -1, -1,  0, -1, -1, -1,  -1, -1, -1, -1,
     ];
 
-    /// 256-bit lanes.  AVX and AVX2 differ only by instruction
-    /// substitution (§5.5): with `AVX2 = false` the gathers are emulated
-    /// with scalar loads and the multiply-add is two instructions.
+    /// 256-bit lanes.  AVX and AVX2 differ by one instruction (§5.5): with
+    /// `AVX2 = false` the multiply-add is a multiply and an add.
     #[derive(Clone, Copy)]
     pub struct Ymm<const AVX2: bool>(());
 
@@ -430,26 +484,6 @@ mod x86 {
         fn first_mask(self, n: usize) -> __m256i {
             self.lane_mask((1u8 << n) - 1)
         }
-
-        /// Hardware gather with sentinel lanes (`idx >= xlen`) masked to
-        /// `0.0`.  The signed compare is exact because i32 gathers
-        /// sign-extend indices anyway: `ncols >= 2^31` is unsupported.
-        ///
-        /// # Safety
-        ///
-        /// * `requires: feature(avx2)`
-        /// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — each lane
-        ///   of `idx` below `xlen` addresses `x`.
-        #[inline(always)]
-        unsafe fn gather_idx(self, x: *const f64, xlen: usize, idx: __m128i) -> __m256d {
-            // SAFETY: masked-off lanes are not dereferenced; live lanes
-            // are < xlen by the compare, in bounds of x per the contract.
-            unsafe {
-                let is_live = _mm_cmpgt_epi32(_mm_set1_epi32(xlen as u32 as i32), idx);
-                let mask = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(is_live));
-                _mm256_mask_i32gather_pd::<8>(_mm256_setzero_pd(), x, idx, mask)
-            }
-        }
     }
 
     impl<const AVX2: bool> Lanes for Ymm<AVX2> {
@@ -457,6 +491,11 @@ mod x86 {
         type V = __m256d;
         type Acc<const C: usize> = [__m256d; 4];
 
+        #[inline(always)]
+        fn build(self, mut f: impl FnMut(usize) -> f64) -> __m256d {
+            // SAFETY: the token proves avx.
+            unsafe { _mm256_setr_pd(f(0), f(1), f(2), f(3)) }
+        }
         #[inline(always)]
         fn zero(self) -> __m256d {
             // SAFETY: the token proves avx.
@@ -496,9 +535,9 @@ mod x86 {
             }
         }
         #[inline(always)]
-        fn prefetch(self, p: *const f64) {
+        fn prefetch(self, p: *const u8) {
             // SAFETY: a prefetch is a hint and may name any address.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(p as *const i8) }
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast()) }
         }
 
         /// # Safety — `requires: readable(p, W)`
@@ -541,69 +580,6 @@ mod x86 {
             // SAFETY: vmaskmovpd writes only the first n lanes.
             unsafe { _mm256_maskstore_pd(p, self.first_mask(n), v) }
         }
-        /// # Safety — `requires: readable(ci, W)`, `requires: cols_in_bounds(colidx, x)`
-        #[inline(always)]
-        unsafe fn gather(self, x: *const f64, ci: *const u32) -> __m256d {
-            // SAFETY: ci[0..4] are readable and each addresses x.
-            unsafe {
-                if AVX2 {
-                    return _mm256_i32gather_pd::<8>(x, _mm_loadu_si128(ci as *const __m128i));
-                }
-                // §5.5: two SSE2 loads form each 128-bit half, an insert
-                // forms the 256-bit vector.
-                let lo = _mm_loadh_pd(_mm_load_sd(x.add(*ci as usize)), x.add(*ci.add(1) as usize));
-                let hi = _mm_loadh_pd(
-                    _mm_load_sd(x.add(*ci.add(2) as usize)),
-                    x.add(*ci.add(3) as usize),
-                );
-                _mm256_insertf128_pd::<1>(_mm256_castpd128_pd256(lo), hi)
-            }
-        }
-        /// # Safety — `requires: readable(ci, W)`, `requires: cols_in_bounds_or_sentinel(colidx, x)`
-        #[inline(always)]
-        unsafe fn gather_live(self, x: *const f64, xlen: usize, ci: *const u32) -> __m256d {
-            // SAFETY: ci[0..4] are readable; each index < xlen addresses x
-            // and the sentinel is never dereferenced.
-            unsafe {
-                if AVX2 {
-                    return self.gather_idx(x, xlen, _mm_loadu_si128(ci as *const __m128i));
-                }
-                _mm256_setr_pd(
-                    live(x, xlen, *ci as usize),
-                    live(x, xlen, *ci.add(1) as usize),
-                    live(x, xlen, *ci.add(2) as usize),
-                    live(x, xlen, *ci.add(3) as usize),
-                )
-            }
-        }
-        /// # Safety — `requires: readable(off, W)`, `requires: narrow_cols_in_bounds(cidx16, cbase, x)`
-        #[inline(always)]
-        unsafe fn gather_live_narrow(
-            self,
-            x: *const f64,
-            xlen: usize,
-            off: *const u16,
-            base: u32,
-        ) -> __m256d {
-            // SAFETY: off[0..4] are readable; a live offset resolves to a
-            // column addressing x, the 0xFFFF sentinel becomes xlen, which
-            // the gather masks.
-            unsafe {
-                if AVX2 {
-                    let off32 = _mm_cvtepu16_epi32(_mm_loadl_epi64(off as *const __m128i));
-                    let wide = _mm_add_epi32(off32, _mm_set1_epi32(base as i32));
-                    let pad = _mm_cmpeq_epi32(off32, _mm_set1_epi32(0xFFFF));
-                    let idx = _mm_blendv_epi8(wide, _mm_set1_epi32(xlen as u32 as i32), pad);
-                    return self.gather_idx(x, xlen, idx);
-                }
-                _mm256_setr_pd(
-                    live(x, xlen, narrow_col(*off, base, xlen)),
-                    live(x, xlen, narrow_col(*off.add(1), base, xlen)),
-                    live(x, xlen, narrow_col(*off.add(2), base, xlen)),
-                    live(x, xlen, narrow_col(*off.add(3), base, xlen)),
-                )
-            }
-        }
         /// # Safety — `requires: readable(val, W)`, `requires: readable(ci, W)`, `requires: cols_in_bounds_or_sentinel(colidx, x)`
         #[inline(always)]
         unsafe fn fma_masked(
@@ -619,21 +595,8 @@ mod x86 {
             unsafe {
                 let k = self.lane_mask(bits);
                 let v = _mm256_maskload_pd(val, k);
-                let k = _mm256_castsi256_pd(k);
-                let xv = if AVX2 {
-                    let idx = _mm_loadu_si128(ci as *const __m128i);
-                    _mm256_mask_i32gather_pd::<8>(_mm256_setzero_pd(), x, idx, k)
-                } else {
-                    let at = |i: usize| {
-                        if (bits >> i) & 1 != 0 {
-                            *x.add(*ci.add(i) as usize)
-                        } else {
-                            0.0
-                        }
-                    };
-                    _mm256_setr_pd(at(0), at(1), at(2), at(3))
-                };
-                _mm256_blendv_pd(acc, self.fma(v, xv, acc), k)
+                let xv = self.gather_bits(bits, x, ci);
+                _mm256_blendv_pd(acc, self.fma(v, xv, acc), _mm256_castsi256_pd(k))
             }
         }
     }
@@ -643,12 +606,6 @@ mod x86 {
     pub struct Avx512(());
 
     impl sealed::Sealed for Avx512 {}
-
-    /// Opmask selecting the first `n <= 8` lanes.
-    #[inline(always)]
-    fn first_mask(n: usize) -> __mmask8 {
-        ((1u16 << n) - 1) as u8
-    }
 
     // `self` is unused as data: it is the proof the features are present.
     #[allow(clippy::unused_self)]
@@ -661,30 +618,19 @@ mod x86 {
         unsafe fn new() -> Self {
             Self(())
         }
-
-        /// Gather with sentinel lanes (`idx >= xlen`, unsigned) masked to
-        /// `0.0`.
-        ///
-        /// # Safety
-        ///
-        /// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — each lane
-        ///   of `idx` below `xlen` addresses `x`.
-        #[inline(always)]
-        unsafe fn gather_idx(self, x: *const f64, xlen: usize, idx: __m256i) -> __m512d {
-            // SAFETY: masked-off lanes are not dereferenced; live lanes
-            // are < xlen by the compare, in bounds of x per the contract.
-            unsafe {
-                let is_live = _mm256_cmplt_epu32_mask(idx, _mm256_set1_epi32(xlen as u32 as i32));
-                _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), is_live, idx, x)
-            }
-        }
     }
 
     impl Lanes for Avx512 {
         const W: usize = 8;
         type V = __m512d;
         type Acc<const C: usize> = [__m512d; 2];
+        const MASKED_TAIL: bool = true;
 
+        #[inline(always)]
+        fn build(self, mut f: impl FnMut(usize) -> f64) -> __m512d {
+            // SAFETY: the token proves avx512f.
+            unsafe { _mm512_setr_pd(f(0), f(1), f(2), f(3), f(4), f(5), f(6), f(7)) }
+        }
         #[inline(always)]
         fn zero(self) -> __m512d {
             // SAFETY: the token proves avx512f.
@@ -715,9 +661,9 @@ mod x86 {
             unsafe { _mm512_reduce_add_pd(v) }
         }
         #[inline(always)]
-        fn prefetch(self, p: *const f64) {
+        fn prefetch(self, p: *const u8) {
             // SAFETY: a prefetch is a hint and may name any address.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(p as *const i8) }
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast()) }
         }
 
         /// # Safety — `requires: readable(p, W)`
@@ -746,7 +692,7 @@ mod x86 {
         #[inline(always)]
         unsafe fn load_first(self, p: *const f64, n: usize) -> __m512d {
             // SAFETY: the masked load reads only the first n lanes.
-            unsafe { _mm512_maskz_loadu_pd(first_mask(n), p) }
+            unsafe { _mm512_maskz_loadu_pd(first_bits(n), p) }
         }
         /// # Safety — `requires: writable(p, W)`
         #[inline(always)]
@@ -758,40 +704,7 @@ mod x86 {
         #[inline(always)]
         unsafe fn store_first(self, p: *mut f64, n: usize, v: __m512d) {
             // SAFETY: the masked store writes only the first n lanes.
-            unsafe { _mm512_mask_storeu_pd(p, first_mask(n), v) }
-        }
-        /// # Safety — `requires: readable(ci, W)`, `requires: cols_in_bounds(colidx, x)`
-        #[inline(always)]
-        unsafe fn gather(self, x: *const f64, ci: *const u32) -> __m512d {
-            // SAFETY: ci[0..8] are readable and each addresses x.
-            unsafe { _mm512_i32gather_pd::<8>(_mm256_loadu_si256(ci as *const __m256i), x) }
-        }
-        /// # Safety — `requires: readable(ci, W)`, `requires: cols_in_bounds_or_sentinel(colidx, x)`
-        #[inline(always)]
-        unsafe fn gather_live(self, x: *const f64, xlen: usize, ci: *const u32) -> __m512d {
-            // SAFETY: ci[0..8] are readable; gather_idx's contract is the
-            // caller's.
-            unsafe { self.gather_idx(x, xlen, _mm256_loadu_si256(ci as *const __m256i)) }
-        }
-        /// # Safety — `requires: readable(off, W)`, `requires: narrow_cols_in_bounds(cidx16, cbase, x)`
-        #[inline(always)]
-        unsafe fn gather_live_narrow(
-            self,
-            x: *const f64,
-            xlen: usize,
-            off: *const u16,
-            base: u32,
-        ) -> __m512d {
-            // SAFETY: off[0..8] are readable; a live offset resolves to a
-            // column addressing x, the 0xFFFF sentinel becomes xlen, which
-            // the gather masks.
-            unsafe {
-                let off32 = _mm256_cvtepu16_epi32(_mm_loadu_si128(off as *const __m128i));
-                let wide = _mm256_add_epi32(off32, _mm256_set1_epi32(base as i32));
-                let pad = _mm256_cmpeq_epi32_mask(off32, _mm256_set1_epi32(0xFFFF));
-                let idx = _mm256_mask_set1_epi32(wide, pad, xlen as u32 as i32);
-                self.gather_idx(x, xlen, idx)
-            }
+            unsafe { _mm512_mask_storeu_pd(p, first_bits(n), v) }
         }
         /// # Safety — `requires: readable(val, W)`, `requires: readable(ci, W)`, `requires: cols_in_bounds_or_sentinel(colidx, x)`
         #[inline(always)]
@@ -807,37 +720,8 @@ mod x86 {
             // bit are gathered, and those address x.
             unsafe {
                 let v = _mm512_maskz_loadu_pd(bits, val);
-                let idx = _mm256_loadu_si256(ci as *const __m256i);
-                let xv = _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), bits, idx, x);
+                let xv = self.gather_bits(bits, x, ci);
                 _mm512_mask3_fmadd_pd(v, xv, acc, bits)
-            }
-        }
-        /// A remainder longer than two runs as one masked gather + FMA
-        /// into `acc` (§3.3, §4); shorter ones stay scalar.
-        ///
-        /// # Safety — `requires: readable(val, hi)`, `requires: readable(ci, hi)`, `requires: cols_in_bounds(colidx, x)`
-        #[inline(always)]
-        unsafe fn dot_tail(
-            self,
-            acc: &mut __m512d,
-            val: *const f64,
-            ci: *const u32,
-            lo: usize,
-            hi: usize,
-            x: *const f64,
-        ) -> f64 {
-            // SAFETY: the masked loads and gather touch only entries
-            // lo..hi: readable val/ci elements whose indices address x.
-            unsafe {
-                if hi - lo <= 2 {
-                    return scalar_tail(val, ci, lo, hi, x);
-                }
-                let k = first_mask(hi - lo);
-                let v = _mm512_maskz_loadu_pd(k, val.add(lo));
-                let idx = _mm256_maskz_loadu_epi32(k, ci.add(lo) as *const i32);
-                let xv = _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), k, idx, x);
-                *acc = _mm512_fmadd_pd(v, xv, *acc);
-                0.0
             }
         }
     }

@@ -5,7 +5,7 @@
 //! product, with an unavoidable remainder loop) and **SELL** (Algorithm 2:
 //! one slice of `C` adjacent rows per iteration, streaming in storage
 //! order, no remainder) — differ across AVX, AVX2 and AVX-512 only in
-//! register width, gather and FMA (§5.3, §5.5).  So each operation is one
+//! register width and FMA (§5.3, §5.5).  So each operation is one
 //! `#[inline(always)]` body generic over a [`lanes::Lanes`] tier:
 //!
 //! | body | generic over | what it is |
@@ -16,12 +16,15 @@
 //! | `sell::spmm` | `L`, codec, `C`, `ADD` | `k`-wide blocks, lanes along `k` |
 //! | `sell::esb_spmv` | `L`, `ADD` | the §5.3 bit-array ablation: SELL-8, one masked multiply-add per vector |
 //!
-//! | tier | lanes `W` | gather | multiply-add |
-//! |---|---|---|---|
-//! | scalar | 1 | plain load | two roundings |
-//! | AVX | 4 | emulated with scalar loads (§5.5) | two instructions, two roundings |
-//! | AVX2 | 4 | hardware | fused |
-//! | AVX-512 | 8 | hardware, opmask | fused; masked CSR remainder |
+//! | tier | lanes `W` | multiply-add |
+//! |---|---|---|
+//! | scalar | 1 | two roundings |
+//! | AVX | 4 | two instructions, two roundings |
+//! | AVX2 | 4 | fused |
+//! | AVX-512 | 8 | fused; masked CSR remainder |
+//!
+//! Every tier reads `x` with scalar loads — the §5.5 emulated gather,
+//! written once over [`lanes::Lanes::build`]; none issues `vgatherdpd`.
 //!
 //! SELL SpMV keeps `C / W` accumulator vectors per slice, so `W` must
 //! divide `C`; a tier that does not (SELL-4 on AVX-512) runs the widest

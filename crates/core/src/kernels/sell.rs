@@ -76,6 +76,13 @@ impl Stored for Bf16 {
     }
 }
 
+/// How many slice columns ahead of the one being multiplied the SpMV loops
+/// prefetch the value and index streams.  Measured on the out-of-cache
+/// `spmv_dram` workload (EXPERIMENTS.md §5.5): the hardware prefetcher
+/// stops at every 4 KiB page and one column ahead is already in flight,
+/// while 64 columns of SELL-8 are 4 KiB of values — a page ahead.
+const PREFETCH_COLS: usize = 64;
+
 /// The entry arrays of a SELL matrix as the SpMV inner loop sees them.
 struct Entries<D: Stored> {
     colidx: *const u32,
@@ -86,6 +93,27 @@ struct Entries<D: Stored> {
 }
 
 impl<D: Stored> Entries<D> {
+    /// Hints the cache lines of the `C`-entry column [`PREFETCH_COLS`]
+    /// ahead of entry offset `at`, in the value array and in the index
+    /// array `base` selects.  The addresses may lie past the arrays: they
+    /// are only ever prefetched.
+    #[inline(always)]
+    fn prefetch<L: Lanes, const C: usize>(&self, l: L, at: usize, base: u32) {
+        #[inline(always)]
+        fn span<L: Lanes, T>(l: L, p: *const T, n: usize) {
+            for line in 0..(n * size_of::<T>()).div_ceil(64) {
+                l.prefetch(p.cast::<u8>().wrapping_add(64 * line));
+            }
+        }
+        let at = at + PREFETCH_COLS * C;
+        span(l, self.val.wrapping_add(at), C);
+        if base == u32::MAX {
+            span(l, self.colidx.wrapping_add(at), C);
+        } else {
+            span(l, self.cidx16.wrapping_add(at), C);
+        }
+    }
+
     /// One slice column at entry offset `at`: `acc[j] += val · x[col]` for
     /// each of the column's `acc.len()` vectors.  `base` is the slice's
     /// `cbase` entry (`u32::MAX`: wide indices).
@@ -108,7 +136,7 @@ impl<D: Stored> Entries<D> {
                 let xv = if base == u32::MAX {
                     l.gather_live(self.x, self.xlen, self.colidx.add(at))
                 } else {
-                    l.gather_live_narrow(self.x, self.xlen, self.cidx16.add(at), base)
+                    l.gather_live_narrow(self.x, self.cidx16.add(at), base)
                 };
                 acc[j] = l.fma(v, xv, acc[j]);
             }
@@ -152,10 +180,11 @@ unsafe fn store_slice<L: Lanes, const ADD: bool>(l: L, acc: &[L::V], y: *mut f64
 ///
 /// Each slice column is `C / W` vector loads, sentinel-masked gathers and
 /// multiply-adds into the slice's `C / W` accumulators — no reduction, one
-/// lane per row.  With `ADD`, `y` is added when the slice is stored.
-/// `UNROLL` is the §5.5 manual tuning (two slices per iteration, the next
-/// columns prefetched), which the paper finds "does not affect the
-/// performance significantly"; it computes the same bits.
+/// lane per row — with the entry streams prefetched [`PREFETCH_COLS`]
+/// columns ahead.  With `ADD`, `y` is added when the slice is stored.
+/// `UNROLL` is the §5.5 manual tuning (two slices per iteration, the same
+/// prefetch), which the paper finds "does not affect the performance
+/// significantly"; it computes the same bits.
 ///
 /// # Safety
 ///
@@ -204,19 +233,18 @@ pub(super) unsafe fn spmv<
     let base_of = |s: usize| if D::NARROW { cbase[s] } else { u32::MAX };
     let mut s = 0usize;
     if UNROLL {
-        // Independent accumulators for two slices hide gather latency.
+        // Independent accumulators for two slices hide load latency.
         while s + 2 <= nslices {
             let (mut acc0, mut acc1) = (l.zero_acc::<C>(), l.zero_acc::<C>());
             let (acc0, acc1) = (&mut acc0.as_mut()[..nvec], &mut acc1.as_mut()[..nvec]);
             let (mut i0, e0, e1) = (sliceptr[s], sliceptr[s + 1], sliceptr[s + 2]);
             let mut i1 = e0;
             let (b0, b1) = (base_of(s), base_of(s + 1));
-            // SAFETY: as in the plain loop below, for both slices; the
-            // prefetched address is at most one past the entry arrays.
+            // SAFETY: as in the plain loop below, for both slices.
             unsafe {
                 while i0 < e0 && i1 < e1 {
-                    l.prefetch(e.val.add(i0 + C) as *const f64);
-                    l.prefetch(e.val.add(i1 + C) as *const f64);
+                    e.prefetch::<L, C>(l, i0, b0);
+                    e.prefetch::<L, C>(l, i1, b1);
                     e.column(l, acc0, i0, b0);
                     e.column(l, acc1, i1, b1);
                     i0 += C;
@@ -248,6 +276,7 @@ pub(super) unsafe fn spmv<
         // s*C .. min(s*C + C, nrows), all inside y.
         unsafe {
             while idx < end {
+                e.prefetch::<L, C>(l, idx, base);
                 e.column(l, acc, idx, base);
                 idx += C;
             }

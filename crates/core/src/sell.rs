@@ -200,48 +200,42 @@ impl<const C: usize> Sell<C> {
         if codec == Codec::F64 {
             return (AVec::zeroed(0), AVec::zeroed(0), Vec::new(), 0);
         }
-        let total = colidx.len();
         let stride = codec.bytes_per_value();
-        let mut pval: AVec<u8> = AVec::zeroed(total * stride);
-        for (i, &v) in val.iter().enumerate() {
-            codec::encode_into(codec, v, &mut pval[i * stride..(i + 1) * stride]);
-        }
         let nslices = sliceptr.len() - 1;
         let sentinel = ncols as u32;
-        let mut cidx16: AVec<u16> = AVec::zeroed(total);
+        let mut pval: AVec<u8> = AVec::zeroed(colidx.len() * stride);
+        let mut cidx16: AVec<u16> = AVec::zeroed(colidx.len());
         let mut cbase = vec![u32::MAX; nslices];
         let mut narrow_nnz = 0u64;
+        // One pass, slice by slice, over plain sub-slices of the four
+        // entry arrays.
         for s in 0..nslices {
-            let window = &colidx[sliceptr[s]..sliceptr[s + 1]];
-            let (mut lo, mut hi) = (u32::MAX, 0u32);
-            for &c in window.iter().filter(|&&c| c != sentinel) {
-                lo = lo.min(c);
-                hi = hi.max(c);
+            let (lo, hi) = (sliceptr[s], sliceptr[s + 1]);
+            let (cols, vals) = (&colidx[lo..hi], &val[lo..hi]);
+            let bytes = &mut pval[lo * stride..hi * stride];
+            for (out, &v) in bytes.chunks_exact_mut(stride).zip(vals) {
+                codec::encode_into(codec, v, out);
             }
-            if lo == u32::MAX {
-                // All-padding slice: trivially narrow with base 0.
-                cbase[s] = 0;
-                for at in sliceptr[s]..sliceptr[s + 1] {
-                    cidx16[at] = NARROW_SENTINEL;
-                }
-                continue;
-            }
-            if (hi - lo) as usize >= NARROW_SENTINEL as usize {
+            let live = || cols.iter().filter(|&&c| c != sentinel);
+            // An all-padding slice is trivially narrow, with base 0.
+            let min = live().min().copied().unwrap_or(0);
+            let max = live().max().copied().unwrap_or(0);
+            if (max - min) as usize >= NARROW_SENTINEL as usize {
                 continue; // span too wide — stays u32::MAX (wide form)
             }
-            cbase[s] = lo;
-            for at in sliceptr[s]..sliceptr[s + 1] {
-                cidx16[at] = if colidx[at] == sentinel {
+            cbase[s] = min;
+            for (o, &c) in cidx16[lo..hi].iter_mut().zip(cols) {
+                *o = if c == sentinel {
                     NARROW_SENTINEL
                 } else {
-                    (colidx[at] - lo) as u16
+                    (c - min) as u16
                 };
             }
             // Live entries in this slice: sum of true row lengths clipped
             // to the slice width (padding never counts).
-            let w = (sliceptr[s + 1] - sliceptr[s]) / C;
-            for row in s * C..((s + 1) * C).min(rlen.len()) {
-                narrow_nnz += (rlen[row] as usize).min(w) as u64;
+            let w = (hi - lo) / C;
+            for &len in &rlen[s * C..((s + 1) * C).min(rlen.len())] {
+                narrow_nnz += (len as usize).min(w) as u64;
             }
         }
         (pval, cidx16, cbase, narrow_nnz)
@@ -448,8 +442,8 @@ impl<const C: usize> Sell<C> {
         self.slices::<false, false>(isa, 0, self.nslices(), x, y, Some(k));
     }
 
-    /// SpMV through the §5.5 manually-tuned loop (two-slice unroll +
-    /// software prefetch) of the matrix's own tier.
+    /// SpMV through the §5.5 manually-tuned loop (two-slice unroll; the
+    /// software prefetch is the plain loop's too) of the matrix's own tier.
     ///
     /// The paper notes these classic tunings "do not affect the
     /// performance significantly" — benchmark them with `kernels_micro`.

@@ -12,7 +12,7 @@ pub struct Finding {
     /// 1-based line number.
     pub line: usize,
     /// Pass identifier: `unsafe-audit`, `contract`, `panic-freedom`,
-    /// `atomics`, or `policy`.
+    /// `no-gather`, `atomics`, or `policy`.
     pub pass: &'static str,
     /// The contract clause involved, when the finding concerns one.
     pub clause: Option<String>,

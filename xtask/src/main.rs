@@ -1,8 +1,8 @@
 //! `cargo run -p xtask -- <command>`: repo verification tooling.
 //!
 //! * `lint [--json] [--pass NAME]` — run the static-analysis passes
-//!   (unsafe-audit, contract, panic-freedom, atomics) over the workspace
-//!   against `POLICY.toml`.  Exit 1 on any finding.
+//!   (unsafe-audit, contract, panic-freedom, no-gather, atomics) over the
+//!   workspace against `POLICY.toml`.  Exit 1 on any finding.
 //! * `verify [--json] [--quick]` — `lint`, then the pool-protocol model
 //!   checker (`cargo run --release -p sellkit-verify`).  The complete
 //!   offline correctness gate.
@@ -78,7 +78,7 @@ fn lint(json: bool, pass_filter: Option<&str>) -> ExitCode {
         println!("{}", to_json(&findings));
     } else if findings.is_empty() {
         println!(
-            "xtask lint: {} files, 0 findings (unsafe-audit, contract, panic-freedom, atomics)",
+            "xtask lint: {} files, 0 findings (unsafe-audit, contract, panic-freedom, no-gather, atomics)",
             tree.len()
         );
     } else {

@@ -217,6 +217,22 @@ fn unwrap_in_a_kernel_fails_the_panic_freedom_pass() {
 }
 
 #[test]
+fn a_hardware_gather_in_a_lane_operation_fails_the_no_gather_pass() {
+    let mut tree = real_tree();
+    mutate(
+        &mut tree,
+        "crates/core/src/kernels/lanes.rs",
+        "unsafe { _mm512_setr_pd(f(0), f(1), f(2), f(3), f(4), f(5), f(6), f(7)) }",
+        "unsafe { _mm512_i32gather_pd::<8>(idx, x) }",
+    );
+    let findings = passes::no_gather::run(&tree);
+    assert!(
+        findings.len() == 1 && findings[0].pass == "no-gather",
+        "{findings:#?}"
+    );
+}
+
+#[test]
 fn unsafe_outside_the_allowlist_fails_the_audit() {
     let mut tree = real_tree();
     mutate(
