@@ -167,47 +167,40 @@ impl<M: Operator + FromCsr> DistMat<M> {
             "y block length mismatch"
         );
         let mut ghost = self.ghost.borrow_mut();
-        if sellkit_obs::enabled() {
+        // Every guard below is inert while logging is off, and the traffic
+        // model is not evaluated.
+        let _mm = sellkit_obs::enabled().then(|| {
             let td = self.diag.spmv_traffic();
             let to = self.offdiag.spmv_traffic();
-            let _mm = sellkit_obs::span_traffic(
+            sellkit_obs::span_traffic(
                 "MatMult",
                 (td.flops + to.flops) as f64,
                 (td.bytes + to.bytes) as f64,
-            );
-            sellkit_obs::counter("halo.msgs", self.scatter.nmsgs() as f64);
-            sellkit_obs::counter("halo.bytes", (self.scatter.send_volume() * 8) as f64);
-            let pending = {
-                let _sb = sellkit_obs::span("VecScatterBegin");
-                self.scatter.begin(comm, x_local, &mut ghost)
-            };
-            // The diagonal product is the communication-hiding window (§2.2
-            // step 2): its duration is halo latency hidden behind compute,
-            // while VecScatterEnd measures the wait that was *not* hidden.
-            {
-                let _d = sellkit_obs::span("MatMultDiag");
-                self.diag
-                    .apply(ctx, (x_local).into(), (y_local).into(), Apply::Set);
-            }
-            {
-                let _se = sellkit_obs::span("VecScatterEnd");
-                self.scatter.end(comm, pending, &mut ghost);
-            }
-            let _o = sellkit_obs::span("MatMultOffdiag");
-            self.offdiag
-                .apply(ctx, (&ghost[..]).into(), (y_local).into(), Apply::Add);
-        } else {
-            // (1) post nonblocking transfers of nonlocal x entries;
-            let pending = self.scatter.begin(comm, x_local, &mut ghost);
-            // (2) diagonal block × local x — overlapped with communication;
+            )
+        });
+        sellkit_obs::counter("halo.msgs", self.scatter.nmsgs() as f64);
+        sellkit_obs::counter("halo.bytes", (self.scatter.send_volume() * 8) as f64);
+        // (1) post nonblocking transfers of nonlocal x entries;
+        let pending = {
+            let _sb = sellkit_obs::span("VecScatterBegin");
+            self.scatter.begin(comm, x_local, &mut ghost)
+        };
+        // (2) diagonal block × local x — the communication-hiding window:
+        // its duration is halo latency hidden behind compute;
+        {
+            let _d = sellkit_obs::span("MatMultDiag");
             self.diag
                 .apply(ctx, (x_local).into(), (y_local).into(), Apply::Set);
-            // (3) wait for the transfers;
-            self.scatter.end(comm, pending, &mut ghost);
-            // (4) off-diagonal block × ghost entries, accumulated (fused).
-            self.offdiag
-                .apply(ctx, (&ghost[..]).into(), (y_local).into(), Apply::Add);
         }
+        // (3) wait for the transfers — the wait that was *not* hidden;
+        {
+            let _se = sellkit_obs::span("VecScatterEnd");
+            self.scatter.end(comm, pending, &mut ghost);
+        }
+        // (4) off-diagonal block × ghost entries, accumulated (fused).
+        let _o = sellkit_obs::span("MatMultOffdiag");
+        self.offdiag
+            .apply(ctx, (&ghost[..]).into(), (y_local).into(), Apply::Add);
     }
 
     /// This rank's row range.

@@ -2,16 +2,16 @@
 //! §7.3 experiments, where every rank owns a block of unknowns, assembles
 //! only its own Jacobian rows, and all reductions cross ranks.
 //!
-//! The single-rank [`sellkit_solvers::snes::newton`](fn@sellkit_solvers::snes::newton::newton) and this function run
-//! the *same algorithm*; only the vector space changes — which is why the
-//! paper's iteration counts are identical across node counts.
+//! The single-rank [`newton`](fn@sellkit_solvers::snes::newton::newton) and
+//! [`dist_newton`] are the *same algorithm* — one loop,
+//! [`newton_over`], run over two vector spaces — which is why the paper's
+//! iteration counts are identical across node counts.
 
-use sellkit_core::{Csr, FromCsr, MatShape, Operator};
+use sellkit_core::{matops, Csr, FromCsr, MatShape, Operator};
 use sellkit_mpisim::Comm;
 use sellkit_solvers::ksp::gmres;
-use sellkit_solvers::pc::Precond;
-use sellkit_solvers::snes::newton::{NewtonConfig, NewtonResult, NewtonStopReason};
-use sellkit_solvers::snes::LineSearch;
+use sellkit_solvers::pc::{self, Precond};
+use sellkit_solvers::snes::newton::{newton_over, NewtonConfig, NewtonResult};
 
 use crate::dmat::DistMat;
 use crate::solve::{DistDot, DistOp};
@@ -60,126 +60,37 @@ where
         "x block does not match owned rows"
     );
     let nglobal = problem.global_dim();
-    let nl = rows.len();
     let ip = DistDot { comm };
-
-    let global_norm = |v: &[f64]| -> f64 {
-        let local: f64 = v.iter().map(|a| a * a).sum();
-        comm.allreduce_sum(local).sqrt()
-    };
-
-    let mut f = vec![0.0; nl];
-    let mut trial = vec![0.0; nl];
-    let mut ftrial = vec![0.0; nl];
-    problem.residual(comm, x_local, &mut f);
-    let f0 = global_norm(&f);
-    let mut fnorm = f0;
-    let mut history = vec![f0];
-    let mut linear_iterations = 0usize;
-
-    let check = |fnorm: f64| -> Option<NewtonStopReason> {
-        if fnorm <= cfg.atol {
-            Some(NewtonStopReason::AbsoluteTolerance)
-        } else if fnorm <= cfg.rtol * f0 {
-            Some(NewtonStopReason::RelativeTolerance)
-        } else {
-            None
-        }
-    };
-    if let Some(reason) = check(f0) {
-        return NewtonResult {
-            iterations: 0,
-            fnorm: f0,
-            reason,
-            linear_iterations,
-            history,
-        };
-    }
 
     // The rank-local preconditioner lives for the whole solve, as in the
     // single-rank loop; the distributed operator is rebuilt (its scatter is
     // a collective with a tag of its own).
     let mut kept_pc = None;
-    for it in 1..=cfg.max_it {
-        let j_local = problem.local_jacobian(comm, x_local);
-        let diag_block = diag_block_of(comm, &j_local, nglobal, &rows);
-        let pc = sellkit_solvers::pc::set_up(&mut kept_pc, &diag_block, &pc_factory);
-        let dm =
-            DistMat::<M>::from_local_rows(comm, nglobal, nglobal, &j_local, tag_base + it as u64);
-
-        let rhs: Vec<f64> = f.iter().map(|&v| -v).collect();
-        let mut d = vec![0.0; nl];
-        let lin = gmres(&DistOp { comm, mat: &dm }, pc, &ip, &rhs, &mut d, &cfg.ksp);
-        linear_iterations += lin.iterations;
-
-        // Globalize with *global* norms so every rank picks the same λ.
-        let (lambda, new_fnorm) = match cfg.line_search {
-            LineSearch::Full => {
-                for i in 0..nl {
-                    trial[i] = x_local[i] + d[i];
-                }
-                problem.residual(comm, &trial, &mut ftrial);
-                (1.0, global_norm(&ftrial))
-            }
-            LineSearch::Backtracking(ls) => {
-                let mut lambda = 1.0;
-                loop {
-                    for i in 0..nl {
-                        trial[i] = x_local[i] + lambda * d[i];
-                    }
-                    problem.residual(comm, &trial, &mut ftrial);
-                    let fn_trial = global_norm(&ftrial);
-                    if fn_trial <= (1.0 - ls.alpha * lambda) * fnorm {
-                        break (lambda, fn_trial);
-                    }
-                    lambda *= ls.shrink;
-                    if lambda < ls.min_lambda {
-                        break (0.0, fnorm);
-                    }
-                }
-            }
-        };
-        if lambda == 0.0 {
-            return NewtonResult {
-                iterations: it,
-                fnorm,
-                reason: NewtonStopReason::LineSearchFailed,
-                linear_iterations,
-                history,
+    let mut tag = tag_base;
+    newton_over(
+        &ip,
+        x_local,
+        cfg,
+        |x, f| problem.residual(comm, x, f),
+        |x, rhs, d, ksp_cfg| {
+            tag += 1;
+            let (dm, pc) = {
+                let _je = sellkit_obs::span("SNESJacobianEval");
+                let j_local = {
+                    let _s = sellkit_obs::span("MatAssembly");
+                    problem.local_jacobian(comm, x)
+                };
+                // Block-Jacobi: the preconditioner sees the square diagonal
+                // block of the owned rows.
+                let diag_block = matops::submatrix(&j_local, 0..j_local.nrows(), rows.clone());
+                let pc = pc::set_up(&mut kept_pc, &diag_block, &pc_factory);
+                let _s = sellkit_obs::span("MatConvert");
+                let dm = DistMat::<M>::from_local_rows(comm, nglobal, nglobal, &j_local, tag);
+                (dm, pc)
             };
-        }
-        for i in 0..nl {
-            x_local[i] += lambda * d[i];
-        }
-        problem.residual(comm, x_local, &mut f);
-        fnorm = new_fnorm;
-        history.push(fnorm);
-        if let Some(reason) = check(fnorm) {
-            return NewtonResult {
-                iterations: it,
-                fnorm,
-                reason,
-                linear_iterations,
-                history,
-            };
-        }
-    }
-
-    NewtonResult {
-        iterations: cfg.max_it,
-        fnorm,
-        reason: NewtonStopReason::MaxIterations,
-        linear_iterations,
-        history,
-    }
-}
-
-/// Extracts the square diagonal block of a local-rows matrix (global
-/// columns) for building the rank-local preconditioner.
-fn diag_block_of(comm: &Comm, local: &Csr, nglobal: usize, rows: &std::ops::Range<usize>) -> Csr {
-    let _ = comm;
-    let _ = nglobal;
-    sellkit_core::matops::submatrix(local, 0..local.nrows(), rows.start..rows.end)
+            gmres(&DistOp { comm, mat: &dm }, pc, &ip, rhs, d, ksp_cfg)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -190,6 +101,7 @@ mod tests {
     use sellkit_mpisim::run;
     use sellkit_solvers::pc::JacobiPc;
     use sellkit_solvers::snes::newton::{newton, NonlinearProblem};
+    use sellkit_solvers::snes::LineSearch;
 
     /// 1D nonlinear problem: F_i = 2x_i - x_{i-1} - x_{i+1} + x_i³ - g_i
     /// (periodic) — every rank needs one neighbour value from each side,

@@ -6,7 +6,7 @@ use crate::pc::Precond;
 use crate::vecops;
 
 use super::monitor::{IterationRecord, KspMonitor, NoMonitor};
-use super::{test_convergence, KspConfig, KspResult, StopReason};
+use super::{residual_into, test_convergence, KspConfig, KspResult, StopReason};
 
 /// Solves `A x = b` with right-preconditioned BiCGStab.
 pub fn bicgstab<O: Operator, P: Precond, D: InnerProduct>(
@@ -35,10 +35,7 @@ pub fn bicgstab_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonito
     let _solve = sellkit_obs::span("KSPSolve");
     let n = op.dim();
     let mut r = vec![0.0; n];
-    op.apply(x, &mut r);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
-    }
+    residual_into(op, b, x, &mut r);
     let r_hat = r.clone(); // shadow residual
     let r0 = ip.norm(&r);
     let mut history = vec![r0];

@@ -5,7 +5,7 @@ use crate::pc::Precond;
 use crate::vecops;
 
 use super::monitor::{IterationRecord, KspMonitor, NoMonitor};
-use super::{test_convergence, KspConfig, KspResult, StopReason};
+use super::{residual_into, test_convergence, KspConfig, KspResult, StopReason};
 
 /// Solves `A x = b` with preconditioned CG.  `A` and the preconditioner
 /// must be symmetric positive definite.
@@ -39,10 +39,7 @@ pub fn cg_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor + ?S
     let mut ap = vec![0.0; n];
     let mut history = Vec::new();
 
-    op.apply(x, &mut r);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
-    }
+    residual_into(op, b, x, &mut r);
     pc.apply(&r, &mut z);
     let mut rz = ip.dot(&r, &z);
     let r0 = ip.norm(&r);

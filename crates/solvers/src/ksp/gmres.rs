@@ -1,12 +1,13 @@
 //! Restarted GMRES with modified Gram-Schmidt and Givens rotations — the
 //! Krylov method of the paper's Gray-Scott experiment (§7: "the linear
-//! system is solved with the GMRES Krylov subspace method").
+//! system is solved with the GMRES Krylov subspace method") — and its
+//! flexible, right-preconditioned form, over one Arnoldi cycle.
 
 use crate::operator::{InnerProduct, Operator};
 use crate::pc::Precond;
 
 use super::monitor::{IterationRecord, KspMonitor, NoMonitor};
-use super::{initial_residual, test_convergence, KspConfig, KspResult, StopReason};
+use super::{initial_residual, residual_into, test_convergence, KspConfig, KspResult, StopReason};
 
 /// Solves `A x = b` with left-preconditioned GMRES(restart).
 ///
@@ -55,17 +56,72 @@ pub fn gmres_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor +
     cfg: &KspConfig,
     mon: &M,
 ) -> KspResult {
+    arnoldi_solve::<false, _, _, _, _>(op, pc, ip, b, x, cfg, mon)
+}
+
+/// Solves `A x = b` with restarted flexible GMRES (Saad 1993): the
+/// right-preconditioned form that tolerates a preconditioner which
+/// *changes between iterations* — a multigrid cycle with an iterative
+/// coarse solve, or any inner Krylov loop (PETSc `KSPFGMRES`, the pairing
+/// the paper's §8 anticipates for SELL-based preconditioning).
+///
+/// Unlike [`gmres`], the preconditioned vectors `z_j = M⁻¹ v_j` are stored
+/// and the correction is built from them, so `M` may differ at every
+/// application; `history` records the true residual `‖b − A·x‖`.
+pub fn fgmres<O: Operator, P: Precond, D: InnerProduct>(
+    op: &O,
+    pc: &P,
+    ip: &D,
+    b: &[f64],
+    x: &mut [f64],
+    cfg: &KspConfig,
+) -> KspResult {
+    arnoldi_solve::<true, _, _, _, _>(op, pc, ip, b, x, cfg, &NoMonitor)
+}
+
+/// The restarted Arnoldi cycle both methods are: modified Gram-Schmidt,
+/// Givens rotations on the Hessenberg column, back-substitution, and a
+/// check of the updated iterate against the residual it was started from.
+/// `FLEXIBLE` picks the side `M⁻¹` is applied on, which is all that
+/// differs: left (`w = M⁻¹·A·vⱼ`, the preconditioned residual, `x += V·y`)
+/// or right with the `zⱼ = M⁻¹·vⱼ` kept (`w = A·zⱼ`, the true residual,
+/// `x += Z·y`).
+fn arnoldi_solve<const FLEXIBLE: bool, O, P, D, M>(
+    op: &O,
+    pc: &P,
+    ip: &D,
+    b: &[f64],
+    x: &mut [f64],
+    cfg: &KspConfig,
+    mon: &M,
+) -> KspResult
+where
+    O: Operator,
+    P: Precond,
+    D: InnerProduct,
+    M: KspMonitor + ?Sized,
+{
     let _solve = sellkit_obs::span("KSPSolve");
     let n = op.dim();
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
     let m = cfg.restart.max(1);
 
+    // `r = b − A·x`; a cycle starts from `r` itself when flexible and from
+    // `z = M⁻¹·r` otherwise.
     let mut r = vec![0.0; n];
-    let mut z = vec![0.0; n];
+    let mut z = vec![0.0; if FLEXIBLE { 0 } else { n }];
+    let residual = |x: &[f64], r: &mut [f64], z: &mut [f64]| {
+        if FLEXIBLE {
+            residual_into(op, b, x, r);
+            ip.norm(r)
+        } else {
+            initial_residual(op, pc, ip, b, x, r, z)
+        }
+    };
     let mut history = Vec::new();
 
-    let r0 = initial_residual(op, pc, ip, b, x, &mut r, &mut z);
+    let r0 = residual(x, &mut r, &mut z);
     history.push(r0);
     mon.monitor(&IterationRecord {
         iteration: 0,
@@ -82,9 +138,11 @@ pub fn gmres_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor +
     }
 
     // Krylov basis and Hessenberg in compact column storage.  The basis
-    // grows to at most m+1 vectors and is then recycled by every restart
-    // cycle; `basis[j + 1]` doubles as iteration j's work vector `w`.
+    // grows to at most m+1 vectors (and the kept `zs` to m) and is then
+    // recycled by every restart cycle; `basis[j + 1]` doubles as iteration
+    // j's work vector `w`.
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
+    let mut zs: Vec<Vec<f64>> = Vec::with_capacity(if FLEXIBLE { m } else { 0 });
     let mut y = vec![0.0f64; m]; // solution of the small triangular system
     let mut h = vec![0.0f64; (m + 1) * m]; // h[i + j*(m+1)] = H(i, j)
     let mut cs = vec![0.0f64; m];
@@ -95,8 +153,9 @@ pub fn gmres_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor +
     let mut rnorm;
 
     loop {
-        // (Re)start: z = M⁻¹(b - A x) was computed above / below.
-        let beta = ip.norm(&z);
+        // (Re)start from the residual computed above / below.
+        let start = if FLEXIBLE { &r } else { &z };
+        let beta = ip.norm(start);
         if beta == 0.0 {
             return KspResult {
                 iterations: total_it,
@@ -108,8 +167,8 @@ pub fn gmres_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor +
         if basis.is_empty() {
             basis.push(vec![0.0; n]);
         }
-        for (vi, zi) in basis[0].iter_mut().zip(&z) {
-            *vi = zi / beta;
+        for (vi, si) in basis[0].iter_mut().zip(start) {
+            *vi = si / beta;
         }
         g.iter_mut().for_each(|gi| *gi = 0.0);
         g[0] = beta;
@@ -118,15 +177,22 @@ pub fn gmres_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor +
         let mut stop: Option<StopReason> = None;
 
         for j in 0..m {
-            // w = M⁻¹ A v_j, which `pc.apply` overwrites whole.
             if basis.len() == j + 1 {
                 basis.push(vec![0.0; n]);
+                if FLEXIBLE {
+                    zs.push(vec![0.0; n]);
+                }
             }
             let (vs, rest) = basis.split_at_mut(j + 1);
             let w = &mut rest[0];
-            op.apply(&vs[j], &mut r);
-            pc.apply(&r, w);
-
+            // Both applies overwrite their output whole.
+            if FLEXIBLE {
+                pc.apply(&vs[j], &mut zs[j]);
+                op.apply(&zs[j], w);
+            } else {
+                op.apply(&vs[j], &mut r);
+                pc.apply(&r, w);
+            }
             // Modified Gram-Schmidt.
             for (i, vi) in vs.iter().enumerate() {
                 let hij = ip.dot(w, vi);
@@ -206,16 +272,17 @@ pub fn gmres_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor +
             }
             y[i] = s / hii;
         }
+        let dirs = if FLEXIBLE { &zs } else { &basis };
         for (k, &yk) in y[..j_used].iter().enumerate() {
-            for (xi, vk) in x.iter_mut().zip(&basis[k]) {
-                *xi += yk * vk;
+            for (xi, dk) in x.iter_mut().zip(&dirs[k]) {
+                *xi += yk * dk;
             }
         }
 
-        // Always verify against the true preconditioned residual before
+        // Always verify against the residual the cycle started from before
         // declaring success — the Givens estimate can be optimistic when
         // the operator is singular.
-        rnorm = initial_residual(op, pc, ip, b, x, &mut r, &mut z);
+        rnorm = residual(x, &mut r, &mut z);
         if let Some(reason) = test_convergence(rnorm, r0, cfg) {
             return KspResult {
                 iterations: total_it,
@@ -257,7 +324,7 @@ pub fn gmres_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor +
 }
 
 /// A numerically robust Givens rotation.
-pub(crate) fn givens(a: f64, b: f64) -> (f64, f64) {
+fn givens(a: f64, b: f64) -> (f64, f64) {
     if b == 0.0 {
         (1.0, 0.0)
     } else if a.abs() < b.abs() {
@@ -275,8 +342,10 @@ pub(crate) fn givens(a: f64, b: f64) -> (f64, f64) {
 mod tests {
     use super::super::testmat::{convdiff2d, laplace2d, true_residual};
     use super::*;
+    use crate::ksp::cg;
     use crate::operator::{MatOperator, SeqDot};
     use crate::pc::{IdentityPc, JacobiPc};
+    use std::cell::Cell;
 
     #[test]
     fn solves_spd_system() {
@@ -438,5 +507,110 @@ mod tests {
         );
         assert_eq!(res.reason, StopReason::MaxIterations);
         assert_eq!(res.iterations, 3);
+    }
+
+    #[test]
+    fn matches_gmres_with_fixed_pc() {
+        let a = laplace2d(10);
+        let n = 100;
+        let b: Vec<f64> = (0..n).map(|i| ((i % 11) as f64) - 5.0).collect();
+        let cfg = KspConfig {
+            rtol: 1e-10,
+            ..Default::default()
+        };
+        let mut x1 = vec![0.0; n];
+        let mut x2 = vec![0.0; n];
+        gmres(
+            &MatOperator(&a),
+            &JacobiPc::from_csr(&a),
+            &SeqDot,
+            &b,
+            &mut x1,
+            &cfg,
+        );
+        fgmres(
+            &MatOperator(&a),
+            &JacobiPc::from_csr(&a),
+            &SeqDot,
+            &b,
+            &mut x2,
+            &cfg,
+        );
+        assert!(true_residual(&a, &x1, &b) < 1e-6);
+        assert!(true_residual(&a, &x2, &b) < 1e-6);
+    }
+
+    /// A preconditioner that deliberately varies per application: inner CG
+    /// with a loose, iteration-dependent tolerance.  Plain GMRES's theory
+    /// breaks under this; FGMRES must still converge to the true solution.
+    struct VaryingInnerSolve<'a> {
+        a: &'a sellkit_core::Csr,
+        calls: Cell<usize>,
+    }
+
+    impl Precond for VaryingInnerSolve<'_> {
+        fn apply(&self, r: &[f64], z: &mut [f64]) {
+            let k = self.calls.get();
+            self.calls.set(k + 1);
+            z.fill(0.0);
+            let cfg = KspConfig {
+                rtol: if k.is_multiple_of(2) { 1e-1 } else { 1e-3 },
+                max_it: 4 + k % 3,
+                ..Default::default()
+            };
+            let _ = cg(&MatOperator(self.a), &IdentityPc, &SeqDot, r, z, &cfg);
+        }
+    }
+
+    #[test]
+    fn converges_with_varying_preconditioner() {
+        let a = convdiff2d(8, 1.0);
+        let n = 64;
+        let b = vec![1.0; n];
+        let pc = VaryingInnerSolve {
+            a: &a,
+            calls: Cell::new(0),
+        };
+        let mut x = vec![0.0; n];
+        let res = fgmres(
+            &MatOperator(&a),
+            &pc,
+            &SeqDot,
+            &b,
+            &mut x,
+            &KspConfig {
+                rtol: 1e-9,
+                ..Default::default()
+            },
+        );
+        assert!(res.converged(), "{:?}", res.reason);
+        assert!(true_residual(&a, &x, &b) < 1e-5);
+        assert!(pc.calls.get() > 0);
+    }
+
+    #[test]
+    fn restart_with_flexible_pc() {
+        let a = laplace2d(8);
+        let n = 64;
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+        let pc = VaryingInnerSolve {
+            a: &a,
+            calls: Cell::new(0),
+        };
+        let mut x = vec![0.0; n];
+        let res = fgmres(
+            &MatOperator(&a),
+            &pc,
+            &SeqDot,
+            &b,
+            &mut x,
+            &KspConfig {
+                rtol: 1e-9,
+                restart: 4,
+                ..Default::default()
+            },
+        );
+        assert!(res.converged());
+        assert!(true_residual(&a, &x, &b) < 1e-5);
     }
 }

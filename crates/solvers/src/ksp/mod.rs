@@ -1,31 +1,38 @@
 //! Krylov subspace solvers (PETSc `KSP`).
 //!
-//! All methods are left-preconditioned, format-agnostic (they see only
-//! [`Operator`]/[`InnerProduct`]/[`Precond`](crate::pc::Precond)), and record a residual
-//! history for convergence studies.
+//! All methods are format-agnostic — they see only
+//! [`Operator`]/[`InnerProduct`]/[`Precond`](crate::pc::Precond) — open one
+//! `KSPSolve` span per solve, and record a residual history for convergence
+//! studies.  Which residual `history`, `residual` and the stopping test
+//! refer to follows from the side `M⁻¹` is applied on:
+//!
+//! | method | preconditioning | residual recorded |
+//! |---|---|---|
+//! | [`gmres()`] | left, `M⁻¹·A·x = M⁻¹·b` | preconditioned, `‖M⁻¹(b − A·x)‖` |
+//! | [`fgmres`] | right, `A·M⁻¹·u = b`, `M` may change per apply | true, `‖b − A·x‖` |
+//! | [`bicgstab()`] | right | true |
+//! | [`tfqmr()`] | right | true at the start, then the quasi-residual bound `τ·√(2k)`; a bound under the tolerance is confirmed against the true residual |
+//! | [`cg()`] | symmetric (`M⁻¹` enters the search directions) | true |
+//!
+//! [`gmres()`] and [`fgmres`] are one restarted Arnoldi cycle written once
+//! in [`gmres`](mod@gmres).  The Chebyshev and damped-Jacobi iterations
+//! live where they run: as the smoothers of
+//! [`Multigrid`](crate::pc::Multigrid).
 
 pub mod bicgstab;
 pub mod cg;
-pub mod chebyshev;
-pub mod fgmres;
 pub mod gmres;
 pub mod monitor;
-pub mod richardson;
 pub mod tfqmr;
 
 pub use bicgstab::{bicgstab, bicgstab_monitored};
 pub use cg::{cg, cg_monitored};
-pub use chebyshev::chebyshev;
-pub use fgmres::fgmres;
-pub use gmres::{gmres, gmres_monitored};
+pub use gmres::{fgmres, gmres, gmres_monitored};
 pub use monitor::{
     CollectingMonitor, ConvergenceSummary, IterationRecord, KspMonitor, NoMonitor, ObsMonitor,
     PrintMonitor,
 };
-pub use richardson::richardson;
 pub use tfqmr::tfqmr;
-
-pub(crate) use gmres::givens as gmres_givens;
 
 use crate::operator::{InnerProduct, Operator};
 
@@ -102,8 +109,16 @@ pub(crate) fn test_convergence(rnorm: f64, r0: f64, cfg: &KspConfig) -> Option<S
     }
 }
 
+/// Computes the true residual `r = b - A·x`.
+pub(crate) fn residual_into<O: Operator>(op: &O, b: &[f64], x: &[f64], r: &mut [f64]) {
+    op.apply(x, r);
+    for i in 0..r.len() {
+        r[i] = b[i] - r[i];
+    }
+}
+
 /// Computes the preconditioned residual `z = M⁻¹(b - A·x)` and returns its
-/// norm; shared start-up step of every method.
+/// norm; shared start-up step of the left-preconditioned methods.
 pub(crate) fn initial_residual<O: Operator, D: InnerProduct>(
     op: &O,
     pc: &impl crate::pc::Precond,
@@ -113,10 +128,7 @@ pub(crate) fn initial_residual<O: Operator, D: InnerProduct>(
     r: &mut [f64],
     z: &mut [f64],
 ) -> f64 {
-    op.apply(x, r);
-    for i in 0..r.len() {
-        r[i] = b[i] - r[i];
-    }
+    residual_into(op, b, x, r);
     pc.apply(r, z);
     ip.norm(z)
 }

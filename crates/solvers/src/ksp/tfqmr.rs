@@ -6,7 +6,7 @@ use crate::operator::{InnerProduct, Operator};
 use crate::pc::Precond;
 use crate::vecops;
 
-use super::{test_convergence, KspConfig, KspResult, StopReason};
+use super::{residual_into, test_convergence, KspConfig, KspResult, StopReason};
 
 /// Solves `A x = b` with right-preconditioned TFQMR.
 pub fn tfqmr<O: Operator, P: Precond, D: InnerProduct>(
@@ -17,6 +17,7 @@ pub fn tfqmr<O: Operator, P: Precond, D: InnerProduct>(
     x: &mut [f64],
     cfg: &KspConfig,
 ) -> KspResult {
+    let _solve = sellkit_obs::span("KSPSolve");
     let n = op.dim();
     let apply_prec_op = |v: &[f64], tmp: &mut [f64], out: &mut [f64]| {
         pc.apply(v, tmp);
@@ -24,10 +25,7 @@ pub fn tfqmr<O: Operator, P: Precond, D: InnerProduct>(
     };
 
     let mut r = vec![0.0; n];
-    op.apply(x, &mut r);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
-    }
+    residual_into(op, b, x, &mut r);
     let r0_norm = ip.norm(&r);
     let mut history = vec![r0_norm];
     if let Some(reason) = test_convergence(r0_norm, r0_norm, cfg) {
@@ -97,10 +95,7 @@ pub fn tfqmr<O: Operator, P: Precond, D: InnerProduct>(
         if let Some(reason) = test_convergence(rnorm_est, r0_norm, cfg) {
             // Confirm against the true residual before declaring victory
             // (the TFQMR bound is an estimate).
-            op.apply(x, &mut r);
-            for i in 0..n {
-                r[i] = b[i] - r[i];
-            }
+            residual_into(op, b, x, &mut r);
             let true_norm = ip.norm(&r);
             if test_convergence(true_norm, r0_norm, cfg).is_some() {
                 return KspResult {

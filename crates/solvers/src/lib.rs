@@ -37,13 +37,13 @@ pub mod ts;
 pub mod vecops;
 
 pub use ksp::{
-    bicgstab, bicgstab_monitored, cg, cg_monitored, chebyshev, fgmres, gmres, gmres_monitored,
-    richardson, tfqmr, CollectingMonitor, ConvergenceSummary, IterationRecord, KspConfig,
-    KspMonitor, KspResult, NoMonitor, ObsMonitor, PrintMonitor, StopReason,
+    bicgstab, bicgstab_monitored, cg, cg_monitored, fgmres, gmres, gmres_monitored, tfqmr,
+    CollectingMonitor, ConvergenceSummary, IterationRecord, KspConfig, KspMonitor, KspResult,
+    NoMonitor, ObsMonitor, PrintMonitor, StopReason,
 };
 pub use operator::{Counting, InnerProduct, MatOperator, Operator, SeqDot};
 pub use pc::{
-    BlockJacobiPc, ChainPc, IdentityPc, Ilu0, JacobiPc, Multigrid, MultigridConfig, Precond, SorPc,
+    BlockJacobiPc, IdentityPc, Ilu0, JacobiPc, Multigrid, MultigridConfig, Precond, SorPc,
 };
 pub use refine::{refine, RefineConfig, RefineResult};
 pub use snes::{newton, NewtonConfig, NewtonResult, NonlinearProblem};

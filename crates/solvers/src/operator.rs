@@ -51,19 +51,28 @@ impl<M: CoreOperator> Operator for MatOperator<'_, M> {
         self.0.nrows()
     }
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        // Attribution wiring: when logging is on, every MatMult carries its
-        // §6 modeled traffic so reports can show achieved GB/s.  The
-        // disabled path costs one relaxed atomic load.
-        if sellkit_obs::enabled() {
-            let t = self.0.spmv_traffic();
-            let _mm = sellkit_obs::span_traffic("MatMult", t.flops as f64, t.bytes as f64);
-            self.0
-                .apply(&ExecCtx::serial(), (x).into(), (y).into(), Apply::Set);
-        } else {
-            self.0
-                .apply(&ExecCtx::serial(), (x).into(), (y).into(), Apply::Set);
-        }
+        mult("MatMult", self.0, &ExecCtx::serial(), x, y, Apply::Set);
     }
+}
+
+/// One sparse product on `ctx`, `y = A·x` or `y += A·x` by `mode`, under
+/// the span `name` carrying its §6 modeled traffic, so reports can show
+/// achieved GB/s.  The one place the solver stack opens such a span: with
+/// logging off the traffic model is not evaluated and the call costs one
+/// relaxed atomic load.
+pub(crate) fn mult<M: CoreOperator>(
+    name: &'static str,
+    a: &M,
+    ctx: &ExecCtx,
+    x: &[f64],
+    y: &mut [f64],
+    mode: Apply,
+) {
+    let _span = sellkit_obs::enabled().then(|| {
+        let t = a.spmv_traffic();
+        sellkit_obs::span_traffic(name, t.flops as f64, t.bytes as f64)
+    });
+    a.apply(ctx, x.into(), y.into(), mode);
 }
 
 /// Like [`MatOperator`], but every application runs on an
@@ -103,13 +112,7 @@ impl<M: CoreOperator> Operator for CtxMatOperator<'_, M> {
         self.mat.nrows()
     }
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        if sellkit_obs::enabled() {
-            let t = self.mat.spmv_traffic();
-            let _mm = sellkit_obs::span_traffic("MatMult", t.flops as f64, t.bytes as f64);
-            self.mat.apply(self.ctx, (x).into(), (y).into(), Apply::Set);
-        } else {
-            self.mat.apply(self.ctx, (x).into(), (y).into(), Apply::Set);
-        }
+        mult("MatMult", self.mat, self.ctx, x, y, Apply::Set);
     }
 }
 

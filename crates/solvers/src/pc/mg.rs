@@ -33,6 +33,7 @@ use sellkit_core::{Apply, Csr, ExecCtx, FromCsr, MatShape, Operator as CoreOpera
 
 use super::spgemm::Product;
 use super::Precond;
+use crate::operator::mult;
 
 /// Multigrid configuration.
 #[derive(Clone, Copy, Debug)]
@@ -80,24 +81,6 @@ impl Default for MultigridConfig {
             coarse: CoarseSolve::Jacobi(8),
         }
     }
-}
-
-/// One sparse product on `ctx`, `y = A·x` or `y += A·x` by `mode`, under
-/// the span `name` with §6 traffic attribution when logging is enabled;
-/// the disabled path costs one relaxed atomic load.
-fn mult<M: CoreOperator>(
-    name: &'static str,
-    a: &M,
-    ctx: &ExecCtx,
-    x: &[f64],
-    y: &mut [f64],
-    mode: Apply,
-) {
-    let _span = sellkit_obs::enabled().then(|| {
-        let t = a.spmv_traffic();
-        sellkit_obs::span_traffic(name, t.flops as f64, t.bytes as f64)
-    });
-    a.apply(ctx, x.into(), y.into(), mode);
 }
 
 /// The way from a level to the next-coarser one.

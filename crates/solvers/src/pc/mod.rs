@@ -21,8 +21,6 @@ pub use jacobi::JacobiPc;
 pub use mg::{CoarseSolve, Multigrid, MultigridConfig, Smoother};
 pub use sor::SorPc;
 
-use std::sync::{Mutex, PoisonError};
-
 /// An approximate inverse: `z = M⁻¹ r`.
 pub trait Precond {
     /// Applies the preconditioner, overwriting `z`.
@@ -105,39 +103,6 @@ impl Precond for IdentityPc {
     }
 }
 
-/// Composition of two preconditioners: applies `first`, then `second` on
-/// what remains — multiplicative composition `z = M₂⁻¹ r + M₁⁻¹ (r - A M₂⁻¹ r)`
-/// is overkill here; this additive chain is sufficient for experiments.
-pub struct ChainPc<P1, P2> {
-    first: P1,
-    second: P2,
-    /// The vector between the stages; sized by the first apply and kept,
-    /// so a warm apply allocates nothing.
-    mid: Mutex<Vec<f64>>,
-}
-
-impl<P1, P2> ChainPc<P1, P2> {
-    /// `second` applied to the output of `first`.
-    pub fn new(first: P1, second: P2) -> Self {
-        Self {
-            first,
-            second,
-            mid: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl<P1: Precond, P2: Precond> Precond for ChainPc<P1, P2> {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        // `first` overwrites `mid`, so a guard poisoned by an earlier
-        // panic is as good as a clean one.
-        let mut mid = self.mid.lock().unwrap_or_else(PoisonError::into_inner);
-        mid.resize(r.len(), 0.0);
-        self.first.apply(r, &mut mid);
-        self.second.apply(&mid, z);
-    }
-}
-
 /// Boxed preconditioners compose too.  `apply_ctx` and `refresh` are
 /// forwarded explicitly so a boxed [`JacobiPc`] keeps its parallel path and
 /// a boxed [`Multigrid`] its value-only set-up instead of falling back to
@@ -175,23 +140,5 @@ mod tests {
         let mut z = vec![0.0; 3];
         pc.apply(&[1.0, 2.0, 3.0], &mut z);
         assert_eq!(z, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn chain_composes() {
-        struct Scale(f64);
-        impl Precond for Scale {
-            fn apply(&self, r: &[f64], z: &mut [f64]) {
-                for (zi, ri) in z.iter_mut().zip(r) {
-                    *zi = self.0 * ri;
-                }
-            }
-        }
-        let pc = ChainPc::new(Scale(2.0), Scale(5.0));
-        let mut z = vec![0.0];
-        for _ in 0..2 {
-            pc.apply(&[1.0], &mut z);
-            assert_eq!(z, vec![10.0]);
-        }
     }
 }

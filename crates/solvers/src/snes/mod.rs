@@ -5,5 +5,6 @@ pub mod newton;
 
 pub use line_search::{LineSearch, LineSearchConfig};
 pub use newton::{
-    newton, newton_ctx, Forcing, NewtonConfig, NewtonResult, NewtonStopReason, NonlinearProblem,
+    newton, newton_ctx, newton_over, Forcing, NewtonConfig, NewtonResult, NewtonStopReason,
+    NonlinearProblem,
 };

@@ -7,8 +7,8 @@
 
 use sellkit_core::{Csr, ExecCtx, FromCsr, Operator as CoreOperator};
 
-use crate::ksp::{gmres, KspConfig};
-use crate::operator::{CtxMatOperator, SeqDot};
+use crate::ksp::{gmres, KspConfig, KspResult};
+use crate::operator::{CtxMatOperator, InnerProduct, SeqDot};
 use crate::pc::{CtxPrecond, Precond};
 use crate::vecops;
 
@@ -245,9 +245,62 @@ where
     Prob: NonlinearProblem,
     Pc: Precond,
 {
+    assert_eq!(x.len(), problem.dim());
+    newton_over(
+        &SeqDot,
+        x,
+        cfg,
+        |x, f| problem.residual(x, f),
+        |x, rhs, d, ksp_cfg| {
+            // Assemble in CSR, run the linear solve in format M (as the
+            // paper's experiments do: SELL carries every SpMV of the Newton
+            // systems).
+            let (j_m, pc) = {
+                let _je = sellkit_obs::span("SNESJacobianEval");
+                let j_csr = {
+                    let _s = sellkit_obs::span("MatAssembly");
+                    problem.jacobian(x)
+                };
+                kept.set_up(&j_csr, pc_factory)
+            };
+            gmres(
+                &CtxMatOperator::new(j_m, ctx),
+                &CtxPrecond::new(pc, ctx),
+                &SeqDot,
+                rhs,
+                d,
+                ksp_cfg,
+            )
+        },
+    )
+}
+
+/// Newton's method with line search over the vector space `ip` spans: the
+/// one loop behind [`newton`] (a sequential space) and the distributed
+/// `dist_newton` (owned blocks, norms reduced across ranks), which is why
+/// the two take the same iterations on the same problem.
+///
+/// `residual(x, f)` evaluates `f = F(x)`.  `solve(x, rhs, d, ksp_cfg)`
+/// linearises at `x` and solves `J(x)·d = rhs` from the zero guess `d`
+/// holds on entry, to `ksp_cfg` — [`NewtonConfig::ksp`] with the relative
+/// tolerance [`NewtonConfig::forcing`] chose for this iteration — however
+/// the caller assembles, preconditions and stores `J`.  The stopping test,
+/// the line search, the update of `x`, the history and the `SNESSolve` /
+/// `SNESFunctionEval` spans are this function's; `x` holds the initial
+/// guess on entry and the last iterate on exit.
+pub fn newton_over<D: InnerProduct>(
+    ip: &D,
+    x: &mut [f64],
+    cfg: &NewtonConfig,
+    residual: impl Fn(&[f64], &mut [f64]),
+    mut solve: impl FnMut(&[f64], &[f64], &mut [f64], &KspConfig) -> KspResult,
+) -> NewtonResult {
     let _snes = sellkit_obs::span("SNESSolve");
-    let n = problem.dim();
-    assert_eq!(x.len(), n);
+    let residual = |x: &[f64], f: &mut [f64]| {
+        let _fe = sellkit_obs::span("SNESFunctionEval");
+        residual(x, f);
+    };
+    let n = x.len();
     let mut f = vec![0.0; n];
     let mut trial = vec![0.0; n];
     let mut ftrial = vec![0.0; n];
@@ -255,47 +308,25 @@ where
     let mut rhs = vec![0.0; n];
     let mut d = vec![0.0; n];
 
-    {
-        let _fe = sellkit_obs::span("SNESFunctionEval");
-        problem.residual(x, &mut f);
-    }
-    let f0 = vecops::norm2(&f);
+    residual(x, &mut f);
+    let f0 = ip.norm(&f);
     let mut fnorm = f0;
     let mut history = vec![f0];
     let mut linear_iterations = 0;
 
-    let check = |fnorm: f64| -> Option<NewtonStopReason> {
-        if fnorm <= cfg.atol {
-            Some(NewtonStopReason::AbsoluteTolerance)
-        } else if fnorm <= cfg.rtol * f0 {
-            Some(NewtonStopReason::RelativeTolerance)
-        } else {
-            None
-        }
-    };
-
-    if let Some(reason) = check(f0) {
-        return NewtonResult {
-            iterations: 0,
-            fnorm: f0,
-            reason,
-            linear_iterations,
-            history,
-        };
-    }
-
+    let mut iterations = 0;
     let mut fnorm_prev: Option<f64> = None;
-    for it in 1..=cfg.max_it {
-        // Assemble in CSR, run the linear solve in format M (as the paper's
-        // experiments do: SELL carries every SpMV of the Newton systems).
-        let (j_m, pc) = {
-            let _je = sellkit_obs::span("SNESJacobianEval");
-            let j_csr = {
-                let _s = sellkit_obs::span("MatAssembly");
-                problem.jacobian(x)
-            };
-            kept.set_up(&j_csr, pc_factory)
-        };
+    let reason = loop {
+        if fnorm <= cfg.atol {
+            break NewtonStopReason::AbsoluteTolerance;
+        }
+        if fnorm <= cfg.rtol * f0 {
+            break NewtonStopReason::RelativeTolerance;
+        }
+        if iterations == cfg.max_it {
+            break NewtonStopReason::MaxIterations;
+        }
+        iterations += 1;
 
         // Solve J d = -F to the (possibly adaptive) inner tolerance.
         for (ri, &fi) in rhs.iter_mut().zip(&f) {
@@ -306,58 +337,31 @@ where
             rtol: cfg.forcing.eta(cfg.ksp.rtol, fnorm, fnorm_prev),
             ..cfg.ksp
         };
-        let lin = gmres(
-            &CtxMatOperator::new(j_m, ctx),
-            &CtxPrecond::new(pc, ctx),
-            &SeqDot,
-            &rhs,
-            &mut d,
-            &ksp_cfg,
-        );
-        linear_iterations += lin.iterations;
+        linear_iterations += solve(x, &rhs, &mut d, &ksp_cfg).iterations;
         fnorm_prev = Some(fnorm);
 
-        // Globalize.
+        // Globalize, on norms of the whole space so that every owner of a
+        // block picks the same λ.
         let (lambda, new_fnorm) = cfg.line_search.search(fnorm, |lam| {
             for i in 0..n {
                 trial[i] = x[i] + lam * d[i];
             }
-            let _fe = sellkit_obs::span("SNESFunctionEval");
-            problem.residual(&trial, &mut ftrial);
-            vecops::norm2(&ftrial)
+            residual(&trial, &mut ftrial);
+            ip.norm(&ftrial)
         });
         if lambda == 0.0 {
-            return NewtonResult {
-                iterations: it,
-                fnorm,
-                reason: NewtonStopReason::LineSearchFailed,
-                linear_iterations,
-                history,
-            };
+            break NewtonStopReason::LineSearchFailed;
         }
         vecops::axpy(lambda, &d, x);
-        {
-            let _fe = sellkit_obs::span("SNESFunctionEval");
-            problem.residual(x, &mut f);
-        }
+        residual(x, &mut f);
         fnorm = new_fnorm;
         history.push(fnorm);
-
-        if let Some(reason) = check(fnorm) {
-            return NewtonResult {
-                iterations: it,
-                fnorm,
-                reason,
-                linear_iterations,
-                history,
-            };
-        }
-    }
+    };
 
     NewtonResult {
-        iterations: cfg.max_it,
+        iterations,
         fnorm,
-        reason: NewtonStopReason::MaxIterations,
+        reason,
         linear_iterations,
         history,
     }

@@ -4,15 +4,18 @@
 //! "other core operations" of §7.3 that must not regress when the matrix
 //! format changes (they never touch the matrix).
 //!
-//! Every kernel has a `*_ctx` twin taking an
-//! [`ExecCtx`] that runs on the context's worker
-//! pool.  Element-wise kernels (`axpy`, `scale`, …) partition the vectors
-//! into per-thread windows and are bitwise identical to the serial loop
-//! for any thread count.  Reductions (`dot_ctx`, `norm2_ctx`) use **fixed
-//! 4096-element chunks combined in index order**, so their result is
+//! Two kernels also have a form that runs on an [`ExecCtx`]'s worker pool,
+//! the two with a caller that is on a pool: [`pointwise_mult_ctx`] (the
+//! Jacobi smoother inside a V-cycle applied through `apply_ctx`; disjoint
+//! windows, bitwise identical to the serial loop for any thread count) and
+//! [`dot_ctx`] (the benchmark's pooled-reduction rung; **fixed
+//! 4096-element chunks combined in index order**, so its result is
 //! deterministic and *thread-count-invariant* — the same bits at 1 and 8
 //! threads — though not bitwise equal to the single-accumulator serial
-//! [`dot`] (a different, equally valid summation order).
+//! [`dot`], a different, equally valid summation order).  The Krylov and
+//! Newton loops take their inner products through
+//! [`InnerProduct`](crate::operator::InnerProduct) and update vectors with
+//! the serial kernels; a pool form of those is added with its first caller.
 
 use sellkit_core::ExecCtx;
 
@@ -21,7 +24,7 @@ use sellkit_core::ExecCtx;
 /// of the result — never depends on how many workers run it.
 const REDUCE_CHUNK: usize = 4096;
 
-/// Below this length the `*_ctx` kernels stay on the calling thread:
+/// Below this length [`pointwise_mult_ctx`] stays on the calling thread:
 /// dispatching to the pool costs more than the loop itself.
 const PAR_MIN: usize = 2048;
 
@@ -96,22 +99,6 @@ pub fn norm_inf(a: &[f64]) -> f64 {
     a.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
 }
 
-/// Runs `body(start, window)` over even contiguous partitions of `y` on
-/// the context's workers.  The windows are disjoint, so element-wise
-/// `*_ctx` kernels built on this are bitwise identical to their serial
-/// twins.
-fn par_windows(ctx: &ExecCtx, y: &mut [f64], body: impl Fn(usize, &mut [f64]) + Sync) {
-    if ctx.is_serial() || y.len() < PAR_MIN {
-        if !y.is_empty() {
-            body(0, y);
-        }
-        return;
-    }
-    // Allocation-free window dispatch: one borrowed body shared by every
-    // lane, no per-part boxing.
-    ctx.dispatch_even(y, &body);
-}
-
 /// The dot product of chunk `c` (fixed [`REDUCE_CHUNK`] length) of `a`/`b`.
 #[inline]
 fn chunk_dot(a: &[f64], b: &[f64], c: usize) -> f64 {
@@ -141,71 +128,19 @@ pub fn dot_ctx(ctx: &ExecCtx, a: &[f64], b: &[f64]) -> f64 {
     partials.iter().sum()
 }
 
-/// Euclidean norm over the context (see [`dot_ctx`] for determinism).
-pub fn norm2_ctx(ctx: &ExecCtx, a: &[f64]) -> f64 {
-    dot_ctx(ctx, a, a).sqrt()
-}
-
-/// `y += alpha * x` over the context; bitwise identical to [`axpy`].
-pub fn axpy_ctx(ctx: &ExecCtx, alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    par_windows(ctx, y, move |i0, win| {
-        axpy(alpha, &x[i0..i0 + win.len()], win)
-    });
-}
-
-/// `y = alpha * y + x` over the context; bitwise identical to [`aypx`].
-pub fn aypx_ctx(ctx: &ExecCtx, alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    par_windows(ctx, y, move |i0, win| {
-        aypx(alpha, &x[i0..i0 + win.len()], win)
-    });
-}
-
-/// `w = alpha * x + y` over the context; bitwise identical to [`waxpy`].
-pub fn waxpy_ctx(ctx: &ExecCtx, w: &mut [f64], alpha: f64, x: &[f64], y: &[f64]) {
-    debug_assert_eq!(w.len(), x.len());
-    debug_assert_eq!(w.len(), y.len());
-    par_windows(ctx, w, move |i0, win| {
-        waxpy(win, alpha, &x[i0..i0 + win.len()], &y[i0..i0 + win.len()])
-    });
-}
-
-/// `x *= alpha` over the context; bitwise identical to [`scale`].
-pub fn scale_ctx(ctx: &ExecCtx, alpha: f64, x: &mut [f64]) {
-    par_windows(ctx, x, move |_, win| scale(alpha, win));
-}
-
 /// Pointwise `w = a ⊙ b` over the context; bitwise identical to
 /// [`pointwise_mult`] — the parallel path of the Jacobi smoother.
 pub fn pointwise_mult_ctx(ctx: &ExecCtx, w: &mut [f64], a: &[f64], b: &[f64]) {
     debug_assert_eq!(w.len(), a.len());
     debug_assert_eq!(w.len(), b.len());
-    par_windows(ctx, w, move |i0, win| {
+    if ctx.is_serial() || w.len() < PAR_MIN {
+        return pointwise_mult(w, a, b);
+    }
+    // Even contiguous windows of `w`, one borrowed body shared by every
+    // lane: no allocation, and disjoint windows keep the serial bits.
+    ctx.dispatch_even(w, &|i0, win: &mut [f64]| {
         pointwise_mult(win, &a[i0..i0 + win.len()], &b[i0..i0 + win.len()])
     });
-}
-
-/// ∞-norm over the context.  `max` is associative, so this is bitwise
-/// identical to [`norm_inf`] for any thread count (unlike the summing
-/// reductions, no fixed chunking is needed).
-pub fn norm_inf_ctx(ctx: &ExecCtx, a: &[f64]) -> f64 {
-    let n = a.len();
-    if ctx.is_serial() || n < PAR_MIN {
-        return norm_inf(a);
-    }
-    let t = ctx.threads();
-    let mut partials = vec![0.0f64; t];
-    // One partial slot per lane (`partials.len() == lanes`, so each even
-    // window is exactly one slot); `max` is associative, so the partition
-    // shape cannot change the bits.
-    ctx.dispatch_even(&mut partials, &|p0, win| {
-        for (o, slot) in win.iter_mut().enumerate() {
-            let p = p0 + o;
-            *slot = norm_inf(&a[n * p / t..n * (p + 1) / t]);
-        }
-    });
-    norm_inf(&partials)
 }
 
 #[cfg(test)]
@@ -238,37 +173,13 @@ mod tests {
         let n = 3 * PAR_MIN + 17;
         let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.123).sin()).collect();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.321).cos()).collect();
+        let mut w = vec![0.0; n];
+        pointwise_mult(&mut w, &a, &b);
         for threads in [1usize, 2, 4] {
             let ctx = ExecCtx::new(threads);
-            let mut y = b.clone();
-            let mut y_ctx = b.clone();
-            axpy(0.37, &a, &mut y);
-            axpy_ctx(&ctx, 0.37, &a, &mut y_ctx);
-            assert_eq!(y, y_ctx, "axpy threads={threads}");
-
-            aypx(-1.25, &a, &mut y);
-            aypx_ctx(&ctx, -1.25, &a, &mut y_ctx);
-            assert_eq!(y, y_ctx, "aypx threads={threads}");
-
-            let mut w = vec![0.0; n];
             let mut w_ctx = vec![0.0; n];
-            waxpy(&mut w, 2.5, &a, &b);
-            waxpy_ctx(&ctx, &mut w_ctx, 2.5, &a, &b);
-            assert_eq!(w, w_ctx, "waxpy threads={threads}");
-
-            scale(0.99, &mut w);
-            scale_ctx(&ctx, 0.99, &mut w_ctx);
-            assert_eq!(w, w_ctx, "scale threads={threads}");
-
-            pointwise_mult(&mut w, &a, &b);
             pointwise_mult_ctx(&ctx, &mut w_ctx, &a, &b);
             assert_eq!(w, w_ctx, "pointwise threads={threads}");
-
-            assert_eq!(
-                norm_inf(&a).to_bits(),
-                norm_inf_ctx(&ctx, &a).to_bits(),
-                "norm_inf threads={threads}"
-            );
         }
     }
 
@@ -284,11 +195,6 @@ mod tests {
                 serial.to_bits(),
                 dot_ctx(&ctx, &a, &b).to_bits(),
                 "dot threads={threads}"
-            );
-            assert_eq!(
-                norm2_ctx(&ExecCtx::serial(), &a).to_bits(),
-                norm2_ctx(&ctx, &a).to_bits(),
-                "norm2 threads={threads}"
             );
         }
         // Same summation tree, different accumulator grouping than the

@@ -162,7 +162,7 @@ impl DistGrayScott {
 }
 
 /// One implicit θ-stage as a distributed nonlinear system.
-pub struct DistThetaStage<'a> {
+struct DistThetaStage<'a> {
     problem: &'a DistGrayScott,
     /// `uₙ + Δt(1−θ)·f(uₙ)`, owned block.
     explicit: Vec<f64>,

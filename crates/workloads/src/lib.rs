@@ -30,7 +30,7 @@ pub mod matrix_market;
 pub mod stream;
 
 pub use advection_diffusion::{AdvectionDiffusion, AdvectionDiffusionParams};
-pub use dist_gray_scott::{dist_theta_step, DistGrayScott, DistThetaStage};
+pub use dist_gray_scott::{dist_theta_step, DistGrayScott};
 pub use gray_scott::{GrayScott, GrayScottParams};
 pub use gray_scott3d::GrayScott3D;
 pub use matrix_market::{read_mtx, read_mtx_file, write_mtx, write_mtx_file, MtxError};

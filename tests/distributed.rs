@@ -1,12 +1,17 @@
 //! Distributed-memory integration: the §2.2 overlapped MatMult and
 //! distributed Krylov solves across rank counts, formats, and partitions.
 
+#[path = "common/ring.rs"]
+mod ring;
+
+use ring::Ring;
 use sellkit::core::{Apply, Csr, ExecCtx, MatShape, Operator, Sell8, SellSigma8};
-use sellkit::dist::{split_rows, DistDot, DistMat, DistOp, DistVec};
+use sellkit::dist::{dist_newton, split_rows, DistDot, DistMat, DistOp, DistVec};
 use sellkit::mpisim::run;
 use sellkit::solvers::ksp::{gmres, KspConfig};
 use sellkit::solvers::operator::{MatOperator, SeqDot};
 use sellkit::solvers::pc::{IdentityPc, JacobiPc};
+use sellkit::solvers::snes::newton::{newton, Forcing, NewtonConfig};
 use sellkit::workloads::generators;
 use sellkit::workloads::{GrayScott, GrayScottParams};
 use sellkit_solvers::ts::OdeProblem;
@@ -263,4 +268,54 @@ fn identity_pc_distributed_matches_identity_sequential_iterations() {
         .iterations
     });
     assert_eq!(out[0], seq.iterations, "same math, same iterations");
+}
+
+/// `NewtonConfig::forcing` reaches the distributed linear solves: with
+/// Eisenstat–Walker forcing every rank count takes the serial solve's
+/// Newton steps and its (far fewer) GMRES iterations, not the fixed-
+/// tolerance run's.
+#[test]
+fn eisenstat_walker_forcing_reaches_the_distributed_linear_solves() {
+    let n = 48;
+    let cfg = |forcing| NewtonConfig {
+        rtol: 1e-10,
+        ksp: KspConfig {
+            rtol: 1e-8,
+            ..Default::default()
+        },
+        forcing,
+        ..Default::default()
+    };
+    let serial = |forcing| {
+        let mut x = vec![0.4; n];
+        let res = newton::<Csr, _, _>(&Ring::new(n), &mut x, &cfg(forcing), JacobiPc::from_csr);
+        assert!(res.converged(), "{:?}", res.reason);
+        (res.iterations, res.linear_iterations)
+    };
+    let ew = serial(Forcing::eisenstat_walker());
+    let fixed = serial(Forcing::Fixed);
+    assert_ne!(ew.1, fixed.1, "the two forcings must be told apart");
+
+    for ranks in [1usize, 3, 4] {
+        let out = run(ranks, move |comm| {
+            let p = Ring::new(n);
+            let mut x = vec![0.4; p.rows_of(comm).len()];
+            let res = dist_newton::<Sell8, _, _>(
+                comm,
+                &p,
+                &mut x,
+                &cfg(Forcing::eisenstat_walker()),
+                100,
+                JacobiPc::from_csr,
+            );
+            assert!(res.converged(), "{:?}", res.reason);
+            (res.iterations, res.linear_iterations)
+        });
+        for (rank, got) in out.into_iter().enumerate() {
+            assert_eq!(
+                got, ew,
+                "{ranks} ranks, rank {rank}: (Newton, GMRES) counts"
+            );
+        }
+    }
 }

@@ -3,7 +3,11 @@
 //! stability of the JSON export, and the enabled-vs-disabled overhead
 //! contract on the §7 Gray-Scott stack.
 
-use std::collections::HashMap;
+mod common;
+#[path = "common/ring.rs"]
+mod ring;
+
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use proptest::prelude::*;
 use sellkit::obs::{parse_json, validate_report_json, Registry};
@@ -274,4 +278,102 @@ fn disabled_flight_recorder_records_nothing() {
         "re-enabled recorder captures again: {events:?}"
     );
     flight::clear();
+}
+
+/// Solver attribution on the global registry (process-wide, so the checks
+/// share one `#[test]`): each of the five Krylov entries opens exactly one
+/// `KSPSolve` span per solve, and a distributed Newton solve is staged
+/// under the names and the nesting the serial one has.
+#[test]
+fn krylov_and_distributed_newton_solves_are_attributed() {
+    use sellkit::core::Csr;
+    use sellkit::dist::dist_newton;
+    use sellkit::solvers::ksp::{bicgstab, cg, fgmres, gmres, tfqmr, KspConfig, KspResult};
+    use sellkit::solvers::operator::{MatOperator, SeqDot};
+    use sellkit::solvers::pc::JacobiPc;
+    use sellkit::solvers::snes::newton::{newton, NewtonConfig};
+
+    /// Completed spans per stage path so far.
+    fn counts() -> BTreeMap<String, u64> {
+        let mut out = BTreeMap::new();
+        for e in sellkit::obs::report().events {
+            *out.entry(e.path).or_insert(0) += e.count;
+        }
+        out
+    }
+    /// The stage paths that completed spans between two snapshots.
+    fn grown(before: &BTreeMap<String, u64>, after: &BTreeMap<String, u64>) -> BTreeSet<String> {
+        let old = |p: &String| before.get(p).copied().unwrap_or(0);
+        let it = after.iter().filter(|(p, &c)| c > old(p));
+        it.map(|(p, _)| p.clone()).collect()
+    }
+
+    sellkit::obs::set_enabled(true);
+
+    // SPD, so that CG is among the methods.
+    let n = 64;
+    let (a, _) = common::laplace_1d_hierarchy(n);
+    let b = vec![1.0; n];
+    let pc = JacobiPc::from_csr(&a);
+    let op = MatOperator(&a);
+    let cfg = KspConfig::default();
+    type Solve<'s> = &'s dyn Fn(&mut [f64]) -> KspResult;
+    let methods: [(&str, Solve<'_>); 5] = [
+        ("gmres", &|x| gmres(&op, &pc, &SeqDot, &b, x, &cfg)),
+        ("fgmres", &|x| fgmres(&op, &pc, &SeqDot, &b, x, &cfg)),
+        ("cg", &|x| cg(&op, &pc, &SeqDot, &b, x, &cfg)),
+        ("bicgstab", &|x| bicgstab(&op, &pc, &SeqDot, &b, x, &cfg)),
+        ("tfqmr", &|x| tfqmr(&op, &pc, &SeqDot, &b, x, &cfg)),
+    ];
+    for (name, solve) in methods {
+        let before = counts();
+        let _ = solve(&mut vec![0.0; n]);
+        let after = counts();
+        let spans = |c: &BTreeMap<String, u64>| c.get("KSPSolve").copied().unwrap_or(0);
+        assert_eq!(spans(&after) - spans(&before), 1, "{name}: KSPSolve spans");
+        assert!(
+            grown(&before, &after).contains("KSPSolve>MatMult"),
+            "{name}: its MatMults nest under KSPSolve"
+        );
+    }
+
+    let ring_n = 48;
+    let newton_cfg = NewtonConfig::default();
+    let c0 = counts();
+    let res = newton::<Csr, _, _>(
+        &ring::Ring::new(ring_n),
+        &mut vec![0.4; ring_n],
+        &newton_cfg,
+        JacobiPc::from_csr,
+    );
+    assert!(res.converged());
+    let c1 = counts();
+    sellkit::mpisim::run(2, move |comm| {
+        let p = ring::Ring::new(ring_n);
+        let mut x = vec![0.4; p.rows_of(comm).len()];
+        let res = dist_newton::<Csr, _, _>(comm, &p, &mut x, &newton_cfg, 100, JacobiPc::from_csr);
+        assert!(res.converged());
+    });
+    let c2 = counts();
+    sellkit::obs::set_enabled(false);
+
+    let (serial, dist) = (grown(&c0, &c1), grown(&c1, &c2));
+    for path in [
+        "SNESSolve",
+        "SNESSolve>SNESFunctionEval",
+        "SNESSolve>SNESJacobianEval",
+        "SNESSolve>SNESJacobianEval>PCSetUp",
+        "SNESSolve>KSPSolve",
+        "SNESSolve>KSPSolve>MatMult",
+    ] {
+        assert!(
+            serial.contains(path),
+            "serial Newton: no {path} in {serial:?}"
+        );
+    }
+    let missing: Vec<_> = serial.difference(&dist).collect();
+    assert!(
+        missing.is_empty(),
+        "stages of the serial Newton solve the distributed one lacks: {missing:?}"
+    );
 }
