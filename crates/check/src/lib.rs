@@ -132,12 +132,12 @@ pub enum Violation {
         prev: u32,
         next: u32,
     },
-    /// A PackSELL sidecar disagrees with the master arrays: the packed
-    /// bytes at `at` don't decode to `val[at]` (`array = "pval"`), or a
+    /// A SELL sidecar disagrees with the master arrays: the packed bytes
+    /// at `at` don't decode to `val[at]` (`array = "pval"`), or a
     /// narrow-form offset doesn't resolve to `colidx[at]`
-    /// (`array = "cidx16"`).  The kernels read only the sidecars, so any
-    /// such divergence silently computes with a different matrix than
-    /// `values()` reports.
+    /// (`array = "cidx16"`, at every codec).  The kernels read only the
+    /// sidecars, so any such divergence silently computes with a different
+    /// matrix than `values()` / `colidx()` report.
     PackedSidecarMismatch { array: &'static str, at: usize },
 }
 
@@ -842,11 +842,13 @@ fn decode_packed(codec: Codec, pval: &[u8], at: usize) -> f64 {
     }
 }
 
-/// Verifies the PackSELL sidecars of a packed [`Sell`] against its master
-/// arrays: length accounting, bit-exact value decode, narrow-form index
-/// resolution (`colidx[at] == cbase[s] + cidx16[at]`, sentinel ↔
-/// sentinel), and the quantization contract (`val` is a fixed point of
-/// `codec.quantize`, so kernels and accessors agree on the matrix).
+/// Verifies the sidecars of a [`Sell`] against its master arrays.  At
+/// every codec: length accounting and narrow-form index resolution
+/// (`colidx[at] == cbase[s] + cidx16[at]`, sentinel ↔ sentinel).  At a
+/// reduced codec also the bit-exact value decode and the quantization
+/// contract (`val` is a fixed point of `codec.quantize`, so kernels and
+/// accessors agree on the matrix); `F64` has no packed values (`pval`
+/// must be empty — its kernels read `val`).
 #[allow(clippy::too_many_arguments)]
 pub fn check_packed_sidecars(
     codec: Codec,
@@ -859,25 +861,11 @@ pub fn check_packed_sidecars(
     cbase: &[u32],
 ) -> Vec<Violation> {
     let mut out = Vec::new();
-    if codec == Codec::F64 {
-        // Classic layout: every sidecar must be empty.
-        for (array, len) in [
-            ("pval", pval.len()),
-            ("cidx16", cidx16.len()),
-            ("cbase", cbase.len()),
-        ] {
-            if len != 0 {
-                out.push(Violation::ArrLen {
-                    array,
-                    expected: 0,
-                    found: len,
-                });
-            }
-        }
-        return out;
-    }
     let total = colidx.len();
-    let stride = codec.bytes_per_value();
+    let stride = match codec {
+        Codec::F64 => 0,
+        _ => codec.bytes_per_value(),
+    };
     if pval.len() != total * stride {
         out.push(Violation::ArrLen {
             array: "pval",
@@ -903,10 +891,13 @@ pub fn check_packed_sidecars(
     if !out.is_empty() {
         return out; // sidecar geometry unreliable; element checks would index OOB
     }
-    for (at, &v) in val.iter().enumerate().take(total) {
-        let q = codec.quantize(v);
-        if decode_packed(codec, pval, at).to_bits() != v.to_bits() || q.to_bits() != v.to_bits() {
-            out.push(Violation::PackedSidecarMismatch { array: "pval", at });
+    if codec != Codec::F64 {
+        for (at, &v) in val.iter().enumerate().take(total) {
+            let q = codec.quantize(v);
+            if decode_packed(codec, pval, at).to_bits() != v.to_bits() || q.to_bits() != v.to_bits()
+            {
+                out.push(Violation::PackedSidecarMismatch { array: "pval", at });
+            }
         }
     }
     let sentinel = ncols as u32;
@@ -957,10 +948,8 @@ impl<const C: usize> Validate for Sell<C> {
             self.cidx16(),
             self.cbase(),
         ));
-        if self.codec() != Codec::F64 {
-            out.extend(check_alignment("pval", self.packed_values()));
-            out.extend(check_alignment("cidx16", self.cidx16()));
-        }
+        out.extend(check_alignment("pval", self.packed_values()));
+        out.extend(check_alignment("cidx16", self.cidx16()));
         finish(out)
     }
 }

@@ -207,14 +207,16 @@ pub(crate) enum SellVals<'a> {
 pub(crate) struct SellParts<'a> {
     /// Slice offsets (absolute), one more than the window's slices.
     pub sliceptr: &'a [usize],
-    /// Full column-index array (sentinel `ncols` padding).
+    /// Full column-index array (sentinel `ncols` padding): the stream of
+    /// the wide-form slices.
     pub colidx: &'a [u32],
     /// Full value array.
     pub vals: SellVals<'a>,
-    /// Full narrow-form offsets (empty for f64 values).
+    /// Full narrow-form offsets, parallel to `colidx` (sentinel `0xFFFF`
+    /// padding): the stream of the narrow-form slices.
     pub cidx16: &'a [u16],
-    /// Index-form selector per slice *of the window* (empty for f64
-    /// values): `u32::MAX` = wide, anything else = the narrow base column.
+    /// Index-form selector per slice *of the window*: `u32::MAX` = wide,
+    /// anything else = the narrow base column.
     pub cbase: &'a [u32],
     /// Rows the window covers.
     pub nrows: usize,
@@ -266,6 +268,8 @@ fn check_sell<const C: usize>(m: &SellParts<'_>, x: &[f64], y: &[f64], k: usize)
         "one stored value per entry"
     );
     let slices = || sliceptr.windows(2).map(|w| w[0]..w[1]).enumerate();
+    // A short `cbase` fails the narrow clause below; its missing slices
+    // are checked as wide here rather than indexed out of bounds.
     let wide = |s: usize| cbase.get(s).is_none_or(|&b| b == u32::MAX);
     // discharges: cols_in_bounds_or_sentinel(colidx, x)
     debug_assert!(
@@ -277,14 +281,13 @@ fn check_sell<const C: usize>(m: &SellParts<'_>, x: &[f64], y: &[f64], k: usize)
     );
     // discharges: narrow_cols_in_bounds(cidx16, cbase, x)
     debug_assert!(
-        matches!(m.vals, SellVals::F64(_))
-            || cidx16.len() == colidx.len()
-                && cbase.len() == sliceptr.len() - 1
-                && slices().filter(|(s, _)| !wide(*s)).all(|(s, r)| {
-                    cidx16[r]
-                        .iter()
-                        .all(|&o| o == u16::MAX || cbase[s] as usize + (o as usize) < x.len() / k)
-                }),
+        cidx16.len() == colidx.len()
+            && cbase.len() == sliceptr.len() - 1
+            && slices().filter(|(s, _)| !wide(*s)).all(|(s, r)| {
+                cidx16[r]
+                    .iter()
+                    .all(|&o| o == u16::MAX || cbase[s] as usize + (o as usize) < x.len() / k)
+            }),
         "cidx16/cbase sized to the window, every narrow-form offset the sentinel or in bounds"
     );
 }
@@ -852,8 +855,8 @@ mod tests {
             sliceptr: &[0, 8],
             colidx: &[0u32; 4], // too short: sliceptr says 8 entries
             vals: SellVals::F64(&[0.0; 4]),
-            cidx16: &[],
-            cbase: &[],
+            cidx16: &[0u16; 4],
+            cbase: &[u32::MAX],
             nrows: 8,
         };
         let mut y = vec![0.0; 8];

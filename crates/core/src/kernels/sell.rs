@@ -11,8 +11,9 @@
 //! gathers mask, so it contributes exactly `+0.0`.
 //!
 //! Classic f64 SELL and PackSELL are one body: [`Stored`] picks how a
-//! value widens to an f64 lane and whether slices may use the narrow index
-//! form (`cbase[s] != u32::MAX`: `col = cbase[s] + cidx16[idx]`).
+//! value widens to an f64 lane.  The index form is per slice, whatever the
+//! codec: `cbase[s] == u32::MAX` reads the wide `colidx`, anything else the
+//! narrow offsets (`col = cbase[s] + cidx16[idx]`).
 //!
 //! `sliceptr` (and `cbase`) may be a window `&full[s0..=s1]`: offsets stay
 //! absolute into the full entry arrays, `y`/`nrows` cover the window's
@@ -20,13 +21,10 @@
 
 use super::lanes::{narrow_col, Lanes, Scalar};
 
-/// How SELL values are stored, and which index forms come with them.
+/// How SELL values are stored.
 pub(super) trait Stored {
     /// One stored value.
     type Elem: Copy;
-    /// Whether slices may use the narrow (u16 offset) index form; `false`
-    /// means `cidx16`/`cbase` are never read.
-    const NARROW: bool;
 
     /// `W` consecutive stored values widened to f64 lanes.
     ///
@@ -36,7 +34,7 @@ pub(super) trait Stored {
     unsafe fn load<L: Lanes>(l: L, p: *const Self::Elem) -> L::V;
 }
 
-/// Classic SELL: f64 values, wide u32 column indices only.
+/// Classic SELL f64 values.
 pub(super) struct F64;
 /// PackSELL f32 values (little-endian bytes).
 pub(super) struct F32;
@@ -45,7 +43,6 @@ pub(super) struct Bf16;
 
 impl Stored for F64 {
     type Elem = f64;
-    const NARROW: bool = false;
     /// # Safety — `requires: readable(p, W)`
     #[inline(always)]
     unsafe fn load<L: Lanes>(l: L, p: *const f64) -> L::V {
@@ -56,7 +53,6 @@ impl Stored for F64 {
 
 impl Stored for F32 {
     type Elem = [u8; 4];
-    const NARROW: bool = true;
     /// # Safety — `requires: readable(p, W)`
     #[inline(always)]
     unsafe fn load<L: Lanes>(l: L, p: *const [u8; 4]) -> L::V {
@@ -67,7 +63,6 @@ impl Stored for F32 {
 
 impl Stored for Bf16 {
     type Elem = [u8; 2];
-    const NARROW: bool = true;
     /// # Safety — `requires: readable(p, W)`
     #[inline(always)]
     unsafe fn load<L: Lanes>(l: L, p: *const [u8; 2]) -> L::V {
@@ -197,9 +192,9 @@ unsafe fn store_slice<L: Lanes, const ADD: bool>(l: L, acc: &[L::V], y: *mut f64
 ///   per `colidx` entry.
 /// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — every wide-form
 ///   column index is `< x.len()` or the sentinel `x.len()`.
-/// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)` — when
-///   `D::NARROW`: `cidx16` parallels `colidx`, `cbase` has one entry per
-///   slice, and in every narrow slice each offset is `0xFFFF` or satisfies
+/// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)` — `cidx16`
+///   parallels `colidx`, `cbase` has one entry per slice, and in every
+///   narrow slice each offset is `0xFFFF` or satisfies
 ///   `cbase[s] + cidx16[idx] < x.len()`.
 #[inline(always)]
 pub(super) unsafe fn spmv<
@@ -230,7 +225,6 @@ pub(super) unsafe fn spmv<
         x: x.as_ptr(),
         xlen: x.len(),
     };
-    let base_of = |s: usize| if D::NARROW { cbase[s] } else { u32::MAX };
     let mut s = 0usize;
     if UNROLL {
         // Independent accumulators for two slices hide load latency.
@@ -239,7 +233,7 @@ pub(super) unsafe fn spmv<
             let (acc0, acc1) = (&mut acc0.as_mut()[..nvec], &mut acc1.as_mut()[..nvec]);
             let (mut i0, e0, e1) = (sliceptr[s], sliceptr[s + 1], sliceptr[s + 2]);
             let mut i1 = e0;
-            let (b0, b1) = (base_of(s), base_of(s + 1));
+            let (b0, b1) = (cbase[s], cbase[s + 1]);
             // SAFETY: as in the plain loop below, for both slices.
             unsafe {
                 while i0 < e0 && i1 < e1 {
@@ -269,7 +263,7 @@ pub(super) unsafe fn spmv<
         let mut acc = l.zero_acc::<C>();
         let acc = &mut acc.as_mut()[..nvec];
         let (mut idx, end) = (sliceptr[s], sliceptr[s + 1]);
-        let base = base_of(s);
+        let base = cbase[s];
         // SAFETY: idx is a C-aligned offset with idx + C <= end <=
         // colidx.len(), so the column's entries exist in every entry
         // array; the cols clauses are the caller's.  Slice s holds rows
@@ -307,9 +301,8 @@ pub(super) unsafe fn spmv<
 /// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — every wide-form
 ///   column is the sentinel or has its whole block in bounds
 ///   (`(col + 1) * k <= x.len()`).
-/// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)` — when
-///   `D::NARROW`, as for [`spmv`], with each resolved column's whole block
-///   in bounds.
+/// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)` — as for
+///   [`spmv`], with each resolved column's whole block in bounds.
 #[inline(always)]
 pub(super) unsafe fn spmm<L: Lanes, D: Stored, const C: usize, const ADD: bool>(
     l: L,
@@ -330,7 +323,7 @@ pub(super) unsafe fn spmm<L: Lanes, D: Stored, const C: usize, const ADD: bool>(
         let rows = C.min(nrows - s * C);
         let off = sliceptr[s];
         let width = (sliceptr[s + 1] - off) / C;
-        let base = if D::NARROW { cbase[s] } else { u32::MAX };
+        let base = cbase[s];
         let mut cb = 0usize;
         while cb < k {
             let lanes = (k - cb).min(L::W);

@@ -16,6 +16,16 @@
 //!   used for assembly, preallocation, and identifying padding);
 //! * `sliceptr` — the element offset where each slice begins.
 //!
+//! **What the kernels stream is narrower than Figure 6** (a deviation from
+//! the paper's 12 bytes per nonzero, at every value codec): a slice whose
+//! live columns span fewer than `0xFFFF` columns — every slice of a stencil
+//! or banded matrix — is read through 2-byte offsets `cidx16` from its
+//! minimum column `cbase[s]` (padding: `0xFFFF`), 10 bytes per f64 nonzero;
+//! any other slice through `colidx` (`cbase[s] = u32::MAX`).  `colidx` stays
+//! whole as the master pattern — `get`, `to_csr`, the value refresh and the
+//! validators read it — as `val` stays the f64 master beside the packed
+//! bytes of a reduced codec.
+//!
 //! Design choices reproduced from the paper:
 //!
 //! * slice height `C` is a multiple of the SIMD width; **8** for AVX-512
@@ -71,8 +81,8 @@ pub struct Sell<const C: usize> {
     isa: Isa,
     /// Cached threaded execution plans; invalidated on pattern/ISA change.
     plan: PlanCache,
-    /// Value-storage codec (PackSELL).  `F64` means the classic layout:
-    /// `pval`/`cidx16`/`cbase` stay empty and every kernel reads `val`.
+    /// Value-storage codec (PackSELL).  `F64` means `pval` stays empty and
+    /// the kernels read `val`; the index arrays do not depend on it.
     codec: Codec,
     /// Packed value bytes, one codec-stride encoding per SELL entry, same
     /// slice-column-major order as `val`.  `val` always holds the f64
@@ -80,15 +90,15 @@ pub struct Sell<const C: usize> {
     /// and the master array agree bit-for-bit.
     pval: AVec<u8>,
     /// Narrow-form column offsets (`col = cbase[s] + cidx16[idx]`), with
-    /// [`NARROW_SENTINEL`] marking padded lanes.  Entries under wide-form
-    /// slices are unused (zero).
+    /// [`NARROW_SENTINEL`] marking padded lanes — the index stream of every
+    /// narrow slice, parallel to `colidx`.  Entries under wide-form slices
+    /// are unused (zero).
     cidx16: AVec<u16>,
     /// Per-slice index-form selector: `u32::MAX` = wide (read `colidx`),
     /// anything else = the narrow form's base column.
     cbase: Vec<u32>,
     /// Live nonzeros stored under the narrow (u16) index form — the rest
-    /// of `nnz` moves 4-byte wide indices.  Drives the codec-aware §6
-    /// traffic model.
+    /// of `nnz` moves 4-byte wide indices.  Drives the traffic estimate.
     narrow_nnz: u64,
 }
 
@@ -109,6 +119,12 @@ impl<const C: usize> Sell<C> {
     /// `F32`/`Bf16` the master `val` array holds the **quantized** values —
     /// `codec.quantize(v)` — so the packed bytes decode bit-exactly to `val`
     /// and `get`/`to_csr` observe the same matrix the kernels multiply by.
+    ///
+    /// Whatever the codec, the index stream the kernels read is chosen per
+    /// slice: a slice whose live columns span fewer than `0xFFFF` columns
+    /// stores 2-byte offsets from its minimum column (`cbase[s]`, padding
+    /// [`NARROW_SENTINEL`]); any other slice keeps the 4-byte `colidx` and
+    /// marks `cbase[s] = u32::MAX`.
     pub fn from_csr_codec(csr: &Csr, codec: Codec) -> Self {
         assert!(
             C > 0 && C.is_multiple_of(4) || C == 1 || C == 2,
@@ -118,52 +134,75 @@ impl<const C: usize> Sell<C> {
         let ncols = csr.ncols();
         let nslices = nrows.div_ceil(C);
         let mut sliceptr = vec![0usize; nslices + 1];
-        let mut widths = vec![0usize; nslices];
+        let mut cbase = vec![u32::MAX; nslices];
+        let mut narrow_nnz = 0u64;
         for s in 0..nslices {
-            let mut w = 0usize;
+            // Width, live count and column span of the slice.  CSR rows are
+            // strictly increasing (`Csr::from_parts` asserts it), so the
+            // span is max(last col) − min(first col) over the rows.
+            let (mut w, mut live, mut lo, mut hi) = (0usize, 0usize, u32::MAX, 0u32);
             for row in s * C..((s + 1) * C).min(nrows) {
-                w = w.max(csr.row_len(row));
+                let cols = csr.row_cols(row);
+                w = w.max(cols.len());
+                live += cols.len();
+                if let (Some(&first), Some(&last)) = (cols.first(), cols.last()) {
+                    lo = lo.min(first);
+                    hi = hi.max(last);
+                }
             }
-            widths[s] = w;
             sliceptr[s + 1] = sliceptr[s] + C * w;
+            if live == 0 {
+                // An all-padding slice is trivially narrow, with base 0.
+                cbase[s] = 0;
+            } else if hi - lo < NARROW_SENTINEL as u32 {
+                cbase[s] = lo;
+                narrow_nnz += live as u64;
+            }
         }
         let total = sliceptr[nslices];
         let mut val: AVec<f64> = AVec::zeroed(total);
         let mut colidx: AVec<u32> = AVec::zeroed(total);
+        // Entries under wide-form slices stay zero: no kernel reads them.
+        let mut cidx16: AVec<u16> = AVec::zeroed(total);
         let mut rlen = vec![0u32; nrows];
 
         for s in 0..nslices {
             let base = sliceptr[s];
-            let w = widths[s];
+            let w = (sliceptr[s + 1] - base) / C;
+            let cb = cbase[s];
             for r in 0..C {
                 let row = s * C + r;
-                let (cols, vals, len) = if row < nrows {
+                let (cols, vals) = if row < nrows {
                     rlen[row] = csr.row_len(row) as u32;
-                    (csr.row_cols(row), csr.row_vals(row), csr.row_len(row))
+                    (csr.row_cols(row), csr.row_vals(row))
                 } else {
-                    (&[] as &[u32], &[] as &[f64], 0)
+                    (&[] as &[u32], &[] as &[f64])
                 };
                 // Padding lanes carry the sentinel index `ncols` (one past
-                // the last valid column).  The paper re-reads a local column
-                // (§5.5), but aliasing a live entry makes `0.0 × x[pad]`
-                // poison the lane whenever x holds Inf/NaN there; kernels
-                // instead mask the sentinel and substitute 0.0, so padded
-                // lanes contribute exactly +0.0 regardless of x.
+                // the last valid column; narrow form: `0xFFFF`).  The paper
+                // re-reads a local column (§5.5), but aliasing a live entry
+                // makes `0.0 × x[pad]` poison the lane whenever x holds
+                // Inf/NaN there; kernels instead mask the sentinel and
+                // substitute 0.0, so padded lanes contribute exactly +0.0
+                // regardless of x.
                 for j in 0..w {
                     let at = base + j * C + r;
-                    if j < len {
+                    if j < cols.len() {
                         colidx[at] = cols[j];
                         val[at] = codec.quantize(vals[j]);
+                        if cb != u32::MAX {
+                            cidx16[at] = (cols[j] - cb) as u16;
+                        }
                     } else {
                         colidx[at] = ncols as u32;
                         // val stays 0.0 from zeroed allocation.
+                        if cb != u32::MAX {
+                            cidx16[at] = NARROW_SENTINEL;
+                        }
                     }
                 }
             }
         }
-
-        let (pval, cidx16, cbase, narrow_nnz) =
-            Self::pack(codec, &sliceptr, &colidx, &val, &rlen, ncols);
 
         Self {
             nrows,
@@ -171,74 +210,30 @@ impl<const C: usize> Sell<C> {
             nnz: csr.nnz(),
             sliceptr,
             colidx,
+            pval: Self::pack(codec, &val),
             val,
             rlen,
             isa: Isa::detect(),
             plan: PlanCache::new(),
             codec,
-            pval,
             cidx16,
             cbase,
             narrow_nnz,
         }
     }
 
-    /// Builds the packed sidecars for a non-`F64` codec: per-entry encoded
-    /// value bytes, plus the per-slice index compression.  A slice whose
-    /// live columns span fewer than `0xFFFF` columns stores 2-byte offsets
-    /// from the slice's minimum column (`cbase[s]`); a wider slice keeps
-    /// the classic 4-byte indices and marks `cbase[s] = u32::MAX`.  For
-    /// `F64` all sidecars stay empty and `narrow_nnz = 0`.
-    fn pack(
-        codec: Codec,
-        sliceptr: &[usize],
-        colidx: &[u32],
-        val: &[f64],
-        rlen: &[u32],
-        ncols: usize,
-    ) -> (AVec<u8>, AVec<u16>, Vec<u32>, u64) {
+    /// The packed value bytes of a reduced codec, one encoding per entry of
+    /// `val` (padding included); empty for `F64`, whose kernels read `val`.
+    fn pack(codec: Codec, val: &[f64]) -> AVec<u8> {
         if codec == Codec::F64 {
-            return (AVec::zeroed(0), AVec::zeroed(0), Vec::new(), 0);
+            return AVec::zeroed(0);
         }
         let stride = codec.bytes_per_value();
-        let nslices = sliceptr.len() - 1;
-        let sentinel = ncols as u32;
-        let mut pval: AVec<u8> = AVec::zeroed(colidx.len() * stride);
-        let mut cidx16: AVec<u16> = AVec::zeroed(colidx.len());
-        let mut cbase = vec![u32::MAX; nslices];
-        let mut narrow_nnz = 0u64;
-        // One pass, slice by slice, over plain sub-slices of the four
-        // entry arrays.
-        for s in 0..nslices {
-            let (lo, hi) = (sliceptr[s], sliceptr[s + 1]);
-            let (cols, vals) = (&colidx[lo..hi], &val[lo..hi]);
-            let bytes = &mut pval[lo * stride..hi * stride];
-            for (out, &v) in bytes.chunks_exact_mut(stride).zip(vals) {
-                codec::encode_into(codec, v, out);
-            }
-            let live = || cols.iter().filter(|&&c| c != sentinel);
-            // An all-padding slice is trivially narrow, with base 0.
-            let min = live().min().copied().unwrap_or(0);
-            let max = live().max().copied().unwrap_or(0);
-            if (max - min) as usize >= NARROW_SENTINEL as usize {
-                continue; // span too wide — stays u32::MAX (wide form)
-            }
-            cbase[s] = min;
-            for (o, &c) in cidx16[lo..hi].iter_mut().zip(cols) {
-                *o = if c == sentinel {
-                    NARROW_SENTINEL
-                } else {
-                    (c - min) as u16
-                };
-            }
-            // Live entries in this slice: sum of true row lengths clipped
-            // to the slice width (padding never counts).
-            let w = (hi - lo) / C;
-            for &len in &rlen[s * C..((s + 1) * C).min(rlen.len())] {
-                narrow_nnz += (len as usize).min(w) as u64;
-            }
+        let mut pval: AVec<u8> = AVec::zeroed(val.len() * stride);
+        for (out, &v) in pval.chunks_exact_mut(stride).zip(val) {
+            codec::encode_into(codec, v, out);
         }
-        (pval, cidx16, cbase, narrow_nnz)
+        pval
     }
 
     /// Overrides the dispatch ISA (panics if unavailable on this CPU).
@@ -270,7 +265,9 @@ impl<const C: usize> Sell<C> {
         &self.sliceptr
     }
 
-    /// Column indices, padded, slice-column-major.
+    /// Column indices, padded, slice-column-major: the master pattern
+    /// (what `get`, `to_csr` and the value refresh read), and the index
+    /// stream of the wide-form slices only.
     pub fn colidx(&self) -> &[u32] {
         &self.colidx
     }
@@ -297,20 +294,19 @@ impl<const C: usize> Sell<C> {
     }
 
     /// Per-slice index-form selectors: `u32::MAX` marks a wide (u32) slice,
-    /// anything else is the narrow form's base column.  Empty for
-    /// [`Codec::F64`].
+    /// anything else is the narrow form's base column.
     pub fn cbase(&self) -> &[u32] {
         &self.cbase
     }
 
-    /// Narrow-form 2-byte column offsets (empty for [`Codec::F64`]).
+    /// Narrow-form 2-byte column offsets, parallel to [`Sell::colidx`]
+    /// (zero under wide-form slices).
     pub fn cidx16(&self) -> &[u16] {
         &self.cidx16
     }
 
     /// Live nonzeros stored under the narrow (u16) index form; the
-    /// remaining `nnz() - narrow_nnz()` move 4-byte indices.  Zero for
-    /// [`Codec::F64`].
+    /// remaining `nnz() - narrow_nnz()` move 4-byte indices.
     pub fn narrow_nnz(&self) -> u64 {
         self.narrow_nnz
     }
@@ -412,8 +408,8 @@ impl<const C: usize> Sell<C> {
                 let q = self.codec.quantize(v);
                 self.val[at] = q;
                 if self.codec != Codec::F64 {
-                    // Pattern is unchanged, so cidx16/cbase survive; only
-                    // the packed bytes need refreshing.
+                    // Only the packed bytes need refreshing: cidx16/cbase
+                    // depend on the pattern alone, which is unchanged.
                     codec::encode_into(
                         self.codec,
                         q,
@@ -472,8 +468,7 @@ impl<const C: usize> Sell<C> {
                 Codec::Bf16 => kernels::SellVals::Bf16(&self.pval),
             },
             cidx16: &self.cidx16,
-            // Empty for `Codec::F64`, one selector per slice otherwise.
-            cbase: self.cbase.get(s0..s1).unwrap_or(&[]),
+            cbase: &self.cbase[s0..s1],
             nrows: self.nrows.min(s1 * C) - self.nrows.min(s0 * C),
         }
     }
@@ -555,18 +550,18 @@ impl<const C: usize> Operator for Sell<C> {
         }
     }
 
+    /// The stream the kernel moves (measured stream, not the paper's §6
+    /// model): the codec's value bytes, 2- or 4-byte indices by slice form
+    /// and one `cbase` selector per slice.
     fn spmv_traffic(&self) -> crate::traffic::TrafficEstimate {
-        match self.codec {
-            Codec::F64 => crate::traffic::sell_traffic(self.nrows, self.ncols, self.nnz),
-            _ => crate::traffic::sell_packed_traffic(
-                self.nrows,
-                self.ncols,
-                self.nnz,
-                self.codec.bytes_per_value(),
-                self.narrow_nnz,
-                self.nslices(),
-            ),
-        }
+        crate::traffic::sell_stream_traffic(
+            self.nrows,
+            self.ncols,
+            self.nnz,
+            self.codec.bytes_per_value(),
+            self.narrow_nnz,
+            self.nslices(),
+        )
     }
 }
 
@@ -1008,6 +1003,56 @@ mod tests {
             s.spmv_isa(isa, &x, &mut got);
             for i in 0..24 {
                 assert!((got[i] - want[i]).abs() < 1e-12, "{isa} row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn index_form_is_chosen_per_slice_at_the_u16_boundary() {
+        // Six SELL-8 slices: live spans 0xFFFD and 0xFFFE (narrow), 0xFFFF
+        // (wide), all padding (narrow, base 0), 0xFFFE ending on the last
+        // column, and a ragged 3-row slice — what `sellkit-fuzz`'s
+        // `narrow_edge` family generates.
+        let n = 0x1_0000 + 10;
+        let mut b = CooBuilder::new(5 * 8 + 3, n);
+        let top = n - 1 - 0xFFFE;
+        for (s, lo, span) in [
+            (0, 2, 0xFFFD),
+            (1, 1, 0xFFFE),
+            (2, 0, 0xFFFF),
+            (4, top, 0xFFFE),
+            (5, 7, 0xFFFD),
+        ] {
+            b.push(s * 8 + 1, lo, 1.0 + s as f64);
+            b.push(s * 8 + 1, lo + span, -0.5);
+            b.push(s * 8 + 2, lo + 5, 0.25);
+        }
+        let a = b.to_csr();
+        let x: Vec<f64> = (0..n).map(|i| ((i % 89) as f64) * 0.125 - 3.0).collect();
+        for codec in [Codec::F64, Codec::F32, Codec::Bf16] {
+            let s = Sell8::from_csr_codec(&a, codec);
+            assert_eq!(s.cbase(), [2, 1, u32::MAX, 0, top as u32, 7], "{codec:?}");
+            // Three live entries in each of the four narrow, non-empty slices.
+            assert_eq!(s.narrow_nnz(), 12, "{codec:?}");
+            assert_eq!(s.nnz(), 15);
+            // Slice 1, second column: lane 1 holds the largest live offset,
+            // every other lane the padding sentinel right above it.
+            let col = &s.cidx16()[s.sliceptr()[1] + 8..s.sliceptr()[2]];
+            assert_eq!(col[1], 0xFFFE);
+            assert!(col.iter().enumerate().all(|(r, &o)| r == 1 || o == 0xFFFF));
+            // The wide slice leaves its offsets untouched.
+            let wide = s.sliceptr()[2]..s.sliceptr()[3];
+            assert!(s.cidx16()[wide].iter().all(|&o| o == 0));
+            let q = quantized_csr(&a, codec);
+            let mut want = vec![0.0; a.nrows()];
+            q.spmv_isa(Isa::Scalar, &x, &mut want);
+            for isa in Isa::available_tiers() {
+                let mut got = vec![f64::NAN; a.nrows()];
+                s.spmv_isa(isa, &x, &mut got);
+                assert_eq!(
+                    got, want,
+                    "{codec:?} {isa}: at most two exact products per row"
+                );
             }
         }
     }

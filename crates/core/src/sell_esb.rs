@@ -146,10 +146,12 @@ impl Operator for SellEsb {
         });
     }
 
-    /// Plain SELL-8 traffic plus the bit array the kernel streams: one
-    /// byte per slice column (§5.3's "extra memory traffic").
+    /// `12·nnz + bits + 10·m + 8·n`: the masked kernel streams the f64
+    /// values and the wide `u32` `colidx` (never the inner matrix's narrow
+    /// offsets), plus the bit array, one byte per slice column (§5.3's
+    /// "extra memory traffic").
     fn spmv_traffic(&self) -> crate::traffic::TrafficEstimate {
-        let mut t = self.sell.spmv_traffic();
+        let mut t = crate::traffic::sell_traffic(self.nrows(), self.ncols(), self.nnz());
         t.bytes += self.bits.len() as u64;
         t
     }
@@ -211,8 +213,17 @@ mod tests {
     #[test]
     fn traffic_counts_the_bit_array() {
         let e = SellEsb::from_csr(&irregular(100));
-        let (esb, sell) = (e.spmv_traffic(), crate::traffic::for_sell(e.sell()));
-        assert_eq!(esb.bytes - sell.bytes, e.bit_array_bytes() as u64);
+        let (esb, sell) = (e.spmv_traffic(), e.sell().spmv_traffic());
+        let paper = crate::traffic::sell_traffic(100, 100, e.nnz());
+        assert_eq!(esb.bytes, paper.bytes + e.bit_array_bytes() as u64);
+        // ESB stays on 4-byte indices: over the plain SELL-8 stream it also
+        // pays 2 bytes per narrow nonzero, less the `cbase` selectors.
+        let narrow = e.sell().narrow_nnz();
+        assert_eq!(narrow, e.nnz() as u64, "n = 100 fits every slice in u16");
+        assert_eq!(
+            esb.bytes + 4 * e.sell().nslices() as u64,
+            sell.bytes + e.bit_array_bytes() as u64 + 2 * narrow
+        );
         assert_eq!(esb.flops, sell.flops);
     }
 

@@ -574,7 +574,7 @@ mod tests {
     fn traffic_exceeds_plain_sell() {
         let a = irregular(50, 37);
         let s = SellSigma8::from_csr_sigma(&a, 16);
-        let plain = crate::traffic::sell_traffic(50, 50, a.nnz());
+        let plain = s.sell().spmv_traffic();
         assert_eq!(s.spmv_traffic().bytes, plain.bytes + 20 * 50);
     }
 }

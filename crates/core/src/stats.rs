@@ -57,7 +57,9 @@ impl FormatStats {
         }
     }
 
-    /// Stats for a SELL matrix.
+    /// Stats for a SELL matrix: every array the struct holds — the f64
+    /// and `u32` master arrays, the packed value bytes of a reduced codec,
+    /// the narrow offsets and their per-slice bases, `sliceptr`, `rlen`.
     pub fn for_sell<const C: usize>(a: &Sell<C>) -> Self {
         Self {
             format: "SELL",
@@ -65,9 +67,13 @@ impl FormatStats {
             ncols: a.ncols(),
             nnz: a.nnz(),
             stored_elems: a.stored_elems(),
-            bytes: a.stored_elems() * (BYTES_F64 + BYTES_IDX)
-                + (a.nslices() + 1) * 8
-                + a.nrows() * 4, // rlen
+            bytes: size_of_val(a.values())
+                + size_of_val(a.colidx())
+                + size_of_val(a.packed_values())
+                + size_of_val(a.cidx16())
+                + size_of_val(a.cbase())
+                + size_of_val(a.sliceptr())
+                + size_of_val(a.rlen()),
         }
     }
 
@@ -146,6 +152,20 @@ mod tests {
         let st = FormatStats::for_sell(&s);
         // First/last slice have rows of length 2 padded to 3.
         assert!(st.padding_ratio() < 0.01, "padding {}", st.padding_ratio());
+    }
+
+    #[test]
+    fn sell_bytes_count_the_arrays_held() {
+        use crate::codec::Codec;
+        let a = banded(128);
+        let held = |c: Codec| FormatStats::for_sell(&Sell8::from_csr_codec(&a, c)).bytes;
+        let s = Sell8::from_csr(&a);
+        // 8 (val) + 4 (colidx) + 2 (cidx16) per stored entry, 4 (cbase) per
+        // slice, sliceptr, rlen; a reduced codec adds its packed bytes.
+        let f64_bytes = s.stored_elems() * 14 + s.nslices() * 4 + (s.nslices() + 1) * 8 + 128 * 4;
+        assert_eq!(held(Codec::F64), f64_bytes);
+        assert_eq!(held(Codec::F32), f64_bytes + s.stored_elems() * 4);
+        assert_eq!(held(Codec::Bf16), f64_bytes + s.stored_elems() * 2);
     }
 
     #[test]

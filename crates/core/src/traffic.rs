@@ -12,10 +12,18 @@
 //! * **SELL**: `12·nnz + 10·m + 8·n` bytes — the slice pointers are one
 //!   8-byte entry per 8 rows for each of the two blocks
 //!   (`2 · m/8 · 8 = 2·m`), replacing CSR's `16·m` of row pointers.
-//! * **PackSELL** (reduced-precision value codecs): `w·nnz` value bytes
-//!   with `w ∈ {4, 2}` for f32/bf16, plus 2 bytes per nonzero in slices
-//!   whose column span fits a `u16` offset (narrow form) and 4 bytes in
-//!   the rest, plus a 4-byte per-slice base — see [`sell_packed_traffic`].
+//!
+//! Those two are the **paper's §6 model** ([`csr_traffic`],
+//! [`sell_traffic`]): what the Fig. 4/9/10/11 exhibits and
+//! `tests/paper_claims.rs` predict KNL/Xeon numbers with.  What this
+//! crate's `Sell` actually streams — the **measured stream**,
+//! [`sell_stream_traffic`], behind `Sell`'s `Operator::spmv_traffic` and
+//! [`for_sell`] — deviates from it in the per-nonzero term:
+//!
+//! * `w·nnz` value bytes with `w ∈ {8, 4, 2}` for f64/f32/bf16, plus
+//!   2 index bytes per nonzero in slices whose column span fits a `u16`
+//!   offset (narrow form) and 4 bytes in the rest, plus a 4-byte per-slice
+//!   base: 10 B/nnz instead of the paper's 12 on any banded f64 matrix.
 //!
 //! Padding bytes are deliberately *not* counted (§6: "extra memory overhead
 //! contributed by padded zeros are not counted in order to eliminate
@@ -24,7 +32,7 @@
 
 use crate::csr::Csr;
 use crate::sell::Sell;
-use crate::traits::MatShape;
+use crate::traits::{MatShape, Operator};
 
 /// Bytes per double-precision value.
 pub const BYTES_F64: usize = 8;
@@ -67,7 +75,8 @@ pub fn csr_traffic(m: usize, n: usize, nnz: usize) -> TrafficEstimate {
     }
 }
 
-/// SELL minimum traffic: `12·nnz + 10·m + 8·n`.
+/// SELL minimum traffic, paper §6 model: `12·nnz + 10·m + 8·n` — the only
+/// spelling of the paper's formula, whatever index form a [`Sell`] holds.
 pub fn sell_traffic(m: usize, n: usize, nnz: usize) -> TrafficEstimate {
     TrafficEstimate {
         bytes: (12 * nnz + 10 * m + 8 * n) as u64,
@@ -75,15 +84,14 @@ pub fn sell_traffic(m: usize, n: usize, nnz: usize) -> TrafficEstimate {
     }
 }
 
-/// PackSELL minimum traffic for a reduced-precision codec.  Per live
-/// nonzero, a packed matrix moves `value_bytes` (4 for f32, 2 for bf16)
-/// plus its index: 2 bytes under the narrow per-slice form, 4 bytes wide.
-/// Each slice additionally reads its 4-byte `cbase` selector
-/// (`4·⌈m/C⌉ ≈ 4·m/C`, folded into the `10·m` row-metadata term's
-/// sliceptr accounting as an extra `4·nslices`), and the vector terms
-/// (`8·m` out, `8·n` in) plus the `2·m` sliceptr bytes match
-/// [`sell_traffic`].  Padding is not counted, per the §6 convention.
-pub fn sell_packed_traffic(
+/// SELL minimum traffic, measured stream: what the `Sell` kernels move at
+/// any codec.  Per live nonzero, `value_bytes` (8 for f64, 4 for f32, 2 for
+/// bf16) plus its index: 2 bytes under the narrow per-slice form, 4 bytes
+/// wide.  Each slice additionally reads its 4-byte `cbase` selector
+/// (`4·nslices`), and the vector terms (`8·m` out, `8·n` in) plus the `2·m`
+/// sliceptr bytes match [`sell_traffic`].  Padding is not counted, per the
+/// §6 convention.
+pub fn sell_stream_traffic(
     m: usize,
     n: usize,
     nnz: usize,
@@ -122,10 +130,11 @@ pub fn for_csr(a: &Csr) -> TrafficEstimate {
     csr_traffic(a.nrows(), a.ncols(), a.nnz())
 }
 
-/// Traffic estimate for a concrete SELL matrix (paper convention: padding
-/// not counted).
+/// Traffic estimate for a concrete SELL matrix — the measured stream,
+/// i.e. `a.spmv_traffic()` (paper convention: padding not counted).  The
+/// paper §6 model of the same shape is [`sell_traffic`].
 pub fn for_sell<const C: usize>(a: &Sell<C>) -> TrafficEstimate {
-    sell_traffic(a.nrows(), a.ncols(), a.nnz())
+    a.spmv_traffic()
 }
 
 /// Traffic estimate for a concrete SELL matrix including its real padding.

@@ -58,10 +58,12 @@ pub trait Operator: MatShape {
         2 * self.nnz() as u64
     }
 
-    /// Minimum §6 memory traffic moved by one single-vector product, for
+    /// Minimum memory traffic moved by one single-vector product, for
     /// bandwidth attribution in profiling reports.  The default applies
-    /// the CSR formula (`12·nnz + 24·m + 8·n`); sliced-ELLPACK formats
-    /// override it with the SELL formula (`12·nnz + 10·m + 8·n`).
+    /// the §6 CSR formula (`12·nnz + 24·m + 8·n`); each sliced-ELLPACK
+    /// format overrides it with the stream its own kernel moves — for
+    /// `Sell`, `value_bytes·nnz + 2·narrow_nnz + 4·wide_nnz + 4·nslices +
+    /// 10·m + 8·n` (see [`crate::traffic::sell_stream_traffic`]).
     fn spmv_traffic(&self) -> crate::traffic::TrafficEstimate {
         crate::traffic::csr_traffic(self.nrows(), self.ncols(), self.nnz())
     }

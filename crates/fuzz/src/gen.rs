@@ -7,6 +7,9 @@
 //! * shape degeneracies — empty matrix, all-empty rows, single column,
 //!   a lone dense row among empties, rectangular extremes;
 //! * slice-tail raggedness — `nrows % C ∈ 1..C` for every slice height;
+//! * index-form boundaries — slices whose live columns span exactly
+//!   `0xFFFD`, `0xFFFE` (2-byte offsets, the largest next to the `0xFFFF`
+//!   padding sentinel) and `0xFFFF` (must keep 4-byte indices);
 //! * assembly hazards — duplicated and unsorted COO input;
 //! * value hazards — vectors carrying NaN, ±Inf, subnormals, and signed
 //!   zeros that padded lanes must never touch.
@@ -56,6 +59,7 @@ pub const FAMILIES: &[&str] = &[
     "power_law",
     "banded",
     "symmetric",
+    "narrow_edge",
 ];
 
 /// Builds the matrix for a corpus `(family, seed)` pair.
@@ -238,6 +242,7 @@ pub fn build(family: &str, seed: u64) -> MatrixCase {
                 symmetric: true,
             }
         }
+        "narrow_edge" => narrow_edge_case(name, &mut rng),
         other => panic!("unknown fuzz family {other:?} (known: {FAMILIES:?})"),
     }
 }
@@ -264,6 +269,60 @@ fn tail_case(name: String, c: usize, rng: &mut StdRng) -> MatrixCase {
         name,
         nrows: n,
         ncols: n,
+        entries,
+        symmetric: false,
+    }
+}
+
+/// The boundaries of SELL's per-slice narrow (u16 offset) index form.
+///
+/// Rows come in groups of 16 — one SELL-16 slice, two SELL-8, four SELL-4 —
+/// and one *hot* row per group holds the first and the last column of the
+/// group's span (plus a few between, so every other lane of its slice is
+/// padded), the other rows staying inside it: whatever the slice height,
+/// the slice with the hot row has exactly that span and the group's other
+/// slices are narrower or empty.  In order: span `0xFFFD` (narrow), span
+/// `0xFFFE` (narrow, the largest live offset sits next to the `0xFFFF`
+/// sentinel), span `0xFFFF` (must go wide), an empty group (all-padding
+/// slices: narrow, base 0), span `0xFFFE` ending on `ncols − 1`, and a
+/// ragged last slice of span `0xFFFD`.
+fn narrow_edge_case(name: String, rng: &mut StdRng) -> MatrixCase {
+    const GROUP: usize = 16;
+    let ncols = 0x1_0000 + 2 * rng.gen_range(1usize..32);
+    let tail = rng.gen_range(1usize..GROUP);
+    let last = ncols as u32 - 1;
+    // (first column, span) per group; the final one is the ragged tail.
+    let groups = [
+        Some((rng.gen_range(0u32..3), 0xFFFD)),
+        Some((rng.gen_range(0u32..3), 0xFFFE)),
+        Some((rng.gen_range(0u32..3), 0xFFFF)),
+        None,
+        Some((last - 0xFFFE, 0xFFFE)),
+        Some((rng.gen_range(0u32..3), 0xFFFD)),
+    ];
+    let nrows = (groups.len() - 1) * GROUP + tail;
+    let mut entries = Vec::new();
+    for (g, group) in groups.iter().enumerate() {
+        let Some((lo, span)) = *group else { continue };
+        let rows = g * GROUP..nrows.min((g + 1) * GROUP);
+        let hot = rng.gen_range(rows.clone());
+        for row in rows {
+            let inside = if row == hot {
+                entries.push((row as u32, lo, small_val(rng)));
+                entries.push((row as u32, lo + span, small_val(rng)));
+                rng.gen_range(2usize..5)
+            } else {
+                rng.gen_range(0usize..3)
+            };
+            for _ in 0..inside {
+                entries.push((row as u32, lo + rng.gen_range(0..span + 1), small_val(rng)));
+            }
+        }
+    }
+    MatrixCase {
+        name,
+        nrows,
+        ncols,
         entries,
         symmetric: false,
     }

@@ -62,7 +62,9 @@ fn main() {
         100.0 * (1.0 - csr.nnz() as f64 / (csr.nrows() * csr.max_row_len()) as f64)
     );
 
-    // 5. The §6 minimum-traffic model.
+    // 5. Minimum traffic: the paper's §6 model for CSR, and for SELL the
+    // stream its kernel moves (2-byte column offsets where a slice allows;
+    // `traffic::sell_traffic` is the paper's 12 B/nnz formula).
     let tc = traffic::for_csr(&csr);
     let ts = traffic::for_sell(&sell);
     println!(

@@ -109,6 +109,82 @@ fn set_from_csr_rebuilds_on_another_pattern() {
     check::<SellSigma8>("SellSigma8", SellSigma8::to_csr);
 }
 
+/// The kernels read per-slice 2-byte column offsets (`cidx16` from
+/// `cbase[s]`) derived from the pattern.  A value refresh must leave them
+/// alone; a pattern change that moves one entry more than `0xFFFF` columns
+/// away — the slice can no longer be narrow — must rebuild them, never
+/// keep the old offsets under a new base.
+#[test]
+fn value_refresh_keeps_the_narrow_indices_and_a_slice_gone_wide_rebuilds_them() {
+    use sellkit_check::Validate;
+    let n = 70_000;
+    let pattern = |far: usize| {
+        let mut b = CooBuilder::new(12, n);
+        for i in 0..12 {
+            b.push(i, 100 + i, 1.0 + i as f64);
+            b.push(i, if i == 3 { far } else { 150 + 2 * i }, 0.5 - i as f64);
+        }
+        b.to_csr()
+    };
+    let (near, far) = (pattern(156), pattern(69_000));
+    assert_eq!(near.rowptr(), far.rowptr(), "same row lengths");
+    let scaled = {
+        let mut m = near.clone();
+        m.values_mut().iter_mut().for_each(|v| *v *= -1.5);
+        m
+    };
+    let x: Vec<f64> = (0..n).map(|i| (i % 113) as f64 * 0.25 - 9.0).collect();
+    let product = |m: &Sell8, isa: Isa| {
+        let mut y = vec![f64::NAN; 12];
+        m.spmv_isa(isa, &x, &mut y);
+        y.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    // `m` is indistinguishable from a matrix built from `of` directly.
+    let same_as_fresh = |m: &Sell8, of: &Csr, what: &str| {
+        let fresh = Sell8::from_csr(of);
+        assert_eq!(m.validate(), Ok(()), "{what}");
+        assert_eq!(m.cbase(), fresh.cbase(), "{what}");
+        assert_eq!(m.cidx16(), fresh.cidx16(), "{what}");
+        assert_eq!(m.colidx(), fresh.colidx(), "{what}");
+        assert_eq!(m.narrow_nnz(), fresh.narrow_nnz(), "{what}");
+        for isa in Isa::available_tiers() {
+            assert_eq!(product(m, isa), product(&fresh, isa), "{what} {isa}");
+        }
+    };
+
+    let built = Sell8::from_csr(&near);
+    assert_eq!(built.cbase(), &[100, 108], "both slices narrow");
+    let (cidx16, cbase) = (built.cidx16().to_vec(), built.cbase().to_vec());
+
+    // (i) The same pattern: values only, through either entry point.
+    let mut m = built.clone();
+    m.set_values_from_csr(&scaled);
+    assert_eq!((m.cidx16(), m.cbase()), (&cidx16[..], &cbase[..]));
+    same_as_fresh(&m, &scaled, "set_values_from_csr");
+    let mut m = built.clone();
+    m.set_from_csr(&scaled);
+    assert_eq!((m.cidx16(), m.cbase()), (&cidx16[..], &cbase[..]));
+    same_as_fresh(&m, &scaled, "set_from_csr, same pattern");
+
+    // (ii) Row 3's second entry moved 68 844 columns: slice 0 goes wide.
+    m.set_from_csr(&far);
+    assert_eq!(m.cbase(), &[u32::MAX, 108], "slice 0 rebuilt wide");
+    assert_eq!(m.narrow_nnz(), 8);
+    same_as_fresh(&m, &far, "set_from_csr, narrow slice gone wide");
+    // ... and back: the offsets reappear under the old base.
+    m.set_from_csr(&near);
+    same_as_fresh(&m, &near, "set_from_csr, wide slice gone narrow");
+
+    // The σ-sorted wrapper rebuilds its inner matrix the same way.
+    let mut sigma = SellSigma8::from_csr_sigma(&near, 8);
+    sigma.set_from_csr(&far);
+    assert_eq!(sigma.validate(), Ok(()));
+    assert!(sigma.sell().cbase().contains(&u32::MAX));
+    let fresh = SellSigma8::from_csr_sigma(&far, 8);
+    assert_eq!(sigma.sell().cidx16(), fresh.sell().cidx16());
+    assert_eq!(sigma.sell().cbase(), fresh.sell().cbase());
+}
+
 #[test]
 #[should_panic(expected = "not available")]
 fn forcing_unavailable_isa_panics_cleanly() {

@@ -7,10 +7,12 @@
 //! slices — the same checks the `Validate` impls run on the owned formats.
 
 use proptest::prelude::*;
-use sellkit::core::{Baij, CooBuilder, Sbaij, Sell16, Sell4, Sell8, SellEsb, SellSigma8};
+use sellkit::core::{
+    Baij, Codec, CooBuilder, MatShape, Sbaij, Sell16, Sell4, Sell8, SellEsb, SellSigma8,
+};
 use sellkit_check::{
-    check_alignment, check_block_parts, check_csr_parts, check_sell_parts, Loc, Validate,
-    Violation, ViolationKind,
+    check_alignment, check_block_parts, check_csr_parts, check_packed_sidecars, check_sell_parts,
+    Loc, Validate, Violation, ViolationKind,
 };
 
 /// 10×10 fixture with a known SELL-8 layout: row 0 has three nonzeros
@@ -153,6 +155,58 @@ fn nonzero_padding_value_is_reported() {
             },
             value: 7.5
         }]
+    );
+}
+
+/// The narrow index form is what the f64 kernels read, so an f64 matrix's
+/// `cidx16`/`cbase` answer to the master `colidx` like a packed one's.
+#[test]
+fn f64_index_sidecar_mutations_are_reported() {
+    let s = fixture();
+    assert_eq!(s.codec(), Codec::F64);
+    assert_eq!(s.cbase(), &[0, 8], "both slices narrow");
+    let check = |cidx16: &[u16], cbase: &[u32]| {
+        check_packed_sidecars(
+            Codec::F64,
+            s.ncols(),
+            s.sliceptr(),
+            s.colidx(),
+            s.values(),
+            s.packed_values(),
+            cidx16,
+            cbase,
+        )
+    };
+    assert_eq!(check(s.cidx16(), s.cbase()), vec![]);
+
+    // Row 0's second entry (column 2): flat index 8.
+    let mut cidx16 = s.cidx16().to_vec();
+    assert_eq!(cidx16[8], 2);
+    cidx16[8] ^= 1;
+    let mismatch = |at| Violation::PackedSidecarMismatch {
+        array: "cidx16",
+        at,
+    };
+    assert_eq!(check(&cidx16, s.cbase()), vec![mismatch(8)]);
+
+    // Slice 1's base moved by one: its two live offsets (rows 8 and 9)
+    // resolve one column off the master pattern.
+    assert_eq!(check(s.cidx16(), &[0, 9]), vec![mismatch(24), mismatch(25)]);
+
+    // A padded lane turned live, and a live one turned padding.
+    let mut cidx16 = s.cidx16().to_vec();
+    assert_eq!((cidx16[9], cidx16[1]), (u16::MAX, 1));
+    (cidx16[9], cidx16[1]) = (3, u16::MAX);
+    assert_eq!(check(&cidx16, s.cbase()), vec![mismatch(1), mismatch(9)]);
+
+    let arr_len = |array, expected| Violation::ArrLen {
+        array,
+        expected,
+        found: 0,
+    };
+    assert_eq!(
+        check(&[], &[]),
+        vec![arr_len("cidx16", 32), arr_len("cbase", 2)]
     );
 }
 

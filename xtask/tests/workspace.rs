@@ -97,6 +97,34 @@ fn deleting_marker_and_assert_fails_the_helper_declaration() {
     );
 }
 
+/// The narrow index form is every codec's stream: `check_sell` discharges
+/// its clause with no codec exemption, and a checker that stopped doing so
+/// no longer licenses the SELL bodies.
+#[test]
+fn dropping_the_narrow_index_discharge_fails_the_contract_pass() {
+    let mut tree = real_tree();
+    mutate(
+        &mut tree,
+        DISPATCH,
+        "    // discharges: narrow_cols_in_bounds(cidx16, cbase, x)\n",
+        "",
+    );
+    mutate(
+        &mut tree,
+        DISPATCH,
+        ", narrow_cols_in_bounds(cidx16, cbase, x)`\nfn check_sell",
+        "`\nfn check_sell",
+    );
+    let findings = passes::contract::run(&tree);
+    assert!(
+        findings.iter().any(|f| {
+            f.message.contains("without discharging its clause")
+                && f.clause.as_deref() == Some("narrow_cols_in_bounds(cidx16,cbase,x)")
+        }),
+        "{findings:#?}"
+    );
+}
+
 #[test]
 fn dropping_a_requires_clause_fails_the_reverse_check() {
     let mut tree = real_tree();
