@@ -102,44 +102,70 @@ impl AijPerm {
 /// SELL-8 `y = A·x` through the hardware gather — `vgatherdpd` under the
 /// sentinel mask, the inner loop `sellkit-core` ran on its AVX2 and AVX-512
 /// tiers until scalar loads replaced it (EXPERIMENTS.md §5.5).  A
-/// measurement stand-in, not a kernel: f64 only, no plan, no windows.
+/// measurement stand-in, not a kernel: f64 only, no plan, no windows, and
+/// the pre-PR-18 layout — one 4-byte column per entry — in arrays of its
+/// own, filled from [`Sell8::row`].
 #[cfg(target_arch = "x86_64")]
 mod hw_gather {
     use std::arch::x86_64::*;
 
-    use std::rc::Rc;
-
     use sellkit_core::{MatShape, Sell8};
 
     pub struct HwGatherSell8 {
-        sell: Rc<Sell8>,
-        wide: bool,
+        nrows: usize,
+        ncols: usize,
+        sliceptr: Vec<usize>,
+        /// One column per stored entry, padding the sentinel `ncols`.
+        colidx: Vec<u32>,
+        /// One value per stored entry, padding `0.0`.
+        val: Vec<f64>,
     }
 
     impl HwGatherSell8 {
-        /// `wide` picks the 8-lane `zmm` gather over the 4-lane `ymm` one;
-        /// `None` if the host lacks the instruction.
-        pub fn new(sell: Rc<Sell8>, wide: bool) -> Option<Self> {
-            let has = if wide {
+        pub fn new(sell: &Sell8) -> Self {
+            let sliceptr = sell.sliceptr().to_vec();
+            let mut colidx = vec![sell.ncols() as u32; sell.stored_elems()];
+            let mut val = vec![0.0; sell.stored_elems()];
+            for i in 0..sell.nrows() {
+                for (j, (c, v)) in sell.row(i).enumerate() {
+                    let at = sliceptr[i / 8] + j * 8 + i % 8;
+                    (colidx[at], val[at]) = (c, v);
+                }
+            }
+            Self {
+                nrows: sell.nrows(),
+                ncols: sell.ncols(),
+                sliceptr,
+                colidx,
+                val,
+            }
+        }
+
+        /// Whether the host has the gather `wide` picks: the 8-lane `zmm`
+        /// one, or the 4-lane `ymm` one.
+        pub fn available(wide: bool) -> bool {
+            if wide {
                 is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")
             } else {
                 is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-            };
-            has.then_some(Self { sell, wide })
+            }
         }
 
-        pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-            assert_eq!((x.len(), y.len()), (self.sell.ncols(), self.sell.nrows()));
-            // SAFETY: `new` detected the features of the loop `wide`
-            // selects; `Sell8` keeps every slice a whole number of 8-entry
-            // columns inside `colidx`/`values` and every column index
-            // below `ncols == x.len()` or equal to it (padding), which the
-            // gathers mask off.
+        /// # Panics
+        /// Unless [`Self::available`]`(wide)`.
+        pub fn spmv(&self, wide: bool, x: &[f64], y: &mut [f64]) {
+            assert!(Self::available(wide));
+            assert_eq!((x.len(), y.len()), (self.ncols, self.nrows));
+            // SAFETY: the features of the loop `wide` selects were just
+            // detected; `new` keeps every slice a whole number of 8-entry
+            // columns inside `colidx`/`val` (the `Sell8` geometry) and
+            // every column index below `ncols == x.len()` or equal to it
+            // (padding), which the gathers mask off.
             unsafe {
-                if self.wide {
-                    zmm(&self.sell, x, y)
+                if wide {
+                    zmm(self, x, y)
                 } else {
-                    ymm(&self.sell, x, y)
+                    ymm(self, x, y)
                 }
             }
         }
@@ -147,11 +173,11 @@ mod hw_gather {
 
     /// # Safety
     ///
-    /// `avx512f` and `avx512vl` present; `x.len() == s.ncols()`,
-    /// `y.len() == s.nrows()`.
+    /// `avx512f` and `avx512vl` present; `x.len() == s.ncols`,
+    /// `y.len() == s.nrows`.
     #[target_feature(enable = "avx512f,avx512vl")]
-    unsafe fn zmm(s: &Sell8, x: &[f64], y: &mut [f64]) {
-        let (sp, ci, val) = (s.sliceptr(), s.colidx().as_ptr(), s.values().as_ptr());
+    unsafe fn zmm(s: &HwGatherSell8, x: &[f64], y: &mut [f64]) {
+        let (sp, ci, val) = (&s.sliceptr, s.colidx.as_ptr(), s.val.as_ptr());
         // SAFETY: see `spmv`.
         unsafe {
             let xlen = _mm256_set1_epi32(x.len() as i32);
@@ -171,11 +197,11 @@ mod hw_gather {
 
     /// # Safety
     ///
-    /// `avx2` and `fma` present; `x.len() == s.ncols()`,
-    /// `y.len() == s.nrows()`.
+    /// `avx2` and `fma` present; `x.len() == s.ncols`,
+    /// `y.len() == s.nrows`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn ymm(s: &Sell8, x: &[f64], y: &mut [f64]) {
-        let (sp, ci, val) = (s.sliceptr(), s.colidx().as_ptr(), s.values().as_ptr());
+    unsafe fn ymm(s: &HwGatherSell8, x: &[f64], y: &mut [f64]) {
+        let (sp, ci, val) = (&s.sliceptr, s.colidx.as_ptr(), s.val.as_ptr());
         // SAFETY: see `spmv`.
         unsafe {
             let (xlen, zero) = (_mm_set1_epi32(x.len() as i32), _mm256_setzero_pd());
@@ -215,12 +241,18 @@ pub fn build_gather_variants(a: &Csr) -> Vec<Variant> {
         });
     }
     #[cfg(target_arch = "x86_64")]
-    for (wide, label) in [(false, "vgatherdpd ymm"), (true, "vgatherdpd zmm")] {
-        if let Some(hw) = hw_gather::HwGatherSell8::new(shared.clone(), wide) {
-            out.push(Variant {
-                label: label.into(),
-                run: Box::new(move |x, y| hw.spmv(x, y)),
-            });
+    {
+        use hw_gather::HwGatherSell8;
+        // The stand-in's 4-byte-index arrays, likewise built once.
+        let hw = std::rc::Rc::new(HwGatherSell8::new(&shared));
+        for (wide, label) in [(false, "vgatherdpd ymm"), (true, "vgatherdpd zmm")] {
+            if HwGatherSell8::available(wide) {
+                let hw = hw.clone();
+                out.push(Variant {
+                    label: label.into(),
+                    run: Box::new(move |x, y| hw.spmv(wide, x, y)),
+                });
+            }
         }
     }
     out

@@ -18,12 +18,15 @@
 //!   diagnostics can point at the offending entry;
 //! * the `check_*_parts` functions operate on raw slices, so tests can
 //!   corrupt individual arrays and verify each invariant is actually
-//!   enforced (see `tests/mutations.rs`).
+//!   enforced (see `tests/validate.rs`).
 //!
-//! Validation is `O(stored elements)` and allocates only small per-row
-//! scratch; it is meant for debug builds, tests, and post-assembly audits,
-//! not the SpMV hot path (the `debug_assert!` preconditions of
-//! `sellkit_core`'s checked kernel entry points cover that).
+//! A format holds each stream once, so there is no "the copies agree"
+//! invariant to check: every check reads the one array the kernels read.
+//! Validation is `O(stored elements)` and allocates nothing on a valid
+//! matrix (the σ variant: one `rlen` re-indexing); it is meant for tests,
+//! registration-time and post-assembly audits, not the SpMV hot path (the
+//! `debug_assert!` preconditions of `sellkit_core`'s checked kernel entry
+//! points cover that).
 
 #![forbid(unsafe_code)]
 
@@ -34,7 +37,8 @@ use std::fmt;
 /// Location of an offending entry inside a format's flat storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Loc {
-    /// Index into the flat `colidx`/`val` array.
+    /// Index into the flat entry arrays (for SELL: the entry's offset in
+    /// the value stream, whichever index stream its slice uses).
     pub at: usize,
     /// Logical matrix row the entry belongs to (for padded lanes past the
     /// end of the matrix, the storage row `slice * C + lane`).
@@ -132,13 +136,6 @@ pub enum Violation {
         prev: u32,
         next: u32,
     },
-    /// A SELL sidecar disagrees with the master arrays: the packed bytes
-    /// at `at` don't decode to `val[at]` (`array = "pval"`), or a
-    /// narrow-form offset doesn't resolve to `colidx[at]`
-    /// (`array = "cidx16"`, at every codec).  The kernels read only the
-    /// sidecars, so any such divergence silently computes with a different
-    /// matrix than `values()` / `colidx()` report.
-    PackedSidecarMismatch { array: &'static str, at: usize },
 }
 
 /// Payload-free discriminant of [`Violation`], for assertions.
@@ -162,7 +159,6 @@ pub enum ViolationKind {
     NotUpperTriangular,
     BitMaskMismatch,
     SigmaWindowNotSorted,
-    PackedSidecarMismatch,
 }
 
 impl Violation {
@@ -187,7 +183,6 @@ impl Violation {
             Violation::NotUpperTriangular { .. } => ViolationKind::NotUpperTriangular,
             Violation::BitMaskMismatch { .. } => ViolationKind::BitMaskMismatch,
             Violation::SigmaWindowNotSorted { .. } => ViolationKind::SigmaWindowNotSorted,
-            Violation::PackedSidecarMismatch { .. } => ViolationKind::PackedSidecarMismatch,
         }
     }
 }
@@ -315,12 +310,6 @@ impl fmt::Display for Violation {
                     "σ-window {window}: row lengths increase at storage position {at}: {prev} -> {next}"
                 )
             }
-            Violation::PackedSidecarMismatch { array, at } => {
-                write!(
-                    f,
-                    "packed sidecar {array} disagrees with the master array at index {at}"
-                )
-            }
         }
     }
 }
@@ -338,6 +327,15 @@ fn finish(v: Vec<Violation>) -> Result<(), Vec<Violation>> {
     } else {
         Err(v)
     }
+}
+
+/// `ArrLen` if an array is not as long as the one it must parallel.
+fn arr_len(array: &'static str, expected: usize, found: usize) -> Option<Violation> {
+    (expected != found).then_some(Violation::ArrLen {
+        array,
+        expected,
+        found,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -400,13 +398,8 @@ pub fn check_alignment<T>(array: &'static str, data: &[T]) -> Vec<Violation> {
 
 /// Checks that `perm` is a permutation of `0..n`.
 pub fn check_permutation(perm: &[u32], n: usize) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if perm.len() != n {
-        out.push(Violation::ArrLen {
-            array: "perm",
-            expected: n,
-            found: perm.len(),
-        });
+    let mut out = Vec::from_iter(arr_len("perm", n, perm.len()));
+    if !out.is_empty() {
         return out;
     }
     let mut first_at = vec![usize::MAX; n];
@@ -436,13 +429,7 @@ pub fn check_csr_parts(
     val: &[f64],
 ) -> Vec<Violation> {
     let mut out = check_ptr_array("rowptr", rowptr, nrows, val.len());
-    if colidx.len() != val.len() {
-        out.push(Violation::ArrLen {
-            array: "colidx",
-            expected: val.len(),
-            found: colidx.len(),
-        });
-    }
+    out.extend(arr_len("colidx", val.len(), colidx.len()));
     if !out.is_empty() {
         return out; // row extents are unreliable; stop before indexing with them
     }
@@ -477,53 +464,123 @@ pub fn check_csr_parts(
     out
 }
 
-/// Checks SELL invariants over raw parts: slice-pointer shape, lane
-/// alignment, in-bounds columns, sentinel padding indices (`== ncols`,
-/// masked by the kernels), zero padding values, `rlen` vs. slice width,
-/// and `sum(rlen) == nnz`.
+/// The arrays of a SELL matrix as [`Sell`] holds them (see its getters),
+/// one per stream — what [`check_sell_parts`] walks, borrowed so a
+/// mutation test can swap in a corrupted copy of exactly one of them.
+#[derive(Debug, Clone, Copy)]
+pub struct SellStreams<'a> {
+    pub nrows: usize,
+    pub ncols: usize,
+    pub nnz: usize,
+    pub sliceptr: &'a [usize],
+    /// By logical row.
+    pub rlen: &'a [u32],
+    /// Which of `val` / `pval` holds the values; the other is empty.
+    pub codec: Codec,
+    pub val: &'a [f64],
+    pub pval: &'a [u8],
+    pub cidx16: &'a [u16],
+    pub cbase: &'a [u32],
+    pub colidx: &'a [u32],
+    pub wideptr: &'a [usize],
+}
+
+impl<'a> SellStreams<'a> {
+    /// The streams of `sell`, as held.
+    pub fn of<const C: usize>(sell: &'a Sell<C>) -> Self {
+        Self {
+            nrows: sell.nrows(),
+            ncols: sell.ncols(),
+            nnz: sell.nnz(),
+            sliceptr: sell.sliceptr(),
+            rlen: sell.rlen(),
+            codec: sell.codec(),
+            val: sell.values(),
+            pval: sell.packed_values(),
+            cidx16: sell.cidx16(),
+            cbase: sell.cbase(),
+            colidx: sell.colidx(),
+            wideptr: sell.wideptr(),
+        }
+    }
+}
+
+/// Independent decode of one packed value — deliberately *not* shared
+/// with the core kernels' decode path, so a bug there cannot hide from
+/// the padding-value check.
+fn decode_packed(codec: Codec, pval: &[u8], at: usize) -> f64 {
+    let byte = |i: usize| pval[codec.bytes_per_value() * at + i];
+    match codec {
+        Codec::F64 => unreachable!("F64 values are not packed"),
+        Codec::F32 => f32::from_le_bytes([byte(0), byte(1), byte(2), byte(3)]) as f64,
+        Codec::Bf16 => f32::from_bits((u16::from_le_bytes([byte(0), byte(1)]) as u32) << 16) as f64,
+    }
+}
+
+/// Checks SELL invariants over raw parts, each slice **on the index stream
+/// it uses** and the values on the one stream the codec holds.
+///
+/// Geometry first (a failure returns early — later checks would index with
+/// it): `sliceptr` against the entry-parallel `cidx16`, one value per entry
+/// in the codec's stream and none in the other, `cbase`/`rlen` lengths,
+/// `wideptr` advancing by exactly the size of each wide slice and ending at
+/// `colidx.len()`.  Then lane alignment, `rlen` against the slice width,
+/// `sum(rlen) == nnz`, and every lane's entries resolved as the kernels
+/// resolve them: live columns in bounds and strictly increasing, padding
+/// the stream's sentinel (`0xFFFF` / `ncols`) with value zero.  Allocates
+/// nothing on a valid matrix (`Server::register` runs it).
 ///
 /// `lanes` is the slice height `C`; `perm`, if present, maps storage lane
 /// `k` to logical row `perm[k]` — [`check_sell_sigma_parts`] passes the
 /// σ-sort permutation, a plain [`Sell`] has none.
-#[allow(clippy::too_many_arguments)]
-pub fn check_sell_parts(
-    lanes: usize,
-    nrows: usize,
-    ncols: usize,
-    nnz: usize,
-    sliceptr: &[usize],
-    colidx: &[u32],
-    val: &[f64],
-    rlen: &[u32],
-    perm: Option<&[u32]>,
-) -> Vec<Violation> {
+pub fn check_sell_parts(lanes: usize, m: &SellStreams<'_>, perm: Option<&[u32]>) -> Vec<Violation> {
+    let SellStreams {
+        nrows,
+        ncols,
+        sliceptr,
+        rlen,
+        cidx16,
+        cbase,
+        colidx,
+        wideptr,
+        ..
+    } = *m;
     let nslices = nrows.div_ceil(lanes);
-    let mut out = check_ptr_array("sliceptr", sliceptr, nslices, val.len());
-    if colidx.len() != val.len() {
-        out.push(Violation::ArrLen {
-            array: "colidx",
-            expected: val.len(),
-            found: colidx.len(),
-        });
-    }
-    if rlen.len() != nrows {
-        out.push(Violation::ArrLen {
-            array: "rlen",
-            expected: nrows,
-            found: rlen.len(),
-        });
-    }
+    let total = cidx16.len();
+    let mut out = check_ptr_array("sliceptr", sliceptr, nslices, total);
+    let (vals, bytes) = match m.codec {
+        Codec::F64 => (total, 0),
+        c => (0, total * c.bytes_per_value()),
+    };
+    out.extend(arr_len("val", vals, m.val.len()));
+    out.extend(arr_len("pval", bytes, m.pval.len()));
+    out.extend(arr_len("cbase", nslices, cbase.len()));
+    out.extend(arr_len("wideptr", nslices + 1, wideptr.len()));
+    out.extend(arr_len("rlen", nrows, rlen.len()));
     if let Some(p) = perm {
         out.extend(check_permutation(p, nrows));
     }
     if !out.is_empty() {
         return out; // slice extents / lane-to-row mapping are unreliable
     }
+    let wide = |s: usize| cbase[s] == u32::MAX;
+    let mut held = 0usize;
+    for s in 0..=nslices {
+        if let Some(v) = arr_len("wideptr", held, wideptr[s]) {
+            return vec![v]; // a wide slice's entries cannot be located
+        }
+        if s < nslices && wide(s) {
+            held += sliceptr[s + 1] - sliceptr[s];
+        }
+    }
+    if let Some(v) = arr_len("colidx", held, colidx.len()) {
+        return vec![v];
+    }
 
     let total: usize = rlen.iter().map(|&l| l as usize).sum();
-    if total != nnz {
+    if total != m.nnz {
         out.push(Violation::NnzMismatch {
-            claimed: nnz,
+            claimed: m.nnz,
             found: total,
         });
     }
@@ -540,6 +597,19 @@ pub fn check_sell_parts(
             continue; // width is undefined for this slice
         }
         let w = elems / lanes;
+        // The entry at `at` as the kernels resolve it: its column, and
+        // whether it is this stream's padding sentinel.  A narrow offset
+        // past the u32 range saturates; it is out of bounds either way.
+        let resolve = |at: usize| -> (u32, bool) {
+            if wide(s) {
+                let c = colidx[wideptr[s] + (at - base)];
+                (c, c as usize == ncols)
+            } else if cidx16[at] == u16::MAX {
+                (ncols as u32, true)
+            } else {
+                (cbase[s].saturating_add(cidx16[at] as u32), false)
+            }
+        };
         for r in 0..lanes {
             let k = s * lanes + r;
             // Logical row of this lane; lanes past nrows are pure padding.
@@ -557,35 +627,41 @@ pub fn check_sell_parts(
                 });
                 continue;
             }
-            // Real entries: in-bounds columns.
+            // Real entries: in-bounds columns, strictly increasing — what
+            // `to_csr` and the value refresh take for granted.
+            let mut prev = None;
             for j in 0..len {
                 let at = base + j * lanes + r;
-                let c = colidx[at];
-                if c as usize >= ncols {
-                    out.push(Violation::ColOutOfBounds {
-                        loc: Loc { at, row, slice: s },
-                        col: c,
-                        ncols,
+                let loc = Loc { at, row, slice: s };
+                let (col, sentinel) = resolve(at);
+                if sentinel || col as usize >= ncols {
+                    out.push(Violation::ColOutOfBounds { loc, col, ncols });
+                }
+                if let Some(prev) = prev.filter(|&p| p >= col) {
+                    out.push(Violation::ColsNotSorted {
+                        loc,
+                        prev,
+                        next: col,
                     });
                 }
+                prev = Some(col);
             }
-            // Padding entries: zero value and the sentinel column `ncols`,
-            // which the kernels mask — any other index aliases a live
-            // column of x and can pick up NaN from 0.0 × Inf.
+            // Padding entries: zero value and the sentinel, which the
+            // kernels mask — any other index is dereferenced, aliasing a
+            // live column of x (NaN from 0.0 × Inf) or leaving it.
             for j in len..w {
                 let at = base + j * lanes + r;
-                let c = colidx[at];
-                if c as usize != ncols {
-                    out.push(Violation::PaddingAliasesLiveColumn {
-                        loc: Loc { at, row, slice: s },
-                        col: c,
-                    });
+                let loc = Loc { at, row, slice: s };
+                let (col, sentinel) = resolve(at);
+                if !sentinel {
+                    out.push(Violation::PaddingAliasesLiveColumn { loc, col });
                 }
-                if val[at] != 0.0 {
-                    out.push(Violation::PaddingValueNonzero {
-                        loc: Loc { at, row, slice: s },
-                        value: val[at],
-                    });
+                let value = match m.codec {
+                    Codec::F64 => m.val[at],
+                    c => decode_packed(c, m.pval, at),
+                };
+                if value != 0.0 {
+                    out.push(Violation::PaddingValueNonzero { loc, value });
                 }
             }
         }
@@ -594,36 +670,21 @@ pub fn check_sell_parts(
 }
 
 /// Checks SELL-C-σ invariants over raw parts: everything
-/// [`check_sell_parts`] enforces (slice geometry, in-bounds columns,
-/// sentinel padding indices, zero padding values, padding accounting via
-/// `sum(rlen) == nnz`), plus the σ-specific invariants — `perm` is a
-/// bijection of `0..nrows` and row lengths are non-increasing within
-/// every σ-row sorting window.
-///
-/// `rlen` is indexed by **storage position** `k` (the length of logical
-/// row `perm[k]`), matching [`sellkit_core::SellSigma::rlen`].
-#[allow(clippy::too_many_arguments)]
+/// [`check_sell_parts`] enforces over the inner matrix's streams `m`
+/// (whose `rlen` is indexed by **storage position** `k` — the length of
+/// logical row `perm[k]`, matching [`sellkit_core::SellSigma::rlen`]),
+/// plus the σ-specific invariants — `perm` is a bijection of `0..nrows`
+/// and row lengths are non-increasing within every σ-row sorting window.
 pub fn check_sell_sigma_parts(
     lanes: usize,
     sigma: usize,
-    nrows: usize,
-    ncols: usize,
-    nnz: usize,
-    sliceptr: &[usize],
-    colidx: &[u32],
-    val: &[f64],
-    rlen: &[u32],
+    m: &SellStreams<'_>,
     perm: &[u32],
 ) -> Vec<Violation> {
     assert!(sigma >= 1, "sigma must be at least 1");
+    let (nrows, rlen) = (m.nrows, m.rlen);
     let mut out = check_permutation(perm, nrows);
-    if rlen.len() != nrows {
-        out.push(Violation::ArrLen {
-            array: "rlen",
-            expected: nrows,
-            found: rlen.len(),
-        });
-    }
+    out.extend(arr_len("rlen", nrows, rlen.len()));
     if !out.is_empty() {
         return out; // the storage→logical mapping is unreliable
     }
@@ -645,17 +706,11 @@ pub fn check_sell_sigma_parts(
     for (k, &row) in perm.iter().enumerate() {
         rlen_logical[row as usize] = rlen[k];
     }
-    out.extend(check_sell_parts(
-        lanes,
-        nrows,
-        ncols,
-        nnz,
-        sliceptr,
-        colidx,
-        val,
-        &rlen_logical,
-        Some(perm),
-    ));
+    let logical = SellStreams {
+        rlen: &rlen_logical,
+        ..*m
+    };
+    out.extend(check_sell_parts(lanes, &logical, Some(perm)));
     out
 }
 
@@ -673,14 +728,7 @@ pub fn check_block_parts(
     upper_triangular: bool,
 ) -> Vec<Violation> {
     let mut out = check_ptr_array("browptr", browptr, mbs, bcolidx.len());
-    let expected = bcolidx.len() * bs * bs;
-    if val.len() != expected {
-        out.push(Violation::ArrLen {
-            array: "val",
-            expected,
-            found: val.len(),
-        });
-    }
+    out.extend(arr_len("val", bcolidx.len() * bs * bs, val.len()));
     if !out.is_empty() {
         return out;
     }
@@ -756,27 +804,14 @@ pub fn check_block_parts(
 }
 
 // ---------------------------------------------------------------------------
-// Validate impls for the ten formats.
+// Validate impls for the seven formats (and the COO builder).
 // ---------------------------------------------------------------------------
 
 impl Validate for CooBuilder {
     fn validate(&self) -> Result<(), Vec<Violation>> {
         let (rows, cols, vals) = (self.rows(), self.cols(), self.vals());
-        let mut out = Vec::new();
-        if rows.len() != vals.len() {
-            out.push(Violation::ArrLen {
-                array: "rows",
-                expected: vals.len(),
-                found: rows.len(),
-            });
-        }
-        if cols.len() != vals.len() {
-            out.push(Violation::ArrLen {
-                array: "cols",
-                expected: vals.len(),
-                found: cols.len(),
-            });
-        }
+        let mut out = Vec::from_iter(arr_len("rows", vals.len(), rows.len()));
+        out.extend(arr_len("cols", vals.len(), cols.len()));
         if !out.is_empty() {
             return finish(out);
         }
@@ -823,133 +858,20 @@ impl Validate for Csr {
     }
 }
 
-/// Independent decode of one packed value — deliberately *not* shared
-/// with the core kernels' decode path, so a bug there cannot hide from
-/// the verifier.
-fn decode_packed(codec: Codec, pval: &[u8], at: usize) -> f64 {
-    match codec {
-        Codec::F64 => unreachable!("F64 has no packed sidecar"),
-        Codec::F32 => f32::from_le_bytes([
-            pval[4 * at],
-            pval[4 * at + 1],
-            pval[4 * at + 2],
-            pval[4 * at + 3],
-        ]) as f64,
-        Codec::Bf16 => {
-            let hi = u16::from_le_bytes([pval[2 * at], pval[2 * at + 1]]);
-            f32::from_bits((hi as u32) << 16) as f64
-        }
-    }
-}
-
-/// Verifies the sidecars of a [`Sell`] against its master arrays.  At
-/// every codec: length accounting and narrow-form index resolution
-/// (`colidx[at] == cbase[s] + cidx16[at]`, sentinel ↔ sentinel).  At a
-/// reduced codec also the bit-exact value decode and the quantization
-/// contract (`val` is a fixed point of `codec.quantize`, so kernels and
-/// accessors agree on the matrix); `F64` has no packed values (`pval`
-/// must be empty — its kernels read `val`).
-#[allow(clippy::too_many_arguments)]
-pub fn check_packed_sidecars(
-    codec: Codec,
-    ncols: usize,
-    sliceptr: &[usize],
-    colidx: &[u32],
-    val: &[f64],
-    pval: &[u8],
-    cidx16: &[u16],
-    cbase: &[u32],
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let total = colidx.len();
-    let stride = match codec {
-        Codec::F64 => 0,
-        _ => codec.bytes_per_value(),
-    };
-    if pval.len() != total * stride {
-        out.push(Violation::ArrLen {
-            array: "pval",
-            expected: total * stride,
-            found: pval.len(),
-        });
-    }
-    if cidx16.len() != total {
-        out.push(Violation::ArrLen {
-            array: "cidx16",
-            expected: total,
-            found: cidx16.len(),
-        });
-    }
-    let nslices = sliceptr.len().saturating_sub(1);
-    if cbase.len() != nslices {
-        out.push(Violation::ArrLen {
-            array: "cbase",
-            expected: nslices,
-            found: cbase.len(),
-        });
-    }
-    if !out.is_empty() {
-        return out; // sidecar geometry unreliable; element checks would index OOB
-    }
-    if codec != Codec::F64 {
-        for (at, &v) in val.iter().enumerate().take(total) {
-            let q = codec.quantize(v);
-            if decode_packed(codec, pval, at).to_bits() != v.to_bits() || q.to_bits() != v.to_bits()
-            {
-                out.push(Violation::PackedSidecarMismatch { array: "pval", at });
-            }
-        }
-    }
-    let sentinel = ncols as u32;
-    for s in 0..nslices {
-        let base = cbase[s];
-        if base == u32::MAX {
-            continue; // wide slice: kernels read colidx directly
-        }
-        for at in sliceptr[s]..sliceptr[s + 1].min(total) {
-            let resolved_ok = if cidx16[at] == u16::MAX {
-                colidx[at] == sentinel
-            } else {
-                colidx[at] != sentinel && base as u64 + cidx16[at] as u64 == colidx[at] as u64
-            };
-            if !resolved_ok {
-                out.push(Violation::PackedSidecarMismatch {
-                    array: "cidx16",
-                    at,
-                });
-            }
-        }
-    }
+/// Alignment of every stream a SELL kernel loads from (§3.1).
+fn check_sell_alignment(m: &SellStreams<'_>) -> Vec<Violation> {
+    let mut out = check_alignment("val", m.val);
+    out.extend(check_alignment("pval", m.pval));
+    out.extend(check_alignment("cidx16", m.cidx16));
+    out.extend(check_alignment("colidx", m.colidx));
     out
 }
 
 impl<const C: usize> Validate for Sell<C> {
     fn validate(&self) -> Result<(), Vec<Violation>> {
-        let mut out = check_sell_parts(
-            C,
-            self.nrows(),
-            self.ncols(),
-            self.nnz(),
-            self.sliceptr(),
-            self.colidx(),
-            self.values(),
-            self.rlen(),
-            None,
-        );
-        out.extend(check_alignment("colidx", self.colidx()));
-        out.extend(check_alignment("val", self.values()));
-        out.extend(check_packed_sidecars(
-            self.codec(),
-            self.ncols(),
-            self.sliceptr(),
-            self.colidx(),
-            self.values(),
-            self.packed_values(),
-            self.cidx16(),
-            self.cbase(),
-        ));
-        out.extend(check_alignment("pval", self.packed_values()));
-        out.extend(check_alignment("cidx16", self.cidx16()));
+        let m = SellStreams::of(self);
+        let mut out = check_sell_parts(C, &m, None);
+        out.extend(check_sell_alignment(&m));
         finish(out)
     }
 }
@@ -958,20 +880,16 @@ impl Validate for SellEsb {
     fn validate(&self) -> Result<(), Vec<Violation>> {
         let sell = self.sell();
         let mut out = sell.validate().err().unwrap_or_default();
-        let bits = self.bits();
-        if bits.len() * 8 != sell.stored_elems() {
-            out.push(Violation::ArrLen {
-                array: "bits",
-                expected: sell.stored_elems() / 8,
-                found: bits.len(),
-            });
-            return finish(out);
-        }
+        // The kernel's own streams: one mask byte per slice column and the
+        // paper's one `u32` per entry.
+        let (bits, colidx) = (self.bits(), self.colidx());
+        out.extend(arr_len("bits", sell.stored_elems() / 8, bits.len()));
+        out.extend(arr_len("colidx", sell.stored_elems(), colidx.len()));
         if !out.is_empty() {
             return finish(out); // slice geometry unreliable; skip mask check
         }
         let sliceptr = sell.sliceptr();
-        let nrows = sell.nrows();
+        let (nrows, ncols) = (sell.nrows(), sell.ncols());
         let mut col_at = 0usize;
         for s in 0..sell.nslices() {
             let w = (sliceptr[s + 1] - sliceptr[s]) / 8;
@@ -979,8 +897,14 @@ impl Validate for SellEsb {
                 let mut expected = 0u8;
                 for r in 0..8 {
                     let row = s * 8 + r;
-                    if row < nrows && (j as u32) < sell.rlen()[row] {
-                        expected |= 1 << r;
+                    let live = row < nrows && (j as u32) < sell.rlen()[row];
+                    expected |= (live as u8) << r;
+                    let at = sliceptr[s] + j * 8 + r;
+                    let (loc, col) = (Loc { at, row, slice: s }, colidx[at]);
+                    if live && col as usize >= ncols {
+                        out.push(Violation::ColOutOfBounds { loc, col, ncols });
+                    } else if !live && col as usize != ncols {
+                        out.push(Violation::PaddingAliasesLiveColumn { loc, col });
                     }
                 }
                 let found = bits[col_at + j];
@@ -996,37 +920,16 @@ impl Validate for SellEsb {
             col_at += w;
         }
         out.extend(check_alignment("bits", bits));
+        out.extend(check_alignment("colidx", colidx));
         finish(out)
     }
 }
 
 impl<const C: usize> Validate for SellSigma<C> {
     fn validate(&self) -> Result<(), Vec<Violation>> {
-        let sell = self.sell();
-        let mut out = check_sell_sigma_parts(
-            C,
-            self.sigma(),
-            self.nrows(),
-            self.ncols(),
-            self.nnz(),
-            self.sliceptr(),
-            sell.colidx(),
-            sell.values(),
-            self.rlen(),
-            self.perm().as_slice(),
-        );
-        out.extend(check_alignment("colidx", sell.colidx()));
-        out.extend(check_alignment("val", sell.values()));
-        out.extend(check_packed_sidecars(
-            sell.codec(),
-            sell.ncols(),
-            sell.sliceptr(),
-            sell.colidx(),
-            sell.values(),
-            sell.packed_values(),
-            sell.cidx16(),
-            sell.cbase(),
-        ));
+        let m = SellStreams::of(self.sell());
+        let mut out = check_sell_sigma_parts(C, self.sigma(), &m, self.perm().as_slice());
+        out.extend(check_sell_alignment(&m));
         finish(out)
     }
 }
@@ -1115,87 +1018,62 @@ mod tests {
         }
     }
 
+    /// A packed matrix holds its values once, as bytes: the checks run on
+    /// that stream — its length against the entry count, nothing in the
+    /// other one, and a padding value decoded before it is compared.
     #[test]
-    fn packed_sidecar_value_corruption_detected() {
+    fn packed_value_stream_is_checked_in_place() {
         let a = irregular(19);
-        let s = sellkit_core::Sell8::from_csr_codec(&a, Codec::F32);
-        // Flip one bit in one packed value byte.
-        let mut pval = s.packed_values().to_vec();
-        pval[5] ^= 0x01;
-        let out = check_packed_sidecars(
-            Codec::F32,
-            s.ncols(),
-            s.sliceptr(),
-            s.colidx(),
-            s.values(),
-            &pval,
-            s.cidx16(),
-            s.cbase(),
-        );
-        assert!(
-            out.iter()
-                .any(|v| v.kind() == ViolationKind::PackedSidecarMismatch),
-            "{out:?}"
-        );
-    }
+        for codec in [Codec::F32, Codec::Bf16] {
+            let s = sellkit_core::Sell8::from_csr_codec(&a, codec);
+            let m = SellStreams::of(&s);
+            let stride = codec.bytes_per_value();
+            assert_eq!((m.val.len(), m.pval.len()), (0, s.stored_elems() * stride));
 
-    #[test]
-    fn packed_sidecar_index_corruption_detected() {
-        let a = irregular(19);
-        let s = sellkit_core::Sell8::from_csr_codec(&a, Codec::Bf16);
-        assert!(s.cbase().iter().any(|&b| b != u32::MAX));
-        // Find a live narrow entry and nudge its offset.
-        let mut cidx16 = s.cidx16().to_vec();
-        let at = (0..cidx16.len())
-            .find(|&i| cidx16[i] != u16::MAX && narrow_slice_of(s.sliceptr(), s.cbase(), i))
-            .expect("a live narrow entry exists");
-        cidx16[at] ^= 1;
-        let out = check_packed_sidecars(
-            Codec::Bf16,
-            s.ncols(),
-            s.sliceptr(),
-            s.colidx(),
-            s.values(),
-            s.packed_values(),
-            &cidx16,
-            s.cbase(),
-        );
-        assert!(
-            out.iter().any(|v| matches!(
-                v,
-                Violation::PackedSidecarMismatch {
-                    array: "cidx16",
-                    ..
-                }
-            )),
-            "{out:?}"
-        );
-    }
+            let short = SellStreams {
+                pval: &m.pval[..m.pval.len() - stride],
+                ..m
+            };
+            assert_eq!(
+                check_sell_parts(8, &short, None),
+                vec![Violation::ArrLen {
+                    array: "pval",
+                    expected: m.pval.len(),
+                    found: m.pval.len() - stride
+                }],
+                "{codec:?}"
+            );
+            let both = SellStreams { val: &[0.0], ..m };
+            assert_eq!(
+                check_sell_parts(8, &both, None),
+                vec![Violation::ArrLen {
+                    array: "val",
+                    expected: 0,
+                    found: 1
+                }],
+                "{codec:?}: a second value stream"
+            );
 
-    /// Whether flat index `i` falls in a narrow-form slice.
-    fn narrow_slice_of(sliceptr: &[usize], cbase: &[u32], i: usize) -> bool {
-        (0..cbase.len()).any(|s| cbase[s] != u32::MAX && sliceptr[s] <= i && i < sliceptr[s + 1])
-    }
-
-    #[test]
-    fn packed_sidecar_length_mismatch_detected() {
-        let a = irregular(19);
-        let s = sellkit_core::Sell8::from_csr_codec(&a, Codec::F32);
-        let out = check_packed_sidecars(
-            Codec::F32,
-            s.ncols(),
-            s.sliceptr(),
-            s.colidx(),
-            s.values(),
-            &s.packed_values()[..s.packed_values().len() - 4],
-            s.cidx16(),
-            s.cbase(),
-        );
-        assert!(
-            out.iter()
-                .any(|v| matches!(v, Violation::ArrLen { array: "pval", .. })),
-            "{out:?}"
-        );
+            // Row 8 holds 4 entries in a slice 5 wide: entry (j = 4, r = 0)
+            // of slice 1 is padding.  Its bytes become 1.0 in the codec.
+            let at = s.sliceptr()[1] + 4 * 8;
+            let mut pval = m.pval.to_vec();
+            let one = 1.0f32.to_le_bytes();
+            pval[at * stride..(at + 1) * stride].copy_from_slice(&one[4 - stride..]);
+            let dirty = SellStreams { pval: &pval, ..m };
+            assert_eq!(
+                check_sell_parts(8, &dirty, None),
+                vec![Violation::PaddingValueNonzero {
+                    loc: Loc {
+                        at,
+                        row: 8,
+                        slice: 1
+                    },
+                    value: 1.0
+                }],
+                "{codec:?}"
+            );
+        }
     }
 
     #[test]
@@ -1224,18 +1102,11 @@ mod tests {
         let (lo, hi) = (0, 7);
         assert_ne!(rlen[lo], rlen[hi], "fixture needs unequal lengths");
         rlen.swap(lo, hi);
-        let v = check_sell_sigma_parts(
-            8,
-            8,
-            24,
-            24,
-            a.nnz(),
-            s.sliceptr(),
-            s.sell().colidx(),
-            s.sell().values(),
-            &rlen,
-            s.perm().as_slice(),
-        );
+        let m = SellStreams {
+            rlen: &rlen,
+            ..SellStreams::of(s.sell())
+        };
+        let v = check_sell_sigma_parts(8, 8, &m, s.perm().as_slice());
         assert!(
             v.iter()
                 .any(|x| x.kind() == ViolationKind::SigmaWindowNotSorted),
@@ -1249,18 +1120,7 @@ mod tests {
         let s = sellkit_core::SellSigma8::from_csr_sigma(&a, 8);
         let mut perm = s.perm().as_slice().to_vec();
         perm[1] = perm[0]; // duplicate → no longer a bijection
-        let v = check_sell_sigma_parts(
-            8,
-            8,
-            24,
-            24,
-            a.nnz(),
-            s.sliceptr(),
-            s.sell().colidx(),
-            s.sell().values(),
-            s.rlen(),
-            &perm,
-        );
+        let v = check_sell_sigma_parts(8, 8, &SellStreams::of(s.sell()), &perm);
         assert!(
             v.iter().any(|x| x.kind() == ViolationKind::PermDuplicate),
             "{v:?}"
@@ -1272,18 +1132,11 @@ mod tests {
         let a = irregular(24);
         let s = sellkit_core::SellSigma8::from_csr_sigma(&a, 8);
         // Claim one fewer nonzero than the rlen array accounts for.
-        let v = check_sell_sigma_parts(
-            8,
-            8,
-            24,
-            24,
-            a.nnz() - 1,
-            s.sliceptr(),
-            s.sell().colidx(),
-            s.sell().values(),
-            s.rlen(),
-            s.perm().as_slice(),
-        );
+        let m = SellStreams {
+            nnz: a.nnz() - 1,
+            ..SellStreams::of(s.sell())
+        };
+        let v = check_sell_sigma_parts(8, 8, &m, s.perm().as_slice());
         assert!(
             v.iter().any(|x| x.kind() == ViolationKind::NnzMismatch),
             "{v:?}"

@@ -8,14 +8,16 @@
 //! in f64, and the iterative-refinement wrapper in `sellkit-solvers`
 //! recovers full f64 accuracy from the reduced-precision operator.
 //!
-//! Quantization happens once at conversion time: the master f64 array
-//! holds `decode(encode(a))`, so the packed bytes decode **bit-exactly**
-//! to the master values and every differential test can use the master
-//! as its oracle without codec-specific slack.
+//! A value is encoded once, at conversion time (or at a value refresh),
+//! into the packed bytes — the only copy a reduced-codec matrix holds.
+//! [`decode`] of those bytes is exactly [`Codec::quantize`] of the input,
+//! so `get`/`to_csr` observe the **rounded** matrix the kernels multiply
+//! by, and every differential test can use the quantized CSR as its oracle
+//! without codec-specific slack.
 
 /// Storage precision for SELL/SELL-C-σ value arrays.
 ///
-/// * [`Codec::F64`] — classic 8-byte storage, no packed sidecar.
+/// * [`Codec::F64`] — classic 8-byte storage, no packed bytes.
 /// * [`Codec::F32`] — IEEE single precision, 4 bytes/value, ~2⁻²⁴
 ///   relative quantization error.
 /// * [`Codec::Bf16`] — bfloat16 (top 16 bits of an f32, round-to-nearest
@@ -89,15 +91,26 @@ fn bf16_bits(v: f32) -> u32 {
     rounded >> 16
 }
 
-/// Encodes a quantized f64 value into its little-endian packed bytes.
-/// `v` must already be `quantize`d; `F64` panics (no packed sidecar).
+/// Encodes `v` into the codec's little-endian packed bytes, rounding
+/// exactly as [`Codec::quantize`] does; `F64` panics (it is not packed).
 pub(crate) fn encode_into(codec: Codec, v: f64, out: &mut [u8]) {
     match codec {
-        Codec::F64 => unreachable!("F64 has no packed sidecar"),
+        Codec::F64 => unreachable!("F64 values are not packed"),
         Codec::F32 => out[..4].copy_from_slice(&(v as f32).to_le_bytes()),
         Codec::Bf16 => {
             let hi = (bf16_bits(v as f32) & 0xFFFF) as u16;
             out[..2].copy_from_slice(&hi.to_le_bytes());
+        }
+    }
+}
+
+/// The f64 value of one packed encoding — `quantize` of what was encoded.
+pub(crate) fn decode(codec: Codec, bytes: &[u8]) -> f64 {
+    match codec {
+        Codec::F64 => unreachable!("F64 values are not packed"),
+        Codec::F32 => f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as f64,
+        Codec::Bf16 => {
+            f32::from_bits((u16::from_le_bytes([bytes[0], bytes[1]]) as u32) << 16) as f64
         }
     }
 }
@@ -114,25 +127,34 @@ mod tests {
     }
 
     #[test]
-    fn f32_quantize_roundtrips_through_encode() {
+    fn decode_of_encode_is_quantize() {
+        // The unrounded value goes in: `encode_into` rounds as `quantize`
+        // does, and re-encoding the rounded value changes nothing.
         let mut buf = [0u8; 4];
-        for v in [0.0, -2.75, 1e-8, std::f64::consts::PI, -1e30] {
-            let q = Codec::F32.quantize(v);
-            encode_into(Codec::F32, q, &mut buf);
-            let back = f32::from_le_bytes(buf) as f64;
-            assert_eq!(back.to_bits(), q.to_bits(), "v = {v}");
-        }
-    }
-
-    #[test]
-    fn bf16_quantize_roundtrips_through_encode() {
-        let mut buf = [0u8; 2];
-        for v in [0.0, -2.75, 1e-8, std::f64::consts::PI, -1e30, 1.0 / 3.0] {
-            let q = Codec::Bf16.quantize(v);
-            encode_into(Codec::Bf16, q, &mut buf);
-            let hi = u16::from_le_bytes(buf);
-            let back = f32::from_bits((hi as u32) << 16) as f64;
-            assert_eq!(back.to_bits(), q.to_bits(), "v = {v}");
+        for codec in [Codec::F32, Codec::Bf16] {
+            for v in [
+                0.0,
+                -2.75,
+                1e-8,
+                std::f64::consts::PI,
+                -1e30,
+                1.0 / 3.0,
+                1e300,
+            ] {
+                let q = codec.quantize(v);
+                encode_into(codec, v, &mut buf);
+                assert_eq!(
+                    decode(codec, &buf).to_bits(),
+                    q.to_bits(),
+                    "{codec:?} v = {v}"
+                );
+                encode_into(codec, q, &mut buf);
+                assert_eq!(
+                    decode(codec, &buf).to_bits(),
+                    q.to_bits(),
+                    "{codec:?} q = {q}"
+                );
+            }
         }
     }
 

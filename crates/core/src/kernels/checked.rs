@@ -8,7 +8,7 @@
 //! [`Lanes`] type.
 //!
 //! Every entry point takes a **window**: the pointer array (`rowptr`,
-//! `sliceptr`, and `cbase` with it) may be a sub-slice `&full[i0..=i1]`
+//! `sliceptr`, and `cbase`/`wideptr` with it) may be a sub-slice `&full[i0..=i1]`
 //! carrying its original *absolute* offsets, paired with the full entry
 //! arrays and the matching window of `y`.  The bodies index entries
 //! through the pointer array and `y` locally, so a whole matrix is simply
@@ -207,64 +207,77 @@ pub(crate) enum SellVals<'a> {
 pub(crate) struct SellParts<'a> {
     /// Slice offsets (absolute), one more than the window's slices.
     pub sliceptr: &'a [usize],
-    /// Full column-index array (sentinel `ncols` padding): the stream of
-    /// the wide-form slices.
-    pub colidx: &'a [u32],
-    /// Full value array.
+    /// Full value stream, one value per entry.
     pub vals: SellVals<'a>,
-    /// Full narrow-form offsets, parallel to `colidx` (sentinel `0xFFFF`
-    /// padding): the stream of the narrow-form slices.
+    /// Full narrow-form offsets, one per entry (sentinel `0xFFFF`
+    /// padding): the index stream of the narrow-form slices.
     pub cidx16: &'a [u16],
     /// Index-form selector per slice *of the window*: `u32::MAX` = wide,
     /// anything else = the narrow base column.
     pub cbase: &'a [u32],
+    /// Full compact column array (sentinel `ncols` padding): the index
+    /// stream of the wide-form slices, and their entries only.
+    pub colidx: &'a [u32],
+    /// Offsets (absolute) of the window's slices into `colidx`, one more
+    /// than the slices; only a wide slice's span is non-empty.
+    pub wideptr: &'a [usize],
     /// Rows the window covers.
     pub nrows: usize,
 }
 
-/// Debug-asserts the SELL-`C` contract over a slice window at block width
-/// `k` (`k` = 1 for SpMV).  A column index counts as live below
-/// `x.len() / k` and must be the sentinel otherwise: live entries address
-/// a whole `k`-block of `x`, padding is masked or skipped by the bodies.
+/// Debug-asserts what every sliced layout shares, over a slice window at
+/// block width `k`.
 ///
-/// `discharges: k != 0, len(y) == nrows * k, len(sliceptr) == slices(nrows, C) + 1, monotone(sliceptr), in_bounds(sliceptr, colidx), aligned_offsets(sliceptr, C), packed_vals(val, colidx), cols_in_bounds_or_sentinel(colidx, x), narrow_cols_in_bounds(cidx16, cbase, x)`
-fn check_sell<const C: usize>(m: &SellParts<'_>, x: &[f64], y: &[f64], k: usize) {
-    let SellParts {
-        sliceptr,
-        colidx,
-        cidx16,
-        cbase,
-        ..
-    } = *m;
+/// `discharges: k != 0, len(y) == nrows * k, len(sliceptr) == slices(nrows, C) + 1, monotone(sliceptr), aligned_offsets(sliceptr, C)`
+fn check_slices<const C: usize>(sliceptr: &[usize], nrows: usize, y: &[f64], k: usize) {
     // discharges: k != 0
     debug_assert!(k != 0, "at least one vector per block");
     // discharges: len(y) == nrows * k
-    debug_assert_eq!(y.len(), m.nrows * k, "y must hold one k-block per row");
+    debug_assert_eq!(y.len(), nrows * k, "y must hold one k-block per row");
     // discharges: len(sliceptr) == slices(nrows, C) + 1
-    debug_assert_eq!(sliceptr.len(), m.nrows.div_ceil(C) + 1, "sliceptr length");
+    debug_assert_eq!(sliceptr.len(), nrows.div_ceil(C) + 1, "sliceptr length");
     // discharges: monotone(sliceptr)
     debug_assert!(
         sliceptr.windows(2).all(|w| w[0] <= w[1]),
         "sliceptr monotone"
-    );
-    // discharges: in_bounds(sliceptr, colidx)
-    debug_assert!(
-        sliceptr.last().copied().unwrap_or(0) <= colidx.len(),
-        "sliceptr window end in bounds of colidx"
     );
     // discharges: aligned_offsets(sliceptr, C)
     debug_assert!(
         sliceptr.iter().all(|&p| p % C == 0),
         "slice offsets must be {C}-element aligned"
     );
-    // discharges: packed_vals(val, colidx)
+}
+
+/// Debug-asserts the SELL-`C` contract over a slice window at block width
+/// `k` (`k` = 1 for SpMV), each slice on the index stream it uses.  A
+/// column index counts as live below `x.len() / k` and must be the
+/// sentinel otherwise: live entries address a whole `k`-block of `x`,
+/// padding is masked or skipped by the bodies.
+///
+/// `discharges: k != 0, len(y) == nrows * k, len(sliceptr) == slices(nrows, C) + 1, monotone(sliceptr), aligned_offsets(sliceptr, C), in_bounds(sliceptr, cidx16), packed_vals(val, cidx16), cols_in_bounds_or_sentinel(colidx, x), narrow_cols_in_bounds(cidx16, cbase, x)`
+fn check_sell<const C: usize>(m: &SellParts<'_>, x: &[f64], y: &[f64], k: usize) {
+    let SellParts {
+        sliceptr,
+        cidx16,
+        cbase,
+        colidx,
+        wideptr,
+        ..
+    } = *m;
+    check_slices::<C>(sliceptr, m.nrows, y, k);
+    // discharges: in_bounds(sliceptr, cidx16)
+    debug_assert!(
+        sliceptr.last().copied().unwrap_or(0) <= cidx16.len(),
+        "sliceptr window end in bounds of cidx16"
+    );
+    // discharges: packed_vals(val, cidx16)
     debug_assert_eq!(
         match m.vals {
             SellVals::F64(v) => v.len(),
             SellVals::F32(b) => b.len() / 4,
             SellVals::Bf16(b) => b.len() / 2,
         },
-        colidx.len(),
+        cidx16.len(),
         "one stored value per entry"
     );
     let slices = || sliceptr.windows(2).map(|w| w[0]..w[1]).enumerate();
@@ -274,21 +287,24 @@ fn check_sell<const C: usize>(m: &SellParts<'_>, x: &[f64], y: &[f64], k: usize)
     // discharges: cols_in_bounds_or_sentinel(colidx, x)
     debug_assert!(
         x.len().is_multiple_of(k)
-            && slices()
-                .filter(|(s, _)| wide(*s))
-                .all(|(_, r)| colidx[r].iter().all(|&c| c as usize <= x.len() / k)),
-        "every wide-form colidx k-block in bounds of x or the padding sentinel"
+            && wideptr.len() == sliceptr.len()
+            && slices().filter(|(s, _)| wide(*s)).all(|(s, r)| {
+                wideptr[s] <= r.start
+                    && colidx
+                        .get(wideptr[s]..wideptr[s] + r.len())
+                        .is_some_and(|cols| cols.iter().all(|&c| c as usize <= x.len() / k))
+            }),
+        "every wide slice's entries inside colidx, each k-block in bounds of x or the padding sentinel"
     );
     // discharges: narrow_cols_in_bounds(cidx16, cbase, x)
     debug_assert!(
-        cidx16.len() == colidx.len()
-            && cbase.len() == sliceptr.len() - 1
+        cbase.len() == sliceptr.len() - 1
             && slices().filter(|(s, _)| !wide(*s)).all(|(s, r)| {
                 cidx16[r]
                     .iter()
                     .all(|&o| o == u16::MAX || cbase[s] as usize + (o as usize) < x.len() / k)
             }),
-        "cidx16/cbase sized to the window, every narrow-form offset the sentinel or in bounds"
+        "cbase sized to the window, every narrow-form offset the sentinel or in bounds"
     );
 }
 
@@ -331,14 +347,16 @@ pub(crate) fn sell_spmv<const C: usize, const ADD: bool, const UNROLL: bool>(
             // tier's `Lanes::Acc` (16 rows at most on the SIMD tiers).
             unsafe {
                 sell::spmv::<L, D, C, ADD, UNROLL>(
-                    l, m.sliceptr, m.colidx, m.cidx16, m.cbase, self.val, m.nrows, self.x, self.y,
+                    l, m.sliceptr, m.cidx16, m.cbase, m.colidx, m.wideptr, self.val, m.nrows,
+                    self.x, self.y,
                 )
             }
         }
     }
     // SAFETY: `check_sell` asserted the body's contract in debug builds;
     // `Sell::from_csr_codec` upholds it by construction (C-aligned
-    // sliceptr, sentinel padding, one stored value per entry), and a slice
+    // sliceptr, sentinel padding, one stored value and one offset per
+    // entry, every wide slice's columns at its `wideptr`), and a slice
     // window of a valid matrix is itself in-contract.
     unsafe {
         match m.vals {
@@ -385,8 +403,8 @@ pub(crate) fn sell_spmm<const C: usize, const ADD: bool>(
             // SAFETY: the caller's contract is the body's.
             unsafe {
                 sell::spmm::<L, D, C, ADD>(
-                    l, m.sliceptr, m.colidx, m.cidx16, m.cbase, self.val, m.nrows, self.x, self.y,
-                    self.k,
+                    l, m.sliceptr, m.cidx16, m.cbase, m.colidx, m.wideptr, self.val, m.nrows,
+                    self.x, self.y, self.k,
                 )
             }
         }
@@ -412,29 +430,41 @@ pub(crate) fn sell_spmm<const C: usize, const ADD: bool>(
 }
 
 /// SELL-ESB (bit-array) `y = A·x` (or `y += A·x` when `ADD`) over a slice
-/// window.  `m` is a window of an f64 SELL-8 matrix and `bits` starts at
-/// that window's first mask byte (`full_bits[sliceptr[0] / 8]`).
+/// window of the §5.3 layout: `colidx` and `val` are the full entry
+/// arrays, one 4-byte column (padding: the sentinel `x.len()`) and one f64
+/// per entry, and `bits` starts at the window's first mask byte
+/// (`full_bits[sliceptr[0] / 8]`).
 ///
 /// Panics if `isa` is not available on the running CPU.
 pub(crate) fn sell_esb_spmv<const ADD: bool>(
     isa: Isa,
-    m: &SellParts<'_>,
+    sliceptr: &[usize],
+    colidx: &[u32],
+    val: &[f64],
     bits: &[u8],
     x: &[f64],
     y: &mut [f64],
 ) {
-    check_sell::<8>(m, x, y, 1);
-    let SellVals::F64(val) = m.vals else {
-        panic!("SELL-ESB stores f64 values");
-    };
-    // discharges: bits_cover_window(bits, val)
+    check_slices::<8>(sliceptr, y.len(), y, 1);
+    let lo = sliceptr.first().copied().unwrap_or(0);
+    let hi = sliceptr.last().copied().unwrap_or(0);
+    // discharges: in_bounds(sliceptr, colidx)
     debug_assert!(
-        bits.len() * 8
-            >= m.sliceptr.last().copied().unwrap_or(0) - m.sliceptr.first().copied().unwrap_or(0),
-        "one mask byte per slice column of the window"
+        hi <= colidx.len(),
+        "sliceptr window end in bounds of colidx"
     );
+    // discharges: packed_vals(val, colidx)
+    debug_assert_eq!(val.len(), colidx.len(), "one stored value per entry");
+    // discharges: cols_in_bounds_or_sentinel(colidx, x)
+    debug_assert!(
+        colidx[lo..hi].iter().all(|&c| c as usize <= x.len()),
+        "every colidx in bounds of x or the padding sentinel"
+    );
+    // discharges: bits_cover_window(bits, val)
+    debug_assert!(bits.len() * 8 >= hi - lo, "one mask byte per slice column");
     struct Op<'a, const ADD: bool> {
-        m: &'a SellParts<'a>,
+        sliceptr: &'a [usize],
+        colidx: &'a [u32],
         val: &'a [f64],
         bits: &'a [u8],
         x: &'a [f64],
@@ -447,20 +477,40 @@ pub(crate) fn sell_esb_spmv<const ADD: bool>(
         /// # Safety — the contract of [`sell::esb_spmv`].
         #[inline(always)]
         unsafe fn on<L: Lanes>(self, l: L) {
-            let m = self.m;
+            let nrows = self.y.len();
             // SAFETY: the caller's contract is the body's; `supports`
             // keeps `8 / L::W` whole and within the tier's `Lanes::Acc`.
             unsafe {
                 sell::esb_spmv::<L, ADD>(
-                    l, m.sliceptr, m.colidx, self.val, self.bits, m.nrows, self.x, self.y,
+                    l,
+                    self.sliceptr,
+                    self.colidx,
+                    self.val,
+                    self.bits,
+                    nrows,
+                    self.x,
+                    self.y,
                 )
             }
         }
     }
-    // SAFETY: `check_sell` asserted the SELL-8 contract in debug builds and
-    // `Sell8::from_csr` upholds it; `SellEsb::from_csr` sizes the bit array
-    // one byte per column and sets bits only on live lanes.
-    unsafe { run(isa, Op::<ADD> { m, val, bits, x, y }) }
+    // SAFETY: the assertions above state the body's contract in debug
+    // builds; `SellEsb::from_csr` upholds it by construction — the inner
+    // `Sell8`'s C-aligned sliceptr and f64 values, a column or the sentinel
+    // per entry, one mask byte per column with bits only on live lanes.
+    unsafe {
+        run(
+            isa,
+            Op::<ADD> {
+                sliceptr,
+                colidx,
+                val,
+                bits,
+                x,
+                y,
+            },
+        )
+    }
 }
 
 #[cfg(test)]
@@ -853,10 +903,11 @@ mod tests {
     fn checked_entry_rejects_truncated_entry_arrays() {
         let m = SellParts {
             sliceptr: &[0, 8],
-            colidx: &[0u32; 4], // too short: sliceptr says 8 entries
             vals: SellVals::F64(&[0.0; 4]),
-            cidx16: &[0u16; 4],
-            cbase: &[u32::MAX],
+            cidx16: &[0u16; 4], // too short: sliceptr says 8 entries
+            cbase: &[0],
+            colidx: &[],
+            wideptr: &[0, 0],
             nrows: 8,
         };
         let mut y = vec![0.0; 8];

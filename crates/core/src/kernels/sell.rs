@@ -5,19 +5,24 @@
 //! loop* (padding absorbs it).
 //!
 //! Layout contract (see `crate::sell::Sell`): slice `s` occupies entries
-//! `sliceptr[s]..sliceptr[s+1]`, column-major in `C`-entry columns; lane
-//! `r` of slice `s` is row `s*C + r`.  Padding carries the value `0.0` and
-//! the sentinel column `x.len()` (narrow form: offset `0xFFFF`), which the
-//! gathers mask, so it contributes exactly `+0.0`.
+//! `sliceptr[s]..sliceptr[s+1]` of the value stream and of `cidx16`,
+//! column-major in `C`-entry columns; lane `r` of slice `s` is row
+//! `s*C + r`.  Padding carries the value `0.0` and the sentinel column
+//! `x.len()` (narrow form: offset `0xFFFF`), which the gathers mask, so it
+//! contributes exactly `+0.0`.
 //!
 //! Classic f64 SELL and PackSELL are one body: [`Stored`] picks how a
 //! value widens to an f64 lane.  The index form is per slice, whatever the
-//! codec: `cbase[s] == u32::MAX` reads the wide `colidx`, anything else the
-//! narrow offsets (`col = cbase[s] + cidx16[idx]`).
+//! codec: `cbase[s] != u32::MAX` reads the narrow offsets
+//! (`col = cbase[s] + cidx16[idx]`); `cbase[s] == u32::MAX` reads 4-byte
+//! columns from `colidx`, which holds the wide slices only — slice `s` at
+//! `wideptr[s]..wideptr[s+1]`, so its entry `idx` is
+//! `colidx[idx - (sliceptr[s] - wideptr[s])]`.  `wideptr` is read only in
+//! that arm: a narrow slice streams nothing it did not before.
 //!
-//! `sliceptr` (and `cbase`) may be a window `&full[s0..=s1]`: offsets stay
-//! absolute into the full entry arrays, `y`/`nrows` cover the window's
-//! rows and are indexed locally.
+//! `sliceptr` (and `cbase`, `wideptr`) may be a window `&full[s0..=s1]`:
+//! offsets stay absolute into the full entry arrays, `y`/`nrows` cover the
+//! window's rows and are indexed locally.
 
 use super::lanes::{narrow_col, Lanes, Scalar};
 
@@ -80,6 +85,7 @@ const PREFETCH_COLS: usize = 64;
 
 /// The entry arrays of a SELL matrix as the SpMV inner loop sees them.
 struct Entries<D: Stored> {
+    /// The wide slices' columns only (see the module docs).
     colidx: *const u32,
     cidx16: *const u16,
     val: *const D::Elem,
@@ -90,10 +96,10 @@ struct Entries<D: Stored> {
 impl<D: Stored> Entries<D> {
     /// Hints the cache lines of the `C`-entry column [`PREFETCH_COLS`]
     /// ahead of entry offset `at`, in the value array and in the index
-    /// array `base` selects.  The addresses may lie past the arrays: they
-    /// are only ever prefetched.
+    /// array `base` selects (`skip`: see [`wide_skip`]).  The addresses may
+    /// lie past the arrays: they are only ever prefetched.
     #[inline(always)]
-    fn prefetch<L: Lanes, const C: usize>(&self, l: L, at: usize, base: u32) {
+    fn prefetch<L: Lanes, const C: usize>(&self, l: L, at: usize, base: u32, skip: usize) {
         #[inline(always)]
         fn span<L: Lanes, T>(l: L, p: *const T, n: usize) {
             for line in 0..(n * size_of::<T>()).div_ceil(64) {
@@ -103,7 +109,7 @@ impl<D: Stored> Entries<D> {
         let at = at + PREFETCH_COLS * C;
         span(l, self.val.wrapping_add(at), C);
         if base == u32::MAX {
-            span(l, self.colidx.wrapping_add(at), C);
+            span(l, self.colidx.wrapping_add(at - skip), C);
         } else {
             span(l, self.cidx16.wrapping_add(at), C);
         }
@@ -111,25 +117,34 @@ impl<D: Stored> Entries<D> {
 
     /// One slice column at entry offset `at`: `acc[j] += val · x[col]` for
     /// each of the column's `acc.len()` vectors.  `base` is the slice's
-    /// `cbase` entry (`u32::MAX`: wide indices).
+    /// `cbase` entry (`u32::MAX`: wide indices, at `colidx[at - skip]`).
     ///
     /// # Safety
     ///
-    /// * `requires: packed_vals(val, colidx)` — entries
+    /// * `requires: packed_vals(val, cidx16)` — entries
     ///   `at..at + acc.len() * W` exist.
-    /// * `requires: cols_in_bounds_or_sentinel(colidx, x)`
+    /// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — and, in a wide
+    ///   slice, `skip` is that slice's [`wide_skip`].
     /// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)`
     #[inline(always)]
-    unsafe fn column<L: Lanes>(&self, l: L, acc: &mut [L::V], mut at: usize, base: u32) {
+    unsafe fn column<L: Lanes>(
+        &self,
+        l: L,
+        acc: &mut [L::V],
+        mut at: usize,
+        base: u32,
+        skip: usize,
+    ) {
         let mut j = 0;
         while j < acc.len() {
-            // SAFETY: entries at..at + W lie inside the column; wide
-            // indices are < xlen or the sentinel, narrow offsets resolve
-            // inside x or are the 0xFFFF sentinel.
+            // SAFETY: entries at..at + W lie inside the column; a wide
+            // slice's are colidx[at - skip..], each < xlen or the
+            // sentinel; narrow offsets resolve inside x or are the 0xFFFF
+            // sentinel.
             unsafe {
                 let v = D::load(l, self.val.add(at));
                 let xv = if base == u32::MAX {
-                    l.gather_live(self.x, self.xlen, self.colidx.add(at))
+                    l.gather_live(self.x, self.xlen, self.colidx.add(at - skip))
                 } else {
                     l.gather_live_narrow(self.x, self.cidx16.add(at), base)
                 };
@@ -138,6 +153,19 @@ impl<D: Stored> Entries<D> {
             at += L::W;
             j += 1;
         }
+    }
+}
+
+/// How far the entries of local slice `s` sit before their offset in the
+/// compact `colidx`: entry `at` of a wide slice is `colidx[at - skip]`.
+/// Reads `wideptr` only for a wide slice (`base == u32::MAX`); a narrow
+/// slice never uses the result.
+#[inline(always)]
+fn wide_skip(base: u32, sliceptr: &[usize], wideptr: &[usize], s: usize) -> usize {
+    if base == u32::MAX {
+        sliceptr[s] - wideptr[s]
+    } else {
+        0
     }
 }
 
@@ -186,16 +214,18 @@ unsafe fn store_slice<L: Lanes, const ADD: bool>(l: L, acc: &[L::V], y: *mut f64
 /// * `requires: len(y) == nrows * k` — with `k` = 1.
 /// * `requires: len(sliceptr) == slices(nrows, C) + 1`
 /// * `requires: monotone(sliceptr)` — slice offsets are nondecreasing.
-/// * `requires: in_bounds(sliceptr, colidx)` — every offset `<= colidx.len()`.
+/// * `requires: in_bounds(sliceptr, cidx16)` — every offset `<= cidx16.len()`.
 /// * `requires: aligned_offsets(sliceptr, C)` — slices are whole columns.
-/// * `requires: packed_vals(val, colidx)` — `val` points at one `D::Elem`
-///   per `colidx` entry.
-/// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — every wide-form
-///   column index is `< x.len()` or the sentinel `x.len()`.
-/// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)` — `cidx16`
-///   parallels `colidx`, `cbase` has one entry per slice, and in every
-///   narrow slice each offset is `0xFFFF` or satisfies
-///   `cbase[s] + cidx16[idx] < x.len()`.
+/// * `requires: packed_vals(val, cidx16)` — `val` points at one `D::Elem`
+///   per `cidx16` entry.
+/// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — `wideptr`
+///   parallels `sliceptr`, every wide slice `s` has
+///   `wideptr[s] <= sliceptr[s]` and its `sliceptr[s+1] - sliceptr[s]`
+///   entries at `colidx[wideptr[s]..]`, each `< x.len()` or the sentinel
+///   `x.len()`.
+/// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)` — `cbase` has one
+///   entry per slice, and in every narrow slice each offset is `0xFFFF` or
+///   satisfies `cbase[s] + cidx16[idx] < x.len()`.
 #[inline(always)]
 pub(super) unsafe fn spmv<
     L: Lanes,
@@ -206,9 +236,10 @@ pub(super) unsafe fn spmv<
 >(
     l: L,
     sliceptr: &[usize],
-    colidx: &[u32],
     cidx16: &[u16],
     cbase: &[u32],
+    colidx: &[u32],
+    wideptr: &[usize],
     val: *const D::Elem,
     nrows: usize,
     x: &[f64],
@@ -234,23 +265,25 @@ pub(super) unsafe fn spmv<
             let (mut i0, e0, e1) = (sliceptr[s], sliceptr[s + 1], sliceptr[s + 2]);
             let mut i1 = e0;
             let (b0, b1) = (cbase[s], cbase[s + 1]);
+            let k0 = wide_skip(b0, sliceptr, wideptr, s);
+            let k1 = wide_skip(b1, sliceptr, wideptr, s + 1);
             // SAFETY: as in the plain loop below, for both slices.
             unsafe {
                 while i0 < e0 && i1 < e1 {
-                    e.prefetch::<L, C>(l, i0, b0);
-                    e.prefetch::<L, C>(l, i1, b1);
-                    e.column(l, acc0, i0, b0);
-                    e.column(l, acc1, i1, b1);
+                    e.prefetch::<L, C>(l, i0, b0, k0);
+                    e.prefetch::<L, C>(l, i1, b1, k1);
+                    e.column(l, acc0, i0, b0, k0);
+                    e.column(l, acc1, i1, b1, k1);
                     i0 += C;
                     i1 += C;
                 }
                 // Ragged tails: the two slices have independent widths.
                 while i0 < e0 {
-                    e.column(l, acc0, i0, b0);
+                    e.column(l, acc0, i0, b0, k0);
                     i0 += C;
                 }
                 while i1 < e1 {
-                    e.column(l, acc1, i1, b1);
+                    e.column(l, acc1, i1, b1, k1);
                     i1 += C;
                 }
                 store_slice::<L, ADD>(l, acc0, yp.add(s * C), C);
@@ -264,14 +297,16 @@ pub(super) unsafe fn spmv<
         let acc = &mut acc.as_mut()[..nvec];
         let (mut idx, end) = (sliceptr[s], sliceptr[s + 1]);
         let base = cbase[s];
+        let skip = wide_skip(base, sliceptr, wideptr, s);
         // SAFETY: idx is a C-aligned offset with idx + C <= end <=
-        // colidx.len(), so the column's entries exist in every entry
-        // array; the cols clauses are the caller's.  Slice s holds rows
+        // cidx16.len(), so the column's entries exist in the value stream
+        // and in cidx16 — and, for a wide slice, at idx - skip in colidx;
+        // the cols clauses are the caller's.  Slice s holds rows
         // s*C .. min(s*C + C, nrows), all inside y.
         unsafe {
             while idx < end {
-                e.prefetch::<L, C>(l, idx, base);
-                e.column(l, acc, idx, base);
+                e.prefetch::<L, C>(l, idx, base, skip);
+                e.column(l, acc, idx, base, skip);
                 idx += C;
             }
             store_slice::<L, ADD>(l, acc, yp.add(s * C), C.min(nrows - s * C));
@@ -294,22 +329,23 @@ pub(super) unsafe fn spmv<
 /// * `requires: len(y) == nrows * k` — one `k`-block per row.
 /// * `requires: len(sliceptr) == slices(nrows, C) + 1`
 /// * `requires: monotone(sliceptr)` — slice offsets are nondecreasing.
-/// * `requires: in_bounds(sliceptr, colidx)` — every offset `<= colidx.len()`.
+/// * `requires: in_bounds(sliceptr, cidx16)` — every offset `<= cidx16.len()`.
 /// * `requires: aligned_offsets(sliceptr, C)` — slices are whole columns.
-/// * `requires: packed_vals(val, colidx)` — `val` points at one `D::Elem`
-///   per `colidx` entry.
-/// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — every wide-form
-///   column is the sentinel or has its whole block in bounds
-///   (`(col + 1) * k <= x.len()`).
+/// * `requires: packed_vals(val, cidx16)` — `val` points at one `D::Elem`
+///   per `cidx16` entry.
+/// * `requires: cols_in_bounds_or_sentinel(colidx, x)` — as for [`spmv`]:
+///   every wide-form column is the sentinel or has its whole block in
+///   bounds (`(col + 1) * k <= x.len()`).
 /// * `requires: narrow_cols_in_bounds(cidx16, cbase, x)` — as for
 ///   [`spmv`], with each resolved column's whole block in bounds.
 #[inline(always)]
 pub(super) unsafe fn spmm<L: Lanes, D: Stored, const C: usize, const ADD: bool>(
     l: L,
     sliceptr: &[usize],
-    colidx: &[u32],
     cidx16: &[u16],
     cbase: &[u32],
+    colidx: &[u32],
+    wideptr: &[usize],
     val: *const D::Elem,
     nrows: usize,
     x: &[f64],
@@ -324,13 +360,15 @@ pub(super) unsafe fn spmm<L: Lanes, D: Stored, const C: usize, const ADD: bool>(
         let off = sliceptr[s];
         let width = (sliceptr[s + 1] - off) / C;
         let base = cbase[s];
+        let skip = wide_skip(base, sliceptr, wideptr, s);
         let mut cb = 0usize;
         while cb < k {
             let lanes = (k - cb).min(L::W);
             let mut acc = [l.zero(); C];
             // SAFETY: (s*C + r)*k + cb + lanes <= nrows*k == y.len() for
-            // r < rows; entry idx < sliceptr[s+1] exists in every entry
-            // array; a live column has (c+1)*k <= x.len() and cb + lanes
+            // r < rows; entry idx < sliceptr[s+1] exists in the value
+            // stream and in cidx16 (a wide slice's at idx - skip in
+            // colidx); a live column has (c+1)*k <= x.len() and cb + lanes
             // <= k, so its partial load stays inside x.
             unsafe {
                 if ADD {
@@ -342,7 +380,7 @@ pub(super) unsafe fn spmm<L: Lanes, D: Stored, const C: usize, const ADD: bool>(
                     for r in 0..rows {
                         let idx = off + col * C + r;
                         let c = if base == u32::MAX {
-                            colidx[idx] as usize
+                            colidx[idx - skip] as usize
                         } else {
                             narrow_col(cidx16[idx], base, ncols)
                         };

@@ -3,28 +3,35 @@
 //! The matrix is partitioned into slices of `C` adjacent rows.  Within a
 //! slice, nonzeros are shifted left and stored **column by column** in a
 //! dense `C × width` block, where `width` is the longest row of that slice;
-//! shorter rows are padded with explicit zeros.  Four arrays describe the
-//! matrix (Figure 6):
+//! shorter rows are padded with explicit zeros.  Figure 6 describes the
+//! matrix with four arrays — values, column indices, `rlen`, `sliceptr`;
+//! this type holds the same four streams, each **once**, in the form the
+//! kernels read:
 //!
-//! * `val` — values, padded, slice-column-major;
-//! * `colidx` — column indices, same layout; padding indices hold the
-//!   **sentinel `ncols`** (one past the last valid column) and are masked by
-//!   every kernel, so padded lanes never read `x` at all — a strictly
-//!   stronger guarantee than the paper's local-copy scheme (§5.5), which can
-//!   contaminate lanes with NaN when `x` holds non-finite values;
+//! * values, padded, slice-column-major: `val` (f64) under [`Codec::F64`],
+//!   the packed bytes `pval` under a reduced codec — never both.  Values
+//!   are encoded at build and decoded by [`Sell::row`], so a packed matrix
+//!   round-trips to the *rounded* values;
+//! * column indices, same layout, chosen **per slice** (a deviation from
+//!   the paper's 12 bytes per nonzero, at every value codec): a slice whose
+//!   live columns span fewer than `0xFFFF` columns — every slice of a
+//!   stencil or banded matrix but the periodic wrap rows — stores 2-byte
+//!   offsets `cidx16` from its minimum column `cbase[s]`, 10 bytes per f64
+//!   nonzero; any other slice (`cbase[s] = u32::MAX`) stores 4-byte columns
+//!   in `colidx`, which holds the wide slices **only**, one after the other,
+//!   located by the prefix `wideptr`.  `cidx16` stays entry-parallel to the
+//!   values (zero under a wide slice), so the narrow kernel path indexes
+//!   both streams with one offset.  Padding indices hold a **sentinel**
+//!   (`0xFFFF` narrow, `ncols` wide — one past the last valid column) that
+//!   every kernel masks, so padded lanes never read `x` at all — a strictly
+//!   stronger guarantee than the paper's local-copy scheme (§5.5), which
+//!   can contaminate lanes with NaN when `x` holds non-finite values;
 //! * `rlen` — the true length of every row (§5.2: not needed by SpMV, but
 //!   used for assembly, preallocation, and identifying padding);
 //! * `sliceptr` — the element offset where each slice begins.
 //!
-//! **What the kernels stream is narrower than Figure 6** (a deviation from
-//! the paper's 12 bytes per nonzero, at every value codec): a slice whose
-//! live columns span fewer than `0xFFFF` columns — every slice of a stencil
-//! or banded matrix — is read through 2-byte offsets `cidx16` from its
-//! minimum column `cbase[s]` (padding: `0xFFFF`), 10 bytes per f64 nonzero;
-//! any other slice through `colidx` (`cbase[s] = u32::MAX`).  `colidx` stays
-//! whole as the master pattern — `get`, `to_csr`, the value refresh and the
-//! validators read it — as `val` stays the f64 master beside the packed
-//! bytes of a reduced codec.
+//! Everything that is not a kernel reads the matrix through [`Sell::row`],
+//! which hides which stream an entry lives in.
 //!
 //! Design choices reproduced from the paper:
 //!
@@ -75,28 +82,25 @@ pub struct Sell<const C: usize> {
     ncols: usize,
     nnz: usize,
     sliceptr: Vec<usize>,
-    colidx: AVec<u32>,
-    val: AVec<f64>,
     rlen: Vec<u32>,
     isa: Isa,
     /// Cached threaded execution plans; invalidated on pattern/ISA change.
     plan: PlanCache,
-    /// Value-storage codec (PackSELL).  `F64` means `pval` stays empty and
-    /// the kernels read `val`; the index arrays do not depend on it.
+    /// Value-storage codec (PackSELL): `F64` holds `val`, a reduced codec
+    /// `pval` (one codec-stride encoding per entry); the other is empty.
     codec: Codec,
-    /// Packed value bytes, one codec-stride encoding per SELL entry, same
-    /// slice-column-major order as `val`.  `val` always holds the f64
-    /// decode of these bytes (quantize-at-build), so the packed kernels
-    /// and the master array agree bit-for-bit.
+    val: AVec<f64>,
     pval: AVec<u8>,
-    /// Narrow-form column offsets (`col = cbase[s] + cidx16[idx]`), with
-    /// [`NARROW_SENTINEL`] marking padded lanes — the index stream of every
-    /// narrow slice, parallel to `colidx`.  Entries under wide-form slices
-    /// are unused (zero).
+    /// Narrow-form column offsets (`col = cbase[s] + cidx16[idx]`), one per
+    /// entry, [`NARROW_SENTINEL`] on padded lanes; zero under a wide slice.
     cidx16: AVec<u16>,
     /// Per-slice index-form selector: `u32::MAX` = wide (read `colidx`),
     /// anything else = the narrow form's base column.
     cbase: Vec<u32>,
+    /// The 4-byte columns of the wide-form slices only (padding: `ncols`),
+    /// slice `s` at `wideptr[s]..wideptr[s + 1]` — empty for a narrow one.
+    colidx: AVec<u32>,
+    wideptr: Vec<usize>,
     /// Live nonzeros stored under the narrow (u16) index form — the rest
     /// of `nnz` moves 4-byte wide indices.  Drives the traffic estimate.
     narrow_nnz: u64,
@@ -115,16 +119,11 @@ impl<const C: usize> Sell<C> {
         Self::from_csr_codec(csr, Codec::F64)
     }
 
-    /// Converts, storing values through `codec` (PackSELL).  For
-    /// `F32`/`Bf16` the master `val` array holds the **quantized** values —
-    /// `codec.quantize(v)` — so the packed bytes decode bit-exactly to `val`
-    /// and `get`/`to_csr` observe the same matrix the kernels multiply by.
-    ///
-    /// Whatever the codec, the index stream the kernels read is chosen per
-    /// slice: a slice whose live columns span fewer than `0xFFFF` columns
-    /// stores 2-byte offsets from its minimum column (`cbase[s]`, padding
-    /// [`NARROW_SENTINEL`]); any other slice keeps the 4-byte `colidx` and
-    /// marks `cbase[s] = u32::MAX`.
+    /// Converts, storing values through `codec` (PackSELL) and each
+    /// slice's indices in the form its column span allows (module docs).
+    /// `F32`/`Bf16` values are encoded here, once; [`Sell::row`], `get` and
+    /// `to_csr` decode them, so they observe the **rounded** matrix
+    /// (`codec.quantize(v)`) — the one the kernels multiply by.
     pub fn from_csr_codec(csr: &Csr, codec: Codec) -> Self {
         assert!(
             C > 0 && C.is_multiple_of(4) || C == 1 || C == 2,
@@ -134,6 +133,7 @@ impl<const C: usize> Sell<C> {
         let ncols = csr.ncols();
         let nslices = nrows.div_ceil(C);
         let mut sliceptr = vec![0usize; nslices + 1];
+        let mut wideptr = vec![0usize; nslices + 1];
         let mut cbase = vec![u32::MAX; nslices];
         let mut narrow_nnz = 0u64;
         for s in 0..nslices {
@@ -151,25 +151,35 @@ impl<const C: usize> Sell<C> {
                 }
             }
             sliceptr[s + 1] = sliceptr[s] + C * w;
+            wideptr[s + 1] = wideptr[s];
             if live == 0 {
                 // An all-padding slice is trivially narrow, with base 0.
                 cbase[s] = 0;
             } else if hi - lo < NARROW_SENTINEL as u32 {
                 cbase[s] = lo;
                 narrow_nnz += live as u64;
+            } else {
+                wideptr[s + 1] += C * w;
             }
         }
         let total = sliceptr[nslices];
-        let mut val: AVec<f64> = AVec::zeroed(total);
-        let mut colidx: AVec<u32> = AVec::zeroed(total);
-        // Entries under wide-form slices stay zero: no kernel reads them.
+        let stride = codec.bytes_per_value();
+        // Padding values stay 0.0 from the zeroed allocation (all-zero
+        // bytes at every codec), as do the offsets under wide-form slices.
+        let (mut val, mut pval): (AVec<f64>, AVec<u8>) = match codec {
+            Codec::F64 => (AVec::zeroed(total), AVec::zeroed(0)),
+            _ => (AVec::zeroed(0), AVec::zeroed(total * stride)),
+        };
         let mut cidx16: AVec<u16> = AVec::zeroed(total);
+        let mut colidx: AVec<u32> = AVec::zeroed(wideptr[nslices]);
         let mut rlen = vec![0u32; nrows];
 
         for s in 0..nslices {
             let base = sliceptr[s];
             let w = (sliceptr[s + 1] - base) / C;
             let cb = cbase[s];
+            // A wide slice's entry `at` is `colidx[at - skip]`.
+            let skip = base - wideptr[s];
             for r in 0..C {
                 let row = s * C + r;
                 let (cols, vals) = if row < nrows {
@@ -178,7 +188,7 @@ impl<const C: usize> Sell<C> {
                 } else {
                     (&[] as &[u32], &[] as &[f64])
                 };
-                // Padding lanes carry the sentinel index `ncols` (one past
+                // Padding lanes carry the sentinel index (`ncols`, one past
                 // the last valid column; narrow form: `0xFFFF`).  The paper
                 // re-reads a local column (§5.5), but aliasing a live entry
                 // makes `0.0 × x[pad]` poison the lane whenever x holds
@@ -187,17 +197,18 @@ impl<const C: usize> Sell<C> {
                 // regardless of x.
                 for j in 0..w {
                     let at = base + j * C + r;
-                    if j < cols.len() {
-                        colidx[at] = cols[j];
-                        val[at] = codec.quantize(vals[j]);
-                        if cb != u32::MAX {
-                            cidx16[at] = (cols[j] - cb) as u16;
-                        }
+                    let col = cols.get(j).copied();
+                    if cb == u32::MAX {
+                        colidx[at - skip] = col.unwrap_or(ncols as u32);
                     } else {
-                        colidx[at] = ncols as u32;
-                        // val stays 0.0 from zeroed allocation.
-                        if cb != u32::MAX {
-                            cidx16[at] = NARROW_SENTINEL;
+                        cidx16[at] = col.map_or(NARROW_SENTINEL, |c| (c - cb) as u16);
+                    }
+                    if let Some(&v) = vals.get(j) {
+                        match codec {
+                            Codec::F64 => val[at] = v,
+                            c => {
+                                codec::encode_into(c, v, &mut pval[at * stride..(at + 1) * stride])
+                            }
                         }
                     }
                 }
@@ -209,31 +220,18 @@ impl<const C: usize> Sell<C> {
             ncols,
             nnz: csr.nnz(),
             sliceptr,
-            colidx,
-            pval: Self::pack(codec, &val),
-            val,
             rlen,
             isa: Isa::detect(),
             plan: PlanCache::new(),
             codec,
+            val,
+            pval,
             cidx16,
             cbase,
+            colidx,
+            wideptr,
             narrow_nnz,
         }
-    }
-
-    /// The packed value bytes of a reduced codec, one encoding per entry of
-    /// `val` (padding included); empty for `F64`, whose kernels read `val`.
-    fn pack(codec: Codec, val: &[f64]) -> AVec<u8> {
-        if codec == Codec::F64 {
-            return AVec::zeroed(0);
-        }
-        let stride = codec.bytes_per_value();
-        let mut pval: AVec<u8> = AVec::zeroed(val.len() * stride);
-        for (out, &v) in pval.chunks_exact_mut(stride).zip(val) {
-            codec::encode_into(codec, v, out);
-        }
-        pval
     }
 
     /// Overrides the dispatch ISA (panics if unavailable on this CPU).
@@ -265,14 +263,23 @@ impl<const C: usize> Sell<C> {
         &self.sliceptr
     }
 
-    /// Column indices, padded, slice-column-major: the master pattern
-    /// (what `get`, `to_csr` and the value refresh read), and the index
-    /// stream of the wide-form slices only.
+    /// The 4-byte columns of the **wide-form slices only**, as held: slice
+    /// after slice in slice-column-major order, slice `s` at
+    /// `wideptr()[s]..wideptr()[s + 1]`, padding the sentinel `ncols`.
+    /// Empty when every slice is narrow.
     pub fn colidx(&self) -> &[u32] {
         &self.colidx
     }
 
-    /// Values, padded, slice-column-major.
+    /// Where each slice's entries begin in [`Sell::colidx`] (length
+    /// `nslices + 1`): a wide slice spans its entry count, a narrow slice
+    /// nothing.
+    pub fn wideptr(&self) -> &[usize] {
+        &self.wideptr
+    }
+
+    /// The f64 value stream, padded, slice-column-major — empty under a
+    /// reduced codec, whose values are [`Sell::packed_values`].
     pub fn values(&self) -> &[f64] {
         &self.val
     }
@@ -288,7 +295,9 @@ impl<const C: usize> Sell<C> {
         self.codec
     }
 
-    /// Packed value bytes (empty for [`Codec::F64`]).
+    /// The packed value stream of a reduced codec, one codec-stride
+    /// encoding per entry — empty for [`Codec::F64`], whose values are
+    /// [`Sell::values`].
     pub fn packed_values(&self) -> &[u8] {
         &self.pval
     }
@@ -299,8 +308,8 @@ impl<const C: usize> Sell<C> {
         &self.cbase
     }
 
-    /// Narrow-form 2-byte column offsets, parallel to [`Sell::colidx`]
-    /// (zero under wide-form slices).
+    /// Narrow-form 2-byte column offsets, one per stored entry (zero under
+    /// wide-form slices).
     pub fn cidx16(&self) -> &[u16] {
         &self.cidx16
     }
@@ -313,7 +322,7 @@ impl<const C: usize> Sell<C> {
 
     /// Total stored elements including padding.
     pub fn stored_elems(&self) -> usize {
-        self.val.len()
+        self.sliceptr[self.nslices()]
     }
 
     /// Number of explicit padding entries.
@@ -331,18 +340,50 @@ impl<const C: usize> Sell<C> {
         }
     }
 
+    /// How slice `s` stores its columns: its `cbase` entry and, for a wide
+    /// slice, how far its entries sit before their offset in `colidx`.
+    fn index_form(&self, s: usize) -> (u32, usize) {
+        match self.cbase[s] {
+            u32::MAX => (u32::MAX, self.sliceptr[s] - self.wideptr[s]),
+            base => (base, 0),
+        }
+    }
+
+    /// The column of the entry at offset `at` of a slice of the given
+    /// [`Sell::index_form`], whichever stream holds it; padding reads as
+    /// the sentinel `ncols`.
+    fn col_at(&self, (base, skip): (u32, usize), at: usize) -> u32 {
+        if base == u32::MAX {
+            return self.colidx[at - skip];
+        }
+        match self.cidx16[at] {
+            NARROW_SENTINEL => self.ncols as u32,
+            off => base + off as u32,
+        }
+    }
+
+    /// The live entries of row `i` as `(column, value)`, columns strictly
+    /// increasing — the one reader that hides the layout: each column is
+    /// resolved from the stream its slice uses (`cbase[s] + cidx16[e]` or
+    /// the wide entry) and each value decoded from the stream the codec
+    /// holds, so a packed matrix yields its *rounded* values.
+    pub fn row(&self, i: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let form = self.index_form(i / C);
+        let first = self.sliceptr[i / C] + i % C;
+        let (codec, stride) = (self.codec, self.codec.bytes_per_value());
+        (0..self.rlen[i] as usize).map(move |j| {
+            let at = first + j * C;
+            let v = match codec {
+                Codec::F64 => self.val[at],
+                c => codec::decode(c, &self.pval[at * stride..(at + 1) * stride]),
+            };
+            (self.col_at(form, at), v)
+        })
+    }
+
     /// The stored value at logical position `(i, j)`, or `None`.
     pub fn get(&self, i: usize, j: usize) -> Option<f64> {
-        let (s, r) = (i / C, i % C);
-        let base = self.sliceptr[s];
-        let w = (self.sliceptr[s + 1] - base) / C;
-        let len = self.rlen[i] as usize;
-        for col in 0..w.min(len) {
-            if self.colidx[base + col * C + r] as usize == j {
-                return Some(self.val[base + col * C + r]);
-            }
-        }
-        None
+        self.row(i).find(|&(c, _)| c as usize == j).map(|(_, v)| v)
     }
 
     /// Converts back to CSR, dropping padding.
@@ -351,17 +392,11 @@ impl<const C: usize> Sell<C> {
         for i in 0..self.nrows {
             rowptr[i + 1] = rowptr[i] + self.rlen[i] as usize;
         }
-        let mut colidx = vec![0u32; self.nnz];
-        let mut vals = vec![0.0f64; self.nnz];
-        for row in 0..self.nrows {
-            let (s, r) = (row / C, row % C);
-            let base = self.sliceptr[s];
-            let len = self.rlen[row] as usize;
-            let at = rowptr[row];
-            for j in 0..len {
-                colidx[at + j] = self.colidx[base + j * C + r];
-                vals[at + j] = self.val[base + j * C + r];
-            }
+        let mut colidx = Vec::with_capacity(self.nnz);
+        let mut vals = Vec::with_capacity(self.nnz);
+        for (c, v) in (0..self.nrows).flat_map(|i| self.row(i)) {
+            colidx.push(c);
+            vals.push(v);
         }
         Csr::from_parts(self.nrows, self.ncols, rowptr, colidx, vals)
     }
@@ -383,38 +418,32 @@ impl<const C: usize> Sell<C> {
     }
 
     /// The value-only update behind [`Sell::set_values_from_csr`]: stored
-    /// row `k` takes the values of `csr`'s row `src(k)`.  Returns `false`
-    /// at the first entry whose position differs from the stored pattern;
-    /// the values before it are already overwritten, so the caller either
-    /// panics or rebuilds.
+    /// row `k` takes the values of `csr`'s row `src(k)`, written to the one
+    /// value stream the codec holds (the index streams depend on the
+    /// pattern alone).  Returns `false` at the first entry whose position
+    /// differs from the stored pattern; the values before it are already
+    /// overwritten, so the caller either panics or rebuilds.
     pub(crate) fn try_set_values(&mut self, csr: &Csr, src: impl Fn(usize) -> usize) -> bool {
         if (csr.nrows(), csr.ncols(), csr.nnz()) != (self.nrows, self.ncols, self.nnz) {
             return false;
         }
-        let stride = self.codec.bytes_per_value();
+        let (codec, stride) = (self.codec, self.codec.bytes_per_value());
         for row in 0..self.nrows {
             let from = src(row);
             let (cols, vals) = (csr.row_cols(from), csr.row_vals(from));
             if cols.len() != self.rlen[row] as usize {
                 return false;
             }
-            let (s, r) = (row / C, row % C);
-            let base = self.sliceptr[s];
+            let form = self.index_form(row / C);
+            let first = self.sliceptr[row / C] + row % C;
             for (j, (&c, &v)) in cols.iter().zip(vals).enumerate() {
-                let at = base + j * C + r;
-                if self.colidx[at] != c {
+                let at = first + j * C;
+                if self.col_at(form, at) != c {
                     return false;
                 }
-                let q = self.codec.quantize(v);
-                self.val[at] = q;
-                if self.codec != Codec::F64 {
-                    // Only the packed bytes need refreshing: cidx16/cbase
-                    // depend on the pattern alone, which is unchanged.
-                    codec::encode_into(
-                        self.codec,
-                        q,
-                        &mut self.pval[at * stride..(at + 1) * stride],
-                    );
+                match codec {
+                    Codec::F64 => self.val[at] = v,
+                    c => codec::encode_into(c, v, &mut self.pval[at * stride..(at + 1) * stride]),
                 }
             }
         }
@@ -451,17 +480,16 @@ impl<const C: usize> Sell<C> {
     /// The kernel arrays of slices `s0..s1` — the whole matrix is the
     /// one-part window `0..nslices`.
     pub(crate) fn parts(&self, s0: usize, s1: usize) -> kernels::SellParts<'_> {
-        // The whole-matrix half of the kernel contract (`build`
+        // The whole-matrix half of the kernel contract (`from_csr_codec`
         // establishes it; a window carries neither end).
-        debug_assert_eq!(self.sliceptr[0], 0, "sliceptr[0]");
+        debug_assert_eq!((self.sliceptr[0], self.wideptr[0]), (0, 0), "ptr starts");
         debug_assert_eq!(
-            self.sliceptr[self.nslices()],
-            self.colidx.len(),
-            "sliceptr end"
+            (self.stored_elems(), self.wideptr[self.nslices()]),
+            (self.cidx16.len(), self.colidx.len()),
+            "sliceptr / wideptr ends"
         );
         kernels::SellParts {
             sliceptr: &self.sliceptr[s0..=s1],
-            colidx: &self.colidx,
             vals: match self.codec {
                 Codec::F64 => kernels::SellVals::F64(&self.val),
                 Codec::F32 => kernels::SellVals::F32(&self.pval),
@@ -469,6 +497,8 @@ impl<const C: usize> Sell<C> {
             },
             cidx16: &self.cidx16,
             cbase: &self.cbase[s0..s1],
+            colidx: &self.colidx,
+            wideptr: &self.wideptr[s0..=s1],
             nrows: self.nrows.min(s1 * C) - self.nrows.min(s0 * C),
         }
     }
@@ -655,19 +685,67 @@ mod tests {
 
     #[test]
     fn padding_indices_are_sentinel_or_in_bounds() {
-        let a = random_csr(30, 25, 17);
-        let s = Sell8::from_csr(&a);
-        // Real entries index a valid column; every padded lane holds the
-        // sentinel `ncols` so kernels can mask it without aliasing live x.
-        let mut pads = 0usize;
-        for &c in s.colidx() {
-            if c as usize == 25 {
-                pads += 1;
-            } else {
-                assert!((c as usize) < 25);
+        // Real entries index a valid column; every padded lane holds its
+        // stream's sentinel so kernels can mask it without aliasing live
+        // x — all narrow at 25 columns, all wide at 70 000.
+        for ncols in [25usize, 70_000] {
+            let a = random_csr(30, ncols, 17);
+            let s = Sell8::from_csr(&a);
+            let wide = ncols > 0xFFFF;
+            assert_eq!(s.colidx().len(), if wide { s.stored_elems() } else { 0 });
+            let mut pads = s.colidx().iter().filter(|&&c| c as usize == ncols).count();
+            assert!(s.colidx().iter().all(|&c| c as usize <= ncols));
+            if !wide {
+                pads += s.cidx16().iter().filter(|&&o| o == NARROW_SENTINEL).count();
+                assert!(s.cidx16().iter().all(|&o| o == NARROW_SENTINEL || o < 25));
             }
+            assert_eq!(pads, s.padded_elems(), "{ncols} columns");
         }
-        assert_eq!(pads, s.padded_elems());
+    }
+
+    #[test]
+    fn row_resolves_each_entry_from_the_stream_its_slice_uses() {
+        // Slice 0 wide (row 3 reaches 69 000 columns away), slice 1 narrow,
+        // at every codec: `row`, `get` and `to_csr` see the input pattern
+        // and the rounded values whichever array holds them.
+        let mut b = CooBuilder::new(12, 70_000);
+        for i in 0..12 {
+            b.push(i, 100 + i, 1.1 + i as f64);
+            b.push(i, if i == 3 { 69_100 } else { 150 + 2 * i }, 0.3 - i as f64);
+        }
+        let a = b.to_csr();
+        for codec in [Codec::F64, Codec::F32, Codec::Bf16] {
+            let s = Sell8::from_csr_codec(&a, codec);
+            assert_eq!(s.cbase(), [u32::MAX, 108], "{codec:?}");
+            assert_eq!(s.wideptr(), [0, 16, 16], "{codec:?}");
+            assert_eq!(s.colidx().len(), 16);
+            let held = (s.values().len(), s.packed_values().len());
+            let stride = codec.bytes_per_value();
+            assert_eq!(
+                held,
+                if codec == Codec::F64 {
+                    (32, 0)
+                } else {
+                    (0, 32 * stride)
+                },
+                "{codec:?}: one value stream"
+            );
+            let q = quantized_csr(&a, codec);
+            for i in 0..12 {
+                let want: Vec<(u32, f64)> = q
+                    .row_cols(i)
+                    .iter()
+                    .copied()
+                    .zip(q.row_vals(i).iter().copied())
+                    .collect();
+                assert_eq!(s.row(i).collect::<Vec<_>>(), want, "{codec:?} row {i}");
+                assert_eq!(s.get(i, 100 + i), Some(want[0].1));
+                assert_eq!(s.get(i, 99), None);
+            }
+            let back = s.to_csr();
+            assert_eq!(back.colidx(), q.colidx());
+            assert_eq!(back.values(), q.values());
+        }
     }
 
     #[test]
@@ -878,8 +956,8 @@ mod tests {
     }
 
     /// Quantizes every value of a CSR matrix through `codec` — the f64
-    /// oracle the packed kernels must match bit-for-bit (quantize-at-build
-    /// means both sides multiply by exactly the same numbers).
+    /// oracle the packed kernels must match bit-for-bit (the packed bytes
+    /// decode to exactly these numbers).
     fn quantized_csr(a: &Csr, codec: Codec) -> Csr {
         let mut q = a.clone();
         for v in q.values_mut() {
@@ -1040,8 +1118,14 @@ mod tests {
             let col = &s.cidx16()[s.sliceptr()[1] + 8..s.sliceptr()[2]];
             assert_eq!(col[1], 0xFFFE);
             assert!(col.iter().enumerate().all(|(r, &o)| r == 1 || o == 0xFFFF));
-            // The wide slice leaves its offsets untouched.
+            // The wide slice leaves its offsets untouched, and is the only
+            // one with entries in `colidx`.
             let wide = s.sliceptr()[2]..s.sliceptr()[3];
+            assert_eq!(
+                s.wideptr(),
+                [0, 0, 0, wide.len(), wide.len(), wide.len(), wide.len()]
+            );
+            assert_eq!(s.colidx().len(), wide.len());
             assert!(s.cidx16()[wide].iter().all(|&o| o == 0));
             let q = quantized_csr(&a, codec);
             let mut want = vec![0.0; a.nrows()];

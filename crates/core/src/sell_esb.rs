@@ -9,6 +9,11 @@
 //! loads unaligned.  Their measurement: **not** using the bit array is
 //! ~10 % faster (§5.3).  This type exists so that comparison can be
 //! re-measured (`benches/ablation_bitarray.rs`).
+//!
+//! The ablation keeps the **paper's layout** — one 4-byte column index per
+//! stored entry, `12·nnz` bytes streamed — so it holds a private wide copy
+//! of the pattern beside the inner [`Sell8`], whose own index streams (the
+//! narrow offsets) its kernel never reads.
 
 use crate::aligned::AVec;
 use crate::csr::Csr;
@@ -23,6 +28,9 @@ use crate::traits::{check_apply_dims, check_spmv_dims, Apply, MatShape, Operator
 #[derive(Clone, Debug)]
 pub struct SellEsb {
     sell: Sell8,
+    /// One `u32` column per stored entry, slice-column-major, padding the
+    /// sentinel `ncols` — Figure 6's `colidx`, what the masked kernel reads.
+    colidx: AVec<u32>,
     /// One 8-bit mask per slice column: bit `r` set ⇔ lane `r` is a real
     /// nonzero of its row (not padding).
     bits: AVec<u8>,
@@ -38,23 +46,22 @@ impl SellEsb {
         let nslices = sell.nslices();
         let ncolumns = sell.stored_elems() / 8;
         let mut bits: AVec<u8> = AVec::zeroed(ncolumns);
+        let mut colidx: AVec<u32> = AVec::zeroed(sell.stored_elems());
+        colidx.fill(csr.ncols() as u32);
         let mut col_at = 0usize;
         for s in 0..nslices {
             let w = (sliceptr[s + 1] - sliceptr[s]) / 8;
-            for j in 0..w {
-                let mut m = 0u8;
-                for r in 0..8 {
-                    let row = s * 8 + r;
-                    if row < sell.nrows() && (j as u32) < sell.rlen()[row] {
-                        m |= 1 << r;
-                    }
+            for r in 0..8.min(sell.nrows() - s * 8) {
+                for (j, (c, _)) in sell.row(s * 8 + r).enumerate() {
+                    bits[col_at + j] |= 1 << r;
+                    colidx[sliceptr[s] + j * 8 + r] = c;
                 }
-                bits[col_at + j] = m;
             }
             col_at += w;
         }
         Self {
             sell,
+            colidx,
             bits,
             plan: PlanCache::new(),
         }
@@ -63,6 +70,12 @@ impl SellEsb {
     /// The underlying SELL-8 matrix.
     pub fn sell(&self) -> &Sell8 {
         &self.sell
+    }
+
+    /// The column indices the masked kernel reads: one per stored entry,
+    /// slice-column-major, padding the sentinel `ncols`.
+    pub fn colidx(&self) -> &[u32] {
+        &self.colidx
     }
 
     /// The bit array (one mask byte per slice column).
@@ -93,9 +106,10 @@ impl SellEsb {
     /// `y` (the whole matrix is the one-part window), at tier `isa`.  The
     /// bit array is windowed to the first slice's mask byte.
     fn slices<const ADD: bool>(&self, isa: Isa, s0: usize, s1: usize, x: &[f64], y: &mut [f64]) {
-        let m = self.sell.parts(s0, s1);
-        let bits = &self.bits[m.sliceptr[0] / 8..];
-        crate::kernels::sell_esb_spmv::<ADD>(isa, &m, bits, x, y);
+        let sliceptr = &self.sell.sliceptr()[s0..=s1];
+        let bits = &self.bits[sliceptr[0] / 8..];
+        let val = self.sell.values();
+        crate::kernels::sell_esb_spmv::<ADD>(isa, sliceptr, &self.colidx, val, bits, x, y);
     }
 
     /// Shared body of both [`Operator::apply`] modes for one vector: the
@@ -147,9 +161,9 @@ impl Operator for SellEsb {
     }
 
     /// `12·nnz + bits + 10·m + 8·n`: the masked kernel streams the f64
-    /// values and the wide `u32` `colidx` (never the inner matrix's narrow
-    /// offsets), plus the bit array, one byte per slice column (§5.3's
-    /// "extra memory traffic").
+    /// values and this type's own `u32` `colidx` (never the inner matrix's
+    /// narrow offsets), plus the bit array, one byte per slice column
+    /// (§5.3's "extra memory traffic").
     fn spmv_traffic(&self) -> crate::traffic::TrafficEstimate {
         let mut t = crate::traffic::sell_traffic(self.nrows(), self.ncols(), self.nnz());
         t.bytes += self.bits.len() as u64;

@@ -57,9 +57,10 @@ impl FormatStats {
         }
     }
 
-    /// Stats for a SELL matrix: every array the struct holds — the f64
-    /// and `u32` master arrays, the packed value bytes of a reduced codec,
-    /// the narrow offsets and their per-slice bases, `sliceptr`, `rlen`.
+    /// Stats for a SELL matrix: every array the struct holds, each stream
+    /// once — the values (f64 or the codec's packed bytes), the narrow
+    /// offsets and their per-slice bases, the wide slices' `u32` columns
+    /// and their prefix, `sliceptr`, `rlen`.
     pub fn for_sell<const C: usize>(a: &Sell<C>) -> Self {
         Self {
             format: "SELL",
@@ -68,10 +69,11 @@ impl FormatStats {
             nnz: a.nnz(),
             stored_elems: a.stored_elems(),
             bytes: size_of_val(a.values())
-                + size_of_val(a.colidx())
                 + size_of_val(a.packed_values())
                 + size_of_val(a.cidx16())
                 + size_of_val(a.cbase())
+                + size_of_val(a.colidx())
+                + size_of_val(a.wideptr())
                 + size_of_val(a.sliceptr())
                 + size_of_val(a.rlen()),
         }
@@ -97,7 +99,7 @@ impl FormatStats {
     pub fn for_sell_esb(a: &SellEsb) -> Self {
         let mut s = Self::for_sell(a.sell());
         s.format = "SELL+bitarray";
-        s.bytes += a.bit_array_bytes();
+        s.bytes += a.bit_array_bytes() + size_of_val(a.colidx());
         s
     }
 }
@@ -157,15 +159,46 @@ mod tests {
     #[test]
     fn sell_bytes_count_the_arrays_held() {
         use crate::codec::Codec;
-        let a = banded(128);
-        let held = |c: Codec| FormatStats::for_sell(&Sell8::from_csr_codec(&a, c)).bytes;
-        let s = Sell8::from_csr(&a);
-        // 8 (val) + 4 (colidx) + 2 (cidx16) per stored entry, 4 (cbase) per
-        // slice, sliceptr, rlen; a reduced codec adds its packed bytes.
-        let f64_bytes = s.stored_elems() * 14 + s.nslices() * 4 + (s.nslices() + 1) * 8 + 128 * 4;
-        assert_eq!(held(Codec::F64), f64_bytes);
-        assert_eq!(held(Codec::F32), f64_bytes + s.stored_elems() * 4);
-        assert_eq!(held(Codec::Bf16), f64_bytes + s.stored_elems() * 2);
+        // `banded`: every slice narrow.  With row 3 reaching 70 000 columns
+        // away, slice 0 goes wide — a mixed matrix, like every Gray-Scott
+        // Jacobian from grid 256 up (the periodic wrap rows).
+        let mixed = {
+            let mut b = CooBuilder::new(24, 70_000);
+            for i in 0..24 {
+                b.push(i, i, 1.0);
+                b.push(i, if i == 3 { 69_999 } else { i + 1 }, 2.0);
+            }
+            b.to_csr()
+        };
+        for (a, wide_slices) in [(banded(128), 0), (mixed, 1)] {
+            for codec in [Codec::F64, Codec::F32, Codec::Bf16] {
+                let s = Sell8::from_csr_codec(&a, codec);
+                let (stored, nslices) = (s.stored_elems(), s.nslices());
+                let wide_entries = s.colidx().len();
+                assert_eq!(
+                    s.cbase().iter().filter(|&&b| b == u32::MAX).count(),
+                    wide_slices
+                );
+                assert_eq!(
+                    wide_entries,
+                    wide_slices * 8 * 2,
+                    "two columns per wide slice"
+                );
+                // One value and one 2-byte offset per stored entry, 4 bytes
+                // per entry of a wide slice, `cbase` per slice, the two
+                // prefixes, `rlen`: 10 / 6 / 4 bytes a stored entry where
+                // the two-copy layout held 14 / 18 / 16.
+                assert_eq!(
+                    FormatStats::for_sell(&s).bytes,
+                    (codec.bytes_per_value() + 2) * stored
+                        + 4 * wide_entries
+                        + 4 * nslices
+                        + 8 * 2 * (nslices + 1)
+                        + 4 * a.nrows(),
+                    "{codec:?}, {wide_slices} wide"
+                );
+            }
+        }
     }
 
     #[test]
@@ -175,8 +208,11 @@ mod tests {
         let esb = SellEsb::from_csr(&a);
         let s1 = FormatStats::for_sell(&sell);
         let s2 = FormatStats::for_sell_esb(&esb);
-        assert!(s2.bytes > s1.bytes);
-        assert_eq!(s2.bytes - s1.bytes, esb.bit_array_bytes());
+        // The bit array, and the paper's 4-byte index per stored entry.
+        assert_eq!(
+            s2.bytes - s1.bytes,
+            esb.bit_array_bytes() + 4 * sell.stored_elems()
+        );
     }
 
     #[test]

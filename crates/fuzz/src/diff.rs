@@ -18,7 +18,9 @@
 //! CSR** — the input pattern widened with explicit zeros over every
 //! touched block — which reproduces that semantic exactly.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,7 +30,7 @@ use sellkit_core::{
     Sell8, SellEsb, SellSigma8, VecView, VecViewMut,
 };
 
-use crate::gen::{make_x, MatrixCase, X_CLASSES};
+use crate::gen::{assemble, make_x, MatrixCase, X_CLASSES};
 
 /// The seven formats under differential test (CSR itself is the oracle;
 /// its SIMD tiers are checked against its scalar tier separately).
@@ -101,13 +103,14 @@ impl FormatKind {
 }
 
 /// One self-contained failing input: everything needed to rebuild and
-/// re-run a single divergence.
+/// re-run a single divergence.  A sweep builds several thousand of these
+/// per case, so the triplets and the vector are shared, not copied.
 #[derive(Clone, Debug)]
 pub struct Repro {
     pub nrows: usize,
     pub ncols: usize,
-    pub entries: Vec<(u32, u32, f64)>,
-    pub x: Vec<f64>,
+    pub entries: Arc<[(u32, u32, f64)]>,
+    pub x: Arc<[f64]>,
     pub format: FormatKind,
     pub threads: usize,
     /// `true` → `spmv_add_ctx` from a zeroed `y`; `false` → `spmv_ctx`.
@@ -295,8 +298,8 @@ pub fn build_format(kind: FormatKind, a: &Csr, codec: Codec) -> Box<dyn Format> 
     }
 }
 
-/// Structural validation via sellkit-check (packed sidecar invariants
-/// included when `codec` is reduced).
+/// Structural validation via sellkit-check: each stream the format holds,
+/// the packed value bytes included when `codec` is reduced.
 fn validate_format(kind: FormatKind, a: &Csr, codec: Codec) -> Result<(), String> {
     build_format(kind, a, codec)
         .validate()
@@ -304,8 +307,8 @@ fn validate_format(kind: FormatKind, a: &Csr, codec: Codec) -> Result<(), String
 }
 
 /// Scalar CSR over the codec-quantized values — the oracle matrix for a
-/// packed repro.  Quantize-at-build stores `codec.quantize(v)` in the
-/// master array, so packed kernels decode **bit-exactly** to this
+/// packed repro.  The packed bytes are encoded with the rounding of
+/// `codec.quantize(v)`, so packed kernels decode **bit-exactly** to this
 /// matrix: the codec's unit roundoff enters the comparison through the
 /// oracle's values, not a loosened tolerance, and the standard
 /// class-first + ULP policy stays as tight as the f64 sweep.
@@ -323,19 +326,13 @@ pub fn quantize_csr(a: &Csr, codec: Codec) -> Csr {
 /// fails.  This is the minimizer's predicate — and doubles as the
 /// confirmation step for every reported finding.
 pub fn repro_fails(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> Option<String> {
-    let case = MatrixCase {
-        name: String::new(),
-        nrows: r.nrows,
-        ncols: r.ncols,
-        entries: r.entries.clone(),
-        symmetric: r.format == FormatKind::Sbaij2,
-    };
-    let built = catch_unwind(AssertUnwindSafe(|| case.to_csr()));
+    let built = catch_unwind(AssertUnwindSafe(|| assemble(r.nrows, r.ncols, &r.entries)));
     let a = match built {
         Ok(a) => a,
         Err(p) => return Some(format!("panic in assembly: {}", panic_msg(&p))),
     };
-    if !r.format.supports(&a, case.symmetric) || !r.format.supports_codec(r.codec) {
+    let symmetric = r.format == FormatKind::Sbaij2;
+    if !r.format.supports(&a, symmetric) || !r.format.supports_codec(r.codec) {
         return None;
     }
     // Structural invariants re-check: validation findings carry an empty
@@ -345,20 +342,27 @@ pub fn repro_fails(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> Option<String> {
         Ok(Err(e)) => return Some(format!("validation: {e}")),
         Err(p) => return Some(format!("panic in build/validate: {}", panic_msg(&p))),
     }
-    let k = r.k.max(1);
-    if r.x.len() != a.ncols() * k {
+    if r.x.len() != a.ncols() * r.k.max(1) {
         // Structural-only repro; nothing numeric to run.
         return None;
     }
+    product_fails(r, &a, &oracle_product(r, &a), cfg, ctxs)
+}
+
+/// What `r`'s product is compared against: the scalar-CSR product of each
+/// of its `k` vectors on its own — the blocked product must agree with `k`
+/// independent single-vector products, column for column — over the
+/// oracle matrix of its format and codec.  It depends on `r`'s `x`, `k`,
+/// `add`, codec and whether the format is block-filled, nothing else.
+fn oracle_product(r: &Repro, a: &Csr) -> Vec<f64> {
+    let k = r.k.max(1);
     let oracle_mat = if r.format.block_filled() {
-        block_closure(&a, 2)
+        Cow::Owned(block_closure(a, 2))
     } else if r.codec != Codec::F64 {
-        quantize_csr(&a, r.codec)
+        Cow::Owned(quantize_csr(a, r.codec))
     } else {
-        a.clone()
+        Cow::Borrowed(a)
     };
-    // Column-by-column scalar-CSR oracle: the blocked product must agree
-    // with k independent single-vector products, column for column.
     let mut want = vec![0.0; a.nrows() * k];
     let mut xcol = vec![0.0; a.ncols()];
     let mut wcol = vec![0.0; a.nrows()];
@@ -372,31 +376,38 @@ pub fn repro_fails(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> Option<String> {
             want[i * k + v] = *wc;
         }
     }
+    want
+}
 
+/// Builds `r`'s format from `a`, runs exactly its product and compares it
+/// with `want` ([`oracle_product`]); `Some(detail)` on a panic or a
+/// disagreement.
+fn product_fails(r: &Repro, a: &Csr, want: &[f64], cfg: &Config, ctxs: &Ctxs) -> Option<String> {
+    let k = r.k.max(1);
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let m = build_format(r.format, &a, r.codec);
+        let m = build_format(r.format, a, r.codec);
         let c = r.codec;
         let mut y = vec![0.0; a.nrows() * k];
         match r.isa {
             // Forced-tier serial paths exist on CSR + the SELL family.
             Some(tier) if k == 1 => match r.format {
                 FormatKind::Csr => a.spmv_isa(tier, &r.x, &mut y),
-                FormatKind::Sell4 => Sell4::from_csr_codec(&a, c).spmv_isa(tier, &r.x, &mut y),
-                FormatKind::Sell8 => Sell8::from_csr_codec(&a, c).spmv_isa(tier, &r.x, &mut y),
-                FormatKind::Sell16 => Sell16::from_csr_codec(&a, c).spmv_isa(tier, &r.x, &mut y),
-                FormatKind::SellEsb => SellEsb::from_csr(&a).spmv_isa(tier, &r.x, &mut y),
+                FormatKind::Sell4 => Sell4::from_csr_codec(a, c).spmv_isa(tier, &r.x, &mut y),
+                FormatKind::Sell8 => Sell8::from_csr_codec(a, c).spmv_isa(tier, &r.x, &mut y),
+                FormatKind::Sell16 => Sell16::from_csr_codec(a, c).spmv_isa(tier, &r.x, &mut y),
+                FormatKind::SellEsb => SellEsb::from_csr(a).spmv_isa(tier, &r.x, &mut y),
                 _ => m.apply(
                     &ExecCtx::serial(),
-                    (&r.x).into(),
+                    (&r.x[..]).into(),
                     (&mut y).into(),
                     Apply::Set,
                 ),
             },
             Some(tier) => match r.format {
                 FormatKind::Csr => a.spmm_isa(tier, &r.x, &mut y, k),
-                FormatKind::Sell4 => Sell4::from_csr_codec(&a, c).spmm_isa(tier, &r.x, &mut y, k),
-                FormatKind::Sell8 => Sell8::from_csr_codec(&a, c).spmm_isa(tier, &r.x, &mut y, k),
-                FormatKind::Sell16 => Sell16::from_csr_codec(&a, c).spmm_isa(tier, &r.x, &mut y, k),
+                FormatKind::Sell4 => Sell4::from_csr_codec(a, c).spmm_isa(tier, &r.x, &mut y, k),
+                FormatKind::Sell8 => Sell8::from_csr_codec(a, c).spmm_isa(tier, &r.x, &mut y, k),
+                FormatKind::Sell16 => Sell16::from_csr_codec(a, c).spmm_isa(tier, &r.x, &mut y, k),
                 _ => m.apply(
                     &ExecCtx::serial(),
                     VecView::blocked(&r.x, k),
@@ -418,8 +429,44 @@ pub fn repro_fails(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> Option<String> {
         y
     }));
     match run {
-        Ok(y) => compare(&y, &want, cfg),
+        Ok(y) => compare(&y, want, cfg),
         Err(p) => Some(format!("panic in spmv: {}", panic_msg(&p))),
+    }
+}
+
+/// The sweeps' form of [`repro_fails`] for the combinations of one vector
+/// `x` over one assembled, already validated matrix: the matrix is
+/// borrowed and each oracle product is computed once per (`add`, oracle
+/// matrix) rather than once per combination.
+struct OneVector<'a> {
+    a: &'a Csr,
+    cfg: &'a Config,
+    ctxs: &'a Ctxs,
+    wants: Vec<((bool, bool, Codec), Vec<f64>)>,
+}
+
+impl<'a> OneVector<'a> {
+    fn new(a: &'a Csr, cfg: &'a Config, ctxs: &'a Ctxs) -> Self {
+        let wants = Vec::new();
+        Self {
+            a,
+            cfg,
+            ctxs,
+            wants,
+        }
+    }
+
+    /// `r` must carry this sweep's matrix, `x` and `k`.
+    fn fails(&mut self, r: &Repro) -> Option<String> {
+        let key = (r.add, r.format.block_filled(), r.codec);
+        let at = match self.wants.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                self.wants.push((key, oracle_product(r, self.a)));
+                self.wants.len() - 1
+            }
+        };
+        product_fails(r, self.a, &self.wants[at].1, self.cfg, self.ctxs)
     }
 }
 
@@ -433,29 +480,37 @@ fn panic_msg(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The structural-only repro of `case` (empty `x`, serial f64 SELL-8
+/// SpMV): the sweeps derive every combination from it by struct update,
+/// sharing its triplets.
+fn base_repro(case: &MatrixCase) -> Repro {
+    Repro {
+        nrows: case.nrows,
+        ncols: case.ncols,
+        entries: case.entries.as_slice().into(),
+        x: Arc::new([]),
+        format: FormatKind::Sell8,
+        threads: 1,
+        add: false,
+        isa: None,
+        k: 1,
+        codec: Codec::F64,
+    }
+}
+
 /// Runs the full differential sweep for one matrix case: every vector
 /// hazard class × {CSR SIMD tiers, seven formats} × {serial ISA paths,
 /// threaded ctx paths} × {set, add}.  Returns every finding.
 pub fn run_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) -> Vec<Finding> {
     let mut findings = Vec::new();
+    let base = base_repro(case);
     let a = match catch_unwind(AssertUnwindSafe(|| case.to_csr())) {
         Ok(a) => a,
         Err(p) => {
             findings.push(Finding {
                 case_name: case.name.clone(),
                 detail: format!("panic assembling CSR: {}", panic_msg(&p)),
-                repro: Repro {
-                    nrows: case.nrows,
-                    ncols: case.ncols,
-                    entries: case.entries.clone(),
-                    x: vec![],
-                    format: FormatKind::Sell8,
-                    threads: 1,
-                    add: false,
-                    isa: None,
-                    k: 1,
-                    codec: Codec::F64,
-                },
+                repro: base,
             });
             return findings;
         }
@@ -477,39 +532,28 @@ pub fn run_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) -> Vec<
             case_name: case.name.clone(),
             detail: format!("{}: {detail}", kind.name()),
             repro: Repro {
-                nrows: case.nrows,
-                ncols: case.ncols,
-                entries: case.entries.clone(),
-                x: vec![],
                 format: kind,
-                threads: 1,
-                add: false,
-                isa: None,
-                k: 1,
-                codec: Codec::F64,
+                ..base.clone()
             },
         });
     }
 
     let mut xrng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
     for class in X_CLASSES {
-        let x = make_x(class, a.ncols(), &mut xrng);
+        let with_x = Repro {
+            x: make_x(class, a.ncols(), &mut xrng).into(),
+            ..base.clone()
+        };
+        let mut one = OneVector::new(&a, cfg, ctxs);
 
         // CSR's own SIMD tiers against its scalar tier.
         for tier in Isa::available_tiers() {
             let r = Repro {
-                nrows: case.nrows,
-                ncols: case.ncols,
-                entries: case.entries.clone(),
-                x: x.clone(),
                 format: FormatKind::Csr,
-                threads: 1,
-                add: false,
                 isa: Some(tier),
-                k: 1,
-                codec: Codec::F64,
+                ..with_x.clone()
             };
-            if let Some(d) = repro_fails(&r, cfg, ctxs) {
+            if let Some(d) = one.fails(&r) {
                 findings.push(Finding {
                     case_name: case.name.clone(),
                     detail: format!("csr@{tier} x={class:?}: {d}"),
@@ -533,18 +577,11 @@ pub fn run_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) -> Vec<
             };
             for isa in tiers {
                 let r = Repro {
-                    nrows: case.nrows,
-                    ncols: case.ncols,
-                    entries: case.entries.clone(),
-                    x: x.clone(),
                     format: kind,
-                    threads: 1,
-                    add: false,
                     isa,
-                    k: 1,
-                    codec: Codec::F64,
+                    ..with_x.clone()
                 };
-                if let Some(d) = repro_fails(&r, cfg, ctxs) {
+                if let Some(d) = one.fails(&r) {
                     findings.push(Finding {
                         case_name: case.name.clone(),
                         detail: format!("{}@{:?} x={class:?}: {d}", kind.name(), r.isa),
@@ -556,18 +593,12 @@ pub fn run_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) -> Vec<
             for &threads in &cfg.threads {
                 for add in [false, true] {
                     let r = Repro {
-                        nrows: case.nrows,
-                        ncols: case.ncols,
-                        entries: case.entries.clone(),
-                        x: x.clone(),
                         format: kind,
                         threads,
                         add,
-                        isa: None,
-                        k: 1,
-                        codec: Codec::F64,
+                        ..with_x.clone()
                     };
-                    if let Some(d) = repro_fails(&r, cfg, ctxs) {
+                    if let Some(d) = one.fails(&r) {
                         findings.push(Finding {
                             case_name: case.name.clone(),
                             detail: format!(
@@ -605,6 +636,7 @@ pub fn run_spmm_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) ->
     let Ok(a) = catch_unwind(AssertUnwindSafe(|| case.to_csr())) else {
         return findings;
     };
+    let base = base_repro(case);
     let mut xrng = StdRng::seed_from_u64(seed ^ 0x5b3c_01d7_44ee_9921);
     for class in X_CLASSES {
         for k in SPMM_KS {
@@ -617,22 +649,21 @@ pub fn run_spmm_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) ->
                     x[i * k + v] = col[i];
                 }
             }
+            let with_x = Repro {
+                x: x.into(),
+                k,
+                ..base.clone()
+            };
+            let mut one = OneVector::new(&a, cfg, ctxs);
 
             // CSR's own SpMM tiers against the column-by-column oracle.
             for tier in Isa::available_tiers() {
                 let r = Repro {
-                    nrows: case.nrows,
-                    ncols: case.ncols,
-                    entries: case.entries.clone(),
-                    x: x.clone(),
                     format: FormatKind::Csr,
-                    threads: 1,
-                    add: false,
                     isa: Some(tier),
-                    k,
-                    codec: Codec::F64,
+                    ..with_x.clone()
                 };
-                if let Some(d) = repro_fails(&r, cfg, ctxs) {
+                if let Some(d) = one.fails(&r) {
                     findings.push(Finding {
                         case_name: case.name.clone(),
                         detail: format!("csr@{tier} k={k} x={class:?}: {d}"),
@@ -657,18 +688,11 @@ pub fn run_spmm_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) ->
                 };
                 for isa in tiers {
                     let r = Repro {
-                        nrows: case.nrows,
-                        ncols: case.ncols,
-                        entries: case.entries.clone(),
-                        x: x.clone(),
                         format: kind,
-                        threads: 1,
-                        add: false,
                         isa,
-                        k,
-                        codec: Codec::F64,
+                        ..with_x.clone()
                     };
-                    if let Some(d) = repro_fails(&r, cfg, ctxs) {
+                    if let Some(d) = one.fails(&r) {
                         findings.push(Finding {
                             case_name: case.name.clone(),
                             detail: format!("{}@{:?} k={k} x={class:?}: {d}", kind.name(), r.isa),
@@ -680,18 +704,12 @@ pub fn run_spmm_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) ->
                 for &threads in &cfg.threads {
                     for add in [false, true] {
                         let r = Repro {
-                            nrows: case.nrows,
-                            ncols: case.ncols,
-                            entries: case.entries.clone(),
-                            x: x.clone(),
                             format: kind,
                             threads,
                             add,
-                            isa: None,
-                            k,
-                            codec: Codec::F64,
+                            ..with_x.clone()
                         };
-                        if let Some(d) = repro_fails(&r, cfg, ctxs) {
+                        if let Some(d) = one.fails(&r) {
                             findings.push(Finding {
                                 case_name: case.name.clone(),
                                 detail: format!(
@@ -737,21 +755,15 @@ pub fn run_codec_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) -
     let Ok(a) = catch_unwind(AssertUnwindSafe(|| case.to_csr())) else {
         return findings;
     };
-    let base_repro = |format, codec| Repro {
-        nrows: case.nrows,
-        ncols: case.ncols,
-        entries: case.entries.clone(),
-        x: vec![],
+    let base = base_repro(case);
+    let packed = |format, codec| Repro {
         format,
-        threads: 1,
-        add: false,
-        isa: None,
-        k: 1,
         codec,
+        ..base.clone()
     };
     let mut xrng = StdRng::seed_from_u64(seed ^ 0x00de_c0de_00de_c0de);
     for codec in CODECS {
-        // Packed sidecar invariants first (pval/cidx16/cbase consistency
+        // The packed layout's invariants first (each stream it holds,
         // through sellkit-check): a corrupt layout would make every
         // numeric comparison below noise.
         for kind in PACKED_FORMATS {
@@ -764,7 +776,7 @@ pub fn run_codec_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) -
             findings.push(Finding {
                 case_name: case.name.clone(),
                 detail: format!("{}[{}]: {detail}", kind.name(), codec.label()),
-                repro: base_repro(kind, codec),
+                repro: packed(kind, codec),
             });
         }
         for class in X_CLASSES {
@@ -783,12 +795,12 @@ pub fn run_codec_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) -
                                 }
                             }
                             let r = Repro {
-                                x,
+                                x: x.into(),
                                 isa: Some(tier),
                                 k,
-                                ..base_repro(kind, codec)
+                                ..packed(kind, codec)
                             };
-                            if let Some(d) = repro_fails(&r, cfg, ctxs) {
+                            if let Some(d) = OneVector::new(&a, cfg, ctxs).fails(&r) {
                                 findings.push(Finding {
                                     case_name: case.name.clone(),
                                     detail: format!(
@@ -803,16 +815,17 @@ pub fn run_codec_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) -
                     }
                 }
                 // Threaded ctx paths, both modes.
-                let x = make_x(class, a.ncols(), &mut xrng);
+                let x: Arc<[f64]> = make_x(class, a.ncols(), &mut xrng).into();
+                let mut one = OneVector::new(&a, cfg, ctxs);
                 for &threads in &cfg.threads {
                     for add in [false, true] {
                         let r = Repro {
                             x: x.clone(),
                             threads,
                             add,
-                            ..base_repro(kind, codec)
+                            ..packed(kind, codec)
                         };
-                        if let Some(d) = repro_fails(&r, cfg, ctxs) {
+                        if let Some(d) = one.fails(&r) {
                             findings.push(Finding {
                                 case_name: case.name.clone(),
                                 detail: format!(
@@ -850,12 +863,12 @@ pub fn run_huge_shape_case() -> Vec<Finding> {
             repro: Repro {
                 nrows: 3,
                 ncols: huge,
-                entries: vec![
+                entries: Arc::new([
                     (0, (huge - 1) as u32, 1.0),
                     (1, (huge - 2) as u32, -2.0),
                     (2, 0, 0.5),
-                ],
-                x: vec![],
+                ]),
+                x: Arc::new([]),
                 format: kind,
                 threads: 1,
                 add: false,
@@ -962,7 +975,7 @@ mod tests {
     fn codec_families_run_clean() {
         // One seed per hazard family through the reduced-precision sweep:
         // every packed format × {f32, bf16} × available tiers must agree
-        // with the quantized-CSR oracle and validate its sidecars.
+        // with the quantized-CSR oracle and validate stream by stream.
         let cfg = Config {
             threads: vec![1, 2],
             ..Config::default()

@@ -35,12 +35,18 @@ pub struct MatrixCase {
 impl MatrixCase {
     /// Assembles through the production `CooBuilder` path.
     pub fn to_csr(&self) -> Csr {
-        let mut b = CooBuilder::new(self.nrows, self.ncols);
-        for &(i, j, v) in &self.entries {
-            b.push(i as usize, j as usize, v);
-        }
-        b.to_csr()
+        assemble(self.nrows, self.ncols, &self.entries)
     }
+}
+
+/// Assembles triplets (in push order) through the production `CooBuilder`
+/// path.
+pub fn assemble(nrows: usize, ncols: usize, entries: &[(u32, u32, f64)]) -> Csr {
+    let mut b = CooBuilder::new(nrows, ncols);
+    for &(i, j, v) in entries {
+        b.push(i as usize, j as usize, v);
+    }
+    b.to_csr()
 }
 
 /// Every generator family the corpus can name.

@@ -10,6 +10,8 @@
 //! 4. simplify `x` — finite entries to `1.0`/`0.0`, specials kept;
 //! 5. minimize the thread count.
 
+use std::sync::Arc;
+
 use crate::diff::{repro_fails, Config, Ctxs, Repro};
 use sellkit_core::Codec;
 
@@ -33,8 +35,8 @@ pub fn minimize(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> (Repro, String) {
         let mut progressed = false;
         while i < cur.entries.len() {
             let mut cand = cur.clone();
-            let hi = (i + chunk).min(cand.entries.len());
-            cand.entries.drain(i..hi);
+            let hi = (i + chunk).min(cur.entries.len());
+            cand.entries = [&cur.entries[..i], &cur.entries[hi..]].concat().into();
             if let Some(d) = repro_fails(&cand, cfg, ctxs) {
                 cur = cand;
                 detail = d;
@@ -77,8 +79,9 @@ pub fn minimize(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> (Repro, String) {
             cand.nrows = rows;
             cand.ncols = cols;
             if numeric {
-                cand.x.truncate(cols);
-                cand.x.resize(cols, 1.0);
+                let mut x = cur.x.to_vec();
+                x.resize(cols, 1.0);
+                cand.x = x.into();
             }
             if let Some(d) = repro_fails(&cand, cfg, ctxs) {
                 cur = cand;
@@ -92,7 +95,7 @@ pub fn minimize(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> (Repro, String) {
     for k in 0..cur.entries.len() {
         if cur.entries[k].2 != 1.0 {
             let mut cand = cur.clone();
-            cand.entries[k].2 = 1.0;
+            Arc::make_mut(&mut cand.entries)[k].2 = 1.0;
             if let Some(d) = repro_fails(&cand, cfg, ctxs) {
                 cur = cand;
                 detail = d;
@@ -106,7 +109,7 @@ pub fn minimize(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> (Repro, String) {
         for k in 0..cur.x.len() {
             if cur.x[k].is_finite() && cur.x[k] != target {
                 let mut cand = cur.clone();
-                cand.x[k] = target;
+                Arc::make_mut(&mut cand.x)[k] = target;
                 if let Some(d) = repro_fails(&cand, cfg, ctxs) {
                     cur = cand;
                     detail = d;
@@ -163,7 +166,7 @@ pub fn emit_test_snippet(r: &Repro, detail: &str) -> String {
         "    let mut b = CooBuilder::new({}, {});\n",
         r.nrows, r.ncols
     ));
-    for &(i, j, v) in &r.entries {
+    for &(i, j, v) in r.entries.iter() {
         s.push_str(&format!("    b.push({i}, {j}, {});\n", f64_src(v)));
     }
     s.push_str("    let a = b.to_csr();\n");
@@ -191,7 +194,7 @@ pub fn emit_test_snippet(r: &Repro, detail: &str) -> String {
     s.push_str(&format!("    let m = {build};\n"));
     if r.codec != Codec::F64 {
         // The oracle runs over the codec-quantized matrix — exactly what
-        // quantize-at-build stored in the packed format's master array.
+        // the packed format's value bytes decode to.
         s.push_str(&format!(
             "    let mut bq = CooBuilder::new({}, {});\n",
             r.nrows, r.ncols
@@ -304,8 +307,8 @@ mod tests {
         let r = Repro {
             nrows: 2,
             ncols: 2,
-            entries: vec![(0, 0, 1.0), (1, 1, -2.0)],
-            x: vec![f64::INFINITY, 0.5],
+            entries: Arc::new([(0, 0, 1.0), (1, 1, -2.0)]),
+            x: Arc::new([f64::INFINITY, 0.5]),
             format: FormatKind::Sell8,
             threads: 4,
             add: true,
@@ -328,8 +331,8 @@ mod tests {
         let r = Repro {
             nrows: 2,
             ncols: 2,
-            entries: vec![(0, 0, 1.0), (1, 1, -2.0)],
-            x: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+            entries: Arc::new([(0, 0, 1.0), (1, 1, -2.0)]),
+            x: Arc::new([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]),
             format: FormatKind::Sell8,
             threads: 2,
             add: false,
@@ -355,8 +358,8 @@ mod tests {
         let r = Repro {
             nrows: 3,
             ncols: 3,
-            entries: vec![(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)],
-            x: vec![1.0, 2.0, 3.0],
+            entries: Arc::new([(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]),
+            x: Arc::new([1.0, 2.0, 3.0]),
             format: FormatKind::Sell4,
             threads: 1,
             add: false,

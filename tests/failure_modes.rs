@@ -109,11 +109,13 @@ fn set_from_csr_rebuilds_on_another_pattern() {
     check::<SellSigma8>("SellSigma8", SellSigma8::to_csr);
 }
 
-/// The kernels read per-slice 2-byte column offsets (`cidx16` from
-/// `cbase[s]`) derived from the pattern.  A value refresh must leave them
-/// alone; a pattern change that moves one entry more than `0xFFFF` columns
-/// away — the slice can no longer be narrow — must rebuild them, never
-/// keep the old offsets under a new base.
+/// The index streams — per-slice 2-byte offsets (`cidx16` from `cbase[s]`),
+/// 4-byte `colidx` entries behind `wideptr` for a slice too wide for them —
+/// are derived from the pattern.  A value refresh must leave them alone; a
+/// pattern change that moves one entry more than `0xFFFF` columns away —
+/// the slice can no longer be narrow — must rebuild them (the slice's
+/// entries appear in `colidx`, `wideptr` grows), never keep the old offsets
+/// under a new base.
 #[test]
 fn value_refresh_keeps_the_narrow_indices_and_a_slice_gone_wide_rebuilds_them() {
     use sellkit_check::Validate;
@@ -146,7 +148,11 @@ fn value_refresh_keeps_the_narrow_indices_and_a_slice_gone_wide_rebuilds_them() 
         assert_eq!(m.cbase(), fresh.cbase(), "{what}");
         assert_eq!(m.cidx16(), fresh.cidx16(), "{what}");
         assert_eq!(m.colidx(), fresh.colidx(), "{what}");
+        assert_eq!(m.wideptr(), fresh.wideptr(), "{what}");
         assert_eq!(m.narrow_nnz(), fresh.narrow_nnz(), "{what}");
+        let (got, want) = (m.to_csr(), of);
+        assert_eq!(got.colidx(), want.colidx(), "{what}");
+        assert_eq!(got.values(), want.values(), "{what}");
         for isa in Isa::available_tiers() {
             assert_eq!(product(m, isa), product(&fresh, isa), "{what} {isa}");
         }
@@ -154,6 +160,7 @@ fn value_refresh_keeps_the_narrow_indices_and_a_slice_gone_wide_rebuilds_them() 
 
     let built = Sell8::from_csr(&near);
     assert_eq!(built.cbase(), &[100, 108], "both slices narrow");
+    assert!(built.colidx().is_empty() && built.wideptr() == [0, 0, 0]);
     let (cidx16, cbase) = (built.cidx16().to_vec(), built.cbase().to_vec());
 
     // (i) The same pattern: values only, through either entry point.
@@ -169,11 +176,14 @@ fn value_refresh_keeps_the_narrow_indices_and_a_slice_gone_wide_rebuilds_them() 
     // (ii) Row 3's second entry moved 68 844 columns: slice 0 goes wide.
     m.set_from_csr(&far);
     assert_eq!(m.cbase(), &[u32::MAX, 108], "slice 0 rebuilt wide");
+    assert_eq!((m.wideptr(), m.colidx().len()), (&[0, 16, 16][..], 16));
+    assert_eq!(m.colidx()[8 + 3], 69_000, "row 3, second column");
     assert_eq!(m.narrow_nnz(), 8);
     same_as_fresh(&m, &far, "set_from_csr, narrow slice gone wide");
     // ... and back: the offsets reappear under the old base.
     m.set_from_csr(&near);
     same_as_fresh(&m, &near, "set_from_csr, wide slice gone narrow");
+    assert!(m.colidx().is_empty(), "nothing left wide");
 
     // The σ-sorted wrapper rebuilds its inner matrix the same way.
     let mut sigma = SellSigma8::from_csr_sigma(&near, 8);
@@ -183,6 +193,8 @@ fn value_refresh_keeps_the_narrow_indices_and_a_slice_gone_wide_rebuilds_them() 
     let fresh = SellSigma8::from_csr_sigma(&far, 8);
     assert_eq!(sigma.sell().cidx16(), fresh.sell().cidx16());
     assert_eq!(sigma.sell().cbase(), fresh.sell().cbase());
+    assert_eq!(sigma.sell().colidx(), fresh.sell().colidx());
+    assert_eq!(sigma.sell().wideptr(), fresh.sell().wideptr());
 }
 
 #[test]

@@ -8,6 +8,7 @@ use sellkit::core::{
     SellSigma8,
 };
 use sellkit::workloads::generators;
+use sellkit_check::Validate;
 
 fn dense_spmv(a: &Csr, x: &[f64]) -> Vec<f64> {
     let d = a.to_dense();
@@ -151,23 +152,17 @@ proptest! {
         let s = Sell8::from_csr(&a);
         prop_assert_eq!(s.stored_elems() % 8, 0);
         prop_assert!(s.sliceptr().windows(2).all(|w| w[0] <= w[1]));
-        let mut pads = 0usize;
-        for &c in s.colidx() {
-            // Live entries index a real column; padding holds the
-            // one-past-end sentinel that kernels mask out.
-            prop_assert!((c as usize) <= nrows);
-            if c as usize == nrows {
-                pads += 1;
-            }
-        }
-        prop_assert_eq!(pads, s.padded_elems());
+        // Every padded lane holds the sentinel the kernels mask and the
+        // value zero, on whichever stream its slice uses.
+        prop_assert_eq!(s.validate(), Ok(()));
+        // The live entries are the CSR rows, in order.
         for i in 0..nrows {
             prop_assert_eq!(s.rlen()[i] as usize, a.row_len(i));
+            let row: Vec<(u32, f64)> = s.row(i).collect();
+            let want: Vec<(u32, f64)> =
+                a.row_cols(i).iter().copied().zip(a.row_vals(i).iter().copied()).collect();
+            prop_assert_eq!(row, want);
         }
-        // Sum of stored values equals sum of CSR values (padding is 0).
-        let sum_s: f64 = s.values().iter().sum();
-        let sum_a: f64 = a.values().iter().sum();
-        prop_assert!((sum_s - sum_a).abs() < 1e-9);
     }
 
     /// spmv_add is exactly spmv followed by vector add.

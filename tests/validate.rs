@@ -5,20 +5,21 @@
 //!
 //! The corruptions go through the `check_*_parts` functions, which take raw
 //! slices — the same checks the `Validate` impls run on the owned formats.
+//! A `Sell` holds each stream once, so every SELL mutation swaps in a
+//! corrupted copy of the **one** array that exists and names it.
 
 use proptest::prelude::*;
-use sellkit::core::{
-    Baij, Codec, CooBuilder, MatShape, Sbaij, Sell16, Sell4, Sell8, SellEsb, SellSigma8,
-};
+use sellkit::core::{Baij, Codec, CooBuilder, Sbaij, Sell16, Sell4, Sell8, SellEsb, SellSigma8};
 use sellkit_check::{
-    check_alignment, check_block_parts, check_csr_parts, check_packed_sidecars, check_sell_parts,
-    Loc, Validate, Violation, ViolationKind,
+    check_alignment, check_block_parts, check_csr_parts, check_sell_parts, Loc, SellStreams,
+    Validate, Violation, ViolationKind,
 };
 
 /// 10×10 fixture with a known SELL-8 layout: row 0 has three nonzeros
 /// (columns 0, 2, 4), every other row one (its diagonal).  Slice 0 (rows
 /// 0–7) is 3 wide, slice 1 (rows 8–9, padded to 8 lanes) is 1 wide, so
-/// `sliceptr == [0, 24, 32]`.
+/// `sliceptr == [0, 24, 32]`; both slices are narrow (`cbase == [0, 8]`),
+/// so `cidx16` is the whole index stream and `colidx` is empty.
 fn fixture() -> Sell8 {
     let mut b = CooBuilder::new(10, 10);
     b.push(0, 0, 1.0);
@@ -30,11 +31,47 @@ fn fixture() -> Sell8 {
     Sell8::from_csr(&b.to_csr())
 }
 
+/// 12×70 000 fixture, two entries a row (`100 + i`, `150 + 2i`) except
+/// that row 3's second sits at column 69 000: slice 0 (rows 0–7) spans
+/// more than `0xFFFF` columns and is **wide** (16 entries in `colidx`),
+/// slice 1 (rows 8–11) is narrow from base 108 — a mixed matrix, like the
+/// Gray-Scott Jacobians' periodic wrap rows.  `sliceptr == [0, 16, 32]`,
+/// `wideptr == [0, 16, 16]`.
+fn mixed_fixture(codec: Codec) -> Sell8 {
+    let mut b = CooBuilder::new(12, 70_000);
+    for i in 0..12 {
+        b.push(i, 100 + i, 1.0 + i as f64);
+        b.push(i, if i == 3 { 69_000 } else { 150 + 2 * i }, 0.5 - i as f64);
+    }
+    Sell8::from_csr_codec(&b.to_csr(), codec)
+}
+
+fn loc(at: usize, row: usize, slice: usize) -> Loc {
+    Loc { at, row, slice }
+}
+
+fn arr_len(array: &'static str, expected: usize, found: usize) -> Violation {
+    Violation::ArrLen {
+        array,
+        expected,
+        found,
+    }
+}
+
 #[test]
 fn fixture_layout_is_as_documented() {
     let s = fixture();
     assert_eq!(s.sliceptr(), &[0, 24, 32]);
+    assert_eq!(s.cbase(), &[0, 8]);
+    assert!(s.colidx().is_empty() && s.wideptr() == [0, 0, 0]);
     assert_eq!(s.validate(), Ok(()));
+    for codec in [Codec::F64, Codec::F32, Codec::Bf16] {
+        let m = mixed_fixture(codec);
+        assert_eq!(m.sliceptr(), &[0, 16, 32]);
+        assert_eq!(m.cbase(), &[u32::MAX, 108]);
+        assert_eq!((m.wideptr(), m.colidx().len()), (&[0, 16, 16][..], 16));
+        assert_eq!(m.validate(), Ok(()), "{codec:?}");
+    }
 }
 
 #[test]
@@ -42,19 +79,12 @@ fn broken_sliceptr_monotonicity_is_reported() {
     let s = fixture();
     let mut sliceptr = s.sliceptr().to_vec();
     sliceptr[1] = 40; // 0 -> 40 -> 32 decreases at index 1
-    let v = check_sell_parts(
-        8,
-        10,
-        10,
-        12,
-        &sliceptr,
-        s.colidx(),
-        s.values(),
-        s.rlen(),
-        None,
-    );
+    let m = SellStreams {
+        sliceptr: &sliceptr,
+        ..SellStreams::of(&s)
+    };
     assert_eq!(
-        v,
+        check_sell_parts(8, &m, None),
         vec![Violation::PtrNonMonotone {
             array: "sliceptr",
             at: 1,
@@ -66,63 +96,64 @@ fn broken_sliceptr_monotonicity_is_reported() {
 
 #[test]
 fn out_of_range_colidx_is_reported_with_coordinates() {
+    // Narrow stream: row 2's single real entry sits at lane r = 2, column
+    // position j = 0, offset 2 from base 0.
     let s = fixture();
-    let mut colidx = s.colidx().to_vec();
-    // Row 2's single real entry sits at lane r = 2, column position j = 0.
-    assert_eq!(colidx[2], 2);
-    colidx[2] = 99;
-    let v = check_sell_parts(
-        8,
-        10,
-        10,
-        12,
-        s.sliceptr(),
-        &colidx,
-        s.values(),
-        s.rlen(),
-        None,
-    );
-    let expected = Violation::ColOutOfBounds {
-        loc: Loc {
-            at: 2,
-            row: 2,
-            slice: 0,
-        },
-        col: 99,
-        ncols: 10,
+    let mut cidx16 = s.cidx16().to_vec();
+    assert_eq!(cidx16[2], 2);
+    cidx16[2] = 99;
+    let m = SellStreams {
+        cidx16: &cidx16,
+        ..SellStreams::of(&s)
     };
-    assert_eq!(v, vec![expected]);
+    assert_eq!(
+        check_sell_parts(8, &m, None),
+        vec![Violation::ColOutOfBounds {
+            loc: loc(2, 2, 0),
+            col: 99,
+            ncols: 10,
+        }]
+    );
+
+    // Wide stream: row 3's far entry is `colidx[8 + 3]`, i.e. entry 11 of
+    // the value stream.
+    let s = mixed_fixture(Codec::F64);
+    let mut colidx = s.colidx().to_vec();
+    assert_eq!(colidx[11], 69_000);
+    colidx[11] = 70_001;
+    let m = SellStreams {
+        colidx: &colidx,
+        ..SellStreams::of(&s)
+    };
+    assert_eq!(
+        check_sell_parts(8, &m, None),
+        vec![Violation::ColOutOfBounds {
+            loc: loc(11, 3, 0),
+            col: 70_001,
+            ncols: 70_000,
+        }]
+    );
 }
 
 #[test]
 fn padding_aliasing_a_live_column_is_reported() {
     let s = fixture();
-    let mut colidx = s.colidx().to_vec();
+    let mut cidx16 = s.cidx16().to_vec();
     // Row 1's padding at column position j = 1: flat index 8 + 1 = 9.
-    // It must hold the sentinel `ncols` (masked by the kernels); column 3
+    // It must hold the sentinel `0xFFFF` (masked by the kernels); column 3
     // is in-bounds for x, which is exactly the hazard — 0.0 × x[3] is NaN
     // when x[3] is Inf.
-    assert_eq!(colidx[9], 10);
-    colidx[9] = 3;
-    let v = check_sell_parts(
-        8,
-        10,
-        10,
-        12,
-        s.sliceptr(),
-        &colidx,
-        s.values(),
-        s.rlen(),
-        None,
-    );
+    assert_eq!(cidx16[9], u16::MAX);
+    cidx16[9] = 3;
+    let m = SellStreams {
+        cidx16: &cidx16,
+        ..SellStreams::of(&s)
+    };
+    let v = check_sell_parts(8, &m, None);
     assert_eq!(
         v,
         vec![Violation::PaddingAliasesLiveColumn {
-            loc: Loc {
-                at: 9,
-                row: 1,
-                slice: 0
-            },
+            loc: loc(9, 1, 0),
             col: 3
         }]
     );
@@ -134,80 +165,191 @@ fn nonzero_padding_value_is_reported() {
     let s = fixture();
     let mut val = s.values().to_vec();
     val[9] = 7.5; // same padding slot as above
-    let v = check_sell_parts(
-        8,
-        10,
-        10,
-        12,
-        s.sliceptr(),
-        s.colidx(),
-        &val,
-        s.rlen(),
-        None,
-    );
+    let m = SellStreams {
+        val: &val,
+        ..SellStreams::of(&s)
+    };
     assert_eq!(
-        v,
+        check_sell_parts(8, &m, None),
         vec![Violation::PaddingValueNonzero {
-            loc: Loc {
-                at: 9,
-                row: 1,
-                slice: 0
-            },
+            loc: loc(9, 1, 0),
             value: 7.5
+        }]
+    );
+
+    // Under a packed codec the bytes are the only copy, decoded before the
+    // comparison: rows 8–11 of the mixed fixture fill lanes 0–3 of slice 1,
+    // so lane 4 of its first column (entry 16 + 4) is padding.
+    let s = mixed_fixture(Codec::F32);
+    assert!(s.values().is_empty());
+    let mut pval = s.packed_values().to_vec();
+    pval[4 * 20..4 * 21].copy_from_slice(&(-2.5f32).to_le_bytes());
+    let m = SellStreams {
+        pval: &pval,
+        ..SellStreams::of(&s)
+    };
+    assert_eq!(
+        check_sell_parts(8, &m, None),
+        vec![Violation::PaddingValueNonzero {
+            loc: loc(20, 12, 1),
+            value: -2.5
         }]
     );
 }
 
-/// The narrow index form is what the f64 kernels read, so an f64 matrix's
-/// `cidx16`/`cbase` answer to the master `colidx` like a packed one's.
+/// The narrow offsets are the pattern of a narrow slice — at every codec,
+/// f64 included — so a corrupted one is caught by what it breaks: the
+/// order of the row, the bounds, or the live/padding split `rlen` fixes.
 #[test]
-fn f64_index_sidecar_mutations_are_reported() {
+fn narrow_stream_mutations_are_reported() {
     let s = fixture();
     assert_eq!(s.codec(), Codec::F64);
-    assert_eq!(s.cbase(), &[0, 8], "both slices narrow");
+    let m = SellStreams::of(&s);
     let check = |cidx16: &[u16], cbase: &[u32]| {
-        check_packed_sidecars(
-            Codec::F64,
-            s.ncols(),
-            s.sliceptr(),
-            s.colidx(),
-            s.values(),
-            s.packed_values(),
-            cidx16,
-            cbase,
-        )
+        check_sell_parts(8, &SellStreams { cidx16, cbase, ..m }, None)
     };
-    assert_eq!(check(s.cidx16(), s.cbase()), vec![]);
+    assert_eq!(check(m.cidx16, m.cbase), vec![]);
 
-    // Row 0's second entry (column 2): flat index 8.
-    let mut cidx16 = s.cidx16().to_vec();
-    assert_eq!(cidx16[8], 2);
-    cidx16[8] ^= 1;
-    let mismatch = |at| Violation::PackedSidecarMismatch {
-        array: "cidx16",
-        at,
-    };
-    assert_eq!(check(&cidx16, s.cbase()), vec![mismatch(8)]);
+    // Row 0's second entry (column 2, flat index 8) moved past its third
+    // (column 4): the row is no longer increasing.
+    let mut cidx16 = m.cidx16.to_vec();
+    assert_eq!((cidx16[8], cidx16[16]), (2, 4));
+    cidx16[8] = 5;
+    assert_eq!(
+        check(&cidx16, m.cbase),
+        vec![Violation::ColsNotSorted {
+            loc: loc(16, 0, 0),
+            prev: 5,
+            next: 4
+        }]
+    );
 
-    // Slice 1's base moved by one: its two live offsets (rows 8 and 9)
-    // resolve one column off the master pattern.
-    assert_eq!(check(s.cidx16(), &[0, 9]), vec![mismatch(24), mismatch(25)]);
+    // Slice 1's base moved up by one: row 9 (offset 1 from base 8) now
+    // resolves to column 10, one past the matrix.
+    assert_eq!(
+        check(m.cidx16, &[0, 9]),
+        vec![Violation::ColOutOfBounds {
+            loc: loc(25, 9, 1),
+            col: 10,
+            ncols: 10
+        }]
+    );
 
-    // A padded lane turned live, and a live one turned padding.
-    let mut cidx16 = s.cidx16().to_vec();
+    // A padded lane turned live, and a live one turned padding: `rlen`
+    // says which is which.
+    let mut cidx16 = m.cidx16.to_vec();
     assert_eq!((cidx16[9], cidx16[1]), (u16::MAX, 1));
     (cidx16[9], cidx16[1]) = (3, u16::MAX);
-    assert_eq!(check(&cidx16, s.cbase()), vec![mismatch(1), mismatch(9)]);
+    assert_eq!(
+        check(&cidx16, m.cbase),
+        vec![
+            Violation::ColOutOfBounds {
+                loc: loc(1, 1, 0),
+                col: 10,
+                ncols: 10
+            },
+            Violation::PaddingAliasesLiveColumn {
+                loc: loc(9, 1, 0),
+                col: 3
+            }
+        ]
+    );
 
-    let arr_len = |array, expected| Violation::ArrLen {
-        array,
-        expected,
-        found: 0,
-    };
+    // A narrow slice marked wide has no entries in `colidx` to be read.
+    assert_eq!(
+        check(m.cidx16, &[0, u32::MAX]),
+        vec![arr_len("wideptr", 8, 0)]
+    );
+
+    // `cidx16` is the entry-parallel array the geometry is stated against.
     assert_eq!(
         check(&[], &[]),
-        vec![arr_len("cidx16", 32), arr_len("cbase", 2)]
+        vec![
+            Violation::PtrEnd {
+                array: "sliceptr",
+                expected: 0,
+                found: 32
+            },
+            arr_len("val", 0, 32),
+            arr_len("cbase", 2, 0)
+        ]
     );
+}
+
+/// A wide slice's columns live in the compact `colidx`, found through
+/// `wideptr`; `cbase` says which slices those are.  Each of the three can
+/// be wrong on its own.
+#[test]
+fn wide_stream_mutations_are_reported() {
+    for codec in [Codec::F64, Codec::Bf16] {
+        let s = mixed_fixture(codec);
+        let m = SellStreams::of(&s);
+        let check = |m: SellStreams| check_sell_parts(8, &m, None);
+
+        // Row 3's first entry (column 103, `colidx[3]`) moved past its
+        // second (69 000, `colidx[11]`).
+        let mut colidx = m.colidx.to_vec();
+        assert_eq!((colidx[3], colidx[11]), (103, 69_000));
+        colidx[3] = 69_500;
+        assert_eq!(
+            check(SellStreams {
+                colidx: &colidx,
+                ..m
+            }),
+            vec![Violation::ColsNotSorted {
+                loc: loc(11, 3, 0),
+                prev: 69_500,
+                next: 69_000
+            }],
+            "{codec:?}"
+        );
+
+        // A `wideptr` that disagrees with the wide slices' sizes: slice 0
+        // is 16 entries, so slice 1 starts at 16 and the array ends there.
+        for (wideptr, expected, found) in [
+            (&[0, 8, 16][..], 16, 8),
+            (&[0, 16, 24], 16, 24),
+            (&[8, 16, 16], 0, 8),
+        ] {
+            assert_eq!(
+                check(SellStreams { wideptr, ..m }),
+                vec![arr_len("wideptr", expected, found)],
+                "{codec:?} {wideptr:?}"
+            );
+        }
+        assert_eq!(
+            check(SellStreams {
+                wideptr: &[0, 16],
+                ..m
+            }),
+            vec![arr_len("wideptr", 3, 2)]
+        );
+        // ... and a `colidx` shorter than `wideptr` says.
+        assert_eq!(
+            check(SellStreams {
+                colidx: &m.colidx[..15],
+                ..m
+            }),
+            vec![arr_len("colidx", 16, 15)]
+        );
+
+        // `cbase` flipped wide → narrow (the slice's `colidx` entries are
+        // orphaned) and narrow → wide (it has none).
+        assert_eq!(
+            check(SellStreams {
+                cbase: &[100, 108],
+                ..m
+            }),
+            vec![arr_len("wideptr", 0, 16)]
+        );
+        assert_eq!(
+            check(SellStreams {
+                cbase: &[u32::MAX, u32::MAX],
+                ..m
+            }),
+            vec![arr_len("wideptr", 32, 16)]
+        );
+    }
 }
 
 #[test]
@@ -231,17 +373,11 @@ fn corrupted_rlen_is_reported() {
     let s = fixture();
     let mut rlen = s.rlen().to_vec();
     rlen[1] = 5; // slice 0 is only 3 wide
-    let v = check_sell_parts(
-        8,
-        10,
-        10,
-        12,
-        s.sliceptr(),
-        s.colidx(),
-        s.values(),
-        &rlen,
-        None,
-    );
+    let m = SellStreams {
+        rlen: &rlen,
+        ..SellStreams::of(&s)
+    };
+    let v = check_sell_parts(8, &m, None);
     assert!(
         v.contains(&Violation::RlenExceedsWidth {
             row: 1,

@@ -28,8 +28,9 @@ const PASS: &str = "panic-freedom";
 /// Arrays whose indexing is covered by the dispatch-layer contract
 /// assertions (plus the fixed-size lane spill buffers, which are indexed
 /// by `r < lanes <= their length`).
-const CHECKED_ARRAYS: [&str; 11] = [
-    "rowptr", "sliceptr", "colidx", "cidx16", "cbase", "val", "bits", "x", "y", "buf", "acc",
+const CHECKED_ARRAYS: [&str; 12] = [
+    "rowptr", "sliceptr", "colidx", "cidx16", "cbase", "wideptr", "val", "bits", "x", "y", "buf",
+    "acc",
 ];
 
 pub fn run(tree: &[SourceFile]) -> Vec<Finding> {
