@@ -1,24 +1,28 @@
 //! The batching solve server: request queue, coalescing worker, tickets.
 //!
 //! One background worker owns an [`ExecCtx`] and drains a shared queue of
-//! `(matrix_id, x)` requests.  The oldest request opens a *batch window*:
-//! the worker collects same-matrix requests until the window holds
-//! [`ServeConfig::max_batch`] of them or the oldest has waited
-//! [`ServeConfig::max_wait`], then stages the columns into a row-interleaved
-//! [`MultiVec`] and runs **one** blocked [`Operator::apply`] — so the
-//! matrix is streamed from memory once for the whole batch instead of once
-//! per request (`12·nnz/k` bytes per right-hand side, §6 model).
+//! `(matrix_id, x)` requests, and it is *work-conserving*: whenever it is
+//! free and the queue is not empty it takes the oldest request and up to
+//! [`ServeConfig::max_batch`] requests for the same matrix — whatever is
+//! queued **now** — and never holds a request back to wait for company.
+//! Batches therefore form exactly when they cost nothing, while the worker
+//! is inside the previous product, and their size follows the load.  A
+//! batch of `k > 1` is staged into a row-interleaved [`MultiVec`] and runs
+//! as **one** blocked [`Operator::apply`] — the matrix is streamed from
+//! memory once for the whole batch instead of once per request (`12·nnz/k`
+//! bytes per right-hand side, §6 model); a batch of one is applied in
+//! place, from the request's own vector into the reply's.
 //!
 //! Requests against *different* matrices never share a batch: a batch is
-//! one matrix by construction, and requests behind the window head for
-//! other matrices simply stay queued until their own window opens.
+//! one matrix by construction, and requests for other matrices keep their
+//! place in the queue, so the next batch is the oldest of them.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sellkit_check::Validate;
-use sellkit_core::{Apply, ExecCtx, MultiVec, Operator};
+use sellkit_core::{Apply, ExecCtx, MultiVec, Operator, VecView, VecViewMut};
 use sellkit_obs::{flight, TraceId};
 
 /// Everything that can go wrong between `submit` and `wait`.
@@ -69,8 +73,10 @@ impl std::error::Error for ServeError {}
 pub struct ServeConfig {
     /// Largest SpMM block width one batch may reach (the `k` cap).
     pub max_batch: usize,
-    /// Longest the oldest request in a window waits for company before
-    /// the batch dispatches anyway.
+    /// Unused: the worker never holds a queued request, so there is no
+    /// wait to bound.  Still declared only because the frozen
+    /// `benchmark/src/workloads/serve_open.rs` names it in a struct
+    /// literal; its removal rides on the benchmark PR of ROADMAP item 5.
     pub max_wait: Duration,
     /// Pending-request cap; [`Server::submit`] returns
     /// [`ServeError::QueueFull`] beyond it.
@@ -297,7 +303,8 @@ impl Server {
         };
         sellkit_obs::gauge("serve.queue_depth", depth as f64);
         flight::record("req.submit", &[trace.0], id as f64, depth as f64);
-        self.shared.arrived.notify_all();
+        // There is one worker to wake.
+        self.shared.arrived.notify_one();
         Ok(Ticket {
             shared: ticket_shared,
             trace,
@@ -327,19 +334,24 @@ impl Drop for Server {
     }
 }
 
-/// Removes up to `max` requests against `matrix` from the queue,
-/// preserving arrival order of everything else.
-fn take_batch(state: &mut State, matrix: u64, max: usize) -> Vec<Request> {
-    let mut batch = Vec::new();
-    let mut rest = VecDeque::with_capacity(state.queue.len());
-    for req in state.queue.drain(..) {
-        if req.matrix == matrix && batch.len() < max {
-            batch.push(req);
+/// Removes the oldest request and, in arrival order, up to `max - 1` more
+/// for the same matrix; everything else keeps its place.  The front run —
+/// all there is with one tenant — comes off the head at no cost to the
+/// rest; only a same-matrix request queued behind a foreign one shifts
+/// the deque.
+fn take_batch(queue: &mut VecDeque<Request>, max: usize) -> Vec<Request> {
+    let Some(matrix) = queue.front().map(|req| req.matrix) else {
+        return Vec::new();
+    };
+    let mut batch = Vec::with_capacity(max.min(queue.len()));
+    let mut i = 0;
+    while batch.len() < max && i < queue.len() {
+        if queue[i].matrix == matrix {
+            batch.extend(queue.remove(i));
         } else {
-            rest.push_back(req);
+            i += 1;
         }
     }
-    state.queue = rest;
     batch
 }
 
@@ -362,42 +374,32 @@ fn batch_bucket(k: usize) -> &'static str {
 fn worker_loop(shared: &Shared) {
     let ctx = ExecCtx::new(shared.cfg.threads);
     loop {
-        // Phase 1: wait for a batch window to close.
+        // Phase 1: take what is queued now; park only on an empty queue.
+        // Shutdown drains through the same loop.
         let batch = {
             let Ok(mut state) = shared.state.lock() else {
                 return;
             };
-            loop {
-                if let Some(front) = state.queue.front() {
-                    let matrix = front.matrix;
-                    let deadline = front.enqueued + shared.cfg.max_wait;
-                    let available = state.queue.iter().filter(|r| r.matrix == matrix).count();
-                    let now = Instant::now();
-                    if state.shutdown || available >= shared.cfg.max_batch || now >= deadline {
-                        break take_batch(&mut state, matrix, shared.cfg.max_batch);
-                    }
-                    let Ok((guard, _)) = shared.arrived.wait_timeout(state, deadline - now) else {
-                        return;
-                    };
-                    state = guard;
-                } else if state.shutdown {
+            while state.queue.is_empty() {
+                if state.shutdown {
                     return;
-                } else {
-                    let Ok(guard) = shared.arrived.wait(state) else {
-                        return;
-                    };
-                    state = guard;
                 }
+                let Ok(guard) = shared.arrived.wait(state) else {
+                    return;
+                };
+                state = guard;
             }
+            take_batch(&mut state.queue, shared.cfg.max_batch)
         };
         // Phase 2: run the batch with no lock held.
         execute_batch(shared, &ctx, batch);
     }
 }
 
-/// Stages the batch into one interleaved block, runs one SpMM, and
-/// fulfills every ticket.  A panic inside the operator poisons only the
-/// tickets of this batch, never the worker.
+/// Runs one product for the batch and fulfills every ticket: a batch of
+/// one in place, a wider one staged into an interleaved block.  A panic
+/// inside the operator poisons only the tickets of this batch, never the
+/// worker.
 fn execute_batch(shared: &Shared, ctx: &ExecCtx, batch: Vec<Request>) {
     let k = batch.len();
     if k == 0 {
@@ -422,8 +424,9 @@ fn execute_batch(shared: &Shared, ctx: &ExecCtx, batch: Vec<Request>) {
     sellkit_obs::counter("serve.requests", k as f64);
     sellkit_obs::counter("serve.matrix_bytes", tenant.op.matrix_bytes() as f64);
 
-    // Queue-wait vs compute split: wait ends when the batch window
-    // closes (here), compute is the blocked apply below.
+    // Queue-wait vs compute split: a request waits from enqueue until the
+    // worker takes it (here) — for the worker to wake or for the batch
+    // ahead, never a deliberate hold; compute is the apply below.
     let ids: Vec<u64> = batch.iter().map(|r| r.trace.0).collect();
     let dispatched = Instant::now();
     for req in &batch {
@@ -433,40 +436,59 @@ fn execute_batch(shared: &Shared, ctx: &ExecCtx, batch: Vec<Request>) {
     sellkit_obs::hist("serve.batch_k", k as f64);
     flight::record("batch.begin", &ids, k as f64, batch[0].matrix as f64);
 
-    let mut x = MultiVec::zeros(tenant.ncols, k);
-    for (v, req) in batch.iter().enumerate() {
-        x.set_column(v, &req.x);
-    }
-    let mut y = MultiVec::zeros(tenant.nrows, k);
+    // The traced product, one body for both arms below: how long it
+    // took, as `Err` if the operator panicked.
     let traffic = tenant.op.spmm_traffic(k);
-    let t_apply = Instant::now();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut span =
-            sellkit_obs::span_traffic("SpMMBatch", traffic.flops as f64, traffic.bytes as f64);
-        // Fan-in: every coalesced request's flow terminates at this
-        // batch span in the exported trace.
-        for req in &batch {
-            span.flow_in(req.trace);
+    let product = |x: VecView<'_>, y: VecViewMut<'_>| {
+        let t_apply = Instant::now();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut span =
+                sellkit_obs::span_traffic("SpMMBatch", traffic.flops as f64, traffic.bytes as f64);
+            // Fan-in: every coalesced request's flow terminates at this
+            // batch span in the exported trace.
+            for req in &batch {
+                span.flow_in(req.trace);
+            }
+            span.arg("k", k.to_string());
+            tenant.op.apply(ctx, x, y, Apply::Set);
+        }));
+        let compute_ms = t_apply.elapsed().as_secs_f64() * 1e3;
+        if outcome.is_err() {
+            return Err(compute_ms);
         }
-        span.arg("k", k.to_string());
-        tenant.op.apply(ctx, x.view(), y.view_mut(), Apply::Set);
-    }));
-    let compute_ms = t_apply.elapsed().as_secs_f64() * 1e3;
+        sellkit_obs::hist("serve.compute_ms", compute_ms);
+        Ok(compute_ms)
+    };
+    let reply = |req: &Request, out: Vec<f64>| {
+        let latency_ms = req.enqueued.elapsed().as_secs_f64() * 1e3;
+        sellkit_obs::series_point("serve.latency_ms", req.seq as f64, latency_ms);
+        sellkit_obs::hist("serve.latency_ms", latency_ms);
+        req.ticket.fulfill(Ok(out));
+    };
 
-    match outcome {
-        Ok(()) => {
-            sellkit_obs::hist("serve.compute_ms", compute_ms);
+    let done = if let [req] = &batch[..] {
+        // What an idle worker takes: nothing to interleave, so the product
+        // reads the request's own vector and writes the reply's.
+        let mut out = vec![0.0; tenant.nrows];
+        product(VecView::single(&req.x), VecViewMut::single(&mut out)).inspect(|_| reply(req, out))
+    } else {
+        let mut x = MultiVec::zeros(tenant.ncols, k);
+        for (v, req) in batch.iter().enumerate() {
+            x.set_column(v, &req.x);
+        }
+        let mut y = MultiVec::zeros(tenant.nrows, k);
+        product(x.view(), y.view_mut()).inspect(|_| {
             for (v, req) in batch.iter().enumerate() {
                 let mut out = vec![0.0; tenant.nrows];
                 y.copy_column_into(v, &mut out);
-                let latency_ms = req.enqueued.elapsed().as_secs_f64() * 1e3;
-                sellkit_obs::series_point("serve.latency_ms", req.seq as f64, latency_ms);
-                sellkit_obs::hist("serve.latency_ms", latency_ms);
-                req.ticket.fulfill(Ok(out));
+                reply(req, out);
             }
-            flight::record("batch.done", &ids, k as f64, compute_ms);
-        }
-        Err(_) => {
+        })
+    };
+
+    match done {
+        Ok(compute_ms) => flight::record("batch.done", &ids, k as f64, compute_ms),
+        Err(compute_ms) => {
             // The postmortem path the flight recorder exists for: name
             // the poisoned requests and dump the ring before answering
             // the tickets, so the artifact exists even if a waiter
@@ -483,6 +505,7 @@ fn execute_batch(shared: &Shared, ctx: &ExecCtx, batch: Vec<Request>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::Gate;
     use sellkit_core::CooBuilder;
 
     fn diag(n: usize, scale: f64) -> sellkit_core::Csr {
@@ -527,34 +550,135 @@ mod tests {
         );
     }
 
+    /// A server whose tenant `1` is `diag(n, 1.0)` behind a shut gate,
+    /// with one request (`x = 0`) already held inside the product: what
+    /// is submitted next queues behind a busy worker.
+    fn busy_server(cfg: ServeConfig, n: usize) -> (Server, Gate, Ticket) {
+        let server = Server::start(cfg);
+        let gate = Gate::shut();
+        server.register(1, gate.hold(diag(n, 1.0))).unwrap();
+        let held = server.submit(1, &vec![0.0; n]).unwrap();
+        gate.entered(1);
+        (server, gate, held)
+    }
+
     #[test]
     fn queue_full_applies_backpressure() {
-        // A long max_wait keeps the worker parked in its batch window
-        // while we overfill the queue from this thread.
-        let server = Server::start(ServeConfig {
-            max_batch: 64,
-            max_wait: Duration::from_secs(5),
+        let cfg = ServeConfig {
             queue_cap: 3,
-            threads: 1,
+            ..ServeConfig::default()
+        };
+        let (server, gate, held) = busy_server(cfg, 2);
+        let queued: Vec<Ticket> = (0..3)
+            .map(|_| server.submit(1, &[1.0, 1.0]).unwrap())
+            .collect();
+        assert_eq!(server.queue_depth(), 3);
+        assert_eq!(
+            server.submit(1, &[1.0, 1.0]).unwrap_err(),
+            ServeError::QueueFull,
+            "the request past queue_cap is refused, not buffered"
+        );
+        gate.open();
+        assert_eq!(held.wait().unwrap(), vec![0.0, 0.0]);
+        for t in queued {
+            assert_eq!(t.wait().unwrap(), vec![1.0, 2.0]);
+        }
+    }
+
+    #[test]
+    fn lone_request_on_an_idle_server_does_not_wait() {
+        // `max_wait` is ignored: an idle worker takes a request at once.
+        let server = Server::start(ServeConfig {
+            max_wait: Duration::from_secs(5),
+            ..ServeConfig::default()
         });
-        server.register(1, diag(2, 1.0)).unwrap();
-        let mut tickets = Vec::new();
-        let mut full = false;
-        for _ in 0..16 {
-            match server.submit(1, &[1.0, 1.0]) {
-                Ok(t) => tickets.push(t),
-                Err(ServeError::QueueFull) => {
-                    full = true;
-                    break;
-                }
-                Err(other) => panic!("unexpected error {other:?}"),
-            }
+        server.register(1, diag(4, 2.0)).unwrap();
+        let sent = Instant::now();
+        let y = server.submit(1, &[1.0; 4]).unwrap().wait().unwrap();
+        assert_eq!(y, vec![2.0, 4.0, 6.0, 8.0]);
+        assert!(
+            sent.elapsed() < Duration::from_secs(1),
+            "a lone request waited {:?} on an idle server",
+            sent.elapsed()
+        );
+    }
+
+    #[test]
+    fn batches_form_behind_a_busy_worker() {
+        let (server, gate, held) = busy_server(ServeConfig::default(), 3);
+        let queued: Vec<Ticket> = (1..=19)
+            .map(|r| server.submit(1, &[r as f64; 3]).unwrap())
+            .collect();
+        gate.open();
+        held.wait().unwrap();
+        for (t, r) in queued.into_iter().zip(1..) {
+            let r = r as f64;
+            assert_eq!(t.wait().unwrap(), vec![r, 2.0 * r, 3.0 * r]);
         }
-        assert!(full, "queue_cap=3 must eventually reject");
-        drop(server); // drains the queue
-        for t in tickets {
-            t.wait().unwrap();
+        // The held request alone, then the 19 in arrival order, max_batch
+        // at a time.
+        assert_eq!(gate.entered(4), vec![1, 8, 8, 3]);
+    }
+
+    #[test]
+    fn another_tenants_request_is_not_held_behind_the_front_run() {
+        // Tenant 1 is busy; behind it queue 2 1 1 2.  The next batch is
+        // the oldest request's tenant — both of 2's — then both of 1's.
+        let (server, gate_a, held) = busy_server(ServeConfig::default(), 2);
+        let gate_b = Gate::shut();
+        server.register(2, gate_b.hold(diag(2, 10.0))).unwrap();
+        let queued: Vec<Ticket> = [(2, 1.0), (1, 2.0), (1, 3.0), (2, 4.0)]
+            .iter()
+            .map(|&(id, v)| server.submit(id, &[v, v]).unwrap())
+            .collect();
+        gate_a.open();
+        held.wait().unwrap();
+        assert_eq!(gate_b.entered(1), vec![2], "2's requests share a batch");
+        assert_eq!(gate_a.entered(1), vec![1], "1's batch has not run yet");
+        assert_eq!(server.queue_depth(), 2);
+        gate_b.open();
+        let replies: Vec<Vec<f64>> = queued.into_iter().map(|t| t.wait().unwrap()).collect();
+        assert_eq!(
+            replies,
+            [[10.0, 20.0], [2.0, 4.0], [3.0, 6.0], [40.0, 80.0]],
+            "each reply is its own request's"
+        );
+        assert_eq!(gate_a.entered(2), vec![1, 2]);
+        assert_eq!(gate_b.entered(1), vec![2]);
+    }
+
+    #[test]
+    fn take_batch_keeps_arrival_order() {
+        let request = |(seq, matrix): (usize, u64)| Request {
+            matrix,
+            x: Vec::new(),
+            ticket: Arc::new(TicketShared {
+                slot: Mutex::new(None),
+                ready: Condvar::new(),
+            }),
+            enqueued: Instant::now(),
+            seq: seq as u64,
+            trace: TraceId::fresh(),
+        };
+        fn seqs<'a>(reqs: impl IntoIterator<Item = &'a Request>) -> Vec<u64> {
+            reqs.into_iter().map(|r| r.seq).collect()
         }
+        // Tenant 7's front run is interrupted by 8 and is longer than max.
+        let mut queue: VecDeque<Request> = [7, 7, 8, 7, 8, 7, 9]
+            .into_iter()
+            .enumerate()
+            .map(request)
+            .collect();
+        let batch = take_batch(&mut queue, 3);
+        assert_eq!(seqs(&batch), [0, 1, 3]);
+        assert_eq!(seqs(&queue), [2, 4, 5, 6]);
+        let batch = take_batch(&mut queue, 3);
+        assert_eq!(seqs(&batch), [2, 4]);
+        assert_eq!(seqs(&queue), [5, 6]);
+        let batch = take_batch(&mut queue, 3);
+        assert_eq!(seqs(&batch), [5]);
+        assert_eq!(take_batch(&mut queue, 3).len(), 1);
+        assert!(take_batch(&mut queue, 3).is_empty() && queue.is_empty());
     }
 
     #[test]
@@ -611,14 +735,23 @@ mod tests {
 
     #[test]
     fn drop_drains_pending_requests() {
-        let server = Server::start(ServeConfig {
-            max_wait: Duration::from_secs(5),
-            ..ServeConfig::default()
-        });
-        server.register(1, diag(3, 1.0)).unwrap();
+        let (server, gate, held) = busy_server(ServeConfig::default(), 3);
         let t1 = server.submit(1, &[1.0, 1.0, 1.0]).unwrap();
         let t2 = server.submit(1, &[2.0, 2.0, 2.0]).unwrap();
-        drop(server);
+        // The drop is under way — shutdown set, the worker not yet joined
+        // — while both requests are still queued behind the held product.
+        let shared = Arc::clone(&server.shared);
+        let pending = std::thread::scope(|scope| {
+            scope.spawn(move || drop(server));
+            while !shared.state.lock().unwrap().shutdown {
+                std::thread::yield_now();
+            }
+            let pending = shared.state.lock().unwrap().queue.len();
+            gate.open();
+            pending
+        });
+        assert_eq!(pending, 2);
+        held.wait().unwrap();
         assert_eq!(t1.wait().unwrap(), vec![1.0, 2.0, 3.0]);
         assert_eq!(t2.wait().unwrap(), vec![2.0, 4.0, 6.0]);
     }

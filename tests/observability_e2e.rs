@@ -22,8 +22,10 @@
 //! are process-global); trace-id uniqueness at volume has its own test
 //! below because it never touches the registry.
 
-use std::sync::Barrier;
-use std::time::{Duration, Instant};
+#[path = "common/gate.rs"]
+mod gate;
+
+use std::time::Instant;
 
 use sellkit::core::{Apply, CooBuilder, Csr, ExecCtx, MatShape, Operator, VecView, VecViewMut};
 use sellkit::grid::interpolation_chain;
@@ -177,26 +179,22 @@ fn tracing_flows_histograms_and_flight_dump() {
         );
     }
 
-    // ---- Concurrent load: 8 clients × 5 requests with coalescing on.
+    // ---- Concurrent load: 8 clients × 5 requests with coalescing on.  The
+    // first product is held until every other client has queued behind
+    // it, so at least one span fans in a whole batch.
     const CLIENTS: usize = 8;
     const PER_CLIENT: usize = 5;
     let mut submitted: Vec<u64> = Vec::new();
     let mut client_latency_ms: Vec<f64> = Vec::new();
     {
-        let server = Server::start(ServeConfig {
-            max_batch: 8,
-            max_wait: Duration::from_millis(50),
-            queue_cap: 64,
-            threads: 1,
-        });
-        server.register(1, laplacian_2d(grid)).unwrap();
-        let gate = Barrier::new(CLIENTS);
+        let server = Server::start(ServeConfig::default());
+        let gate = gate::Gate::shut();
+        server.register(1, gate.hold(laplacian_2d(grid))).unwrap();
         let results: Vec<Vec<(u64, f64)>> = std::thread::scope(|scope| {
-            (0..CLIENTS)
+            let clients: Vec<_> = (0..CLIENTS)
                 .map(|c| {
-                    let (server, gate) = (&server, &gate);
+                    let server = &server;
                     scope.spawn(move || {
-                        gate.wait();
                         let mut out = Vec::new();
                         for r in 0..PER_CLIENT {
                             let x: Vec<f64> =
@@ -212,10 +210,13 @@ fn tracing_flows_histograms_and_flight_dump() {
                         out
                     })
                 })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
+                .collect();
+            let held = gate.entered(1)[0];
+            while server.queue_depth() < CLIENTS - held {
+                std::thread::yield_now();
+            }
+            gate.open();
+            clients.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for per_client in results {
             for (trace, ms) in per_client {
@@ -235,6 +236,10 @@ fn tracing_flows_histograms_and_flight_dump() {
     assert!(
         batch_spans.iter().all(|s| !s.flow_in.is_empty()),
         "every SpMMBatch span must carry at least one fan-in link"
+    );
+    assert!(
+        batch_spans.iter().any(|s| s.flow_in.len() > 1),
+        "the requests queued behind the held product share a span"
     );
     for &id in &submitted {
         let n = batch_spans
@@ -352,12 +357,7 @@ fn tracing_flows_histograms_and_flight_dump() {
     let _ = std::fs::remove_file(&dump_path);
     let poisoned_trace;
     {
-        let server = Server::start(ServeConfig {
-            max_batch: 1,
-            max_wait: Duration::from_millis(1),
-            queue_cap: 8,
-            threads: 1,
-        });
+        let server = Server::start(ServeConfig::default());
         server.register(7, PanickingOp(laplacian_2d(grid))).unwrap();
         let x = vec![1.0; ncols];
         let ticket = server.submit(7, &x).unwrap();

@@ -1,5 +1,5 @@
-//! End-to-end exercise of the batched solve service: concurrent clients
-//! against one [`Server`], proving the coalescing policy actually
+//! End-to-end exercise of the batched solve service: a queue built behind
+//! a busy worker on one [`Server`], proving the coalescing policy actually
 //! amortizes matrix traffic (the `12·nnz/k` argument of DESIGN.md §15),
 //! checking the distributed (sharded) tenant path against the local one,
 //! and leaving the obs report under `target/tmp/` for CI to upload.
@@ -8,10 +8,10 @@
 //! global, and the traffic assertions diff counter snapshots — a second
 //! test submitting requests concurrently would pollute the deltas.
 
-use std::sync::Barrier;
-use std::time::Duration;
+#[path = "common/gate.rs"]
+mod gate;
 
-use sellkit::core::{CooBuilder, Csr, MatShape};
+use sellkit::core::{Apply, CooBuilder, Csr, ExecCtx, MatShape, Operator, VecView, VecViewMut};
 use sellkit::serve::{ServeConfig, ServeError, Server, ShardedOp};
 
 /// 5-point Laplacian on an `n × n` periodic grid — the Gray-Scott-shaped
@@ -51,6 +51,11 @@ fn coalesced_batches(rep: &sellkit::obs::Report) -> f64 {
         .sum()
 }
 
+/// What the named counter gained between two reports.
+fn gained(before: &sellkit::obs::Report, after: &sellkit::obs::Report, name: &str) -> f64 {
+    counter_of(after, name) - counter_of(before, name)
+}
+
 #[test]
 fn serve_coalesces_amortizes_traffic_and_exports_json() {
     let grid = 24; // 576 rows, 2880 nonzeros
@@ -71,9 +76,8 @@ fn serve_coalesces_amortizes_traffic_and_exports_json() {
     {
         let server = Server::start(ServeConfig {
             max_batch: 1,
-            max_wait: Duration::from_millis(1),
-            queue_cap: 64,
             threads,
+            ..ServeConfig::default()
         });
         server.register(1, laplacian_2d(grid)).unwrap();
         for r in 0..PHASE_A_REQS {
@@ -83,65 +87,49 @@ fn serve_coalesces_amortizes_traffic_and_exports_json() {
         }
     }
     let rep_a = sellkit::obs::report();
-    let bytes_a =
-        counter_of(&rep_a, "serve.matrix_bytes") - counter_of(&rep0, "serve.matrix_bytes");
-    let reqs_a = counter_of(&rep_a, "serve.requests") - counter_of(&rep0, "serve.requests");
+    let bytes_a = gained(&rep0, &rep_a, "serve.matrix_bytes");
+    let reqs_a = gained(&rep0, &rep_a, "serve.requests");
     assert_eq!(reqs_a as usize, PHASE_A_REQS);
     assert!(
         coalesced_batches(&rep_a) - coalesced_batches(&rep0) == 0.0,
         "max_batch=1 must never coalesce"
     );
 
-    // ---- Phase B: coalescing on, concurrent clients. A barrier lines the
-    // clients up so their submissions land inside one batch window.
-    const CLIENTS: usize = 8;
-    const PER_CLIENT: usize = 4;
+    // ---- Phase B: coalescing on.  Batches form while the worker is busy,
+    // so the queue is built behind a gate: one request held inside its
+    // product, 32 behind it, then max_batch at a time.
+    const PHASE_B_REQS: usize = 33;
     {
         let server = Server::start(ServeConfig {
-            max_batch: 8,
-            max_wait: Duration::from_millis(200),
-            queue_cap: 64,
             threads,
+            ..ServeConfig::default()
         });
-        server.register(1, laplacian_2d(grid)).unwrap();
-        let gate = Barrier::new(CLIENTS);
-        std::thread::scope(|scope| {
-            for c in 0..CLIENTS {
-                let (server, gate) = (&server, &gate);
-                scope.spawn(move || {
-                    gate.wait();
-                    let tickets: Vec<_> = (0..PER_CLIENT)
-                        .map(|r| server.submit(1, &rhs(ncols, c * 100 + r)).unwrap())
-                        .collect();
-                    for t in tickets {
-                        let y = t.wait().unwrap();
-                        assert_eq!(y.len(), nrows);
-                    }
-                });
-            }
-        });
+        let gate = gate::Gate::shut();
+        server.register(1, gate.hold(laplacian_2d(grid))).unwrap();
+        let mut tickets = vec![server.submit(1, &rhs(ncols, 0)).unwrap()];
+        gate.entered(1);
+        tickets.extend((1..PHASE_B_REQS).map(|r| server.submit(1, &rhs(ncols, r)).unwrap()));
+        gate.open();
+        for t in tickets {
+            assert_eq!(t.wait().unwrap().len(), nrows);
+        }
+        assert_eq!(gate.entered(5), [1, 8, 8, 8, 8]);
     }
     let rep_b = sellkit::obs::report();
-    let bytes_b =
-        counter_of(&rep_b, "serve.matrix_bytes") - counter_of(&rep_a, "serve.matrix_bytes");
-    let reqs_b = counter_of(&rep_b, "serve.requests") - counter_of(&rep_a, "serve.requests");
-    assert_eq!(reqs_b as usize, CLIENTS * PER_CLIENT);
+    let bytes_b = gained(&rep_a, &rep_b, "serve.matrix_bytes");
+    assert_eq!(
+        gained(&rep_a, &rep_b, "serve.requests") as usize,
+        PHASE_B_REQS
+    );
 
-    // The histogram must show real coalescing...
-    let coalesced = coalesced_batches(&rep_b) - coalesced_batches(&rep_a);
-    assert!(
-        coalesced >= 1.0,
-        "concurrent clients must produce at least one k>=2 batch"
-    );
-    // ...and the ISSUE acceptance bar: >= 3x fewer matrix bytes per RHS
-    // than the unbatched baseline (equal matrices, so the ratio is just
-    // requests per matrix-stream).
-    let per_rhs_a = bytes_a / reqs_a;
-    let per_rhs_b = bytes_b / reqs_b;
-    assert!(
-        per_rhs_a >= 3.0 * per_rhs_b,
-        "amortization too weak: {per_rhs_a:.0} vs {per_rhs_b:.0} bytes/RHS"
-    );
+    // The histogram shows the four coalesced batches and the lone one...
+    assert_eq!(gained(&rep_a, &rep_b, "serve.batch.k8"), 4.0);
+    assert_eq!(gained(&rep_a, &rep_b, "serve.batch.k1"), 1.0);
+    // ...and the matrix was streamed five times for the 33 right-hand
+    // sides, where phase A streamed it once for each: 6.6x fewer matrix
+    // bytes per RHS (a `Gated<Csr>` models the traffic its `Csr` does).
+    let per_stream = bytes_a / reqs_a;
+    assert_eq!(bytes_b, 5.0 * per_stream, "one matrix stream per batch");
 
     // ---- Sharded tenant: same answers through the distributed path.
     {
@@ -153,6 +141,16 @@ fn serve_coalesces_amortizes_traffic_and_exports_json() {
         let x = rhs(ncols, 41);
         let y_local = server.submit(1, &x).unwrap().wait().unwrap();
         let y_dist = server.submit(2, &x).unwrap().wait().unwrap();
+        // Each was a batch of one, applied in place: the reply is the
+        // operator's own single-vector product, bit for bit.
+        assert_eq!(
+            gained(&rep_b, &sellkit::obs::report(), "serve.batch.k1"),
+            2.0
+        );
+        let mut want = vec![0.0; nrows];
+        let (xv, yv) = (VecView::single(&x), VecViewMut::single(&mut want));
+        a.apply(&ExecCtx::serial(), xv, yv, Apply::Set);
+        assert_eq!(y_local, want);
         for (i, (l, d)) in y_local.iter().zip(&y_dist).enumerate() {
             assert!(
                 (l - d).abs() <= 1e-10 * (1.0 + l.abs()),
@@ -195,7 +193,7 @@ fn serve_coalesces_amortizes_traffic_and_exports_json() {
         .expect("per-request latency histogram missing");
     assert_eq!(
         latency.count,
-        (PHASE_A_REQS + CLIENTS * PER_CLIENT + 2) as u64,
+        (PHASE_A_REQS + PHASE_B_REQS + 2) as u64,
         "every successful request lands one latency sample"
     );
     assert!(latency.percentile(0.99) >= latency.percentile(0.50));
