@@ -10,10 +10,11 @@ use sellkit_core::{Apply, ExecCtx, Isa, MatShape, Operator, Sell8};
 use sellkit_dist::{DistMat, DistVec};
 use sellkit_machine::specs::{self, ProcessorSpec};
 use sellkit_machine::stream_model::knl_stream_curve;
-use sellkit_machine::{predict_gflops, KernelKind, MatrixShape, MemoryMode, Roofline};
+use sellkit_machine::{
+    predict_gflops, stream_probe, KernelKind, MatrixShape, MemoryMode, Roofline, StreamKernel,
+};
 use sellkit_mpisim::run as mpirun;
 use sellkit_solvers::ts::OdeProblem;
-use sellkit_workloads::stream::{run_all, StreamKernel};
 use sellkit_workloads::{GrayScott, GrayScottParams};
 
 use crate::measure::{build_extended_variants, build_variants, gflops, time_spmv};
@@ -86,10 +87,15 @@ pub fn fig4(measure: bool) -> String {
 
     if measure {
         out.push_str("\n[measured] host STREAM (single core):\n");
-        for (k, r) in run_all(1 << 23, 5) {
-            out.push_str(&format!("  {:?}: {:.1} GB/s\n", k, r.best_gbs));
+        for kernel in [StreamKernel::Copy, StreamKernel::Triad] {
+            let s = stream_probe(kernel, 1, None);
+            out.push_str(&format!(
+                "  {kernel:?}: {:.1} GB/s ({} MiB arrays, {} MiB LLC)\n",
+                s.gbs,
+                s.array_bytes >> 20,
+                s.llc_bytes >> 20
+            ));
         }
-        let _ = StreamKernel::Triad;
     }
     out
 }

@@ -6,10 +6,14 @@
 //! indices, padding indices holding the masked *sentinel* `ncols` so
 //! padded lanes never read `x` (stricter than the paper's §5.5 local-copy
 //! scheme, which NaN-contaminates lanes when `x` holds Inf/NaN at the
-//! aliased column), `rlen` consistent with the slice width,
-//! and 64-byte-aligned value/index arrays (§3.1).  A conversion bug that
-//! breaks one of these produces silently wrong numerics — or, with aligned
-//! loads, a crash.  This crate makes the invariants explicit and checkable:
+//! aliased column) and `rlen` consistent with the slice width.  A conversion
+//! bug that breaks one of these produces silently wrong numerics or an
+//! out-of-bounds read.  Beside them stands one *speed* invariant: every
+//! stream of a SELL format starts on a 64-byte boundary (§3.1), so that a
+//! slice column is one cache line — all loads are unaligned ones, so a
+//! shifted stream is slow, not unsound, and `CSR`/`BAIJ`/`SBAIJ`, whose
+//! rows and blocks start anywhere, are not asked for it.  This crate makes
+//! the invariants explicit and checkable:
 //!
 //! * [`Validate`] is implemented by every format (`COO`, `CSR`,
 //!   `SELL<4/8/16>`, `SELL-ESB`, `SELL-C-σ`, `BAIJ`, `SBAIJ`);
@@ -106,8 +110,8 @@ pub enum Violation {
     },
     /// Nonzero accounting failed (e.g. `sum(rlen) != nnz`).
     NnzMismatch { claimed: usize, found: usize },
-    /// An array the kernels load with aligned SIMD instructions is not
-    /// 64-byte aligned (§3.1).
+    /// A stream of a SELL format is not 64-byte aligned (§3.1): every
+    /// slice-column load of it would straddle two cache lines.
     Misaligned { array: &'static str, rem: usize },
     /// A permutation entry is out of range.
     PermOutOfRange { at: usize, row: usize, n: usize },
@@ -385,8 +389,9 @@ pub fn check_ptr_array(
     out
 }
 
-/// Checks that a kernel-visible array starts on a 64-byte boundary
-/// (§3.1; empty arrays are exempt — the kernels never load from them).
+/// Checks that a stream read in whole slice columns starts on a 64-byte
+/// boundary (§3.1; empty arrays are exempt — the kernels never load from
+/// them).
 pub fn check_alignment<T>(array: &'static str, data: &[T]) -> Vec<Violation> {
     let rem = data.as_ptr() as usize % ALIGN;
     if data.is_empty() || rem == 0 {
@@ -845,21 +850,18 @@ impl Validate for CooBuilder {
 
 impl Validate for Csr {
     fn validate(&self) -> Result<(), Vec<Violation>> {
-        let mut out = check_csr_parts(
+        finish(check_csr_parts(
             self.nrows(),
             self.ncols(),
             self.rowptr(),
             self.colidx(),
             self.values(),
-        );
-        out.extend(check_alignment("colidx", self.colidx()));
-        out.extend(check_alignment("val", self.values()));
-        finish(out)
+        ))
     }
 }
 
 /// Alignment of every stream a SELL kernel loads from (§3.1).
-fn check_sell_alignment(m: &SellStreams<'_>) -> Vec<Violation> {
+pub fn check_sell_alignment(m: &SellStreams<'_>) -> Vec<Violation> {
     let mut out = check_alignment("val", m.val);
     out.extend(check_alignment("pval", m.pval));
     out.extend(check_alignment("cidx16", m.cidx16));
@@ -936,7 +938,7 @@ impl<const C: usize> Validate for SellSigma<C> {
 
 impl Validate for Baij {
     fn validate(&self) -> Result<(), Vec<Violation>> {
-        let mut out = check_block_parts(
+        finish(check_block_parts(
             self.brows(),
             self.bcols(),
             self.block_size(),
@@ -945,15 +947,13 @@ impl Validate for Baij {
             self.bcolidx(),
             self.values(),
             false,
-        );
-        out.extend(check_alignment("val", self.values()));
-        finish(out)
+        ))
     }
 }
 
 impl Validate for Sbaij {
     fn validate(&self) -> Result<(), Vec<Violation>> {
-        let mut out = check_block_parts(
+        finish(check_block_parts(
             self.brows(),
             self.brows(),
             self.block_size(),
@@ -962,9 +962,7 @@ impl Validate for Sbaij {
             self.bcolidx(),
             self.values(),
             true,
-        );
-        out.extend(check_alignment("val", self.values()));
-        finish(out)
+        ))
     }
 }
 

@@ -1,10 +1,17 @@
-//! 64-byte-aligned heap storage for kernel data.
+//! 64-byte-aligned heap storage for the arrays a kernel reads in whole
+//! slice columns.
 //!
 //! §3.1 of the paper: on KNL, data that is not aligned to the cache-line
 //! size forces the compiler to emit *peel* code at the start of a vectorized
-//! loop, and PETSc's default 16-byte alignment even caused hangs with
-//! AVX-512 builds.  All matrix value/index arrays in this crate are therefore
-//! allocated on 64-byte boundaries, matching `--with-mem-align=64`.
+//! loop.  A SELL slice column is 64 bytes at `C = 8`, so on a 64-byte base
+//! every column of [`Sell`](crate::Sell), [`SellEsb`](crate::SellEsb) and a
+//! [`MultiVec`](crate::MultiVec) row block is one cache line and one unsplit
+//! vector load; those three hold [`AVec`]s.  Alignment is a speed property
+//! only: every tier loads with unaligned instructions
+//! (`kernels::lanes`), and no kernel's `requires:` clause names a base
+//! address.  `Csr`, `Baij` and `Sbaij` hold plain `Vec`s — a CSR row or a
+//! `bs × bs` block starts wherever the previous one ended, so no load of
+//! theirs could use the boundary.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::fmt;
@@ -20,8 +27,9 @@ pub const ALIGN: usize = 64;
 ///
 /// Unlike `Vec<T>`, an `AVec` is created at its final length (zero-filled or
 /// copied from a slice) and never reallocates, so the base pointer — and
-/// hence the alignment guarantee the SIMD kernels rely on — is stable for
-/// the lifetime of the container.
+/// with it the alignment — is stable for the lifetime of the container.
+/// Everything else (`len`, `as_ptr`, indexing, iteration) is the slice's,
+/// through `Deref`.
 pub struct AVec<T: Copy> {
     ptr: NonNull<T>,
     len: usize,
@@ -63,30 +71,6 @@ impl<T: Copy> AVec<T> {
         v
     }
 
-    /// Number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the vector holds no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Base pointer; guaranteed 64-byte aligned.
-    #[inline]
-    pub fn as_ptr(&self) -> *const T {
-        self.ptr.as_ptr()
-    }
-
-    /// Mutable base pointer; guaranteed 64-byte aligned.
-    #[inline]
-    pub fn as_mut_ptr(&mut self) -> *mut T {
-        self.ptr.as_ptr()
-    }
-
     /// View as a slice.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
@@ -99,11 +83,6 @@ impl<T: Copy> AVec<T> {
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         // SAFETY: ptr is valid for len elements and we hold &mut self.
         unsafe { slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-    }
-
-    /// Heap bytes held by this vector.
-    pub fn bytes(&self) -> usize {
-        self.len * std::mem::size_of::<T>()
     }
 }
 
@@ -144,13 +123,6 @@ impl<T: Copy + fmt::Debug> fmt::Debug for AVec<T> {
 impl<T: Copy + PartialEq> PartialEq for AVec<T> {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
-    }
-}
-
-impl<T: Copy + Default> FromIterator<T> for AVec<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let items: Vec<T> = iter.into_iter().collect();
-        Self::from_slice(&items)
     }
 }
 
@@ -211,19 +183,5 @@ mod tests {
             assert_eq!(v.as_ptr() as usize % ALIGN, 0, "len={len}");
             assert_eq!(v.len(), len);
         }
-    }
-
-    #[test]
-    fn bytes_reports_payload() {
-        let v: AVec<f64> = AVec::zeroed(10);
-        assert_eq!(v.bytes(), 80);
-        let w: AVec<u32> = AVec::zeroed(10);
-        assert_eq!(w.bytes(), 40);
-    }
-
-    #[test]
-    fn from_iterator_collects() {
-        let v: AVec<f64> = (0..5).map(|i| i as f64).collect();
-        assert_eq!(v.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0]);
     }
 }

@@ -7,7 +7,6 @@
 //! across `bs` rows — the register-blocking idea that, per §3.2, works for
 //! natural blocks but is not pursued for general matrices on KNL.
 
-use crate::aligned::AVec;
 use crate::csr::Csr;
 use crate::exec::ExecCtx;
 use crate::multivec::{VecView, VecViewMut};
@@ -25,7 +24,7 @@ pub struct Baij {
     browptr: Vec<usize>,
     bcolidx: Vec<u32>,
     /// Blocks stored contiguously, each row-major `bs × bs`.
-    val: AVec<f64>,
+    val: Vec<f64>,
     /// Cached threaded execution plans; invalidated on pattern change.
     plan: PlanCache,
 }
@@ -78,7 +77,7 @@ impl Baij {
             nnz: csr.nnz(),
             browptr,
             bcolidx,
-            val: AVec::from_slice(&blocks),
+            val: blocks,
             plan: PlanCache::new(),
         }
     }

@@ -6,7 +6,6 @@
 //! integers, matching the traffic model of §6 (`12·nnz` counts 8 bytes of
 //! value + 4 bytes of index per nonzero).
 
-use crate::aligned::AVec;
 use crate::exec::ExecCtx;
 use crate::isa::Isa;
 use crate::kernels;
@@ -14,21 +13,24 @@ use crate::multivec::{VecView, VecViewMut};
 use crate::plan::{PlanCache, SpmvPlan};
 use crate::traits::{check_apply_dims, check_spmv_dims, Apply, MatShape, Operator};
 
-/// A CSR matrix with 64-byte-aligned value and index arrays.
+/// A CSR matrix.  It keeps the `Vec`s it is built from: a row starts
+/// wherever the previous one ended, so no load of the CSR kernels could use
+/// a 64-byte base and none is asked for.
 #[derive(Clone, Debug)]
 pub struct Csr {
     nrows: usize,
     ncols: usize,
     rowptr: Vec<usize>,
-    colidx: AVec<u32>,
-    val: AVec<f64>,
+    colidx: Vec<u32>,
+    val: Vec<f64>,
     isa: Isa,
     /// Cached threaded execution plans; invalidated on pattern/ISA change.
     plan: PlanCache,
 }
 
 impl Csr {
-    /// Builds a CSR matrix from raw parts, validating the invariants.
+    /// Builds a CSR matrix from raw parts, validating the invariants; the
+    /// three arrays are moved in, not copied.
     ///
     /// Panics if `rowptr` is not monotone of length `nrows + 1`, if array
     /// lengths disagree, or if a column index is out of range.  Column
@@ -42,7 +44,7 @@ impl Csr {
         val: Vec<f64>,
     ) -> Self {
         assert_eq!(colidx.len(), val.len(), "colidx/val length mismatch");
-        Self::checked(nrows, ncols, rowptr, &colidx, AVec::from_slice(&val))
+        Self::checked(nrows, ncols, rowptr, colidx, val)
     }
 
     /// A matrix that stores `+0.0` at every position of the given pattern
@@ -54,16 +56,16 @@ impl Csr {
         rowptr: Vec<usize>,
         colidx: Vec<u32>,
     ) -> Self {
-        let val = AVec::zeroed(colidx.len());
-        Self::checked(nrows, ncols, rowptr, &colidx, val)
+        let val = vec![0.0; colidx.len()];
+        Self::checked(nrows, ncols, rowptr, colidx, val)
     }
 
     fn checked(
         nrows: usize,
         ncols: usize,
         rowptr: Vec<usize>,
-        colidx: &[u32],
-        val: AVec<f64>,
+        colidx: Vec<u32>,
+        val: Vec<f64>,
     ) -> Self {
         assert_eq!(rowptr.len(), nrows + 1, "rowptr must have nrows+1 entries");
         assert_eq!(rowptr[0], 0, "rowptr must start at 0");
@@ -82,7 +84,7 @@ impl Csr {
             nrows,
             ncols,
             rowptr,
-            colidx: AVec::from_slice(colidx),
+            colidx,
             val,
             isa: Isa::detect(),
             plan: PlanCache::new(),
@@ -155,20 +157,20 @@ impl Csr {
     pub fn same_pattern(&self, other: &Csr) -> bool {
         (self.nrows, self.ncols) == (other.nrows, other.ncols)
             && self.rowptr == other.rowptr
-            && self.colidx.as_slice() == other.colidx.as_slice()
+            && self.colidx == other.colidx
     }
 
     /// Mutable value array (same sparsity pattern; used by Jacobian
     /// re-assembly to overwrite values in place).
     pub fn values_mut(&mut self) -> &mut [f64] {
-        self.val.as_mut_slice()
+        &mut self.val
     }
 
     /// The pattern next to the mutable values: what an in-place numeric
     /// update (`MatDiagonalScale`, the numeric phase of a kept product)
     /// reads and writes at once.
     pub fn pattern_and_values_mut(&mut self) -> (&[usize], &[u32], &mut [f64]) {
-        (&self.rowptr, &self.colidx, self.val.as_mut_slice())
+        (&self.rowptr, &self.colidx, &mut self.val)
     }
 
     /// Column indices of row `i`.
@@ -202,7 +204,7 @@ impl Csr {
     /// Transposed copy of the matrix.
     pub fn transpose(&self) -> Csr {
         let mut cnt = vec![0usize; self.ncols + 1];
-        for &c in self.colidx.iter() {
+        for &c in &self.colidx {
             cnt[c as usize + 1] += 1;
         }
         for j in 0..self.ncols {
@@ -417,6 +419,26 @@ mod tests {
         let a = b.to_csr();
         assert_eq!(a.nrows() * a.max_row_len(), n * n);
         assert!(crate::sell::Sell8::from_csr(&a).stored_elems() < n * n / 4);
+    }
+
+    #[test]
+    fn from_parts_keeps_the_buffers_it_is_given() {
+        let (rowptr, colidx, val) = (vec![0, 2, 3], vec![0u32, 2, 1], vec![1.0, 2.0, 3.0]);
+        let (pr, pc, pv) = (rowptr.as_ptr(), colidx.as_ptr(), val.as_ptr());
+        let a = Csr::from_parts(2, 3, rowptr, colidx, val);
+        assert_eq!(
+            (
+                a.rowptr().as_ptr(),
+                a.colidx().as_ptr(),
+                a.values().as_ptr()
+            ),
+            (pr, pc, pv)
+        );
+        let (rowptr, colidx) = (a.rowptr().to_vec(), a.colidx().to_vec());
+        let (pr, pc) = (rowptr.as_ptr(), colidx.as_ptr());
+        let z = Csr::zeros_with_pattern(2, 3, rowptr, colidx);
+        assert_eq!((z.rowptr().as_ptr(), z.colidx().as_ptr()), (pr, pc));
+        assert_eq!(z.values(), &[0.0; 3]);
     }
 
     #[test]

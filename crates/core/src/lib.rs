@@ -27,9 +27,12 @@
 //! * the §6 memory-traffic model ([`traffic`]) and format statistics
 //!   ([`stats`]).
 //!
-//! All heavy numeric arrays use 64-byte aligned storage ([`AVec`]) so that
-//! full-width aligned vector loads are legal on every slice (§3.1 of the
-//! paper: data alignment to the cache-line size avoids peel code).
+//! The arrays a kernel reads in whole 64-byte slice columns — every stream
+//! of [`Sell`] and [`SellEsb`], and a [`MultiVec`] — sit in 64-byte aligned
+//! storage ([`AVec`]), so a column is one cache line and one unsplit vector
+//! load (§3.1 of the paper).  That is a speed property, never a safety
+//! precondition: every load on every tier is an unaligned one.  [`Csr`],
+//! [`Baij`] and [`Sbaij`] keep the `Vec`s they are handed.
 //!
 //! ## Quick example
 //!

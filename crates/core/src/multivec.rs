@@ -10,10 +10,10 @@
 //! `k` vectors at once.
 //!
 //! The backing store is 64-byte aligned ([`AVec`]), so for the blocked
-//! widths `k ∈ {1, 2, 4, 8}` every row block of an aligned row index
-//! starts on a vector-register-friendly boundary; those widths get
-//! monomorphized scalar kernels and single-masked-block SIMD paths
-//! (ragged `k`, e.g. 7, runs the same kernels through masked tails).
+//! widths `k ∈ {1, 2, 4, 8}` no row block straddles a cache line (a speed
+//! property: the loads are unaligned ones); those widths get monomorphized
+//! scalar kernels and single-masked-block SIMD paths (ragged `k`, e.g. 7,
+//! runs the same kernels through masked tails).
 //!
 //! [`VecView`]/[`VecViewMut`] unify plain `&[f64]` vectors (`k = 1`) and
 //! `MultiVec` blocks behind one operand type, so the

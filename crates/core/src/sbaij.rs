@@ -7,7 +7,6 @@
 //! of a scatter-style update to `y` that is harder to vectorize (one
 //! reason PETSc keeps it a specialist format).
 
-use crate::aligned::AVec;
 use crate::csr::Csr;
 use crate::exec::ExecCtx;
 use crate::multivec::{VecView, VecViewMut};
@@ -23,7 +22,7 @@ pub struct Sbaij {
     browptr: Vec<usize>,
     bcolidx: Vec<u32>,
     /// Stored blocks (upper triangle), row-major `bs × bs` each.
-    val: AVec<f64>,
+    val: Vec<f64>,
 }
 
 impl Sbaij {
@@ -82,7 +81,7 @@ impl Sbaij {
             nnz_full: csr.nnz(),
             browptr,
             bcolidx,
-            val: AVec::from_slice(&blocks),
+            val: blocks,
         }
     }
 

@@ -22,11 +22,9 @@
 )]
 
 pub mod da;
-pub mod da3;
 pub mod interp;
 pub mod stencil;
 
 pub use da::Grid2D;
-pub use da3::{laplacian_7pt, trilinear_interpolation, Grid3D};
 pub use interp::{bilinear_interpolation, interpolation_chain};
 pub use stencil::laplacian_5pt;

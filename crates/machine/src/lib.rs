@@ -23,6 +23,10 @@
 //! The model consumes the *real* matrix shapes produced by the rest of the
 //! workspace, so who-wins and crossover locations are driven by format and
 //! kernel structure, not hard-coded outcomes.
+//!
+//! Beside the model, [`stream`] *measures* this host's copy and triad
+//! bandwidth — the only roof a number measured here is reported against;
+//! the model's curves are for the exhibit predictions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +43,7 @@ pub mod modes;
 pub mod predict;
 pub mod roofline;
 pub mod specs;
+pub mod stream;
 pub mod stream_model;
 
 pub use calibrate::KernelKind;
@@ -48,4 +53,5 @@ pub use roofline::{Roofline, RooflinePoint};
 pub use specs::{
     broadwell_e5_2699v4, haswell_e5_2699v3, knl_7230, knl_7250, skylake_8180m, ProcessorSpec,
 };
+pub use stream::{stream_probe, StreamKernel, StreamPoint};
 pub use stream_model::{host_stream_bw_gbs, StreamCurve};

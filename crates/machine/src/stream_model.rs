@@ -85,9 +85,10 @@ pub fn xeon_stream_curve(spec: &ProcessorSpec) -> StreamCurve {
 }
 
 /// Modeled STREAM bandwidth (GB/s) of the reference Xeon host (Table 1's
-/// Skylake 8180M) at a given thread count — the roofline bandwidth
-/// observability reports fall back to when no measured STREAM number is
-/// available for the machine actually running.
+/// Skylake 8180M) at a given thread count.  A model of *that* machine: the
+/// roof of the one actually running is [`stream_probe`](crate::stream_probe)'s
+/// to measure, and the benchmark reports the two side by side
+/// (`machine.model_over_measured`).
 pub fn host_stream_bw_gbs(threads: usize) -> f64 {
     xeon_stream_curve(&crate::specs::skylake_8180m()).at(threads.max(1))
 }

@@ -8,8 +8,7 @@
 //!   Jacobian, ready to drive Crank-Nicolson + Newton + GMRES + multigrid;
 //! * [`generators`] — synthetic sparse matrices (stencils, banded, random,
 //!   power-law rows) spanning the regular-to-irregular spectrum that
-//!   separates CSR from SELL;
-//! * [`stream`] — the STREAM memory-bandwidth kernels behind Figure 4.
+//!   separates CSR from SELL.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,12 +24,9 @@ pub mod advection_diffusion;
 pub mod dist_gray_scott;
 pub mod generators;
 pub mod gray_scott;
-pub mod gray_scott3d;
 pub mod matrix_market;
-pub mod stream;
 
 pub use advection_diffusion::{AdvectionDiffusion, AdvectionDiffusionParams};
 pub use dist_gray_scott::{dist_theta_step, DistGrayScott};
 pub use gray_scott::{GrayScott, GrayScottParams};
-pub use gray_scott3d::GrayScott3D;
 pub use matrix_market::{read_mtx, read_mtx_file, write_mtx, write_mtx_file, MtxError};

@@ -12,6 +12,7 @@ use std::time::Instant;
 
 use sellkit::core::{Csr, FromCsr, Operator, Sell8};
 use sellkit::grid::interpolation_chain;
+use sellkit::machine::{stream_probe, StreamKernel};
 use sellkit::solvers::ksp::KspConfig;
 use sellkit::solvers::pc::mg::{CoarseSolve, Multigrid, MultigridConfig};
 use sellkit::solvers::snes::NewtonConfig;
@@ -107,9 +108,11 @@ fn main() {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(1usize);
-        let bw = sellkit::machine::host_stream_bw_gbs(threads);
+        // This host's measured copy roof; a debug build has none to report.
+        let bw =
+            (!cfg!(debug_assertions)).then(|| stream_probe(StreamKernel::Copy, threads, None).gbs);
         for (path, text) in [
-            ("gray_scott_report.json", rep.to_json(Some(bw))),
+            ("gray_scott_report.json", rep.to_json(bw)),
             ("gray_scott_trace.json", rep.chrome_trace()),
         ] {
             match std::fs::write(path, format!("{text}\n")) {

@@ -11,8 +11,8 @@
 //! | [`dist`] | row-distributed matrices/vectors with overlapped communication |
 //! | [`solvers`] | KSP (GMRES/CG/BiCGStab), PC (Jacobi/SOR/ILU/multigrid), SNES, TS |
 //! | [`grid`] | structured 2D periodic grids and interpolation operators |
-//! | [`workloads`] | Gray-Scott model, synthetic matrix generators, STREAM |
-//! | [`machine`] | KNL/Xeon performance model: STREAM curves, roofline, SpMV prediction |
+//! | [`workloads`] | Gray-Scott model, synthetic matrix generators |
+//! | [`machine`] | KNL/Xeon performance model (STREAM curves, roofline, SpMV prediction) and this host's measured STREAM |
 //! | [`obs`] | staged tracing/metrics: `-log_view` tables, JSON reports, Chrome traces |
 //! | [`serve`] | async batched solve service: request coalescing into SpMM batches |
 //!

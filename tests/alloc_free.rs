@@ -6,7 +6,8 @@
 //! * the numeric set-up of that hierarchy for a new fine matrix
 //!   (`Precond::refresh`) with the paper's options;
 //! * a restarted GMRES solve allocates no vector after its first restart
-//!   cycle.
+//!   cycle;
+//! * an assembled matrix is not copied on its way into a `Csr`.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc` **per
 //! thread**; a measurement sums the tallies of the threads that take part
@@ -60,7 +61,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 use sellkit::core::{
-    matops, Apply, CooBuilder, Csr, ExecCtx, MatShape, Operator, Sell8, SellSigma8,
+    matops, Apply, CooBuilder, Csr, ExecCtx, MatShape, Operator, RowAssembler, Sell8, SellSigma8,
 };
 use sellkit::grid::{interpolation_chain, laplacian_5pt, Grid2D};
 use sellkit::solvers::ksp::{gmres_monitored, IterationRecord, KspConfig, KspMonitor};
@@ -248,4 +249,33 @@ fn restarted_gmres_allocates_no_vector_after_its_first_cycle() {
         after_solve - after_first_cycle,
         n * std::mem::size_of::<f64>()
     );
+}
+
+/// A `Csr` keeps the `Vec`s it is handed: closing a preallocated assembly
+/// and the in-place Newton shift allocate nothing at all, and a symbolic
+/// phase's `zeros_with_pattern` only the zeroed value array it returns.
+#[test]
+fn an_assembled_matrix_is_not_copied_on_its_way_in() {
+    let n = 1000;
+    let mut b = RowAssembler::with_capacity(n, n, 3 * n);
+    for i in 0..n {
+        b.push(i, 2.0);
+        b.push((i + 1) % n, -1.0);
+        b.push((i + n - 1) % n, -1.0);
+        b.end_row();
+    }
+    let before = ALLOCS.get();
+    let a = b.finish();
+    assert_eq!(ALLOCS.get() - before, 0, "RowAssembler::finish allocated");
+
+    let before = ALLOCS.get();
+    let a = matops::identity_plus_scaled_owned(1.0, -0.5, a);
+    assert_eq!(ALLOCS.get() - before, 0, "the owned shift allocated");
+
+    let (rowptr, colidx) = (a.rowptr().to_vec(), a.colidx().to_vec());
+    let (allocs, bytes) = (ALLOCS.get(), BYTES.get());
+    let z = Csr::zeros_with_pattern(n, n, rowptr, colidx);
+    assert_eq!(ALLOCS.get() - allocs, 1, "one array: the zeroed values");
+    assert_eq!(BYTES.get() - bytes, z.nnz() * std::mem::size_of::<f64>());
+    assert!(z.same_pattern(&a));
 }

@@ -9,10 +9,12 @@
 //! corrupted copy of the **one** array that exists and names it.
 
 use proptest::prelude::*;
-use sellkit::core::{Baij, Codec, CooBuilder, Sbaij, Sell16, Sell4, Sell8, SellEsb, SellSigma8};
+use sellkit::core::{
+    Baij, Codec, CooBuilder, Csr, Sbaij, Sell16, Sell4, Sell8, SellEsb, SellSigma8,
+};
 use sellkit_check::{
-    check_alignment, check_block_parts, check_csr_parts, check_sell_parts, Loc, SellStreams,
-    Validate, Violation, ViolationKind,
+    check_alignment, check_block_parts, check_csr_parts, check_sell_alignment, check_sell_parts,
+    Loc, SellStreams, Validate, Violation, ViolationKind,
 };
 
 /// 10×10 fixture with a known SELL-8 layout: row 0 has three nonzeros
@@ -354,18 +356,77 @@ fn wide_stream_mutations_are_reported() {
 
 #[test]
 fn misaligned_buffer_is_reported() {
-    let s = fixture();
-    // AVec guarantees a 64-byte base; one element in, an f64 slice sits 8
-    // bytes past the boundary — exactly what a kernel must never load from
-    // with aligned instructions.
-    assert_eq!(check_alignment("val", s.values()), vec![]);
+    // AVec gives every stream a 64-byte base; 8 bytes in, each slice-column
+    // load of that stream would straddle two cache lines.  One stream at a
+    // time, each of the four a `Sell` can hold, then ESB's own two.
+    let misaligned = |array| vec![Violation::Misaligned { array, rem: 8 }];
+    let wide = mixed_fixture(Codec::F64);
+    let m = SellStreams::of(&wide);
+    assert_eq!(check_sell_alignment(&m), vec![]);
+    let shifted = SellStreams {
+        val: &m.val[1..],
+        ..m
+    };
+    assert_eq!(check_sell_alignment(&shifted), misaligned("val"));
+    let shifted = SellStreams {
+        cidx16: &m.cidx16[4..],
+        ..m
+    };
+    assert_eq!(check_sell_alignment(&shifted), misaligned("cidx16"));
+    let shifted = SellStreams {
+        colidx: &m.colidx[2..],
+        ..m
+    };
+    assert_eq!(check_sell_alignment(&shifted), misaligned("colidx"));
+
+    let packed = mixed_fixture(Codec::F32);
+    let m = SellStreams::of(&packed);
+    assert_eq!(check_sell_alignment(&m), vec![]);
+    let shifted = SellStreams {
+        pval: &m.pval[8..],
+        ..m
+    };
+    assert_eq!(check_sell_alignment(&shifted), misaligned("pval"));
+
+    // 64 rows of a 5-point stencil: 8 slices × 5 columns = 40 mask bytes.
+    let esb = SellEsb::from_csr(&sellkit::workloads::generators::stencil5(8));
+    assert_eq!(esb.validate(), Ok(()));
     assert_eq!(
-        check_alignment("val", &s.values()[1..]),
-        vec![Violation::Misaligned {
-            array: "val",
-            rem: 8
-        }]
+        check_alignment("bits", &esb.bits()[8..]),
+        misaligned("bits")
     );
+    assert_eq!(
+        check_alignment("colidx", &esb.colidx()[2..]),
+        misaligned("colidx")
+    );
+}
+
+#[test]
+fn csr_and_the_block_formats_are_valid_on_any_base() {
+    // A CSR row or a 2×2 block starts wherever the previous one ended: no
+    // load of theirs can use a 64-byte base, so none is asked for.  Sixty-
+    // four live 16-byte allocations cannot all start on a 64-byte boundary
+    // unless the allocator spends 48 bytes on each; `from_parts` keeps the
+    // buffer it is handed, so one of them becomes an off-boundary `val`.
+    let bufs: Vec<Vec<f64>> = (0..64).map(|_| vec![1.0, 2.0]).collect();
+    let val = bufs
+        .into_iter()
+        .find(|v| !(v.as_ptr() as usize).is_multiple_of(64))
+        .expect("a 16-byte allocation off a 64-byte boundary");
+    let at = val.as_ptr();
+    let a = Csr::from_parts(2, 2, vec![0, 1, 2], vec![0, 1], val);
+    assert_eq!(a.values().as_ptr(), at);
+    assert_eq!(a.validate(), Ok(()));
+    // The block formats copy their blocks out of the CSR; sixteen pairs
+    // live at once land on more than one offset, and wherever they land,
+    // alignment is not among the things checked.
+    let held: Vec<_> = (0..16)
+        .map(|_| (Baij::from_csr(&a, 1), Sbaij::from_csr(&a, 1)))
+        .collect();
+    for (baij, sbaij) in &held {
+        assert_eq!(baij.validate(), Ok(()));
+        assert_eq!(sbaij.validate(), Ok(()));
+    }
 }
 
 #[test]
