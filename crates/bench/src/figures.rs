@@ -1,5 +1,6 @@
-//! One regeneration function per paper exhibit.  Each returns the text it
-//! prints so tests can assert on structure.
+//! One regeneration function per paper exhibit, listed by name in
+//! [`EXHIBITS`].  Each returns the text it prints so tests can assert on
+//! structure.
 //!
 //! Sections are labeled either `[model]` (the calibrated KNL/Xeon machine
 //! model — DESIGN.md §3 explains why) or `[measured]` (real kernels timed
@@ -19,6 +20,20 @@ use sellkit_workloads::{GrayScott, GrayScottParams};
 
 use crate::measure::{build_extended_variants, build_variants, gflops, time_spmv};
 use crate::table::{f1, f2, f3, render};
+
+/// Every exhibit by the name the `exhibit` binary takes, in paper order.
+/// The flag asks for the `[measured]` sections; exhibits without one
+/// ignore it.
+pub const EXHIBITS: &[(&str, fn(bool) -> String)] = &[
+    ("table1", |_| table1()),
+    ("fig4", fig4),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", |_| fig9()),
+    ("fig10", fig10),
+    ("fig11", |_| fig11()),
+    ("traffic_model", |_| traffic_model()),
+];
 
 /// Table 1: processor specifications.
 pub fn table1() -> String {
@@ -357,7 +372,8 @@ pub fn fig10(measure: bool) -> String {
 }
 
 /// Figure 11: the nine kernels across the four processors of Table 1.
-pub fn fig11(measure: bool) -> String {
+/// This host's measured series is [`fig8`]'s.
+pub fn fig11() -> String {
     let mut out = String::from(
         "Figure 11: SpMV performance on different Xeon processors (Gflop/s)\n\n\
          [model] full physical cores, one MPI rank per core; KNL in flat\n\
@@ -389,16 +405,6 @@ pub fn fig11(measure: bool) -> String {
         &["kernel", "Haswell", "Broadwell", "Skylake", "KNL"],
         &rows,
     ));
-
-    if measure {
-        out.push_str(
-            &fig8(true)
-                .split("[measured]")
-                .nth(1)
-                .map(|s| format!("\n[measured]{s}"))
-                .unwrap_or_default(),
-        );
-    }
     out
 }
 
@@ -507,7 +513,7 @@ mod tests {
 
     #[test]
     fn fig11_spans_processors() {
-        let f = fig11(false);
+        let f = fig11();
         assert!(f.contains("Haswell"));
         assert!(f.contains("KNL"));
     }

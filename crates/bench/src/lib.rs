@@ -1,9 +1,11 @@
 //! # sellkit-bench
 //!
 //! The benchmark harness regenerating **every table and figure** of the
-//! paper's evaluation (see DESIGN.md §4 for the experiment index):
+//! paper's evaluation (see DESIGN.md §4 for the experiment index).  One
+//! binary prints them, `exhibit <name|all> [--no-measure]`, over the table
+//! [`figures::EXHIBITS`]:
 //!
-//! | binary | exhibit |
+//! | name | exhibit |
 //! |---|---|
 //! | `table1` | Table 1 — processor specifications |
 //! | `fig4` | STREAM bandwidth vs process count on KNL |
@@ -13,7 +15,6 @@
 //! | `fig10` | multinode wall time, CSR vs SELL |
 //! | `fig11` | the nine kernels across four Xeon/KNL processors |
 //! | `traffic_model` | the §6 byte-count formulas |
-//! | `report` | all of the above in sequence |
 //!
 //! Each figure has two parts where possible: a **measured** section (real
 //! kernels on this host's CPU, real mpisim ranks) and a **modeled**

@@ -47,19 +47,6 @@ impl Roofline {
         (ai * bw_gbs).min(self.peak_gflops)
     }
 
-    /// A pure-bandwidth roofline built from one measured (or modeled)
-    /// STREAM number — the reduction observability reports use to turn an
-    /// achieved GB/s into a percent-of-roofline.  The compute peak is set
-    /// unreachably high: at SpMV's arithmetic intensity (≈0.132) every
-    /// kernel of interest is bandwidth-bound.
-    pub fn from_stream_bw(bw_gbs: f64) -> Self {
-        Self {
-            name: "STREAM",
-            peak_gflops: f64::INFINITY,
-            ceilings: vec![("STREAM", bw_gbs)],
-        }
-    }
-
     /// Fraction of the memory roof achieved by a kernel running at
     /// `gflops` with arithmetic intensity `ai`, against this roofline's
     /// slowest (DRAM-level) ceiling.
@@ -151,18 +138,6 @@ mod tests {
             "baseline must sit well below: {}",
             base.roof_fraction
         );
-    }
-
-    #[test]
-    fn stream_roofline_reduces_to_bandwidth_fraction() {
-        let r = Roofline::from_stream_bw(100.0);
-        // AI 0.132 at 100 GB/s roofs at 13.2 Gflop/s; achieving 6.6 is 50 %.
-        let frac = r.roof_fraction(0.132, 6.6);
-        assert!((frac - 0.5).abs() < 1e-12, "frac {frac}");
-        // Never compute-bound: attainable scales linearly with AI.
-        assert_eq!(r.attainable(100.0, 100.0), 10_000.0);
-        // Degenerate bandwidth yields 0, not NaN.
-        assert_eq!(Roofline::from_stream_bw(0.0).roof_fraction(0.132, 1.0), 0.0);
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub use hist::HistSnapshot;
 pub use json::{parse as parse_json, Json};
 pub use registry::{Registry, Span, TraceId};
 pub use report::{
-    prometheus_from_report_json, validate_report_json, EventReport, Report, SeriesPoint,
-    ThreadReport, TraceSpan, MIN_SUPPORTED_SCHEMA_VERSION, REPORT_SCHEMA_VERSION,
+    validate_report_json, EventReport, Report, SeriesPoint, ThreadReport, TraceSpan,
+    MIN_SUPPORTED_SCHEMA_VERSION, REPORT_SCHEMA_VERSION,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -162,11 +162,10 @@ pub fn report() -> Report {
     global().report()
 }
 
-/// Live-scrape entry point: snapshots the global registry **without**
-/// stopping anything — recording threads keep appending, and the
-/// returned [`Report`] is a consistent point-in-time merge.  This is
-/// what the `obs-scrape` binary (and any embedded poller) should call;
-/// it is [`report`] under the monitoring-friendly name.
+/// Snapshots the global registry **without** stopping anything —
+/// recording threads keep appending, and the returned [`Report`] is a
+/// consistent point-in-time merge.  It is [`report`] under the name a
+/// caller polling a live run reads best.
 pub fn snapshot() -> Report {
     global().report()
 }

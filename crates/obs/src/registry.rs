@@ -108,8 +108,8 @@ struct RegistryInner {
 ///
 /// Cloning is cheap (`Arc`); all clones share the same accumulators.  Most
 /// code uses the process-global registry through the free functions in the
-/// crate root, but a private registry (`tests/extensions.rs`,
-/// `examples/advection_diffusion.rs`) keeps a run isolated from every other.
+/// crate root, but a private registry (`tests/extensions.rs`) keeps a run
+/// isolated from every other.
 #[derive(Clone)]
 pub struct Registry {
     inner: Arc<RegistryInner>,

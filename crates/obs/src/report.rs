@@ -126,7 +126,7 @@ pub struct Report {
     pub counters: BTreeMap<String, f64>,
     /// Latest-write named gauges (e.g. `partition.imbalance`).
     pub gauges: BTreeMap<String, f64>,
-    /// Named sample series sorted by `x` (e.g. `ksp.rnorm`).
+    /// Named sample series sorted by `x` (e.g. `serve.latency_ms`).
     pub series: BTreeMap<String, Vec<SeriesPoint>>,
     /// Merged latency/size histograms (e.g. `serve.latency_ms`).
     pub hists: BTreeMap<String, HistSnapshot>,
@@ -506,95 +506,6 @@ pub fn validate_report_json(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders a `sellkit-obs-report` JSON document as Prometheus text
-/// exposition format: counters as `_total` counters, gauges as gauges,
-/// histograms as summaries (quantile series plus `_sum`/`_count`), and
-/// event rows as labeled `sellkit_event_*` totals.  Metric names are
-/// sanitized to the Prometheus grammar (`[a-zA-Z0-9_]`).
-pub fn prometheus_from_report_json(text: &str) -> Result<String, String> {
-    validate_report_json(text)?;
-    let doc = parse(text)?;
-    let mut out = String::new();
-
-    let metric = |name: &str| -> String {
-        let mut m = String::with_capacity(name.len() + 8);
-        m.push_str("sellkit_");
-        for c in name.chars() {
-            m.push(if c.is_ascii_alphanumeric() { c } else { '_' });
-        }
-        m
-    };
-    let label = |value: &str| -> String {
-        value
-            .chars()
-            .map(|c| match c {
-                '"' | '\\' => '_',
-                c => c,
-            })
-            .collect()
-    };
-
-    if let Some(total) = doc.get("total_s").and_then(Json::as_f64) {
-        let _ = writeln!(out, "# TYPE sellkit_report_total_seconds gauge");
-        let _ = writeln!(out, "sellkit_report_total_seconds {total}");
-    }
-    if let Some(Json::Obj(counters)) = doc.get("counters") {
-        for (name, v) in counters {
-            if let Some(v) = v.as_f64() {
-                let m = metric(name);
-                let _ = writeln!(out, "# TYPE {m}_total counter");
-                let _ = writeln!(out, "{m}_total {v}");
-            }
-        }
-    }
-    if let Some(Json::Obj(gauges)) = doc.get("gauges") {
-        for (name, v) in gauges {
-            if let Some(v) = v.as_f64() {
-                let m = metric(name);
-                let _ = writeln!(out, "# TYPE {m} gauge");
-                let _ = writeln!(out, "{m} {v}");
-            }
-        }
-    }
-    if let Some(Json::Obj(hists)) = doc.get("hists") {
-        for (name, h) in hists {
-            let m = metric(name);
-            let _ = writeln!(out, "# TYPE {m} summary");
-            for (q, key) in [(0.5, "p50"), (0.9, "p90"), (0.99, "p99"), (0.999, "p999")] {
-                if let Some(v) = h.get(key).and_then(Json::as_f64) {
-                    let _ = writeln!(out, "{m}{{quantile=\"{q}\"}} {v}");
-                }
-            }
-            if let Some(sum) = h.get("sum").and_then(Json::as_f64) {
-                let _ = writeln!(out, "{m}_sum {sum}");
-            }
-            if let Some(count) = h.get("count").and_then(Json::as_f64) {
-                let _ = writeln!(out, "{m}_count {count}");
-            }
-        }
-    }
-    if let Some(events) = doc.get("events").and_then(Json::as_arr) {
-        let _ = writeln!(out, "# TYPE sellkit_event_seconds_total counter");
-        let _ = writeln!(out, "# TYPE sellkit_event_count_total counter");
-        for e in events {
-            let (Some(path), Some(seconds), Some(count)) = (
-                e.get("path").and_then(Json::as_str),
-                e.get("seconds").and_then(Json::as_f64),
-                e.get("count").and_then(Json::as_f64),
-            ) else {
-                continue;
-            };
-            let p = label(path);
-            let _ = writeln!(
-                out,
-                "sellkit_event_seconds_total{{event=\"{p}\"}} {seconds}"
-            );
-            let _ = writeln!(out, "sellkit_event_count_total{{event=\"{p}\"}} {count}");
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,23 +614,6 @@ mod tests {
         assert!(
             validate_report_json(&bad).is_err(),
             "a corrupted stamp fails"
-        );
-    }
-
-    #[test]
-    fn prometheus_rendering_covers_every_metric_family() {
-        let report = sample_report();
-        let text = prometheus_from_report_json(&report.to_json(None)).expect("renders");
-        assert!(text.contains("sellkit_halo_bytes_total 4096"));
-        assert!(text.contains("# TYPE sellkit_partition_imbalance gauge"));
-        assert!(text.contains("sellkit_partition_imbalance 1.03"));
-        assert!(text.contains("# TYPE sellkit_serve_latency_ms summary"));
-        assert!(text.contains("sellkit_serve_latency_ms{quantile=\"0.5\"}"));
-        assert!(text.contains("sellkit_serve_latency_ms_count 50"));
-        assert!(text.contains("sellkit_event_count_total{event=\"KSPSolve>MatMult\"} 1"));
-        assert!(
-            prometheus_from_report_json("{}").is_err(),
-            "invalid reports are rejected, not half-rendered"
         );
     }
 

@@ -5,7 +5,6 @@ use crate::operator::{InnerProduct, Operator};
 use crate::pc::Precond;
 use crate::vecops;
 
-use super::monitor::{IterationRecord, KspMonitor, NoMonitor};
 use super::{residual_into, test_convergence, KspConfig, KspResult, StopReason};
 
 /// Solves `A x = b` with right-preconditioned BiCGStab.
@@ -17,21 +16,6 @@ pub fn bicgstab<O: Operator, P: Precond, D: InnerProduct>(
     x: &mut [f64],
     cfg: &KspConfig,
 ) -> KspResult {
-    bicgstab_monitored(op, pc, ip, b, x, cfg, &NoMonitor)
-}
-
-/// [`bicgstab`] with a per-iteration [`KspMonitor`] callback receiving
-/// every residual record (including the half-step `s`-norm on early
-/// convergence) as the solve produces it.
-pub fn bicgstab_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor + ?Sized>(
-    op: &O,
-    pc: &P,
-    ip: &D,
-    b: &[f64],
-    x: &mut [f64],
-    cfg: &KspConfig,
-    mon: &M,
-) -> KspResult {
     let _solve = sellkit_obs::span("KSPSolve");
     let n = op.dim();
     let mut r = vec![0.0; n];
@@ -39,11 +23,6 @@ pub fn bicgstab_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonito
     let r_hat = r.clone(); // shadow residual
     let r0 = ip.norm(&r);
     let mut history = vec![r0];
-    mon.monitor(&IterationRecord {
-        iteration: 0,
-        rnorm: r0,
-        r0,
-    });
     if let Some(reason) = test_convergence(r0, r0, cfg) {
         return KspResult {
             iterations: 0,
@@ -98,11 +77,6 @@ pub fn bicgstab_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonito
         if let Some(reason) = test_convergence(snorm, r0, cfg) {
             vecops::axpy(alpha, &ph, x);
             history.push(snorm);
-            mon.monitor(&IterationRecord {
-                iteration: it,
-                rnorm: snorm,
-                r0,
-            });
             return KspResult {
                 iterations: it,
                 residual: snorm,
@@ -128,11 +102,6 @@ pub fn bicgstab_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonito
         }
         let rnorm = ip.norm(&r);
         history.push(rnorm);
-        mon.monitor(&IterationRecord {
-            iteration: it,
-            rnorm,
-            r0,
-        });
         if let Some(reason) = test_convergence(rnorm, r0, cfg) {
             return KspResult {
                 iterations: it,

@@ -4,7 +4,6 @@ use crate::operator::{InnerProduct, Operator};
 use crate::pc::Precond;
 use crate::vecops;
 
-use super::monitor::{IterationRecord, KspMonitor, NoMonitor};
 use super::{residual_into, test_convergence, KspConfig, KspResult, StopReason};
 
 /// Solves `A x = b` with preconditioned CG.  `A` and the preconditioner
@@ -16,20 +15,6 @@ pub fn cg<O: Operator, P: Precond, D: InnerProduct>(
     b: &[f64],
     x: &mut [f64],
     cfg: &KspConfig,
-) -> KspResult {
-    cg_monitored(op, pc, ip, b, x, cfg, &NoMonitor)
-}
-
-/// [`cg`] with a per-iteration [`KspMonitor`] callback receiving every
-/// residual record as the solve produces it.
-pub fn cg_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor + ?Sized>(
-    op: &O,
-    pc: &P,
-    ip: &D,
-    b: &[f64],
-    x: &mut [f64],
-    cfg: &KspConfig,
-    mon: &M,
 ) -> KspResult {
     let _solve = sellkit_obs::span("KSPSolve");
     let n = op.dim();
@@ -44,11 +29,6 @@ pub fn cg_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor + ?S
     let mut rz = ip.dot(&r, &z);
     let r0 = ip.norm(&r);
     history.push(r0);
-    mon.monitor(&IterationRecord {
-        iteration: 0,
-        rnorm: r0,
-        r0,
-    });
     if let Some(reason) = test_convergence(r0, r0, cfg) {
         return KspResult {
             iterations: 0,
@@ -76,11 +56,6 @@ pub fn cg_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor + ?S
 
         let rnorm = ip.norm(&r);
         history.push(rnorm);
-        mon.monitor(&IterationRecord {
-            iteration: it,
-            rnorm,
-            r0,
-        });
         if let Some(reason) = test_convergence(rnorm, r0, cfg) {
             return KspResult {
                 iterations: it,

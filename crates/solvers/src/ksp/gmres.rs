@@ -6,7 +6,6 @@
 use crate::operator::{InnerProduct, Operator};
 use crate::pc::Precond;
 
-use super::monitor::{IterationRecord, KspMonitor, NoMonitor};
 use super::{initial_residual, residual_into, test_convergence, KspConfig, KspResult, StopReason};
 
 /// Solves `A x = b` with left-preconditioned GMRES(restart).
@@ -41,22 +40,7 @@ pub fn gmres<O: Operator, P: Precond, D: InnerProduct>(
     x: &mut [f64],
     cfg: &KspConfig,
 ) -> KspResult {
-    gmres_monitored(op, pc, ip, b, x, cfg, &NoMonitor)
-}
-
-/// [`gmres`] with a per-iteration [`KspMonitor`] callback (the
-/// `KSPMonitorSet` analogue): `mon` receives every residual record —
-/// including the initial one — as the solve produces it.
-pub fn gmres_monitored<O: Operator, P: Precond, D: InnerProduct, M: KspMonitor + ?Sized>(
-    op: &O,
-    pc: &P,
-    ip: &D,
-    b: &[f64],
-    x: &mut [f64],
-    cfg: &KspConfig,
-    mon: &M,
-) -> KspResult {
-    arnoldi_solve::<false, _, _, _, _>(op, pc, ip, b, x, cfg, mon)
+    arnoldi_solve::<false, _, _, _>(op, pc, ip, b, x, cfg)
 }
 
 /// Solves `A x = b` with restarted flexible GMRES (Saad 1993): the
@@ -76,7 +60,7 @@ pub fn fgmres<O: Operator, P: Precond, D: InnerProduct>(
     x: &mut [f64],
     cfg: &KspConfig,
 ) -> KspResult {
-    arnoldi_solve::<true, _, _, _, _>(op, pc, ip, b, x, cfg, &NoMonitor)
+    arnoldi_solve::<true, _, _, _>(op, pc, ip, b, x, cfg)
 }
 
 /// The restarted Arnoldi cycle both methods are: modified Gram-Schmidt,
@@ -86,20 +70,18 @@ pub fn fgmres<O: Operator, P: Precond, D: InnerProduct>(
 /// differs: left (`w = M⁻¹·A·vⱼ`, the preconditioned residual, `x += V·y`)
 /// or right with the `zⱼ = M⁻¹·vⱼ` kept (`w = A·zⱼ`, the true residual,
 /// `x += Z·y`).
-fn arnoldi_solve<const FLEXIBLE: bool, O, P, D, M>(
+fn arnoldi_solve<const FLEXIBLE: bool, O, P, D>(
     op: &O,
     pc: &P,
     ip: &D,
     b: &[f64],
     x: &mut [f64],
     cfg: &KspConfig,
-    mon: &M,
 ) -> KspResult
 where
     O: Operator,
     P: Precond,
     D: InnerProduct,
-    M: KspMonitor + ?Sized,
 {
     let _solve = sellkit_obs::span("KSPSolve");
     let n = op.dim();
@@ -123,11 +105,6 @@ where
 
     let r0 = residual(x, &mut r, &mut z);
     history.push(r0);
-    mon.monitor(&IterationRecord {
-        iteration: 0,
-        rnorm: r0,
-        r0,
-    });
     if let Some(reason) = test_convergence(r0, r0, cfg) {
         return KspResult {
             iterations: 0,
@@ -224,11 +201,6 @@ where
             j_used = j + 1;
             rnorm = g[j + 1].abs();
             history.push(rnorm);
-            mon.monitor(&IterationRecord {
-                iteration: total_it,
-                rnorm,
-                r0,
-            });
 
             if let Some(reason) = test_convergence(rnorm, r0, cfg) {
                 stop = Some(reason);

@@ -1,9 +1,10 @@
 //! Krylov subspace solvers (PETSc `KSP`).
 //!
 //! All methods are format-agnostic — they see only
-//! [`Operator`]/[`InnerProduct`]/[`Precond`](crate::pc::Precond) — open one
-//! `KSPSolve` span per solve, and record a residual history for convergence
-//! studies.  Which residual `history`, `residual` and the stopping test
+//! [`Operator`]/[`InnerProduct`]/[`Precond`](crate::pc::Precond) — and open
+//! one `KSPSolve` span per solve.  [`KspResult::history`] is the one
+//! per-iteration record: the initial residual norm, then one entry per
+//! iteration.  Which residual `history`, `residual` and the stopping test
 //! refer to follows from the side `M⁻¹` is applied on:
 //!
 //! | method | preconditioning | residual recorded |
@@ -22,16 +23,11 @@
 pub mod bicgstab;
 pub mod cg;
 pub mod gmres;
-pub mod monitor;
 pub mod tfqmr;
 
-pub use bicgstab::{bicgstab, bicgstab_monitored};
-pub use cg::{cg, cg_monitored};
-pub use gmres::{fgmres, gmres, gmres_monitored};
-pub use monitor::{
-    CollectingMonitor, ConvergenceSummary, IterationRecord, KspMonitor, NoMonitor, ObsMonitor,
-    PrintMonitor,
-};
+pub use bicgstab::bicgstab;
+pub use cg::cg;
+pub use gmres::{fgmres, gmres};
 pub use tfqmr::tfqmr;
 
 use crate::operator::{InnerProduct, Operator};
@@ -197,5 +193,56 @@ pub(crate) mod testmat {
             ax[i] -= b[i];
         }
         crate::vecops::norm2(&ax)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testmat::{convdiff2d, laplace2d};
+    use super::*;
+    use crate::operator::{MatOperator, SeqDot};
+    use crate::pc::{JacobiPc, Precond};
+
+    /// `history` holds the initial residual the module table names, then one
+    /// entry per iteration — on a converged solve and on one stopped by
+    /// `max_it` alike.
+    #[test]
+    fn history_is_the_initial_residual_then_one_entry_per_iteration() {
+        let (spd, unsym) = (laplace2d(8), convdiff2d(8, 2.0));
+        let n = 64;
+        let b: Vec<f64> = (0..n).map(|i| ((i % 7) as f64) - 3.0).collect();
+        let x0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
+        for method in ["gmres", "fgmres", "cg", "bicgstab", "tfqmr"] {
+            let a = if method == "cg" { &spd } else { &unsym };
+            let (op, pc) = (MatOperator(a), JacobiPc::from_csr(a));
+            let (mut r, mut z) = (vec![0.0; n], vec![0.0; n]);
+            residual_into(&op, &b, &x0, &mut r);
+            pc.apply(&r, &mut z);
+            // Only left-preconditioned GMRES records `‖M⁻¹(b − A·x)‖`.
+            let r0 = SeqDot.norm(if method == "gmres" { &z } else { &r });
+            for max_it in [1000, 3] {
+                let cfg = KspConfig {
+                    rtol: 1e-10,
+                    max_it,
+                    ..Default::default()
+                };
+                let mut x = x0.clone();
+                let res = match method {
+                    "gmres" => gmres(&op, &pc, &SeqDot, &b, &mut x, &cfg),
+                    "fgmres" => fgmres(&op, &pc, &SeqDot, &b, &mut x, &cfg),
+                    "cg" => cg(&op, &pc, &SeqDot, &b, &mut x, &cfg),
+                    "bicgstab" => bicgstab(&op, &pc, &SeqDot, &b, &mut x, &cfg),
+                    _ => tfqmr(&op, &pc, &SeqDot, &b, &mut x, &cfg),
+                };
+                if max_it == 3 {
+                    assert_eq!(res.reason, StopReason::MaxIterations, "{method}");
+                    assert_eq!(res.iterations, 3, "{method}");
+                } else {
+                    assert!(res.converged(), "{method}: {:?}", res.reason);
+                }
+                assert_eq!(res.history.len(), res.iterations + 1, "{method}");
+                assert_eq!(res.history[0].to_bits(), r0.to_bits(), "{method}");
+            }
+        }
     }
 }

@@ -7,10 +7,10 @@
 //!   makes every solver format-agnostic (CSR, SELL, or distributed
 //!   matrices all plug in unchanged — the paper's "no penalty in other
 //!   core operations" claim rests on this separation);
-//! * [`ksp`] — Krylov subspace methods: GMRES(restart), CG, BiCGStab,
-//!   Richardson, Chebyshev;
-//! * [`pc`] — preconditioners: Jacobi, block Jacobi, SOR/SSOR, ILU(0) with
-//!   sparse triangular solves (the paper's §8 future work), and geometric
+//! * [`ksp`] — Krylov subspace methods: GMRES(restart), FGMRES, CG,
+//!   BiCGStab, TFQMR, each returning its residual history;
+//! * [`pc`] — preconditioners: Jacobi, ILU(0) with sparse triangular solves
+//!   (the paper's §8 future work), additive Schwarz, and geometric
 //!   multigrid with Galerkin coarse operators built by our own SpGEMM;
 //! * [`snes`] — Newton's method with backtracking line search;
 //! * [`ts`] — θ-scheme timesteppers (Crank-Nicolson, backward Euler).
@@ -36,15 +36,9 @@ pub mod snes;
 pub mod ts;
 pub mod vecops;
 
-pub use ksp::{
-    bicgstab, bicgstab_monitored, cg, cg_monitored, fgmres, gmres, gmres_monitored, tfqmr,
-    CollectingMonitor, ConvergenceSummary, IterationRecord, KspConfig, KspMonitor, KspResult,
-    NoMonitor, ObsMonitor, PrintMonitor, StopReason,
-};
+pub use ksp::{bicgstab, cg, fgmres, gmres, tfqmr, KspConfig, KspResult, StopReason};
 pub use operator::{Counting, InnerProduct, MatOperator, Operator, SeqDot};
-pub use pc::{
-    BlockJacobiPc, IdentityPc, Ilu0, JacobiPc, Multigrid, MultigridConfig, Precond, SorPc,
-};
+pub use pc::{IdentityPc, Ilu0, JacobiPc, Multigrid, MultigridConfig, Precond};
 pub use refine::{refine, RefineConfig, RefineResult};
 pub use snes::{newton, NewtonConfig, NewtonResult, NonlinearProblem};
 pub use ts::{OdeProblem, ThetaConfig, ThetaStepper};

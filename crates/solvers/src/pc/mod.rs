@@ -6,20 +6,16 @@
 //! triangular solves implements the paper's stated future work (§8).
 
 pub mod asm;
-pub mod bjacobi;
 pub mod ilu;
 pub mod jacobi;
 pub mod mg;
-pub mod sor;
 pub mod spgemm;
 pub mod tri_solve;
 
 pub use asm::{AsmPc, SubSolve};
-pub use bjacobi::BlockJacobiPc;
 pub use ilu::Ilu0;
 pub use jacobi::JacobiPc;
 pub use mg::{CoarseSolve, Multigrid, MultigridConfig, Smoother};
-pub use sor::SorPc;
 
 /// An approximate inverse: `z = M⁻¹ r`.
 pub trait Precond {

@@ -20,13 +20,11 @@
     clippy::type_complexity
 )]
 
-pub mod advection_diffusion;
 pub mod dist_gray_scott;
 pub mod generators;
 pub mod gray_scott;
 pub mod matrix_market;
 
-pub use advection_diffusion::{AdvectionDiffusion, AdvectionDiffusionParams};
 pub use dist_gray_scott::{dist_theta_step, DistGrayScott};
 pub use gray_scott::{GrayScott, GrayScottParams};
 pub use matrix_market::{read_mtx, read_mtx_file, write_mtx, write_mtx_file, MtxError};

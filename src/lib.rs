@@ -9,7 +9,7 @@
 //! | [`core`] | matrix formats (CSR, SELL, SELL-C-σ, BAIJ, …) and AVX/AVX2/AVX-512 SpMV kernels |
 //! | [`mpisim`] | rank-per-thread message-passing runtime (MPI substitute) |
 //! | [`dist`] | row-distributed matrices/vectors with overlapped communication |
-//! | [`solvers`] | KSP (GMRES/CG/BiCGStab), PC (Jacobi/SOR/ILU/multigrid), SNES, TS |
+//! | [`solvers`] | KSP (GMRES/FGMRES/CG/BiCGStab/TFQMR), PC (Jacobi/ILU/ASM/multigrid), SNES, TS |
 //! | [`grid`] | structured 2D periodic grids and interpolation operators |
 //! | [`workloads`] | Gray-Scott model, synthetic matrix generators |
 //! | [`machine`] | KNL/Xeon performance model (STREAM curves, roofline, SpMV prediction) and this host's measured STREAM |

@@ -64,7 +64,7 @@ use sellkit::core::{
     matops, Apply, CooBuilder, Csr, ExecCtx, MatShape, Operator, RowAssembler, Sell8, SellSigma8,
 };
 use sellkit::grid::{interpolation_chain, laplacian_5pt, Grid2D};
-use sellkit::solvers::ksp::{gmres_monitored, IterationRecord, KspConfig, KspMonitor};
+use sellkit::solvers::ksp::{gmres, KspConfig};
 use sellkit::solvers::operator::{MatOperator, SeqDot};
 use sellkit::solvers::pc::mg::{Multigrid, MultigridConfig};
 use sellkit::solvers::pc::{JacobiPc, Precond};
@@ -193,18 +193,25 @@ fn warm_multigrid_refresh_is_allocation_free() {
     assert_eq!(ALLOCS.get() - before, 0, "Precond::refresh allocated");
 }
 
-/// Remembers how many bytes this thread had asked for when iteration
-/// `at` was reported.
-struct BytesAt {
+/// An operator that remembers how many bytes this thread had asked for on
+/// entry to its `at`-th application (counting from 1).
+struct BytesAt<'a> {
+    op: MatOperator<'a, Csr>,
     at: usize,
+    applies: Cell<usize>,
     bytes: Cell<Option<usize>>,
 }
 
-impl KspMonitor for BytesAt {
-    fn monitor(&self, rec: &IterationRecord) {
-        if rec.iteration == self.at {
+impl sellkit::solvers::Operator for BytesAt<'_> {
+    fn dim(&self) -> usize {
+        self.op.dim()
+    }
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        self.applies.set(self.applies.get() + 1);
+        if self.applies.get() == self.at {
             self.bytes.set(Some(BYTES.get()));
         }
+        self.op.apply(x, y);
     }
 }
 
@@ -222,12 +229,16 @@ fn restarted_gmres_allocates_no_vector_after_its_first_cycle() {
     let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin()).collect();
     let mut x = vec![0.0; n];
     let restart = 5;
+    // One application for the initial residual, one per Arnoldi step, then
+    // the check that closes the first cycle (`operator.rs` pins this count).
     let first_cycle = BytesAt {
-        at: restart,
+        op: MatOperator(&a),
+        at: restart + 2,
+        applies: Cell::new(0),
         bytes: Cell::new(None),
     };
-    let res = gmres_monitored(
-        &MatOperator(&a),
+    let res = gmres(
+        &first_cycle,
         &JacobiPc::from_csr(&a),
         &SeqDot,
         &rhs,
@@ -238,11 +249,10 @@ fn restarted_gmres_allocates_no_vector_after_its_first_cycle() {
             restart,
             ..Default::default()
         },
-        &first_cycle,
     );
     let after_solve = BYTES.get();
     assert_eq!(res.iterations, 40 * restart, "forty restart cycles");
-    let after_first_cycle = first_cycle.bytes.get().expect("iteration 5 was reported");
+    let after_first_cycle = first_cycle.bytes.get().expect("the first cycle was closed");
     assert!(
         after_solve - after_first_cycle < n * std::mem::size_of::<f64>(),
         "{} bytes allocated after the first restart cycle; a vector is {}",

@@ -1,13 +1,12 @@
 //! Integration of the beyond-the-paper extensions: flexible GMRES over a
 //! multigrid with an iterative coarse solve, Eisenstat-Walker Newton on
-//! Gray-Scott, the adaptive timestepper, ASM preconditioning, TFQMR, the
-//! profiler, and the convergence monitor — all driving the same SELL
-//! kernels as the headline experiments.
+//! Gray-Scott, the adaptive timestepper, ASM preconditioning, TFQMR and the
+//! profiler — all driving the same SELL kernels as the headline
+//! experiments.
 
 use sellkit::core::{Apply, Csr, ExecCtx, MatShape, Sell8};
 use sellkit::grid::{interpolation_chain, laplacian_5pt, Grid2D};
 use sellkit::obs::Registry;
-use sellkit::solvers::ksp::monitor::{format_monitor, summarize};
 use sellkit::solvers::ksp::{fgmres, gmres, tfqmr, KspConfig};
 use sellkit::solvers::operator::{Counting, MatOperator, SeqDot};
 use sellkit::solvers::pc::mg::{CoarseSolve, Multigrid, MultigridConfig, Smoother};
@@ -60,10 +59,6 @@ fn fgmres_with_chebyshev_multigrid() {
         "MG-preconditioned: {} its",
         res.iterations
     );
-    // Monitor utilities agree with the result.
-    let s = summarize(&res).expect("history present");
-    assert!(s.reduction > 1e8);
-    assert!(format_monitor(&res).lines().count() == res.history.len());
 }
 
 #[test]

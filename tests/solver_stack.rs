@@ -7,7 +7,7 @@ use sellkit::solvers::ksp::{bicgstab, cg, fgmres, gmres, tfqmr, KspConfig};
 use sellkit::solvers::operator::{MatOperator, SeqDot};
 use sellkit::solvers::pc::asm::{AsmPc, SubSolve};
 use sellkit::solvers::pc::mg::{CoarseSolve, Multigrid, MultigridConfig};
-use sellkit::solvers::pc::{BlockJacobiPc, IdentityPc, Ilu0, JacobiPc, SorPc};
+use sellkit::solvers::pc::{IdentityPc, Ilu0, JacobiPc};
 use sellkit::solvers::Precond;
 
 /// Periodic Laplacian + mass shift to make it definite.
@@ -100,17 +100,10 @@ fn every_pc_accelerates_gmres() {
 
     let none = iters(&IdentityPc);
     let jac = iters(&JacobiPc::from_csr(&a));
-    let bjac = iters(&BlockJacobiPc::from_csr(&a, 2));
-    let sor = iters(&SorPc::ssor(&a, 1.0, 1));
     let ilu = iters(&Ilu0::factor(&a));
     let asm = iters(&AsmPc::new(&a, 4, SubSolve::Ilu0));
 
     assert!(jac <= none, "Jacobi {jac} vs none {none}");
-    assert!(
-        bjac <= jac + 2,
-        "block-Jacobi comparable to Jacobi: {bjac} vs {jac}"
-    );
-    assert!(sor < none, "SSOR {sor} vs none {none}");
     assert!(ilu < jac, "ILU(0) {ilu} must beat Jacobi {jac}");
     assert!(asm < jac, "ASM/ILU {asm} must beat Jacobi {jac}");
     assert!(
