@@ -10,7 +10,6 @@
 use crate::csr::Csr;
 use crate::exec::ExecCtx;
 use crate::multivec::{VecView, VecViewMut};
-use crate::plan::{PlanCache, SpmvPlan};
 use crate::traits::{check_apply_dims, check_spmv_dims, Apply, MatShape, Operator};
 
 /// A block-CSR matrix with runtime block size `bs`.
@@ -25,8 +24,6 @@ pub struct Baij {
     bcolidx: Vec<u32>,
     /// Blocks stored contiguously, each row-major `bs × bs`.
     val: Vec<f64>,
-    /// Cached threaded execution plans; invalidated on pattern change.
-    plan: PlanCache,
 }
 
 impl Baij {
@@ -78,7 +75,6 @@ impl Baij {
             browptr,
             bcolidx,
             val: blocks,
-            plan: PlanCache::new(),
         }
     }
 
@@ -169,27 +165,14 @@ impl Operator for Baij {
 }
 
 impl Baij {
-    /// Shared body of `spmv_ctx`/`spmv_add_ctx`: serial over all block
-    /// rows, or an nnz-balanced block-row partition on the context's pool
-    /// (`browptr` counts blocks, which is proportional to stored work).
+    /// Shared body of both [`Operator::apply`] modes for one vector: all
+    /// block rows on a serial context, an nnz-balanced block-row partition
+    /// on a pool (`browptr` counts blocks, which is proportional to stored
+    /// work).
     fn spmv_parts<const ADD: bool>(&self, ctx: &ExecCtx, x: &[f64], y: &mut [f64]) {
         check_spmv_dims(self.nrows(), self.ncols(), x, y);
-        if ctx.is_serial() {
-            self.spmv_range::<ADD>(0, x, y);
-            return;
-        }
-        let plan = self.plan.get_or_build(ctx.threads(), |epoch| {
-            SpmvPlan::from_prefix(
-                &self.browptr,
-                self.bs,
-                self.nrows(),
-                ctx.threads(),
-                crate::isa::Isa::detect(),
-                epoch,
-            )
-        });
-        plan.run_on(ctx, y, &|_, part, win| {
-            self.spmv_range::<ADD>(part.item0, x, win);
+        ctx.dispatch_weighted(&self.browptr, self.bs, y, 1, &|b0, _, win| {
+            self.spmv_range::<ADD>(b0, x, win);
         });
     }
 

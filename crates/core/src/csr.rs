@@ -10,7 +10,6 @@ use crate::exec::ExecCtx;
 use crate::isa::Isa;
 use crate::kernels;
 use crate::multivec::{VecView, VecViewMut};
-use crate::plan::{PlanCache, SpmvPlan};
 use crate::traits::{check_apply_dims, check_spmv_dims, Apply, MatShape, Operator};
 
 /// A CSR matrix.  It keeps the `Vec`s it is built from: a row starts
@@ -24,8 +23,6 @@ pub struct Csr {
     colidx: Vec<u32>,
     val: Vec<f64>,
     isa: Isa,
-    /// Cached threaded execution plans; invalidated on pattern/ISA change.
-    plan: PlanCache,
 }
 
 impl Csr {
@@ -87,7 +84,6 @@ impl Csr {
             colidx,
             val,
             isa: Isa::detect(),
-            plan: PlanCache::new(),
         }
     }
 
@@ -127,8 +123,6 @@ impl Csr {
     pub fn with_isa(mut self, isa: Isa) -> Self {
         assert!(isa.available(), "ISA {isa} not available on this CPU");
         self.isa = isa;
-        // Plans resolve kernels at build time; force a re-plan.
-        self.plan.invalidate();
         self
     }
 
@@ -290,22 +284,13 @@ impl Csr {
         }
     }
 
-    /// Shared body of both [`Operator::apply`] modes: the serial
-    /// whole-matrix product, or an nnz-balanced row partition (one window
-    /// job per worker) on the context's pool.  Partitions are
-    /// `k`-independent, so SpMV and SpMM share one cached plan per
-    /// `(pattern, threads)`.
+    /// Shared body of both [`Operator::apply`] modes: the whole-matrix
+    /// product on a serial context, an nnz-balanced row partition (one
+    /// window per lane) on a pool — the same for SpMV and SpMM.
     fn apply_parts<const ADD: bool>(&self, ctx: &ExecCtx, x: &[f64], y: &mut [f64], k: usize) {
         let block = (k != 1).then_some(k);
-        if ctx.is_serial() {
-            return self.rows::<ADD>(self.isa, 0, self.nrows, x, y, block);
-        }
-        let plan = self.plan.get_or_build(ctx.threads(), |epoch| {
-            SpmvPlan::from_prefix(&self.rowptr, 1, self.nrows, ctx.threads(), self.isa, epoch)
-        });
-        let isa = plan.isa();
-        plan.run_on_blocked(ctx, y, k, &|_, part, win| {
-            self.rows::<ADD>(isa, part.item0, part.item1, x, win, block);
+        ctx.dispatch_weighted(&self.rowptr, 1, y, k, &|r0, r1, win| {
+            self.rows::<ADD>(self.isa, r0, r1, x, win, block);
         });
     }
 }

@@ -22,8 +22,9 @@
 //! * hand-written SpMV kernels for scalar, AVX, AVX2, and AVX-512 ISAs
 //!   (Algorithms 1 and 2 of the paper) with runtime dispatch ([`Isa`]);
 //! * a shared-memory execution engine ([`ExecCtx`]) that runs the same
-//!   kernels across a persistent worker pool on an nnz-balanced,
-//!   slice-aligned row partition — the "parallel" in the paper's title;
+//!   kernels across a persistent worker pool, each lane on the
+//!   nnz-balanced, slice-aligned row window it computes from the format's
+//!   pointer prefix — the "parallel" in the paper's title;
 //! * the §6 memory-traffic model ([`traffic`]) and format statistics
 //!   ([`stats`]).
 //!
@@ -74,7 +75,6 @@ pub mod isa;
 mod kernels;
 pub mod matops;
 pub mod multivec;
-pub mod plan;
 pub mod pool;
 pub mod sbaij;
 pub mod sell;
@@ -93,10 +93,9 @@ pub use csr::Csr;
 pub use exec::ExecCtx;
 pub use isa::Isa;
 pub use multivec::{MultiVec, VecView, VecViewMut, SPECIALIZED_K};
-pub use plan::{Permutation, PlanCache, PlanPart, SpmvPlan};
 pub use sbaij::Sbaij;
 pub use sell::{Sell, Sell16, Sell4, Sell8};
 pub use sell_esb::SellEsb;
-pub use sell_sigma::{SellSigma, SellSigma16, SellSigma4, SellSigma8};
+pub use sell_sigma::{Permutation, SellSigma, SellSigma16, SellSigma4, SellSigma8};
 pub use stats::FormatStats;
 pub use traits::{Apply, FromCsr, MatShape, Operator};

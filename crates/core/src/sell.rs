@@ -51,7 +51,6 @@ use crate::exec::ExecCtx;
 use crate::isa::Isa;
 use crate::kernels;
 use crate::multivec::{VecView, VecViewMut};
-use crate::plan::{PlanCache, SpmvPlan};
 use crate::traits::{check_apply_dims, check_spmv_dims, Apply, MatShape, Operator};
 
 /// Narrow-form sentinel in the compressed `cidx16` offsets: `0xFFFF`
@@ -84,8 +83,6 @@ pub struct Sell<const C: usize> {
     sliceptr: Vec<usize>,
     rlen: Vec<u32>,
     isa: Isa,
-    /// Cached threaded execution plans; invalidated on pattern/ISA change.
-    plan: PlanCache,
     /// Value-storage codec (PackSELL): `F64` holds `val`, a reduced codec
     /// `pval` (one codec-stride encoding per entry); the other is empty.
     codec: Codec,
@@ -222,7 +219,6 @@ impl<const C: usize> Sell<C> {
             sliceptr,
             rlen,
             isa: Isa::detect(),
-            plan: PlanCache::new(),
             codec,
             val,
             pval,
@@ -238,8 +234,6 @@ impl<const C: usize> Sell<C> {
     pub fn with_isa(mut self, isa: Isa) -> Self {
         assert!(isa.available(), "ISA {isa} not available on this CPU");
         self.isa = isa;
-        // Plans resolve kernels at build time; force a re-plan.
-        self.plan.invalidate();
         self
     }
 
@@ -403,8 +397,7 @@ impl<const C: usize> Sell<C> {
 
     /// Overwrites values in place from a CSR matrix with the **same
     /// sparsity pattern** (the Jacobian-refresh path: TS/SNES re-assemble
-    /// values every Newton step without changing the pattern).  Cached
-    /// execution plans survive: the partition depends only on the pattern.
+    /// values every Newton step without changing the pattern).
     ///
     /// # Panics
     /// If the shape, a row length or a column of `csr` differs from the
@@ -522,29 +515,14 @@ impl<const C: usize> Sell<C> {
         }
     }
 
-    /// Shared body of both [`Operator::apply`] modes: the serial
-    /// whole-matrix product, or a slice-aligned, nnz-balanced partition on
-    /// the context's pool — the slice is the natural unit of multi-threaded
-    /// SELL, so a partition never splits one, and it is `k`-independent, so
-    /// SpMV and SpMM share one cached plan.
+    /// Shared body of both [`Operator::apply`] modes: the whole-matrix
+    /// product on a serial context, a slice-aligned, nnz-balanced partition
+    /// on a pool — the slice is the natural unit of multi-threaded SELL, so
+    /// a partition never splits one, and SpMV and SpMM split alike.
     fn apply_parts<const ADD: bool>(&self, ctx: &ExecCtx, x: &[f64], y: &mut [f64], k: usize) {
         let block = (k != 1).then_some(k);
-        if ctx.is_serial() {
-            return self.slices::<ADD, false>(self.isa, 0, self.nslices(), x, y, block);
-        }
-        let plan = self.plan.get_or_build(ctx.threads(), |epoch| {
-            SpmvPlan::from_prefix(
-                &self.sliceptr,
-                C,
-                self.nrows,
-                ctx.threads(),
-                self.isa,
-                epoch,
-            )
-        });
-        let isa = plan.isa();
-        plan.run_on_blocked(ctx, y, k, &|_, part, win| {
-            self.slices::<ADD, false>(isa, part.item0, part.item1, x, win, block);
+        ctx.dispatch_weighted(&self.sliceptr, C, y, k, &|s0, s1, win| {
+            self.slices::<ADD, false>(self.isa, s0, s1, x, win, block);
         });
     }
 }

@@ -20,7 +20,6 @@ use crate::csr::Csr;
 use crate::exec::ExecCtx;
 use crate::isa::Isa;
 use crate::multivec::{VecView, VecViewMut};
-use crate::plan::{PlanCache, SpmvPlan};
 use crate::sell::Sell8;
 use crate::traits::{check_apply_dims, check_spmv_dims, Apply, MatShape, Operator};
 
@@ -34,8 +33,6 @@ pub struct SellEsb {
     /// One 8-bit mask per slice column: bit `r` set ⇔ lane `r` is a real
     /// nonzero of its row (not padding).
     bits: AVec<u8>,
-    /// Cached threaded execution plans; invalidated on pattern change.
-    plan: PlanCache,
 }
 
 impl SellEsb {
@@ -59,12 +56,7 @@ impl SellEsb {
             }
             col_at += w;
         }
-        Self {
-            sell,
-            colidx,
-            bits,
-            plan: PlanCache::new(),
-        }
+        Self { sell, colidx, bits }
     }
 
     /// The underlying SELL-8 matrix.
@@ -91,8 +83,6 @@ impl SellEsb {
     /// Overrides the dispatch ISA (panics if unavailable on this CPU).
     pub fn with_isa(mut self, isa: Isa) -> Self {
         self.sell = self.sell.with_isa(isa);
-        // Plans resolve kernels at build time; force a re-plan.
-        self.plan.invalidate();
         self
     }
 
@@ -113,26 +103,12 @@ impl SellEsb {
     }
 
     /// Shared body of both [`Operator::apply`] modes for one vector: the
-    /// serial whole-matrix product, or the slice-aligned plan plain SELL-8
-    /// uses, each part running the *same* masked kernel (bitwise
-    /// determinism).
+    /// slice-aligned partition plain SELL-8 uses, each part running the
+    /// *same* masked kernel (bitwise determinism).
     fn spmv<const ADD: bool>(&self, ctx: &ExecCtx, x: &[f64], y: &mut [f64]) {
-        if ctx.is_serial() {
-            return self.slices::<ADD>(self.sell.isa(), 0, self.sell.nslices(), x, y);
-        }
-        let plan = self.plan.get_or_build(ctx.threads(), |epoch| {
-            SpmvPlan::from_prefix(
-                self.sell.sliceptr(),
-                8,
-                self.sell.nrows(),
-                ctx.threads(),
-                self.sell.isa(),
-                epoch,
-            )
-        });
-        let isa = plan.isa();
-        plan.run_on(ctx, y, &|_, part, win| {
-            self.slices::<ADD>(isa, part.item0, part.item1, x, win);
+        let isa = self.sell.isa();
+        ctx.dispatch_weighted(self.sell.sliceptr(), 8, y, 1, &|s0, s1, win| {
+            self.slices::<ADD>(isa, s0, s1, x, win);
         });
     }
 }

@@ -14,14 +14,15 @@
 //!
 //! Implementation: the stored matrix is a plain [`Sell<C>`] built from
 //! the row-permuted CSR, so **every existing kernel — scalar, AVX, AVX2,
-//! AVX-512, and the plan-based threaded path — is reused unchanged**.
+//! AVX-512, and the pooled slice partition — is reused unchanged**.
 //! Column indices are untouched (only rows move), so `x` is gathered
 //! directly; the kernels write the *sorted* output into a scratch vector
-//! owned by the matrix, and a verified [`Permutation`] scatters it back
-//! to logical row order ([`Permutation::scatter_ctx`], parallel and
-//! bitwise-deterministic).  The scratch is allocated once at
-//! construction, keeping `spmv_ctx` allocation-free on the hot path at
-//! any thread count.
+//! owned by the matrix, and each logical row then gathers its value back
+//! through the verified inverse [`Permutation`] (`y[i] = sorted[inv[i]]`,
+//! over even windows of `y` on a pool — parallel and bitwise-deterministic,
+//! since each element is assigned exactly once).  The scratch is
+//! allocated once at construction, keeping `apply` allocation-free on the
+//! hot path at any thread count.
 
 use std::sync::Mutex;
 
@@ -30,7 +31,6 @@ use crate::csr::Csr;
 use crate::exec::ExecCtx;
 use crate::isa::Isa;
 use crate::multivec::{VecView, VecViewMut};
-use crate::plan::Permutation;
 use crate::sell::Sell;
 use crate::traits::{check_apply_dims, Apply, MatShape, Operator};
 
@@ -177,8 +177,7 @@ impl<const C: usize> SellSigma<C> {
 
     /// Overwrites values in place from a CSR matrix with the **same
     /// sparsity pattern** (the Jacobian-refresh path).  The permutation
-    /// depends only on row lengths, so it — and any cached execution
-    /// plans — survive.
+    /// depends only on row lengths, so it survives.
     ///
     /// # Panics
     /// As [`Sell::set_values_from_csr`]: on any difference in shape, row
@@ -199,11 +198,11 @@ impl<const C: usize> SellSigma<C> {
 
     /// Shared body of [`Operator::apply`]: the plain SELL kernels compute
     /// the sorted product into the cached scratch buffer on the same
-    /// context (plan-based threaded path included), then the permutation
-    /// scatters row blocks back to logical order.  Both stages are
-    /// bitwise-deterministic across thread counts, so the whole product
-    /// is too.  The scratch holds `nrows` doubles at construction and
-    /// grows (once) to `nrows * k` on the first blocked product.
+    /// context, then every logical row `i` takes its block of `k` values
+    /// from sorted row `inv[i]`, over even windows of `y`.  Both stages
+    /// are bitwise-deterministic across thread counts, so the whole
+    /// product is too.  The scratch holds `nrows` doubles at construction
+    /// and grows (once) to `nrows * k` on the first blocked product.
     fn apply_parts<const ADD: bool>(&self, ctx: &ExecCtx, x: &[f64], y: &mut [f64], k: usize) {
         let n = self.nrows() * k;
         let mut scratch = self
@@ -220,12 +219,27 @@ impl<const C: usize> SellSigma<C> {
             VecViewMut::blocked(sorted, k),
             Apply::Set,
         );
-        self.perm.scatter_blocks_ctx::<ADD>(ctx, sorted, y, k);
+        let inv = self.inv.as_slice();
+        ctx.dispatch_even(y, &|off, win| {
+            // The window may start and end inside a row block.
+            let (mut i, mut t) = (off / k, off % k);
+            for v in win {
+                let s = sorted[inv[i] as usize * k + t];
+                if ADD {
+                    *v += s;
+                } else {
+                    *v = s;
+                }
+                t += 1;
+                if t == k {
+                    (i, t) = (i + 1, 0);
+                }
+            }
+        });
     }
 }
 
-/// Clone re-derives the scratch buffer (and the inner matrix's plan
-/// cache starts empty, as for every format).
+/// Clone re-derives the scratch buffer.
 impl<const C: usize> Clone for SellSigma<C> {
     fn clone(&self) -> Self {
         Self {
@@ -276,6 +290,65 @@ impl<const C: usize> Operator for SellSigma<C> {
     }
 }
 
+/// A **verified** permutation of `0..n`: storage position `k` maps to
+/// logical position `fwd[k]`.  Bijectivity is checked once at
+/// construction, which is what lets SELL-C-σ's unsort assign every
+/// output element exactly once.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Permutation {
+    fwd: Vec<u32>,
+}
+
+impl Permutation {
+    /// Wraps `fwd`, verifying it is a bijection of `0..fwd.len()`.
+    ///
+    /// # Panics
+    /// If any entry is out of range or duplicated.
+    pub fn new(fwd: Vec<u32>) -> Self {
+        let n = fwd.len();
+        let mut seen = vec![false; n];
+        for &v in &fwd {
+            let v = v as usize;
+            assert!(v < n, "permutation entry {v} out of range 0..{n}");
+            assert!(!seen[v], "duplicate permutation entry {v}");
+            seen[v] = true;
+        }
+        Self { fwd }
+    }
+
+    /// The identity permutation of `0..n`.
+    pub fn identity(n: usize) -> Self {
+        Self {
+            fwd: (0..n as u32).collect(),
+        }
+    }
+
+    /// Number of permuted positions.
+    pub fn len(&self) -> usize {
+        self.fwd.len()
+    }
+
+    /// Whether the permutation is over the empty set.
+    pub fn is_empty(&self) -> bool {
+        self.fwd.is_empty()
+    }
+
+    /// The forward map: storage `k` → logical `self.as_slice()[k]`.
+    pub fn as_slice(&self) -> &[u32] {
+        &self.fwd
+    }
+
+    /// The inverse map (logical → storage).
+    pub fn inverse(&self) -> Permutation {
+        let mut inv = vec![0u32; self.fwd.len()];
+        for (k, &v) in self.fwd.iter().enumerate() {
+            inv[v as usize] = k as u32;
+        }
+        // Inverse of a verified bijection is a bijection; skip re-checking.
+        Permutation { fwd: inv }
+    }
+}
+
 /// A CSR matrix with rows reordered so row `k` of the result is row
 /// `perm[k]` of the input (columns untouched).
 fn permute_rows(csr: &Csr, perm: &[u32]) -> Csr {
@@ -320,6 +393,27 @@ mod tests {
             }
         }
         b.to_csr()
+    }
+
+    #[test]
+    fn permutation_round_trips() {
+        let p = Permutation::new(vec![2, 0, 3, 1]);
+        let inv = p.inverse();
+        for k in 0..4 {
+            assert_eq!(inv.as_slice()[p.as_slice()[k] as usize] as usize, k);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate permutation entry")]
+    fn permutation_rejects_duplicates() {
+        Permutation::new(vec![0, 1, 1, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn permutation_rejects_out_of_range() {
+        Permutation::new(vec![0, 4, 1, 2]);
     }
 
     #[test]
@@ -420,6 +514,35 @@ mod tests {
             let mut got = vec![0.0; 150];
             s.apply(&ctx, (&x).into(), (&mut got).into(), Apply::Set);
             assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn blocked_unsort_matches_serial_for_any_lane_count() {
+        // 50 rows of k = 3: the even windows of `y` start inside row blocks.
+        let (n, k) = (50, 3);
+        let s = SellSigma8::from_csr_sigma(&irregular(n, 43), 16);
+        let x: Vec<f64> = (0..n * k).map(|i| (i as f64 * 0.11).sin()).collect();
+        let y0: Vec<f64> = (0..n * k).map(|i| i as f64 * 0.5).collect();
+        for mode in [Apply::Set, Apply::Add] {
+            let mut want = y0.clone();
+            let xv = VecView::blocked(&x, k);
+            s.apply(
+                &ExecCtx::serial(),
+                xv,
+                VecViewMut::blocked(&mut want, k),
+                mode,
+            );
+            for threads in [2usize, 4, 7] {
+                let mut got = y0.clone();
+                s.apply(
+                    &ExecCtx::new(threads),
+                    xv,
+                    VecViewMut::blocked(&mut got, k),
+                    mode,
+                );
+                assert_eq!(got, want, "{mode:?} threads={threads}");
+            }
         }
     }
 

@@ -145,7 +145,7 @@ pub trait FromCsr: Sized {
     /// `MAT_REUSE_MATRIX`): afterwards `self` equals `Self::from_csr(csr)`
     /// in every stored bit.  The default rebuilds; formats with a
     /// value-only path take it when `csr` has the pattern they hold —
-    /// keeping layout, permutation and cached execution plans — and
+    /// keeping layout and permutation — and
     /// rebuild otherwise, so a pattern change is never an error here.
     fn set_from_csr(&mut self, csr: &crate::csr::Csr) {
         *self = Self::from_csr(csr);

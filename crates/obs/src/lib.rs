@@ -10,7 +10,7 @@
 //! accumulator for its full stage path, so nested work is attributed to
 //! both the leaf event and every enclosing stage.  Named [`counter`]s,
 //! [`gauge`]s, and sample [`series_point`]s ride along for non-span
-//! telemetry (halo bytes, partition imbalance, residual histories).
+//! telemetry (halo bytes, queue depth, residual histories).
 //!
 //! All state is sharded per thread and merged only when [`report`] takes a
 //! snapshot, so pool workers record without contending on shared locks.

@@ -602,11 +602,11 @@ mod tests {
         let reg = Registry::new();
         reg.counter("halo.bytes", 100.0);
         reg.counter("halo.bytes", 28.0);
-        reg.gauge("partition.imbalance", 1.5);
-        reg.gauge("partition.imbalance", 1.25);
+        reg.gauge("serve.queue_depth", 1.5);
+        reg.gauge("serve.queue_depth", 1.25);
         let report = reg.report();
         assert_eq!(report.counters["halo.bytes"], 128.0);
-        assert_eq!(report.gauges["partition.imbalance"], 1.25);
+        assert_eq!(report.gauges["serve.queue_depth"], 1.25);
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub struct Report {
     pub events: Vec<EventReport>,
     /// Summed named counters (e.g. `halo.bytes`).
     pub counters: BTreeMap<String, f64>,
-    /// Latest-write named gauges (e.g. `partition.imbalance`).
+    /// Latest-write named gauges (e.g. `serve.queue_depth`).
     pub gauges: BTreeMap<String, f64>,
     /// Named sample series sorted by `x` (e.g. `serve.latency_ms`).
     pub series: BTreeMap<String, Vec<SeriesPoint>>,
@@ -519,7 +519,7 @@ mod tests {
         }
         reg.record("Assembly", 0.25, 0.0);
         reg.counter("halo.bytes", 4096.0);
-        reg.gauge("partition.imbalance", 1.03);
+        reg.gauge("serve.queue_depth", 1.03);
         reg.series_point("ksp.rnorm", 0.0, 1.0);
         reg.series_point("ksp.rnorm", 1.0, 1e-3);
         for i in 0..50 {
@@ -699,7 +699,7 @@ mod tests {
             "nested MatMult is indented directly under KSPSolve:\n{table}"
         );
         assert!(table.contains("counter halo.bytes"));
-        assert!(table.contains("gauge   partition.imbalance"));
+        assert!(table.contains("gauge   serve.queue_depth"));
     }
 
     #[test]

@@ -500,8 +500,8 @@ impl<M: CoreOperator + FromCsr> Precond for Multigrid<M> {
     /// The numeric half of [`Multigrid::new`] for a fine matrix that stores
     /// exactly the positions the hierarchy was built for (`rowptr` and
     /// `colidx` are compared, not hashed); any other matrix is refused
-    /// before anything is written.  Interpolations, patterns, layouts,
-    /// execution plans and the workspace stay; with the Jacobi smoother and
+    /// before anything is written.  Interpolations, patterns, layouts and
+    /// the workspace stay; with the Jacobi smoother and
     /// a Jacobi coarse solve nothing is allocated.
     fn refresh(&mut self, a: &Csr) -> bool {
         let n = self.levels[0].n;

@@ -1,7 +1,7 @@
 //! Warm hot paths perform **zero heap allocations**:
 //!
-//! * `spmv_ctx` at any thread count, once the execution plan has been built
-//!   (ISSUE 4);
+//! * a matrix product at any thread count, from the first one on: each
+//!   lane computes its own window, so there is nothing to build first;
 //! * a multigrid V-cycle, serial and on a pool, once the hierarchy exists;
 //! * the numeric set-up of that hierarchy for a new fine matrix
 //!   (`Precond::refresh`) with the paper's options;
@@ -61,7 +61,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 use sellkit::core::{
-    matops, Apply, CooBuilder, Csr, ExecCtx, MatShape, Operator, RowAssembler, Sell8, SellSigma8,
+    matops, Apply, Baij, CooBuilder, Csr, ExecCtx, MatShape, Operator, RowAssembler, Sell8,
+    SellEsb, SellSigma8,
 };
 use sellkit::grid::{interpolation_chain, laplacian_5pt, Grid2D};
 use sellkit::solvers::ksp::{gmres, KspConfig};
@@ -100,7 +101,7 @@ fn allocs_during<M: Operator>(
     y: &mut [f64],
     reps: usize,
 ) -> usize {
-    // Warmup: builds the cached plan, faults in pool state.
+    // Warmup: faults in pool state.
     m.apply(ctx, (x).into(), (y).into(), Apply::Set);
     m.apply(ctx, (x).into(), (y).into(), Apply::Add);
     let before = allocs_on(ctx);
@@ -140,9 +141,34 @@ fn warm_spmv_ctx_is_allocation_free() {
     }
 }
 
+/// The first pooled product of a freshly built matrix allocates nothing:
+/// no partition is built or cached, each lane binary-searches its own
+/// window of the pointer prefix.
+#[test]
+fn first_pooled_apply_is_allocation_free() {
+    let n = 512;
+    let a = irregular(n);
+    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin()).collect();
+    let mut y = vec![0.0; n];
+    let ctx = ExecCtx::new(4);
+    ctx.dispatch(ctx.threads(), &|_| {});
+    let fresh: [(&str, Box<dyn Operator>); 5] = [
+        ("csr", Box::new(a.clone())),
+        ("sell8", Box::new(Sell8::from_csr(&a))),
+        ("sell-c-sigma", Box::new(SellSigma8::from_csr_sigma(&a, 32))),
+        ("baij", Box::new(Baij::from_csr(&a, 2))),
+        ("sell-esb", Box::new(SellEsb::from_csr(&a))),
+    ];
+    for (name, m) in &fresh {
+        let before = allocs_on(&ctx);
+        m.apply(&ctx, (&x).into(), (&mut y).into(), Apply::Set);
+        m.apply(&ctx, (&x).into(), (&mut y).into(), Apply::Add);
+        assert_eq!(allocs_on(&ctx) - before, 0, "first {name} apply allocated");
+    }
+}
+
 /// The paper's preconditioner on a Gray-Scott Newton matrix: after one
-/// apply (which builds the level plans on a pool) every further one works
-/// in the hierarchy's own vectors.
+/// apply on a pool every further one works in the hierarchy's own vectors.
 #[test]
 fn warm_multigrid_apply_is_allocation_free() {
     let gs = GrayScott::new(32, GrayScottParams::default());

@@ -168,7 +168,7 @@ fn json_export_is_schema_stable_under_load() {
         let _solve = reg.span("KSPSolve");
         let _mm = reg.span_traffic("MatMult", 2000.0, 12_000.0);
     }
-    reg.gauge("partition.imbalance", 1.25);
+    reg.gauge("serve.queue_depth", 1.25);
     reg.series_point("ksp.rnorm", 0.0, 1.0);
     reg.series_point("ksp.rnorm", 1.0, 0.1);
     let text = reg.report().to_json(Some(100.0));

@@ -90,7 +90,7 @@ proptest! {
         assert_parallel_matches_serial(&Sell::<4>::from_csr(&a), &x, "sell4");
         assert_parallel_matches_serial(&Sell::<8>::from_csr(&a), &x, "sell8");
         assert_parallel_matches_serial(&Sell::<16>::from_csr(&a), &x, "sell16");
-        // SELL-C-σ runs its threaded plan + parallel unsort scatter; cover
+        // SELL-C-σ runs its slice partition + parallel unsort gather; cover
         // no-sorting, default, and global windows.
         for s in [1usize, 32, n] {
             assert_parallel_matches_serial(
@@ -139,7 +139,7 @@ fn empty_matrix_is_a_noop() {
 
 /// Regression: a matrix with rows but no entries must produce exact
 /// +0.0 everywhere (set) and leave `y` untouched (add) — through every
-/// format's plan/pool dispatch, including ragged SELL tails (n = 11)
+/// format's pool dispatch, including ragged SELL tails (n = 11)
 /// and block-divisible shapes (n = 12).
 #[test]
 fn all_empty_rows_matrix_is_exactly_zero() {
