@@ -36,11 +36,6 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Formats a float with 1 decimal.
-pub fn f1(v: f64) -> String {
-    format!("{v:.1}")
-}
-
 /// Formats a float with 2 decimals.
 pub fn f2(v: f64) -> String {
     format!("{v:.2}")

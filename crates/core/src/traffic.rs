@@ -14,8 +14,8 @@
 //!   (`2 · m/8 · 8 = 2·m`), replacing CSR's `16·m` of row pointers.
 //!
 //! Those two are the **paper's §6 model** ([`csr_traffic`],
-//! [`sell_traffic`]): what the Fig. 4/9/10/11 exhibits and
-//! `tests/paper_claims.rs` predict KNL/Xeon numbers with.  What this
+//! [`sell_traffic`]): what `exhibit traffic_model` and
+//! `tests/paper_claims.rs` evaluate on the paper's shapes.  What this
 //! crate's `Sell` actually streams — the **measured stream**,
 //! [`sell_stream_traffic`], behind `Sell`'s `Operator::spmv_traffic` and
 //! [`for_sell`] — deviates from it in the per-nonzero term:

@@ -1,57 +1,46 @@
 //! # sellkit-machine
 //!
-//! An analytic performance model of the processors in the paper's Table 1
-//! (KNL 7230/7250, Haswell E5-2699v3, Broadwell E5-2699v4, Skylake 8180M),
-//! standing in for hardware we do not have (see DESIGN.md §3).
+//! This host's memory roof: [`stream_probe`] *measures* its copy and triad
+//! bandwidth (McCalpin's STREAM), the roof every number measured here is a
+//! fraction of.
 //!
-//! SpMV is bandwidth-bound (§6), so the model is a two-roof roofline:
-//!
-//! ```text
-//! perf(kernel, p) = min( AI_format · B(mode, p),            // memory roof
-//!                        2 · rate(kernel) · p · f_eff )     // instruction roof
-//! ```
-//!
-//! * `AI_format` comes from the paper's §6 traffic formulas (implemented in
-//!   `sellkit_core::traffic`);
-//! * `B(mode, p)` is a saturating STREAM curve shaped like Figure 4;
-//! * `rate(kernel)` is a per-core element throughput **calibrated once**
-//!   against the ratios the paper reports on KNL (Figure 8: SELL-AVX512 ≈
-//!   2× CSR baseline, CSR-AVX512 = +54 %, AVX2-regression for CSR, MKL
-//!   below baseline, CSRPerm at parity) — see [`calibrate`] for the table
-//!   and its provenance.
-//!
-//! The model consumes the *real* matrix shapes produced by the rest of the
-//! workspace, so who-wins and crossover locations are driven by format and
-//! kernel structure, not hard-coded outcomes.
-//!
-//! Beside the model, [`stream`] *measures* this host's copy and triad
-//! bandwidth — the only roof a number measured here is reported against;
-//! the model's curves are for the exhibit predictions.
+//! The paper's KNL and Xeon results are not modelled: EXPERIMENTS.md sets
+//! each of its numbers beside what this host measured, or marks it "not
+//! reproduced on this host".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Indexed loops mirror the paper's kernel pseudocode and stay readable
-// next to the intrinsics; a few solver signatures are wide by nature.
-#![allow(
-    clippy::needless_range_loop,
-    clippy::too_many_arguments,
-    clippy::type_complexity
-)]
 
-pub mod calibrate;
-pub mod modes;
-pub mod predict;
-pub mod roofline;
-pub mod specs;
 pub mod stream;
-pub mod stream_model;
 
-pub use calibrate::KernelKind;
-pub use modes::MemoryMode;
-pub use predict::{predict_gflops, predict_spmv_seconds, MatrixShape};
-pub use roofline::{Roofline, RooflinePoint};
-pub use specs::{
-    broadwell_e5_2699v4, haswell_e5_2699v3, knl_7230, knl_7250, skylake_8180m, ProcessorSpec,
-};
 pub use stream::{stream_probe, StreamKernel, StreamPoint};
-pub use stream_model::{host_stream_bw_gbs, StreamCurve};
+
+/// The STREAM bandwidth (GB/s) a saturating curve assigns to Table 1's
+/// Skylake 8180M at `threads` threads: `119.2 · (1 − e^{−t/τ})`, τ = 28 / 5
+/// cores, `threads` clamped to at least one.
+///
+/// Kept only for the frozen `benchmark/` (its `machine.model_bw_gbs_t1`);
+/// nothing in the workspace reports a number against it — measured numbers
+/// are judged against [`stream_probe`].
+pub fn host_stream_bw_gbs(threads: usize) -> f64 {
+    119.2 * (1.0 - (-(threads.max(1) as f64) / (28.0 / 5.0)).exp())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn host_bandwidth_bits_are_pinned() {
+        for (t, bits) in [
+            (0, 0x4033_7e53_09eb_1de9),
+            (1, 0x4033_7e53_09eb_1de9),
+            (2, 0x4041_e646_bb2f_d7c6),
+            (4, 0x404e_6c5e_8243_2143),
+            (28, 0x405d_9965_c5d5_1a61),
+            (56, 0x405d_cc74_229a_a2b7),
+        ] {
+            assert_eq!(host_stream_bw_gbs(t).to_bits(), bits, "threads = {t}");
+        }
+    }
+}

@@ -1,7 +1,5 @@
-//! The *measured* STREAM point of this host (McCalpin's copy and triad),
-//! beside the model of [`stream_model`](crate::stream_model): the model
-//! predicts the paper's KNL / Xeon exhibits, this is the roof a number
-//! measured here is a fraction of.
+//! The *measured* STREAM point of this host (McCalpin's copy and triad):
+//! the roof a number measured here is a fraction of.
 //!
 //! Sizing is the benchmark's rule: each array is at least 4 × the largest
 //! cache sysfs reports for cpu0 (so no pass is served from it), capped at

@@ -62,6 +62,10 @@ pub struct StepStats {
 
 /// The θ-scheme integrator.
 ///
+/// Each step is a `TSStep` span; inside it every [`OdeProblem::rhs`] call is
+/// a `TSFunctionEval` and every [`OdeProblem::rhs_jacobian`] a
+/// `TSJacobianEval` (PETSc's event names).
+///
 /// ```
 /// use sellkit_core::{CooBuilder, Csr};
 /// use sellkit_solvers::pc::JacobiPc;
@@ -105,7 +109,10 @@ impl<P: OdeProblem> NonlinearProblem for StageProblem<'_, P> {
     }
 
     fn residual(&self, u: &[f64], g: &mut [f64]) {
-        self.ode.rhs(self.t_next, u, g);
+        {
+            let _fe = sellkit_obs::span("TSFunctionEval");
+            self.ode.rhs(self.t_next, u, g);
+        }
         for i in 0..u.len() {
             g[i] = u[i] - self.explicit[i] - self.dt_theta * g[i];
         }
@@ -113,7 +120,10 @@ impl<P: OdeProblem> NonlinearProblem for StageProblem<'_, P> {
 
     fn jacobian(&self, u: &[f64]) -> Csr {
         // G' = I − Δt·θ·J_f.
-        let jf = self.ode.rhs_jacobian(self.t_next, u);
+        let jf = {
+            let _je = sellkit_obs::span("TSJacobianEval");
+            self.ode.rhs_jacobian(self.t_next, u)
+        };
         sellkit_core::matops::identity_plus_scaled_owned(1.0, -self.dt_theta, jf)
     }
 }
@@ -229,7 +239,10 @@ impl ThetaStepper {
         let mut fexp = vec![0.0; n];
         let mut explicit = u.to_vec();
         if theta < 1.0 {
-            ode.rhs(self.t, u, &mut fexp);
+            {
+                let _fe = sellkit_obs::span("TSFunctionEval");
+                ode.rhs(self.t, u, &mut fexp);
+            }
             for i in 0..n {
                 explicit[i] += dt * (1.0 - theta) * fexp[i];
             }

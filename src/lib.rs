@@ -12,7 +12,7 @@
 //! | [`solvers`] | KSP (GMRES/FGMRES/CG/BiCGStab/TFQMR), PC (Jacobi/ILU/ASM/multigrid), SNES, TS |
 //! | [`grid`] | structured 2D periodic grids and interpolation operators |
 //! | [`workloads`] | Gray-Scott model, synthetic matrix generators |
-//! | [`machine`] | KNL/Xeon performance model (STREAM curves, roofline, SpMV prediction) and this host's measured STREAM |
+//! | [`machine`] | this host's measured STREAM copy and triad bandwidth |
 //! | [`obs`] | staged tracing/metrics: `-log_view` tables, JSON reports, Chrome traces |
 //! | [`serve`] | async batched solve service: request coalescing into SpMM batches |
 //!
@@ -32,7 +32,7 @@ pub use sellkit_core as core;
 pub use sellkit_dist as dist;
 /// Structured grids ([`sellkit_grid`]).
 pub use sellkit_grid as grid;
-/// Performance model ([`sellkit_machine`]).
+/// Measured STREAM bandwidth ([`sellkit_machine`]).
 pub use sellkit_machine as machine;
 /// Message-passing runtime ([`sellkit_mpisim`]).
 pub use sellkit_mpisim as mpisim;

@@ -282,8 +282,9 @@ fn disabled_flight_recorder_records_nothing() {
 
 /// Solver attribution on the global registry (process-wide, so the checks
 /// share one `#[test]`): each of the five Krylov entries opens exactly one
-/// `KSPSolve` span per solve, and a distributed Newton solve is staged
-/// under the names and the nesting the serial one has.
+/// `KSPSolve` span per solve, a distributed Newton solve is staged under
+/// the names and the nesting the serial one has, and a θ step evaluates its
+/// right-hand side and Jacobian inside `TSFunctionEval` / `TSJacobianEval`.
 #[test]
 fn krylov_and_distributed_newton_solves_are_attributed() {
     use sellkit::core::Csr;
@@ -355,7 +356,21 @@ fn krylov_and_distributed_newton_solves_are_attributed() {
         assert!(res.converged());
     });
     let c2 = counts();
+    gray_scott_step(16);
+    let c3 = counts();
     sellkit::obs::set_enabled(false);
+
+    let step = grown(&c2, &c3);
+    for path in [
+        "TSStep>TSFunctionEval",
+        "TSStep>SNESSolve>SNESFunctionEval>TSFunctionEval",
+        "TSStep>SNESSolve>SNESJacobianEval>MatAssembly>TSJacobianEval",
+    ] {
+        assert!(
+            step.contains(path),
+            "Gray-Scott step: no {path} in {step:?}"
+        );
+    }
 
     let (serial, dist) = (grown(&c0, &c1), grown(&c1, &c2));
     for path in [
