@@ -1,6 +1,7 @@
-//! One regeneration function per paper exhibit, listed by name in
-//! [`EXHIBITS`].  Each returns the text it prints so tests can assert on
-//! structure.
+//! One regeneration function per paper figure, and [`EXHIBITS`]: every
+//! section the `exhibit` binary prints, by name — these figures, then the
+//! ablations of [`crate::ablations`].  Each returns the text it prints so
+//! tests can assert on structure.
 //!
 //! Every section is `[measured]`: real kernels timed on this host, real
 //! mpisim ranks, or (for §6) byte counts of real matrices.  The paper's
@@ -8,23 +9,32 @@
 //! beside what this host measured.
 
 use sellkit_core::traffic::{csr_traffic, sell_traffic};
-use sellkit_core::{Apply, ExecCtx, Isa, MatShape, Operator, Sell8};
+use sellkit_core::{Csr, Isa, MatShape, Sell8};
 use sellkit_dist::{DistMat, DistVec};
 use sellkit_machine::{stream_probe, StreamKernel};
 use sellkit_mpisim::run as mpirun;
-use sellkit_solvers::ts::OdeProblem;
-use sellkit_workloads::{GrayScott, GrayScottParams};
 
-use crate::measure::{build_extended_variants, build_variants, gflops, time_spmv};
+use crate::ablations::{bit_array, csr_remainder, gather, slice_height, solve, spmm, threads};
+use crate::measure::{
+    build_extended_variants, build_variants, gflops, jacobian, probe_x, time_variants, Variant,
+};
 use crate::table::{f2, f3, render};
 
-/// Every exhibit by the name the `exhibit` binary takes, in paper order.
+/// Every exhibit by the name the `exhibit` binary takes: the figures in
+/// paper order, then the ablations in section order.
 pub const EXHIBITS: &[(&str, fn() -> String)] = &[
     ("fig4", fig4),
     ("fig7", fig7),
     ("fig8", fig8),
     ("fig10", fig10),
     ("traffic_model", traffic_model),
+    ("csr_remainder", csr_remainder),
+    ("slice_height", slice_height),
+    ("bit_array", bit_array),
+    ("gather", gather),
+    ("spmm", spmm),
+    ("threads", threads),
+    ("solve", solve),
 ];
 
 /// Figure 4: STREAM bandwidth — this host's single-core copy and triad.
@@ -44,63 +54,61 @@ pub fn fig4() -> String {
     out
 }
 
-/// Figure 7: out-of-box (CSR baseline) SpMV performance across grid
-/// sizes.
+/// Figure 7: the out-of-box CSR baseline across grid sizes, with SELL-8 at
+/// the widest tier beside it.
 pub fn fig7() -> String {
-    let mut out = String::from(
-        "Figure 7: baseline out-of-box SpMV performance using CSR (Gflop/s)\n\n\
-         [measured] host, CSR baseline, grid-size insensitivity:\n",
-    );
+    let mut rows = Vec::new();
     for g in [256usize, 512, 1024] {
-        let gs = GrayScott::new(g, GrayScottParams::default());
-        let w = gs.initial_condition(1);
-        let a = gs.rhs_jacobian(0.0, &w);
-        let x = vec![1.0; a.ncols()];
-        let mut y = vec![0.0; a.nrows()];
-        let t = time_spmv(
-            &|x, y| a.apply(&ExecCtx::serial(), (x).into(), (y).into(), Apply::Set),
-            &x,
-            &mut y,
-            5,
-        );
-        out.push_str(&format!(
-            "  {g}x{g} grid: {:.2} Gflop/s\n",
-            gflops(a.nnz(), t)
-        ));
+        let a = jacobian(g);
+        let (m, n, nnz) = (a.nrows(), a.ncols(), a.nnz());
+        let sell = Sell8::from_csr(&a);
+        let variants = [
+            Variant::op("CSR baseline", a.with_isa(Isa::Scalar)),
+            Variant::op("SELL-8", sell),
+        ];
+        let secs = time_variants(&variants, &probe_x(n), m, 5);
+        let (csr, sell) = (gflops(nnz, secs[0]), gflops(nnz, secs[1]));
+        rows.push(vec![
+            format!("{g}x{g}"),
+            f2(csr),
+            f2(sell),
+            format!("{:.2}x", sell / csr),
+        ]);
     }
-    out
+    let sell_head = format!("SELL-8 {}", Isa::detect());
+    format!(
+        "Figure 7: baseline out-of-box SpMV performance using CSR (Gflop/s)\n\n\
+         [measured] host, one thread, grid-size insensitivity:\n\n{}",
+        render(
+            &["grid", "CSR baseline", sell_head.as_str(), "SELL/CSR"],
+            &rows
+        )
+    )
 }
 
 /// Figure 8: every kernel variant on one Gray-Scott Jacobian.
 pub fn fig8() -> String {
-    let mut out = format!(
-        "Figure 8: SpMV performance by matrix format\n\n\
-         [measured] host ({} detected), 512x512 grid Gray-Scott Jacobian:\n\n",
-        Isa::detect()
-    );
-    let gs = GrayScott::new(512, GrayScottParams::default());
-    let w = gs.initial_condition(1);
-    let a = gs.rhs_jacobian(0.0, &w);
-    let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.001).sin()).collect();
-    let mut y = vec![0.0; a.nrows()];
+    let a = jacobian(512);
     let mut variants = build_variants(&a);
     variants.extend(build_extended_variants(&a));
-    let mut base = 0.0;
-    let mut meas: Vec<(String, f64)> = Vec::new();
-    for v in &variants {
-        let t = time_spmv(&v.run, &x, &mut y, 7);
-        let g = gflops(a.nnz(), t);
-        if v.label == "CSR baseline" {
-            base = g;
-        }
-        meas.push((v.label.clone(), g));
-    }
-    let rows: Vec<Vec<String>> = meas
+    let secs = time_variants(&variants, &probe_x(a.ncols()), a.nrows(), 7);
+    let rates: Vec<f64> = secs.iter().map(|&s| gflops(a.nnz(), s)).collect();
+    let base = variants
         .iter()
-        .map(|(l, g)| vec![l.clone(), f2(*g), format!("{:.2}x", g / base)])
+        .position(|v| v.label == "CSR baseline")
+        .map(|i| rates[i])
+        .expect("build_variants lists the CSR baseline");
+    let rows: Vec<Vec<String>> = variants
+        .iter()
+        .zip(&rates)
+        .map(|(v, &g)| vec![v.label.clone(), f2(g), format!("{:.2}x", g / base)])
         .collect();
-    out.push_str(&render(&["kernel", "Gflop/s", "vs baseline"], &rows));
-    out
+    format!(
+        "Figure 8: SpMV performance by matrix format\n\n\
+         [measured] host ({} detected), 512x512 grid Gray-Scott Jacobian:\n\n{}",
+        Isa::detect(),
+        render(&["kernel", "Gflop/s", "vs baseline"], &rows)
+    )
 }
 
 /// Figure 10: distributed MatMult, CSR vs SELL, on mpisim ranks.
@@ -109,9 +117,7 @@ pub fn fig10() -> String {
         "Figure 10: distributed SpMV, CSR vs SELL\n\n\
          [measured] 4 mpisim ranks, 128x128 Gray-Scott Jacobian, 200 MatMults:\n",
     );
-    let gs = GrayScott::new(128, GrayScottParams::default());
-    let w = gs.initial_condition(1);
-    let a = gs.rhs_jacobian(0.0, &w);
+    let a = jacobian(128);
     let nnz = a.nnz();
     for (label, use_sell) in [("CSR", false), ("SELL", true)] {
         let a2 = a.clone();
@@ -126,7 +132,7 @@ pub fn fig10() -> String {
                     dm.mult(comm, xv.local(), yv.local_mut());
                 }
             } else {
-                let dm = DistMat::<sellkit_core::Csr>::from_global_csr(comm, &a2, 1);
+                let dm = DistMat::<Csr>::from_global_csr(comm, &a2, 1);
                 for _ in 0..200 {
                     dm.mult(comm, xv.local(), yv.local_mut());
                 }
@@ -183,9 +189,7 @@ pub fn traffic_model() -> String {
     ));
 
     // Real padding on the real Jacobian: SELL pays (almost) nothing here.
-    let gs = GrayScott::new(128, GrayScottParams::default());
-    let w = gs.initial_condition(1);
-    let a = gs.rhs_jacobian(0.0, &w);
+    let a = jacobian(128);
     let sell = Sell8::from_csr(&a);
     out.push_str(&format!(
         "\nreal 128x128 Jacobian: nnz {} stored {} padding {:.3}%\n",

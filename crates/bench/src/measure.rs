@@ -2,11 +2,14 @@
 //!
 //! Builds every kernel variant the host supports from one CSR matrix and
 //! times them identically, so measured *ratios* are directly comparable
-//! with the paper's Figure 8 legend.
+//! with the paper's Figure 8 legend.  [`best_of`] is the one timer of
+//! every exhibit.
 
 use std::time::Instant;
 
-use sellkit_core::{Apply, Csr, ExecCtx, Isa, MatShape, Operator, Sell8};
+use sellkit_core::{Apply, Baij, Csr, ExecCtx, Isa, MatShape, Operator, Sell8};
+use sellkit_solvers::ts::OdeProblem;
+use sellkit_workloads::{GrayScott, GrayScottParams};
 
 /// A named, runnable SpMV closure.
 pub struct Variant {
@@ -14,6 +17,16 @@ pub struct Variant {
     pub label: String,
     /// The kernel, capturing its matrix.
     pub run: Box<dyn Fn(&[f64], &mut [f64])>,
+}
+
+impl Variant {
+    /// `y = A·x` through [`Operator::apply`] on one thread, at `m`'s tier.
+    pub fn op<M: Operator + 'static>(label: impl Into<String>, m: M) -> Self {
+        Self {
+            label: label.into(),
+            run: Box::new(move |x, y| m.apply(&ExecCtx::serial(), x.into(), y.into(), Apply::Set)),
+        }
+    }
 }
 
 /// An "MKL-like" third-party CSR kernel: inspector-free, one indirect call
@@ -226,8 +239,8 @@ mod hw_gather {
     }
 }
 
-/// The `kernels_micro/gather_hw_vs_loads` exhibit: SELL-8 at each SIMD tier
-/// as `sellkit-core` runs it (`x` read with scalar loads), next to the same
+/// The variants of the `gather` exhibit: SELL-8 at each SIMD tier as
+/// `sellkit-core` runs it (`x` read with scalar loads), next to the same
 /// loop through `vgatherdpd` where the host has it.
 pub fn build_gather_variants(a: &Csr) -> Vec<Variant> {
     let mut out: Vec<Variant> = Vec::new();
@@ -260,104 +273,93 @@ pub fn build_gather_variants(a: &Csr) -> Vec<Variant> {
 
 /// Builds all kernel variants the host CPU can run, in Figure 8 order.
 pub fn build_variants(a: &Csr) -> Vec<Variant> {
-    let mut out: Vec<Variant> = Vec::new();
-    let tiers = Isa::available_tiers();
-
-    for &isa in tiers.iter().rev() {
-        if isa == Isa::Scalar {
-            continue;
-        }
-        let sell = Sell8::from_csr(a).with_isa(isa);
-        out.push(Variant {
-            label: format!("SELL using {isa}"),
-            run: Box::new(move |x, y| {
-                sell.apply(&ExecCtx::serial(), (x).into(), (y).into(), Apply::Set)
-            }),
-        });
-    }
-    for &isa in tiers.iter().rev() {
-        if isa == Isa::Scalar {
-            continue;
-        }
-        let csr = a.clone().with_isa(isa);
-        out.push(Variant {
-            label: format!("CSR using {isa}"),
-            run: Box::new(move |x, y| {
-                csr.apply(&ExecCtx::serial(), (x).into(), (y).into(), Apply::Set)
-            }),
-        });
-    }
+    let simd: Vec<Isa> = Isa::available_tiers()
+        .into_iter()
+        .rev()
+        .filter(|&isa| isa != Isa::Scalar)
+        .collect();
+    let mut out: Vec<Variant> = simd
+        .iter()
+        .map(|&isa| {
+            Variant::op(
+                format!("SELL using {isa}"),
+                Sell8::from_csr(a).with_isa(isa),
+            )
+        })
+        .collect();
+    out.extend(
+        simd.iter()
+            .map(|&isa| Variant::op(format!("CSR using {isa}"), a.clone().with_isa(isa))),
+    );
     let perm = AijPerm::new(a);
     out.push(Variant {
         label: "CSRPerm".into(),
         run: Box::new(move |x, y| perm.spmv(x, y)),
     });
-    let base = a.clone().with_isa(Isa::Scalar);
-    out.push(Variant {
-        label: "CSR baseline".into(),
-        run: Box::new(move |x, y| {
-            base.apply(&ExecCtx::serial(), (x).into(), (y).into(), Apply::Set)
-        }),
-    });
+    out.push(Variant::op("CSR baseline", a.clone().with_isa(Isa::Scalar)));
     let mkl = MklLikeCsr::new(a);
     out.push(Variant {
         label: "MKL-like".into(),
         run: Box::new(move |x, y| mkl.spmv(x, y)),
     });
-    let sell_novec = Sell8::from_csr(a).with_isa(Isa::Scalar);
-    out.push(Variant {
-        label: "SELL using novec".into(),
-        run: Box::new(move |x, y| {
-            sell_novec.apply(&ExecCtx::serial(), (x).into(), (y).into(), Apply::Set)
-        }),
-    });
+    out.push(Variant::op(
+        "SELL using novec",
+        Sell8::from_csr(a).with_isa(Isa::Scalar),
+    ));
     out
 }
 
-/// Additional measured variants beyond the Figure 8 set: the §5.5 tuned
-/// kernel and alternative slice heights (§5.1 trade-off).
+/// Measured variants beyond the Figure 8 set: the §5.5 tuned kernel, the
+/// §5.1 slice heights, σ-sorting and 2×2 blocks.
 pub fn build_extended_variants(a: &Csr) -> Vec<Variant> {
     use sellkit_core::{Sell, SellSigma8};
-    let mut out = Vec::new();
     let tuned = Sell8::from_csr(a);
-    out.push(Variant {
-        label: "SELL tuned (two-slice unroll)".into(),
-        run: Box::new(move |x, y| tuned.spmv_tuned(x, y)),
-    });
-    let s4 = Sell::<4>::from_csr(a);
-    out.push(Variant {
-        label: "SELL C=4".into(),
-        run: Box::new(move |x, y| s4.apply(&ExecCtx::serial(), (x).into(), (y).into(), Apply::Set)),
-    });
-    let s16 = Sell::<16>::from_csr(a);
-    out.push(Variant {
-        label: "SELL C=16".into(),
-        run: Box::new(move |x, y| {
-            s16.apply(&ExecCtx::serial(), (x).into(), (y).into(), Apply::Set)
-        }),
-    });
-    let sigma = SellSigma8::from_csr_sigma(a, a.nrows().max(1));
-    out.push(Variant {
-        label: "SELL sigma=global".into(),
-        run: Box::new(move |x, y| {
-            sigma.apply(&ExecCtx::serial(), (x).into(), (y).into(), Apply::Set)
-        }),
-    });
-    out
+    vec![
+        Variant {
+            label: "SELL tuned (two-slice unroll)".into(),
+            run: Box::new(move |x, y| tuned.spmv_tuned(x, y)),
+        },
+        Variant::op("SELL C=4", Sell::<4>::from_csr(a)),
+        Variant::op("SELL C=16", Sell::<16>::from_csr(a)),
+        Variant::op(
+            "SELL sigma=global",
+            SellSigma8::from_csr_sigma(a, a.nrows().max(1)),
+        ),
+        Variant::op("BAIJ bs=2", Baij::from_csr(a, 2)),
+    ]
 }
 
-/// Times one kernel: best-of-`reps` wall time for a single `y = A·x`.
-pub fn time_spmv(run: &dyn Fn(&[f64], &mut [f64]), x: &[f64], y: &mut [f64], reps: usize) -> f64 {
+/// Best-of-`reps` wall time of one call of `f`, after a warm-up call.
+pub fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     assert!(reps >= 1);
-    // Warm-up.
-    run(x, y);
+    std::hint::black_box(f());
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();
-        run(x, std::hint::black_box(y));
+        std::hint::black_box(f());
         best = best.min(t.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Best-of-`reps` seconds of each variant's `y = A·x` on the same `x`.
+pub fn time_variants(variants: &[Variant], x: &[f64], nrows: usize, reps: usize) -> Vec<f64> {
+    let mut y = vec![0.0; nrows];
+    variants
+        .iter()
+        .map(|v| best_of(reps, || (v.run)(x, std::hint::black_box(&mut y))))
+        .collect()
+}
+
+/// The Gray-Scott Jacobian on a `g × g` grid at the initial condition.
+pub fn jacobian(g: usize) -> Csr {
+    let gs = GrayScott::new(g, GrayScottParams::default());
+    gs.rhs_jacobian(0.0, &gs.initial_condition(1))
+}
+
+/// The input vector every exhibit multiplies: smooth, of length `n`.
+pub fn probe_x(n: usize) -> Vec<f64> {
+    (0..n).map(|i| (i as f64 * 0.001).sin()).collect()
 }
 
 /// Converts nonzeros + seconds into Gflop/s (2 flops per nonzero).
@@ -448,10 +450,8 @@ mod tests {
     #[test]
     fn timing_returns_positive() {
         let a = sample();
-        let x = vec![1.0; a.ncols()];
-        let mut y = vec![0.0; a.nrows()];
         let v = build_variants(&a);
-        let t = time_spmv(&v[0].run, &x, &mut y, 3);
+        let t = time_variants(&v[..1], &probe_x(a.ncols()), a.nrows(), 3)[0];
         assert!(t > 0.0);
         assert!(gflops(a.nnz(), t) > 0.0);
     }

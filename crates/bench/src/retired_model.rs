@@ -19,12 +19,7 @@ fn assert_recorded(heading: &str, quotes: &[&str]) {
     }
 }
 
-/// The Gray-Scott Jacobian on a `g × g` grid.
-fn jacobian(g: usize) -> sellkit_core::Csr {
-    use sellkit_solvers::ts::OdeProblem;
-    let gs = sellkit_workloads::GrayScott::new(g, Default::default());
-    gs.rhs_jacobian(0.0, &gs.initial_condition(1))
-}
+use measure::jacobian;
 
 mod calibrate {
     mod tests {

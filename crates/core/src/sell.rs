@@ -464,7 +464,7 @@ impl<const C: usize> Sell<C> {
     /// software prefetch is the plain loop's too) of the matrix's own tier.
     ///
     /// The paper notes these classic tunings "do not affect the
-    /// performance significantly" — benchmark them with `kernels_micro`.
+    /// performance significantly" — `exhibit fig8` times them beside the plain loop.
     pub fn spmv_tuned(&self, x: &[f64], y: &mut [f64]) {
         check_spmv_dims(self.nrows, self.ncols, x, y);
         self.slices::<false, true>(self.isa, 0, self.nslices(), x, y, None);

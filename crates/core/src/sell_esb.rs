@@ -8,7 +8,7 @@
 //! instructions need newer hardware, and skipping padding makes the value
 //! loads unaligned.  Their measurement: **not** using the bit array is
 //! ~10 % faster (§5.3).  This type exists so that comparison can be
-//! re-measured (`benches/ablation_bitarray.rs`).
+//! re-measured (`exhibit bit_array`).
 //!
 //! The ablation keeps the **paper's layout** — one 4-byte column index per
 //! stored entry, `12·nnz` bytes streamed — so it holds a private wide copy

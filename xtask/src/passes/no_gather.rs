@@ -5,7 +5,7 @@
 //! (EXPERIMENTS.md §5.5), so the `_mm*_i32gather_*` / `_mm*_i64gather_*`
 //! intrinsics — masked forms included — may not come back under
 //! `crates/core/` through a new lane operation.  `crates/bench` keeps one,
-//! as the measured stand-in of the `gather_hw_vs_loads` exhibit.
+//! as the measured stand-in of the `gather` exhibit.
 
 use crate::diag::Finding;
 use crate::scan::SourceFile;
