@@ -1,5 +1,12 @@
-//! The differential engine: every format × ISA tier × thread count ×
-//! product mode against a scalar-CSR oracle.
+//! The differential engine: every format × codec × block width × ISA
+//! path × product mode against a scalar-CSR oracle.
+//!
+//! One walk, [`run_case`], covers it all.  Each [`Row`] of [`ROWS`] names
+//! its codecs, its block widths and the salt of its vectors' RNG stream;
+//! every format of [`FORMATS`] that can hold the case under a codec runs
+//! every path — each available ISA tier forced on a serial context, then
+//! the default tier on each pool of [`Config::threads`] — in both
+//! [`Apply`] modes, over every vector hazard class.
 //!
 //! Comparison policy:
 //!
@@ -19,6 +26,7 @@
 //! touched block — which reproduces that semantic exactly.
 
 use std::borrow::Cow;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -30,14 +38,12 @@ use sellkit_core::{
     Sell8, SellEsb, SellSigma8, VecView, VecViewMut,
 };
 
-use crate::gen::{assemble, make_x, MatrixCase, X_CLASSES};
+use crate::gen::{assemble, make_x, MatrixCase, XClass, X_CLASSES};
 
-/// The seven formats under differential test (CSR itself is the oracle;
-/// its SIMD tiers are checked against its scalar tier separately).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The eight formats under differential test.  CSR is one of them: its
+/// SIMD tiers and pooled paths meet its own scalar tier, the oracle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FormatKind {
-    /// The oracle format itself — used only for its SIMD-tier-vs-scalar
-    /// self-check, never part of [`FORMATS`].
     Csr,
     Sell4,
     Sell8,
@@ -48,8 +54,9 @@ pub enum FormatKind {
     Sbaij2,
 }
 
-/// All seven, in sweep order.
-pub const FORMATS: [FormatKind; 7] = [
+/// All eight, in sweep order.
+pub const FORMATS: [FormatKind; 8] = [
+    FormatKind::Csr,
     FormatKind::Sell4,
     FormatKind::Sell8,
     FormatKind::Sell16,
@@ -60,7 +67,7 @@ pub const FORMATS: [FormatKind; 7] = [
 ];
 
 impl FormatKind {
-    /// Short stable name for reports and repro snippets.
+    /// Short stable name for reports.
     pub fn name(self) -> &'static str {
         match self {
             FormatKind::Csr => "csr",
@@ -91,6 +98,13 @@ impl FormatKind {
         matches!(self, FormatKind::Baij2 | FormatKind::Sbaij2)
     }
 
+    /// Whether a product can be forced to one ISA tier
+    /// ([`Format::with_isa`]): every format but the block ones, whose
+    /// kernels have a single tier.
+    pub fn has_tiers(self) -> bool {
+        !self.block_filled()
+    }
+
     /// Whether this format can store values under `codec` — only the
     /// SELL family (and its σ-sorted wrapper) has a packed-value path.
     pub fn supports_codec(self, codec: Codec) -> bool {
@@ -102,9 +116,9 @@ impl FormatKind {
     }
 }
 
-/// One self-contained failing input: everything needed to rebuild and
-/// re-run a single divergence.  A sweep builds several thousand of these
-/// per case, so the triplets and the vector are shared, not copied.
+/// One self-contained product: everything needed to rebuild and re-run a
+/// single cell of the walk.  A walk builds several thousand of these per
+/// case, so the triplets and the vector are shared, not copied.
 #[derive(Clone, Debug)]
 pub struct Repro {
     pub nrows: usize,
@@ -112,21 +126,40 @@ pub struct Repro {
     pub entries: Arc<[(u32, u32, f64)]>,
     pub x: Arc<[f64]>,
     pub format: FormatKind,
+    /// Pool size of a default-tier product; `1` under a forced tier.
     pub threads: usize,
-    /// `true` → `spmv_add_ctx` from a zeroed `y`; `false` → `spmv_ctx`.
-    pub add: bool,
-    /// `Some(tier)` forces `spmv_isa`/`spmm_isa` (serial); `None` uses
-    /// the format's default dispatch through [`Operator::apply`].
+    /// [`Apply::Set`], or [`Apply::Add`] onto a zeroed `y`.
+    pub mode: Apply,
+    /// `Some(tier)` forces the tier ([`Format::with_isa`]) on a serial
+    /// context; `None` runs the format's default dispatch on the pool of
+    /// `threads` lanes.
     pub isa: Option<Isa>,
-    /// Right-hand-side block width: `1` is classic SpMV; `k > 1` runs the
-    /// blocked SpMM path with `x` holding `k` row-interleaved vectors
-    /// (`x[col*k + v]`) and compares against the column-by-column
-    /// scalar-CSR oracle.
+    /// Right-hand-side block width: `1` is classic SpMV; `k > 1` is the
+    /// blocked product, `x` holding `k` row-interleaved vectors
+    /// (`x[col*k + v]`), compared column by column with the scalar-CSR
+    /// oracle.
     pub k: usize,
     /// Value codec for the packed SELL formats; `Codec::F64` everywhere
     /// else.  A reduced codec switches the oracle to the scalar-CSR
     /// product over the **codec-quantized** matrix (see [`quantize_csr`]).
     pub codec: Codec,
+}
+
+impl Repro {
+    /// `format[codec]@path k=… mode` — the cell of the walk `self` runs.
+    pub fn cell(&self) -> String {
+        let path = match self.isa {
+            Some(tier) => tier.to_string(),
+            None => format!("{}t", self.threads),
+        };
+        format!(
+            "{}[{}]@{path} k={} {:?}",
+            self.format.name(),
+            self.codec.label(),
+            self.k,
+            self.mode
+        )
+    }
 }
 
 /// A confirmed divergence or panic.
@@ -139,7 +172,7 @@ pub struct Finding {
 
 /// Engine knobs.
 pub struct Config {
-    /// Thread counts for the `spmv_ctx` sweep.
+    /// Pool sizes of the default-tier paths.
     pub threads: Vec<usize>,
     /// Maximum finite disagreement in units in the last place.
     pub ulp_bound: u64,
@@ -147,7 +180,6 @@ pub struct Config {
     /// (protects near-zero cancellation noise from spurious ULP blowup).
     pub abs_floor: f64,
 }
-
 impl Default for Config {
     fn default() -> Self {
         Self {
@@ -261,25 +293,37 @@ pub fn block_closure(a: &Csr, bs: usize) -> Csr {
     b.to_csr()
 }
 
-/// Scalar-CSR oracle: `y = A·x` (or `+=`) at the `Scalar` tier.
-fn oracle(a: &Csr, x: &[f64], add: bool, y: &mut [f64]) {
-    if add {
-        // Scalar-tier add: spmv into scratch, then accumulate — matches
-        // the trait default, with the scalar kernel forced.
-        let mut tmp = vec![0.0; y.len()];
-        a.spmv_isa(Isa::Scalar, x, &mut tmp);
-        for (yi, ti) in y.iter_mut().zip(&tmp) {
-            *yi += ti;
+/// What the engine asks of a format under test: the product, the
+/// structural check, and a forced ISA tier.
+pub trait Format: Operator + Validate {
+    /// `self` with every later product run at `tier` — the format's own
+    /// `with_isa`.  The block formats ([`FormatKind::has_tiers`] is
+    /// false) have one kernel and come back unchanged.
+    fn with_isa(self: Box<Self>, tier: Isa) -> Box<dyn Format>;
+}
+
+macro_rules! tiered {
+    ($($t:ty),*) => {$(
+        impl Format for $t {
+            fn with_isa(self: Box<Self>, tier: Isa) -> Box<dyn Format> {
+                Box::new(<$t>::with_isa(*self, tier))
+            }
         }
-    } else {
-        a.spmv_isa(Isa::Scalar, x, y);
+    )*};
+}
+tiered!(Csr, Sell4, Sell8, Sell16, SellEsb, SellSigma8);
+
+impl Format for Baij {
+    fn with_isa(self: Box<Self>, _: Isa) -> Box<dyn Format> {
+        self
     }
 }
 
-/// What the engine asks of a format under test: the product and the
-/// structural check.
-pub trait Format: Operator + Validate {}
-impl<T: Operator + Validate> Format for T {}
+impl Format for Sbaij {
+    fn with_isa(self: Box<Self>, _: Isa) -> Box<dyn Format> {
+        self
+    }
+}
 
 /// Boxes one concrete format built from `a` under `codec` (only the
 /// SELL family stores reduced-precision values; every other kind
@@ -298,12 +342,24 @@ pub fn build_format(kind: FormatKind, a: &Csr, codec: Codec) -> Box<dyn Format> 
     }
 }
 
+/// `r`'s format built from `a`, forced to `r.isa` when it names a tier.
+fn build_path(r: &Repro, a: &Csr) -> Box<dyn Format> {
+    let m = build_format(r.format, a, r.codec);
+    match r.isa {
+        Some(tier) => m.with_isa(tier),
+        None => m,
+    }
+}
+
 /// Structural validation via sellkit-check: each stream the format holds,
 /// the packed value bytes included when `codec` is reduced.
-fn validate_format(kind: FormatKind, a: &Csr, codec: Codec) -> Result<(), String> {
-    build_format(kind, a, codec)
-        .validate()
-        .map_err(|e| format!("{e:?}"))
+/// `Some(detail)` on a violation or a panic in the build or the check.
+fn layout_fails(kind: FormatKind, a: &Csr, codec: Codec) -> Option<String> {
+    match catch_unwind(AssertUnwindSafe(|| build_format(kind, a, codec).validate())) {
+        Ok(Ok(())) => None,
+        Ok(Err(e)) => Some(format!("validation: {e:?}")),
+        Err(p) => Some(format!("panic in build/validate: {}", panic_msg(&p))),
+    }
 }
 
 /// Scalar CSR over the codec-quantized values — the oracle matrix for a
@@ -322,9 +378,58 @@ pub fn quantize_csr(a: &Csr, codec: Codec) -> Csr {
     b.to_csr()
 }
 
+/// One row of the walk: the codecs it stores values under, the block
+/// widths it multiplies, and the salt of its vectors' RNG stream.
+#[derive(Clone, Copy, Debug)]
+pub struct Row {
+    codecs: &'static [Codec],
+    ks: &'static [usize],
+    salt: u64,
+}
+
+impl fmt::Display for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let codecs: Vec<&str> = self.codecs.iter().map(|c| c.label()).collect();
+        write!(f, "{} k={:?}", codecs.join(","), self.ks)
+    }
+}
+
+/// Block widths of the SpMM row: every specialized size (`SPECIALIZED_K`)
+/// plus a ragged `k = 7` that exercises the masked tail of each vector
+/// tier's column-block loop.
+pub const SPMM_KS: [usize; 5] = [1, 2, 4, 7, 8];
+
+/// The reduced-precision codecs under differential test.
+pub const CODECS: [Codec; 2] = [Codec::F32, Codec::Bf16];
+
+/// The walk's rows: f64 SpMV, f64 SpMM at every [`SPMM_KS`] width, and
+/// the packed [`CODECS`] at SpMV and a ragged `k = 3` (against the
+/// scalar-CSR oracle over the codec-quantized matrix, see
+/// [`quantize_csr`]).  Every width reuses the NaN/Inf hazard classes, so
+/// the §5.5 sentinel-padding fix is pinned at each: a padded SELL lane
+/// must contribute exactly nothing, not `0.0 × Inf`.  `sellkit-fuzz
+/// --codec-only` walks the last row alone.
+pub const ROWS: [Row; 3] = [
+    Row {
+        codecs: &[Codec::F64],
+        ks: &[1],
+        salt: 0x9e37_79b9,
+    },
+    Row {
+        codecs: &[Codec::F64],
+        ks: &SPMM_KS,
+        salt: 0x5b3c_01d7_44ee_9921,
+    },
+    Row {
+        codecs: &CODECS,
+        ks: &[1, 3],
+        salt: 0x00de_c0de_00de_c0de,
+    },
+];
+
 /// Re-runs exactly one `Repro` combination; `Some(detail)` if it still
-/// fails.  This is the minimizer's predicate — and doubles as the
-/// confirmation step for every reported finding.
+/// fails.  This is the minimizer's predicate, the confirmation step for
+/// every reported finding, and what an emitted test snippet asserts.
 pub fn repro_fails(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> Option<String> {
     let built = catch_unwind(AssertUnwindSafe(|| assemble(r.nrows, r.ncols, &r.entries)));
     let a = match built {
@@ -337,25 +442,25 @@ pub fn repro_fails(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> Option<String> {
     }
     // Structural invariants re-check: validation findings carry an empty
     // `x`, and this is what makes them reproducible (hence minimizable).
-    match catch_unwind(AssertUnwindSafe(|| validate_format(r.format, &a, r.codec))) {
-        Ok(Ok(())) => {}
-        Ok(Err(e)) => return Some(format!("validation: {e}")),
-        Err(p) => return Some(format!("panic in build/validate: {}", panic_msg(&p))),
+    if let Some(detail) = layout_fails(r.format, &a, r.codec) {
+        return Some(detail);
     }
-    if r.x.len() != a.ncols() * r.k.max(1) {
+    if r.x.len() != a.ncols() * r.k {
         // Structural-only repro; nothing numeric to run.
         return None;
     }
-    product_fails(r, &a, &oracle_product(r, &a), cfg, ctxs)
+    // The build cannot panic: validation just built the same format.
+    product_fails(r, &*build_path(r, &a), &oracle_product(r, &a), cfg, ctxs)
 }
 
-/// What `r`'s product is compared against: the scalar-CSR product of each
-/// of its `k` vectors on its own — the blocked product must agree with `k`
-/// independent single-vector products, column for column — over the
-/// oracle matrix of its format and codec.  It depends on `r`'s `x`, `k`,
-/// `add`, codec and whether the format is block-filled, nothing else.
+/// What `r`'s product is compared against, the oracle: the scalar-tier
+/// CSR product of each of its `k` vectors on its own — the blocked product
+/// must agree with `k` independent single-vector products, column for
+/// column — over the oracle matrix of its format and codec.  `y` starts zeroed, so both
+/// modes want the same values.  It depends on `r`'s `x`, `k`, codec and
+/// whether the format is block-filled, nothing else.
 fn oracle_product(r: &Repro, a: &Csr) -> Vec<f64> {
-    let k = r.k.max(1);
+    let k = r.k;
     let oracle_mat = if r.format.block_filled() {
         Cow::Owned(block_closure(a, 2))
     } else if r.codec != Codec::F64 {
@@ -370,8 +475,7 @@ fn oracle_product(r: &Repro, a: &Csr) -> Vec<f64> {
         for (i, xc) in xcol.iter_mut().enumerate() {
             *xc = r.x[i * k + v];
         }
-        wcol.fill(0.0);
-        oracle(&oracle_mat, &xcol, r.add, &mut wcol);
+        oracle_mat.spmv_isa(Isa::Scalar, &xcol, &mut wcol);
         for (i, wc) in wcol.iter().enumerate() {
             want[i * k + v] = *wc;
         }
@@ -379,94 +483,34 @@ fn oracle_product(r: &Repro, a: &Csr) -> Vec<f64> {
     want
 }
 
-/// Builds `r`'s format from `a`, runs exactly its product and compares it
-/// with `want` ([`oracle_product`]); `Some(detail)` on a panic or a
-/// disagreement.
-fn product_fails(r: &Repro, a: &Csr, want: &[f64], cfg: &Config, ctxs: &Ctxs) -> Option<String> {
-    let k = r.k.max(1);
+/// Runs `r`'s product on `m` (built by [`build_path`]) into a zeroed `y`
+/// and compares it with `want` ([`oracle_product`]); `Some(detail)` on a
+/// panic or a disagreement.
+fn product_fails(
+    r: &Repro,
+    m: &dyn Format,
+    want: &[f64],
+    cfg: &Config,
+    ctxs: &Ctxs,
+) -> Option<String> {
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let m = build_format(r.format, a, r.codec);
-        let c = r.codec;
-        let mut y = vec![0.0; a.nrows() * k];
-        match r.isa {
-            // Forced-tier serial paths exist on CSR + the SELL family.
-            Some(tier) if k == 1 => match r.format {
-                FormatKind::Csr => a.spmv_isa(tier, &r.x, &mut y),
-                FormatKind::Sell4 => Sell4::from_csr_codec(a, c).spmv_isa(tier, &r.x, &mut y),
-                FormatKind::Sell8 => Sell8::from_csr_codec(a, c).spmv_isa(tier, &r.x, &mut y),
-                FormatKind::Sell16 => Sell16::from_csr_codec(a, c).spmv_isa(tier, &r.x, &mut y),
-                FormatKind::SellEsb => SellEsb::from_csr(a).spmv_isa(tier, &r.x, &mut y),
-                _ => m.apply(
-                    &ExecCtx::serial(),
-                    (&r.x[..]).into(),
-                    (&mut y).into(),
-                    Apply::Set,
-                ),
-            },
-            Some(tier) => match r.format {
-                FormatKind::Csr => a.spmm_isa(tier, &r.x, &mut y, k),
-                FormatKind::Sell4 => Sell4::from_csr_codec(a, c).spmm_isa(tier, &r.x, &mut y, k),
-                FormatKind::Sell8 => Sell8::from_csr_codec(a, c).spmm_isa(tier, &r.x, &mut y, k),
-                FormatKind::Sell16 => Sell16::from_csr_codec(a, c).spmm_isa(tier, &r.x, &mut y, k),
-                _ => m.apply(
-                    &ExecCtx::serial(),
-                    VecView::blocked(&r.x, k),
-                    VecViewMut::blocked(&mut y, k),
-                    Apply::Set,
-                ),
-            },
-            None => {
-                let ctx = ctxs.get(r.threads);
-                let mode = if r.add { Apply::Add } else { Apply::Set };
-                m.apply(
-                    ctx,
-                    VecView::blocked(&r.x, k),
-                    VecViewMut::blocked(&mut y, k),
-                    mode,
-                );
-            }
-        }
+        let serial = ExecCtx::serial();
+        let ctx = match r.isa {
+            Some(_) => &serial,
+            None => ctxs.get(r.threads),
+        };
+        let mut y = vec![0.0; want.len()];
+        m.apply(
+            ctx,
+            VecView::blocked(&r.x, r.k),
+            VecViewMut::blocked(&mut y, r.k),
+            r.mode,
+        );
         y
     }));
     match run {
         Ok(y) => compare(&y, want, cfg),
-        Err(p) => Some(format!("panic in spmv: {}", panic_msg(&p))),
-    }
-}
-
-/// The sweeps' form of [`repro_fails`] for the combinations of one vector
-/// `x` over one assembled, already validated matrix: the matrix is
-/// borrowed and each oracle product is computed once per (`add`, oracle
-/// matrix) rather than once per combination.
-struct OneVector<'a> {
-    a: &'a Csr,
-    cfg: &'a Config,
-    ctxs: &'a Ctxs,
-    wants: Vec<((bool, bool, Codec), Vec<f64>)>,
-}
-
-impl<'a> OneVector<'a> {
-    fn new(a: &'a Csr, cfg: &'a Config, ctxs: &'a Ctxs) -> Self {
-        let wants = Vec::new();
-        Self {
-            a,
-            cfg,
-            ctxs,
-            wants,
-        }
-    }
-
-    /// `r` must carry this sweep's matrix, `x` and `k`.
-    fn fails(&mut self, r: &Repro) -> Option<String> {
-        let key = (r.add, r.format.block_filled(), r.codec);
-        let at = match self.wants.iter().position(|(k, _)| *k == key) {
-            Some(at) => at,
-            None => {
-                self.wants.push((key, oracle_product(r, self.a)));
-                self.wants.len() - 1
-            }
-        };
-        product_fails(r, self.a, &self.wants[at].1, self.cfg, self.ctxs)
+        Err(p) => Some(format!("panic in product: {}", panic_msg(&p))),
     }
 }
 
@@ -480,429 +524,219 @@ fn panic_msg(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The structural-only repro of `case` (empty `x`, serial f64 SELL-8
-/// SpMV): the sweeps derive every combination from it by struct update,
-/// sharing its triplets.
+/// The structural-only repro of `case` (empty `x`, serial f64 CSR SpMV):
+/// the walk derives every combination from it by struct update, sharing
+/// its triplets.
 fn base_repro(case: &MatrixCase) -> Repro {
     Repro {
         nrows: case.nrows,
         ncols: case.ncols,
         entries: case.entries.as_slice().into(),
         x: Arc::new([]),
-        format: FormatKind::Sell8,
+        format: FormatKind::Csr,
         threads: 1,
-        add: false,
+        mode: Apply::Set,
         isa: None,
         k: 1,
         codec: Codec::F64,
     }
 }
 
-/// Runs the full differential sweep for one matrix case: every vector
-/// hazard class × {CSR SIMD tiers, seven formats} × {serial ISA paths,
-/// threaded ctx paths} × {set, add}.  Returns every finding.
-pub fn run_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) -> Vec<Finding> {
-    let mut findings = Vec::new();
+/// Every cell `rows` ask of `case` (assembled as `a`), with the hazard
+/// class of its vector: row × codec × format × path × class × width ×
+/// mode.  The vectors of a row are
+/// drawn once and shared by its codecs, formats and paths; the cells of a
+/// path are adjacent, so the walk builds each path's matrix once.
+fn combinations(
+    case: &MatrixCase,
+    a: &Csr,
+    rows: &[Row],
+    threads: &[usize],
+    seed: u64,
+) -> Vec<(XClass, Repro)> {
     let base = base_repro(case);
+    let mut out = Vec::new();
+    for row in rows {
+        let mut xrng = StdRng::seed_from_u64(seed ^ row.salt);
+        let mut xs: Vec<(XClass, usize, Arc<[f64]>)> = Vec::new();
+        for class in X_CLASSES {
+            for &k in row.ks {
+                // One independent hazard-class column per RHS,
+                // row-interleaved into the blocked layout (`x[col*k + v]`).
+                let mut x = vec![0.0; a.ncols() * k];
+                for v in 0..k {
+                    for (i, xi) in make_x(class, a.ncols(), &mut xrng).into_iter().enumerate() {
+                        x[i * k + v] = xi;
+                    }
+                }
+                xs.push((class, k, x.into()));
+            }
+        }
+        for &codec in row.codecs {
+            for format in FORMATS {
+                if !format.supports(a, case.symmetric) || !format.supports_codec(codec) {
+                    continue;
+                }
+                let tiers = if format.has_tiers() {
+                    Isa::available_tiers()
+                } else {
+                    Vec::new()
+                };
+                let paths = tiers
+                    .into_iter()
+                    .map(|tier| (Some(tier), 1))
+                    .chain(threads.iter().map(|&t| (None, t)));
+                for (isa, threads) in paths {
+                    for &(class, k, ref x) in &xs {
+                        for mode in [Apply::Set, Apply::Add] {
+                            let r = Repro {
+                                x: x.clone(),
+                                format,
+                                threads,
+                                mode,
+                                isa,
+                                k,
+                                codec,
+                                ..base.clone()
+                            };
+                            out.push((class, r));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The layout and forced tier a walk's matrix was built for.
+type Path = (FormatKind, Codec, Option<Isa>);
+
+/// The oracle matrix a cell meets: block closure or not, and the codec.
+type OracleMat = (bool, Codec);
+
+/// What one case's walk found, and how many products it compared.
+pub struct Sweep {
+    pub findings: Vec<Finding>,
+    pub products: usize,
+}
+
+/// Walks `rows` over one matrix case: every format that holds it under
+/// each codec is validated stream by stream, then every cell of
+/// [`combinations`] is run against the oracle.  Returns every finding.
+pub fn run_case(case: &MatrixCase, rows: &[Row], cfg: &Config, ctxs: &Ctxs, seed: u64) -> Sweep {
+    let finding = |detail: String, repro: Repro| Finding {
+        case_name: case.name.clone(),
+        detail,
+        repro,
+    };
     let a = match catch_unwind(AssertUnwindSafe(|| case.to_csr())) {
         Ok(a) => a,
         Err(p) => {
-            findings.push(Finding {
-                case_name: case.name.clone(),
-                detail: format!("panic assembling CSR: {}", panic_msg(&p)),
-                repro: base,
-            });
-            return findings;
+            let detail = format!("panic assembling CSR: {}", panic_msg(&p));
+            return Sweep {
+                findings: vec![finding(detail, base_repro(case))],
+                products: 0,
+            };
         }
     };
+    let cells = combinations(case, &a, rows, &cfg.threads, seed);
 
     // Structural invariants first: a silently corrupt layout would make
-    // every numeric comparison noise.
-    for kind in FORMATS {
-        if !kind.supports(&a, case.symmetric) {
+    // every numeric comparison noise, so its products are skipped.
+    let mut findings = Vec::new();
+    let mut checked: Vec<(FormatKind, Codec)> = Vec::new();
+    let mut broken = Vec::new();
+    for (_, r) in &cells {
+        let layout = (r.format, r.codec);
+        if checked.contains(&layout) {
             continue;
         }
-        let checked = catch_unwind(AssertUnwindSafe(|| validate_format(kind, &a, Codec::F64)));
-        let detail = match checked {
-            Ok(Ok(())) => continue,
-            Ok(Err(e)) => format!("validation: {e}"),
-            Err(p) => format!("panic in build/validate: {}", panic_msg(&p)),
+        checked.push(layout);
+        if let Some(detail) = layout_fails(r.format, &a, r.codec) {
+            broken.push(layout);
+            let detail = format!("{}[{}]: {detail}", r.format.name(), r.codec.label());
+            let repro = Repro {
+                format: r.format,
+                codec: r.codec,
+                ..base_repro(case)
+            };
+            findings.push(finding(detail, repro));
+        }
+    }
+
+    // Each oracle product is computed once per (vector, oracle matrix),
+    // each path's matrix once per run of its adjacent cells.
+    let mut wants: Vec<(Arc<[f64]>, OracleMat, Vec<f64>)> = Vec::new();
+    let mut built: Option<(Path, Box<dyn Format>)> = None;
+    let mut products = 0;
+    for (class, r) in &cells {
+        if broken.contains(&(r.format, r.codec)) {
+            continue;
+        }
+        let path = (r.format, r.codec, r.isa);
+        let m = match built.take() {
+            Some((p, m)) if p == path => m,
+            // Validation built the same layout, so this cannot panic.
+            _ => build_path(r, &a),
         };
-        findings.push(Finding {
-            case_name: case.name.clone(),
-            detail: format!("{}: {detail}", kind.name()),
-            repro: Repro {
-                format: kind,
-                ..base.clone()
-            },
-        });
-    }
-
-    let mut xrng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
-    for class in X_CLASSES {
-        let with_x = Repro {
-            x: make_x(class, a.ncols(), &mut xrng).into(),
-            ..base.clone()
+        let mat = (r.format.block_filled(), r.codec);
+        let at = match wants
+            .iter()
+            .position(|w| Arc::ptr_eq(&w.0, &r.x) && w.1 == mat)
+        {
+            Some(at) => at,
+            None => {
+                wants.push((r.x.clone(), mat, oracle_product(r, &a)));
+                wants.len() - 1
+            }
         };
-        let mut one = OneVector::new(&a, cfg, ctxs);
-
-        // CSR's own SIMD tiers against its scalar tier.
-        for tier in Isa::available_tiers() {
-            let r = Repro {
-                format: FormatKind::Csr,
-                isa: Some(tier),
-                ..with_x.clone()
-            };
-            if let Some(d) = one.fails(&r) {
-                findings.push(Finding {
-                    case_name: case.name.clone(),
-                    detail: format!("csr@{tier} x={class:?}: {d}"),
-                    repro: r,
-                });
-            }
+        products += 1;
+        if let Some(d) = product_fails(r, &*m, &wants[at].2, cfg, ctxs) {
+            let detail = format!("{} x={class:?}: {d}", r.cell());
+            findings.push(finding(detail, r.clone()));
         }
-
-        for kind in FORMATS {
-            if !kind.supports(&a, case.symmetric) {
-                continue;
-            }
-            // Forced serial ISA tiers (SELL family exposes them).
-            let tiers: Vec<Option<Isa>> = if matches!(
-                kind,
-                FormatKind::Sell4 | FormatKind::Sell8 | FormatKind::Sell16 | FormatKind::SellEsb
-            ) {
-                Isa::available_tiers().into_iter().map(Some).collect()
-            } else {
-                vec![]
-            };
-            for isa in tiers {
-                let r = Repro {
-                    format: kind,
-                    isa,
-                    ..with_x.clone()
-                };
-                if let Some(d) = one.fails(&r) {
-                    findings.push(Finding {
-                        case_name: case.name.clone(),
-                        detail: format!("{}@{:?} x={class:?}: {d}", kind.name(), r.isa),
-                        repro: r,
-                    });
-                }
-            }
-            // Threaded ctx paths, both modes.
-            for &threads in &cfg.threads {
-                for add in [false, true] {
-                    let r = Repro {
-                        format: kind,
-                        threads,
-                        add,
-                        ..with_x.clone()
-                    };
-                    if let Some(d) = one.fails(&r) {
-                        findings.push(Finding {
-                            case_name: case.name.clone(),
-                            detail: format!(
-                                "{}@{}t {} x={class:?}: {d}",
-                                kind.name(),
-                                threads,
-                                if add { "add" } else { "set" },
-                            ),
-                            repro: r,
-                        });
-                    }
-                }
-            }
-        }
+        built = Some((path, m));
     }
-    findings
-}
-
-/// Block widths for the SpMM differential sweep: every specialized size
-/// (`SPECIALIZED_K`) plus a ragged `k = 7` that exercises the masked
-/// tail of each vector tier's column-block loop.
-pub const SPMM_KS: [usize; 5] = [1, 2, 4, 7, 8];
-
-/// Runs the blocked (SpMM) differential sweep for one matrix case: every
-/// vector hazard class × block width × {CSR SpMM tiers, seven formats} ×
-/// {forced serial tiers, threaded ctx paths} × {set, add}, each compared
-/// against the column-by-column scalar-CSR oracle.  The interleaved `X`
-/// block reuses the same NaN/Inf hazard classes as the SpMV sweep, so
-/// the §5.5 sentinel-padding fix is pinned at every block width (a
-/// padded SELL lane must contribute exactly nothing, not `0.0 × Inf`).
-pub fn run_spmm_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    // Assembly panics are reported (with a repro) by `run_case`; this
-    // sweep only adds numeric combinations on top of a buildable matrix.
-    let Ok(a) = catch_unwind(AssertUnwindSafe(|| case.to_csr())) else {
-        return findings;
-    };
-    let base = base_repro(case);
-    let mut xrng = StdRng::seed_from_u64(seed ^ 0x5b3c_01d7_44ee_9921);
-    for class in X_CLASSES {
-        for k in SPMM_KS {
-            // One independent hazard-class column per RHS, row-interleaved
-            // into the blocked layout (`x[col*k + v]`).
-            let mut x = vec![0.0; a.ncols() * k];
-            for v in 0..k {
-                let col = make_x(class, a.ncols(), &mut xrng);
-                for i in 0..a.ncols() {
-                    x[i * k + v] = col[i];
-                }
-            }
-            let with_x = Repro {
-                x: x.into(),
-                k,
-                ..base.clone()
-            };
-            let mut one = OneVector::new(&a, cfg, ctxs);
-
-            // CSR's own SpMM tiers against the column-by-column oracle.
-            for tier in Isa::available_tiers() {
-                let r = Repro {
-                    format: FormatKind::Csr,
-                    isa: Some(tier),
-                    ..with_x.clone()
-                };
-                if let Some(d) = one.fails(&r) {
-                    findings.push(Finding {
-                        case_name: case.name.clone(),
-                        detail: format!("csr@{tier} k={k} x={class:?}: {d}"),
-                        repro: r,
-                    });
-                }
-            }
-
-            for kind in FORMATS {
-                if !kind.supports(&a, case.symmetric) {
-                    continue;
-                }
-                // Forced serial SpMM tiers (the SELL family exposes them;
-                // ESB and the rest run through default dispatch only).
-                let tiers: Vec<Option<Isa>> = if matches!(
-                    kind,
-                    FormatKind::Sell4 | FormatKind::Sell8 | FormatKind::Sell16
-                ) {
-                    Isa::available_tiers().into_iter().map(Some).collect()
-                } else {
-                    vec![]
-                };
-                for isa in tiers {
-                    let r = Repro {
-                        format: kind,
-                        isa,
-                        ..with_x.clone()
-                    };
-                    if let Some(d) = one.fails(&r) {
-                        findings.push(Finding {
-                            case_name: case.name.clone(),
-                            detail: format!("{}@{:?} k={k} x={class:?}: {d}", kind.name(), r.isa),
-                            repro: r,
-                        });
-                    }
-                }
-                // Threaded ctx paths, both modes.
-                for &threads in &cfg.threads {
-                    for add in [false, true] {
-                        let r = Repro {
-                            format: kind,
-                            threads,
-                            add,
-                            ..with_x.clone()
-                        };
-                        if let Some(d) = one.fails(&r) {
-                            findings.push(Finding {
-                                case_name: case.name.clone(),
-                                detail: format!(
-                                    "{}@{}t {} k={k} x={class:?}: {d}",
-                                    kind.name(),
-                                    threads,
-                                    if add { "add" } else { "set" },
-                                ),
-                                repro: r,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    findings
-}
-
-/// The reduced-precision codecs under differential test.
-pub const CODECS: [Codec; 2] = [Codec::F32, Codec::Bf16];
-
-/// The formats with a packed-value path (the SELL family + its σ-sorted
-/// wrapper) — the codec sweep's format axis.
-pub const PACKED_FORMATS: [FormatKind; 4] = [
-    FormatKind::Sell4,
-    FormatKind::Sell8,
-    FormatKind::Sell16,
-    FormatKind::SellSigma8,
-];
-
-/// Runs the reduced-precision differential sweep for one matrix case:
-/// every vector hazard class × [`CODECS`] × [`PACKED_FORMATS`], forced
-/// through every available ISA tier (SpMV plus a ragged `k = 3` SpMM on
-/// the tier-exposing Sell heights) and through the threaded ctx paths in
-/// both apply modes — all against the scalar-CSR oracle over the
-/// codec-quantized matrix (see [`quantize_csr`] for why the comparison
-/// stays at the tight f64 ULP budget instead of a loosened
-/// codec-scaled tolerance).
-pub fn run_codec_case(case: &MatrixCase, cfg: &Config, ctxs: &Ctxs, seed: u64) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    // Assembly panics are reported (with a repro) by `run_case`.
-    let Ok(a) = catch_unwind(AssertUnwindSafe(|| case.to_csr())) else {
-        return findings;
-    };
-    let base = base_repro(case);
-    let packed = |format, codec| Repro {
-        format,
-        codec,
-        ..base.clone()
-    };
-    let mut xrng = StdRng::seed_from_u64(seed ^ 0x00de_c0de_00de_c0de);
-    for codec in CODECS {
-        // The packed layout's invariants first (each stream it holds,
-        // through sellkit-check): a corrupt layout would make every
-        // numeric comparison below noise.
-        for kind in PACKED_FORMATS {
-            let checked = catch_unwind(AssertUnwindSafe(|| validate_format(kind, &a, codec)));
-            let detail = match checked {
-                Ok(Ok(())) => continue,
-                Ok(Err(e)) => format!("validation: {e}"),
-                Err(p) => format!("panic in build/validate: {}", panic_msg(&p)),
-            };
-            findings.push(Finding {
-                case_name: case.name.clone(),
-                detail: format!("{}[{}]: {detail}", kind.name(), codec.label()),
-                repro: packed(kind, codec),
-            });
-        }
-        for class in X_CLASSES {
-            for kind in PACKED_FORMATS {
-                // Forced serial tiers: SpMV and a ragged-k SpMM.  The
-                // σ-sorted wrapper has no forced-tier entry point and is
-                // covered by the ctx sweep below.
-                if kind != FormatKind::SellSigma8 {
-                    for tier in Isa::available_tiers() {
-                        for k in [1usize, 3] {
-                            let mut x = vec![0.0; a.ncols() * k];
-                            for v in 0..k {
-                                let col = make_x(class, a.ncols(), &mut xrng);
-                                for i in 0..a.ncols() {
-                                    x[i * k + v] = col[i];
-                                }
-                            }
-                            let r = Repro {
-                                x: x.into(),
-                                isa: Some(tier),
-                                k,
-                                ..packed(kind, codec)
-                            };
-                            if let Some(d) = OneVector::new(&a, cfg, ctxs).fails(&r) {
-                                findings.push(Finding {
-                                    case_name: case.name.clone(),
-                                    detail: format!(
-                                        "{}[{}]@{tier} k={k} x={class:?}: {d}",
-                                        kind.name(),
-                                        codec.label(),
-                                    ),
-                                    repro: r,
-                                });
-                            }
-                        }
-                    }
-                }
-                // Threaded ctx paths, both modes.
-                let x: Arc<[f64]> = make_x(class, a.ncols(), &mut xrng).into();
-                let mut one = OneVector::new(&a, cfg, ctxs);
-                for &threads in &cfg.threads {
-                    for add in [false, true] {
-                        let r = Repro {
-                            x: x.clone(),
-                            threads,
-                            add,
-                            ..packed(kind, codec)
-                        };
-                        if let Some(d) = one.fails(&r) {
-                            findings.push(Finding {
-                                case_name: case.name.clone(),
-                                detail: format!(
-                                    "{}[{}]@{}t {} x={class:?}: {d}",
-                                    kind.name(),
-                                    codec.label(),
-                                    threads,
-                                    if add { "add" } else { "set" },
-                                ),
-                                repro: r,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    findings
+    Sweep { findings, products }
 }
 
 /// Shape-only sweep at near-`u32::MAX` dimensions: builders and
 /// validators must survive sentinel/index arithmetic at the edge of the
 /// 32-bit column space (no product — `x` would need 32 GiB).
 pub fn run_huge_shape_case() -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let huge = u32::MAX as usize; // sentinel becomes u32::MAX itself
-    let mut b = CooBuilder::new(3, huge);
-    b.push(0, huge - 1, 1.0);
-    b.push(1, huge - 2, -2.0);
-    b.push(2, 0, 0.5);
-    let fail = |findings: &mut Vec<Finding>, kind: FormatKind, detail: String| {
-        findings.push(Finding {
-            case_name: "huge_shape".into(),
-            detail: format!("{}: {detail}", kind.name()),
-            repro: Repro {
-                nrows: 3,
-                ncols: huge,
-                entries: Arc::new([
-                    (0, (huge - 1) as u32, 1.0),
-                    (1, (huge - 2) as u32, -2.0),
-                    (2, 0, 0.5),
-                ]),
-                x: Arc::new([]),
-                format: kind,
-                threads: 1,
-                add: false,
-                isa: None,
-                k: 1,
-                codec: Codec::F64,
-            },
-        });
+    let case = MatrixCase {
+        name: "huge_shape".into(),
+        nrows: 3,
+        ncols: u32::MAX as usize, // the sentinel becomes u32::MAX itself
+        entries: vec![(0, u32::MAX - 1, 1.0), (1, u32::MAX - 2, -2.0), (2, 0, 0.5)],
+        symmetric: false,
     };
-    let a = match catch_unwind(AssertUnwindSafe(|| b.to_csr())) {
+    let fail = |format: FormatKind, detail: String| Finding {
+        case_name: case.name.clone(),
+        detail: format!("{}: {detail}", format.name()),
+        repro: Repro {
+            format,
+            ..base_repro(&case)
+        },
+    };
+    let a = match catch_unwind(AssertUnwindSafe(|| case.to_csr())) {
         Ok(a) => a,
-        Err(p) => {
-            fail(&mut findings, FormatKind::Csr, panic_msg(&p));
-            return findings;
-        }
+        Err(p) => return vec![fail(FormatKind::Csr, panic_msg(&p))],
     };
-    for kind in std::iter::once(FormatKind::Csr).chain(FORMATS) {
-        // Three rows: the block formats cannot hold this shape.
-        if !kind.supports(&a, false) {
-            continue;
-        }
-        match catch_unwind(AssertUnwindSafe(|| validate_format(kind, &a, Codec::F64))) {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => fail(&mut findings, kind, e),
-            Err(p) => fail(&mut findings, kind, format!("panic: {}", panic_msg(&p))),
-        }
-    }
-    findings
+    // Three rows: the block formats cannot hold this shape.
+    FORMATS
+        .into_iter()
+        .filter(|format| format.supports(&a, false))
+        .filter_map(|format| Some(fail(format, layout_fails(format, &a, Codec::F64)?)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::build;
+    use std::collections::HashSet;
 
     #[test]
     fn ulp_distance_basics() {
@@ -957,7 +791,7 @@ mod tests {
         let ctxs = Ctxs::new(&cfg.threads);
         for family in ["empty", "all_empty", "dense_row", "tail8", "dup_unsorted"] {
             let case = build(family, 42);
-            let findings = run_case(&case, &cfg, &ctxs, 42);
+            let findings = run_case(&case, &ROWS, &cfg, &ctxs, 42).findings;
             assert!(
                 findings.is_empty(),
                 "{family}: {:?}",
@@ -973,9 +807,9 @@ mod tests {
 
     #[test]
     fn codec_families_run_clean() {
-        // One seed per hazard family through the reduced-precision sweep:
-        // every packed format × {f32, bf16} × available tiers must agree
-        // with the quantized-CSR oracle and validate stream by stream.
+        // One seed per hazard family through the codec row: every packed
+        // format × {f32, bf16} × path must agree with the quantized-CSR
+        // oracle and validate stream by stream.
         let cfg = Config {
             threads: vec![1, 2],
             ..Config::default()
@@ -983,12 +817,86 @@ mod tests {
         let ctxs = Ctxs::new(&cfg.threads);
         for family in ["empty", "dense_row", "tail8", "dup_unsorted"] {
             let case = build(family, 7);
-            let findings = run_codec_case(&case, &cfg, &ctxs, 7);
+            let findings = run_case(&case, &ROWS[2..], &cfg, &ctxs, 7).findings;
             assert!(
                 findings.is_empty(),
                 "{family}: {:?}",
                 findings.iter().map(|f| &f.detail).collect::<Vec<_>>()
             );
         }
+    }
+
+    /// A cell of the walk: (format, codec, k, forced tier, pool size, add).
+    type Cell = (FormatKind, Codec, usize, Option<Isa>, usize, bool);
+
+    #[test]
+    fn the_walk_covers_every_cell_of_the_three_parent_sweeps() {
+        let threads = [1usize, 3];
+        let case = build("symmetric", 3);
+        let a = case.to_csr();
+        // Even and symmetric: every format holds it, so no cell is skipped.
+        assert!(FORMATS.iter().all(|f| f.supports(&a, case.symmetric)));
+        let walked: HashSet<Cell> = combinations(&case, &a, &ROWS, &threads, 3)
+            .iter()
+            .map(|(_, r)| {
+                (
+                    r.format,
+                    r.codec,
+                    r.k,
+                    r.isa,
+                    r.threads,
+                    r.mode == Apply::Add,
+                )
+            })
+            .collect();
+
+        // The cells of the sweeps this walk replaced, spelled out from
+        // their loops: forced tiers ran `Set` only on a serial context,
+        // the pools ran both modes at the default tier.
+        use FormatKind::*;
+        let tiers = Isa::available_tiers();
+        let non_csr = [Sell4, Sell8, Sell16, SellEsb, SellSigma8, Baij2, Sbaij2];
+        let mut parent: Vec<Cell> = Vec::new();
+        let pools = |parent: &mut Vec<Cell>, formats: &[FormatKind], codec, k| {
+            for &f in formats {
+                for &t in &threads {
+                    for add in [false, true] {
+                        parent.push((f, codec, k, None, t, add));
+                    }
+                }
+            }
+        };
+        // SpMV: CSR's tiers, the SELL family and ESB at every tier, pools.
+        for &tier in &tiers {
+            for f in [Csr, Sell4, Sell8, Sell16, SellEsb] {
+                parent.push((f, Codec::F64, 1, Some(tier), 1, false));
+            }
+        }
+        pools(&mut parent, &non_csr, Codec::F64, 1);
+        // SpMM: the same at every width, without ESB's tiers.
+        for k in SPMM_KS {
+            for &tier in &tiers {
+                for f in [Csr, Sell4, Sell8, Sell16] {
+                    parent.push((f, Codec::F64, k, Some(tier), 1, false));
+                }
+            }
+            pools(&mut parent, &non_csr, Codec::F64, k);
+        }
+        // Codec: the SELL heights at every tier and k in {1, 3}; the
+        // packed formats, σ-sorted included, on the pools at k = 1.
+        for codec in [Codec::F32, Codec::Bf16] {
+            for &tier in &tiers {
+                for k in [1, 3] {
+                    for f in [Sell4, Sell8, Sell16] {
+                        parent.push((f, codec, k, Some(tier), 1, false));
+                    }
+                }
+            }
+            pools(&mut parent, &[Sell4, Sell8, Sell16, SellSigma8], codec, 1);
+        }
+
+        let missing: Vec<&Cell> = parent.iter().filter(|c| !walked.contains(c)).collect();
+        assert!(missing.is_empty(), "cells the walk lost: {missing:?}");
+        assert!(walked.len() > parent.iter().collect::<HashSet<_>>().len());
     }
 }

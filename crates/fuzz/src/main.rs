@@ -8,10 +8,11 @@
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
+use sellkit_core::Isa;
 use sellkit_fuzz::diff::{
-    run_case, run_codec_case, run_huge_shape_case, run_spmm_case, Config, Ctxs, Finding, FORMATS,
+    repro_fails, run_case, run_huge_shape_case, Config, Ctxs, Finding, Row, FORMATS, ROWS,
 };
-use sellkit_fuzz::gen::{build, FAMILIES};
+use sellkit_fuzz::gen::{build, FAMILIES, X_CLASSES};
 use sellkit_fuzz::shrink::{emit_test_snippet, minimize};
 
 struct Args {
@@ -19,9 +20,8 @@ struct Args {
     seed: u64,
     corpus: Option<String>,
     artifact: String,
-    /// Run only the reduced-precision codec sweep (the CI codec leg):
-    /// every family x {f32, bf16} x packed format x ISA tier against the
-    /// quantized scalar-CSR oracle, skipping the f64 format/SpMM matrix.
+    /// Walk only the last row of `ROWS`, the packed codecs (the CI codec
+    /// leg), skipping the f64 rows and the huge-shape sweep.
     codec_only: bool,
 }
 
@@ -52,7 +52,7 @@ fn parse_args() -> Args {
                      --seed N       base seed for derived cases (default 0xC0FFEE)\n\
                      --corpus PATH  corpus file (default: crates/fuzz/corpus/seed.txt)\n\
                      --artifact P   where to write a minimized repro on failure\n\
-                     --codec-only   run only the f32/bf16 packed-codec sweep"
+                     --codec-only   walk only the f32/bf16 packed-codec row"
                 );
                 std::process::exit(0);
             }
@@ -95,15 +95,14 @@ fn report(findings: &[Finding], cfg: &Config, ctxs: &Ctxs, artifact: &str) {
     }
     let first = &findings[0];
     eprintln!("\nminimizing finding [0] ...");
-    let (small, detail) = minimize(&first.repro, cfg, ctxs);
+    let (small, detail) = minimize(&first.repro, &cfg.threads, |r| repro_fails(r, cfg, ctxs));
     let snippet = emit_test_snippet(&small, &detail);
     eprintln!(
-        "minimized: {} entries, {}x{}, format {}, {} thread(s)\n",
+        "minimized: {} entries, {}x{}, {}\n",
         small.entries.len(),
         small.nrows,
         small.ncols,
-        small.format.name(),
-        small.threads
+        small.cell()
     );
     eprintln!("{snippet}");
     if let Some(dir) = std::path::Path::new(artifact).parent() {
@@ -129,9 +128,15 @@ fn main() {
     // hook so expected catch_unwind probes don't spam stderr.
     std::panic::set_hook(Box::new(|_| {}));
 
+    let rows: &[Row] = if args.codec_only {
+        &ROWS[ROWS.len() - 1..]
+    } else {
+        &ROWS
+    };
     let start = Instant::now();
     let budget = Duration::from_secs(args.seconds);
     let mut cases = 0usize;
+    let mut products = 0usize;
     let mut findings: Vec<Finding> = Vec::new();
 
     // Phase 1: shape-only sweep at the edge of 32-bit column space
@@ -141,18 +146,17 @@ fn main() {
         cases += 1;
     }
 
+    let mut walk = |family: &str, seed: u64, findings: &mut Vec<Finding>| {
+        let sweep = run_case(&build(family, seed), rows, &cfg, &ctxs, seed);
+        cases += 1;
+        products += sweep.products;
+        findings.extend(sweep.findings);
+    };
+
     // Phase 2: replay the checked-in corpus (always runs to completion —
     // these are the known-adversarial regressions).
     for (family, seed) in &corpus {
-        let case = build(family, *seed);
-        if !args.codec_only {
-            findings.extend(run_case(&case, &cfg, &ctxs, *seed));
-            findings.extend(run_spmm_case(&case, &cfg, &ctxs, *seed));
-        }
-        if findings.is_empty() {
-            findings.extend(run_codec_case(&case, &cfg, &ctxs, *seed));
-        }
-        cases += 1;
+        walk(family, *seed, &mut findings);
         if !findings.is_empty() {
             break;
         }
@@ -165,17 +169,7 @@ fn main() {
             let seed = args
                 .seed
                 .wrapping_add(round.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let case = build(family, seed);
-            if !args.codec_only {
-                findings.extend(run_case(&case, &cfg, &ctxs, seed));
-                if findings.is_empty() {
-                    findings.extend(run_spmm_case(&case, &cfg, &ctxs, seed));
-                }
-            }
-            if findings.is_empty() {
-                findings.extend(run_codec_case(&case, &cfg, &ctxs, seed));
-            }
-            cases += 1;
+            walk(family, seed, &mut findings);
             if !findings.is_empty() || start.elapsed() >= budget {
                 break 'outer;
             }
@@ -186,27 +180,20 @@ fn main() {
     let _ = std::panic::take_hook();
     let elapsed = start.elapsed().as_secs_f64();
     if findings.is_empty() {
-        let scope = if args.codec_only {
-            format!(
-                "codec-only leg: {} families x 8 vector classes x 4 packed formats \
-                 x codecs {{f32,bf16}} x all ISA tiers x {:?} threads",
-                FAMILIES.len(),
-                cfg.threads,
-            )
-        } else {
-            format!(
-                "{} families x 8 vector classes x {} formats x {:?} threads \
-                 x spmm k in {{1,2,4,7,8}} x packed codecs {{f32,bf16}}",
-                FAMILIES.len(),
-                FORMATS.len(),
-                cfg.threads,
-            )
-        };
+        let rows: Vec<String> = rows.iter().map(Row::to_string).collect();
         println!(
             "sellkit-fuzz: OK — {cases} cases ({} corpus{} + {round} random rounds), \
-             {scope}, {elapsed:.1}s, 0 divergences, 0 panics",
+             {products} products: {} families x {} vector classes x rows [{}] \
+             x up to {} formats x (ISA tiers {:?} serial + default tier at {:?} threads) \
+             x set/add, {elapsed:.1}s, 0 divergences, 0 panics",
             corpus.len(),
             if args.codec_only { "" } else { " + huge-shape" },
+            FAMILIES.len(),
+            X_CLASSES.len(),
+            rows.join("; "),
+            FORMATS.len(),
+            Isa::available_tiers(),
+            cfg.threads,
         );
     } else {
         report(&findings, &cfg, &ctxs, &args.artifact);

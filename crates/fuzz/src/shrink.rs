@@ -2,7 +2,8 @@
 //! minimal one and renders it as a self-contained Rust test snippet.
 //!
 //! The strategy is ddmin-flavoured greedy reduction, re-running the
-//! failure predicate ([`crate::diff::repro_fails`]) after every step:
+//! failure predicate (the binary passes [`crate::diff::repro_fails`])
+//! after every step:
 //!
 //! 1. drop chunks of COO entries (halving granularity, then singles);
 //! 2. shrink the dimensions to the live bounding box;
@@ -12,17 +13,21 @@
 
 use std::sync::Arc;
 
-use crate::diff::{repro_fails, Config, Ctxs, Repro};
-use sellkit_core::Codec;
+use crate::diff::Repro;
 
-/// Greedily shrinks `r`, preserving "still fails".  Returns the smaller
-/// repro and the (possibly changed) failure detail.
-pub fn minimize(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> (Repro, String) {
+/// Greedily shrinks `r`, preserving "still `fails`"; step 5 tries the
+/// pool sizes in `threads`.  Returns the smaller repro and the (possibly
+/// changed) failure detail.
+pub fn minimize(
+    r: &Repro,
+    threads: &[usize],
+    mut fails: impl FnMut(&Repro) -> Option<String>,
+) -> (Repro, String) {
     let mut cur = r.clone();
     // Validation-only repros carry an empty `x` (and possibly enormous
     // ncols); never materialize a vector for them.
-    let numeric = r.x.len() == r.ncols;
-    let mut detail = repro_fails(&cur, cfg, ctxs).unwrap_or_else(|| {
+    let numeric = r.x.len() == r.ncols * r.k;
+    let mut detail = fails(&cur).unwrap_or_else(|| {
         // Not reproducible in isolation (e.g. flaky scheduling): keep the
         // original so the report still carries the full input.
         "original failure did not re-fire during minimization".to_string()
@@ -37,7 +42,7 @@ pub fn minimize(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> (Repro, String) {
             let mut cand = cur.clone();
             let hi = (i + chunk).min(cur.entries.len());
             cand.entries = [&cur.entries[..i], &cur.entries[hi..]].concat().into();
-            if let Some(d) = repro_fails(&cand, cfg, ctxs) {
+            if let Some(d) = fails(&cand) {
                 cur = cand;
                 detail = d;
                 progressed = true;
@@ -79,11 +84,12 @@ pub fn minimize(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> (Repro, String) {
             cand.nrows = rows;
             cand.ncols = cols;
             if numeric {
+                // `x[col*k + v]`: whole columns go or come at the end.
                 let mut x = cur.x.to_vec();
-                x.resize(cols, 1.0);
+                x.resize(cols * cur.k, 1.0);
                 cand.x = x.into();
             }
-            if let Some(d) = repro_fails(&cand, cfg, ctxs) {
+            if let Some(d) = fails(&cand) {
                 cur = cand;
                 detail = d;
                 break;
@@ -96,7 +102,7 @@ pub fn minimize(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> (Repro, String) {
         if cur.entries[k].2 != 1.0 {
             let mut cand = cur.clone();
             Arc::make_mut(&mut cand.entries)[k].2 = 1.0;
-            if let Some(d) = repro_fails(&cand, cfg, ctxs) {
+            if let Some(d) = fails(&cand) {
                 cur = cand;
                 detail = d;
             }
@@ -110,7 +116,7 @@ pub fn minimize(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> (Repro, String) {
             if cur.x[k].is_finite() && cur.x[k] != target {
                 let mut cand = cur.clone();
                 Arc::make_mut(&mut cand.x)[k] = target;
-                if let Some(d) = repro_fails(&cand, cfg, ctxs) {
+                if let Some(d) = fails(&cand) {
                     cur = cand;
                     detail = d;
                 }
@@ -119,11 +125,11 @@ pub fn minimize(r: &Repro, cfg: &Config, ctxs: &Ctxs) -> (Repro, String) {
     }
 
     // 5. Smallest failing thread count.
-    for &t in &cfg.threads {
+    for &t in threads {
         if t < cur.threads {
             let mut cand = cur.clone();
             cand.threads = t;
-            if let Some(d) = repro_fails(&cand, cfg, ctxs) {
+            if let Some(d) = fails(&cand) {
                 cur = cand;
                 detail = d;
                 break;
@@ -153,126 +159,60 @@ fn f64_src(v: f64) -> String {
     }
 }
 
-/// Emits a self-contained `#[test]` snippet reproducing the failure:
-/// paste into any file under `tests/` and run.
+/// Emits a self-contained `#[test]` snippet that replays the failure
+/// through the engine's own predicate, [`crate::diff::repro_fails`]:
+/// paste it into any file under `tests/` and run.
 pub fn emit_test_snippet(r: &Repro, detail: &str) -> String {
-    let mut s = String::new();
-    s.push_str("// Minimized by sellkit-fuzz.  Failure: ");
-    s.push_str(detail);
-    s.push('\n');
-    s.push_str("#[test]\nfn fuzz_repro() {\n");
-    s.push_str("    use sellkit::core::*;\n");
-    s.push_str(&format!(
-        "    let mut b = CooBuilder::new({}, {});\n",
-        r.nrows, r.ncols
-    ));
-    for &(i, j, v) in r.entries.iter() {
-        s.push_str(&format!("    b.push({i}, {j}, {});\n", f64_src(v)));
-    }
-    s.push_str("    let a = b.to_csr();\n");
-    let build = if r.codec != Codec::F64 {
-        let c = format!("Codec::{:?}", r.codec);
-        match r.format.name() {
-            "sell4" => format!("Sell4::from_csr_codec(&a, {c})"),
-            "sell8" => format!("Sell8::from_csr_codec(&a, {c})"),
-            "sell16" => format!("Sell16::from_csr_codec(&a, {c})"),
-            "sell_c_sigma8" => format!("SellSigma8::from_csr_sigma_codec(&a, 16, {c})"),
-            other => unreachable!("format {other} has no packed-codec path"),
-        }
-    } else {
-        match r.format.name() {
-            "csr" => "a.clone()".to_string(),
-            "sell4" => "Sell4::from_csr(&a)".to_string(),
-            "sell8" => "Sell8::from_csr(&a)".to_string(),
-            "sell16" => "Sell16::from_csr(&a)".to_string(),
-            "sell_esb" => "SellEsb::from_csr(&a)".to_string(),
-            "sell_c_sigma8" => "SellSigma8::from_csr_sigma(&a, 16)".to_string(),
-            "baij_bs2" => "Baij::from_csr(&a, 2)".to_string(),
-            _ => "Sbaij::from_csr(&a, 2)".to_string(),
-        }
+    let (isa, uses) = match r.isa {
+        Some(tier) => (format!("Some(Isa::{tier:?})"), "Apply, Codec, Isa"),
+        None => ("None".to_string(), "Apply, Codec"),
     };
-    s.push_str(&format!("    let m = {build};\n"));
-    if r.codec != Codec::F64 {
-        // The oracle runs over the codec-quantized matrix — exactly what
-        // the packed format's value bytes decode to.
-        s.push_str(&format!(
-            "    let mut bq = CooBuilder::new({}, {});\n",
-            r.nrows, r.ncols
-        ));
-        s.push_str(&format!("    for i in 0..{} {{\n", r.nrows));
-        s.push_str("        for (e, &c) in a.row_cols(i).iter().enumerate() {\n");
-        s.push_str(&format!(
-            "            bq.push(i, c as usize, Codec::{:?}.quantize(a.row_vals(i)[e]));\n",
-            r.codec
-        ));
-        s.push_str("        }\n    }\n");
-        s.push_str("    let a = bq.to_csr();\n");
-    }
-    let k = r.k.max(1);
-    if r.x.len() != r.ncols * k {
-        // Validation-only repro: the layout itself is the failure.
-        s.push_str("    use sellkit_check::Validate;\n");
-        s.push_str("    assert_eq!(m.validate(), Ok(()));\n}\n");
-        return s;
-    }
-    let xs: Vec<String> = r.x.iter().map(|&v| f64_src(v)).collect();
-    s.push_str(&format!("    let x = vec![{}];\n", xs.join(", ")));
-    s.push_str(&format!("    let mut y = vec![0.0; {}];\n", r.nrows * k));
-    s.push_str(&format!("    let mut want = vec![0.0; {}];\n", r.nrows * k));
-    if k == 1 {
-        s.push_str("    // Scalar-CSR oracle.\n");
-        s.push_str("    a.spmv_isa(Isa::Scalar, &x, &mut want);\n");
-    } else {
-        s.push_str("    // Column-by-column scalar-CSR oracle over the k-block.\n");
-        s.push_str(&format!(
-            "    let (k, nc, nr) = ({k}usize, {}, {});\n",
-            r.ncols, r.nrows
-        ));
-        s.push_str("    let mut xcol = vec![0.0; nc];\n");
-        s.push_str("    let mut wcol = vec![0.0; nr];\n");
-        s.push_str("    for v in 0..k {\n");
-        s.push_str("        for i in 0..nc {\n            xcol[i] = x[i * k + v];\n        }\n");
-        s.push_str("        wcol.fill(0.0);\n");
-        s.push_str("        a.spmv_isa(Isa::Scalar, &xcol, &mut wcol);\n");
-        s.push_str("        for i in 0..nr {\n            want[i * k + v] = wcol[i];\n        }\n");
-        s.push_str("    }\n");
-    }
-    match r.isa {
-        Some(tier) if k == 1 => {
-            s.push_str(&format!("    m.spmv_isa(Isa::{tier:?}, &x, &mut y);\n"));
-        }
-        Some(tier) => {
-            s.push_str(&format!("    m.spmm_isa(Isa::{tier:?}, &x, &mut y, k);\n"));
-        }
-        None => {
-            s.push_str(&format!("    let ctx = ExecCtx::new({});\n", r.threads));
-            if k == 1 {
-                s.push_str(&format!(
-                    "    m.apply(&ctx, (&x).into(), (&mut y).into(), Apply::{});\n",
-                    if r.add { "Add" } else { "Set" }
-                ));
-            } else {
-                s.push_str(&format!(
-                    "    m.apply(&ctx, VecView::blocked(&x, k), \
-                     VecViewMut::blocked(&mut y, k), Apply::{});\n",
-                    if r.add { "Add" } else { "Set" }
-                ));
-            }
-        }
-    }
-    s.push_str(
-        "    for i in 0..y.len() {\n        assert!(\n            \
-         (y[i] - want[i]).abs() <= 1e-9 * (1.0 + want[i].abs())\n                \
-         || (y[i].is_nan() && want[i].is_nan()),\n            \
-         \"row {i}: {} vs {}\", y[i], want[i]\n        );\n    }\n}\n",
-    );
-    s
+    let entries: String = r
+        .entries
+        .iter()
+        .map(|&(i, j, v)| format!("            ({i}, {j}, {}),\n", f64_src(v)))
+        .collect();
+    let x: Vec<String> = r.x.iter().map(|&v| f64_src(v)).collect();
+    format!(
+        "// Minimized by sellkit-fuzz.  Failure: {detail}
+#[test]
+fn fuzz_repro() {{
+    use sellkit::core::{{{uses}}};
+    use sellkit_fuzz::diff::{{repro_fails, Config, Ctxs, FormatKind, Repro}};
+    use std::sync::Arc;
+    let r = Repro {{
+        nrows: {nrows},
+        ncols: {ncols},
+        entries: Arc::new([
+{entries}        ]),
+        x: Arc::new([{x}]),
+        format: FormatKind::{format:?},
+        threads: {threads},
+        mode: Apply::{mode:?},
+        isa: {isa},
+        k: {k},
+        codec: Codec::{codec:?},
+    }};
+    let ctxs = Ctxs::new(&[{threads}]);
+    assert_eq!(repro_fails(&r, &Config::default(), &ctxs), None);
+}}
+",
+        nrows = r.nrows,
+        ncols = r.ncols,
+        x = x.join(", "),
+        format = r.format,
+        threads = r.threads,
+        mode = r.mode,
+        k = r.k,
+        codec = r.codec,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::FormatKind;
+    use crate::diff::{repro_fails, Config, Ctxs, FormatKind};
+    use sellkit_core::{Apply, Codec, Isa};
 
     #[test]
     fn f64_src_round_trips() {
@@ -308,42 +248,62 @@ mod tests {
             nrows: 2,
             ncols: 2,
             entries: Arc::new([(0, 0, 1.0), (1, 1, -2.0)]),
-            x: Arc::new([f64::INFINITY, 0.5]),
+            x: Arc::new([f64::INFINITY, 2.0]),
             format: FormatKind::Sell8,
             threads: 4,
-            add: true,
+            mode: Apply::Add,
             isa: None,
             k: 1,
             codec: Codec::F64,
         };
         let s = emit_test_snippet(&r, "row 0: NaN vs inf");
-        assert!(s.contains("CooBuilder::new(2, 2)"));
-        assert!(s.contains("b.push(0, 0, 1.0)"));
-        assert!(s.contains("f64::INFINITY"));
-        assert!(s.contains("Sell8::from_csr"));
-        assert!(s.contains("Apply::Add"));
-        assert!(s.contains("ExecCtx::new(4)"));
-        assert!(s.contains("#[test]"));
+        assert!(s.contains("#[test]"), "{s}");
+        assert!(s.contains("nrows: 2,"), "{s}");
+        assert!(s.contains("(0, 0, 1.0),"), "{s}");
+        assert!(s.contains("(1, 1, -2.0),"), "{s}");
+        assert!(s.contains("x: Arc::new([f64::INFINITY, 2.0])"), "{s}");
+        assert!(s.contains("format: FormatKind::Sell8"), "{s}");
+        assert!(s.contains("mode: Apply::Add"), "{s}");
+        assert!(s.contains("isa: None"), "{s}");
+        assert!(s.contains("codec: Codec::F64"), "{s}");
+        assert!(s.contains("Ctxs::new(&[4])"), "{s}");
+        // The engine's predicate is the oracle: no second one is written.
+        assert!(
+            s.contains("repro_fails(&r, &Config::default(), &ctxs), None"),
+            "{s}"
+        );
+        assert!(!s.contains("spmv_isa"), "{s}");
     }
 
     #[test]
     fn blocked_snippet_uses_the_column_oracle() {
+        // A blocked repro carries its width and its whole interleaved
+        // block; `repro_fails` compares it column by column.
         let r = Repro {
             nrows: 2,
             ncols: 2,
             entries: Arc::new([(0, 0, 1.0), (1, 1, -2.0)]),
             x: Arc::new([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]),
-            format: FormatKind::Sell8,
-            threads: 2,
-            add: false,
-            isa: None,
+            format: FormatKind::Sell16,
+            threads: 1,
+            mode: Apply::Set,
+            isa: Some(Isa::Scalar),
             k: 4,
-            codec: Codec::F64,
+            codec: Codec::Bf16,
         };
         let s = emit_test_snippet(&r, "row 0: 1 vs 2");
-        assert!(s.contains("VecView::blocked(&x, k)"), "{s}");
-        assert!(s.contains("xcol[i] = x[i * k + v]"), "{s}");
-        assert!(s.contains("Apply::Set"), "{s}");
+        assert!(s.contains("k: 4,"), "{s}");
+        assert!(
+            s.contains("x: Arc::new([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])"),
+            "{s}"
+        );
+        assert!(s.contains("isa: Some(Isa::Scalar)"), "{s}");
+        assert!(s.contains("use sellkit::core::{Apply, Codec, Isa};"), "{s}");
+        assert!(s.contains("codec: Codec::Bf16"), "{s}");
+        assert!(s.contains("mode: Apply::Set"), "{s}");
+        // And the repro it renders passes the engine it replays through.
+        let ctxs = Ctxs::new(&[1]);
+        assert_eq!(repro_fails(&r, &Config::default(), &ctxs), None);
     }
 
     #[test]
@@ -362,13 +322,43 @@ mod tests {
             x: Arc::new([1.0, 2.0, 3.0]),
             format: FormatKind::Sell4,
             threads: 1,
-            add: false,
+            mode: Apply::Set,
             isa: None,
             k: 1,
             codec: Codec::F64,
         };
-        let (small, detail) = minimize(&r, &cfg, &ctxs);
+        let (small, detail) = minimize(&r, &cfg.threads, |c| repro_fails(c, &cfg, &ctxs));
         assert!(detail.contains("did not re-fire"), "{detail}");
         assert_eq!(small.entries.len(), r.entries.len());
+    }
+
+    #[test]
+    fn minimize_shrinks_a_blocked_repro() {
+        // A fake failure that needs one entry and, like `repro_fails`, a
+        // whole `ncols · k` block to run at all.
+        let fails = |c: &Repro| {
+            let runs = c.x.len() == c.ncols * c.k;
+            let present = c.entries.iter().any(|&(i, j, _)| (i, j) == (2, 3));
+            (runs && present).then(|| "fake".to_string())
+        };
+        let (nrows, ncols, k) = (10, 12, 3);
+        let r = Repro {
+            nrows,
+            ncols,
+            entries: Arc::new([(0, 11, 1.0), (2, 3, -2.5), (9, 0, 4.0), (5, 5, 0.5)]),
+            x: (0..ncols * k).map(|v| v as f64).collect::<Vec<_>>().into(),
+            format: FormatKind::Sell8,
+            threads: 3,
+            mode: Apply::Add,
+            isa: None,
+            k,
+            codec: Codec::F64,
+        };
+        let (small, detail) = minimize(&r, &[1, 3], fails);
+        assert_eq!(detail, "fake");
+        assert_eq!(&small.entries[..], &[(2, 3, 1.0)]);
+        assert!(small.nrows < nrows && small.ncols < ncols, "{small:?}");
+        assert_eq!(small.x.len(), small.ncols * k);
+        assert_eq!(small.threads, 1);
     }
 }

@@ -1,10 +1,10 @@
 //! The differential oracle as part of `cargo test`: one fixed-seed case of
-//! every generator family through the SpMV, SpMM and codec sweeps of
-//! `sellkit-fuzz` (all formats × ISA tiers × thread counts × Set/Add
-//! against the scalar-CSR oracle).  The open-ended, time-budgeted walk
-//! stays with the `sellkit-fuzz` binary in CI.
+//! every generator family through the whole walk of `sellkit-fuzz` (every
+//! row of `ROWS` — f64 SpMV, f64 SpMM, packed codecs — × format × ISA tier
+//! and pool × Set/Add against the scalar-CSR oracle).  The open-ended,
+//! time-budgeted walk stays with the `sellkit-fuzz` binary in CI.
 
-use sellkit_fuzz::{build, run_case, run_codec_case, run_spmm_case, Config, Ctxs, FAMILIES};
+use sellkit_fuzz::{build, run_case, Config, Ctxs, FAMILIES, ROWS};
 
 #[test]
 fn every_family_passes_the_differential_sweeps() {
@@ -19,9 +19,7 @@ fn every_family_passes_the_differential_sweeps() {
     let mut findings = Vec::new();
     for family in FAMILIES {
         let case = build(family, seed);
-        findings.extend(run_case(&case, &cfg, &ctxs, seed));
-        findings.extend(run_spmm_case(&case, &cfg, &ctxs, seed));
-        findings.extend(run_codec_case(&case, &cfg, &ctxs, seed));
+        findings.extend(run_case(&case, &ROWS, &cfg, &ctxs, seed).findings);
     }
     let report: Vec<String> = findings
         .iter()

@@ -187,7 +187,7 @@ proptest! {
     /// Adversarial generator pool: every fuzz family (ragged tails, a
     /// dense row among empties, duplicate/unsorted COO, ...) × every
     /// vector hazard class (NaN/±Inf/subnormal/signed-zero) keeps the
-    /// bitwise parallel-vs-serial contract for all seven formats.
+    /// bitwise parallel-vs-serial contract for every format of `FORMATS`.
     #[test]
     fn adversarial_pool_is_bitwise_parallel_invariant(
         family_ix in 0usize..sellkit_fuzz::gen::FAMILIES.len(),

@@ -196,20 +196,21 @@ proptest! {
     /// Adversarial generator pool through the full differential engine:
     /// any (family, seed) pair — ragged tails, dense-row skew, duplicate
     /// and unsorted COO, empty shapes — must produce zero divergences
-    /// across every format, vector hazard class, and product mode when
-    /// checked against the scalar-CSR oracle.
+    /// across every format, ISA path, vector hazard class and product mode
+    /// of the walk's f64 SpMV row when checked against the scalar-CSR
+    /// oracle (`tests/fuzz_smoke.rs` walks every row, one case a family).
     #[test]
     fn adversarial_pool_has_no_divergence(
         family_ix in 0usize..sellkit_fuzz::gen::FAMILIES.len(),
         seed in 0u64..1_000_000,
     ) {
-        use sellkit_fuzz::diff::{run_case, Config, Ctxs};
+        use sellkit_fuzz::diff::{run_case, Config, Ctxs, ROWS};
         use sellkit_fuzz::gen::{build, FAMILIES};
 
         let cfg = Config { threads: vec![1, 3], ..Config::default() };
         let ctxs = Ctxs::new(&cfg.threads);
         let case = build(FAMILIES[family_ix], seed);
-        let findings = run_case(&case, &cfg, &ctxs, seed);
+        let findings = run_case(&case, &ROWS[..1], &cfg, &ctxs, seed).findings;
         prop_assert!(
             findings.is_empty(),
             "{}: {:?}",
