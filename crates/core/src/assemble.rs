@@ -1,17 +1,21 @@
 //! Row-ordered CSR assembly: PETSc's preallocated, row-oriented
-//! `MatSetValues`.
+//! `MatSetValues`, and the one place where entries become CSR rows.
 //!
-//! Stencil codes, matrix-level operations and SpGEMM all produce their
-//! entries one row after another, so the global `(row, col)` sort of
-//! [`CooBuilder`](crate::coo::CooBuilder) is work they do not need:
 //! [`RowAssembler`] takes rows in order and a row's `(col, val)` pairs in
-//! any order, sorts each short row when it is closed, and appends it to the
-//! CSR arrays.  Input whose *rows* are unordered (Matrix Market files, the
-//! fuzz generator) goes through `CooBuilder`.
+//! any order, sorts each row stably when it is closed — so duplicates of a
+//! column are summed left to right in push order, and explicit zeros stay
+//! in the pattern — and appends it to the CSR arrays.  Every producer that
+//! turns entries into CSR goes through it: the stencil codes, `matops`, the
+//! conversions back to CSR, the distributed blocks of `sellkit-dist`, and
+//! [`CooBuilder`](crate::coo::CooBuilder), which buckets unordered triplets
+//! by row (keeping their push order) and hands each row over.  Both builders
+//! therefore produce the same matrix from the same pushes, bit for bit, by
+//! construction.
 //!
-//! Both builders produce the same matrix from the same pushes, bit for bit:
-//! a row is sorted stably, so duplicates of a column are summed left to
-//! right in push order, and explicit zeros stay in the pattern.
+//! Two fills stay direct on purpose: [`Csr::transpose`] moves an existing
+//! pattern by a counting sort (routed through a builder it took 1.5–1.8×
+//! as long), and SpGEMM's symbolic phase builds a pattern whose values the
+//! numeric phase fills later ([`Csr::zeros_with_pattern`]).
 
 use crate::csr::Csr;
 

@@ -2,10 +2,14 @@
 //!
 //! PETSc applications assemble matrices entry-by-entry (`MatSetValues`);
 //! [`CooBuilder`] plays that role here.  Duplicate insertions are summed, as
-//! with PETSc's default `ADD_VALUES` assembly.  Producers whose rows arrive
-//! in order use [`RowAssembler`](crate::assemble::RowAssembler) and skip
-//! the global sort.
+//! with PETSc's default `ADD_VALUES` assembly.  [`CooBuilder::to_csr`]
+//! buckets the triplets by row (a stable counting sort, so each row keeps
+//! its push order) and hands every row to a [`RowAssembler`]: the two
+//! builders share one row rule and give the same matrix for the same
+//! pushes, bit for bit.
+//! Producers whose rows arrive in order use the assembler directly.
 
+use crate::assemble::RowAssembler;
 use crate::csr::Csr;
 
 /// An unsorted triplet (COO) accumulation buffer.
@@ -55,11 +59,6 @@ impl CooBuilder {
         self.vals.push(v);
     }
 
-    /// Number of raw (pre-deduplication) entries pushed so far.
-    pub fn raw_len(&self) -> usize {
-        self.vals.len()
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -85,42 +84,34 @@ impl CooBuilder {
         &self.vals
     }
 
-    /// Assembles into CSR: sorts by (row, col), sums duplicates, and keeps
-    /// explicit zeros (PETSc keeps them too — they hold the sparsity pattern
-    /// for later `MatSetValues` calls with the same nonzero structure).
+    /// Assembles into CSR: each row's pairs, in push order, go through a
+    /// [`RowAssembler`], which puts them in column order, sums duplicates
+    /// left to right and keeps explicit zeros (PETSc keeps them too — they
+    /// hold the sparsity pattern for later `MatSetValues` calls with the
+    /// same nonzero structure).
     pub fn to_csr(&self) -> Csr {
-        let n = self.vals.len();
-        assert!(
-            n <= u32::MAX as usize,
-            "{n} raw entries exceed the 32-bit permutation index space"
-        );
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&k| (self.rows[k as usize], self.cols[k as usize]));
-
-        let mut rowptr = vec![0usize; self.nrows + 1];
-        let mut colidx: Vec<u32> = Vec::with_capacity(n);
-        let mut vals: Vec<f64> = Vec::with_capacity(n);
-
-        let mut last: Option<(u32, u32)> = None;
-        for &k in &order {
-            let (r, c, v) = (
-                self.rows[k as usize],
-                self.cols[k as usize],
-                self.vals[k as usize],
-            );
-            if last == Some((r, c)) {
-                *vals.last_mut().expect("last coordinate implies an entry") += v;
-                continue;
-            }
-            colidx.push(c);
-            vals.push(v);
-            rowptr[r as usize + 1] += 1;
-            last = Some((r, c));
+        // Stable counting sort of the triplet indices by row.
+        let mut start = vec![0usize; self.nrows + 1];
+        for &r in &self.rows {
+            start[r as usize + 1] += 1;
         }
         for i in 0..self.nrows {
-            rowptr[i + 1] += rowptr[i];
+            start[i + 1] += start[i];
         }
-        Csr::from_parts(self.nrows, self.ncols, rowptr, colidx, vals)
+        let mut next = start.clone();
+        let mut order = vec![0usize; self.rows.len()];
+        for (k, &r) in self.rows.iter().enumerate() {
+            order[next[r as usize]] = k;
+            next[r as usize] += 1;
+        }
+        let mut out = RowAssembler::with_capacity(self.nrows, self.ncols, self.vals.len());
+        for row in start.windows(2) {
+            for &k in &order[row[0]..row[1]] {
+                out.push(self.cols[k] as usize, self.vals[k]);
+            }
+            out.end_row();
+        }
+        out.finish()
     }
 }
 

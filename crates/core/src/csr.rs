@@ -6,6 +6,7 @@
 //! integers, matching the traffic model of §6 (`12·nnz` counts 8 bytes of
 //! value + 4 bytes of index per nonzero).
 
+use crate::assemble::RowAssembler;
 use crate::exec::ExecCtx;
 use crate::isa::Isa;
 use crate::kernels;
@@ -91,20 +92,16 @@ impl Csr {
     /// dropping exact zeros.  Convenience for tests and examples.
     pub fn from_dense(nrows: usize, ncols: usize, dense: &[f64]) -> Self {
         assert_eq!(dense.len(), nrows * ncols);
-        let mut rowptr = vec![0usize; nrows + 1];
-        let mut colidx = Vec::new();
-        let mut val = Vec::new();
+        let mut out = RowAssembler::new(nrows, ncols);
         for i in 0..nrows {
-            for j in 0..ncols {
-                let v = dense[i * ncols + j];
+            for (j, &v) in dense[i * ncols..(i + 1) * ncols].iter().enumerate() {
                 if v != 0.0 {
-                    colidx.push(j as u32);
-                    val.push(v);
+                    out.push(j, v);
                 }
             }
-            rowptr[i + 1] = val.len();
+            out.end_row();
         }
-        Self::from_parts(nrows, ncols, rowptr, colidx, val)
+        out.finish()
     }
 
     /// Returns a dense row-major copy (tests/examples only).

@@ -8,8 +8,8 @@
 //! The crate provides:
 //!
 //! * [`Csr`] — compressed sparse row (PETSc `AIJ`), the baseline format,
-//!   assembled from unordered triplets by [`CooBuilder`] or row by row,
-//!   without a global sort, by [`RowAssembler`];
+//!   assembled row by row by [`RowAssembler`], directly or through
+//!   [`CooBuilder`], which buckets unordered triplets by row;
 //! * [`Sell`] — sliced ELLPACK (PETSc `SELL`), the paper's contribution,
 //!   with compile-time slice height `C` ([`Sell8`] is the AVX-512 default)
 //!   and rows in their original order (§5.4: no sorting);

@@ -8,8 +8,6 @@
 //! are those operations; they run on CSR (the assembly format) and feed
 //! SELL through `set_values_from_csr`/`from_csr`.
 
-use std::cmp::Ordering;
-
 use crate::assemble::RowAssembler;
 use crate::csr::Csr;
 use crate::traits::MatShape;
@@ -30,43 +28,23 @@ pub fn scale_in_place(a: &mut Csr, alpha: f64) {
 }
 
 /// `C = alpha·A + B` with pattern union (PETSc `MatAXPY` with
-/// `DIFFERENT_NONZERO_PATTERN`).  Rows of a [`Csr`] are strictly increasing,
-/// so the union is a two-pointer merge; where both store a position the
-/// entry is `alpha·a + b`, in that order.
+/// `DIFFERENT_NONZERO_PATTERN`).  Each row of `alpha·A` is pushed before the
+/// same row of `B`, so where both store a position the assembler sums
+/// `alpha·a + b`, in that order.
 pub fn axpy(alpha: f64, a: &Csr, b: &Csr) -> Csr {
     assert_eq!(a.nrows(), b.nrows(), "MatAXPY shape mismatch");
     assert_eq!(a.ncols(), b.ncols(), "MatAXPY shape mismatch");
-    let mut out = SortedRows::with_capacity(a.nrows(), a.nnz() + b.nnz());
+    let mut out = RowAssembler::with_capacity(a.nrows(), a.ncols(), a.nnz() + b.nnz());
     for i in 0..a.nrows() {
-        let (ac, av) = (a.row_cols(i), a.row_vals(i));
-        let (bc, bv) = (b.row_cols(i), b.row_vals(i));
-        let (mut ka, mut kb) = (0, 0);
-        while ka < ac.len() && kb < bc.len() {
-            match ac[ka].cmp(&bc[kb]) {
-                Ordering::Less => {
-                    out.push(ac[ka], alpha * av[ka]);
-                    ka += 1;
-                }
-                Ordering::Greater => {
-                    out.push(bc[kb], bv[kb]);
-                    kb += 1;
-                }
-                Ordering::Equal => {
-                    out.push(ac[ka], alpha * av[ka] + bv[kb]);
-                    ka += 1;
-                    kb += 1;
-                }
-            }
+        for (&c, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
+            out.push(c as usize, alpha * v);
         }
-        for k in ka..ac.len() {
-            out.push(ac[k], alpha * av[k]);
-        }
-        for k in kb..bc.len() {
-            out.push(bc[k], bv[k]);
+        for (&c, &v) in b.row_cols(i).iter().zip(b.row_vals(i)) {
+            out.push(c as usize, v);
         }
         out.end_row();
     }
-    out.finish(a.ncols())
+    out.finish()
 }
 
 /// `C = A + shift·I` with the diagonal added to the pattern if missing
@@ -76,39 +54,18 @@ pub fn shift(a: &Csr, shift: f64) -> Csr {
 }
 
 /// `C = gamma·I + alpha·A` — the Newton-system matrix `I − Δt·θ·J` of the
-/// θ-scheme in one pass (used by `sellkit_solvers::ts`): a linear copy of
-/// each sorted row that scales the values and adds `gamma` at the diagonal
-/// (`gamma + alpha·v`, in that order), inserting it where `A` stores none.
+/// θ-scheme (used by `sellkit_solvers::ts`): the values scaled and `gamma`
+/// added at the diagonal (the bits of `gamma + alpha·v`), which is inserted
+/// where `A` stores none.  A copy of `a` through
+/// [`identity_plus_scaled_owned`].
 pub fn identity_plus_scaled(gamma: f64, alpha: f64, a: &Csr) -> Csr {
-    assert_eq!(a.nrows(), a.ncols(), "needs a square matrix");
-    let mut out = SortedRows::with_capacity(a.nrows(), a.nnz() + a.nrows());
-    for i in 0..a.nrows() {
-        let (cols, vals) = (a.row_cols(i), a.row_vals(i));
-        // Lossless: `Csr` dimensions fit 32 bits.
-        let diag = i as u32;
-        let below = cols.partition_point(|&c| c < diag);
-        for k in 0..below {
-            out.push(cols[k], alpha * vals[k]);
-        }
-        let mut rest = below;
-        if cols.get(below) == Some(&diag) {
-            out.push(diag, gamma + alpha * vals[below]);
-            rest += 1;
-        } else {
-            out.push(diag, gamma);
-        }
-        for k in rest..cols.len() {
-            out.push(cols[k], alpha * vals[k]);
-        }
-        out.end_row();
-    }
-    out.finish(a.ncols())
+    identity_plus_scaled_owned(gamma, alpha, a.clone())
 }
 
 /// [`identity_plus_scaled`] of a matrix the caller is done with: when every
 /// row stores its diagonal — a Jacobian's does — the values are rewritten
-/// where they are (same bits, no allocation and no pattern to validate);
-/// otherwise the pattern has to grow and the copy is made.
+/// where they are (no allocation and no pattern to validate); otherwise the
+/// pattern grows and the rows go through a [`RowAssembler`].
 pub fn identity_plus_scaled_owned(gamma: f64, alpha: f64, mut a: Csr) -> Csr {
     assert_eq!(a.nrows(), a.ncols(), "needs a square matrix");
     let (rowptr, colidx, vals) = a.pattern_and_values_mut();
@@ -119,7 +76,17 @@ pub fn identity_plus_scaled_owned(gamma: f64, alpha: f64, mut a: Csr) -> Csr {
     };
     // Nothing is written before every row is known to have its diagonal.
     if (0..rowptr.len() - 1).any(|i| diagonal_of(i).is_none()) {
-        return identity_plus_scaled(gamma, alpha, &a);
+        let mut out = RowAssembler::with_capacity(a.nrows(), a.ncols(), a.nnz() + a.nrows());
+        for i in 0..a.nrows() {
+            for (&c, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
+                out.push(c as usize, alpha * v);
+            }
+            // Summed after a stored `alpha·v`: IEEE addition commutes, so
+            // these are the bits of `gamma + alpha·v`.
+            out.push(i, gamma);
+            out.end_row();
+        }
+        return out.finish();
     }
     for v in vals.iter_mut() {
         *v *= alpha;
@@ -129,47 +96,6 @@ pub fn identity_plus_scaled_owned(gamma: f64, alpha: f64, mut a: Csr) -> Csr {
         vals[diagonal_of(i).expect("checked above")] += gamma;
     }
     a
-}
-
-/// CSR arrays filled by producers that emit every row in increasing column
-/// order already — what [`RowAssembler`] is without the per-row buffer and
-/// sort.  [`Csr::from_parts`] checks the order.
-struct SortedRows {
-    rowptr: Vec<usize>,
-    colidx: Vec<u32>,
-    val: Vec<f64>,
-}
-
-impl SortedRows {
-    fn with_capacity(nrows: usize, nnz: usize) -> Self {
-        let mut rowptr = Vec::with_capacity(nrows + 1);
-        rowptr.push(0);
-        Self {
-            rowptr,
-            colidx: Vec::with_capacity(nnz),
-            val: Vec::with_capacity(nnz),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, c: u32, v: f64) {
-        self.colidx.push(c);
-        self.val.push(v);
-    }
-
-    fn end_row(&mut self) {
-        self.rowptr.push(self.colidx.len());
-    }
-
-    fn finish(self, ncols: usize) -> Csr {
-        Csr::from_parts(
-            self.rowptr.len() - 1,
-            ncols,
-            self.rowptr,
-            self.colidx,
-            self.val,
-        )
-    }
 }
 
 /// `A = diag(l) · A · diag(r)` in place (PETSc `MatDiagonalScale`).
@@ -345,6 +271,38 @@ mod tests {
                 let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got), bits(&want), "gamma {gamma}, alpha {alpha}");
             }
+        }
+    }
+
+    #[test]
+    fn a_grown_pattern_holds_gamma_plus_alpha_v() {
+        // Row 0 stores -0.0 on its diagonal, row 1 no diagonal, row 2 a
+        // tiny one.
+        let a = Csr::from_parts(
+            3,
+            3,
+            vec![0, 2, 3, 5],
+            vec![0, 2, 0, 1, 2],
+            vec![-0.0, 0.1, 3.0, 0.7, 1e-300],
+        );
+        for (gamma, alpha) in [(1.0, -0.5), (0.0, 1.0), (-2.5, 0.0), (-0.0, 1.0)] {
+            let g = identity_plus_scaled_owned(gamma, alpha, a.clone());
+            assert_eq!(g.rowptr(), &[0, 2, 4, 6]);
+            assert_eq!(g.colidx(), &[0, 2, 0, 1, 1, 2]);
+            let want = [
+                gamma + alpha * -0.0,
+                alpha * 0.1,
+                alpha * 3.0,
+                gamma,
+                alpha * 0.7,
+                gamma + alpha * 1e-300,
+            ];
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(g.values()),
+                bits(&want),
+                "gamma {gamma}, alpha {alpha}"
+            );
         }
     }
 

@@ -7,22 +7,20 @@
 //! of a scatter-style update to `y` that is harder to vectorize (one
 //! reason PETSc keeps it a specialist format).
 
+use crate::assemble::RowAssembler;
+use crate::baij::Baij;
 use crate::csr::Csr;
 use crate::exec::ExecCtx;
 use crate::multivec::{VecView, VecViewMut};
 use crate::traits::{check_apply_dims, Apply, MatShape, Operator};
 
-/// A symmetric matrix in block-upper-triangular storage.
+/// A symmetric matrix in block-upper-triangular storage: a [`Baij`] of the
+/// blocks on and above the block diagonal.
 #[derive(Clone, Debug)]
 pub struct Sbaij {
-    mbs: usize,
-    bs: usize,
+    upper: Baij,
     /// Logical nonzeros of the full (symmetric) matrix.
     nnz_full: usize,
-    browptr: Vec<usize>,
-    bcolidx: Vec<u32>,
-    /// Stored blocks (upper triangle), row-major `bs × bs` each.
-    val: Vec<f64>,
 }
 
 impl Sbaij {
@@ -43,90 +41,64 @@ impl Sbaij {
                 );
             }
         }
-        let mbs = csr.nrows() / bs;
-        let mut browptr = vec![0usize; mbs + 1];
-        let mut bcolidx: Vec<u32> = Vec::new();
-        let mut blocks: Vec<f64> = Vec::new();
-        for bi in 0..mbs {
-            let mut bcols: Vec<u32> = Vec::new();
-            for r in 0..bs {
-                for &c in csr.row_cols(bi * bs + r) {
-                    let bc = c / bs as u32;
-                    if bc as usize >= bi {
-                        if let Err(pos) = bcols.binary_search(&bc) {
-                            bcols.insert(pos, bc);
-                        }
-                    }
+        // The lower block triangle is implied by symmetry.
+        let mut upper = RowAssembler::with_capacity(csr.nrows(), csr.ncols(), csr.nnz());
+        for i in 0..csr.nrows() {
+            for (&c, &v) in csr.row_cols(i).iter().zip(csr.row_vals(i)) {
+                if c as usize / bs >= i / bs {
+                    upper.push(c as usize, v);
                 }
             }
-            let start = blocks.len();
-            blocks.resize(start + bcols.len() * bs * bs, 0.0);
-            for r in 0..bs {
-                let i = bi * bs + r;
-                for (k, &c) in csr.row_cols(i).iter().enumerate() {
-                    let bc = c / bs as u32;
-                    if (bc as usize) < bi {
-                        continue; // lower triangle: implied by symmetry
-                    }
-                    let pos = bcols.binary_search(&bc).expect("block col present");
-                    blocks[start + pos * bs * bs + r * bs + (c as usize % bs)] = csr.row_vals(i)[k];
-                }
-            }
-            bcolidx.extend_from_slice(&bcols);
-            browptr[bi + 1] = bcolidx.len();
+            upper.end_row();
         }
         Self {
-            mbs,
-            bs,
+            upper: Baij::from_csr(&upper.finish(), bs),
             nnz_full: csr.nnz(),
-            browptr,
-            bcolidx,
-            val: blocks,
         }
     }
 
     /// Block size.
     pub fn block_size(&self) -> usize {
-        self.bs
+        self.upper.block_size()
     }
 
     /// Stored blocks (upper triangle only).
     pub fn nblocks(&self) -> usize {
-        self.bcolidx.len()
+        self.upper.nblocks()
     }
 
     /// Stored elements — roughly half of BAIJ's for a dense-ish pattern.
     pub fn stored_elems(&self) -> usize {
-        self.val.len()
+        self.upper.stored_elems()
     }
 
     /// Number of block rows (== block columns; the matrix is square).
     pub fn brows(&self) -> usize {
-        self.mbs
+        self.upper.brows()
     }
 
     /// Block-row pointer array (`mbs + 1` entries into [`Self::bcolidx`]).
     pub fn browptr(&self) -> &[usize] {
-        &self.browptr
+        self.upper.browptr()
     }
 
     /// Block column indices (upper triangle: `bcolidx()[k] >=` block row).
     pub fn bcolidx(&self) -> &[u32] {
-        &self.bcolidx
+        self.upper.bcolidx()
     }
 
     /// Stored block values, each block row-major `bs × bs`.
     pub fn values(&self) -> &[f64] {
-        &self.val
+        self.upper.values()
     }
 }
 
 impl MatShape for Sbaij {
     fn nrows(&self) -> usize {
-        self.mbs * self.bs
+        self.upper.nrows()
     }
     fn ncols(&self) -> usize {
-        self.mbs * self.bs
+        self.upper.ncols()
     }
     fn nnz(&self) -> usize {
         self.nnz_full
@@ -155,11 +127,11 @@ impl Sbaij {
     /// applied in place, and off-diagonal blocks again transposed at the
     /// mirror position.
     fn accumulate(&self, x: &[f64], y: &mut [f64]) {
-        let bs = self.bs;
-        for bi in 0..self.mbs {
-            for k in self.browptr[bi]..self.browptr[bi + 1] {
-                let bj = self.bcolidx[k] as usize;
-                let blk = &self.val[k * bs * bs..(k + 1) * bs * bs];
+        let (bs, browptr, bcolidx) = (self.block_size(), self.browptr(), self.bcolidx());
+        for bi in 0..self.brows() {
+            for k in browptr[bi]..browptr[bi + 1] {
+                let bj = bcolidx[k] as usize;
+                let blk = &self.values()[k * bs * bs..(k + 1) * bs * bs];
                 // y_bi += B · x_bj
                 for r in 0..bs {
                     let mut s = 0.0;

@@ -45,6 +45,7 @@
 //!   is masked (§5.5).
 
 use crate::aligned::AVec;
+use crate::assemble::RowAssembler;
 use crate::codec::{self, Codec};
 use crate::csr::Csr;
 use crate::exec::ExecCtx;
@@ -382,17 +383,14 @@ impl<const C: usize> Sell<C> {
 
     /// Converts back to CSR, dropping padding.
     pub fn to_csr(&self) -> Csr {
-        let mut rowptr = vec![0usize; self.nrows + 1];
+        let mut out = RowAssembler::with_capacity(self.nrows, self.ncols, self.nnz);
         for i in 0..self.nrows {
-            rowptr[i + 1] = rowptr[i] + self.rlen[i] as usize;
+            for (c, v) in self.row(i) {
+                out.push(c as usize, v);
+            }
+            out.end_row();
         }
-        let mut colidx = Vec::with_capacity(self.nnz);
-        let mut vals = Vec::with_capacity(self.nnz);
-        for (c, v) in (0..self.nrows).flat_map(|i| self.row(i)) {
-            colidx.push(c);
-            vals.push(v);
-        }
-        Csr::from_parts(self.nrows, self.ncols, rowptr, colidx, vals)
+        out.finish()
     }
 
     /// Overwrites values in place from a CSR matrix with the **same

@@ -26,6 +26,7 @@
 
 use std::sync::Mutex;
 
+use crate::assemble::RowAssembler;
 use crate::codec::Codec;
 use crate::csr::Csr;
 use crate::exec::ExecCtx;
@@ -352,21 +353,16 @@ impl Permutation {
 /// A CSR matrix with rows reordered so row `k` of the result is row
 /// `perm[k]` of the input (columns untouched).
 fn permute_rows(csr: &Csr, perm: &[u32]) -> Csr {
-    let nrows = csr.nrows();
-    debug_assert_eq!(perm.len(), nrows);
-    let mut rowptr = vec![0usize; nrows + 1];
-    for (k, &row) in perm.iter().enumerate() {
-        rowptr[k + 1] = rowptr[k] + csr.row_len(row as usize);
+    debug_assert_eq!(perm.len(), csr.nrows());
+    let mut out = RowAssembler::with_capacity(csr.nrows(), csr.ncols(), csr.nnz());
+    for &row in perm {
+        let row = row as usize;
+        for (&c, &v) in csr.row_cols(row).iter().zip(csr.row_vals(row)) {
+            out.push(c as usize, v);
+        }
+        out.end_row();
     }
-    let mut colidx = vec![0u32; csr.nnz()];
-    let mut vals = vec![0.0f64; csr.nnz()];
-    for (k, &row) in perm.iter().enumerate() {
-        let at = rowptr[k];
-        let len = csr.row_len(row as usize);
-        colidx[at..at + len].copy_from_slice(csr.row_cols(row as usize));
-        vals[at..at + len].copy_from_slice(csr.row_vals(row as usize));
-    }
-    Csr::from_parts(nrows, csr.ncols(), rowptr, colidx, vals)
+    out.finish()
 }
 
 #[cfg(test)]

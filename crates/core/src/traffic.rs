@@ -137,11 +137,6 @@ pub fn for_sell<const C: usize>(a: &Sell<C>) -> TrafficEstimate {
     a.spmv_traffic()
 }
 
-/// Traffic estimate for a concrete SELL matrix including its real padding.
-pub fn for_sell_with_padding<const C: usize>(a: &Sell<C>) -> TrafficEstimate {
-    sell_traffic_with_padding(a.nrows(), a.ncols(), a.nnz(), a.stored_elems())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,7 @@
 
 use std::cell::RefCell;
 
-use sellkit_core::{Apply, Csr, ExecCtx, FromCsr, MatShape, Operator};
+use sellkit_core::{matops, Apply, Csr, ExecCtx, FromCsr, MatShape, Operator, RowAssembler};
 use sellkit_mpisim::Comm;
 
 use crate::partition::{split_rows, RowRange};
@@ -79,41 +79,23 @@ impl<M: Operator + FromCsr> DistMat<M> {
         );
 
         let m = local.nrows();
-
-        // Split every row into diagonal-block and off-diagonal entries.
-        let mut diag_rowptr = vec![0usize; m + 1];
-        let mut diag_cols: Vec<u32> = Vec::new();
-        let mut diag_vals: Vec<f64> = Vec::new();
-        let mut off_rowptr = vec![0usize; m + 1];
-        let mut off_cols_global: Vec<u32> = Vec::new();
-        let mut off_vals: Vec<f64> = Vec::new();
-
-        for i in 0..m {
-            for (k, &c) in local.row_cols(i).iter().enumerate() {
-                let v = local.row_vals(i)[k];
-                if my_cols.contains(c as usize) {
-                    diag_cols.push(c - my_cols.start as u32);
-                    diag_vals.push(v);
-                } else {
-                    off_cols_global.push(c);
-                    off_vals.push(v);
-                }
-            }
-            diag_rowptr[i + 1] = diag_cols.len();
-            off_rowptr[i + 1] = off_cols_global.len();
-        }
-
+        let diag_csr = matops::submatrix(local, 0..m, my_cols.start..my_cols.end);
         // Compress off-diagonal columns: garray maps ghost slot → global col.
-        let mut garray = off_cols_global.clone();
+        let ghost = |c: &u32| !my_cols.contains(*c as usize);
+        let mut garray: Vec<u32> = local.colidx().iter().copied().filter(ghost).collect();
         garray.sort_unstable();
         garray.dedup();
-        let off_cols: Vec<u32> = off_cols_global
-            .iter()
-            .map(|c| garray.binary_search(c).expect("column present in garray") as u32)
-            .collect();
-
-        let diag_csr = Csr::from_parts(m, my_cols.len(), diag_rowptr, diag_cols, diag_vals);
-        let off_csr = Csr::from_parts(m, garray.len(), off_rowptr, off_cols, off_vals);
+        let mut off = RowAssembler::with_capacity(m, garray.len(), local.nnz() - diag_csr.nnz());
+        for i in 0..m {
+            for (c, &v) in local.row_cols(i).iter().zip(local.row_vals(i)) {
+                if ghost(c) {
+                    let slot = garray.binary_search(c).expect("column present in garray");
+                    off.push(slot, v);
+                }
+            }
+            off.end_row();
+        }
+        let off_csr = off.finish();
         let scatter = VecScatter::build(comm, &col_ranges, &garray, tag);
 
         Self {
@@ -132,17 +114,8 @@ impl<M: Operator + FromCsr> DistMat<M> {
     /// extracts its own row block (tests/examples; real applications
     /// assemble only local rows).
     pub fn from_global_csr(comm: &Comm, a: &Csr, tag: u64) -> Self {
-        let ranges = split_rows(a.nrows(), comm.size());
-        let me = ranges[comm.rank()];
-        let mut rowptr = vec![0usize; me.len() + 1];
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        for (li, g) in (me.start..me.end).enumerate() {
-            cols.extend_from_slice(a.row_cols(g));
-            vals.extend_from_slice(a.row_vals(g));
-            rowptr[li + 1] = cols.len();
-        }
-        let local = Csr::from_parts(me.len(), a.ncols(), rowptr, cols, vals);
+        let me = split_rows(a.nrows(), comm.size())[comm.rank()];
+        let local = matops::submatrix(a, me.start..me.end, 0..a.ncols());
         Self::from_local_rows(comm, a.nrows(), a.ncols(), &local, tag)
     }
 
@@ -211,11 +184,6 @@ impl<M: Operator + FromCsr> DistMat<M> {
     /// The VecScatter plan (for transpose products and diagnostics).
     pub fn scatter(&self) -> &VecScatter {
         &self.scatter
-    }
-
-    /// Global matrix dimensions.
-    pub fn global_shape(&self) -> (usize, usize) {
-        (self.global_rows, self.global_cols)
     }
 
     /// The sequential diagonal block.

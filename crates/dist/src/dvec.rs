@@ -1,6 +1,7 @@
 //! Distributed vectors: each rank owns a contiguous block of entries.
 
 use sellkit_mpisim::Comm;
+use sellkit_solvers::vecops;
 
 use crate::partition::{split_rows, RowRange};
 
@@ -60,13 +61,7 @@ impl DistVec {
     /// Global inner product (deterministic rank-ordered reduction).
     pub fn dot(&self, comm: &Comm, other: &DistVec) -> f64 {
         assert_eq!(self.global_len, other.global_len);
-        let local: f64 = self
-            .local
-            .iter()
-            .zip(&other.local)
-            .map(|(a, b)| a * b)
-            .sum();
-        comm.allreduce_sum(local)
+        comm.allreduce_sum(vecops::dot(&self.local, &other.local))
     }
 
     /// Global 2-norm.

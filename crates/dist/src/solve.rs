@@ -6,6 +6,7 @@
 use sellkit_core::{FromCsr, Operator as CoreOperator};
 use sellkit_mpisim::Comm;
 use sellkit_solvers::operator::{InnerProduct, Operator};
+use sellkit_solvers::vecops;
 
 use crate::dmat::DistMat;
 
@@ -34,8 +35,7 @@ pub struct DistDot<'a> {
 
 impl InnerProduct for DistDot<'_> {
     fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
-        let local: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-        self.comm.allreduce_sum(local)
+        self.comm.allreduce_sum(vecops::dot(a, b))
     }
 }
 

@@ -76,7 +76,7 @@ pub struct ServeConfig {
     /// Unused: the worker never holds a queued request, so there is no
     /// wait to bound.  Still declared only because the frozen
     /// `benchmark/src/workloads/serve_open.rs` names it in a struct
-    /// literal; its removal rides on the benchmark PR of ROADMAP item 5.
+    /// literal; its removal rides on the benchmark PR of ROADMAP item 1.
     pub max_wait: Duration,
     /// Pending-request cap; [`Server::submit`] returns
     /// [`ServeError::QueueFull`] beyond it.

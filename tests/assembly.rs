@@ -1,7 +1,10 @@
-//! Row-ordered assembly produces the matrices the COO sort produced.
+//! Every way into CSR is one row rule: columns ascending, duplicates summed
+//! left to right in push order, explicit zeros kept.
 //!
 //! * [`RowAssembler`] against [`CooBuilder::to_csr`], bit for bit, on every
-//!   fuzz-generator family replayed row by row;
+//!   fuzz-generator family replayed row by row — duplicate groups of any
+//!   size with their real values — and on 3 000 duplicates of one entry
+//!   interleaved over two rows, whose sums depend on their order;
 //! * `GrayScott::rhs_jacobian` on grids so small that periodic neighbours
 //!   coincide, against a triplet oracle written out here;
 //! * goldens **generated at the commit before the assembler existed**
@@ -56,20 +59,6 @@ fn assemble_rows(ncols: usize, rows: &[Vec<(u32, f64)>]) -> Csr {
     a.finish()
 }
 
-/// `CooBuilder` leaves the order in which it sums three or more duplicates
-/// to its unstable sort.  Groups that large get integer values, whose sums
-/// are exact in any order; pairs commute as they are.
-fn make_order_free(rows: &mut [Vec<(u32, f64)>]) {
-    for row in rows {
-        let cols: Vec<u32> = row.iter().map(|p| p.0).collect();
-        for p in row.iter_mut() {
-            if cols.iter().filter(|&&c| c == p.0).count() > 2 {
-                p.1 = p.1.round();
-            }
-        }
-    }
-}
-
 #[test]
 fn assembler_equals_coo_on_every_fuzz_family() {
     for family in FAMILIES {
@@ -101,9 +90,8 @@ fn assembler_equals_coo_on_every_fuzz_family() {
                     }
                     _ => {}
                 }
-                make_order_free(&mut rows);
                 // The oracle sees the same pairs with the rows backwards:
-                // the global sort is what puts them in order.
+                // its bucketing by row is what puts them in order.
                 let mut coo = CooBuilder::new(case.nrows, case.ncols);
                 for (i, row) in rows.iter().enumerate().rev() {
                     for &(c, v) in row {
@@ -119,6 +107,25 @@ fn assembler_equals_coo_on_every_fuzz_family() {
             }
         }
     }
+}
+
+#[test]
+fn coo_sums_interleaved_duplicates_in_push_order() {
+    // 3 000 pushes into column 0 of two interleaved rows, magnitudes over
+    // sixteen decades: the sum of each row depends on its order.
+    let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); 2];
+    let mut coo = CooBuilder::new(2, 1);
+    for k in 0..3000usize {
+        let i = usize::from((k * 7919) % 5 == 0);
+        let v = (0.7371 * k as f64).sin() * 10f64.powi((k % 17) as i32 - 8);
+        coo.push(i, 0, v);
+        rows[i].push((0, v));
+    }
+    assert_same(
+        &coo.to_csr(),
+        &assemble_rows(1, &rows),
+        "interleaved duplicates",
+    );
 }
 
 /// The Jacobian as the full-matrix loop pushed it before the assembler
