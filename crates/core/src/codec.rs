@@ -10,7 +10,7 @@
 //!
 //! A value is encoded once, at conversion time (or at a value refresh),
 //! into the packed bytes — the only copy a reduced-codec matrix holds.
-//! [`decode`] of those bytes is exactly [`Codec::quantize`] of the input,
+//! `decode` of those bytes is exactly [`Codec::quantize`] of the input,
 //! so `get`/`to_csr` observe the **rounded** matrix the kernels multiply
 //! by, and every differential test can use the quantized CSR as its oracle
 //! without codec-specific slack.

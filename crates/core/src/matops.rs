@@ -62,17 +62,24 @@ pub fn identity_plus_scaled(gamma: f64, alpha: f64, a: &Csr) -> Csr {
     identity_plus_scaled_owned(gamma, alpha, a.clone())
 }
 
-/// [`identity_plus_scaled`] of a matrix the caller is done with: when every
-/// row stores its diagonal — a Jacobian's does — the values are rewritten
-/// where they are (no allocation and no pattern to validate); otherwise the
-/// pattern grows and the rows go through a [`RowAssembler`].
-pub fn identity_plus_scaled_owned(gamma: f64, alpha: f64, mut a: Csr) -> Csr {
+/// [`identity_plus_scaled`] of a matrix the caller is done with: the square
+/// form of [`identity_plus_scaled_rows`], at row 0.
+pub fn identity_plus_scaled_owned(gamma: f64, alpha: f64, a: Csr) -> Csr {
     assert_eq!(a.nrows(), a.ncols(), "needs a square matrix");
+    identity_plus_scaled_rows(gamma, alpha, a, 0)
+}
+
+/// The row block `a` (global columns, one rank's rows) of `gamma·I + alpha·A`:
+/// row `i`'s diagonal is column `first_row + i`.  If every row stores its
+/// diagonal, as a Jacobian's does, the values are rewritten in place;
+/// otherwise the pattern grows through a [`RowAssembler`].
+pub fn identity_plus_scaled_rows(gamma: f64, alpha: f64, mut a: Csr, first_row: usize) -> Csr {
+    assert!(first_row + a.nrows() <= a.ncols(), "diagonal out of bounds");
     let (rowptr, colidx, vals) = a.pattern_and_values_mut();
     let diagonal_of = |i: usize| {
         let row = &colidx[rowptr[i]..rowptr[i + 1]];
         // Lossless: `Csr` dimensions fit 32 bits.
-        Some(rowptr[i] + row.binary_search(&(i as u32)).ok()?)
+        Some(rowptr[i] + row.binary_search(&((first_row + i) as u32)).ok()?)
     };
     // Nothing is written before every row is known to have its diagonal.
     if (0..rowptr.len() - 1).any(|i| diagonal_of(i).is_none()) {
@@ -83,7 +90,7 @@ pub fn identity_plus_scaled_owned(gamma: f64, alpha: f64, mut a: Csr) -> Csr {
             }
             // Summed after a stored `alpha·v`: IEEE addition commutes, so
             // these are the bits of `gamma + alpha·v`.
-            out.push(i, gamma);
+            out.push(first_row + i, gamma);
             out.end_row();
         }
         return out.finish();
@@ -303,6 +310,24 @@ mod tests {
                 bits(&want),
                 "gamma {gamma}, alpha {alpha}"
             );
+        }
+    }
+
+    #[test]
+    fn a_row_block_shifts_as_its_rows_of_the_square_matrix() {
+        // Row 1 stores no diagonal: a block holding it grows its pattern.
+        let missing = Csr::from_dense(3, 3, &[2.0, -1.0, 0.0, -1.0, 0.0, -1.0, 0.0, -1.0, 2.0]);
+        for a in [&missing, &sample()] {
+            let whole = identity_plus_scaled(1.0, -0.5, a);
+            for (start, end) in [(0, 3), (0, 1), (1, 3), (2, 3)] {
+                let block = submatrix(a, start..end, 0..3);
+                let got = identity_plus_scaled_rows(1.0, -0.5, block, start);
+                let want = submatrix(&whole, start..end, 0..3);
+                assert_eq!(got.rowptr(), want.rowptr(), "rows {start}..{end}");
+                assert_eq!(got.colidx(), want.colidx(), "rows {start}..{end}");
+                let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "rows {start}..{end}");
+            }
         }
     }
 

@@ -623,7 +623,7 @@ pub struct Sweep {
 
 /// Walks `rows` over one matrix case: every format that holds it under
 /// each codec is validated stream by stream, then every cell of
-/// [`combinations`] is run against the oracle.  Returns every finding.
+/// `combinations` is run against the oracle.  Returns every finding.
 pub fn run_case(case: &MatrixCase, rows: &[Row], cfg: &Config, ctxs: &Ctxs, seed: u64) -> Sweep {
     let finding = |detail: String, repro: Repro| Finding {
         case_name: case.name.clone(),

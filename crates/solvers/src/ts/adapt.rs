@@ -6,11 +6,11 @@
 //! steps, estimate the local error from their difference (Richardson), and
 //! grow/shrink Δt with a safety-factored power law.
 
-use sellkit_core::{Csr, FromCsr, Operator as CoreOperator};
+use sellkit_core::{Csr, ExecCtx, FromCsr, Operator as CoreOperator};
 
 use crate::pc::Precond;
-use crate::snes::newton::{LinearSolve, NewtonConfig};
-use crate::ts::theta::{OdeProblem, ThetaConfig, ThetaStepper};
+use crate::snes::newton::{newton_kept, LinearSolve, NewtonConfig};
+use crate::ts::theta::{theta_step_over, OdeProblem, ThetaConfig};
 use crate::vecops;
 
 /// Adaptive controller configuration.
@@ -53,7 +53,7 @@ pub struct AdaptStep {
     pub rejections: usize,
 }
 
-/// Adaptive θ-scheme integrator (wraps [`ThetaStepper`]).
+/// Adaptive θ-scheme integrator: an attempt is one full and two half θ-steps.
 pub struct AdaptiveTheta {
     theta: f64,
     newton: NewtonConfig,
@@ -101,37 +101,6 @@ impl AdaptiveTheta {
         }
     }
 
-    fn solve_to<M, P, Pc>(
-        &self,
-        ode: &P,
-        u: &mut [f64],
-        dt: f64,
-        halves: bool,
-        pc_factory: &impl Fn(&Csr) -> Pc,
-    ) -> bool
-    where
-        M: CoreOperator + FromCsr,
-        P: OdeProblem,
-        Pc: Precond,
-    {
-        let cfg = ThetaConfig {
-            theta: self.theta,
-            dt: if halves { dt / 2.0 } else { dt },
-            newton: self.newton,
-        };
-        let mut ts = ThetaStepper::new(cfg);
-        let serial = sellkit_core::ExecCtx::serial();
-        let mut kept = LinearSolve::default();
-        let steps = if halves { 2 } else { 1 };
-        for _ in 0..steps {
-            let res = ts.step_kept::<M, _, _>(ode, u, &serial, &mut kept, pc_factory);
-            if !res.converged() {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Advances one *accepted* step (possibly after internal rejections),
     /// returning its record.  `u` is updated with the more accurate
     /// two-half-steps solution (local extrapolation is not applied,
@@ -147,14 +116,49 @@ impl AdaptiveTheta {
         P: OdeProblem,
         Pc: Precond,
     {
+        self.step_kept::<M, _, _>(ode, u, &mut LinearSolve::default(), &pc_factory)
+    }
+
+    /// [`AdaptiveTheta::step`] on a linear-solve context the caller keeps.
+    fn step_kept<M, P, Pc>(
+        &mut self,
+        ode: &P,
+        u: &mut [f64],
+        kept: &mut LinearSolve<M, Pc>,
+        pc_factory: &impl Fn(&Csr) -> Pc,
+    ) -> AdaptStep
+    where
+        M: CoreOperator + FromCsr,
+        P: OdeProblem,
+        Pc: Precond,
+    {
+        assert_eq!(u.len(), ode.dim());
         let p = self.order();
         let mut rejections = 0usize;
+        let serial = ExecCtx::serial();
         loop {
             let dt = self.dt;
+            // `u` advanced by `dt` in `pieces` steps; false if Newton failed.
+            let mut advance = |u: &mut [f64], pieces: usize| {
+                let cfg = ThetaConfig {
+                    theta: self.theta,
+                    dt: dt / pieces as f64,
+                    newton: self.newton,
+                };
+                (0..pieces).all(|s| {
+                    let t = self.t + s as f64 * cfg.dt;
+                    let rhs = |t, u: &[f64], f: &mut [f64]| ode.rhs(t, u, f);
+                    let jac = |t, u: &[f64]| ode.rhs_jacobian(t, u);
+                    theta_step_over(&cfg, t, 0, u, rhs, jac, |stage, u| {
+                        newton_kept::<M, _, _>(stage, u, &cfg.newton, &serial, kept, pc_factory)
+                    })
+                    .converged()
+                })
+            };
             let mut u_full = u.to_vec();
             let mut u_half = u.to_vec();
-            let ok_full = self.solve_to::<M, _, _>(ode, &mut u_full, dt, false, &pc_factory);
-            let ok_half = self.solve_to::<M, _, _>(ode, &mut u_half, dt, true, &pc_factory);
+            let ok_full = advance(&mut u_full, 1);
+            let ok_half = advance(&mut u_half, 2);
             if !(ok_full && ok_half) {
                 // Nonlinear failure: halve and retry (PETSc's response).
                 self.dt = (self.dt / 2.0).max(self.adapt.dt_min);
@@ -199,7 +203,8 @@ impl AdaptiveTheta {
         }
     }
 
-    /// Integrates until `t_end` (the final step is clipped to land on it).
+    /// Integrates until `t_end` (the final step is clipped to land on it),
+    /// on one operator and one preconditioner, as `ThetaStepper::run` does.
     pub fn run_until<M, P, Pc>(
         &mut self,
         ode: &P,
@@ -211,11 +216,12 @@ impl AdaptiveTheta {
         P: OdeProblem,
         Pc: Precond,
     {
+        let mut kept = LinearSolve::default();
         while self.t < t_end - 1e-12 {
             if self.t + self.dt > t_end {
                 self.dt = t_end - self.t;
             }
-            self.step::<M, _, _>(ode, u, &pc_factory);
+            self.step_kept::<M, _, _>(ode, u, &mut kept, &pc_factory);
         }
     }
 }
@@ -225,6 +231,7 @@ mod tests {
     use super::*;
     use crate::pc::JacobiPc;
     use sellkit_core::CooBuilder;
+    use std::cell::Cell;
 
     /// Stiff-ish decay with a known solution.
     struct Decay {
@@ -324,5 +331,45 @@ mod tests {
         let loose = count_steps(1e-3);
         let tight = count_steps(1e-7);
         assert!(tight > loose, "tight {tight} !> loose {loose}");
+    }
+
+    /// The identity, kept for any matrix: a preconditioner that always
+    /// refreshes.
+    struct Refreshing;
+
+    impl Precond for Refreshing {
+        fn apply(&self, r: &[f64], z: &mut [f64]) {
+            z.copy_from_slice(r);
+        }
+        fn refresh(&mut self, _a: &Csr) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn run_until_builds_one_preconditioner() {
+        let builds = Cell::new(0);
+        let factory = |_: &Csr| {
+            builds.set(builds.get() + 1);
+            Refreshing
+        };
+        let mut u = vec![1.0];
+        let mut ts = AdaptiveTheta::new(
+            0.5,
+            NewtonConfig {
+                rtol: 1e-12,
+                ..Default::default()
+            },
+            AdaptConfig {
+                tol: 1e-6,
+                ..Default::default()
+            },
+            0.5,
+        );
+        ts.run_until::<Csr, _, _>(&Decay { lambda: -2.0 }, &mut u, 1.0, factory);
+        assert!(ts.history().len() > 1, "{:?}", ts.history());
+        assert_eq!(builds.get(), 1, "one build per run_until");
+        ts.step::<Csr, _, _>(&Decay { lambda: -2.0 }, &mut u, factory);
+        assert_eq!(builds.get(), 2, "and one per step");
     }
 }

@@ -12,8 +12,11 @@
 //! at every Newton iteration because the reaction term couples the unknowns
 //! nonlinearly (§7: "the Jacobian matrix needs to be updated at each Newton
 //! iteration").
+//!
+//! [`theta_step_over`] is that step over the rows a caller holds, all of
+//! them or one rank's block: one rank and many take the same steps.
 
-use sellkit_core::{Csr, FromCsr, Operator as CoreOperator};
+use sellkit_core::{matops, Csr, ExecCtx, FromCsr, Operator as CoreOperator};
 
 use crate::pc::Precond;
 use crate::snes::newton::{newton_kept, LinearSolve, NewtonConfig, NewtonResult, NonlinearProblem};
@@ -94,24 +97,33 @@ pub struct ThetaStepper {
     stats: Vec<StepStats>,
 }
 
-/// The per-step nonlinear system handed to Newton.
-struct StageProblem<'a, P: OdeProblem> {
-    ode: &'a P,
+/// The implicit stage [`theta_step_over`] hands its solve: `G(u) = u −
+/// explicit − Δt·θ·f(tₙ₊₁, u)` and `G' = I − Δt·θ·J_f`, each `f` in a
+/// `TSFunctionEval` span and each `J_f` in a `TSJacobianEval`.
+pub struct ThetaStage<F, J> {
+    rhs: F,
+    rhs_jacobian: J,
     /// Explicit part: `uₙ + Δt(1−θ)·f(tₙ, uₙ)`, precomputed.
     explicit: Vec<f64>,
     t_next: f64,
     dt_theta: f64,
+    /// Global index of `u[0]`: row `i`'s diagonal is column `first_row + i`.
+    first_row: usize,
 }
 
-impl<P: OdeProblem> NonlinearProblem for StageProblem<'_, P> {
+impl<F, J> NonlinearProblem for ThetaStage<F, J>
+where
+    F: Fn(f64, &[f64], &mut [f64]),
+    J: Fn(f64, &[f64]) -> Csr,
+{
     fn dim(&self) -> usize {
-        self.ode.dim()
+        self.explicit.len()
     }
 
     fn residual(&self, u: &[f64], g: &mut [f64]) {
         {
             let _fe = sellkit_obs::span("TSFunctionEval");
-            self.ode.rhs(self.t_next, u, g);
+            (self.rhs)(self.t_next, u, g);
         }
         for i in 0..u.len() {
             g[i] = u[i] - self.explicit[i] - self.dt_theta * g[i];
@@ -119,13 +131,54 @@ impl<P: OdeProblem> NonlinearProblem for StageProblem<'_, P> {
     }
 
     fn jacobian(&self, u: &[f64]) -> Csr {
-        // G' = I − Δt·θ·J_f.
         let jf = {
             let _je = sellkit_obs::span("TSJacobianEval");
-            self.ode.rhs_jacobian(self.t_next, u)
+            (self.rhs_jacobian)(self.t_next, u)
         };
-        sellkit_core::matops::identity_plus_scaled_owned(1.0, -self.dt_theta, jf)
+        matops::identity_plus_scaled_rows(1.0, -self.dt_theta, jf, self.first_row)
     }
+}
+
+/// One θ-step of `cfg.dt` from time `t` over the rows `u` holds, global rows
+/// `first_row..`: what [`newton_over`](crate::snes::newton_over) is to
+/// Newton.  `rhs(t, u, f)` and `rhs_jacobian(t, u)` evaluate those rows of
+/// `f` and `∂f/∂u` (global columns); `solve(stage, u)` solves the stage from
+/// `u = uₙ` in place, with `cfg.newton` or however the caller likes.
+pub fn theta_step_over<F, J, R>(
+    cfg: &ThetaConfig,
+    t: f64,
+    first_row: usize,
+    u: &mut [f64],
+    rhs: F,
+    rhs_jacobian: J,
+    solve: impl FnOnce(&ThetaStage<F, J>, &mut [f64]) -> R,
+) -> R
+where
+    F: Fn(f64, &[f64], &mut [f64]),
+    J: Fn(f64, &[f64]) -> Csr,
+{
+    let _ts = sellkit_obs::span("TSStep");
+    let (dt, theta) = (cfg.dt, cfg.theta);
+    let mut explicit = u.to_vec();
+    if theta < 1.0 {
+        let mut fexp = vec![0.0; u.len()];
+        {
+            let _fe = sellkit_obs::span("TSFunctionEval");
+            rhs(t, u, &mut fexp);
+        }
+        for (e, f) in explicit.iter_mut().zip(&fexp) {
+            *e += dt * (1.0 - theta) * f;
+        }
+    }
+    let stage = ThetaStage {
+        rhs,
+        rhs_jacobian,
+        explicit,
+        t_next: t + dt,
+        dt_theta: dt * theta,
+        first_row,
+    };
+    solve(&stage, u)
 }
 
 impl ThetaStepper {
@@ -175,7 +228,7 @@ impl ThetaStepper {
         P: OdeProblem,
         Pc: Precond,
     {
-        self.step_ctx::<M, _, _>(ode, u, &sellkit_core::ExecCtx::serial(), pc_factory)
+        self.step_ctx::<M, _, _>(ode, u, &ExecCtx::serial(), pc_factory)
     }
 
     /// [`ThetaStepper::step`] with the Newton systems' SpMVs and
@@ -203,7 +256,7 @@ impl ThetaStepper {
         &mut self,
         ode: &P,
         u: &mut [f64],
-        ctx: &sellkit_core::ExecCtx,
+        ctx: &ExecCtx,
         pc_factory: impl Fn(&Csr) -> Pc,
     ) -> NewtonResult
     where
@@ -216,11 +269,11 @@ impl ThetaStepper {
 
     /// [`ThetaStepper::step_ctx`] with the linear-solve context owned by the
     /// caller, who may hand the same one to the next step.
-    pub(crate) fn step_kept<M, P, Pc>(
+    fn step_kept<M, P, Pc>(
         &mut self,
         ode: &P,
         u: &mut [f64],
-        ctx: &sellkit_core::ExecCtx,
+        ctx: &ExecCtx,
         kept: &mut LinearSolve<M, Pc>,
         pc_factory: &impl Fn(&Csr) -> Pc,
     ) -> NewtonResult
@@ -229,34 +282,17 @@ impl ThetaStepper {
         P: OdeProblem,
         Pc: Precond,
     {
-        let _ts = sellkit_obs::span("TSStep");
-        let n = ode.dim();
-        assert_eq!(u.len(), n);
-        let dt = self.cfg.dt;
-        let theta = self.cfg.theta;
-
-        // Explicit part, evaluated once per step.
-        let mut fexp = vec![0.0; n];
-        let mut explicit = u.to_vec();
-        if theta < 1.0 {
-            {
-                let _fe = sellkit_obs::span("TSFunctionEval");
-                ode.rhs(self.t, u, &mut fexp);
-            }
-            for i in 0..n {
-                explicit[i] += dt * (1.0 - theta) * fexp[i];
-            }
-        }
-
-        let stage = StageProblem {
-            ode,
-            explicit,
-            t_next: self.t + dt,
-            dt_theta: dt * theta,
-        };
-        let res = newton_kept::<M, _, _>(&stage, u, &self.cfg.newton, ctx, kept, pc_factory);
-
-        self.t += dt;
+        assert_eq!(u.len(), ode.dim());
+        let res = theta_step_over(
+            &self.cfg,
+            self.t,
+            0,
+            u,
+            |t, u, f| ode.rhs(t, u, f),
+            |t, u| ode.rhs_jacobian(t, u),
+            |stage, u| newton_kept::<M, _, _>(stage, u, &self.cfg.newton, ctx, kept, pc_factory),
+        );
+        self.t += self.cfg.dt;
         self.steps_taken += 1;
         self.stats.push(StepStats {
             newton_iterations: res.iterations,
@@ -281,7 +317,7 @@ impl ThetaStepper {
         P: OdeProblem,
         Pc: Precond,
     {
-        let serial = sellkit_core::ExecCtx::serial();
+        let serial = ExecCtx::serial();
         let mut kept = LinearSolve::default();
         for s in 0..nsteps {
             let res = self.step_kept::<M, _, _>(ode, u, &serial, &mut kept, &pc_factory);

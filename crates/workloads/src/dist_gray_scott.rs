@@ -4,18 +4,22 @@
 //! * each rank owns a contiguous block of unknowns;
 //! * the stencil *halo* (the handful of remote values each rank's rows
 //!   touch) is exchanged through a reusable [`VecScatter`] plan;
-//! * each rank assembles only its own Jacobian rows;
-//! * one implicit θ-step is a distributed Newton solve whose linear
-//!   systems run the overlapped parallel MatMult.
+//! * each rank evaluates and assembles only its own rows, through the
+//!   serial model's own row formulas ([`GrayScott`]) reading owned values
+//!   and ghosts, so its rows carry the serial bits;
+//! * one implicit θ-step is the serial one, [`theta_step_over`], over the
+//!   owned rows, solved by a distributed Newton whose linear systems run
+//!   the overlapped parallel MatMult.
 
 use std::ops::Range;
 
-use sellkit_core::{Csr, FromCsr, MatShape, Operator, RowAssembler};
+use sellkit_core::{Csr, FromCsr, Operator};
 use sellkit_dist::nonlinear::{dist_newton, DistNonlinearProblem};
 use sellkit_dist::{split_rows, VecScatter};
 use sellkit_mpisim::Comm;
 use sellkit_solvers::pc::Precond;
-use sellkit_solvers::snes::newton::{NewtonConfig, NewtonResult};
+use sellkit_solvers::snes::newton::{NewtonConfig, NewtonResult, NonlinearProblem};
+use sellkit_solvers::ts::{theta_step_over, ThetaConfig};
 
 use crate::gray_scott::{GrayScott, GrayScottParams};
 
@@ -39,19 +43,13 @@ impl DistGrayScott {
         let me = ranges[comm.rank()];
         let rows = me.start..me.end;
 
-        // Every unknown a residual/Jacobian row of ours reads:
-        // both components at the row's node, plus the same component at
-        // the four stencil neighbours.
-        let grid = *gs.grid();
+        // Every unknown a residual/Jacobian row of ours reads: both
+        // components at the row's node and the row's stencil.
         let mut needed = std::collections::BTreeSet::new();
         for r in rows.clone() {
-            let (x, y, c) = grid.coords(r);
-            let (x, y) = (x as isize, y as isize);
-            needed.insert(grid.idx_wrap(x, y, 0));
-            needed.insert(grid.idx_wrap(x, y, 1));
-            for (dx, dy) in [(-1isize, 0isize), (1, 0), (0, -1), (0, 1)] {
-                needed.insert(grid.idx_wrap(x + dx, y + dy, c));
-            }
+            let (c, stencil) = gs.stencil(r);
+            needed.extend([r - c, r - c + 1]);
+            needed.extend(stencil);
         }
         let garray: Vec<u32> = needed
             .into_iter()
@@ -65,11 +63,6 @@ impl DistGrayScott {
             garray,
             halo,
         }
-    }
-
-    /// The underlying sequential model.
-    pub fn model(&self) -> &GrayScott {
-        &self.gs
     }
 
     /// This rank's owned unknowns.
@@ -104,55 +97,21 @@ impl DistGrayScott {
         }
     }
 
-    /// Evaluates the owned block of the ODE right-hand side `f(w)`.
-    /// Collective (one halo exchange).
+    /// Evaluates the owned block of the ODE right-hand side `f(w)`: the
+    /// serial model's rows, bit for bit.  Collective (one halo exchange).
     pub fn rhs_local(&self, comm: &Comm, w_local: &[f64], f_local: &mut [f64]) {
         let ghost = self.exchange(comm, w_local);
-        let grid = *self.gs.grid();
-        let p = self.params();
-        let h = self.gs.spacing();
-        let ih2 = 1.0 / (h * h);
-        for (li, r) in self.rows.clone().enumerate() {
-            let (x, y, c) = grid.coords(r);
-            let (x, y) = (x as isize, y as isize);
-            let u = self.at(grid.idx_wrap(x, y, 0), w_local, &ghost);
-            let v = self.at(grid.idx_wrap(x, y, 1), w_local, &ghost);
-            let center = self.at(grid.idx_wrap(x, y, c), w_local, &ghost);
-            let nbsum = self.at(grid.idx_wrap(x - 1, y, c), w_local, &ghost)
-                + self.at(grid.idx_wrap(x + 1, y, c), w_local, &ghost)
-                + self.at(grid.idx_wrap(x, y - 1, c), w_local, &ghost)
-                + self.at(grid.idx_wrap(x, y + 1, c), w_local, &ghost);
-            let lap = (nbsum - 4.0 * center) * ih2;
-            f_local[li] = if c == 0 {
-                p.d1 * lap - u * v * v + p.gamma * (1.0 - u)
-            } else {
-                p.d2 * lap + u * v * v - (p.gamma + p.kappa) * v
-            };
-        }
+        self.gs
+            .rhs_rows(|g| self.at(g, w_local, &ghost), self.rows(), f_local);
     }
 
     /// Assembles the owned Jacobian rows (global columns).  Collective.
     pub fn local_jacobian(&self, comm: &Comm, w_local: &[f64]) -> Csr {
         let ghost = self.exchange(comm, w_local);
-        let grid = *self.gs.grid();
-        let nl = self.rows.len();
-        let mut b = RowAssembler::with_capacity(nl, grid.n_unknowns(), 10 * nl);
-        for r in self.rows.clone() {
-            let (x, y, c) = grid.coords(r);
-            let (x, y) = (x as isize, y as isize);
-            let u = self.at(grid.idx_wrap(x, y, 0), w_local, &ghost);
-            let v = self.at(grid.idx_wrap(x, y, 1), w_local, &ghost);
-            self.gs.jacobian_row(x, y, c, u, v, &mut b);
-        }
-        b.finish()
+        self.gs
+            .jacobian_rows(|g| self.at(g, w_local, &ghost), self.rows())
     }
 
-    fn params(&self) -> &GrayScottParams {
-        self.gs.params()
-    }
-}
-
-impl DistGrayScott {
     /// Distributed initial condition: this rank's block of
     /// [`GrayScott::initial_condition`].
     pub fn initial_condition_local(&self, seed: u64) -> Vec<f64> {
@@ -161,46 +120,31 @@ impl DistGrayScott {
     }
 }
 
-/// One implicit θ-stage as a distributed nonlinear system.
-struct DistThetaStage<'a> {
+/// A θ-stage over this rank's rows, as [`dist_newton`] takes it.
+struct OwnedStage<'a, S> {
     problem: &'a DistGrayScott,
-    /// `uₙ + Δt(1−θ)·f(uₙ)`, owned block.
-    explicit: Vec<f64>,
-    dt_theta: f64,
+    stage: &'a S,
 }
 
-impl DistNonlinearProblem for DistThetaStage<'_> {
+impl<S: NonlinearProblem> DistNonlinearProblem for OwnedStage<'_, S> {
     fn global_dim(&self) -> usize {
         self.problem.gs.grid().n_unknowns()
     }
     fn local_rows(&self, _comm: &Comm) -> Range<usize> {
         self.problem.rows()
     }
-    fn residual(&self, comm: &Comm, x_local: &[f64], f_local: &mut [f64]) {
-        self.problem.rhs_local(comm, x_local, f_local);
-        for i in 0..x_local.len() {
-            f_local[i] = x_local[i] - self.explicit[i] - self.dt_theta * f_local[i];
-        }
+    fn residual(&self, _comm: &Comm, x_local: &[f64], f_local: &mut [f64]) {
+        self.stage.residual(x_local, f_local);
     }
-    fn local_jacobian(&self, comm: &Comm, x_local: &[f64]) -> Csr {
-        let jf = self.problem.local_jacobian(comm, x_local);
-        // Local rows of I − Δt·θ·J_f: add 1 on the global diagonal.
-        let nl = jf.nrows();
-        let start = self.problem.rows().start;
-        let mut b = RowAssembler::with_capacity(nl, jf.ncols(), jf.nnz() + nl);
-        for li in 0..nl {
-            b.push(start + li, 1.0);
-            for (&c, &v) in jf.row_cols(li).iter().zip(jf.row_vals(li)) {
-                b.push(c as usize, -self.dt_theta * v);
-            }
-            b.end_row();
-        }
-        b.finish()
+    fn local_jacobian(&self, _comm: &Comm, x_local: &[f64]) -> Csr {
+        self.stage.jacobian(x_local)
     }
 }
 
-/// Advances one distributed θ-step in place; the linear solves run their
-/// SpMVs in format `M` through the overlapped parallel MatMult.
+/// Advances one distributed θ-step from time `t` in place: the serial
+/// [`theta_step_over`] over this rank's rows, solved by [`dist_newton`],
+/// whose linear solves run their SpMVs in format `M` through the
+/// overlapped parallel MatMult.
 pub fn dist_theta_step<M, Pc>(
     comm: &Comm,
     problem: &DistGrayScott,
@@ -216,22 +160,23 @@ where
     M: Operator + FromCsr,
     Pc: Precond,
 {
-    let _ = t; // autonomous system
-    let nl = u_local.len();
-    let mut explicit = u_local.to_vec();
-    if theta < 1.0 {
-        let mut fexp = vec![0.0; nl];
-        problem.rhs_local(comm, u_local, &mut fexp);
-        for i in 0..nl {
-            explicit[i] += dt * (1.0 - theta) * fexp[i];
-        }
-    }
-    let stage = DistThetaStage {
-        problem,
-        explicit,
-        dt_theta: dt * theta,
+    let step = ThetaConfig {
+        theta,
+        dt,
+        newton: *cfg,
     };
-    dist_newton::<M, _, _>(comm, &stage, u_local, cfg, tag_base, pc_factory)
+    theta_step_over(
+        &step,
+        t,
+        problem.rows.start,
+        u_local,
+        |_, w, f| problem.rhs_local(comm, w, f),
+        |_, w| problem.local_jacobian(comm, w),
+        |stage, u| {
+            let owned = OwnedStage { problem, stage };
+            dist_newton::<M, _, _>(comm, &owned, u, &step.newton, tag_base, pc_factory)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -245,21 +190,30 @@ mod tests {
 
     #[test]
     fn distributed_rhs_matches_sequential() {
-        let n = 10;
-        let out = run(4, move |comm| {
-            let p = DistGrayScott::new(comm, n, GrayScottParams::default(), 50);
-            let w_local = p.initial_condition_local(3);
-            let mut f_local = vec![0.0; w_local.len()];
-            p.rhs_local(comm, &w_local, &mut f_local);
-            (p.rows(), f_local)
-        });
-        let gs = GrayScott::new(n, GrayScottParams::default());
-        let w = gs.initial_condition(3);
-        let mut want = vec![0.0; gs.dim()];
-        gs.rhs(0.0, &w, &mut want);
-        for (rows, f) in out {
-            for (li, g) in rows.enumerate() {
-                assert!((f[li] - want[g]).abs() < 1e-13, "row {g}");
+        // Bit for bit: grid 10 (h² = 1/16) would not tell `/ h²` from
+        // `· (1/h²)`, grid 12 does.
+        for n in [10, 12, 24] {
+            let out = run(4, move |comm| {
+                let p = DistGrayScott::new(comm, n, GrayScottParams::default(), 50);
+                let w_local = p.initial_condition_local(3);
+                let mut f_local = vec![0.0; w_local.len()];
+                p.rhs_local(comm, &w_local, &mut f_local);
+                (p.rows(), f_local)
+            });
+            let gs = GrayScott::new(n, GrayScottParams::default());
+            let w = gs.initial_condition(3);
+            let mut want = vec![0.0; gs.dim()];
+            gs.rhs(0.0, &w, &mut want);
+            for (rows, f) in out {
+                for (li, g) in rows.enumerate() {
+                    assert_eq!(
+                        f[li].to_bits(),
+                        want[g].to_bits(),
+                        "grid {n}, row {g}: {} vs {}",
+                        f[li],
+                        want[g]
+                    );
+                }
             }
         }
     }
@@ -275,12 +229,11 @@ mod tests {
         let gs = GrayScott::new(n, GrayScottParams::default());
         let w = gs.initial_condition(7);
         let full = gs.rhs_jacobian(0.0, &w);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (rows, j) in out {
             for (li, g) in rows.enumerate() {
                 assert_eq!(j.row_cols(li), full.row_cols(g), "row {g}");
-                for (k, v) in j.row_vals(li).iter().enumerate() {
-                    assert!((v - full.row_vals(g)[k]).abs() < 1e-13);
-                }
+                assert_eq!(bits(j.row_vals(li)), bits(full.row_vals(g)), "row {g}");
             }
         }
     }

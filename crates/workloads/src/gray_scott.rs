@@ -16,6 +16,8 @@
 //! scaled to `[0, 2.5]²`, with Pearson's localized square perturbation as
 //! the initial condition.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sellkit_core::{Csr, RowAssembler};
@@ -105,84 +107,96 @@ impl GrayScott {
         state
     }
 
+    /// `row`'s component `c` and its 5-point stencil: the rows of component
+    /// `c` at its node and at `x−1, x+1, y−1, y+1`, wrapped periodically.
     #[inline]
-    fn laplacian_at(&self, w: &[f64], x: isize, y: isize, c: usize) -> f64 {
-        let g = &self.grid;
-        let center = w[g.idx_wrap(x, y, c)];
-        let sum = w[g.idx_wrap(x - 1, y, c)]
-            + w[g.idx_wrap(x + 1, y, c)]
-            + w[g.idx_wrap(x, y - 1, c)]
-            + w[g.idx_wrap(x, y + 1, c)];
-        (sum - 4.0 * center) / (self.h * self.h)
+    pub(crate) fn stencil(&self, row: usize) -> (usize, [usize; 5]) {
+        let (nx, ny) = (self.grid.nx, self.grid.ny);
+        // dof = 2: `row` is `2·(y·nx + x) + c`.
+        let (c, node) = (row % 2, row / 2);
+        let (x, y) = (node % nx, node / nx);
+        let left = if x == 0 { nx - 1 } else { x - 1 };
+        let right = if x + 1 == nx { 0 } else { x + 1 };
+        let down = if y == 0 { ny - 1 } else { y - 1 };
+        let up = if y + 1 == ny { 0 } else { y + 1 };
+        let at = |x: usize, y: usize| 2 * (y * nx + x) + c;
+        (c, [row, at(left, y), at(right, y), at(x, down), at(x, up)])
     }
-}
 
-impl GrayScott {
+    /// The rows `rows` of `f(w)`, the state read through `at(global index)`:
+    /// `|g| w[g]` for [`OdeProblem::rhs`], owned values and ghosts for
+    /// [`DistGrayScott::rhs_local`](crate::DistGrayScott::rhs_local).
+    #[inline]
+    pub(crate) fn rhs_rows(&self, at: impl Fn(usize) -> f64, rows: Range<usize>, f: &mut [f64]) {
+        assert_eq!(f.len(), rows.len());
+        let p = &self.params;
+        for (fr, row) in f.iter_mut().zip(rows) {
+            let (c, [_, left, right, down, up]) = self.stencil(row);
+            let iu = row - c;
+            let (u, v) = (at(iu), at(iu + 1));
+            let uvv = u * v * v;
+            let center = at(row);
+            let sum = at(left) + at(right) + at(down) + at(up);
+            let lap = (sum - 4.0 * center) / (self.h * self.h);
+            *fr = if c == 0 {
+                p.d1 * lap - uvv + p.gamma * (1.0 - u)
+            } else {
+                p.d2 * lap + uvv - (p.gamma + p.kappa) * v
+            };
+        }
+    }
+
+    /// Assembles the Jacobian rows `rows` (global columns), reading the
+    /// state through `at` as [`GrayScott::rhs_rows`] does.  Each row holds
+    /// the full 2×2 blocks at the 5 stencil points, as PETSc's blocked
+    /// preallocation stores them: off-center blocks are diagonal (explicit
+    /// zeros across components), so every row has 10 elements (§7: "the
+    /// matrix consists of small 2 × 2 blocks. Each row has 10 elements").
+    #[inline]
+    pub(crate) fn jacobian_rows(&self, at: impl Fn(usize) -> f64, rows: Range<usize>) -> Csr {
+        let n = self.grid.n_unknowns();
+        assert!(rows.end <= n);
+        let p = &self.params;
+        let ih2 = 1.0 / (self.h * self.h);
+        let mut b = RowAssembler::with_capacity(rows.len(), n, 10 * rows.len());
+        for row in rows {
+            let (c, stencil) = self.stencil(row);
+            let iu = row - c;
+            let (u, v) = (at(iu), at(iu + 1));
+            // The row's diffusion coefficient and its half of the reaction
+            // block.
+            let (d, reaction) = if c == 0 {
+                (p.d1, (-v * v - p.gamma, -2.0 * u * v))
+            } else {
+                (p.d2, (v * v, 2.0 * u * v - (p.gamma + p.kappa)))
+            };
+            for (k, point) in stencil.into_iter().enumerate() {
+                let center = k == 0;
+                let ju = point - c;
+                let diffusion = if center { -4.0 * d * ih2 } else { d * ih2 };
+                let (to_u, to_v) = if center { reaction } else { (0.0, 0.0) };
+                // Diffusion couples a component only to itself.
+                if c == 0 {
+                    b.push(ju, diffusion + to_u);
+                    b.push(ju + 1, to_v);
+                } else {
+                    b.push(ju, to_u);
+                    b.push(ju + 1, diffusion + to_v);
+                }
+            }
+            b.end_row();
+        }
+        b.finish()
+    }
+
     /// Assembles only the Jacobian rows in `rows` (half-open global row
     /// range), with **global** column indices — the block each MPI rank
     /// builds for [`DistMat::from_local_rows`] without ever forming the
     /// global matrix (how real PETSc applications assemble).
     ///
-    /// 10 nonzeros per row — the 5-point diffusion stencil (diagonal in the
-    /// components) plus the dense 2×2 reaction block at the grid point
-    /// (§7: "the matrix consists of small 2 × 2 blocks. Each row has 10
-    /// elements").
-    ///
-    /// Requires the full state `w` only for the stencil neighbourhood of
-    /// the owned rows; passing the whole vector keeps the API simple here.
-    ///
     /// [`DistMat::from_local_rows`]: ../../sellkit_dist/dmat/struct.DistMat.html
-    pub fn rhs_jacobian_rows(&self, _t: f64, w: &[f64], rows: std::ops::Range<usize>) -> Csr {
-        let n = self.grid.n_unknowns();
-        assert!(rows.end <= n);
-        let mut b = RowAssembler::with_capacity(rows.len(), n, 10 * rows.len());
-        for row in rows {
-            let (x, y, c) = self.grid.coords(row);
-            let iu = self.grid.idx(x, y, 0);
-            self.jacobian_row(x as isize, y as isize, c, w[iu], w[iu + 1], &mut b);
-        }
-        b.finish()
-    }
-
-    /// Pushes and closes the row of component `c` at node `(x, y)`, where
-    /// the state is `(u, v)`.
-    ///
-    /// Full 2×2 blocks at all 5 stencil points, as PETSc's blocked
-    /// preallocation stores them: off-center blocks are diagonal
-    /// (cross-component entries are explicit zeros), so every row has
-    /// exactly 10 stored elements (§7).
-    pub(crate) fn jacobian_row(
-        &self,
-        x: isize,
-        y: isize,
-        c: usize,
-        u: f64,
-        v: f64,
-        b: &mut RowAssembler,
-    ) {
-        let p = &self.params;
-        let ih2 = 1.0 / (self.h * self.h);
-        // The row's diffusion coefficient and its half of the reaction block.
-        let (d, reaction) = if c == 0 {
-            (p.d1, (-v * v - p.gamma, -2.0 * u * v))
-        } else {
-            (p.d2, (v * v, 2.0 * u * v - (p.gamma + p.kappa)))
-        };
-        for (dx, dy) in [(0isize, 0isize), (-1, 0), (1, 0), (0, -1), (0, 1)] {
-            let center = dx == 0 && dy == 0;
-            let ju = self.grid.idx_wrap(x + dx, y + dy, 0);
-            let diffusion = if center { -4.0 * d * ih2 } else { d * ih2 };
-            let (to_u, to_v) = if center { reaction } else { (0.0, 0.0) };
-            // Diffusion couples a component only to itself.
-            if c == 0 {
-                b.push(ju, diffusion + to_u);
-                b.push(ju + 1, to_v);
-            } else {
-                b.push(ju, to_u);
-                b.push(ju + 1, diffusion + to_v);
-            }
-        }
-        b.end_row();
+    pub fn rhs_jacobian_rows(&self, _t: f64, w: &[f64], rows: Range<usize>) -> Csr {
+        self.jacobian_rows(|g| w[g], rows)
     }
 }
 
@@ -192,18 +206,7 @@ impl OdeProblem for GrayScott {
     }
 
     fn rhs(&self, _t: f64, w: &[f64], f: &mut [f64]) {
-        let p = &self.params;
-        for y in 0..self.grid.ny as isize {
-            for x in 0..self.grid.nx as isize {
-                let iu = self.grid.idx(x as usize, y as usize, 0);
-                let iv = iu + 1;
-                let u = w[iu];
-                let v = w[iv];
-                let uvv = u * v * v;
-                f[iu] = p.d1 * self.laplacian_at(w, x, y, 0) - uvv + p.gamma * (1.0 - u);
-                f[iv] = p.d2 * self.laplacian_at(w, x, y, 1) + uvv - (p.gamma + p.kappa) * v;
-            }
-        }
+        self.rhs_rows(|g| w[g], 0..self.dim(), f);
     }
 
     fn rhs_jacobian(&self, t: f64, w: &[f64]) -> Csr {

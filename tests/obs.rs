@@ -392,3 +392,65 @@ fn krylov_and_distributed_newton_solves_are_attributed() {
         "stages of the serial Newton solve the distributed one lacks: {missing:?}"
     );
 }
+
+/// A distributed θ-step is staged as the serial one is: its right-hand
+/// side and Jacobian run inside `TSFunctionEval` / `TSJacobianEval` under
+/// `TSStep` on every rank.  The registry is process-wide and the test above
+/// diffs it around its own solves, so this one runs in a process of its
+/// own: the test binary again, on this test alone.
+#[test]
+fn distributed_theta_step_is_staged_like_the_serial_one() {
+    use sellkit::solvers::pc::JacobiPc;
+    use sellkit::solvers::snes::NewtonConfig;
+    use sellkit::workloads::dist_gray_scott::{dist_theta_step, DistGrayScott};
+    use sellkit::workloads::GrayScottParams;
+    use sellkit::Csr;
+
+    const NAME: &str = "distributed_theta_step_is_staged_like_the_serial_one";
+    const ISOLATED: &str = "SELLKIT_OBS_ISOLATED";
+    if std::env::var_os(ISOLATED).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([NAME, "--exact", "--nocapture"])
+            .env(ISOLATED, "1")
+            .output()
+            .expect("test binary re-runs");
+        let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success() && text.contains("1 passed"), "{text}");
+        return;
+    }
+
+    sellkit::obs::set_enabled(true);
+    sellkit::mpisim::run(2, |comm| {
+        let p = DistGrayScott::new(comm, 16, GrayScottParams::default(), 100);
+        let mut u = p.initial_condition_local(42);
+        let cfg = NewtonConfig::default();
+        let res = dist_theta_step::<Csr, _>(
+            comm,
+            &p,
+            &mut u,
+            0.0,
+            1.0,
+            0.5,
+            &cfg,
+            200,
+            JacobiPc::from_csr,
+        );
+        assert!(res.converged(), "{:?}", res.reason);
+    });
+    sellkit::obs::set_enabled(false);
+    let paths: BTreeSet<String> = sellkit::obs::report()
+        .events
+        .into_iter()
+        .map(|e| e.path)
+        .collect();
+    for path in [
+        "TSStep>TSFunctionEval",
+        "TSStep>SNESSolve>SNESFunctionEval>TSFunctionEval",
+        "TSStep>SNESSolve>SNESJacobianEval>MatAssembly>TSJacobianEval",
+    ] {
+        assert!(
+            paths.contains(path),
+            "distributed step: no {path} in {paths:?}"
+        );
+    }
+}
