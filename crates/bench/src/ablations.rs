@@ -1,7 +1,7 @@
 //! The paper's ablations and the measurements beside its figures, one
 //! `exhibit` section each (listed in [`crate::figures::EXHIBITS`]).  They
 //! are timed the way the figures are — the best of a few single products
-//! after a warm-up, [`best_of`] — on one thread unless a section sweeps
+//! after a warm-up, `best_of` — on one thread unless a section sweeps
 //! pool lanes.
 
 use sellkit_core::{
@@ -36,7 +36,7 @@ fn regular_and_irregular() -> [(&'static str, Csr); 2] {
 
 /// §2.3 / §3.3: CSR's remainder loop, on banded rows of 7, 9 and 15
 /// nonzeros around the 8-wide SIMD width, at every tier.
-pub fn csr_remainder() -> String {
+pub(crate) fn csr_remainder() -> String {
     let tiers = Isa::available_tiers();
     let mut heads = vec!["nonzeros a row".to_string()];
     heads.extend(tiers.iter().map(|t| format!("CSR {t}")));
@@ -117,7 +117,7 @@ pub fn slice_height() -> String {
 
 /// §5.3: SELL-8 without a bit array against the ESB-style kernel with one,
 /// tier by tier.
-pub fn bit_array() -> String {
+pub(crate) fn bit_array() -> String {
     let mut rows = Vec::new();
     for (name, a) in regular_and_irregular() {
         let x = probe_x(a.ncols());

@@ -38,7 +38,7 @@ pub const EXHIBITS: &[(&str, fn() -> String)] = &[
 ];
 
 /// Figure 4: STREAM bandwidth — this host's single-core copy and triad.
-pub fn fig4() -> String {
+pub(crate) fn fig4() -> String {
     let mut out = String::from(
         "Figure 4: STREAM bandwidth (GB/s)\n\n[measured] host STREAM (single core):\n",
     );
@@ -56,7 +56,7 @@ pub fn fig4() -> String {
 
 /// Figure 7: the out-of-box CSR baseline across grid sizes, with SELL-8 at
 /// the widest tier beside it.
-pub fn fig7() -> String {
+pub(crate) fn fig7() -> String {
     let mut rows = Vec::new();
     for g in [256usize, 512, 1024] {
         let a = jacobian(g);
@@ -87,7 +87,7 @@ pub fn fig7() -> String {
 }
 
 /// Figure 8: every kernel variant on one Gray-Scott Jacobian.
-pub fn fig8() -> String {
+pub(crate) fn fig8() -> String {
     let a = jacobian(512);
     let mut variants = build_variants(&a);
     variants.extend(build_extended_variants(&a));
@@ -112,7 +112,7 @@ pub fn fig8() -> String {
 }
 
 /// Figure 10: distributed MatMult, CSR vs SELL, on mpisim ranks.
-pub fn fig10() -> String {
+pub(crate) fn fig10() -> String {
     let mut out = String::from(
         "Figure 10: distributed SpMV, CSR vs SELL\n\n\
          [measured] 4 mpisim ranks, 128x128 Gray-Scott Jacobian, 200 MatMults:\n",
@@ -151,7 +151,7 @@ pub fn fig10() -> String {
 
 /// §6: the memory-traffic formulas, evaluated on the Gray-Scott Jacobian
 /// shape (`2g²` rows, 10 nonzeros a row) of the paper's grids.
-pub fn traffic_model() -> String {
+pub(crate) fn traffic_model() -> String {
     let mut out = String::from(
         "Section 6: minimum memory traffic per SpMV\n\
          CSR : 12*nnz + 24*m + 8*n bytes\n\

@@ -20,7 +20,7 @@
 //! | `solve` | §7: one Crank-Nicolson step, CSR against SELL-8 on 1–8 lanes |
 //!
 //! Every section is measured (real kernels on this host's CPU, real mpisim
-//! ranks) by one timer, [`measure::best_of`]; the paper's KNL and Xeon
+//! ranks) by one timer, `measure::best_of`; the paper's KNL and Xeon
 //! numbers are set beside them in EXPERIMENTS.md.
 
 #![warn(missing_docs)]

@@ -2,7 +2,7 @@
 //!
 //! Builds every kernel variant the host supports from one CSR matrix and
 //! times them identically, so measured *ratios* are directly comparable
-//! with the paper's Figure 8 legend.  [`best_of`] is the one timer of
+//! with the paper's Figure 8 legend.  `best_of` is the one timer of
 //! every exhibit.
 
 use std::time::Instant;
@@ -12,7 +12,7 @@ use sellkit_solvers::ts::OdeProblem;
 use sellkit_workloads::{GrayScott, GrayScottParams};
 
 /// A named, runnable SpMV closure.
-pub struct Variant {
+pub(crate) struct Variant {
     /// Label matching the paper's legends.
     pub label: String,
     /// The kernel, capturing its matrix.
@@ -31,7 +31,7 @@ impl Variant {
 
 /// An "MKL-like" third-party CSR kernel: inspector-free, one indirect call
 /// per row — the generic vendor-library stand-in (DESIGN.md §3).
-pub struct MklLikeCsr {
+pub(crate) struct MklLikeCsr {
     a: Csr,
     row_kernel: fn(&[u32], &[f64], &[f64]) -> f64,
 }
@@ -124,7 +124,7 @@ mod hw_gather {
 
     use sellkit_core::{MatShape, Sell8};
 
-    pub struct HwGatherSell8 {
+    pub(crate) struct HwGatherSell8 {
         nrows: usize,
         ncols: usize,
         sliceptr: Vec<usize>,
@@ -242,7 +242,7 @@ mod hw_gather {
 /// The variants of the `gather` exhibit: SELL-8 at each SIMD tier as
 /// `sellkit-core` runs it (`x` read with scalar loads), next to the same
 /// loop through `vgatherdpd` where the host has it.
-pub fn build_gather_variants(a: &Csr) -> Vec<Variant> {
+pub(crate) fn build_gather_variants(a: &Csr) -> Vec<Variant> {
     let mut out: Vec<Variant> = Vec::new();
     // One copy of the matrix for every variant: out of cache it is 250 MB.
     let shared = std::rc::Rc::new(Sell8::from_csr(a));
@@ -272,7 +272,7 @@ pub fn build_gather_variants(a: &Csr) -> Vec<Variant> {
 }
 
 /// Builds all kernel variants the host CPU can run, in Figure 8 order.
-pub fn build_variants(a: &Csr) -> Vec<Variant> {
+pub(crate) fn build_variants(a: &Csr) -> Vec<Variant> {
     let simd: Vec<Isa> = Isa::available_tiers()
         .into_iter()
         .rev()
@@ -311,7 +311,7 @@ pub fn build_variants(a: &Csr) -> Vec<Variant> {
 
 /// Measured variants beyond the Figure 8 set: the §5.5 tuned kernel, the
 /// §5.1 slice heights, σ-sorting and 2×2 blocks.
-pub fn build_extended_variants(a: &Csr) -> Vec<Variant> {
+pub(crate) fn build_extended_variants(a: &Csr) -> Vec<Variant> {
     use sellkit_core::{Sell, SellSigma8};
     let tuned = Sell8::from_csr(a);
     vec![
@@ -330,7 +330,7 @@ pub fn build_extended_variants(a: &Csr) -> Vec<Variant> {
 }
 
 /// Best-of-`reps` wall time of one call of `f`, after a warm-up call.
-pub fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+pub(crate) fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     assert!(reps >= 1);
     std::hint::black_box(f());
     let mut best = f64::INFINITY;
@@ -343,7 +343,12 @@ pub fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
 }
 
 /// Best-of-`reps` seconds of each variant's `y = A·x` on the same `x`.
-pub fn time_variants(variants: &[Variant], x: &[f64], nrows: usize, reps: usize) -> Vec<f64> {
+pub(crate) fn time_variants(
+    variants: &[Variant],
+    x: &[f64],
+    nrows: usize,
+    reps: usize,
+) -> Vec<f64> {
     let mut y = vec![0.0; nrows];
     variants
         .iter()
@@ -358,7 +363,7 @@ pub fn jacobian(g: usize) -> Csr {
 }
 
 /// The input vector every exhibit multiplies: smooth, of length `n`.
-pub fn probe_x(n: usize) -> Vec<f64> {
+pub(crate) fn probe_x(n: usize) -> Vec<f64> {
     (0..n).map(|i| (i as f64 * 0.001).sin()).collect()
 }
 

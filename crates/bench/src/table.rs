@@ -1,7 +1,7 @@
 //! Minimal fixed-width ASCII table printing for the figure binaries.
 
 /// Renders a table with a header row; columns sized to the widest cell.
-pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
     let ncols = headers.len();
     let mut width = vec![0usize; ncols];
     for (c, h) in headers.iter().enumerate() {
@@ -37,12 +37,12 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Formats a float with 2 decimals.
-pub fn f2(v: f64) -> String {
+pub(crate) fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
 
 /// Formats a float with 3 decimals.
-pub fn f3(v: f64) -> String {
+pub(crate) fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 

@@ -348,7 +348,7 @@ fn arr_len(array: &'static str, expected: usize, found: usize) -> Option<Violati
 
 /// Checks a pointer array: length `n + 1`, starts at 0, monotone, ends at
 /// `data_len`.  Index-dependent checks are skipped once the length is wrong.
-pub fn check_ptr_array(
+pub(crate) fn check_ptr_array(
     array: &'static str,
     ptr: &[usize],
     n: usize,
@@ -402,7 +402,7 @@ pub fn check_alignment<T>(array: &'static str, data: &[T]) -> Vec<Violation> {
 }
 
 /// Checks that `perm` is a permutation of `0..n`.
-pub fn check_permutation(perm: &[u32], n: usize) -> Vec<Violation> {
+pub(crate) fn check_permutation(perm: &[u32], n: usize) -> Vec<Violation> {
     let mut out = Vec::from_iter(arr_len("perm", n, perm.len()));
     if !out.is_empty() {
         return out;
@@ -536,7 +536,7 @@ fn decode_packed(codec: Codec, pval: &[u8], at: usize) -> f64 {
 /// nothing on a valid matrix (`Server::register` runs it).
 ///
 /// `lanes` is the slice height `C`; `perm`, if present, maps storage lane
-/// `k` to logical row `perm[k]` — [`check_sell_sigma_parts`] passes the
+/// `k` to logical row `perm[k]` — `check_sell_sigma_parts` passes the
 /// σ-sort permutation, a plain [`Sell`] has none.
 pub fn check_sell_parts(lanes: usize, m: &SellStreams<'_>, perm: Option<&[u32]>) -> Vec<Violation> {
     let SellStreams {
@@ -680,7 +680,7 @@ pub fn check_sell_parts(lanes: usize, m: &SellStreams<'_>, perm: Option<&[u32]>)
 /// logical row `perm[k]`, matching [`sellkit_core::SellSigma::rlen`]),
 /// plus the σ-specific invariants — `perm` is a bijection of `0..nrows`
 /// and row lengths are non-increasing within every σ-row sorting window.
-pub fn check_sell_sigma_parts(
+pub(crate) fn check_sell_sigma_parts(
     lanes: usize,
     sigma: usize,
     m: &SellStreams<'_>,

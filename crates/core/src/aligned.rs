@@ -6,7 +6,7 @@
 //! loop.  A SELL slice column is 64 bytes at `C = 8`, so on a 64-byte base
 //! every column of [`Sell`](crate::Sell), [`SellEsb`](crate::SellEsb) and a
 //! [`MultiVec`](crate::MultiVec) row block is one cache line and one unsplit
-//! vector load; those three hold [`AVec`]s.  Alignment is a speed property
+//! vector load; those three hold `AVec`s.  Alignment is a speed property
 //! only: every tier loads with unaligned instructions
 //! (`kernels::lanes`), and no kernel's `requires:` clause names a base
 //! address.  `Csr`, `Baij` and `Sbaij` hold plain `Vec`s — a CSR row or a
@@ -19,7 +19,7 @@ use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 use std::slice;
 
-/// The alignment (bytes) used for every [`AVec`] allocation: one cache line,
+/// The alignment (bytes) used for every `AVec` allocation: one cache line,
 /// which is also the width of a ZMM register.
 pub const ALIGN: usize = 64;
 
@@ -30,7 +30,7 @@ pub const ALIGN: usize = 64;
 /// with it the alignment — is stable for the lifetime of the container.
 /// Everything else (`len`, `as_ptr`, indexing, iteration) is the slice's,
 /// through `Deref`.
-pub struct AVec<T: Copy> {
+pub(crate) struct AVec<T: Copy> {
     ptr: NonNull<T>,
     len: usize,
 }
@@ -54,7 +54,7 @@ impl<T: Copy> AVec<T> {
     ///
     /// Zero-initialization is exactly what the padded entries of the SELL
     /// formats require, so construction doubles as padding.
-    pub fn zeroed(len: usize) -> Self {
+    pub(crate) fn zeroed(len: usize) -> Self {
         let layout = Self::layout(len);
         // SAFETY: layout has non-zero size (max(1)) and valid alignment.
         let raw = unsafe { alloc_zeroed(layout) };
@@ -65,7 +65,7 @@ impl<T: Copy> AVec<T> {
     }
 
     /// Allocates an aligned vector holding a copy of `src`.
-    pub fn from_slice(src: &[T]) -> Self {
+    pub(crate) fn from_slice(src: &[T]) -> Self {
         let mut v = Self::zeroed(src.len());
         v.copy_from_slice(src);
         v
@@ -80,7 +80,7 @@ impl<T: Copy> AVec<T> {
 
     /// View as a mutable slice.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
         // SAFETY: ptr is valid for len elements and we hold &mut self.
         unsafe { slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }

@@ -229,7 +229,7 @@ impl Csr {
     }
 
     /// Computes `y += Aᵀ·x`.
-    pub fn spmv_transpose_add(&self, x: &[f64], y: &mut [f64]) {
+    pub(crate) fn spmv_transpose_add(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.nrows);
         assert_eq!(y.len(), self.ncols);
         for i in 0..self.nrows {

@@ -1,7 +1,7 @@
 //! Shared-memory execution contexts for SpMV and vector kernels.
 //!
 //! The paper runs MatMult hybrid MPI×threads; this module supplies the
-//! "×threads" axis.  An [`ExecCtx`] owns a persistent [`WorkerPool`]
+//! "×threads" axis.  An [`ExecCtx`] owns a persistent `WorkerPool`
 //! (or none, for serial execution), and it is the one place that hands
 //! the parts of a parallel region disjoint `&mut` windows of an output
 //! slice: [`ExecCtx::dispatch_even`] splits by element count, and the
@@ -30,7 +30,7 @@
 use crate::pool::WorkerPool;
 
 /// Environment variable read by [`ExecCtx::from_env`].
-pub const THREADS_ENV: &str = "SELLKIT_THREADS";
+pub(crate) const THREADS_ENV: &str = "SELLKIT_THREADS";
 
 /// An execution context: serial, or a handle to a pool of N execution
 /// lanes (the calling thread plus N−1 persistent workers).
@@ -320,7 +320,6 @@ mod tests {
         // Caller-helps pool: 3 lanes = the caller + 2 spawned workers.
         let pool = ctx.pool.as_ref().expect("pool");
         assert_eq!(pool.lanes(), 3);
-        assert_eq!(pool.nworkers(), 2);
     }
 
     #[test]

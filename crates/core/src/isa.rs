@@ -27,7 +27,7 @@ pub enum Isa {
 
 impl Isa {
     /// All tiers, narrowest first.
-    pub const ALL: [Isa; 4] = [Isa::Scalar, Isa::Avx, Isa::Avx2, Isa::Avx512];
+    pub(crate) const ALL: [Isa; 4] = [Isa::Scalar, Isa::Avx, Isa::Avx2, Isa::Avx512];
 
     /// The widest ISA available on the current CPU.
     pub fn detect() -> Isa {
@@ -57,7 +57,7 @@ impl Isa {
     }
 
     /// SIMD width in 64-bit (double-precision) lanes: 1, 4, 4, 8.
-    pub fn f64_lanes(self) -> usize {
+    pub(crate) fn f64_lanes(self) -> usize {
         match self {
             Isa::Scalar => 1,
             Isa::Avx | Isa::Avx2 => 4,

@@ -87,7 +87,7 @@ unsafe fn scalar_tail(val: *const f64, ci: *const u32, lo: usize, hi: usize, x: 
 }
 
 mod sealed {
-    pub trait Sealed {}
+    pub(crate) trait Sealed {}
 }
 
 /// One ISA tier: a vector of `W` f64 lanes and the operations the kernel
@@ -411,7 +411,7 @@ mod x86 {
     /// * `requires: feature(avx)` — and the contract of `op`'s body
     ///   ([`Kernel::on`]).
     #[target_feature(enable = "avx")]
-    pub unsafe fn enter_avx<K: Kernel>(op: K) {
+    pub(crate) unsafe fn enter_avx<K: Kernel>(op: K) {
         // SAFETY: avx is enabled here; the body contract is the caller's.
         unsafe { op.on(Ymm::<false>::new()) }
     }
@@ -423,7 +423,7 @@ mod x86 {
     /// * `requires: feature(avx2,fma)` — and the contract of `op`'s body
     ///   ([`Kernel::on`]).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn enter_avx2<K: Kernel>(op: K) {
+    pub(crate) unsafe fn enter_avx2<K: Kernel>(op: K) {
         // SAFETY: avx2 and fma are enabled here; the body contract is the
         // caller's.
         unsafe { op.on(Ymm::<true>::new()) }
@@ -436,7 +436,7 @@ mod x86 {
     /// * `requires: feature(avx512f,avx512vl)` — and the contract of `op`'s
     ///   body ([`Kernel::on`]).
     #[target_feature(enable = "avx512f,avx512vl")]
-    pub unsafe fn enter_avx512<K: Kernel>(op: K) {
+    pub(crate) unsafe fn enter_avx512<K: Kernel>(op: K) {
         // SAFETY: avx512f and avx512vl are enabled here; the body contract
         // is the caller's.
         unsafe { op.on(Avx512::new()) }
@@ -455,7 +455,7 @@ mod x86 {
     /// 256-bit lanes.  AVX and AVX2 differ by one instruction (§5.5): with
     /// `AVX2 = false` the multiply-add is a multiply and an add.
     #[derive(Clone, Copy)]
-    pub struct Ymm<const AVX2: bool>(());
+    pub(crate) struct Ymm<const AVX2: bool>(());
 
     impl<const AVX2: bool> sealed::Sealed for Ymm<AVX2> {}
 

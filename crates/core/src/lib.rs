@@ -30,7 +30,7 @@
 //!
 //! The arrays a kernel reads in whole 64-byte slice columns — every stream
 //! of [`Sell`] and [`SellEsb`], and a [`MultiVec`] — sit in 64-byte aligned
-//! storage ([`AVec`]), so a column is one cache line and one unsplit vector
+//! storage (`AVec`), so a column is one cache line and one unsplit vector
 //! load (§3.1 of the paper).  That is a speed property, never a safety
 //! precondition: every load on every tier is an unaligned one.  [`Csr`],
 //! [`Baij`] and [`Sbaij`] keep the `Vec`s they are handed.
@@ -84,7 +84,6 @@ pub mod stats;
 pub mod traffic;
 pub mod traits;
 
-pub use aligned::AVec;
 pub use assemble::RowAssembler;
 pub use baij::Baij;
 pub use codec::Codec;
@@ -92,7 +91,7 @@ pub use coo::CooBuilder;
 pub use csr::Csr;
 pub use exec::ExecCtx;
 pub use isa::Isa;
-pub use multivec::{MultiVec, VecView, VecViewMut, SPECIALIZED_K};
+pub use multivec::{MultiVec, VecView, VecViewMut};
 pub use sbaij::Sbaij;
 pub use sell::{Sell, Sell16, Sell4, Sell8};
 pub use sell_esb::SellEsb;

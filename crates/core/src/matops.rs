@@ -12,7 +12,7 @@ use crate::assemble::RowAssembler;
 use crate::csr::Csr;
 use crate::traits::MatShape;
 
-/// `B = alpha·A` (returns a scaled copy; use [`scale_in_place`] to avoid
+/// `B = alpha·A` (returns a scaled copy; use `scale_in_place` to avoid
 /// the copy).
 pub fn scale(a: &Csr, alpha: f64) -> Csr {
     let mut out = a.clone();
@@ -21,7 +21,7 @@ pub fn scale(a: &Csr, alpha: f64) -> Csr {
 }
 
 /// `A *= alpha` without touching the pattern.
-pub fn scale_in_place(a: &mut Csr, alpha: f64) {
+pub(crate) fn scale_in_place(a: &mut Csr, alpha: f64) {
     for v in a.values_mut() {
         *v *= alpha;
     }
@@ -168,11 +168,6 @@ pub fn diagonal(a: &Csr) -> Vec<f64> {
                 .map_or(0.0, |k| vals[k])
         })
         .collect()
-}
-
-/// Row sums (`A·1`), used by lumped-mass constructions.
-pub fn row_sums(a: &Csr) -> Vec<f64> {
-    (0..a.nrows()).map(|i| a.row_vals(i).iter().sum()).collect()
 }
 
 /// Extracts the contiguous submatrix `rows × cols` (global indices kept
@@ -364,7 +359,6 @@ mod tests {
     fn diagonal_and_row_sums() {
         let a = sample();
         assert_eq!(diagonal(&a), vec![2.0, 2.0, 2.0]);
-        assert_eq!(row_sums(&a), vec![1.0, 0.0, 1.0]);
     }
 
     #[test]

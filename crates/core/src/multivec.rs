@@ -9,7 +9,7 @@
 //! `12·nnz` matrix-traffic term of the §6 model is amortized over all
 //! `k` vectors at once.
 //!
-//! The backing store is 64-byte aligned ([`AVec`]), so for the blocked
+//! The backing store is 64-byte aligned (`AVec`), so for the blocked
 //! widths `k ∈ {1, 2, 4, 8}` no row block straddles a cache line (a speed
 //! property: the loads are unaligned ones); those widths get monomorphized
 //! scalar kernels and single-masked-block SIMD paths (ragged `k`, e.g. 7,
@@ -23,10 +23,6 @@
 use crate::aligned::AVec;
 use crate::exec::ExecCtx;
 use crate::traits::Apply;
-
-/// Block widths with monomorphized kernel specializations.  Any other
-/// `k ≥ 1` is still supported through the runtime-`k` kernels.
-pub const SPECIALIZED_K: [usize; 4] = [1, 2, 4, 8];
 
 /// A dense block of `k` vectors of `rows` rows, interleaved by row
 /// (`data[i*k + v]` is row `i` of vector `v`), 64-byte aligned.
@@ -92,11 +88,6 @@ impl MultiVec {
     /// The interleaved storage, `rows*k` long.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutable interleaved storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Row `i` as a contiguous `k`-wide block.

@@ -19,7 +19,7 @@
 //! 4. workers run their residue classes, bump a completion counter, and
 //!    the last one unparks the caller.
 //!
-//! The design mirrors scoped threads semantically: [`WorkerPool::run`]
+//! The design mirrors scoped threads semantically: `WorkerPool::run`
 //! accepts a part-function borrowing the caller's stack and **blocks
 //! until every part has finished** before returning, so the borrow can
 //! never dangle.  That blocking guarantee is what makes the single
@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Environment variable enabling thread pinning (any value but `0`/empty).
-pub const PIN_ENV: &str = "SELLKIT_PIN";
+pub(crate) const PIN_ENV: &str = "SELLKIT_PIN";
 
 /// Regions slower than this land a `pool.region.slow` flight-recorder
 /// event.  Normal SpMV regions finish in microseconds, so anything past
@@ -86,7 +86,7 @@ struct Shared {
 
 /// `L-1` long-lived parked worker threads plus the calling thread,
 /// executing `L`-lane parallel regions.
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     /// Serializes `run` calls from different caller threads so two regions
@@ -138,12 +138,6 @@ impl WorkerPool {
     /// Total execution lanes (caller + workers).
     pub fn lanes(&self) -> usize {
         self.workers.len() + 1
-    }
-
-    /// Number of spawned worker threads (`lanes() - 1`; the caller is the
-    /// remaining lane).
-    pub fn nworkers(&self) -> usize {
-        self.workers.len()
     }
 
     /// Runs parts `0..nparts` of `f` across the lanes and blocks until all
@@ -365,7 +359,7 @@ mod tests {
     fn runs_all_parts_and_blocks_until_done() {
         let pool = WorkerPool::new(4);
         assert_eq!(pool.lanes(), 4);
-        assert_eq!(pool.nworkers(), 3);
+        assert_eq!(pool.workers.len(), 3);
         let counter = AtomicUsize::new(0);
         pool.run(16, &|p| {
             counter.fetch_add(p + 1, Ordering::SeqCst);

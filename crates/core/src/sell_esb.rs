@@ -76,7 +76,7 @@ impl SellEsb {
     }
 
     /// Extra storage for the bit array, in bytes (≈ `val` bytes / 64).
-    pub fn bit_array_bytes(&self) -> usize {
+    pub(crate) fn bit_array_bytes(&self) -> usize {
         self.bits.len()
     }
 

@@ -317,13 +317,6 @@ impl Permutation {
         Self { fwd }
     }
 
-    /// The identity permutation of `0..n`.
-    pub fn identity(n: usize) -> Self {
-        Self {
-            fwd: (0..n as u32).collect(),
-        }
-    }
-
     /// Number of permuted positions.
     pub fn len(&self) -> usize {
         self.fwd.len()
@@ -340,7 +333,7 @@ impl Permutation {
     }
 
     /// The inverse map (logical → storage).
-    pub fn inverse(&self) -> Permutation {
+    pub(crate) fn inverse(&self) -> Permutation {
         let mut inv = vec![0u32; self.fwd.len()];
         for (k, &v) in self.fwd.iter().enumerate() {
             inv[v as usize] = k as u32;
@@ -426,7 +419,7 @@ mod tests {
     fn sigma_one_is_identity_order() {
         let a = irregular(20, 9);
         let s = SellSigma8::from_csr_sigma(&a, 1);
-        assert_eq!(s.perm(), &Permutation::identity(20));
+        assert_eq!(s.perm(), &Permutation::new((0..20).collect()));
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl FormatStats {
     }
 
     /// Bytes per logical nonzero — the storage-efficiency figure of merit.
-    pub fn bytes_per_nnz(&self) -> f64 {
+    pub(crate) fn bytes_per_nnz(&self) -> f64 {
         if self.nnz == 0 {
             0.0
         } else {

@@ -17,7 +17,7 @@
 //! [`sell_traffic`]): what `exhibit traffic_model` and
 //! `tests/paper_claims.rs` evaluate on the paper's shapes.  What this
 //! crate's `Sell` actually streams — the **measured stream**,
-//! [`sell_stream_traffic`], behind `Sell`'s `Operator::spmv_traffic` and
+//! `sell_stream_traffic`, behind `Sell`'s `Operator::spmv_traffic` and
 //! [`for_sell`] — deviates from it in the per-nonzero term:
 //!
 //! * `w·nnz` value bytes with `w ∈ {8, 4, 2}` for f64/f32/bf16, plus
@@ -35,9 +35,9 @@ use crate::sell::Sell;
 use crate::traits::{MatShape, Operator};
 
 /// Bytes per double-precision value.
-pub const BYTES_F64: usize = 8;
+pub(crate) const BYTES_F64: usize = 8;
 /// Bytes per column index.
-pub const BYTES_IDX: usize = 4;
+pub(crate) const BYTES_IDX: usize = 4;
 
 /// Minimum-traffic estimate for one SpMV.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -91,7 +91,7 @@ pub fn sell_traffic(m: usize, n: usize, nnz: usize) -> TrafficEstimate {
 /// (`4·nslices`), and the vector terms (`8·m` out, `8·n` in) plus the `2·m`
 /// sliceptr bytes match [`sell_traffic`].  Padding is not counted, per the
 /// §6 convention.
-pub fn sell_stream_traffic(
+pub(crate) fn sell_stream_traffic(
     m: usize,
     n: usize,
     nnz: usize,

@@ -63,7 +63,7 @@ pub trait Operator: MatShape {
     /// the §6 CSR formula (`12·nnz + 24·m + 8·n`); each sliced-ELLPACK
     /// format overrides it with the stream its own kernel moves — for
     /// `Sell`, `value_bytes·nnz + 2·narrow_nnz + 4·wide_nnz + 4·nslices +
-    /// 10·m + 8·n` (see [`crate::traffic::sell_stream_traffic`]).
+    /// 10·m + 8·n` (see `crate::traffic::sell_stream_traffic`).
     fn spmv_traffic(&self) -> crate::traffic::TrafficEstimate {
         crate::traffic::csr_traffic(self.nrows(), self.ncols(), self.nnz())
     }

@@ -132,7 +132,13 @@ impl<M: Operator + FromCsr> DistMat<M> {
     /// and off-diagonal block) run on `ctx`'s worker pool; the scatter
     /// stays on the calling thread, overlapped with the diagonal product
     /// as in [`DistMat::mult`].
-    pub fn mult_ctx(&self, comm: &Comm, ctx: &ExecCtx, x_local: &[f64], y_local: &mut [f64]) {
+    pub(crate) fn mult_ctx(
+        &self,
+        comm: &Comm,
+        ctx: &ExecCtx,
+        x_local: &[f64],
+        y_local: &mut [f64],
+    ) {
         assert_eq!(x_local.len(), self.diag.ncols(), "x block length mismatch");
         assert_eq!(
             y_local.len(),
@@ -191,19 +197,9 @@ impl<M: Operator + FromCsr> DistMat<M> {
         &self.diag
     }
 
-    /// The sequential (compressed) off-diagonal block.
-    pub fn offdiag(&self) -> &M {
-        &self.offdiag
-    }
-
     /// Ghost slot → global column map.
     pub fn garray(&self) -> &[u32] {
         &self.garray
-    }
-
-    /// Local nonzeros (both blocks).
-    pub fn local_nnz(&self) -> usize {
-        self.diag.nnz() + self.offdiag.nnz()
     }
 
     /// Values this rank sends per MatMult (communication volume).
@@ -415,7 +411,8 @@ mod tests {
         let a = banded(40, 2);
         let out = run(4, move |comm| {
             let dm = DistMat::<Csr>::from_global_csr(comm, &a, 1);
-            (dm.garray().len(), dm.offdiag().ncols(), dm.local_nnz())
+            let local_nnz = dm.diag.nnz() + dm.offdiag.nnz();
+            (dm.garray().len(), dm.offdiag.ncols(), local_nnz)
         });
         let total: usize = out.iter().map(|(_, _, nnz)| nnz).sum();
         assert_eq!(total, banded(40, 2).nnz());

@@ -72,9 +72,7 @@ impl DistVec {
     /// `self += alpha * other` (purely local).
     pub fn axpy(&mut self, alpha: f64, other: &DistVec) {
         assert_eq!(self.global_len, other.global_len);
-        for (a, b) in self.local.iter_mut().zip(&other.local) {
-            *a += alpha * b;
-        }
+        vecops::axpy(alpha, &other.local, &mut self.local);
     }
 
     /// Gathers the full vector onto every rank (test/diagnostic helper —
@@ -86,22 +84,12 @@ impl DistVec {
 
     /// `self *= alpha` (purely local).
     pub fn scale(&mut self, alpha: f64) {
-        for v in &mut self.local {
-            *v *= alpha;
-        }
-    }
-
-    /// `self = x` (purely local; partitions must match).
-    pub fn copy_from(&mut self, x: &DistVec) {
-        assert_eq!(self.global_len, x.global_len);
-        assert_eq!(self.range, x.range, "copy between different partitions");
-        self.local.copy_from_slice(&x.local);
+        vecops::scale(alpha, &mut self.local);
     }
 
     /// Global ∞-norm.
     pub fn norm_inf(&self, comm: &Comm) -> f64 {
-        let local = self.local.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        comm.allreduce_max(local)
+        comm.allreduce_max(vecops::norm_inf(&self.local))
     }
 
     /// Global sum of all entries.
@@ -161,9 +149,7 @@ mod tests {
             let inf = a.norm_inf(comm);
             let total = a.sum(comm);
             a.scale(2.0);
-            let mut b = DistVec::zeros(comm, 11);
-            b.copy_from(&a);
-            (inf, total, b.norm_inf(comm))
+            (inf, total, a.norm_inf(comm))
         });
         for (inf, total, inf2) in out {
             assert_eq!(inf, 5.0);

@@ -43,6 +43,6 @@ pub mod solve;
 pub use dmat::DistMat;
 pub use dvec::DistVec;
 pub use nonlinear::{dist_newton, DistNonlinearProblem};
-pub use partition::{owner_of, split_rows, RowRange};
+pub use partition::{split_rows, RowRange};
 pub use scatter::VecScatter;
 pub use solve::{DistDot, DistOp};

@@ -47,7 +47,7 @@ pub fn split_rows(n: usize, size: usize) -> Vec<RowRange> {
 }
 
 /// The rank owning global row `g` under [`split_rows`] partitioning.
-pub fn owner_of(ranges: &[RowRange], g: usize) -> usize {
+pub(crate) fn owner_of(ranges: &[RowRange], g: usize) -> usize {
     // Ranges are sorted and contiguous; binary search by start.
     match ranges.binary_search_by(|r| {
         if g < r.start {

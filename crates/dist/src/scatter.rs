@@ -157,7 +157,7 @@ impl VecScatter {
     /// `y = Aᵀx`, where off-diagonal columns accumulate into remote rows.
     ///
     /// Collective: every rank participating in the plan must call it.
-    pub fn reverse_add(&self, comm: &Comm, ghost_contrib: &[f64], y_local: &mut [f64]) {
+    pub(crate) fn reverse_add(&self, comm: &Comm, ghost_contrib: &[f64], y_local: &mut [f64]) {
         assert_eq!(
             ghost_contrib.len(),
             self.nghost,

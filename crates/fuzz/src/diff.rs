@@ -94,20 +94,20 @@ impl FormatKind {
     }
 
     /// Whether the format densifies blocks (needs the closure oracle).
-    pub fn block_filled(self) -> bool {
+    pub(crate) fn block_filled(self) -> bool {
         matches!(self, FormatKind::Baij2 | FormatKind::Sbaij2)
     }
 
     /// Whether a product can be forced to one ISA tier
     /// ([`Format::with_isa`]): every format but the block ones, whose
     /// kernels have a single tier.
-    pub fn has_tiers(self) -> bool {
+    pub(crate) fn has_tiers(self) -> bool {
         !self.block_filled()
     }
 
     /// Whether this format can store values under `codec` — only the
     /// SELL family (and its σ-sorted wrapper) has a packed-value path.
-    pub fn supports_codec(self, codec: Codec) -> bool {
+    pub(crate) fn supports_codec(self, codec: Codec) -> bool {
         codec == Codec::F64
             || matches!(
                 self,
@@ -141,7 +141,7 @@ pub struct Repro {
     pub k: usize,
     /// Value codec for the packed SELL formats; `Codec::F64` everywhere
     /// else.  A reduced codec switches the oracle to the scalar-CSR
-    /// product over the **codec-quantized** matrix (see [`quantize_csr`]).
+    /// product over the **codec-quantized** matrix (see `quantize_csr`).
     pub codec: Codec,
 }
 
@@ -215,7 +215,7 @@ impl Ctxs {
 
 /// Distance in units-in-the-last-place between two finite doubles, via
 /// the ordered-integer mapping (adjacent floats differ by 1).
-pub fn ulp_distance(a: f64, b: f64) -> u64 {
+pub(crate) fn ulp_distance(a: f64, b: f64) -> u64 {
     // Monotone bits→integer mapping: negatives are mirrored below zero,
     // so adjacent floats (of either sign) differ by exactly 1 and
     // ±0.0 map to the same key.
@@ -268,7 +268,7 @@ pub fn compare(got: &[f64], want: &[f64], cfg: &Config) -> Option<String> {
 
 /// Widens `a`'s pattern to whole `bs × bs` blocks with explicit zeros —
 /// the semantic a block format actually multiplies with.
-pub fn block_closure(a: &Csr, bs: usize) -> Csr {
+pub(crate) fn block_closure(a: &Csr, bs: usize) -> Csr {
     let mut touched: Vec<(u32, u32)> = Vec::new();
     for i in 0..a.nrows() {
         for &c in a.row_cols(i) {
@@ -297,7 +297,7 @@ pub fn block_closure(a: &Csr, bs: usize) -> Csr {
 /// structural check, and a forced ISA tier.
 pub trait Format: Operator + Validate {
     /// `self` with every later product run at `tier` — the format's own
-    /// `with_isa`.  The block formats ([`FormatKind::has_tiers`] is
+    /// `with_isa`.  The block formats (`FormatKind::has_tiers` is
     /// false) have one kernel and come back unchanged.
     fn with_isa(self: Box<Self>, tier: Isa) -> Box<dyn Format>;
 }
@@ -327,7 +327,7 @@ impl Format for Sbaij {
 
 /// Boxes one concrete format built from `a` under `codec` (only the
 /// SELL family stores reduced-precision values; every other kind
-/// requires `Codec::F64`, enforced by [`FormatKind::supports_codec`]).
+/// requires `Codec::F64`, enforced by `FormatKind::supports_codec`).
 /// The one place a [`FormatKind`] becomes a type.
 pub fn build_format(kind: FormatKind, a: &Csr, codec: Codec) -> Box<dyn Format> {
     match kind {
@@ -368,7 +368,7 @@ fn layout_fails(kind: FormatKind, a: &Csr, codec: Codec) -> Option<String> {
 /// matrix: the codec's unit roundoff enters the comparison through the
 /// oracle's values, not a loosened tolerance, and the standard
 /// class-first + ULP policy stays as tight as the f64 sweep.
-pub fn quantize_csr(a: &Csr, codec: Codec) -> Csr {
+pub(crate) fn quantize_csr(a: &Csr, codec: Codec) -> Csr {
     let mut b = CooBuilder::with_capacity(a.nrows(), a.ncols(), a.nnz());
     for i in 0..a.nrows() {
         for (k, &c) in a.row_cols(i).iter().enumerate() {
@@ -394,18 +394,18 @@ impl fmt::Display for Row {
     }
 }
 
-/// Block widths of the SpMM row: every specialized size (`SPECIALIZED_K`)
+/// Block widths of the SpMM row: every monomorphized size (1, 2, 4, 8)
 /// plus a ragged `k = 7` that exercises the masked tail of each vector
 /// tier's column-block loop.
-pub const SPMM_KS: [usize; 5] = [1, 2, 4, 7, 8];
+pub(crate) const SPMM_KS: [usize; 5] = [1, 2, 4, 7, 8];
 
 /// The reduced-precision codecs under differential test.
 pub const CODECS: [Codec; 2] = [Codec::F32, Codec::Bf16];
 
-/// The walk's rows: f64 SpMV, f64 SpMM at every [`SPMM_KS`] width, and
+/// The walk's rows: f64 SpMV, f64 SpMM at every `SPMM_KS` width, and
 /// the packed [`CODECS`] at SpMV and a ragged `k = 3` (against the
 /// scalar-CSR oracle over the codec-quantized matrix, see
-/// [`quantize_csr`]).  Every width reuses the NaN/Inf hazard classes, so
+/// `quantize_csr`).  Every width reuses the NaN/Inf hazard classes, so
 /// the §5.5 sentinel-padding fix is pinned at each: a padded SELL lane
 /// must contribute exactly nothing, not `0.0 × Inf`.  `sellkit-fuzz
 /// --codec-only` walks the last row alone.

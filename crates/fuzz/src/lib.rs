@@ -3,7 +3,7 @@
 //! Differentially tests all eight storage formats (CSR, `Sell4/8/16`,
 //! `SellEsb`, `SellSigma8`, `Baij`, `Sbaij`) against a scalar-CSR oracle in
 //! one walk ([`diff::run_case`]): every row of [`diff::ROWS`] (f64 SpMV,
-//! f64 SpMM at every width of [`diff::SPMM_KS`], packed `f32`/`bf16`) ×
+//! f64 SpMM at every width of `diff::SPMM_KS`, packed `f32`/`bf16`) ×
 //! every format that holds the case × every path (each ISA tier forced on
 //! a serial context — all but the block formats — and the default tier on
 //! each pool) × both [`Apply`](sellkit_core::Apply) modes, blocked
@@ -29,7 +29,6 @@ pub mod shrink;
 
 pub use diff::{
     run_case, run_huge_shape_case, Config, Ctxs, Finding, Repro, Row, Sweep, CODECS, FORMATS, ROWS,
-    SPMM_KS,
 };
 pub use gen::{build, make_x, MatrixCase, FAMILIES, X_CLASSES};
 pub use shrink::{emit_test_snippet, minimize};

@@ -22,13 +22,8 @@ impl Grid2D {
         Self { nx, ny, dof }
     }
 
-    /// Square single-component grid.
-    pub fn square(n: usize) -> Self {
-        Self::new(n, n, 1)
-    }
-
     /// Number of grid nodes.
-    pub fn n_nodes(&self) -> usize {
+    pub(crate) fn n_nodes(&self) -> usize {
         self.nx * self.ny
     }
 
@@ -62,7 +57,7 @@ impl Grid2D {
     }
 
     /// The next-coarser grid (dimensions halved); requires even sizes.
-    pub fn coarsen(&self) -> Grid2D {
+    pub(crate) fn coarsen(&self) -> Grid2D {
         assert!(
             self.nx.is_multiple_of(2) && self.ny.is_multiple_of(2),
             "grid not coarsenable: {self:?}"
@@ -72,18 +67,6 @@ impl Grid2D {
             ny: self.ny / 2,
             dof: self.dof,
         }
-    }
-
-    /// How many times the grid can be halved (bounded by divisibility and
-    /// a 4-node minimum) — caps `-pc_mg_levels`.
-    pub fn max_levels(&self) -> usize {
-        let mut g = *self;
-        let mut levels = 1;
-        while g.nx.is_multiple_of(2) && g.ny.is_multiple_of(2) && g.nx > 4 && g.ny > 4 {
-            g = g.coarsen();
-            levels += 1;
-        }
-        levels
     }
 }
 
@@ -127,7 +110,6 @@ mod tests {
         let g = Grid2D::new(64, 64, 2);
         let c = g.coarsen();
         assert_eq!((c.nx, c.ny, c.dof), (32, 32, 2));
-        assert!(g.max_levels() >= 4);
     }
 
     #[test]

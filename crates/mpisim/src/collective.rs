@@ -63,13 +63,6 @@ impl Comm {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Min-reduction across all ranks.
-    pub fn allreduce_min(&self, value: f64) -> f64 {
-        self.allgather(value)
-            .into_iter()
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Broadcasts `value` from `root` to every rank.
     pub fn broadcast<T: Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
         assert!(root < self.size());
@@ -191,13 +184,9 @@ mod tests {
 
     #[test]
     fn max_min() {
-        let out = run(4, |comm| {
-            let x = comm.rank() as f64 - 1.5;
-            (comm.allreduce_max(x), comm.allreduce_min(x))
-        });
-        for (mx, mn) in out {
+        let out = run(4, |comm| comm.allreduce_max(comm.rank() as f64 - 1.5));
+        for mx in out {
             assert_eq!(mx, 1.5);
-            assert_eq!(mn, -1.5);
         }
     }
 

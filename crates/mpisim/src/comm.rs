@@ -2,7 +2,9 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::OnceLock;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
@@ -14,6 +16,10 @@ pub(crate) struct Envelope {
     pub tag: u64,
     pub payload: Box<dyn Any + Send>,
 }
+
+/// The payload a panicking rank sends every peer before it unwinds: a
+/// receive that waits on it can then fail instead of blocking forever.
+struct RankPanicked;
 
 /// Per-rank communicator handle, analogous to `MPI_COMM_WORLD`.
 ///
@@ -29,6 +35,8 @@ pub struct Comm {
     /// Messages that arrived before anyone asked for them, keyed by
     /// (source, tag) — MPI's unexpected-message queue.
     pending: RefCell<HashMap<(usize, u64), VecDeque<Box<dyn Any + Send>>>>,
+    /// Ranks whose [`RankPanicked`] notice has arrived.
+    dead: RefCell<HashSet<usize>>,
 }
 
 impl Comm {
@@ -71,7 +79,8 @@ impl Comm {
     /// Blocking receive of a `T` from `(src, tag)`.
     ///
     /// Panics if the matching message has a different payload type — that
-    /// is a programming error, as it would be in MPI.
+    /// is a programming error, as it would be in MPI — and if rank `src`
+    /// panicked before sending it.
     pub fn recv<T: Send + 'static>(&self, src: usize, tag: u64) -> T {
         assert!(src < self.size, "source rank {src} out of range");
         // First check the unexpected-message queue.
@@ -80,15 +89,34 @@ impl Comm {
                 return Self::downcast(payload, src, tag);
             }
         }
-        // Drain the inbox until the matching envelope arrives.
+        // Drain the inbox until the matching envelope arrives.  A rank's
+        // messages arrive in the order it sent them, so once its panic
+        // notice is in, nothing more from it will come.
         loop {
+            if self.dead.borrow().contains(&src) {
+                panic!(
+                    "rank {}: receive from (src, tag) = ({src}, {tag}) cannot complete: \
+                     rank {src} panicked",
+                    self.rank
+                );
+            }
             let env = self
                 .inbox
                 .recv()
                 .expect("all senders dropped while a receive was outstanding");
-            if env.src == src && env.tag == tag {
+            if env.src == src && env.tag == tag && !env.payload.is::<RankPanicked>() {
                 return Self::downcast(env.payload, src, tag);
             }
+            self.stash(env);
+        }
+    }
+
+    /// Files an envelope nobody asked for yet: a panic notice marks its
+    /// sender dead, anything else joins the unexpected-message queue.
+    fn stash(&self, env: Envelope) {
+        if env.payload.is::<RankPanicked>() {
+            self.dead.borrow_mut().insert(env.src);
+        } else {
             self.pending
                 .borrow_mut()
                 .entry((env.src, env.tag))
@@ -99,7 +127,7 @@ impl Comm {
 
     /// Whether a message from `(src, tag)` is already available (a cheap
     /// `MPI_Iprobe`): never blocks.
-    pub fn probe(&self, src: usize, tag: u64) -> bool {
+    pub(crate) fn probe(&self, src: usize, tag: u64) -> bool {
         if self
             .pending
             .borrow()
@@ -110,12 +138,8 @@ impl Comm {
         }
         // Drain whatever is currently queued without blocking.
         while let Ok(env) = self.inbox.try_recv() {
-            let hit = env.src == src && env.tag == tag;
-            self.pending
-                .borrow_mut()
-                .entry((env.src, env.tag))
-                .or_default()
-                .push_back(env.payload);
+            let hit = env.src == src && env.tag == tag && !env.payload.is::<RankPanicked>();
+            self.stash(env);
             if hit {
                 return true;
             }
@@ -136,7 +160,10 @@ impl Comm {
 /// Spawns `size` rank threads, gives each a [`Comm`], runs `f`, and returns
 /// every rank's result ordered by rank (the `mpiexec -n size` analogue).
 ///
-/// Panics in any rank propagate after all ranks finish or die.
+/// A panic in any rank propagates after all ranks finish or die.  The
+/// panicking rank first notifies its peers, so a receive blocked on it
+/// panics instead of hanging, and `run` re-raises the first rank's panic,
+/// not the ones it caused.
 pub fn run<R, F>(size: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -152,7 +179,8 @@ where
     }
 
     let f = &f;
-    crossbeam::thread::scope(|scope| {
+    let first_panic = &OnceLock::new();
+    let mut results: Vec<_> = crossbeam::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(size);
         for (rank, inbox) in receivers.into_iter().enumerate() {
             let senders = senders.clone();
@@ -163,16 +191,36 @@ where
                     senders,
                     inbox,
                     pending: RefCell::new(HashMap::new()),
+                    dead: RefCell::new(HashSet::new()),
                 };
-                f(&comm)
+                panic::catch_unwind(AssertUnwindSafe(|| f(&comm))).inspect_err(|_| {
+                    let _ = first_panic.set(rank);
+                    for tx in &comm.senders {
+                        // A peer that already returned has no inbox left.
+                        let _ = tx.send(Envelope {
+                            src: rank,
+                            tag: 0,
+                            payload: Box::new(RankPanicked),
+                        });
+                    }
+                })
             }));
         }
         handles
             .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .map(|h| h.join().expect("rank panics are caught in the rank"))
             .collect()
     })
-    .expect("mpisim scope failed")
+    .expect("mpisim scope failed");
+    if let Some(&rank) = first_panic.get() {
+        if let Err(payload) = results.swap_remove(rank) {
+            panic::resume_unwind(payload);
+        }
+    }
+    results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic::resume_unwind(e)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -262,6 +310,60 @@ mod tests {
                 assert_eq!(comm.recv::<u8>(0, 9), 7);
             }
         });
+    }
+
+    /// Runs `f` on its own thread and fails if it has not returned within
+    /// 10 s, so a hang fails the test instead of stalling the suite.
+    fn within_watchdog<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            // Dropped, which disconnects `finished`, when `f` returns or unwinds.
+            let _done = done;
+            f()
+        });
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(
+            waited != Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+            "mpisim::run hung after a rank panicked"
+        );
+        worker.join().unwrap_or_else(|e| panic::resume_unwind(e))
+    }
+
+    #[test]
+    fn a_panicking_rank_fails_the_run_with_its_own_panic() {
+        let outcome = within_watchdog(|| {
+            panic::catch_unwind(|| {
+                run(3, |comm| match comm.rank() {
+                    1 => panic!("rank one fails"),
+                    _ => comm.recv::<u8>(1, 4),
+                })
+            })
+        });
+        let payload = outcome.expect_err("the run must fail");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank one fails"));
+    }
+
+    #[test]
+    fn a_receive_from_a_panicked_rank_names_it() {
+        let seen = within_watchdog(|| {
+            let seen = std::sync::Mutex::new(String::new());
+            let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+                run(2, |comm| {
+                    if comm.rank() == 1 {
+                        panic!("rank one fails");
+                    }
+                    let err = panic::catch_unwind(AssertUnwindSafe(|| comm.recv::<u8>(1, 4)))
+                        .expect_err("the receive must fail");
+                    *seen.lock().expect("unpoisoned") =
+                        err.downcast_ref::<String>().cloned().unwrap_or_default();
+                })
+            }));
+            seen.into_inner().expect("unpoisoned")
+        });
+        assert_eq!(
+            seen,
+            "rank 0: receive from (src, tag) = (1, 4) cannot complete: rank 1 panicked"
+        );
     }
 
     #[test]

@@ -29,10 +29,10 @@ use std::time::Instant;
 use crate::json::Json;
 
 /// Maximum events retained; older events are evicted FIFO (and counted).
-pub const FLIGHT_CAP: usize = 4096;
+pub(crate) const FLIGHT_CAP: usize = 4096;
 
 /// Version stamped into every dump as `"version"`.
-pub const FLIGHT_SCHEMA_VERSION: u64 = 1;
+pub(crate) const FLIGHT_SCHEMA_VERSION: u64 = 1;
 
 /// Tri-state enable flag: 0 = not yet read from the environment,
 /// 1 = disabled, 2 = enabled (the default).
@@ -151,7 +151,7 @@ pub fn clear() {
 }
 
 /// Serializes the ring as a `sellkit-flight` JSON document.
-pub fn dump_json() -> String {
+pub(crate) fn dump_json() -> String {
     let (evicted, events) = ring()
         .lock()
         .map(|r| (r.evicted, r.events.iter().cloned().collect::<Vec<_>>()))

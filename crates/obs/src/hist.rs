@@ -19,7 +19,7 @@ use crate::json::Json;
 /// log₂ of the sub-bucket count per octave.
 const SUB_BITS: u32 = 4;
 /// Linear sub-buckets per power of two (relative error ≤ 1/16).
-pub const SUB_BUCKETS: usize = 1 << SUB_BITS;
+pub(crate) const SUB_BUCKETS: usize = 1 << SUB_BITS;
 /// Total bucket count covering every `u64` tick value.
 const NBUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB_BUCKETS;
 /// Ticks per recorded unit: 1/1024ths, so `record(0.5)` lands in a

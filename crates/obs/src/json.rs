@@ -60,7 +60,7 @@ impl Json {
     }
 
     /// Builds an object from key/value pairs.
-    pub fn obj(members: Vec<(&str, Json)>) -> Json {
+    pub(crate) fn obj(members: Vec<(&str, Json)>) -> Json {
         Json::Obj(
             members
                 .into_iter()
@@ -70,7 +70,7 @@ impl Json {
     }
 
     /// Builds an object from a string-keyed map (sorted keys).
-    pub fn from_map<V: Into<Json> + Clone>(map: &BTreeMap<String, V>) -> Json {
+    pub(crate) fn from_map<V: Into<Json> + Clone>(map: &BTreeMap<String, V>) -> Json {
         Json::Obj(
             map.iter()
                 .map(|(k, v)| (k.clone(), v.clone().into()))

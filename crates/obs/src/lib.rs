@@ -42,10 +42,7 @@ mod report;
 pub use hist::HistSnapshot;
 pub use json::{parse as parse_json, Json};
 pub use registry::{Registry, Span, TraceId};
-pub use report::{
-    validate_report_json, EventReport, Report, SeriesPoint, ThreadReport, TraceSpan,
-    MIN_SUPPORTED_SCHEMA_VERSION, REPORT_SCHEMA_VERSION,
-};
+pub use report::{validate_report_json, EventReport, Report, SeriesPoint, ThreadReport, TraceSpan};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;

@@ -23,10 +23,10 @@ use crate::registry::PATH_SEP;
 /// links; [`validate_report_json`] still accepts
 /// [`MIN_SUPPORTED_SCHEMA_VERSION`] documents so checked-in v1 artifacts
 /// keep validating.
-pub const REPORT_SCHEMA_VERSION: u64 = 2;
+pub(crate) const REPORT_SCHEMA_VERSION: u64 = 2;
 
 /// Oldest schema version [`validate_report_json`] accepts.
-pub const MIN_SUPPORTED_SCHEMA_VERSION: u64 = 1;
+pub(crate) const MIN_SUPPORTED_SCHEMA_VERSION: u64 = 1;
 
 /// One `(x, y)` sample of a named series (e.g. iteration → residual norm).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -411,7 +411,7 @@ fn root_of(path: &str) -> &str {
 
 /// Validates a JSON document against the `sellkit-obs-report` schema;
 /// returns the first problem found.  Accepts every version from
-/// [`MIN_SUPPORTED_SCHEMA_VERSION`] through [`REPORT_SCHEMA_VERSION`],
+/// `MIN_SUPPORTED_SCHEMA_VERSION` through `REPORT_SCHEMA_VERSION`,
 /// so v1 artifacts checked in before histograms/machine stamps existed
 /// keep validating; v2-only members are required only of v2 documents.
 pub fn validate_report_json(text: &str) -> Result<(), String> {

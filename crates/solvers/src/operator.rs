@@ -138,11 +138,6 @@ impl<O> Counting<O> {
         self.applies.get()
     }
 
-    /// Resets the counter.
-    pub fn reset(&self) {
-        self.applies.set(0);
-    }
-
     /// The wrapped operator.
     pub fn inner(&self) -> &O {
         &self.inner
@@ -206,8 +201,6 @@ mod tests {
         op.apply(&[1.0, 2.0], &mut y);
         op.apply(&[1.0, 2.0], &mut y);
         assert_eq!(op.applies(), 2);
-        op.reset();
-        assert_eq!(op.applies(), 0);
         assert_eq!(op.dim(), 2);
     }
 

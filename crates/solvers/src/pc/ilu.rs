@@ -56,11 +56,6 @@ impl Ilu0 {
         }
         Self { lu }
     }
-
-    /// The combined in-place LU factors.
-    pub fn factors(&self) -> &Csr {
-        &self.lu
-    }
 }
 
 fn get_entry(a: &Csr, i: usize, j: usize) -> Option<f64> {
@@ -132,9 +127,9 @@ mod tests {
     fn ilu_preserves_pattern() {
         let a = laplace2d(5);
         let ilu = Ilu0::factor(&a);
-        assert_eq!(ilu.factors().nnz(), a.nnz());
-        assert_eq!(ilu.factors().rowptr(), a.rowptr());
-        assert_eq!(ilu.factors().colidx(), a.colidx());
+        assert_eq!(ilu.lu.nnz(), a.nnz());
+        assert_eq!(ilu.lu.rowptr(), a.rowptr());
+        assert_eq!(ilu.lu.colidx(), a.colidx());
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl Product {
     }
 
     /// Gives up the workspace and keeps the matrix.
-    pub fn into_matrix(self) -> Csr {
+    pub(crate) fn into_matrix(self) -> Csr {
         self.c
     }
 }

@@ -10,7 +10,7 @@ use sellkit_core::{Csr, MatShape};
 
 /// Solves `L z = r` where `L` is the strict lower triangle of `lu` with an
 /// implicit unit diagonal (the L factor of an in-place ILU).
-pub fn solve_lower_unit(lu: &Csr, r: &[f64], z: &mut [f64]) {
+pub(crate) fn solve_lower_unit(lu: &Csr, r: &[f64], z: &mut [f64]) {
     let n = lu.nrows();
     debug_assert_eq!(r.len(), n);
     for i in 0..n {
@@ -28,7 +28,7 @@ pub fn solve_lower_unit(lu: &Csr, r: &[f64], z: &mut [f64]) {
 
 /// Solves `U z = r` where `U` is the upper triangle of `lu` including the
 /// diagonal (the U factor of an in-place ILU).
-pub fn solve_upper(lu: &Csr, r: &[f64], z: &mut [f64]) {
+pub(crate) fn solve_upper(lu: &Csr, r: &[f64], z: &mut [f64]) {
     let n = lu.nrows();
     debug_assert_eq!(r.len(), n);
     for i in (0..n).rev() {

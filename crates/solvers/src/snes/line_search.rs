@@ -38,7 +38,7 @@ impl LineSearch {
     ///
     /// Returns `(lambda, fnorm_at_lambda)`; λ = 0 signals failure (no
     /// acceptable step).
-    pub fn search(&self, fnorm0: f64, mut fnorm_at: impl FnMut(f64) -> f64) -> (f64, f64) {
+    pub(crate) fn search(&self, fnorm0: f64, mut fnorm_at: impl FnMut(f64) -> f64) -> (f64, f64) {
         match *self {
             LineSearch::Full => (1.0, fnorm_at(1.0)),
             LineSearch::Backtracking(cfg) => {

@@ -5,6 +5,5 @@ pub mod newton;
 
 pub use line_search::{LineSearch, LineSearchConfig};
 pub use newton::{
-    newton, newton_ctx, newton_over, Forcing, NewtonConfig, NewtonResult, NewtonStopReason,
-    NonlinearProblem,
+    newton, newton_over, Forcing, NewtonConfig, NewtonResult, NewtonStopReason, NonlinearProblem,
 };

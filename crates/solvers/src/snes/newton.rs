@@ -180,7 +180,7 @@ impl<M: FromCsr, Pc: Precond> LinearSolve<M, Pc> {
 
 /// Solves `F(x) = 0` by Newton-GMRES with the Jacobian applied in format
 /// `M`; `pc_factory` builds the preconditioner from the first assembled
-/// Jacobian (see [`newton_ctx`] for when it is called again).
+/// Jacobian (see `newton_ctx` for when it is called again).
 pub fn newton<M, Prob, Pc>(
     problem: &Prob,
     x: &mut [f64],
@@ -208,7 +208,7 @@ where
 /// pattern changed, or when the preconditioner has no value-only set-up.
 /// A refreshed preconditioner equals a rebuilt one bit for bit, so the
 /// iterates do not depend on which path was taken.
-pub fn newton_ctx<M, Prob, Pc>(
+pub(crate) fn newton_ctx<M, Prob, Pc>(
     problem: &Prob,
     x: &mut [f64],
     cfg: &NewtonConfig,

@@ -5,7 +5,7 @@
 //! format changes (they never touch the matrix).
 //!
 //! Two kernels also have a form that runs on an [`ExecCtx`]'s worker pool,
-//! the two with a caller that is on a pool: [`pointwise_mult_ctx`] (the
+//! the two with a caller that is on a pool: `pointwise_mult_ctx` (the
 //! Jacobi smoother inside a V-cycle applied through `apply_ctx`; disjoint
 //! windows, bitwise identical to the serial loop for any thread count) and
 //! [`dot_ctx`] (the benchmark's pooled-reduction rung; **fixed
@@ -52,20 +52,10 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 
 /// `y = alpha * y + x` (PETSc `VecAYPX`).
 #[inline]
-pub fn aypx(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn aypx(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi = alpha * *yi + xi;
-    }
-}
-
-/// `w = alpha * x + y` (PETSc `VecWAXPY`).
-#[inline]
-pub fn waxpy(w: &mut [f64], alpha: f64, x: &[f64], y: &[f64]) {
-    debug_assert_eq!(w.len(), x.len());
-    debug_assert_eq!(w.len(), y.len());
-    for i in 0..w.len() {
-        w[i] = alpha * x[i] + y[i];
     }
 }
 
@@ -85,7 +75,7 @@ pub fn copy(x: &[f64], y: &mut [f64]) {
 
 /// Pointwise `w = a ⊙ b` (PETSc `VecPointwiseMult`), used by Jacobi.
 #[inline]
-pub fn pointwise_mult(w: &mut [f64], a: &[f64], b: &[f64]) {
+pub(crate) fn pointwise_mult(w: &mut [f64], a: &[f64], b: &[f64]) {
     debug_assert_eq!(w.len(), a.len());
     debug_assert_eq!(w.len(), b.len());
     for i in 0..w.len() {
@@ -130,7 +120,7 @@ pub fn dot_ctx(ctx: &ExecCtx, a: &[f64], b: &[f64]) -> f64 {
 
 /// Pointwise `w = a ⊙ b` over the context; bitwise identical to
 /// [`pointwise_mult`] — the parallel path of the Jacobi smoother.
-pub fn pointwise_mult_ctx(ctx: &ExecCtx, w: &mut [f64], a: &[f64], b: &[f64]) {
+pub(crate) fn pointwise_mult_ctx(ctx: &ExecCtx, w: &mut [f64], a: &[f64], b: &[f64]) {
     debug_assert_eq!(w.len(), a.len());
     debug_assert_eq!(w.len(), b.len());
     if ctx.is_serial() || w.len() < PAR_MIN {
@@ -162,9 +152,6 @@ mod tests {
         assert_eq!(y, vec![12.0, 24.0]);
         aypx(0.5, &x, &mut y);
         assert_eq!(y, vec![7.0, 14.0]);
-        let mut w = vec![0.0; 2];
-        waxpy(&mut w, -1.0, &x, &y);
-        assert_eq!(w, vec![6.0, 12.0]);
     }
 
     #[test]

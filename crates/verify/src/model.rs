@@ -3,7 +3,7 @@
 //!
 //! The model mirrors the real protocol step for step — every pc below is
 //! annotated with the `pool.rs` operation it models — and is explored
-//! over *every* interleaving by [`crate::sim::explore`].  What a passing
+//! over *every* interleaving by `crate::sim::explore`.  What a passing
 //! run proves, for the modeled lane/region bounds:
 //!
 //! * **no lost wakeup**: no reachable state deadlocks, even though
@@ -334,7 +334,7 @@ struct WorkerState {
 
 /// One explorable state of the pool protocol.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PoolModel {
+pub(crate) struct PoolModel {
     cfg: Config,
     sc: Scenario,
     mem: Mem,

@@ -2,8 +2,9 @@
 //!
 //! The manifest is shared by two consumers:
 //!
-//! * `xtask` derives the unsafe-audit allowlist and the atomics protocol
-//!   table from it (instead of hard-coded paths), and
+//! * `xtask` derives the unsafe-audit allowlist, the atomics protocol
+//!   table and the dead-pub allowlist from it (instead of hard-coded
+//!   paths), and
 //! * the `sellkit-verify` test suite pins the `model = "…"` entries to the
 //!   orderings the pool model checker actually verified.
 //!
@@ -18,6 +19,17 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowUnsafe {
     pub path: String,
+    pub reason: String,
+}
+
+/// One dead-pub allowlist entry: a `pub` item of a library crate that no
+/// other compilation unit names but that stays `pub` for `reason`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AllowPub {
+    /// Workspace-relative file that defines the item.
+    pub file: String,
+    /// The item's name as written after `fn`/`struct`/`const`/….
+    pub item: String,
     pub reason: String,
 }
 
@@ -46,6 +58,7 @@ pub struct Policy {
     /// Files whose every `Ordering::*` use must match an `[[atomic]]` entry.
     pub atomics_scope: Vec<String>,
     pub atomics: Vec<AtomicEntry>,
+    pub allow_pub: Vec<AllowPub>,
 }
 
 /// Parses the policy text, or returns `(line, message)` on the first error.
@@ -55,6 +68,7 @@ pub fn parse(text: &str) -> Result<Policy, (usize, String)> {
         AllowUnsafe,
         AtomicsScope,
         Atomic,
+        AllowPub,
     }
     let mut policy = Policy::default();
     let mut section = Section::None;
@@ -84,6 +98,14 @@ pub fn parse(text: &str) -> Result<Policy, (usize, String)> {
                         role: String::new(),
                     });
                     Section::Atomic
+                }
+                "allow-pub" => {
+                    policy.allow_pub.push(AllowPub {
+                        file: String::new(),
+                        item: String::new(),
+                        reason: String::new(),
+                    });
+                    Section::AllowPub
                 }
                 other => return Err((lineno, format!("unknown section [[{other}]]"))),
             };
@@ -128,6 +150,15 @@ pub fn parse(text: &str) -> Result<Policy, (usize, String)> {
                     _ => return Err((lineno, format!("unknown atomic key `{key}`"))),
                 }
             }
+            Section::AllowPub => {
+                let entry = policy.allow_pub.last_mut().expect("entry pushed");
+                match key {
+                    "file" => entry.file = value.to_string(),
+                    "item" => entry.item = value.to_string(),
+                    "reason" => entry.reason = value.to_string(),
+                    _ => return Err((lineno, format!("unknown allow-pub key `{key}`"))),
+                }
+            }
         }
     }
     validate(&policy).map_err(|msg| (0, msg))?;
@@ -141,6 +172,14 @@ fn validate(policy: &Policy) -> Result<(), String> {
         }
         if e.reason.is_empty() {
             return Err(format!("allow-unsafe entry `{}` missing `reason`", e.path));
+        }
+    }
+    for e in &policy.allow_pub {
+        if e.file.is_empty() || e.item.is_empty() || e.reason.is_empty() {
+            return Err(format!(
+                "allow-pub entry `{}::{}` needs `file`, `item` and `reason`",
+                e.file, e.item
+            ));
         }
     }
     const ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -211,12 +250,18 @@ op = "fetch_add"
 ordering = "SeqCst"
 model = "epoch_publish"
 role = "publishes the region slot"
+
+[[allow-pub]]
+file = "crates/mpisim/src/collective.rs"
+item = "scan_sum"
+reason = "a floor test calls it"
 "#;
         let p = parse(text).expect("parses");
         assert_eq!(p.allow_unsafe.len(), 1);
         assert_eq!(p.atomics_scope, vec!["crates/core/src/pool.rs"]);
         assert_eq!(p.atomics[0].orderings, vec!["SeqCst"]);
         assert_eq!(p.atomics[0].model.as_deref(), Some("epoch_publish"));
+        assert_eq!(p.allow_pub[0].item, "scan_sum");
     }
 
     #[test]
@@ -239,6 +284,7 @@ role = "publishes the region slot"
         assert!(parse("path = \"x\"\n").is_err());
         assert!(parse("[[allow-unsafe]]\nfrobnicate = \"x\"\n").is_err());
         assert!(parse("[[mystery]]\n").is_err());
+        assert!(parse("[[allow-pub]]\nfile = \"f.rs\"\nitem = \"g\"\n").is_err());
     }
 
     #[test]

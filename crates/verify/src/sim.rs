@@ -56,7 +56,7 @@ impl MemOrd {
 
 /// A vector clock over thread event counters.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Clock(Vec<u32>);
+pub(crate) struct Clock(Vec<u32>);
 
 impl Clock {
     fn new(nthreads: usize) -> Self {
@@ -90,7 +90,7 @@ struct Cell {
 
 /// The shared memory of one model state: atomics, plain cells, clocks.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Mem {
+pub(crate) struct Mem {
     atomics: Vec<Atom>,
     cells: Vec<Cell>,
     clocks: Vec<Clock>,
@@ -139,7 +139,7 @@ impl Mem {
     /// Atomic read-modify-write storing `new`; returns the old value.
     /// RMWs continue the location's release sequence: the existing clock
     /// is kept and (when releasing) joined with the writer's.
-    pub fn rmw(&mut self, t: usize, a: usize, new: u64, ord: MemOrd) -> u64 {
+    pub(crate) fn rmw(&mut self, t: usize, a: usize, new: u64, ord: MemOrd) -> u64 {
         if ord.acquires() {
             let clock = self.atomics[a].clock.clone();
             self.clocks[t].join(&clock);
@@ -156,13 +156,13 @@ impl Mem {
     /// Current value of an atomic without any memory effect — only for
     /// computing the `new` argument of [`Mem::rmw`] within the same
     /// indivisible step.
-    pub fn peek(&self, a: usize) -> u64 {
+    pub(crate) fn peek(&self, a: usize) -> u64 {
         self.atomics[a].val
     }
 
     /// Non-atomic read.  Errors if the latest write is not in the
     /// reader's clock (an unsynchronized — racy — read).
-    pub fn na_read(&mut self, t: usize, c: usize) -> Result<u64, String> {
+    pub(crate) fn na_read(&mut self, t: usize, c: usize) -> Result<u64, String> {
         if let Some((wt, we)) = self.cells[c].writer {
             if wt != t && !self.clocks[t].covers(wt, we) {
                 return Err(format!(
@@ -179,7 +179,7 @@ impl Mem {
 
     /// Non-atomic write.  Errors if the latest write or any recorded read
     /// is not in the writer's clock.
-    pub fn na_write(&mut self, t: usize, c: usize, v: u64) -> Result<(), String> {
+    pub(crate) fn na_write(&mut self, t: usize, c: usize, v: u64) -> Result<(), String> {
         if let Some((wt, we)) = self.cells[c].writer {
             if wt != t && !self.clocks[t].covers(wt, we) {
                 return Err(format!(
@@ -207,12 +207,12 @@ impl Mem {
     /// Current value of a cell with no memory effect — only for model
     /// invariant checks (e.g. "this part already ran"), never for
     /// protocol data flow.
-    pub fn peek_cell(&self, c: usize) -> u64 {
+    pub(crate) fn peek_cell(&self, c: usize) -> u64 {
         self.cells[c].val
     }
 
     /// Direct synchronization edge `from → into` (models `join`).
-    pub fn sync_threads(&mut self, into: usize, from: usize) {
+    pub(crate) fn sync_threads(&mut self, into: usize, from: usize) {
         let clock = self.clocks[from].clone();
         self.clocks[into].join(&clock);
     }
@@ -224,7 +224,7 @@ impl Mem {
 
 /// One schedulable transition out of a state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Choice {
+pub(crate) enum Choice {
     /// Run thread `t` for one step.
     Step(usize),
     /// Wake thread `t` from `park()` spuriously (budget-limited).
@@ -232,7 +232,7 @@ pub enum Choice {
 }
 
 /// A model the explorer can drive: a transition system over `Self`.
-pub trait Model: Clone + Eq + Hash {
+pub(crate) trait Model: Clone + Eq + Hash {
     /// Enabled transitions; empty + `!is_terminal` = deadlock.
     fn choices(&self) -> Vec<Choice>;
     /// Applies one transition, returning a human-readable step label.
@@ -312,7 +312,7 @@ impl Hasher for Fnv {
 /// Exhaustive DFS over every interleaving of `initial`, with full-state
 /// deduplication.  Returns the first violation found (with its schedule),
 /// `Pass` when the reachable space is exhausted, or `Capped`.
-pub fn explore<M: Model>(initial: M, limits: Limits) -> Outcome {
+pub(crate) fn explore<M: Model>(initial: M, limits: Limits) -> Outcome {
     struct Frame<M> {
         state: M,
         choices: Vec<Choice>,

@@ -99,7 +99,7 @@ impl DistGrayScott {
 
     /// Evaluates the owned block of the ODE right-hand side `f(w)`: the
     /// serial model's rows, bit for bit.  Collective (one halo exchange).
-    pub fn rhs_local(&self, comm: &Comm, w_local: &[f64], f_local: &mut [f64]) {
+    pub(crate) fn rhs_local(&self, comm: &Comm, w_local: &[f64], f_local: &mut [f64]) {
         let ghost = self.exchange(comm, w_local);
         self.gs
             .rhs_rows(|g| self.at(g, w_local, &ghost), self.rows(), f_local);

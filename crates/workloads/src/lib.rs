@@ -27,4 +27,4 @@ pub mod matrix_market;
 
 pub use dist_gray_scott::{dist_theta_step, DistGrayScott};
 pub use gray_scott::{GrayScott, GrayScottParams};
-pub use matrix_market::{read_mtx, read_mtx_file, write_mtx, write_mtx_file, MtxError};
+pub use matrix_market::{read_mtx, read_mtx_file, write_mtx, MtxError};

@@ -211,11 +211,6 @@ pub fn write_mtx<W: Write>(a: &Csr, mut writer: W) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Writes a `.mtx` file to disk.
-pub fn write_mtx_file(a: &Csr, path: impl AsRef<Path>) -> std::io::Result<()> {
-    write_mtx(a, std::io::BufWriter::new(std::fs::File::create(path)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,7 +375,7 @@ mod tests {
         let dir = std::env::temp_dir().join("sellkit_mtx_test");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("stencil5.mtx");
-        write_mtx_file(&a, &path).expect("write file");
+        write_mtx(&a, std::fs::File::create(&path).expect("create")).expect("write file");
         let b = read_mtx_file(&path).expect("read file");
         assert_eq!(a.to_dense(), b.to_dense());
         std::fs::remove_file(&path).ok();

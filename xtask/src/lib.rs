@@ -6,7 +6,8 @@
 //! * [`scan`] — the dependency-free Rust source scanner (tokenizer,
 //!   function-table parser, call extractor);
 //! * [`passes`] — the lint passes (unsafe audit, safety contracts,
-//!   panic freedom, no hardware gather, atomics hygiene), each a pure function over a
+//!   panic freedom, no hardware gather, atomics hygiene, no `pub` item
+//!   without a user outside its crate), each a pure function over a
 //!   virtual tree so tests can run them against mutated sources;
 //! * [`diag`] — Loc-style findings with table and `--json` rendering.
 //!

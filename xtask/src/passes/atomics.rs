@@ -240,7 +240,6 @@ mod tests {
 
     fn policy(scope: &[&str], entries: &[(&str, &str, &str, &[&str])]) -> Policy {
         Policy {
-            allow_unsafe: Vec::new(),
             atomics_scope: scope.iter().map(|s| s.to_string()).collect(),
             atomics: entries
                 .iter()
@@ -253,6 +252,7 @@ mod tests {
                     role: "test".to_string(),
                 })
                 .collect(),
+            ..Policy::default()
         }
     }
 

@@ -7,6 +7,7 @@
 
 pub mod atomics;
 pub mod contract;
+pub mod dead_pub;
 pub mod no_gather;
 pub mod panic_freedom;
 pub mod unsafe_audit;
@@ -26,6 +27,7 @@ pub fn run_all(tree: &[SourceFile], policy: &Policy) -> Vec<Finding> {
     out.extend(panic_freedom::run(tree));
     out.extend(no_gather::run(tree));
     out.extend(atomics::run(tree, policy));
+    out.extend(dead_pub::run(tree, policy));
     out
 }
 

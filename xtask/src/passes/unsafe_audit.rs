@@ -199,8 +199,7 @@ mod tests {
                     reason: r.to_string(),
                 })
                 .collect(),
-            atomics_scope: Vec::new(),
-            atomics: Vec::new(),
+            ..Policy::default()
         }
     }
 

@@ -218,7 +218,7 @@ pub fn line_of(flat: &str, off: usize) -> usize {
         .count()
 }
 
-fn is_ident_char(c: char) -> bool {
+pub(crate) fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
@@ -503,7 +503,7 @@ pub fn find_word(text: &str, word: &str) -> Option<usize> {
 }
 
 /// Offset of the delimiter matching the opener at `open`.
-fn matching(text: &str, open: usize, open_ch: u8, close_ch: u8) -> Option<usize> {
+pub(crate) fn matching(text: &str, open: usize, open_ch: u8, close_ch: u8) -> Option<usize> {
     let bytes = text.as_bytes();
     let mut depth = 0i32;
     for (k, &b) in bytes.iter().enumerate().skip(open) {

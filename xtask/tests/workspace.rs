@@ -302,3 +302,21 @@ fn calling_a_kernel_outside_dispatch_is_flagged() {
         "{findings:#?}"
     );
 }
+
+#[test]
+fn re_widening_a_narrowed_item_fails_the_dead_pub_pass() {
+    let mut tree = real_tree();
+    mutate(
+        &mut tree,
+        "crates/core/src/matops.rs",
+        "pub(crate) fn scale_in_place(",
+        "pub fn scale_in_place(",
+    );
+    let findings = passes::dead_pub::run(&tree, &real_policy());
+    assert!(
+        findings.len() == 1
+            && findings[0].path == "crates/core/src/matops.rs"
+            && findings[0].message.contains("`scale_in_place`"),
+        "{findings:#?}"
+    );
+}
