@@ -6,7 +6,6 @@
 use sellkit_core::{FromCsr, Operator as CoreOperator};
 use sellkit_mpisim::Comm;
 use sellkit_solvers::operator::{InnerProduct, Operator};
-use sellkit_solvers::vecops;
 
 use crate::dmat::DistMat;
 
@@ -34,8 +33,8 @@ pub struct DistDot<'a> {
 }
 
 impl InnerProduct for DistDot<'_> {
-    fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.comm.allreduce_sum(vecops::dot(a, b))
+    fn reduce(&self, local: f64) -> f64 {
+        self.comm.allreduce_sum(local)
     }
 }
 

@@ -56,11 +56,15 @@ impl Comm {
         out
     }
 
-    /// Max-reduction across all ranks.
+    /// Max-reduction across all ranks; NaN if any rank's value is NaN
+    /// (`f64::max` would return the other operand and drop it).
     pub fn allreduce_max(&self, value: f64) -> f64 {
         self.allgather(value)
             .into_iter()
-            .fold(f64::NEG_INFINITY, f64::max)
+            .fold(
+                f64::NEG_INFINITY,
+                |m, v| if v > m || v.is_nan() { v } else { m },
+            )
     }
 
     /// Broadcasts `value` from `root` to every rank.
@@ -187,6 +191,21 @@ mod tests {
         let out = run(4, |comm| comm.allreduce_max(comm.rank() as f64 - 1.5));
         for mx in out {
             assert_eq!(mx, 1.5);
+        }
+    }
+
+    #[test]
+    fn max_propagates_a_nan_from_any_rank() {
+        for nan_rank in 0..3 {
+            let out = run(3, |comm| {
+                let value = if comm.rank() == nan_rank {
+                    f64::NAN
+                } else {
+                    1.0
+                };
+                comm.allreduce_max(value)
+            });
+            assert!(out.iter().all(|m| m.is_nan()), "NaN on rank {nan_rank}");
         }
     }
 

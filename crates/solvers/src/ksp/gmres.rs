@@ -5,6 +5,7 @@
 
 use crate::operator::{InnerProduct, Operator};
 use crate::pc::Precond;
+use crate::vecops;
 
 use super::{initial_residual, residual_into, test_convergence, KspConfig, KspResult, StopReason};
 
@@ -133,11 +134,17 @@ where
         // (Re)start from the residual computed above / below.
         let start = if FLEXIBLE { &r } else { &z };
         let beta = ip.norm(start);
-        if beta == 0.0 {
+        // A zero residual is solved; a NaN or ∞ one (from `b`, `x` or the
+        // preconditioner) cannot start a cycle.
+        if beta == 0.0 || !beta.is_finite() {
             return KspResult {
                 iterations: total_it,
-                residual: 0.0,
-                reason: StopReason::AbsoluteTolerance,
+                residual: beta,
+                reason: if beta == 0.0 {
+                    StopReason::AbsoluteTolerance
+                } else {
+                    StopReason::Breakdown
+                },
                 history,
             };
         }
@@ -170,15 +177,7 @@ where
                 op.apply(&vs[j], &mut r);
                 pc.apply(&r, w);
             }
-            // Modified Gram-Schmidt.
-            for (i, vi) in vs.iter().enumerate() {
-                let hij = ip.dot(w, vi);
-                h[i + j * (m + 1)] = hij;
-                for (wk, vk) in w.iter_mut().zip(vi) {
-                    *wk -= hij * vk;
-                }
-            }
-            let hj1 = ip.norm(w);
+            let hj1 = ip.orthogonalize(w, vs, &mut h[j * (m + 1)..][..=j]);
             h[(j + 1) + j * (m + 1)] = hj1;
 
             // Apply the accumulated Givens rotations to column j.
@@ -196,6 +195,13 @@ where
             h[(j + 1) + j * (m + 1)] = 0.0;
             g[j + 1] = -s * g[j];
             g[j] *= c;
+            if !(hj1.is_finite() && g[j + 1].is_finite()) {
+                // A NaN or ∞ from the operator or the preconditioner fails
+                // every test below: stop, and leave this column out of the
+                // update so that `x` is the last finite iterate.
+                stop = Some(StopReason::Breakdown);
+                break;
+            }
 
             total_it += 1;
             j_used = j + 1;
@@ -245,11 +251,7 @@ where
             y[i] = s / hii;
         }
         let dirs = if FLEXIBLE { &zs } else { &basis };
-        for (k, &yk) in y[..j_used].iter().enumerate() {
-            for (xi, dk) in x.iter_mut().zip(&dirs[k]) {
-                *xi += yk * dk;
-            }
-        }
+        vecops::maxpy(x, &y[..j_used], &dirs[..j_used]);
 
         // Always verify against the residual the cycle started from before
         // declaring success — the Givens estimate can be optimistic when

@@ -2,7 +2,8 @@
 //!
 //! The PETSc-style solver hierarchy of Figure 1, from the bottom up:
 //!
-//! * [`vecops`] — BLAS-1 vector kernels;
+//! * [`vecops`] — BLAS-1 vector kernels, every reduction in one fixed
+//!   lane order;
 //! * [`operator`] — the [`Operator`]/[`InnerProduct`] abstraction that
 //!   makes every solver format-agnostic (CSR, SELL, or distributed
 //!   matrices all plug in unchanged — the paper's "no penalty in other

@@ -1,10 +1,17 @@
-//! The operator and inner-product abstractions all Krylov solvers use.
+//! The operator and vector-space abstractions all Krylov solvers use.
 //!
 //! A Krylov method needs exactly two things: apply the linear operator,
-//! and take inner products.  Splitting those into two traits lets the same
-//! GMRES code run (a) sequentially over any [`sellkit_core::Operator`] format
-//! and (b) in parallel over a distributed matrix whose inner products
-//! reduce across ranks.
+//! and do vector work whose reductions span the whole vector.  Splitting
+//! those into two traits lets the same GMRES code run (a) sequentially over
+//! any [`sellkit_core::Operator`] format and (b) in parallel over a
+//! distributed matrix whose inner products reduce across ranks.
+//!
+//! [`InnerProduct`] is that vector space.  A space says only how a local
+//! partial sum becomes the global one ([`InnerProduct::reduce`]); the inner
+//! product, the norm and the Gram-Schmidt sweep are provided methods over
+//! the fixed-order kernels of [`vecops`], so every space sums its local
+//! blocks in the same order, and the sweep makes one reduction per
+//! coefficient whichever space it runs in.
 
 use sellkit_core::{Apply, ExecCtx, Operator as CoreOperator};
 
@@ -18,23 +25,54 @@ pub trait Operator {
     fn apply(&self, x: &[f64], y: &mut [f64]);
 }
 
-/// An inner-product space — sequential, or a distributed reduction.
+/// The vector space a Krylov solve runs in — sequential, or the local
+/// blocks of a distributed vector.
 pub trait InnerProduct {
+    /// The global value of a sum whose local part is `local`: the identity
+    /// for a sequential space, an all-reduce for a distributed one.
+    fn reduce(&self, local: f64) -> f64;
+
     /// Inner product of two (local blocks of) vectors.
-    fn dot(&self, a: &[f64], b: &[f64]) -> f64;
+    fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
+        self.reduce(vecops::dot(a, b))
+    }
+
     /// Norm induced by [`InnerProduct::dot`].
     fn norm(&self, a: &[f64]) -> f64 {
         self.dot(a, a).sqrt()
     }
+
+    /// Modified Gram-Schmidt of `w` against the orthonormal `basis`:
+    /// `h[i] = ⟨w, vᵢ⟩` and `w -= h[i]·vᵢ` for each `i` in order; returns
+    /// `‖w‖` of the result.  Each sweep is fused (`vecops::axpy_dot`): the
+    /// subtraction of `vᵢ` accumulates `⟨w, vᵢ₊₁⟩` — or `‖w‖²` after the
+    /// last — so `w` is read once per basis vector.  Every `h[i]`, every
+    /// entry of `w` and the norm are bitwise those of [`dot`](Self::dot),
+    /// [`vecops::axpy`] and [`norm`](Self::norm) called one after another,
+    /// with one [`reduce`](Self::reduce) per coefficient and one for the
+    /// norm.
+    fn orthogonalize(&self, w: &mut [f64], basis: &[Vec<f64>], h: &mut [f64]) -> f64 {
+        assert_eq!(h.len(), basis.len(), "one coefficient per basis vector");
+        let Some(first) = basis.first() else {
+            return self.norm(w);
+        };
+        let mut hi = self.dot(w, first);
+        for (i, vi) in basis.iter().enumerate() {
+            h[i] = hi;
+            let next = basis.get(i + 1).map(Vec::as_slice);
+            hi = self.reduce(vecops::axpy_dot(-hi, vi, w, next));
+        }
+        hi.sqrt()
+    }
 }
 
-/// Sequential inner product.
+/// Sequential vector space.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SeqDot;
 
 impl InnerProduct for SeqDot {
-    fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
-        vecops::dot(a, b)
+    fn reduce(&self, local: f64) -> f64 {
+        local
     }
 }
 
@@ -235,6 +273,45 @@ mod tests {
         // One apply for the initial residual + one per Arnoldi step + the
         // end-of-cycle true-residual verification.
         assert_eq!(op.applies(), res.iterations + 2);
+    }
+
+    /// A space that counts its reductions.
+    struct CountingSpace(std::cell::Cell<usize>);
+
+    impl InnerProduct for CountingSpace {
+        fn reduce(&self, local: f64) -> f64 {
+            self.0.set(self.0.get() + 1);
+            local
+        }
+    }
+
+    #[test]
+    fn orthogonalize_equals_the_unfused_sweep_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [0usize, 1, 15, 16, 17, 4095, 4097, 3 * 4096 + 5] {
+            let wave = |f: f64| {
+                (0..n)
+                    .map(|i| (i as f64 * f).sin() + 0.1)
+                    .collect::<Vec<_>>()
+            };
+            let basis: Vec<Vec<f64>> = (0..4).map(|k| wave(0.3 + k as f64)).collect();
+            for k in 0..=basis.len() {
+                let space = CountingSpace(std::cell::Cell::new(0));
+                let (mut w, mut h) = (wave(0.07), vec![0.0; k]);
+                let norm = space.orthogonalize(&mut w, &basis[..k], &mut h);
+                assert_eq!(space.0.get(), k + 1, "n={n} k={k}: one reduction per value");
+
+                let (mut want_w, mut want_h) = (wave(0.07), vec![0.0; k]);
+                for (hi, vi) in want_h.iter_mut().zip(&basis) {
+                    *hi = SeqDot.dot(&want_w, vi);
+                    vecops::axpy(-*hi, vi, &mut want_w);
+                }
+                let want_norm = SeqDot.norm(&want_w);
+                assert_eq!(bits(&h), bits(&want_h), "n={n} k={k}");
+                assert_eq!(bits(&w), bits(&want_w), "n={n} k={k}");
+                assert_eq!(norm.to_bits(), want_norm.to_bits(), "n={n} k={k}");
+            }
+        }
     }
 
     #[test]

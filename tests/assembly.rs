@@ -238,7 +238,9 @@ const GOLDEN: [(&str, usize, u64, u64); 4] = [
 ];
 /// `u` after two steps.  The multigrid transfer operators run on the host's
 /// widest tier and tiers round differently, so the hash is of one tier.
-const GOLDEN_U: (Isa, u64) = (Isa::Avx512, 0x8c3982da68395e06);
+/// Re-pinned once when the vector reductions took their fixed lane order
+/// (the Newton and GMRES counts asserted below held).
+const GOLDEN_U: (Isa, u64) = (Isa::Avx512, 0x2f6740b8f0961830);
 
 #[test]
 fn parent_commit_goldens_hold() {

@@ -11,7 +11,7 @@ use sellkit::core::{
     VecViewMut,
 };
 use sellkit::mpisim::run;
-use sellkit::solvers::ksp::{bicgstab, cg, gmres, KspConfig, StopReason};
+use sellkit::solvers::ksp::{bicgstab, cg, fgmres, gmres, KspConfig, KspResult, StopReason};
 use sellkit::solvers::operator::{MatOperator, SeqDot};
 use sellkit::solvers::pc::mg::{Multigrid, MultigridConfig};
 use sellkit::solvers::pc::{IdentityPc, Ilu0, Precond};
@@ -267,6 +267,86 @@ fn gmres_on_singular_system_hits_iteration_limit_not_panic() {
     );
     assert!(!res.converged());
     assert!(x.iter().all(|v| v.is_finite()), "iterates must stay finite");
+}
+
+/// The identity preconditioner, except that its `poison`-th apply
+/// (counting from 1) writes a NaN; `at(0)` never does.
+struct NanOnApply {
+    poison: usize,
+    calls: std::cell::Cell<usize>,
+}
+
+impl NanOnApply {
+    fn at(poison: usize) -> Self {
+        Self {
+            poison,
+            calls: std::cell::Cell::new(0),
+        }
+    }
+}
+
+impl Precond for NanOnApply {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.calls.set(self.calls.get() + 1);
+        z.copy_from_slice(r);
+        if self.calls.get() == self.poison {
+            z[z.len() / 2] = f64::NAN;
+        }
+    }
+}
+
+#[test]
+fn gmres_stops_on_a_nan_with_the_last_finite_iterate() {
+    let n = 64;
+    let mut bld = CooBuilder::new(n, n);
+    for i in 0..n {
+        bld.push(i, i, 3.0);
+        if i > 0 {
+            bld.push(i, i - 1, -1.5);
+        }
+        if i + 1 < n {
+            bld.push(i, i + 1, -1.0);
+        }
+    }
+    let a = bld.to_csr();
+    let b: Vec<f64> = (0..n).map(|i| ((i % 5) as f64) - 2.0).collect();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for flexible in [false, true] {
+        let solve = |pc: &NanOnApply, b: &[f64], max_it| -> (KspResult, Vec<f64>) {
+            let cfg = KspConfig {
+                rtol: 1e-12,
+                max_it,
+                ..Default::default()
+            };
+            let mut x = vec![0.0; n];
+            let res = if flexible {
+                fgmres(&MatOperator(&a), pc, &SeqDot, b, &mut x, &cfg)
+            } else {
+                gmres(&MatOperator(&a), pc, &SeqDot, b, &mut x, &cfg)
+            };
+            (res, x)
+        };
+        // Left GMRES applies the preconditioner once to the initial
+        // residual, FGMRES does not: the third apply falls in iteration 2
+        // or 3, and only the iterations before it count.
+        let (res, x) = solve(&NanOnApply::at(3), &b, 10_000);
+        assert_eq!(res.reason, StopReason::Breakdown, "flexible={flexible}");
+        assert_eq!(res.iterations, if flexible { 2 } else { 1 });
+        // The NaN column is left out of the update: `x` and the history are
+        // bitwise those of the same solve stopped by `max_it` before it.
+        let (clean, x_clean) = solve(&NanOnApply::at(0), &b, res.iterations);
+        assert_eq!(clean.reason, StopReason::MaxIterations);
+        assert_eq!(bits(&x), bits(&x_clean), "flexible={flexible}");
+        assert_eq!(bits(&res.history), bits(&clean.history));
+        assert!(x.iter().all(|v| v.is_finite()));
+
+        let mut nan_b = b.clone();
+        nan_b[7] = f64::NAN;
+        let (res, x) = solve(&NanOnApply::at(0), &nan_b, 10_000);
+        assert_eq!(res.reason, StopReason::Breakdown, "flexible={flexible}");
+        assert_eq!(res.iterations, 0);
+        assert!(x.iter().all(|&v| v == 0.0));
+    }
 }
 
 #[test]

@@ -8,9 +8,11 @@
 //! operand order in the Gram-Schmidt sweep, a norm taken a different way,
 //! the inner tolerance not reaching the linear solve — changes a line.
 //!
-//! Every operator is forced to [`Isa::Scalar`] and every vector kernel the
-//! solvers use is a plain sequential loop, so the file does not depend on
-//! the host; it holds in debug and `--release` builds alike (CI runs both).
+//! Every operator is forced to [`Isa::Scalar`], and every vector kernel the
+//! solvers use is plain Rust in one fixed order — the reductions are lane
+//! loops over fixed chunks (`solvers::vecops`), no intrinsics and no FMA —
+//! so the file does not depend on the host; it holds in debug and
+//! `--release` builds alike (CI runs both).
 //! The distributed cells reduce in rank order, so each rank count has its
 //! own line and every rank of a solve must agree with rank 0 to the bit.
 //!
