@@ -22,6 +22,12 @@
 //! Both blocks are generic over the local format, so the *same* code path
 //! runs CSR and SELL — the paper's point that the parallel layer reuses the
 //! sequential kernels unchanged.
+//!
+//! One layer up, [`dist_newton`] is the serial Newton loop over
+//! distributed vectors, solving the serial `NonlinearProblem` over this
+//! rank's rows.  [`VecScatter::build`] and the [`DistMat`] constructors are
+//! told their tag; a driver that builds them, as [`dist_newton`] does each
+//! iteration, draws it from [`Comm::new_tag`](sellkit_mpisim::Comm::new_tag).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +48,7 @@ pub mod solve;
 
 pub use dmat::DistMat;
 pub use dvec::DistVec;
-pub use nonlinear::{dist_newton, DistNonlinearProblem};
+pub use nonlinear::dist_newton;
 pub use partition::{split_rows, RowRange};
 pub use scatter::VecScatter;
 pub use solve::{DistDot, DistOp};

@@ -36,10 +36,13 @@ impl VecScatter {
     /// Builds the plan for gathering the (sorted, deduplicated) global
     /// indices `garray` into a ghost buffer, given each rank's owned range.
     ///
-    /// Collective: every rank must call this with its own `garray`.
+    /// Collective: every rank must call this with its own `garray`.  `tag`
+    /// is the plan's own: no other plan in flight on `comm` may use it, so
+    /// a caller that owns the plan draws it from [`Comm::new_tag`].  Panics
+    /// if `garray` is not strictly ascending.
     pub fn build(comm: &Comm, ranges: &[RowRange], garray: &[u32], tag: u64) -> Self {
         assert_eq!(ranges.len(), comm.size());
-        debug_assert!(
+        assert!(
             garray.windows(2).all(|w| w[0] < w[1]),
             "garray must be sorted unique"
         );
@@ -188,7 +191,8 @@ impl VecScatter {
 }
 
 /// Tag transformation separating reverse traffic from forward traffic of
-/// the same plan.
+/// the same plan: bit 62, which neither user tags nor [`Comm::new_tag`]'s
+/// use.
 const REVERSE_TAG_FLIP: u64 = 1 << 62;
 
 #[cfg(test)]
@@ -237,6 +241,44 @@ mod tests {
             let h = plan.begin(comm, &x, &mut ghost);
             plan.end(comm, h, &mut ghost);
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "garray must be sorted unique")]
+    fn an_unsorted_garray_is_refused() {
+        // Built, rank 0's plan would fill ghost[0] with x[1], not x[5].
+        run(2, |comm| {
+            let ranges = split_rows(8, comm.size());
+            let garray: &[u32] = if comm.rank() == 0 { &[5, 1] } else { &[] };
+            let _ = VecScatter::build(comm, &ranges, garray, 3);
+        });
+    }
+
+    #[test]
+    fn two_plans_in_flight_keep_their_own_payloads() {
+        let out = run(2, |comm| {
+            let ranges = split_rows(8, comm.size());
+            let me = ranges[comm.rank()];
+            let other = ranges[1 - comm.rank()];
+            // Plan a fetches the other rank's first two entries, plan b its
+            // last two, each from a vector of its own.
+            let ga = [other.start as u32, other.start as u32 + 1];
+            let gb = [other.end as u32 - 2, other.end as u32 - 1];
+            let a = VecScatter::build(comm, &ranges, &ga, comm.new_tag());
+            let b = VecScatter::build(comm, &ranges, &gb, comm.new_tag());
+            let xa: Vec<f64> = (me.start..me.end).map(|g| g as f64).collect();
+            let xb: Vec<f64> = (me.start..me.end).map(|g| -(g as f64)).collect();
+            let (mut ghost_a, mut ghost_b) = ([0.0; 2], [0.0; 2]);
+            let ha = a.begin(comm, &xa, &mut ghost_a);
+            let hb = b.begin(comm, &xb, &mut ghost_b);
+            b.end(comm, hb, &mut ghost_b);
+            a.end(comm, ha, &mut ghost_a);
+            (ga, ghost_a, gb, ghost_b)
+        });
+        for (ga, ghost_a, gb, ghost_b) in out {
+            assert_eq!(ghost_a, ga.map(|g| g as f64), "plan a's ghosts");
+            assert_eq!(ghost_b, gb.map(|g| -(g as f64)), "plan b's ghosts");
+        }
     }
 
     #[test]

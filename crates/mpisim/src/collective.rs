@@ -8,7 +8,7 @@
 use crate::comm::Comm;
 
 /// Reserved tag space for collectives, far above user tags.
-const COLL_TAG: u64 = u64::MAX - 0xFF;
+pub(crate) const COLL_TAG: u64 = u64::MAX - 0xFF;
 
 impl Comm {
     /// Blocks until every rank has entered the barrier.

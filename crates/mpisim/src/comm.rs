@@ -1,7 +1,7 @@
 //! The communicator: point-to-point messaging between rank threads.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::OnceLock;
@@ -37,7 +37,13 @@ pub struct Comm {
     pending: RefCell<HashMap<(usize, u64), VecDeque<Box<dyn Any + Send>>>>,
     /// Ranks whose [`RankPanicked`] notice has arrived.
     dead: RefCell<HashSet<usize>>,
+    /// Tags [`Comm::new_tag`] has handed out so far.
+    drawn_tags: Cell<u64>,
 }
+
+/// [`Comm::new_tag`]'s range: `NEW_TAG_BASE + k` for `k < NEW_TAG_COUNT`.
+const NEW_TAG_BASE: u64 = 1 << 63;
+const NEW_TAG_COUNT: u64 = (1 << 62) - 0x100;
 
 impl Comm {
     /// This rank's index in `0..size`.
@@ -50,6 +56,22 @@ impl Comm {
     #[inline]
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// A message tag no earlier call on this communicator returned, for an
+    /// object that sends messages (PETSc's `PetscCommGetNewTag`).  A
+    /// per-rank counter that sends nothing: every rank draws its tags in
+    /// the same collective order, so its `k`-th tag is every rank's.
+    ///
+    /// The `k`-th tag is `2⁶³ + k`, `k < 2⁶² − 256`.  Flipped at bit 62 (a
+    /// scatter plan's reverse traffic) or not, it avoids user tags (below
+    /// `2⁶²`), their flipped images (`[2⁶², 2⁶³)`) and the collectives'
+    /// block `u64::MAX − 0xFF..`.  Panics once the range is spent.
+    pub fn new_tag(&self) -> u64 {
+        let k = self.drawn_tags.get();
+        assert!(k < NEW_TAG_COUNT, "rank {}: no tag left to draw", self.rank);
+        self.drawn_tags.set(k + 1);
+        NEW_TAG_BASE + k
     }
 
     /// Nonblocking buffered send of `data` to rank `dst` with tag `tag`.
@@ -192,6 +214,7 @@ where
                     inbox,
                     pending: RefCell::new(HashMap::new()),
                     dead: RefCell::new(HashSet::new()),
+                    drawn_tags: Cell::new(0),
                 };
                 panic::catch_unwind(AssertUnwindSafe(|| f(&comm))).inspect_err(|_| {
                     let _ = first_panic.set(rank);
@@ -364,6 +387,28 @@ mod tests {
             seen,
             "rank 0: receive from (src, tag) = (1, 4) cannot complete: rank 1 panicked"
         );
+    }
+
+    #[test]
+    fn new_tags_agree_across_ranks_and_stay_clear_of_every_other_range() {
+        /// What a scatter plan flips for its reverse traffic.
+        const REVERSE_TAG_FLIP: u64 = 1 << 62;
+        let out = run(3, |comm| (0..4).map(|_| comm.new_tag()).collect::<Vec<_>>());
+        assert!(out.iter().all(|tags| *tags == out[0]), "{out:?}");
+        assert!(out[0].windows(2).all(|w| w[1] == w[0] + 1), "{out:?}");
+        let last = NEW_TAG_BASE + NEW_TAG_COUNT - 1;
+        for tag in [out[0][0], out[0][3], last] {
+            for t in [tag, tag ^ REVERSE_TAG_FLIP] {
+                assert!(
+                    t >= REVERSE_TAG_FLIP << 1,
+                    "{t:#x} meets the user tags or their images"
+                );
+                assert!(
+                    t < crate::collective::COLL_TAG,
+                    "{t:#x} meets the collectives' block"
+                );
+            }
+        }
     }
 
     #[test]

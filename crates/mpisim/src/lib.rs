@@ -12,7 +12,8 @@
 //! 3. **Collectives** (barrier, allreduce, allgather, broadcast) used by
 //!    dot products and norms in Krylov solvers;
 //! 4. **Tag/source matching** so scatter traffic cannot be confused across
-//!    communication phases.
+//!    communication phases, each object drawing a tag of its own from
+//!    [`Comm::new_tag`].
 //!
 //! Ranks are OS threads inside one process; messages are moved (not
 //! copied) through unbounded channels, so a "network" transfer is a

@@ -24,16 +24,17 @@ use sellkit_dist::partition::split_rows;
 pub struct ShardedOp {
     a: Csr,
     ranks: usize,
-    tag: u64,
 }
 
 impl ShardedOp {
-    /// Wraps `a` for execution over `ranks` simulated ranks.  `tag`
-    /// namespaces the scatter messages (any value; each apply runs in a
-    /// fresh communicator).
-    pub fn new(a: Csr, ranks: usize, tag: u64) -> Self {
+    /// Wraps `a` for execution over `ranks` simulated ranks.  Each apply
+    /// runs in a fresh communicator, whose first [`Comm::new_tag`] the
+    /// scatter takes.
+    ///
+    /// [`Comm::new_tag`]: sellkit_mpisim::Comm::new_tag
+    pub fn new(a: Csr, ranks: usize) -> Self {
         assert!(ranks >= 1, "need at least one rank");
-        ShardedOp { a, ranks, tag }
+        ShardedOp { a, ranks }
     }
 
     /// Number of ranks each product is sharded across.
@@ -87,7 +88,7 @@ impl Operator for ShardedOp {
         // distribution setup is amortized exactly like the matrix bytes.
         let outs: Vec<Vec<Vec<f64>>> = sellkit_mpisim::run(self.ranks, |comm| {
             sellkit_obs::set_thread_label(&format!("mpisim-rank-{}", comm.rank()));
-            let dm = DistMat::<Csr>::from_global_csr(comm, &self.a, self.tag);
+            let dm = DistMat::<Csr>::from_global_csr(comm, &self.a, comm.new_tag());
             let mine_rows = row_parts[comm.rank()];
             let mine_cols = col_parts[comm.rank()];
             let mut locals = Vec::with_capacity(k);
@@ -138,7 +139,7 @@ mod tests {
     fn sharded_matches_local_apply() {
         let n = 37; // deliberately not divisible by the rank count
         let a = tridiag(n);
-        let sharded = ShardedOp::new(tridiag(n), 3, 0x5e11);
+        let sharded = ShardedOp::new(tridiag(n), 3);
         let ctx = ExecCtx::serial();
         for k in [1usize, 2, 5] {
             let mut x = MultiVec::zeros(n, k);
@@ -165,7 +166,7 @@ mod tests {
 
     #[test]
     fn validate_delegates_to_inner_matrix() {
-        let op = ShardedOp::new(tridiag(8), 2, 1);
+        let op = ShardedOp::new(tridiag(8), 2);
         assert!(op.validate().is_ok());
         assert_eq!(op.nrows(), 8);
         assert_eq!(op.ranks(), 2);

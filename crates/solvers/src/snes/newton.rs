@@ -149,8 +149,8 @@ impl NewtonResult {
 /// What a Newton loop carries from one linearisation to the next: the
 /// Jacobian in the solve's format `M` and the preconditioner (PETSc's `KSP`
 /// with its operators set).  Whoever owns it decides how long set-up work
-/// lives — [`newton_ctx`] keeps one for a solve, the θ-stepper's `run` for
-/// a whole trajectory.
+/// lives — [`newton`] keeps one for a solve, the θ-stepper's `run` for a
+/// whole trajectory.
 pub(crate) struct LinearSolve<M, Pc> {
     op: Option<M>,
     pc: Option<Pc>,
@@ -179,8 +179,16 @@ impl<M: FromCsr, Pc: Precond> LinearSolve<M, Pc> {
 }
 
 /// Solves `F(x) = 0` by Newton-GMRES with the Jacobian applied in format
-/// `M`; `pc_factory` builds the preconditioner from the first assembled
-/// Jacobian (see `newton_ctx` for when it is called again).
+/// `M`.
+///
+/// The operator and the preconditioner live for the whole solve.  Each
+/// iteration the preconditioner is asked to [`Precond::refresh`] itself for
+/// the new Jacobian and the operator to take its values
+/// ([`FromCsr::set_from_csr`]); **`pc_factory` is called when there is
+/// nothing to refresh** — on the first iteration, when the Jacobian's
+/// pattern changed, or when the preconditioner has no value-only set-up.
+/// A refreshed preconditioner equals a rebuilt one bit for bit, so the
+/// iterates do not depend on which path was taken.
 pub fn newton<M, Prob, Pc>(
     problem: &Prob,
     x: &mut [f64],
@@ -192,46 +200,21 @@ where
     Prob: NonlinearProblem,
     Pc: Precond,
 {
-    newton_ctx::<M, _, _>(problem, x, cfg, &ExecCtx::serial(), pc_factory)
-}
-
-/// [`newton`] with every Jacobian application and preconditioner apply
-/// dispatched on `ctx`'s worker pool.  The SpMV determinism contract
-/// makes the iterates bitwise identical to the serial [`newton`] for any
-/// thread count.
-///
-/// The operator and the preconditioner live for the whole solve.  Each
-/// iteration the preconditioner is asked to [`Precond::refresh`] itself for
-/// the new Jacobian and the operator to take its values
-/// ([`FromCsr::set_from_csr`]); **`pc_factory` is called when there is
-/// nothing to refresh** — on the first iteration, when the Jacobian's
-/// pattern changed, or when the preconditioner has no value-only set-up.
-/// A refreshed preconditioner equals a rebuilt one bit for bit, so the
-/// iterates do not depend on which path was taken.
-pub(crate) fn newton_ctx<M, Prob, Pc>(
-    problem: &Prob,
-    x: &mut [f64],
-    cfg: &NewtonConfig,
-    ctx: &ExecCtx,
-    pc_factory: impl Fn(&Csr) -> Pc,
-) -> NewtonResult
-where
-    M: CoreOperator + FromCsr,
-    Prob: NonlinearProblem,
-    Pc: Precond,
-{
     newton_kept::<M, _, _>(
         problem,
         x,
         cfg,
-        ctx,
+        &ExecCtx::serial(),
         &mut LinearSolve::default(),
         &pc_factory,
     )
 }
 
-/// [`newton_ctx`] with the linear-solve context owned by the caller, who
-/// may hand the same one to the next solve.
+/// [`newton`] with every Jacobian application and preconditioner apply
+/// dispatched on `ctx`'s worker pool (the SpMV determinism contract makes
+/// the iterates bitwise the serial ones at any thread count), and the
+/// linear-solve context owned by the caller, who may hand the same one to
+/// the next solve.
 pub(crate) fn newton_kept<M, Prob, Pc>(
     problem: &Prob,
     x: &mut [f64],

@@ -14,11 +14,10 @@
 use std::ops::Range;
 
 use sellkit_core::{Csr, FromCsr, Operator};
-use sellkit_dist::nonlinear::{dist_newton, DistNonlinearProblem};
-use sellkit_dist::{split_rows, VecScatter};
+use sellkit_dist::{dist_newton, split_rows, VecScatter};
 use sellkit_mpisim::Comm;
 use sellkit_solvers::pc::Precond;
-use sellkit_solvers::snes::newton::{NewtonConfig, NewtonResult, NonlinearProblem};
+use sellkit_solvers::snes::newton::{NewtonConfig, NewtonResult};
 use sellkit_solvers::ts::{theta_step_over, ThetaConfig};
 
 use crate::gray_scott::{GrayScott, GrayScottParams};
@@ -34,9 +33,9 @@ pub struct DistGrayScott {
 }
 
 impl DistGrayScott {
-    /// Builds the distributed problem on an `n × n` grid.  Collective;
-    /// `tag` reserves the halo scatter's message tag.
-    pub fn new(comm: &Comm, n: usize, params: GrayScottParams, tag: u64) -> Self {
+    /// Builds the distributed problem on an `n × n` grid.  Collective: the
+    /// halo scatter draws its tag from [`Comm::new_tag`].
+    pub fn new(comm: &Comm, n: usize, params: GrayScottParams) -> Self {
         let gs = GrayScott::new(n, params);
         let dim = gs.grid().n_unknowns();
         let ranges = split_rows(dim, comm.size());
@@ -56,7 +55,7 @@ impl DistGrayScott {
             .filter(|g| !rows.contains(g))
             .map(|g| g as u32)
             .collect();
-        let halo = VecScatter::build(comm, &ranges, &garray, tag);
+        let halo = VecScatter::build(comm, &ranges, &garray, comm.new_tag());
         Self {
             gs,
             rows,
@@ -106,7 +105,7 @@ impl DistGrayScott {
     }
 
     /// Assembles the owned Jacobian rows (global columns).  Collective.
-    pub fn local_jacobian(&self, comm: &Comm, w_local: &[f64]) -> Csr {
+    pub(crate) fn local_jacobian(&self, comm: &Comm, w_local: &[f64]) -> Csr {
         let ghost = self.exchange(comm, w_local);
         self.gs
             .jacobian_rows(|g| self.at(g, w_local, &ghost), self.rows())
@@ -120,31 +119,11 @@ impl DistGrayScott {
     }
 }
 
-/// A θ-stage over this rank's rows, as [`dist_newton`] takes it.
-struct OwnedStage<'a, S> {
-    problem: &'a DistGrayScott,
-    stage: &'a S,
-}
-
-impl<S: NonlinearProblem> DistNonlinearProblem for OwnedStage<'_, S> {
-    fn global_dim(&self) -> usize {
-        self.problem.gs.grid().n_unknowns()
-    }
-    fn local_rows(&self, _comm: &Comm) -> Range<usize> {
-        self.problem.rows()
-    }
-    fn residual(&self, _comm: &Comm, x_local: &[f64], f_local: &mut [f64]) {
-        self.stage.residual(x_local, f_local);
-    }
-    fn local_jacobian(&self, _comm: &Comm, x_local: &[f64]) -> Csr {
-        self.stage.jacobian(x_local)
-    }
-}
-
 /// Advances one distributed θ-step from time `t` in place: the serial
-/// [`theta_step_over`] over this rank's rows, solved by [`dist_newton`],
-/// whose linear solves run their SpMVs in format `M` through the
-/// overlapped parallel MatMult.
+/// [`theta_step_over`] over this rank's rows, whose stage — a
+/// `NonlinearProblem` over those rows — goes straight to [`dist_newton`].
+/// Its linear solves run their SpMVs in format `M` through the overlapped
+/// parallel MatMult.  Collective.
 pub fn dist_theta_step<M, Pc>(
     comm: &Comm,
     problem: &DistGrayScott,
@@ -153,7 +132,6 @@ pub fn dist_theta_step<M, Pc>(
     dt: f64,
     theta: f64,
     cfg: &NewtonConfig,
-    tag_base: u64,
     pc_factory: impl Fn(&Csr) -> Pc,
 ) -> NewtonResult
 where
@@ -172,10 +150,7 @@ where
         u_local,
         |_, w, f| problem.rhs_local(comm, w, f),
         |_, w| problem.local_jacobian(comm, w),
-        |stage, u| {
-            let owned = OwnedStage { problem, stage };
-            dist_newton::<M, _, _>(comm, &owned, u, &step.newton, tag_base, pc_factory)
-        },
+        |stage, u| dist_newton::<M, _, _>(comm, stage, u, &step.newton, pc_factory),
     )
 }
 
@@ -194,7 +169,7 @@ mod tests {
         // `· (1/h²)`, grid 12 does.
         for n in [10, 12, 24] {
             let out = run(4, move |comm| {
-                let p = DistGrayScott::new(comm, n, GrayScottParams::default(), 50);
+                let p = DistGrayScott::new(comm, n, GrayScottParams::default());
                 let w_local = p.initial_condition_local(3);
                 let mut f_local = vec![0.0; w_local.len()];
                 p.rhs_local(comm, &w_local, &mut f_local);
@@ -222,7 +197,7 @@ mod tests {
     fn distributed_jacobian_matches_sequential() {
         let n = 8;
         let out = run(3, move |comm| {
-            let p = DistGrayScott::new(comm, n, GrayScottParams::default(), 60);
+            let p = DistGrayScott::new(comm, n, GrayScottParams::default());
             let w_local = p.initial_condition_local(7);
             (p.rows(), p.local_jacobian(comm, &w_local))
         });
@@ -245,7 +220,7 @@ mod tests {
         // its own block size).
         let n = 16;
         let out = run(4, move |comm| {
-            let p = DistGrayScott::new(comm, n, GrayScottParams::default(), 70);
+            let p = DistGrayScott::new(comm, n, GrayScottParams::default());
             (p.rows().len(), p.halo_len())
         });
         for (own, halo) in out {
@@ -277,7 +252,7 @@ mod tests {
         assert!(seq_res.converged());
 
         let out = run(3, move |comm| {
-            let p = DistGrayScott::new(comm, n, GrayScottParams::default(), 80);
+            let p = DistGrayScott::new(comm, n, GrayScottParams::default());
             let mut u_local = p.initial_condition_local(11);
             let res = dist_theta_step::<Sell8, _>(
                 comm,
@@ -294,7 +269,6 @@ mod tests {
                     },
                     ..Default::default()
                 },
-                500,
                 JacobiPc::from_csr,
             );
             assert!(res.converged(), "{:?}", res.reason);

@@ -28,7 +28,7 @@ fn main() {
     let out = mpisim::run(ranks, move |comm| {
         // Every rank extracts its row block; the off-diagonal block is
         // compressed and a scatter plan is negotiated collectively.
-        let dm = DistMat::<Sell8>::from_global_csr(comm, &a, 1);
+        let dm = DistMat::<Sell8>::from_global_csr(comm, &a, comm.new_tag());
         if comm.rank() == 0 {
             println!(
                 "rank 0: {} local rows, {} ghost columns, sends {} values per MatMult",
@@ -62,7 +62,7 @@ fn main() {
             }
             b.to_csr()
         };
-        let dm2 = DistMat::<Sell8>::from_global_csr(comm, &shifted, 2);
+        let dm2 = DistMat::<Sell8>::from_global_csr(comm, &shifted, comm.new_tag());
         let me = dm2.row_range();
         let rhs = vec![1.0; me.len()];
         let mut sol = vec![0.0; me.len()];

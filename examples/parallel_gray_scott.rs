@@ -19,7 +19,7 @@ use sellkit::workloads::GrayScottParams;
 
 fn run_parallel<M: Operator + FromCsr>(ranks: usize, grid: usize, steps: usize) -> (f64, Vec<f64>) {
     let out = mpisim::run(ranks, move |comm| {
-        let p = DistGrayScott::new(comm, grid, GrayScottParams::default(), 1000);
+        let p = DistGrayScott::new(comm, grid, GrayScottParams::default());
         let mut u = p.initial_condition_local(42);
         let cfg = NewtonConfig {
             rtol: 1e-8,
@@ -41,7 +41,6 @@ fn run_parallel<M: Operator + FromCsr>(ranks: usize, grid: usize, steps: usize) 
                 1.0,
                 0.5,
                 &cfg,
-                2000 + 100 * s as u64,
                 JacobiPc::from_csr,
             );
             assert!(res.converged(), "step {s}: {:?}", res.reason);

@@ -1,18 +1,19 @@
-//! A periodic reaction–diffusion ring as a nonlinear problem, serial and
-//! distributed: the fixture of the root-level tests that compare the two
-//! Newton paths (`#[path = "common/ring.rs"] mod ring;`).
+//! A periodic reaction–diffusion ring as a nonlinear problem, whole and
+//! over one rank's rows: the fixture of the root-level tests that compare
+//! the serial and the distributed Newton (`#[path = "common/ring.rs"] mod
+//! ring;`).
 
 use std::ops::Range;
 
 use sellkit::core::{CooBuilder, Csr};
-use sellkit::dist::{split_rows, DistNonlinearProblem};
+use sellkit::dist::split_rows;
 use sellkit::mpisim::Comm;
 use sellkit::solvers::snes::newton::NonlinearProblem;
 
-/// Periodic reaction–diffusion ring, `Fᵢ = 2xᵢ − xᵢ₋₁ − xᵢ₊₁ + xᵢ³ − gᵢ`:
-/// serial through [`NonlinearProblem`], distributed (every rank gathers the
-/// whole state — a test-scale halo) through [`DistNonlinearProblem`].  `g`
-/// is a rational pattern, so no bit of a solve depends on the host's libm.
+/// Periodic reaction–diffusion ring, `Fᵢ = 2xᵢ − xᵢ₋₁ − xᵢ₊₁ + xᵢ³ − gᵢ`,
+/// a [`NonlinearProblem`] whole and, through [`Ring::on`], over one rank's
+/// rows.  `g` is a rational pattern, so no bit of a solve depends on the
+/// host's libm.
 pub struct Ring {
     g: Vec<f64>,
 }
@@ -22,6 +23,10 @@ impl Ring {
         Self {
             g: (0..n).map(|i| 0.8 + ((i * 7) % 11) as f64 * 0.05).collect(),
         }
+    }
+    /// This rank's rows of the ring, as `dist_newton` solves them.
+    pub fn on<'a>(&'a self, comm: &'a Comm) -> RingRows<'a> {
+        RingRows { ring: self, comm }
     }
     pub fn rows_of(&self, comm: &Comm) -> Range<usize> {
         let r = split_rows(self.g.len(), comm.size())[comm.rank()];
@@ -58,19 +63,24 @@ impl NonlinearProblem for Ring {
     }
 }
 
-impl DistNonlinearProblem for Ring {
-    fn global_dim(&self) -> usize {
-        self.g.len()
+/// A [`Ring`]'s rows on one rank: every rank gathers the whole state (a
+/// test-scale halo) and evaluates its own rows.
+pub struct RingRows<'a> {
+    ring: &'a Ring,
+    comm: &'a Comm,
+}
+
+impl NonlinearProblem for RingRows<'_> {
+    fn dim(&self) -> usize {
+        self.ring.rows_of(self.comm).len()
     }
-    fn local_rows(&self, comm: &Comm) -> Range<usize> {
-        self.rows_of(comm)
+    fn residual(&self, x_local: &[f64], f_local: &mut [f64]) {
+        let x = self.comm.allgather(x_local.to_vec()).concat();
+        self.ring
+            .residual_rows(&x, self.ring.rows_of(self.comm), f_local);
     }
-    fn residual(&self, comm: &Comm, x_local: &[f64], f_local: &mut [f64]) {
-        let x = comm.allgather(x_local.to_vec()).concat();
-        self.residual_rows(&x, self.rows_of(comm), f_local);
-    }
-    fn local_jacobian(&self, comm: &Comm, x_local: &[f64]) -> Csr {
-        let x = comm.allgather(x_local.to_vec()).concat();
-        self.jacobian_rows(&x, self.rows_of(comm))
+    fn jacobian(&self, x_local: &[f64]) -> Csr {
+        let x = self.comm.allgather(x_local.to_vec()).concat();
+        self.ring.jacobian_rows(&x, self.ring.rows_of(self.comm))
     }
 }

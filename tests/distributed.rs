@@ -302,10 +302,9 @@ fn eisenstat_walker_forcing_reaches_the_distributed_linear_solves() {
             let mut x = vec![0.4; p.rows_of(comm).len()];
             let res = dist_newton::<Sell8, _, _>(
                 comm,
-                &p,
+                &p.on(comm),
                 &mut x,
                 &cfg(Forcing::eisenstat_walker()),
-                100,
                 JacobiPc::from_csr,
             );
             assert!(res.converged(), "{:?}", res.reason);
@@ -318,4 +317,31 @@ fn eisenstat_walker_forcing_reaches_the_distributed_linear_solves() {
             );
         }
     }
+}
+
+/// On one rank the distributed Newton solves the serial problem as it is:
+/// handed the serial `Ring` itself, with no per-rank view around it, it
+/// takes the serial `newton`'s Newton and GMRES counts.
+#[test]
+fn dist_newton_on_one_rank_takes_the_serial_problem_as_it_is() {
+    let n = 48;
+    let cfg = NewtonConfig {
+        rtol: 1e-10,
+        forcing: Forcing::eisenstat_walker(),
+        ..Default::default()
+    };
+    let mut x = vec![0.4; n];
+    let serial = newton::<Sell8, _, _>(&Ring::new(n), &mut x, &cfg, JacobiPc::from_csr);
+    assert!(serial.converged(), "{:?}", serial.reason);
+    let out = run(1, move |comm| {
+        let mut x = vec![0.4; n];
+        let res = dist_newton::<Sell8, _, _>(comm, &Ring::new(n), &mut x, &cfg, JacobiPc::from_csr);
+        assert!(res.converged(), "{:?}", res.reason);
+        (res.iterations, res.linear_iterations)
+    });
+    assert_eq!(
+        out[0],
+        (serial.iterations, serial.linear_iterations),
+        "(Newton, GMRES) counts"
+    );
 }

@@ -352,7 +352,8 @@ fn krylov_and_distributed_newton_solves_are_attributed() {
     sellkit::mpisim::run(2, move |comm| {
         let p = ring::Ring::new(ring_n);
         let mut x = vec![0.4; p.rows_of(comm).len()];
-        let res = dist_newton::<Csr, _, _>(comm, &p, &mut x, &newton_cfg, 100, JacobiPc::from_csr);
+        let res =
+            dist_newton::<Csr, _, _>(comm, &p.on(comm), &mut x, &newton_cfg, JacobiPc::from_csr);
         assert!(res.converged());
     });
     let c2 = counts();
@@ -421,20 +422,11 @@ fn distributed_theta_step_is_staged_like_the_serial_one() {
 
     sellkit::obs::set_enabled(true);
     sellkit::mpisim::run(2, |comm| {
-        let p = DistGrayScott::new(comm, 16, GrayScottParams::default(), 100);
+        let p = DistGrayScott::new(comm, 16, GrayScottParams::default());
         let mut u = p.initial_condition_local(42);
         let cfg = NewtonConfig::default();
-        let res = dist_theta_step::<Csr, _>(
-            comm,
-            &p,
-            &mut u,
-            0.0,
-            1.0,
-            0.5,
-            &cfg,
-            200,
-            JacobiPc::from_csr,
-        );
+        let res =
+            dist_theta_step::<Csr, _>(comm, &p, &mut u, 0.0, 1.0, 0.5, &cfg, JacobiPc::from_csr);
         assert!(res.converged(), "{:?}", res.reason);
     });
     sellkit::obs::set_enabled(false);

@@ -137,7 +137,7 @@ fn serve_coalesces_amortizes_traffic_and_exports_json() {
         let server = Server::start(ServeConfig::default());
         server.register(1, laplacian_2d(grid)).unwrap();
         server
-            .register(2, ShardedOp::new(laplacian_2d(grid), 3, 0x7a9))
+            .register(2, ShardedOp::new(laplacian_2d(grid), 3))
             .unwrap();
         let x = rhs(ncols, 41);
         let y_local = server.submit(1, &x).unwrap().wait().unwrap();

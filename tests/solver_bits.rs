@@ -310,8 +310,13 @@ fn dist_newton_cells(out: &mut BTreeMap<String, String>) {
             let lines = run(ranks, move |comm| {
                 let p = Ring::new(RING_N);
                 let mut x = vec![x0; p.rows_of(comm).len()];
-                let res =
-                    dist_newton::<ScalarCsr, _, _>(comm, &p, &mut x, &cfg, 100, JacobiPc::from_csr);
+                let res = dist_newton::<ScalarCsr, _, _>(
+                    comm,
+                    &p.on(comm),
+                    &mut x,
+                    &cfg,
+                    JacobiPc::from_csr,
+                );
                 assert!(res.converged(), "{:?}", res.reason);
                 newton_line(&comm.allgather(x).concat(), &res)
             });
