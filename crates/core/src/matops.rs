@@ -63,17 +63,20 @@ pub fn identity_plus_scaled(gamma: f64, alpha: f64, a: &Csr) -> Csr {
 }
 
 /// [`identity_plus_scaled`] of a matrix the caller is done with: the square
-/// form of [`identity_plus_scaled_rows`], at row 0.
-pub fn identity_plus_scaled_owned(gamma: f64, alpha: f64, a: Csr) -> Csr {
+/// form of [`identity_plus_scaled_rows_in_place`], at row 0.
+pub fn identity_plus_scaled_owned(gamma: f64, alpha: f64, mut a: Csr) -> Csr {
     assert_eq!(a.nrows(), a.ncols(), "needs a square matrix");
-    identity_plus_scaled_rows(gamma, alpha, a, 0)
+    identity_plus_scaled_rows_in_place(gamma, alpha, &mut a, 0);
+    a
 }
 
-/// The row block `a` (global columns, one rank's rows) of `gamma·I + alpha·A`:
-/// row `i`'s diagonal is column `first_row + i`.  If every row stores its
-/// diagonal, as a Jacobian's does, the values are rewritten in place;
-/// otherwise the pattern grows through a [`RowAssembler`].
-pub fn identity_plus_scaled_rows(gamma: f64, alpha: f64, mut a: Csr, first_row: usize) -> Csr {
+/// Makes the row block `a` (global columns) `gamma·I + alpha·A`, row `i`'s
+/// diagonal at column `first_row + i`: the Newton matrix `I − Δt·θ·J` of a
+/// Jacobian the caller refills in place.  If every row stores its diagonal,
+/// as a Jacobian's does, the values are rewritten where they are and nothing
+/// is allocated; otherwise the pattern grows through a [`RowAssembler`] and
+/// replaces `a`.  Either way `a` ends with the same bits.
+pub fn identity_plus_scaled_rows_in_place(gamma: f64, alpha: f64, a: &mut Csr, first_row: usize) {
     assert!(first_row + a.nrows() <= a.ncols(), "diagonal out of bounds");
     let (rowptr, colidx, vals) = a.pattern_and_values_mut();
     let diagonal_of = |i: usize| {
@@ -93,16 +96,16 @@ pub fn identity_plus_scaled_rows(gamma: f64, alpha: f64, mut a: Csr, first_row: 
             out.push(first_row + i, gamma);
             out.end_row();
         }
-        return out.finish();
-    }
-    for v in vals.iter_mut() {
-        *v *= alpha;
+        *a = out.finish();
+        return;
     }
     for i in 0..rowptr.len() - 1 {
+        for v in &mut vals[rowptr[i]..rowptr[i + 1]] {
+            *v *= alpha;
+        }
         // IEEE addition commutes: the bits of `gamma + alpha·v`.
         vals[diagonal_of(i).expect("checked above")] += gamma;
     }
-    a
 }
 
 /// `A = diag(l) · A · diag(r)` in place (PETSc `MatDiagonalScale`).
@@ -316,7 +319,8 @@ mod tests {
             let whole = identity_plus_scaled(1.0, -0.5, a);
             for (start, end) in [(0, 3), (0, 1), (1, 3), (2, 3)] {
                 let block = submatrix(a, start..end, 0..3);
-                let got = identity_plus_scaled_rows(1.0, -0.5, block, start);
+                let mut got = block;
+                identity_plus_scaled_rows_in_place(1.0, -0.5, &mut got, start);
                 let want = submatrix(&whole, start..end, 0..3);
                 assert_eq!(got.rowptr(), want.rowptr(), "rows {start}..{end}");
                 assert_eq!(got.colidx(), want.colidx(), "rows {start}..{end}");

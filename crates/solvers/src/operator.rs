@@ -98,7 +98,7 @@ impl<M: CoreOperator> Operator for MatOperator<'_, M> {
 /// achieved GB/s.  The one place the solver stack opens such a span: with
 /// logging off the traffic model is not evaluated and the call costs one
 /// relaxed atomic load.
-pub(crate) fn mult<M: CoreOperator>(
+pub(crate) fn mult<M: CoreOperator + ?Sized>(
     name: &'static str,
     a: &M,
     ctx: &ExecCtx,
@@ -123,12 +123,12 @@ pub(crate) fn mult<M: CoreOperator>(
 /// `CtxMatOperator` produces bitwise the same iterates as the serial
 /// [`MatOperator`] for any thread count.
 #[derive(Clone, Debug)]
-pub struct CtxMatOperator<'a, M> {
+pub struct CtxMatOperator<'a, M: ?Sized> {
     mat: &'a M,
     ctx: &'a sellkit_core::ExecCtx,
 }
 
-impl<'a, M: CoreOperator> CtxMatOperator<'a, M> {
+impl<'a, M: CoreOperator + ?Sized> CtxMatOperator<'a, M> {
     /// Binds a matrix to an execution context.
     pub fn new(mat: &'a M, ctx: &'a sellkit_core::ExecCtx) -> Self {
         Self { mat, ctx }
@@ -145,7 +145,7 @@ impl<'a, M: CoreOperator> CtxMatOperator<'a, M> {
     }
 }
 
-impl<M: CoreOperator> Operator for CtxMatOperator<'_, M> {
+impl<M: CoreOperator + ?Sized> Operator for CtxMatOperator<'_, M> {
     fn dim(&self) -> usize {
         self.mat.nrows()
     }

@@ -20,7 +20,7 @@ impl JacobiPc {
     /// structurally deficient rows).
     pub fn from_csr(a: &Csr) -> Self {
         let mut inv_diag = vec![0.0; a.nrows()];
-        invert_diagonal(a, &mut inv_diag);
+        invert_diagonal_at(a.values(), &diagonal_positions(a), &mut inv_diag);
         Self { inv_diag }
     }
 
@@ -40,13 +40,28 @@ impl JacobiPc {
     }
 }
 
-/// `out[i] = 1/aᵢᵢ`, one entry per row of `a`; a missing or zero diagonal
-/// entry counts as 1.
-pub(crate) fn invert_diagonal(a: &Csr, out: &mut [f64]) {
-    debug_assert_eq!(out.len(), a.nrows());
-    for (i, d) in out.iter_mut().enumerate() {
-        *d = match a.get(i, i) {
-            Some(aii) if aii != 0.0 => 1.0 / aii,
+/// Where each row of `a` stores its diagonal entry in `a`'s value array,
+/// `usize::MAX` where it stores none.  The pattern fixes these, so a
+/// set-up that keeps the pattern finds its diagonal without a search
+/// ([`invert_diagonal_at`]).
+pub(crate) fn diagonal_positions(a: &Csr) -> Vec<usize> {
+    (0..a.nrows())
+        .map(|i| {
+            // Lossless: `Csr` dimensions fit 32 bits.
+            let at = a.row_cols(i).binary_search(&(i as u32));
+            at.map_or(usize::MAX, |k| a.rowptr()[i] + k)
+        })
+        .collect()
+}
+
+/// `out[i] = 1/aᵢᵢ` of a matrix whose values are `vals` and whose diagonal
+/// positions are `at` ([`diagonal_positions`] of its pattern); a missing or
+/// zero diagonal entry counts as 1.
+pub(crate) fn invert_diagonal_at(vals: &[f64], at: &[usize], out: &mut [f64]) {
+    debug_assert_eq!(out.len(), at.len());
+    for (d, &k) in out.iter_mut().zip(at) {
+        *d = match vals.get(k) {
+            Some(&aii) if aii != 0.0 => 1.0 / aii,
             _ => 1.0,
         };
     }

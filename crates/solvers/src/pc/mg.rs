@@ -98,6 +98,10 @@ struct Transfer {
 struct Level<M> {
     /// The level operator in the experiment's matrix format.
     a: M,
+    /// Where each row of the level's CSR operator stores its diagonal: the
+    /// pattern fixes it, so the numeric half reads the diagonal without a
+    /// search.
+    diag: Vec<usize>,
     inv_diag: Vec<f64>,
     /// Estimated λmax of `D⁻¹A` (for the Chebyshev smoother).
     emax: f64,
@@ -130,6 +134,7 @@ impl<M: CoreOperator + FromCsr> Level<M> {
         });
         let mut level = Level {
             a: M::from_csr(a),
+            diag: super::jacobi::diagonal_positions(a),
             inv_diag: vec![0.0; a.nrows()],
             emax: 1.0,
             down,
@@ -141,9 +146,10 @@ impl<M: CoreOperator + FromCsr> Level<M> {
 
     /// The numeric half of this level's set-up, the operator's own values
     /// apart: everything here that depends on the values of `a`, written
-    /// into storage the level already owns.
+    /// into storage the level already owns.  `a` has the pattern the
+    /// level was built for.
     fn numeric(&mut self, a: &Csr, cfg: &MultigridConfig) {
-        super::jacobi::invert_diagonal(a, &mut self.inv_diag);
+        super::jacobi::invert_diagonal_at(a.values(), &self.diag, &mut self.inv_diag);
         if cfg.smoother == Smoother::Chebyshev {
             self.emax = estimate_emax(a, &self.inv_diag);
         }
@@ -517,6 +523,14 @@ impl<M: CoreOperator + FromCsr> Precond for Multigrid<M> {
         }
         self.factor_coarsest(a);
         true
+    }
+
+    /// Level 0's operator: the fine matrix in `M`, built by
+    /// [`FromCsr::from_csr`] and refreshed by [`FromCsr::set_from_csr`] from
+    /// the matrix this hierarchy was set up for, so a solve in `M` can apply
+    /// it instead of converting its own copy.
+    fn operator(&self) -> Option<&dyn CoreOperator> {
+        Some(&self.levels[0].a)
     }
 }
 

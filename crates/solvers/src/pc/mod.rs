@@ -42,6 +42,17 @@ pub trait Precond {
     fn refresh(&mut self, _a: &sellkit_core::Csr) -> bool {
         false
     }
+
+    /// The matrix this preconditioner was set up from, if it holds it in
+    /// full in some format.  A Newton solve applies it as its operator
+    /// instead of converting a second copy (PETSc's `KSPSetOperators(A, A)`:
+    /// Amat = Pmat), so its MatMults run in this operator's format —
+    /// `Multigrid<M>` returns its level 0, in `M`.  The default is `None`:
+    /// the solve converts the matrix itself, which is correct for every
+    /// preconditioner.
+    fn operator(&self) -> Option<&dyn sellkit_core::Operator> {
+        None
+    }
 }
 
 /// `PCSetUp` for the matrix `a`: the kept preconditioner re-does its numeric
@@ -99,10 +110,10 @@ impl Precond for IdentityPc {
     }
 }
 
-/// Boxed preconditioners compose too.  `apply_ctx` and `refresh` are
-/// forwarded explicitly so a boxed [`JacobiPc`] keeps its parallel path and
-/// a boxed [`Multigrid`] its value-only set-up instead of falling back to
-/// the trait defaults.
+/// Boxed preconditioners compose too.  `apply_ctx`, `refresh` and
+/// `operator` are forwarded explicitly so a boxed [`JacobiPc`] keeps its
+/// parallel path and a boxed [`Multigrid`] its value-only set-up and its
+/// shared fine operator instead of falling back to the trait defaults.
 impl Precond for Box<dyn Precond> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         (**self).apply(r, z);
@@ -112,6 +123,9 @@ impl Precond for Box<dyn Precond> {
     }
     fn refresh(&mut self, a: &sellkit_core::Csr) -> bool {
         (**self).refresh(a)
+    }
+    fn operator(&self) -> Option<&dyn sellkit_core::Operator> {
+        (**self).operator()
     }
 }
 
@@ -123,6 +137,9 @@ impl<P: Precond + ?Sized> Precond for &P {
     }
     fn apply_ctx(&self, ctx: &sellkit_core::ExecCtx, r: &[f64], z: &mut [f64]) {
         (**self).apply_ctx(ctx, r, z);
+    }
+    fn operator(&self) -> Option<&dyn sellkit_core::Operator> {
+        (**self).operator()
     }
 }
 

@@ -31,23 +31,30 @@ impl Product {
     pub fn symbolic(a: &Csr, b: &Csr) -> Self {
         assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
         let (m, n) = (a.nrows(), b.ncols());
+        assert!(
+            m < u32::MAX as usize,
+            "product rows exceed the 32-bit stamp space"
+        );
         let mut rowptr = Vec::with_capacity(m + 1);
         rowptr.push(0);
         // A first guess the size of the inputs; the vector grows past it.
         let mut colidx: Vec<u32> = Vec::with_capacity(a.nnz() + b.nnz());
-        // `seen[c]` holds the last row (plus one) that touched column `c`.
-        let mut seen = vec![0usize; n];
+        // `seen[c]` holds the last row (plus one) that touched column `c`:
+        // a stamp, so that no row clears what the one before it set.
+        let mut seen = vec![0u32; n];
         for i in 0..m {
             let start = colidx.len();
+            // Lossless: checked above.
+            let stamp = i as u32 + 1;
             for &j in a.row_cols(i) {
                 for &c in b.row_cols(j as usize) {
-                    if seen[c as usize] != i + 1 {
-                        seen[c as usize] = i + 1;
+                    if seen[c as usize] != stamp {
+                        seen[c as usize] = stamp;
                         colidx.push(c);
                     }
                 }
             }
-            colidx[start..].sort_unstable();
+            sort_row(&mut colidx[start..]);
             rowptr.push(colidx.len());
         }
         assert!(
@@ -116,6 +123,26 @@ impl Product {
     /// Gives up the workspace and keeps the matrix.
     pub(crate) fn into_matrix(self) -> Csr {
         self.c
+    }
+}
+
+/// Sorts one row of distinct column indices.  A Galerkin row holds a few
+/// dozen: insertion sort does those without the general sort's set-up, and
+/// longer rows take `sort_unstable` (the columns are distinct, so stability
+/// does not arise).
+fn sort_row(row: &mut [u32]) {
+    if row.len() > 64 {
+        row.sort_unstable();
+        return;
+    }
+    for i in 1..row.len() {
+        let c = row[i];
+        let mut k = i;
+        while k > 0 && row[k - 1] > c {
+            row[k] = row[k - 1];
+            k -= 1;
+        }
+        row[k] = c;
     }
 }
 

@@ -1,16 +1,21 @@
 //! Newton's method with line search (PETSc `SNESNEWTONLS`).
 //!
-//! Each iteration assembles the Jacobian in CSR (the assembly format),
-//! converts it to the experiment's matrix format `M` (SELL or CSR — §7:
-//! "the Jacobian evaluation and its multiplication with input vectors
-//! dominate the simulation"), and solves the Newton system with GMRES.
+//! Each iteration assembles the Jacobian in CSR (the assembly format) and
+//! solves the Newton system with GMRES, every SpMV in the experiment's
+//! matrix format `M` (SELL or CSR — §7: "the Jacobian evaluation and its
+//! multiplication with input vectors dominate the simulation").  Set-up
+//! works in place, as PETSc's does on a kept nonzero pattern: the CSR
+//! Jacobian is refilled ([`NonlinearProblem::jacobian_into`]), the
+//! preconditioner refreshed ([`Precond::refresh`]), and GMRES runs on the
+//! preconditioner's own fine operator when it has one
+//! ([`Precond::operator`], `KSPSetOperators(A, A)`) — a second copy of the
+//! fine matrix in `M` is built only for a preconditioner that holds none.
 
 use sellkit_core::{Csr, ExecCtx, FromCsr, Operator as CoreOperator};
 
 use crate::ksp::{gmres, KspConfig, KspResult};
 use crate::operator::{CtxMatOperator, InnerProduct, SeqDot};
 use crate::pc::{CtxPrecond, Precond};
-use crate::vecops;
 
 use super::line_search::LineSearch;
 
@@ -22,6 +27,16 @@ pub trait NonlinearProblem {
     fn residual(&self, x: &[f64], f: &mut [f64]);
     /// Assembles the Jacobian `∂F/∂x` at `x` in CSR.
     fn jacobian(&self, x: &[f64]) -> Csr;
+
+    /// Makes `j` the Jacobian at `x`: afterwards `j` equals
+    /// [`jacobian`](Self::jacobian)`(x)` in every stored bit, whatever it
+    /// held before (PETSc's `MatAssembly` into a matrix whose nonzero
+    /// pattern is known).  The default rebuilds; a problem that can write
+    /// the values into the pattern `j` already holds overrides it, and
+    /// rebuilds when that pattern is not its own.
+    fn jacobian_into(&self, x: &[f64], j: &mut Csr) {
+        *j = self.jacobian(x);
+    }
 }
 
 /// Newton configuration.
@@ -146,48 +161,86 @@ impl NewtonResult {
     }
 }
 
-/// What a Newton loop carries from one linearisation to the next: the
-/// Jacobian in the solve's format `M` and the preconditioner (PETSc's `KSP`
-/// with its operators set).  Whoever owns it decides how long set-up work
-/// lives — [`newton`] keeps one for a solve, the θ-stepper's `run` for a
-/// whole trajectory.
+/// What a Newton loop carries from one linearisation to the next (PETSc's
+/// `KSP` with its operators set): the Jacobian in CSR, the preconditioner,
+/// and — only for a preconditioner that holds no fine operator of its own —
+/// the Jacobian in the solve's format `M`.  Whoever owns it decides how long
+/// set-up work lives: [`newton`] keeps one for a solve, the θ-stepper's
+/// `run` for a whole trajectory.
 pub(crate) struct LinearSolve<M, Pc> {
+    jac: Option<Csr>,
     op: Option<M>,
     pc: Option<Pc>,
 }
 
 impl<M, Pc> Default for LinearSolve<M, Pc> {
     fn default() -> Self {
-        Self { op: None, pc: None }
+        Self {
+            jac: None,
+            op: None,
+            pc: None,
+        }
     }
 }
 
-impl<M: FromCsr, Pc: Precond> LinearSolve<M, Pc> {
-    /// Makes both halves serve the Jacobian `j`: the preconditioner through
+impl<M: CoreOperator + FromCsr, Pc: Precond> LinearSolve<M, Pc> {
+    /// Linearises `problem` at `x`: the kept CSR Jacobian is refilled
+    /// ([`NonlinearProblem::jacobian_into`]; built on the first call), then
+    /// the preconditioner set up for it through
     /// [`pc::set_up`](crate::pc::set_up) (`pc_factory` is consulted only
-    /// when there is nothing to refresh), the operator through
-    /// [`FromCsr::set_from_csr`].
-    fn set_up(&mut self, j: &Csr, pc_factory: &impl Fn(&Csr) -> Pc) -> (&M, &Pc) {
-        let pc = crate::pc::set_up(&mut self.pc, j, pc_factory);
-        let _s = sellkit_obs::span("MatConvert");
-        match &mut self.op {
-            Some(op) => op.set_from_csr(j),
-            None => self.op = Some(M::from_csr(j)),
+    /// when there is nothing to refresh).  The operator GMRES runs on is the
+    /// preconditioner's [`Precond::operator`] — Amat = Pmat, one fine matrix
+    /// — or, where it has none, the kept `M` made the Jacobian by
+    /// [`FromCsr::set_from_csr`] under `MatConvert`.
+    fn set_up(
+        &mut self,
+        problem: &impl NonlinearProblem,
+        x: &[f64],
+        pc_factory: &impl Fn(&Csr) -> Pc,
+    ) -> (&dyn CoreOperator, &Pc) {
+        let _je = sellkit_obs::span("SNESJacobianEval");
+        let Self { jac, op, pc } = self;
+        let j = {
+            let _s = sellkit_obs::span("MatAssembly");
+            match jac {
+                Some(j) => {
+                    problem.jacobian_into(x, j);
+                    j
+                }
+                None => jac.insert(problem.jacobian(x)),
+            }
+        };
+        let pc = crate::pc::set_up(pc, j, pc_factory);
+        if let Some(shared) = pc.operator() {
+            // A copy kept for an earlier preconditioner is not needed.
+            *op = None;
+            return (shared, pc);
         }
-        (self.op.as_ref().expect("set just above"), pc)
+        let _s = sellkit_obs::span("MatConvert");
+        let op = match op {
+            Some(m) => {
+                m.set_from_csr(j);
+                m
+            }
+            None => op.insert(M::from_csr(j)),
+        };
+        (op, pc)
     }
 }
 
 /// Solves `F(x) = 0` by Newton-GMRES with the Jacobian applied in format
 /// `M`.
 ///
-/// The operator and the preconditioner live for the whole solve.  Each
-/// iteration the preconditioner is asked to [`Precond::refresh`] itself for
-/// the new Jacobian and the operator to take its values
-/// ([`FromCsr::set_from_csr`]); **`pc_factory` is called when there is
-/// nothing to refresh** — on the first iteration, when the Jacobian's
+/// The CSR Jacobian, the operator and the preconditioner live for the
+/// whole solve.  Each iteration the Jacobian is refilled
+/// ([`NonlinearProblem::jacobian_into`]) and the preconditioner asked to
+/// [`Precond::refresh`] itself for it; **`pc_factory` is called when there
+/// is nothing to refresh** — on the first iteration, when the Jacobian's
 /// pattern changed, or when the preconditioner has no value-only set-up.
-/// A refreshed preconditioner equals a rebuilt one bit for bit, so the
+/// GMRES applies the preconditioner's fine operator when it shares one
+/// ([`Precond::operator`]) and otherwise the Jacobian converted to `M`
+/// ([`FromCsr::set_from_csr`]).  A refilled Jacobian equals a rebuilt one,
+/// and a refreshed preconditioner a rebuilt one, bit for bit, so the
 /// iterates do not depend on which path was taken.
 pub fn newton<M, Prob, Pc>(
     problem: &Prob,
@@ -238,16 +291,9 @@ where
             // Assemble in CSR, run the linear solve in format M (as the
             // paper's experiments do: SELL carries every SpMV of the Newton
             // systems).
-            let (j_m, pc) = {
-                let _je = sellkit_obs::span("SNESJacobianEval");
-                let j_csr = {
-                    let _s = sellkit_obs::span("MatAssembly");
-                    problem.jacobian(x)
-                };
-                kept.set_up(&j_csr, pc_factory)
-            };
+            let (op, pc) = kept.set_up(problem, x, pc_factory);
             gmres(
-                &CtxMatOperator::new(j_m, ctx),
+                &CtxMatOperator::new(op, ctx),
                 &CtxPrecond::new(pc, ctx),
                 &SeqDot,
                 rhs,
@@ -271,6 +317,11 @@ where
 /// the line search, the update of `x`, the history and the `SNESSolve` /
 /// `SNESFunctionEval` spans are this function's; `x` holds the initial
 /// guess on entry and the last iterate on exit.
+///
+/// `residual` runs once for the initial guess and once per line-search
+/// trial: the accepted trial point becomes the iterate together with its
+/// residual, so `F` is never evaluated twice at one point (`1 +
+/// iterations` evaluations under [`LineSearch::Full`]).
 pub fn newton_over<D: InnerProduct>(
     ip: &D,
     x: &mut [f64],
@@ -335,8 +386,10 @@ pub fn newton_over<D: InnerProduct>(
         if lambda == 0.0 {
             break NewtonStopReason::LineSearchFailed;
         }
-        vecops::axpy(lambda, &d, x);
-        residual(x, &mut f);
+        // Both strategies accept the last λ they tried: `trial` is
+        // `x + λ·d` (the bits of `axpy`) and `ftrial` its residual.
+        x.copy_from_slice(&trial);
+        std::mem::swap(&mut f, &mut ftrial);
         fnorm = new_fnorm;
         history.push(fnorm);
     };
@@ -528,6 +581,64 @@ mod tests {
             "near convergence it clamps to eta_min: {tight}"
         );
         assert_eq!(Forcing::Fixed.eta(1e-5, 1.0, Some(2.0)), 1e-5);
+    }
+
+    /// A problem that counts its residual evaluations.
+    struct Counted<P> {
+        inner: P,
+        residuals: std::cell::Cell<usize>,
+    }
+
+    impl<P: NonlinearProblem> NonlinearProblem for Counted<P> {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn residual(&self, x: &[f64], f: &mut [f64]) {
+            self.residuals.set(self.residuals.get() + 1);
+            self.inner.residual(x, f);
+        }
+        fn jacobian(&self, x: &[f64]) -> Csr {
+            self.inner.jacobian(x)
+        }
+    }
+
+    /// The accepted trial point is the iterate with its residual: `F` runs
+    /// once for the initial guess and once per trial, never twice at one
+    /// point, and the residual the loop keeps is the one `F(x)` gives at the
+    /// final `x`, bit for bit.
+    #[test]
+    fn residual_runs_once_per_trial_point() {
+        let n = 40;
+        let g: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.2).sin() + 1.0).collect();
+        for line_search in [
+            LineSearch::Full,
+            LineSearch::Backtracking(LineSearchConfig::default()),
+        ] {
+            let p = Counted {
+                inner: Bratu1d { n, g: g.clone() },
+                residuals: std::cell::Cell::new(0),
+            };
+            let cfg = NewtonConfig {
+                rtol: 1e-10,
+                line_search,
+                ..Default::default()
+            };
+            let mut x = vec![0.5; n];
+            let res = newton::<Csr, _, _>(&p, &mut x, &cfg, JacobiPc::from_csr);
+            assert!(res.converged() && res.iterations >= 2);
+            // A full step is one trial per iteration; backtracking may try
+            // several λ, and keeps the last one's residual just the same.
+            if let LineSearch::Full = line_search {
+                assert_eq!(p.residuals.get(), 1 + res.iterations);
+            }
+            let mut f = vec![0.0; n];
+            p.inner.residual(&x, &mut f);
+            assert_eq!(
+                SeqDot.norm(&f).to_bits(),
+                res.fnorm.to_bits(),
+                "{line_search:?}"
+            );
+        }
     }
 
     #[test]

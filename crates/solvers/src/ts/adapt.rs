@@ -148,7 +148,7 @@ impl AdaptiveTheta {
                 (0..pieces).all(|s| {
                     let t = self.t + s as f64 * cfg.dt;
                     let rhs = |t, u: &[f64], f: &mut [f64]| ode.rhs(t, u, f);
-                    let jac = |t, u: &[f64]| ode.rhs_jacobian(t, u);
+                    let jac = |t, u: &[f64], j: &mut Csr| ode.rhs_jacobian_into(t, u, j);
                     theta_step_over(&cfg, t, 0, u, rhs, jac, |stage, u| {
                         newton_kept::<M, _, _>(stage, u, &cfg.newton, &serial, kept, pc_factory)
                     })

@@ -11,7 +11,9 @@
 //! with Newton's method; the Newton Jacobian is `I − Δt·θ·J_f`, re-assembled
 //! at every Newton iteration because the reaction term couples the unknowns
 //! nonlinearly (§7: "the Jacobian matrix needs to be updated at each Newton
-//! iteration").
+//! iteration") — into the matrix the previous iteration left, when the
+//! problem can refill it ([`OdeProblem::rhs_jacobian_into`]), and shifted
+//! there in place.
 //!
 //! [`theta_step_over`] is that step over the rows a caller holds, all of
 //! them or one rank's block: one rank and many take the same steps.
@@ -29,6 +31,18 @@ pub trait OdeProblem {
     fn rhs(&self, t: f64, u: &[f64], f: &mut [f64]);
     /// Assembles `∂f/∂u (t, u)` in CSR.
     fn rhs_jacobian(&self, t: f64, u: &[f64]) -> Csr;
+
+    /// Makes `j` the matrix [`rhs_jacobian`](Self::rhs_jacobian)`(t, u)`,
+    /// bit for bit, whatever it held before.  The θ-step calls this with the
+    /// matrix of its previous Newton iteration — `I − Δt·θ·J_f`, the
+    /// pattern of `J_f` when that stores every diagonal — so a problem that
+    /// writes its values into a pattern it recognises assembles without
+    /// allocating.  The default rebuilds; an override must check the
+    /// pattern it is handed and rebuild when it is not its own, so that it
+    /// never writes a wrong matrix or leaves one half-written.
+    fn rhs_jacobian_into(&self, t: f64, u: &[f64], j: &mut Csr) {
+        *j = self.rhs_jacobian(t, u);
+    }
 }
 
 /// θ-method configuration.
@@ -66,7 +80,7 @@ pub struct StepStats {
 /// The θ-scheme integrator.
 ///
 /// Each step is a `TSStep` span; inside it every [`OdeProblem::rhs`] call is
-/// a `TSFunctionEval` and every [`OdeProblem::rhs_jacobian`] a
+/// a `TSFunctionEval` and every [`OdeProblem::rhs_jacobian_into`] a
 /// `TSJacobianEval` (PETSc's event names).
 ///
 /// ```
@@ -99,7 +113,10 @@ pub struct ThetaStepper {
 
 /// The implicit stage [`theta_step_over`] hands its solve: `G(u) = u −
 /// explicit − Δt·θ·f(tₙ₊₁, u)` and `G' = I − Δt·θ·J_f`, each `f` in a
-/// `TSFunctionEval` span and each `J_f` in a `TSJacobianEval`.
+/// `TSFunctionEval` span and each `J_f` in a `TSJacobianEval`.  `G'` is
+/// written into the matrix it is handed
+/// ([`NonlinearProblem::jacobian_into`]): `J_f` refilled there, then
+/// shifted in place ([`matops::identity_plus_scaled_rows_in_place`]).
 pub struct ThetaStage<F, J> {
     rhs: F,
     rhs_jacobian: J,
@@ -114,7 +131,7 @@ pub struct ThetaStage<F, J> {
 impl<F, J> NonlinearProblem for ThetaStage<F, J>
 where
     F: Fn(f64, &[f64], &mut [f64]),
-    J: Fn(f64, &[f64]) -> Csr,
+    J: Fn(f64, &[f64], &mut Csr),
 {
     fn dim(&self) -> usize {
         self.explicit.len()
@@ -131,19 +148,29 @@ where
     }
 
     fn jacobian(&self, u: &[f64]) -> Csr {
-        let jf = {
+        // Nothing to refill yet: an empty matrix, which no pattern matches.
+        let mut j = Csr::zeros_with_pattern(0, 0, vec![0], Vec::new());
+        self.jacobian_into(u, &mut j);
+        j
+    }
+
+    fn jacobian_into(&self, u: &[f64], j: &mut Csr) {
+        {
             let _je = sellkit_obs::span("TSJacobianEval");
-            (self.rhs_jacobian)(self.t_next, u)
-        };
-        matops::identity_plus_scaled_rows(1.0, -self.dt_theta, jf, self.first_row)
+            (self.rhs_jacobian)(self.t_next, u, j);
+        }
+        matops::identity_plus_scaled_rows_in_place(1.0, -self.dt_theta, j, self.first_row);
     }
 }
 
 /// One θ-step of `cfg.dt` from time `t` over the rows `u` holds, global rows
 /// `first_row..`: what [`newton_over`](crate::snes::newton_over) is to
-/// Newton.  `rhs(t, u, f)` and `rhs_jacobian(t, u)` evaluate those rows of
-/// `f` and `∂f/∂u` (global columns); `solve(stage, u)` solves the stage from
-/// `u = uₙ` in place, with `cfg.newton` or however the caller likes.
+/// Newton.  `rhs(t, u, f)` evaluates those rows of `f`, and
+/// `rhs_jacobian(t, u, j)` makes `j` those rows of `∂f/∂u` (global
+/// columns), refilling what `j` holds or replacing it as
+/// [`OdeProblem::rhs_jacobian_into`] does; `solve(stage, u)` solves the
+/// stage from `u = uₙ` in place, with `cfg.newton` or however the caller
+/// likes.
 pub fn theta_step_over<F, J, R>(
     cfg: &ThetaConfig,
     t: f64,
@@ -155,7 +182,7 @@ pub fn theta_step_over<F, J, R>(
 ) -> R
 where
     F: Fn(f64, &[f64], &mut [f64]),
-    J: Fn(f64, &[f64]) -> Csr,
+    J: Fn(f64, &[f64], &mut Csr),
 {
     let _ts = sellkit_obs::span("TSStep");
     let (dt, theta) = (cfg.dt, cfg.theta);
@@ -214,9 +241,10 @@ impl ThetaStepper {
     }
 
     /// Advances one step in place, running every linear-solve SpMV in
-    /// format `M`.  Returns the Newton result for the step.  `pc_factory`
-    /// is called when there is nothing to refresh — see
-    /// [`ThetaStepper::step_ctx`].
+    /// format `M` (or in the format of the fine operator the
+    /// preconditioner shares, [`Precond::operator`]).  Returns the Newton
+    /// result for the step.  `pc_factory` is called when there is nothing
+    /// to refresh — see [`ThetaStepper::step_ctx`].
     pub fn step<M, P, Pc>(
         &mut self,
         ode: &P,
@@ -245,13 +273,20 @@ impl ThetaStepper {
     /// [`ThetaStepper::step`] for any pool size.
     ///
     /// **`pc_factory` is called when there is nothing to refresh**: the
-    /// step's first Newton iteration builds the operator and the
-    /// preconditioner, every later one re-does only their numeric set-up
-    /// ([`Precond::refresh`], [`FromCsr::set_from_csr`]) as long as the
-    /// Jacobian keeps its pattern.  The pair lives as long as the call that
-    /// names its types — this step here, the whole trajectory in
-    /// [`ThetaStepper::run`] — so a new preconditioner configuration takes
-    /// effect with the next call.
+    /// step's first Newton iteration assembles the Jacobian and builds the
+    /// preconditioner, every later one writes into what it holds — the
+    /// Jacobian refilled and shifted in place
+    /// ([`OdeProblem::rhs_jacobian_into`]), the preconditioner's numeric
+    /// set-up re-done ([`Precond::refresh`]) — as long as the Jacobian keeps
+    /// its pattern.  GMRES applies the preconditioner's own fine operator
+    /// when it holds one ([`Precond::operator`]; a
+    /// [`Multigrid<M>`](crate::pc::Multigrid)'s level 0 is the same
+    /// conversion of the same matrix, so the iterates are those of a
+    /// private copy); only for one that does not is the Jacobian converted
+    /// to `M` as well ([`FromCsr::set_from_csr`]).  The Jacobian, operator
+    /// and preconditioner live as long as the call that names their types —
+    /// this step here, the whole trajectory in [`ThetaStepper::run`] — so a
+    /// new preconditioner configuration takes effect with the next call.
     pub fn step_ctx<M, P, Pc>(
         &mut self,
         ode: &P,
@@ -289,7 +324,7 @@ impl ThetaStepper {
             0,
             u,
             |t, u, f| ode.rhs(t, u, f),
-            |t, u| ode.rhs_jacobian(t, u),
+            |t, u, j| ode.rhs_jacobian_into(t, u, j),
             |stage, u| newton_kept::<M, _, _>(stage, u, &self.cfg.newton, ctx, kept, pc_factory),
         );
         self.t += self.cfg.dt;

@@ -149,7 +149,7 @@ where
         problem.rows.start,
         u_local,
         |_, w, f| problem.rhs_local(comm, w, f),
-        |_, w| problem.local_jacobian(comm, w),
+        |_, w, j| *j = problem.local_jacobian(comm, w),
         |stage, u| dist_newton::<M, _, _>(comm, stage, u, &step.newton, pc_factory),
     )
 }

@@ -20,7 +20,7 @@ use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sellkit_core::{Csr, RowAssembler};
+use sellkit_core::{Csr, MatShape, RowAssembler};
 use sellkit_grid::Grid2D;
 use sellkit_solvers::ts::OdeProblem;
 
@@ -59,6 +59,8 @@ pub struct GrayScott {
     grid: Grid2D,
     params: GrayScottParams,
     h: f64,
+    /// `1/h²`, the diffusion stencil's scale in the Jacobian.
+    ih2: f64,
 }
 
 impl GrayScott {
@@ -66,7 +68,12 @@ impl GrayScott {
     pub fn new(n: usize, params: GrayScottParams) -> Self {
         let grid = Grid2D::new(n, n, 2);
         let h = params.length / n as f64;
-        Self { grid, params, h }
+        Self {
+            grid,
+            params,
+            h,
+            ih2: 1.0 / (h * h),
+        }
     }
 
     /// The underlying grid (dof = 2).
@@ -146,6 +153,42 @@ impl GrayScott {
         }
     }
 
+    /// Row `row` of the Jacobian at the state read through `at`: the row's
+    /// component `c`, its stencil (as [`GrayScott::stencil`]), and the values
+    /// of the 2×2 block row it holds at each stencil point — at the columns
+    /// of that point's `u` and `v` — first for the centre, then the one every
+    /// off-centre point shares.  Diffusion couples a component only to
+    /// itself, and the reaction only the centre's two components.
+    #[inline]
+    fn jacobian_row(
+        &self,
+        at: impl Fn(usize) -> f64,
+        row: usize,
+    ) -> (usize, [usize; 5], [(f64, f64); 2]) {
+        let p = &self.params;
+        let ih2 = self.ih2;
+        let (c, stencil) = self.stencil(row);
+        let iu = row - c;
+        let (u, v) = (at(iu), at(iu + 1));
+        // The row's diffusion coefficient and its half of the reaction
+        // block.
+        let (d, reaction) = if c == 0 {
+            (p.d1, (-v * v - p.gamma, -2.0 * u * v))
+        } else {
+            (p.d2, (v * v, 2.0 * u * v - (p.gamma + p.kappa)))
+        };
+        let block = |diffusion: f64, (to_u, to_v): (f64, f64)| {
+            if c == 0 {
+                (diffusion + to_u, to_v)
+            } else {
+                (to_u, diffusion + to_v)
+            }
+        };
+        let center = block(-4.0 * d * ih2, reaction);
+        let off = block(d * ih2, (0.0, 0.0));
+        (c, stencil, [center, off])
+    }
+
     /// Assembles the Jacobian rows `rows` (global columns), reading the
     /// state through `at` as [`GrayScott::rhs_rows`] does.  Each row holds
     /// the full 2×2 blocks at the 5 stencil points, as PETSc's blocked
@@ -156,37 +199,66 @@ impl GrayScott {
     pub(crate) fn jacobian_rows(&self, at: impl Fn(usize) -> f64, rows: Range<usize>) -> Csr {
         let n = self.grid.n_unknowns();
         assert!(rows.end <= n);
-        let p = &self.params;
-        let ih2 = 1.0 / (self.h * self.h);
         let mut b = RowAssembler::with_capacity(rows.len(), n, 10 * rows.len());
         for row in rows {
-            let (c, stencil) = self.stencil(row);
-            let iu = row - c;
-            let (u, v) = (at(iu), at(iu + 1));
-            // The row's diffusion coefficient and its half of the reaction
-            // block.
-            let (d, reaction) = if c == 0 {
-                (p.d1, (-v * v - p.gamma, -2.0 * u * v))
-            } else {
-                (p.d2, (v * v, 2.0 * u * v - (p.gamma + p.kappa)))
-            };
+            let (c, stencil, [center, off]) = self.jacobian_row(&at, row);
             for (k, point) in stencil.into_iter().enumerate() {
-                let center = k == 0;
+                let (to_u, to_v) = if k == 0 { center } else { off };
                 let ju = point - c;
-                let diffusion = if center { -4.0 * d * ih2 } else { d * ih2 };
-                let (to_u, to_v) = if center { reaction } else { (0.0, 0.0) };
-                // Diffusion couples a component only to itself.
-                if c == 0 {
-                    b.push(ju, diffusion + to_u);
-                    b.push(ju + 1, to_v);
-                } else {
-                    b.push(ju, to_u);
-                    b.push(ju + 1, diffusion + to_v);
-                }
+                b.push(ju, to_u);
+                b.push(ju + 1, to_v);
             }
             b.end_row();
         }
         b.finish()
+    }
+
+    /// Writes the Jacobian rows `rows` (global columns) into the values of
+    /// `j`, in the order of the pattern `j` stores — no assembly, no sort.
+    /// Returns `false` at the first position that is not the one
+    /// [`GrayScott::jacobian_rows`] would store (the values before it are
+    /// already overwritten, so the caller rebuilds).
+    ///
+    /// Every row must hold 10 columns in five pairs `(2·m, 2·m + 1)`, each
+    /// `m` a node of the row's stencil.  A `Csr` row's columns strictly
+    /// increase, so five such pairs are five distinct stencil nodes: all of
+    /// them, in ascending order, which is the pattern the assembler stores.
+    /// On a grid of fewer than 3 nodes a side the periodic neighbours
+    /// coincide, no row can pass, and the caller rebuilds.
+    fn fill_jacobian_rows(
+        &self,
+        at: impl Fn(usize) -> f64,
+        rows: Range<usize>,
+        j: &mut Csr,
+    ) -> bool {
+        if (j.nrows(), j.ncols()) != (rows.len(), self.grid.n_unknowns()) {
+            return false;
+        }
+        let (rowptr, colidx, vals) = j.pattern_and_values_mut();
+        for (i, row) in rows.enumerate() {
+            let (lo, hi) = (rowptr[i], rowptr[i + 1]);
+            if hi - lo != 10 {
+                return false;
+            }
+            let (c, stencil, [center, off]) = self.jacobian_row(&at, row);
+            let [center_u, neighbours @ ..] = stencil.map(|point| point - c);
+            for k in (lo..hi).step_by(2) {
+                let ju = colidx[k] as usize;
+                let (to_u, to_v) = if ju == center_u {
+                    center
+                } else if neighbours.contains(&ju) {
+                    off
+                } else {
+                    return false;
+                };
+                if colidx[k + 1] as usize != ju + 1 {
+                    return false;
+                }
+                vals[k] = to_u;
+                vals[k + 1] = to_v;
+            }
+        }
+        true
     }
 
     /// Assembles only the Jacobian rows in `rows` (half-open global row
@@ -211,6 +283,16 @@ impl OdeProblem for GrayScott {
 
     fn rhs_jacobian(&self, t: f64, w: &[f64]) -> Csr {
         self.rhs_jacobian_rows(t, w, 0..self.dim())
+    }
+
+    /// Writes the values into the pattern `j` holds when it is the
+    /// Jacobian's own — every column checked, see
+    /// `GrayScott::fill_jacobian_rows` — and rebuilds `j` otherwise, so a
+    /// foreign pattern is replaced whole, never half-written.
+    fn rhs_jacobian_into(&self, t: f64, w: &[f64], j: &mut Csr) {
+        if !self.fill_jacobian_rows(|g| w[g], 0..self.dim(), j) {
+            *j = self.rhs_jacobian(t, w);
+        }
     }
 }
 
@@ -274,6 +356,77 @@ mod tests {
                 assert_eq!(block.row_cols(li), full.row_cols(g), "row {g} cols");
                 assert_eq!(block.row_vals(li), full.row_vals(g), "row {g} vals");
             }
+        }
+    }
+
+    fn bits(j: &Csr) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
+        let vals = j.values().iter().map(|v| v.to_bits()).collect();
+        (j.rowptr().to_vec(), j.colidx().to_vec(), vals)
+    }
+
+    /// A kept Jacobian refilled at another state is the Jacobian assembled
+    /// there, bit for bit: grids from the smallest with distinct periodic
+    /// neighbours up, states with stored zeros (`v = 0`) and without.
+    #[test]
+    fn refilled_jacobian_equals_the_assembled_one() {
+        for n in [3, 4, 7, 16] {
+            let gs = GrayScott::new(n, GrayScottParams::default());
+            let mut kept = gs.rhs_jacobian(0.0, &gs.initial_condition(1));
+            let states = [
+                gs.initial_condition(2),
+                vec![0.3; gs.dim()],
+                (0..gs.dim()).map(|i| (i as f64 * 0.37).sin()).collect(),
+            ];
+            for w in &states {
+                let (rowptr, colidx) = (kept.rowptr().as_ptr(), kept.colidx().as_ptr());
+                gs.rhs_jacobian_into(0.0, w, &mut kept);
+                assert_eq!(bits(&kept), bits(&gs.rhs_jacobian(0.0, w)), "grid {n}");
+                assert_eq!(
+                    (kept.rowptr().as_ptr(), kept.colidx().as_ptr()),
+                    (rowptr, colidx),
+                    "grid {n}: refilled where it was"
+                );
+            }
+        }
+    }
+
+    /// Whatever the kept matrix is — another grid's, one whose rows hold
+    /// fewer than 10 entries because periodic neighbours coincide (grid 2),
+    /// or the right one with a single column moved — the call rebuilds and
+    /// ends equal to the assembled Jacobian.
+    #[test]
+    fn a_foreign_pattern_is_rebuilt_not_refilled() {
+        let gs2 = GrayScott::new(2, GrayScottParams::default());
+        let w2 = gs2.initial_condition(3);
+        let j2 = gs2.rhs_jacobian(0.0, &w2);
+        assert!((0..j2.nrows()).all(|i| j2.row_len(i) < 10));
+        let mut kept = j2.clone();
+        gs2.rhs_jacobian_into(0.0, &vec![0.7; gs2.dim()], &mut kept);
+        assert_eq!(
+            bits(&kept),
+            bits(&gs2.rhs_jacobian(0.0, &vec![0.7; gs2.dim()]))
+        );
+
+        let gs = GrayScott::new(6, GrayScottParams::default());
+        let w = gs.initial_condition(4);
+        let want = bits(&gs.rhs_jacobian(0.0, &w));
+        let j = gs.rhs_jacobian(0.0, &gs.initial_condition(5));
+        // Row 5's last column moved one to the right: same entry count,
+        // columns still increasing, one position not the stencil's.
+        let mut colidx = j.colidx().to_vec();
+        let last = j.rowptr()[6] - 1;
+        colidx[last] += 1;
+        let moved = Csr::from_parts(
+            j.nrows(),
+            j.ncols(),
+            j.rowptr().to_vec(),
+            colidx,
+            j.values().to_vec(),
+        );
+        let empty = Csr::zeros_with_pattern(0, 0, vec![0], Vec::new());
+        for mut kept in [moved, empty, j2] {
+            gs.rhs_jacobian_into(0.0, &w, &mut kept);
+            assert_eq!(bits(&kept), want);
         }
     }
 

@@ -7,7 +7,8 @@
 //!   (`Precond::refresh`) with the paper's options;
 //! * a restarted GMRES solve allocates no vector after its first restart
 //!   cycle;
-//! * an assembled matrix is not copied on its way into a `Csr`.
+//! * an assembled matrix is not copied on its way into a `Csr`;
+//! * a Jacobian refilled into its kept pattern and shifted there in place.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc` **per
 //! thread**; a measurement sums the tallies of the threads that take part
@@ -217,6 +218,27 @@ fn warm_multigrid_refresh_is_allocation_free() {
         assert!(mg.refresh(a));
     }
     assert_eq!(ALLOCS.get() - before, 0, "Precond::refresh allocated");
+}
+
+/// The θ-step's Newton matrix on a kept pattern: `GrayScott` writes the
+/// Jacobian's values where the previous one stood, and `I − Δt·θ·J` is
+/// formed in place — an assembly that allocates nothing.
+#[test]
+fn warm_jacobian_refill_and_shift_are_allocation_free() {
+    let gs = GrayScott::new(32, GrayScottParams::default());
+    let mut j = gs.rhs_jacobian(0.0, &gs.initial_condition(42));
+    matops::identity_plus_scaled_rows_in_place(1.0, -0.5, &mut j, 0);
+    let states = [vec![0.4; gs.dim()], gs.initial_condition(7)];
+    let before = ALLOCS.get();
+    for w in &states {
+        gs.rhs_jacobian_into(0.0, w, &mut j);
+        matops::identity_plus_scaled_rows_in_place(1.0, -0.5, &mut j, 0);
+    }
+    assert_eq!(ALLOCS.get() - before, 0, "refill and shift allocated");
+    let want = matops::identity_plus_scaled(1.0, -0.5, &gs.rhs_jacobian(0.0, &states[1]));
+    assert!(j.same_pattern(&want));
+    let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&j), bits(&want));
 }
 
 /// An operator that remembers how many bytes this thread had asked for on

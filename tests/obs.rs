@@ -224,6 +224,24 @@ fn gray_scott_step(grid: usize) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
+/// One CN step of the Gray-Scott model of grid `grid` under plain Jacobi, a
+/// preconditioner that holds no operator.
+fn gray_scott_jacobi_step(grid: usize) {
+    use sellkit::solvers::pc::JacobiPc;
+    use sellkit::solvers::ts::{ThetaConfig, ThetaStepper};
+    use sellkit::workloads::{GrayScott, GrayScottParams};
+    use sellkit::Sell8;
+
+    let gs = GrayScott::new(grid, GrayScottParams::default());
+    let mut u = gs.initial_condition(42);
+    let res = ThetaStepper::new(ThetaConfig::default()).step::<Sell8, _, _>(
+        &gs,
+        &mut u,
+        JacobiPc::from_csr,
+    );
+    assert!(res.converged());
+}
+
 /// The ISSUE acceptance bound: running the 256² Gray-Scott step with
 /// logging enabled must cost < 2 % over the disabled path — and the
 /// disabled path itself is measured with the **always-on flight
@@ -359,6 +377,8 @@ fn krylov_and_distributed_newton_solves_are_attributed() {
     let c2 = counts();
     gray_scott_step(16);
     let c3 = counts();
+    gray_scott_jacobi_step(16);
+    let c4 = counts();
     sellkit::obs::set_enabled(false);
 
     let step = grown(&c2, &c3);
@@ -372,6 +392,19 @@ fn krylov_and_distributed_newton_solves_are_attributed() {
             "Gray-Scott step: no {path} in {step:?}"
         );
     }
+    // Multigrid shares its level 0 as the Krylov operator (Amat = Pmat):
+    // nothing converts the Jacobian a second time.  Jacobi holds no
+    // operator, so the solve converts its own.
+    const CONVERT: &str = "TSStep>SNESSolve>SNESJacobianEval>MatConvert";
+    assert!(
+        !step.contains(CONVERT),
+        "multigrid step converted: {step:?}"
+    );
+    let jacobi_step = grown(&c3, &c4);
+    assert!(
+        jacobi_step.contains(CONVERT),
+        "Jacobi step: no {CONVERT} in {jacobi_step:?}"
+    );
 
     let (serial, dist) = (grown(&c0, &c1), grown(&c1, &c2));
     for path in [

@@ -9,7 +9,9 @@
 //!   every cell of {format} × {smoother} × {coarse solve} × {levels};
 //! * a fine matrix with another pattern is refused and nothing is touched;
 //! * the θ-stepper calls the factory when there is nothing to refresh, and
-//!   the trajectory does not depend on which path set the hierarchy up.
+//!   the trajectory does not depend on which path set the hierarchy up, nor
+//!   on whether GMRES applies the hierarchy's own fine operator
+//!   (`Precond::operator`) or a copy the solve converted itself.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -285,6 +287,33 @@ impl<P: Precond> Precond for AlwaysRebuilt<P> {
     }
 }
 
+/// A preconditioner that forwards everything but its fine operator: the
+/// solve converts a copy of the Jacobian of its own, as it does for one that
+/// holds none.
+struct OwnOperator<P>(P);
+
+impl<P: Precond> Precond for OwnOperator<P> {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.0.apply(r, z);
+    }
+    fn apply_ctx(&self, ctx: &ExecCtx, r: &[f64], z: &mut [f64]) {
+        self.0.apply_ctx(ctx, r, z);
+    }
+    fn refresh(&mut self, a: &Csr) -> bool {
+        self.0.refresh(a)
+    }
+}
+
+/// The operator a hierarchy shares is its level 0, not a copy.
+#[test]
+fn multigrid_shares_its_level_zero() {
+    let (interps, a1, _) = two_newton_matrices();
+    let mg = Multigrid::<Sell8>::new(&a1, &interps, MultigridConfig::default());
+    let shared = mg.operator().expect("multigrid holds its fine operator");
+    assert!(std::ptr::addr_eq(shared, mg.level_operator(0)));
+    assert_eq!((shared.nrows(), shared.nnz()), (a1.nrows(), a1.nnz()));
+}
+
 #[test]
 fn the_factory_is_called_when_there_is_nothing_to_refresh() {
     const STEPS: usize = 3;
@@ -353,4 +382,15 @@ fn the_factory_is_called_when_there_is_nothing_to_refresh() {
     assert_eq!(built.get(), newton_iterations, "a build per iteration");
     assert_eq!(iterations(&ts_rebuilt), work);
     assert_eq!(bits(&u_rebuilt), bits(&u_run));
+
+    // GMRES on a converted copy of the Jacobian instead of the hierarchy's
+    // level 0 (Amat = Pmat): the same trajectory to the bit, the same
+    // single build.
+    built.set(0);
+    let mut u_own = u0.clone();
+    let mut ts_own = ThetaStepper::new(cfg);
+    ts_own.run::<Sell8, _, _>(&gs, &mut u_own, STEPS, |j| OwnOperator(factory(j)));
+    assert_eq!(built.get(), 1, "the refresh path is forwarded");
+    assert_eq!(iterations(&ts_own), work);
+    assert_eq!(bits(&u_own), bits(&u_run));
 }
