@@ -137,7 +137,14 @@ pub trait Operator: MatShape {
 /// Conversion from CSR — every format can be built from assembled CSR,
 /// which is how PETSc's `MatConvert` reaches `SELL`, `BAIJ`, etc.
 /// Lets distributed matrices and solvers be generic over the local format.
-pub trait FromCsr: Sized {
+///
+/// A format owns its storage: it borrows nothing (`'static`) and is plain
+/// data to threads and to unwinding.  So whatever holds one, such as a
+/// multigrid hierarchy over it, may outlive the call that built it —
+/// a θ-stepper keeps its preconditioner from one step to the next that way.
+pub trait FromCsr:
+    Sized + Send + Sync + std::panic::UnwindSafe + std::panic::RefUnwindSafe + 'static
+{
     /// Builds this format from a CSR matrix.
     fn from_csr(csr: &crate::csr::Csr) -> Self;
 

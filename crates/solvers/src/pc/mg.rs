@@ -27,12 +27,13 @@
 //! (`SAME_NONZERO_PATTERN`), and gives the hierarchy a cold build gives, bit
 //! for bit.
 
+use std::any::Any;
 use std::sync::{Mutex, PoisonError};
 
 use sellkit_core::{Apply, Csr, ExecCtx, FromCsr, MatShape, Operator as CoreOperator};
 
 use super::spgemm::Product;
-use super::Precond;
+use super::{Kept, Precond};
 use crate::operator::mult;
 
 /// Multigrid configuration.
@@ -531,6 +532,17 @@ impl<M: CoreOperator + FromCsr> Precond for Multigrid<M> {
     /// it instead of converting its own copy.
     fn operator(&self) -> Option<&dyn CoreOperator> {
         Some(&self.levels[0].a)
+    }
+
+    /// A hierarchy owns all it holds (`M: FromCsr` is `'static`), so a
+    /// θ-stepper keeps it from one step to the next and refreshes it there.
+    fn into_kept(self: Box<Self>) -> Option<Kept> {
+        Some(self)
+    }
+
+    fn from_kept(kept: Kept) -> Option<Self> {
+        let kept: Box<dyn Any + Send + Sync> = kept;
+        kept.downcast().ok().map(|mg| *mg)
     }
 }
 

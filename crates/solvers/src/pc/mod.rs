@@ -12,6 +12,9 @@ pub mod mg;
 pub mod spgemm;
 pub mod tri_solve;
 
+use std::any::Any;
+use std::panic::{RefUnwindSafe, UnwindSafe};
+
 pub use asm::{AsmPc, SubSolve};
 pub use ilu::Ilu0;
 pub use jacobi::JacobiPc;
@@ -53,7 +56,33 @@ pub trait Precond {
     fn operator(&self) -> Option<&dyn sellkit_core::Operator> {
         None
     }
+
+    /// Gives this preconditioner up to a holder that outlives the call
+    /// that named its type — a θ-stepper between two steps — or `None` if
+    /// it cannot be kept that way.  What comes back is taken apart again by
+    /// [`Precond::from_kept`] of the same type.  The default is `None`,
+    /// which is correct for every preconditioner, and the only answer for
+    /// one that may borrow: the next call builds anew.  A
+    /// [`Multigrid`] owns everything it holds and keeps itself.
+    fn into_kept(self: Box<Self>) -> Option<Kept> {
+        None
+    }
+
+    /// The preconditioner [`Precond::into_kept`] gave up, if `kept` holds
+    /// one of this very type; `None` otherwise (the default), and `kept` is
+    /// dropped.
+    fn from_kept(_kept: Kept) -> Option<Self>
+    where
+        Self: Sized,
+    {
+        None
+    }
 }
+
+/// A preconditioner kept between two calls that name its type
+/// ([`Precond::into_kept`]).  The auto traits are listed so that whatever
+/// holds one stays shareable between threads and across unwinding.
+pub type Kept = Box<dyn Any + Send + Sync + UnwindSafe + RefUnwindSafe>;
 
 /// `PCSetUp` for the matrix `a`: the kept preconditioner re-does its numeric
 /// set-up if it can ([`Precond::refresh`]); where there is none, or it
@@ -114,6 +143,8 @@ impl Precond for IdentityPc {
 /// `operator` are forwarded explicitly so a boxed [`JacobiPc`] keeps its
 /// parallel path and a boxed [`Multigrid`] its value-only set-up and its
 /// shared fine operator instead of falling back to the trait defaults.
+/// `into_kept` is not: the box has forgotten the type that `from_kept`
+/// would need to take the preconditioner back.
 impl Precond for Box<dyn Precond> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         (**self).apply(r, z);

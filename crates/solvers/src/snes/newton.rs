@@ -15,7 +15,7 @@ use sellkit_core::{Csr, ExecCtx, FromCsr, Operator as CoreOperator};
 
 use crate::ksp::{gmres, KspConfig, KspResult};
 use crate::operator::{CtxMatOperator, InnerProduct, SeqDot};
-use crate::pc::{CtxPrecond, Precond};
+use crate::pc::{CtxPrecond, Kept, Precond};
 
 use super::line_search::LineSearch;
 
@@ -165,20 +165,43 @@ impl NewtonResult {
 /// `KSP` with its operators set): the Jacobian in CSR, the preconditioner,
 /// and — only for a preconditioner that holds no fine operator of its own —
 /// the Jacobian in the solve's format `M`.  Whoever owns it decides how long
-/// set-up work lives: [`newton`] keeps one for a solve, the θ-stepper's
-/// `run` for a whole trajectory.
+/// set-up work lives: [`newton`] keeps one for a solve; a θ-stepper keeps
+/// one for as long as the stepper lives, [suspended](LinearSolve::suspend)
+/// between the calls that name its types.
 pub(crate) struct LinearSolve<M, Pc> {
     jac: Option<Csr>,
     op: Option<M>,
     pc: Option<Pc>,
 }
 
-impl<M, Pc> Default for LinearSolve<M, Pc> {
-    fn default() -> Self {
+/// A [`LinearSolve`] between two calls, its types forgotten: the CSR
+/// Jacobian, and the preconditioner if it can be kept
+/// ([`Precond::into_kept`]).  The converted copy of a preconditioner without
+/// a fine operator is not kept.
+#[derive(Default)]
+pub(crate) struct Suspended {
+    jac: Option<Csr>,
+    pc: Option<Kept>,
+}
+
+impl<M, Pc: Precond> LinearSolve<M, Pc> {
+    /// Takes up what [`LinearSolve::suspend`] left.  A preconditioner of
+    /// another type is dropped ([`Precond::from_kept`]), so the first
+    /// linearisation builds one; the Jacobian is refilled whatever it held.
+    pub(crate) fn resume(held: Suspended) -> Self {
         Self {
-            jac: None,
+            jac: held.jac,
             op: None,
-            pc: None,
+            pc: held.pc.and_then(Pc::from_kept),
+        }
+    }
+
+    /// Leaves the Jacobian and, if it can be kept, the preconditioner to the
+    /// next [`LinearSolve::resume`].
+    pub(crate) fn suspend(self) -> Suspended {
+        Suspended {
+            jac: self.jac,
+            pc: self.pc.and_then(|pc| Box::new(pc).into_kept()),
         }
     }
 }
@@ -258,7 +281,7 @@ where
         x,
         cfg,
         &ExecCtx::serial(),
-        &mut LinearSolve::default(),
+        &mut LinearSolve::resume(Suspended::default()),
         &pc_factory,
     )
 }

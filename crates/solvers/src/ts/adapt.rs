@@ -9,7 +9,7 @@
 use sellkit_core::{Csr, ExecCtx, FromCsr, Operator as CoreOperator};
 
 use crate::pc::Precond;
-use crate::snes::newton::{newton_kept, LinearSolve, NewtonConfig};
+use crate::snes::newton::{newton_kept, LinearSolve, NewtonConfig, Suspended};
 use crate::ts::theta::{theta_step_over, OdeProblem, ThetaConfig};
 use crate::vecops;
 
@@ -54,6 +54,11 @@ pub struct AdaptStep {
 }
 
 /// Adaptive θ-scheme integrator: an attempt is one full and two half θ-steps.
+///
+/// Like [`ThetaStepper`](crate::ts::ThetaStepper) it owns its Newton
+/// Jacobian and preconditioner from one call to the next: the pair lives as
+/// long as the integrator, so a new preconditioner configuration needs a
+/// new one.
 pub struct AdaptiveTheta {
     theta: f64,
     newton: NewtonConfig,
@@ -61,6 +66,8 @@ pub struct AdaptiveTheta {
     t: f64,
     dt: f64,
     accepted: Vec<AdaptStep>,
+    /// The Jacobian and the preconditioner the last call left.
+    held: Suspended,
 }
 
 impl AdaptiveTheta {
@@ -74,6 +81,7 @@ impl AdaptiveTheta {
             t: 0.0,
             dt: dt0,
             accepted: Vec::new(),
+            held: Suspended::default(),
         }
     }
 
@@ -104,7 +112,9 @@ impl AdaptiveTheta {
     /// Advances one *accepted* step (possibly after internal rejections),
     /// returning its record.  `u` is updated with the more accurate
     /// two-half-steps solution (local extrapolation is not applied,
-    /// matching PETSc's default).
+    /// matching PETSc's default).  Every attempt refreshes the Jacobian and
+    /// the preconditioner the integrator holds; `pc_factory` is called as
+    /// in [`ThetaStepper::step_ctx`](crate::ts::ThetaStepper::step_ctx).
     pub fn step<M, P, Pc>(
         &mut self,
         ode: &P,
@@ -116,10 +126,14 @@ impl AdaptiveTheta {
         P: OdeProblem,
         Pc: Precond,
     {
-        self.step_kept::<M, _, _>(ode, u, &mut LinearSolve::default(), &pc_factory)
+        let mut kept = LinearSolve::resume(std::mem::take(&mut self.held));
+        let rec = self.step_kept::<M, _, _>(ode, u, &mut kept, &pc_factory);
+        self.held = kept.suspend();
+        rec
     }
 
-    /// [`AdaptiveTheta::step`] on a linear-solve context the caller keeps.
+    /// [`AdaptiveTheta::step`] on a linear-solve context the caller has
+    /// resumed and will suspend.
     fn step_kept<M, P, Pc>(
         &mut self,
         ode: &P,
@@ -204,7 +218,8 @@ impl AdaptiveTheta {
     }
 
     /// Integrates until `t_end` (the final step is clipped to land on it),
-    /// on one operator and one preconditioner, as `ThetaStepper::run` does.
+    /// on one operator and one preconditioner, as `ThetaStepper::run` does:
+    /// the ones the integrator holds, if it can refresh them.
     pub fn run_until<M, P, Pc>(
         &mut self,
         ode: &P,
@@ -216,13 +231,14 @@ impl AdaptiveTheta {
         P: OdeProblem,
         Pc: Precond,
     {
-        let mut kept = LinearSolve::default();
+        let mut kept = LinearSolve::resume(std::mem::take(&mut self.held));
         while self.t < t_end - 1e-12 {
             if self.t + self.dt > t_end {
                 self.dt = t_end - self.t;
             }
             self.step_kept::<M, _, _>(ode, u, &mut kept, &pc_factory);
         }
+        self.held = kept.suspend();
     }
 }
 
@@ -370,6 +386,46 @@ mod tests {
         assert!(ts.history().len() > 1, "{:?}", ts.history());
         assert_eq!(builds.get(), 1, "one build per run_until");
         ts.step::<Csr, _, _>(&Decay { lambda: -2.0 }, &mut u, factory);
-        assert_eq!(builds.get(), 2, "and one per step");
+        assert_eq!(builds.get(), 2, "one that cannot be kept: and one per call");
+    }
+
+    /// [`Refreshing`] that can be kept between calls.
+    struct Keepable;
+
+    impl Precond for Keepable {
+        fn apply(&self, r: &[f64], z: &mut [f64]) {
+            z.copy_from_slice(r);
+        }
+        fn refresh(&mut self, _a: &Csr) -> bool {
+            true
+        }
+        fn into_kept(self: Box<Self>) -> Option<crate::pc::Kept> {
+            Some(self)
+        }
+        fn from_kept(kept: crate::pc::Kept) -> Option<Self> {
+            let kept: Box<dyn std::any::Any> = kept;
+            kept.downcast().ok().map(|pc| *pc)
+        }
+    }
+
+    #[test]
+    fn the_integrator_keeps_its_preconditioner() {
+        let builds = Cell::new(0);
+        let factory = |_: &Csr| {
+            builds.set(builds.get() + 1);
+            Keepable
+        };
+        let mut u = vec![1.0];
+        let mut ts = AdaptiveTheta::new(0.5, NewtonConfig::default(), AdaptConfig::default(), 0.5);
+        ts.run_until::<Csr, _, _>(&Decay { lambda: -2.0 }, &mut u, 1.0, factory);
+        ts.step::<Csr, _, _>(&Decay { lambda: -2.0 }, &mut u, factory);
+        ts.step::<Csr, _, _>(&Decay { lambda: -2.0 }, &mut u, factory);
+        assert_eq!(builds.get(), 1, "one build per integrator");
+        // Another type finds nothing to refresh.
+        ts.step::<Csr, _, _>(&Decay { lambda: -2.0 }, &mut u, |_: &Csr| {
+            builds.set(builds.get() + 1);
+            Refreshing
+        });
+        assert_eq!(builds.get(), 2);
     }
 }

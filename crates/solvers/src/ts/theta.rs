@@ -21,7 +21,9 @@
 use sellkit_core::{matops, Csr, ExecCtx, FromCsr, Operator as CoreOperator};
 
 use crate::pc::Precond;
-use crate::snes::newton::{newton_kept, LinearSolve, NewtonConfig, NewtonResult, NonlinearProblem};
+use crate::snes::newton::{
+    newton_kept, LinearSolve, NewtonConfig, NewtonResult, NonlinearProblem, Suspended,
+};
 
 /// An autonomous-or-not ODE system `du/dt = f(t, u)` with Jacobian.
 pub trait OdeProblem {
@@ -83,6 +85,11 @@ pub struct StepStats {
 /// a `TSFunctionEval` and every [`OdeProblem::rhs_jacobian_into`] a
 /// `TSJacobianEval` (PETSc's event names).
 ///
+/// The stepper owns its Newton Jacobian and its preconditioner from one
+/// call to the next, as a PETSc `TS` keeps its `KSP` and `PC` across
+/// `TSStep`s: only its first step builds them (see
+/// [`ThetaStepper::step_ctx`]).
+///
 /// ```
 /// use sellkit_core::{CooBuilder, Csr};
 /// use sellkit_solvers::pc::JacobiPc;
@@ -109,6 +116,8 @@ pub struct ThetaStepper {
     t: f64,
     steps_taken: usize,
     stats: Vec<StepStats>,
+    /// The Jacobian and the preconditioner the last call left.
+    held: Suspended,
 }
 
 /// The implicit stage [`theta_step_over`] hands its solve: `G(u) = u −
@@ -222,6 +231,7 @@ impl ThetaStepper {
             t: 0.0,
             steps_taken: 0,
             stats: Vec::new(),
+            held: Suspended::default(),
         }
     }
 
@@ -273,20 +283,28 @@ impl ThetaStepper {
     /// [`ThetaStepper::step`] for any pool size.
     ///
     /// **`pc_factory` is called when there is nothing to refresh**: the
-    /// step's first Newton iteration assembles the Jacobian and builds the
-    /// preconditioner, every later one writes into what it holds — the
-    /// Jacobian refilled and shifted in place
+    /// first Newton iteration of the stepper's first step assembles the
+    /// Jacobian and builds the preconditioner, every later one — in this
+    /// step and in the steps after it — writes into what the stepper holds:
+    /// the Jacobian refilled and shifted in place
     /// ([`OdeProblem::rhs_jacobian_into`]), the preconditioner's numeric
-    /// set-up re-done ([`Precond::refresh`]) — as long as the Jacobian keeps
+    /// set-up re-done ([`Precond::refresh`]), as long as the Jacobian keeps
     /// its pattern.  GMRES applies the preconditioner's own fine operator
     /// when it holds one ([`Precond::operator`]; a
     /// [`Multigrid<M>`](crate::pc::Multigrid)'s level 0 is the same
     /// conversion of the same matrix, so the iterates are those of a
     /// private copy); only for one that does not is the Jacobian converted
-    /// to `M` as well ([`FromCsr::set_from_csr`]).  The Jacobian, operator
-    /// and preconditioner live as long as the call that names their types —
-    /// this step here, the whole trajectory in [`ThetaStepper::run`] — so a
-    /// new preconditioner configuration takes effect with the next call.
+    /// to `M` as well ([`FromCsr::set_from_csr`]).
+    ///
+    /// **The pair lives as long as the stepper.**  Between calls the stepper
+    /// keeps the Jacobian, and the preconditioner where that can be kept
+    /// ([`Precond::into_kept`]: a `Multigrid` can, a preconditioner that may
+    /// borrow or a wrapper that does not forward the hook cannot, and is
+    /// built once per call).  A call with another `M` or `Pc` than the last
+    /// one, or a Jacobian of another pattern, builds anew; the iterates do
+    /// not depend on which path set the solve up.  The preconditioner
+    /// belongs to the stepper, so a new preconditioner configuration needs
+    /// a new stepper.
     pub fn step_ctx<M, P, Pc>(
         &mut self,
         ode: &P,
@@ -299,11 +317,14 @@ impl ThetaStepper {
         P: OdeProblem,
         Pc: Precond,
     {
-        self.step_kept::<M, _, _>(ode, u, ctx, &mut LinearSolve::default(), &pc_factory)
+        let mut kept = LinearSolve::resume(std::mem::take(&mut self.held));
+        let res = self.step_kept::<M, _, _>(ode, u, ctx, &mut kept, &pc_factory);
+        self.held = kept.suspend();
+        res
     }
 
-    /// [`ThetaStepper::step_ctx`] with the linear-solve context owned by the
-    /// caller, who may hand the same one to the next step.
+    /// [`ThetaStepper::step_ctx`] on a linear-solve context the caller has
+    /// resumed and will suspend.
     fn step_kept<M, P, Pc>(
         &mut self,
         ode: &P,
@@ -338,9 +359,12 @@ impl ThetaStepper {
     }
 
     /// Runs `nsteps` steps; panics if any Newton solve fails to converge.
-    /// One operator and one preconditioner serve the whole run: after the
-    /// first Newton iteration of the first step, `pc_factory` is called
-    /// again only if the Jacobian's pattern changes.
+    /// One operator and one preconditioner serve the whole run — and the
+    /// steps after it, as in [`ThetaStepper::step_ctx`]: `pc_factory` is
+    /// called only if the stepper holds no preconditioner of type `Pc` or
+    /// the Jacobian's pattern changes.  Inside the run the pair stays typed,
+    /// so even a preconditioner that cannot be kept between calls is built
+    /// once for the whole run.
     pub fn run<M, P, Pc>(
         &mut self,
         ode: &P,
@@ -353,7 +377,7 @@ impl ThetaStepper {
         Pc: Precond,
     {
         let serial = ExecCtx::serial();
-        let mut kept = LinearSolve::default();
+        let mut kept = LinearSolve::resume(std::mem::take(&mut self.held));
         for s in 0..nsteps {
             let res = self.step_kept::<M, _, _>(ode, u, &serial, &mut kept, &pc_factory);
             assert!(
@@ -364,6 +388,7 @@ impl ThetaStepper {
                 res.fnorm
             );
         }
+        self.held = kept.suspend();
     }
 }
 
@@ -504,6 +529,17 @@ mod tests {
         for i in 0..16 {
             assert!((u1[i] - u2[i]).abs() < 1e-12, "row {i}");
         }
+    }
+
+    /// The kept preconditioner is held as a `Kept` that lists the auto
+    /// traits: a stepper is as shareable between threads and across
+    /// unwinding as it was before it kept one.
+    #[test]
+    fn steppers_keep_the_auto_traits() {
+        use std::panic::{RefUnwindSafe, UnwindSafe};
+        fn check<T: Send + Sync + Unpin + UnwindSafe + RefUnwindSafe>() {}
+        check::<ThetaStepper>();
+        check::<crate::ts::AdaptiveTheta>();
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! cargo run --release --example gray_scott -- [grid] [steps] [csr|sell]
 //! ```
 
+use std::cell::Cell;
 use std::time::Instant;
 
 use sellkit::core::{Csr, FromCsr, Operator, Sell8};
@@ -44,9 +45,16 @@ fn run_simulation<M: Operator + FromCsr>(grid: usize, steps: usize) -> (Vec<f64>
 
     let mut u = gs.initial_condition(42);
     let mut ts = ThetaStepper::new(cfg);
+    // The stepper keeps its hierarchy from step to step and refreshes it:
+    // the factory runs once for the whole simulation.
+    let builds = Cell::new(0usize);
+    let factory = |j: &Csr| {
+        builds.set(builds.get() + 1);
+        Multigrid::<M>::new(j, &interps, mg_cfg)
+    };
     let t0 = Instant::now();
     for s in 0..steps {
-        let res = ts.step::<M, _, _>(&gs, &mut u, |j| Multigrid::<M>::new(j, &interps, mg_cfg));
+        let res = ts.step::<M, _, _>(&gs, &mut u, factory);
         println!(
             "  step {:>2}: newton {} its, gmres {} its, |F| = {:.3e}",
             s + 1,
@@ -56,7 +64,10 @@ fn run_simulation<M: Operator + FromCsr>(grid: usize, steps: usize) -> (Vec<f64>
         );
         assert!(res.converged());
     }
-    (u, t0.elapsed().as_secs_f64())
+    let secs = t0.elapsed().as_secs_f64();
+    println!("  multigrid hierarchies built: {}", builds.get());
+    assert_eq!(builds.get(), 1, "one hierarchy per simulation");
+    (u, secs)
 }
 
 fn main() {

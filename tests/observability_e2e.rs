@@ -13,7 +13,8 @@
 //! * a Newton step's `SNESJacobianEval` time is accounted for by its
 //!   `MatAssembly`, `PCSetUp` and `MatConvert` children, and its
 //!   preconditioner is built once and refreshed after that
-//!   (`MatPtAPSymbolic` / `MatPtAPNumeric`, `pc.rebuild` / `pc.refresh`);
+//!   (`MatPtAPSymbolic` / `MatPtAPNumeric`, `pc.rebuild` / `pc.refresh`),
+//!   in the step and in the next step of the same stepper;
 //! * a multigrid apply is 11 `MatMult`s with the paper's options, and its
 //!   `PCApply` time is accounted for by `MGSmooth`, `MatMult`,
 //!   `MatRestrict` and `MatInterpolate`.
@@ -93,11 +94,10 @@ fn tracing_flows_histograms_and_flight_dump() {
         let gs = GrayScott::new(64, GrayScottParams::default());
         let interps = interpolation_chain(gs.grid(), 3);
         let mut u = gs.initial_condition(42);
-        let res = ThetaStepper::new(ThetaConfig::default()).step::<sellkit::Sell8, _, _>(
-            &gs,
-            &mut u,
-            |j| Multigrid::<sellkit::Sell8>::new(j, &interps, MultigridConfig::default()),
-        );
+        let mut ts = ThetaStepper::new(ThetaConfig::default());
+        let factory =
+            |j: &Csr| Multigrid::<sellkit::Sell8>::new(j, &interps, MultigridConfig::default());
+        let res = ts.step::<sellkit::Sell8, _, _>(&gs, &mut u, factory);
         assert!(res.converged());
         let rep = sellkit::obs::report();
         let seconds = |suffix: &str| {
@@ -135,6 +135,25 @@ fn tracing_flows_histograms_and_flight_dump() {
         assert_eq!(
             rep.counters.get("pc.refresh"),
             Some(&((res.iterations - 1) as f64))
+        );
+
+        // The next step of the same stepper refreshes the hierarchy the
+        // first one built: no pattern is found again, nothing is rebuilt.
+        let next = ts.step::<sellkit::Sell8, _, _>(&gs, &mut u, factory);
+        assert!(next.converged());
+        let rep = sellkit::obs::report();
+        let count = |name: &str| rep.event(name).map_or(0, |e| e.count);
+        let newton_iterations = res.iterations + next.iterations;
+        assert_eq!(
+            count("MatPtAPSymbolic"),
+            2,
+            "once per coarse level and stepper"
+        );
+        assert_eq!(count("MatPtAPNumeric"), 2 * newton_iterations as u64);
+        assert_eq!(rep.counters.get("pc.rebuild"), Some(&1.0));
+        assert_eq!(
+            rep.counters.get("pc.refresh"),
+            Some(&((newton_iterations - 1) as f64))
         );
 
         // ---- One V-cycle with the paper's options (1 pre, 1 post, 3

@@ -8,10 +8,12 @@
 //!   every level (operator, inverse diagonal) and in three applies, for
 //!   every cell of {format} × {smoother} × {coarse solve} × {levels};
 //! * a fine matrix with another pattern is refused and nothing is touched;
-//! * the θ-stepper calls the factory when there is nothing to refresh, and
-//!   the trajectory does not depend on which path set the hierarchy up, nor
-//!   on whether GMRES applies the hierarchy's own fine operator
-//!   (`Precond::operator`) or a copy the solve converted itself.
+//! * the θ-stepper calls the factory when there is nothing to refresh — its
+//!   hierarchy lives as long as the stepper, across `run` and `step` calls,
+//!   unless the call names another format or the preconditioner cannot be
+//!   kept — and the trajectory does not depend on which path set the
+//!   hierarchy up, nor on whether GMRES applies the hierarchy's own fine
+//!   operator (`Precond::operator`) or a copy the solve converted itself.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -360,7 +362,7 @@ fn the_factory_is_called_when_there_is_nothing_to_refresh() {
     assert_eq!(built.get(), 2, "a second stepper builds again");
     assert_eq!(bits(&u_again), bits(&u_run));
 
-    // Step by step the pair lives for one step: one build each.
+    // Step by step the pair lives as long as the stepper: one build.
     built.set(0);
     let mut u_steps = u0.clone();
     let mut ts_steps = ThetaStepper::new(cfg);
@@ -369,9 +371,59 @@ fn the_factory_is_called_when_there_is_nothing_to_refresh() {
             .step::<Sell8, _, _>(&gs, &mut u_steps, factory)
             .converged());
     }
-    assert_eq!(built.get(), STEPS, "a step builds once");
+    assert_eq!(built.get(), 1, "a stepper builds once");
     assert_eq!(iterations(&ts_steps), work);
     assert_eq!(bits(&u_steps), bits(&u_run));
+
+    // A step after a run refreshes the run's hierarchy and builds nothing,
+    // on the trajectory of one longer run.
+    built.set(0);
+    let mut u_after = u_run.clone();
+    assert!(ts
+        .step::<Sell8, _, _>(&gs, &mut u_after, factory)
+        .converged());
+    assert_eq!(built.get(), 0, "a step after a run builds nothing");
+    let mut u_longer = u0.clone();
+    ThetaStepper::new(cfg).run::<Sell8, _, _>(&gs, &mut u_longer, STEPS + 1, factory);
+    assert_eq!(bits(&u_after), bits(&u_longer));
+
+    // A call that names another format finds no hierarchy of its type and
+    // builds one; the trajectory is that of a fresh stepper per step.
+    let built_csr = Cell::new(0usize);
+    let factory_csr = |j: &Csr| {
+        built_csr.set(built_csr.get() + 1);
+        Multigrid::<Csr>::new(j, &interps, MultigridConfig::default())
+    };
+    built.set(0);
+    let formats = ["csr", "sell", "sell", "csr"];
+    let mut u_mixed = u0.clone();
+    let mut u_fresh = u0.clone();
+    let mut ts_mixed = ThetaStepper::new(cfg);
+    let mut rebuilds = Vec::new();
+    for format in formats {
+        let mut ts_fresh = ThetaStepper::new(cfg);
+        let (mixed, fresh) = if format == "csr" {
+            (
+                ts_mixed.step::<Csr, _, _>(&gs, &mut u_mixed, factory_csr),
+                ts_fresh.step::<Csr, _, _>(&gs, &mut u_fresh, factory_csr),
+            )
+        } else {
+            (
+                ts_mixed.step::<Sell8, _, _>(&gs, &mut u_mixed, factory),
+                ts_fresh.step::<Sell8, _, _>(&gs, &mut u_fresh, factory),
+            )
+        };
+        assert!(mixed.converged());
+        assert_eq!(
+            (mixed.iterations, mixed.linear_iterations),
+            (fresh.iterations, fresh.linear_iterations)
+        );
+        assert_eq!(bits(&u_mixed), bits(&u_fresh), "after a {format} step");
+        rebuilds.push(built.get() + built_csr.get());
+    }
+    // The fresh steppers build once a step: 1, 2, 3, 4.  The kept one
+    // builds at each change of format only, so it adds 1, 1, 0, 1.
+    assert_eq!(rebuilds, [2, 4, 5, 7], "a build at each change of format");
 
     // The always-rebuild path: a build per Newton iteration, the same
     // trajectory to the bit.
@@ -393,4 +445,57 @@ fn the_factory_is_called_when_there_is_nothing_to_refresh() {
     assert_eq!(built.get(), 1, "the refresh path is forwarded");
     assert_eq!(iterations(&ts_own), work);
     assert_eq!(bits(&u_own), bits(&u_run));
+
+    // A wrapper that does not forward `into_kept` is not kept between
+    // calls: step by step it builds once a step (`OwnOperator`), or once a
+    // Newton iteration if it hides `refresh` too (`AlwaysRebuilt`) — on the
+    // same trajectory.
+    for (hides_refresh, expected) in [(false, STEPS), (true, newton_iterations)] {
+        built.set(0);
+        let mut u_wrapped = u0.clone();
+        let mut ts_wrapped = ThetaStepper::new(cfg);
+        for _ in 0..STEPS {
+            let res = if hides_refresh {
+                ts_wrapped.step::<Sell8, _, _>(&gs, &mut u_wrapped, |j| AlwaysRebuilt(factory(j)))
+            } else {
+                ts_wrapped.step::<Sell8, _, _>(&gs, &mut u_wrapped, |j| OwnOperator(factory(j)))
+            };
+            assert!(res.converged());
+        }
+        assert_eq!(built.get(), expected, "hides refresh: {hides_refresh}");
+        assert_eq!(iterations(&ts_wrapped), work);
+        assert_eq!(bits(&u_wrapped), bits(&u_run));
+    }
+
+    // The hierarchy belongs to the stepper: a step with a new factory
+    // refreshes the one the stepper holds, so the new configuration is not
+    // seen; a new stepper builds from the new factory.
+    let built_new = Cell::new(0usize);
+    let factory_new = |j: &Csr| {
+        built_new.set(built_new.get() + 1);
+        let more_smoothing = MultigridConfig {
+            pre_smooth: 2,
+            ..MultigridConfig::default()
+        };
+        Multigrid::<Sell8>::new(j, &interps, more_smoothing)
+    };
+    assert!(ts_steps
+        .step::<Sell8, _, _>(&gs, &mut u_steps, factory_new)
+        .converged());
+    assert_eq!(built_new.get(), 0, "the stepper's hierarchy is refreshed");
+    assert_eq!(bits(&u_steps), bits(&u_longer));
+    let mut u_new = u_run.clone();
+    assert!(ThetaStepper::new(cfg)
+        .step::<Sell8, _, _>(&gs, &mut u_new, factory_new)
+        .converged());
+    assert_eq!(
+        built_new.get(),
+        1,
+        "a new stepper builds from the new factory"
+    );
+    assert_ne!(
+        bits(&u_new),
+        bits(&u_longer),
+        "the new configuration is seen"
+    );
 }
