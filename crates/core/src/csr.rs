@@ -217,32 +217,6 @@ impl Csr {
         Csr::from_parts(self.ncols, self.nrows, rowptr_t, colidx_t, val_t)
     }
 
-    /// Computes `y = Aᵀ·x` without forming the transpose (scatter-style
-    /// column updates; inherently harder to vectorize than the row-wise
-    /// product, which is why PETSc pairs it with explicit transposes for
-    /// performance-critical paths like multigrid restriction).
-    pub fn spmv_transpose(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.nrows, "x length must equal nrows for Aᵀx");
-        assert_eq!(y.len(), self.ncols, "y length must equal ncols for Aᵀx");
-        y.fill(0.0);
-        self.spmv_transpose_add(x, y);
-    }
-
-    /// Computes `y += Aᵀ·x`.
-    pub(crate) fn spmv_transpose_add(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.nrows);
-        assert_eq!(y.len(), self.ncols);
-        for i in 0..self.nrows {
-            let xi = x[i];
-            if xi == 0.0 {
-                continue;
-            }
-            for k in self.rowptr[i]..self.rowptr[i + 1] {
-                y[self.colidx[k] as usize] += self.val[k] * xi;
-            }
-        }
-    }
-
     /// SpMV with an explicit ISA (ignores the default set by `with_isa`).
     pub fn spmv_isa(&self, isa: Isa, x: &[f64], y: &mut [f64]) {
         check_spmv_dims(self.nrows, self.ncols, x, y);
@@ -437,25 +411,14 @@ mod tests {
 
     #[test]
     fn transpose_spmv_matches_explicit_transpose() {
+        // A = [1 0 2; 0 3 4], so Aᵀ·(2, −1) = (2, −3, 0).
         let d = vec![1.0, 0.0, 2.0, 0.0, 3.0, 4.0];
         let a = Csr::from_dense(2, 3, &d);
         let x = vec![2.0, -1.0];
-        let mut y1 = vec![0.0; 3];
-        a.spmv_transpose(&x, &mut y1);
-        let mut y2 = vec![0.0; 3];
-        a.transpose().apply(
-            &ExecCtx::serial(),
-            (&x).into(),
-            (&mut y2).into(),
-            Apply::Set,
-        );
-        assert_eq!(y1, y2);
-        // Accumulating variant.
-        let mut y3 = vec![10.0; 3];
-        a.spmv_transpose_add(&x, &mut y3);
-        for i in 0..3 {
-            assert!((y3[i] - (10.0 + y1[i])).abs() < 1e-15);
-        }
+        let mut y = vec![0.0; 3];
+        a.transpose()
+            .apply(&ExecCtx::serial(), (&x).into(), (&mut y).into(), Apply::Set);
+        assert_eq!(y, vec![2.0, -3.0, 0.0]);
     }
 
     #[test]

@@ -38,7 +38,6 @@ use crate::scatter::VecScatter;
 #[derive(Debug)]
 pub struct DistMat<M> {
     row_range: RowRange,
-    global_rows: usize,
     global_cols: usize,
     diag: M,
     offdiag: M,
@@ -78,29 +77,11 @@ impl<M: Operator + FromCsr> DistMat<M> {
             "local block must use global column indices"
         );
 
-        let m = local.nrows();
-        let diag_csr = matops::submatrix(local, 0..m, my_cols.start..my_cols.end);
-        // Compress off-diagonal columns: garray maps ghost slot → global col.
-        let ghost = |c: &u32| !my_cols.contains(*c as usize);
-        let mut garray: Vec<u32> = local.colidx().iter().copied().filter(ghost).collect();
-        garray.sort_unstable();
-        garray.dedup();
-        let mut off = RowAssembler::with_capacity(m, garray.len(), local.nnz() - diag_csr.nnz());
-        for i in 0..m {
-            for (c, &v) in local.row_cols(i).iter().zip(local.row_vals(i)) {
-                if ghost(c) {
-                    let slot = garray.binary_search(c).expect("column present in garray");
-                    off.push(slot, v);
-                }
-            }
-            off.end_row();
-        }
-        let off_csr = off.finish();
+        let (diag_csr, off_csr, garray) = split(local, my_cols);
         let scatter = VecScatter::build(comm, &col_ranges, &garray, tag);
 
         Self {
             row_range,
-            global_rows,
             global_cols,
             diag: M::from_csr(&diag_csr),
             offdiag: M::from_csr(&off_csr),
@@ -117,6 +98,32 @@ impl<M: Operator + FromCsr> DistMat<M> {
         let me = split_rows(a.nrows(), comm.size())[comm.rank()];
         let local = matops::submatrix(a, me.start..me.end, 0..a.ncols());
         Self::from_local_rows(comm, a.nrows(), a.ncols(), &local, tag)
+    }
+
+    /// Makes this the matrix whose row block `local` holds, keeping the
+    /// scatter, if no rank's rows reach a ghost column they did not reach
+    /// before, nor leave one: then each block takes the new values
+    /// ([`FromCsr::set_from_csr`]), the product is that of
+    /// [`DistMat::from_local_rows`] on `local` bit for bit, and every rank
+    /// returns `true`.  Otherwise every rank returns `false`, nothing is
+    /// changed, and the caller rebuilds on every rank, so that scatters and
+    /// [`Comm::new_tag`] draws stay in step.
+    ///
+    /// Collective: one `allreduce_max` decides.
+    pub(crate) fn refresh(&mut self, comm: &Comm, local: &Csr) -> bool {
+        let my_cols = split_rows(self.global_cols, comm.size())[comm.rank()];
+        let shape = local.nrows() == self.row_range.len() && local.ncols() == self.global_cols;
+        let parts = shape
+            .then(|| split(local, my_cols))
+            .filter(|(_, _, garray)| *garray == self.garray);
+        let mismatch = if parts.is_some() { 0.0 } else { 1.0 };
+        let agreed = comm.allreduce_max(mismatch) == 0.0;
+        let Some((diag, offdiag, _)) = parts.filter(|_| agreed) else {
+            return false;
+        };
+        self.diag.set_from_csr(&diag);
+        self.offdiag.set_from_csr(&offdiag);
+        true
     }
 
     /// Parallel `y = A·x` — the four-step overlapped MatMult of §2.2.
@@ -187,7 +194,7 @@ impl<M: Operator + FromCsr> DistMat<M> {
         self.row_range
     }
 
-    /// The VecScatter plan (for transpose products and diagnostics).
+    /// The VecScatter plan (for diagnostics).
     pub fn scatter(&self) -> &VecScatter {
         &self.scatter
     }
@@ -208,30 +215,28 @@ impl<M: Operator + FromCsr> DistMat<M> {
     }
 }
 
-impl DistMat<Csr> {
-    /// Parallel transpose product `y = Aᵀ·x` (square matrices).
-    ///
-    /// The structure mirrors the forward MatMult with the communication
-    /// *reversed*: the off-diagonal block's transpose produces
-    /// contributions to *remote* rows (one per ghost column), which a
-    /// reverse-ADD scatter ships back to their owners.  Only available on
-    /// CSR blocks, which carry a transpose kernel — matching PETSc, where
-    /// `MatMultTranspose` support is per-format.
-    pub fn mult_transpose(&self, comm: &Comm, x_local: &[f64], y_local: &mut [f64]) {
-        assert_eq!(
-            self.global_rows, self.global_cols,
-            "transpose product needs square layout"
-        );
-        assert_eq!(x_local.len(), self.row_range.len());
-        assert_eq!(y_local.len(), self.diag.ncols());
-        // Local part: diagᵀ · x.
-        self.diag.spmv_transpose(x_local, y_local);
-        // Remote contributions: offdiagᵀ · x, one value per ghost column.
-        let mut contrib = vec![0.0; self.garray.len()];
-        self.offdiag.spmv_transpose(x_local, &mut contrib);
-        // Ship them home and accumulate.
-        self.scatter.reverse_add(comm, &contrib, y_local);
+/// Splits a row block (global columns) as Figure 2 stores it: the diagonal
+/// block (the columns `my_cols` this rank owns), the off-diagonal block
+/// compressed to the columns it reaches, and `garray`, the global column of
+/// each compressed one, ascending.
+fn split(local: &Csr, my_cols: RowRange) -> (Csr, Csr, Vec<u32>) {
+    let m = local.nrows();
+    let diag = matops::submatrix(local, 0..m, my_cols.start..my_cols.end);
+    let ghost = |c: &u32| !my_cols.contains(*c as usize);
+    let mut garray: Vec<u32> = local.colidx().iter().copied().filter(ghost).collect();
+    garray.sort_unstable();
+    garray.dedup();
+    let mut off = RowAssembler::with_capacity(m, garray.len(), local.nnz() - diag.nnz());
+    for i in 0..m {
+        for (c, &v) in local.row_cols(i).iter().zip(local.row_vals(i)) {
+            if ghost(c) {
+                let slot = garray.binary_search(c).expect("column present in garray");
+                off.push(slot, v);
+            }
+        }
+        off.end_row();
     }
+    (diag, off.finish(), garray)
 }
 
 #[cfg(test)]
@@ -429,15 +434,21 @@ mod tests {
         let n = 48;
         let x: Vec<f64> = (0..n).map(|g| (g as f64 * 0.17).sin()).collect();
         let mut want = vec![0.0; n];
-        a.spmv_transpose(&x, &mut want);
+        let at = a.transpose();
+        at.apply(
+            &ExecCtx::serial(),
+            (&x).into(),
+            (&mut want).into(),
+            Apply::Set,
+        );
         for ranks in [1usize, 2, 4, 5] {
-            let a2 = a.clone();
+            let at2 = at.clone();
             let x2 = x.clone();
             let out = run(ranks, move |comm| {
-                let dm = DistMat::<Csr>::from_global_csr(comm, &a2, 9);
+                let dm = DistMat::<Csr>::from_global_csr(comm, &at2, 9);
                 let me = dm.row_range();
                 let mut y = vec![0.0; me.len()];
-                dm.mult_transpose(comm, &x2[me.start..me.end], &mut y);
+                dm.mult(comm, &x2[me.start..me.end], &mut y);
                 let mut yv = DistVec::zeros(comm, n);
                 yv.local_mut().copy_from_slice(&y);
                 yv.gather_all(comm)
@@ -466,17 +477,101 @@ mod tests {
         let a2 = a.clone();
         let out = run(3, move |comm| {
             let dm = DistMat::<Csr>::from_global_csr(comm, &a2, 4);
+            let dmt = DistMat::<Csr>::from_global_csr(comm, &a2.transpose(), 5);
             let me = dm.row_range();
             let mut y = vec![0.0; me.len()];
             dm.mult(comm, &x[me.start..me.end], &mut y);
             let mut z = vec![0.0; me.len()];
-            dm.mult_transpose(comm, &y, &mut z);
+            dmt.mult(comm, &y, &mut z);
             let local: f64 = (me.start..me.end).map(|g| x[g] * z[g - me.start]).sum();
             comm.allreduce_sum(local)
         });
         for v in out {
             assert!((v - want).abs() < 1e-10, "{v} vs {want}");
         }
+    }
+
+    /// This rank's rows of `a`, global columns.
+    fn my_rows(comm: &Comm, a: &Csr) -> Csr {
+        let me = split_rows(a.nrows(), comm.size())[comm.rank()];
+        matops::submatrix(a, me.start..me.end, 0..a.ncols())
+    }
+
+    /// The bits of this rank's block of `A·x`, `x_g = sin(0.13 g)`.
+    fn product_bits<M: Operator + FromCsr>(comm: &Comm, dm: &DistMat<M>, n: usize) -> Vec<u64> {
+        let xv = DistVec::from_fn(comm, n, |g| (g as f64 * 0.13).sin());
+        let mut y = vec![0.0; dm.row_range().len()];
+        dm.mult(comm, xv.local(), &mut y);
+        y.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A refresh with new values on the same ghost columns returns `true` on
+    /// every rank and multiplies, bit for bit, like a fresh build.
+    fn check_refresh_equals_rebuild<M: Operator + FromCsr>() {
+        let n = 48;
+        let a = banded(n, 3);
+        // Same pattern, other values.
+        let b = matops::shift(&matops::scale(&a, -0.7), 2.5);
+        assert!(a.same_pattern(&b));
+        for ranks in 1..=4 {
+            let (a, b) = (a.clone(), b.clone());
+            run(ranks, move |comm| {
+                let mut dm = DistMat::<M>::from_local_rows(comm, n, n, &my_rows(comm, &a), 1);
+                let local = my_rows(comm, &b);
+                assert!(dm.refresh(comm, &local), "{ranks} ranks: refresh refused");
+                let fresh = DistMat::<M>::from_local_rows(comm, n, n, &local, 2);
+                assert_eq!(
+                    product_bits(comm, &dm, n),
+                    product_bits(comm, &fresh, n),
+                    "{ranks} ranks, rank {}",
+                    comm.rank()
+                );
+            });
+        }
+    }
+
+    #[test]
+    fn refresh_multiplies_like_a_fresh_build() {
+        check_refresh_equals_rebuild::<Csr>();
+        check_refresh_equals_rebuild::<Sell8>();
+    }
+
+    /// Rank 1's rows gain a ghost column: every rank refuses the refresh,
+    /// keeps the product it had, and draws its next tag in step.
+    fn check_refresh_refused_everywhere<M: Operator + FromCsr>() {
+        let n = 48;
+        let a = banded(n, 2);
+        for ranks in 2..=4 {
+            let r1 = split_rows(n, ranks)[1];
+            // Half way round the ring from rank 1's first row: owned by no
+            // one near it, reached by no row of it.
+            let far = (r1.start + n / 2 + 2) % n;
+            assert!(!r1.contains(far));
+            let mut coo = CooBuilder::new(n, n);
+            for i in 0..n {
+                for (&c, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
+                    coo.push(i, c as usize, 2.0 * v);
+                }
+            }
+            coo.push(r1.start, far, 1.0);
+            let b = coo.to_csr();
+            let a = a.clone();
+            let out = run(ranks, move |comm| {
+                let mut dm = DistMat::<M>::from_local_rows(comm, n, n, &my_rows(comm, &a), 1);
+                let before = product_bits(comm, &dm, n);
+                let refreshed = dm.refresh(comm, &my_rows(comm, &b));
+                assert_eq!(product_bits(comm, &dm, n), before, "rank {}", comm.rank());
+                (refreshed, comm.new_tag())
+            });
+            assert!(out.iter().all(|&(r, _)| !r), "{ranks} ranks: {out:?}");
+            assert!(out.iter().all(|&(_, t)| t == out[0].1), "{ranks}: {out:?}");
+        }
+    }
+
+    #[test]
+    fn refresh_is_refused_on_every_rank_when_one_gains_a_ghost_column() {
+        check_refresh_refused_everywhere::<Csr>();
+        check_refresh_refused_everywhere::<Sell8>();
     }
 
     #[test]

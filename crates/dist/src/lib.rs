@@ -23,11 +23,13 @@
 //! runs CSR and SELL — the paper's point that the parallel layer reuses the
 //! sequential kernels unchanged.
 //!
-//! One layer up, [`dist_newton`] is the serial Newton loop over
-//! distributed vectors, solving the serial `NonlinearProblem` over this
-//! rank's rows.  [`VecScatter::build`] and the [`DistMat`] constructors are
-//! told their tag; a driver that builds them, as [`dist_newton`] does each
-//! iteration, draws it from [`Comm::new_tag`](sellkit_mpisim::Comm::new_tag).
+//! One layer up, [`dist_newton`] is the serial Newton set-up and loop over
+//! one rank's rows, solving the serial `NonlinearProblem` there: it keeps
+//! one [`DistMat`] for the solve and refreshes it in place while no rank's
+//! ghost columns change.  [`VecScatter::build`] and the [`DistMat`]
+//! constructors are told their tag; a driver that builds them, as
+//! [`dist_newton`] does once per solve, draws it from
+//! [`Comm::new_tag`](sellkit_mpisim::Comm::new_tag).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

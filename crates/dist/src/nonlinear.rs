@@ -3,16 +3,19 @@
 //! only its own Jacobian rows, and all reductions cross ranks.
 //!
 //! The single-rank [`newton`](fn@sellkit_solvers::snes::newton::newton) and
-//! [`dist_newton`] are the *same algorithm* — one loop,
-//! [`newton_over`], run over two vector spaces — and take the same problem
+//! [`dist_newton`] are the *same algorithm* — one loop and one set-up,
+//! [`newton_on`], over two [`Fine`] levels — and take the same problem
 //! trait, [`NonlinearProblem`], which is why the paper's iteration counts
 //! are identical across node counts.
 
-use sellkit_core::{matops, Csr, FromCsr, MatShape, Operator};
+use std::borrow::Cow;
+
+use sellkit_core::{matops, Csr, ExecCtx, FromCsr, MatShape, Operator};
 use sellkit_mpisim::Comm;
-use sellkit_solvers::ksp::gmres;
-use sellkit_solvers::pc::{self, Precond};
-use sellkit_solvers::snes::newton::{newton_over, NewtonConfig, NewtonResult, NonlinearProblem};
+use sellkit_solvers::pc::Precond;
+use sellkit_solvers::snes::newton::{
+    newton_on, Fine, NewtonConfig, NewtonResult, NonlinearProblem,
+};
 
 use crate::dmat::DistMat;
 use crate::partition::split_rows;
@@ -30,9 +33,11 @@ use crate::solve::{DistDot, DistOp};
 /// block of `x` (fetching whatever remote state it needs itself, e.g.
 /// through a halo [`crate::VecScatter`]), and `jacobian` assembles the
 /// owned rows with **global** column indices.  The global size is the
-/// Jacobian's `ncols()`, the owned rows are [`split_rows`]'s block of it,
-/// and each Newton iteration's [`DistMat`] draws its scatter tag from
-/// [`Comm::new_tag`].
+/// Jacobian's `ncols()`, and the owned rows are [`split_rows`]'s block of
+/// it.  One [`DistMat`] serves the whole solve: built on the first
+/// iteration, with a scatter tag drawn from [`Comm::new_tag`], and
+/// refreshed in place on the later ones while no rank's rows change the
+/// ghost columns they reach.
 pub fn dist_newton<M, Prob, Pc>(
     comm: &Comm,
     problem: &Prob,
@@ -50,39 +55,51 @@ where
         problem.dim(),
         "x block does not match owned rows"
     );
-    let ip = DistDot { comm };
+    let rows = RankRows::<M> { comm, mat: None };
+    newton_on(rows, problem, x_local, cfg, pc_factory)
+}
 
-    // The rank-local preconditioner lives for the whole solve, as in the
-    // single-rank loop; the distributed operator is rebuilt (its scatter is
-    // a collective with a tag of its own).
-    let mut kept_pc = None;
-    newton_over(
-        &ip,
-        x_local,
-        cfg,
-        |x, f| problem.residual(x, f),
-        |x, rhs, d, ksp_cfg| {
-            let (dm, pc) = {
-                let _je = sellkit_obs::span("SNESJacobianEval");
-                let j_local = {
-                    let _s = sellkit_obs::span("MatAssembly");
-                    problem.jacobian(x)
-                };
-                let nglobal = j_local.ncols();
-                let rows = split_rows(nglobal, comm.size())[comm.rank()];
-                // Block-Jacobi: the preconditioner sees the square diagonal
-                // block of the owned rows.
-                let diag_block =
-                    matops::submatrix(&j_local, 0..j_local.nrows(), rows.start..rows.end);
-                let pc = pc::set_up(&mut kept_pc, &diag_block, &pc_factory);
-                let _s = sellkit_obs::span("MatConvert");
-                let dm =
-                    DistMat::<M>::from_local_rows(comm, nglobal, nglobal, &j_local, comm.new_tag());
-                (dm, pc)
-            };
-            gmres(&DistOp { comm, mat: &dm }, pc, &ip, rhs, d, ksp_cfg)
-        },
-    )
+/// One rank's [`Fine`] level: the space reduces across ranks, the
+/// preconditioner sees the owned rows' square diagonal block, and GMRES
+/// applies the [`DistMat`] of those rows.
+struct RankRows<'c, M> {
+    comm: &'c Comm,
+    mat: Option<DistMat<M>>,
+}
+
+impl<'c, M: Operator + FromCsr> Fine for RankRows<'c, M> {
+    type Space = DistDot<'c>;
+
+    fn space(&self) -> DistDot<'c> {
+        DistDot { comm: self.comm }
+    }
+
+    fn pc_matrix<'j>(&self, j: &'j Csr) -> Cow<'j, Csr> {
+        // Block-Jacobi: the columns this rank owns.
+        let cols = split_rows(j.ncols(), self.comm.size())[self.comm.rank()];
+        Cow::Owned(matops::submatrix(j, 0..j.nrows(), cols.start..cols.end))
+    }
+
+    /// `shared` is not the system here: on a rank the preconditioner's
+    /// operator is at most its diagonal block.
+    fn operator<'a>(
+        &'a mut self,
+        j: &Csr,
+        _shared: Option<&'a dyn Operator>,
+        _ctx: &'a ExecCtx,
+    ) -> impl sellkit_solvers::operator::Operator + 'a {
+        let comm = self.comm;
+        let _s = sellkit_obs::span("MatConvert");
+        if self.mat.as_mut().is_some_and(|m| m.refresh(comm, j)) {
+            sellkit_obs::counter("dmat.refresh", 1.0);
+        } else {
+            sellkit_obs::counter("dmat.rebuild", 1.0);
+            let n = j.ncols();
+            self.mat = Some(DistMat::from_local_rows(comm, n, n, j, comm.new_tag()));
+        }
+        let mat = self.mat.as_ref().expect("refreshed or rebuilt just above");
+        DistOp { comm, mat }
+    }
 }
 
 #[cfg(test)]

@@ -152,48 +152,7 @@ impl VecScatter {
             ghost[off..off + len].copy_from_slice(&data);
         }
     }
-
-    /// Reverse scatter with addition (`VecScatterBegin/End` with
-    /// `SCATTER_REVERSE` + `ADD_VALUES`): every ghost-slot *contribution*
-    /// travels back to the entry's owner and is **added** into `y_local`.
-    /// This is the communication pattern of the transpose product
-    /// `y = Aᵀx`, where off-diagonal columns accumulate into remote rows.
-    ///
-    /// Collective: every rank participating in the plan must call it.
-    pub(crate) fn reverse_add(&self, comm: &Comm, ghost_contrib: &[f64], y_local: &mut [f64]) {
-        assert_eq!(
-            ghost_contrib.len(),
-            self.nghost,
-            "ghost buffer length mismatch"
-        );
-        // Roles swap: the forward plan's receive segments become sends…
-        for &(src, len, off) in &self.recvs {
-            comm.isend(
-                src,
-                self.tag ^ REVERSE_TAG_FLIP,
-                ghost_contrib[off..off + len].to_vec(),
-            );
-        }
-        // …self-owned slots are added locally…
-        for &(i, off) in &self.local_copies {
-            y_local[i as usize] += ghost_contrib[off];
-        }
-        // …and the forward sends become receives, accumulated at the very
-        // local indices the forward direction reads from.
-        for (dst, idx) in &self.sends {
-            let data = comm.recv::<Vec<f64>>(*dst, self.tag ^ REVERSE_TAG_FLIP);
-            assert_eq!(data.len(), idx.len(), "reverse payload length mismatch");
-            for (k, &i) in idx.iter().enumerate() {
-                y_local[i as usize] += data[k];
-            }
-        }
-    }
 }
-
-/// Tag transformation separating reverse traffic from forward traffic of
-/// the same plan: bit 62, which neither user tags nor [`Comm::new_tag`]'s
-/// use.
-const REVERSE_TAG_FLIP: u64 = 1 << 62;
 
 #[cfg(test)]
 mod tests {

@@ -86,20 +86,6 @@ impl Comm {
         }
     }
 
-    /// Exclusive prefix sum of `value` over ranks (`MPI_Exscan`): rank `r`
-    /// receives the sum of values from ranks `0..r` (0 on rank 0).  Used to
-    /// compute row-range offsets when building distributed matrices.
-    pub fn exscan_sum(&self, value: usize) -> usize {
-        let all = self.allgather(value);
-        all[..self.rank()].iter().sum()
-    }
-
-    /// Inclusive prefix sum (`MPI_Scan` + `MPI_SUM`).
-    pub fn scan_sum(&self, value: f64) -> f64 {
-        let all = self.allgather(value);
-        all[..=self.rank()].iter().sum()
-    }
-
     /// Gathers one value from every rank onto `root` only (`MPI_Gather`);
     /// other ranks receive `None`.
     pub fn gather<T: Clone + Send + 'static>(&self, root: usize, value: T) -> Option<Vec<T>> {
@@ -123,31 +109,6 @@ impl Comm {
         } else {
             self.isend(root, COLL_TAG + 3, value);
             None
-        }
-    }
-
-    /// Scatters one chunk per rank from `root` (`MPI_Scatter`); only the
-    /// root supplies `chunks` (exactly `size` of them, in rank order).
-    pub fn scatter_from_root<T: Clone + Send + 'static>(
-        &self,
-        root: usize,
-        chunks: Option<Vec<T>>,
-    ) -> T {
-        assert!(root < self.size());
-        if self.rank() == root {
-            let chunks = chunks.expect("root must supply the chunks");
-            assert_eq!(chunks.len(), self.size(), "need one chunk per rank");
-            let mut mine = None;
-            for (dst, chunk) in chunks.into_iter().enumerate() {
-                if dst == self.rank() {
-                    mine = Some(chunk);
-                } else {
-                    self.isend(dst, COLL_TAG + 4, chunk);
-                }
-            }
-            mine.expect("root keeps its own chunk")
-        } else {
-            self.recv::<T>(root, COLL_TAG + 4)
         }
     }
 }
@@ -222,15 +183,24 @@ mod tests {
         assert!(out.iter().all(|s| s == "hello"));
     }
 
+    /// An exclusive prefix sum (`MPI_Exscan`) is a sum over what
+    /// `allgather` hands every rank.
     #[test]
     fn exscan_offsets() {
-        let out = run(4, |comm| comm.exscan_sum(comm.rank() + 1));
+        let out = run(4, |comm| {
+            let all = comm.allgather(comm.rank() + 1);
+            all[..comm.rank()].iter().sum::<usize>()
+        });
         assert_eq!(out, vec![0, 1, 3, 6]);
     }
 
+    /// An inclusive prefix sum (`MPI_Scan`) likewise.
     #[test]
     fn scan_is_inclusive_prefix() {
-        let out = run(4, |comm| comm.scan_sum((comm.rank() + 1) as f64));
+        let out = run(4, |comm| {
+            let all = comm.allgather((comm.rank() + 1) as f64);
+            all[..=comm.rank()].iter().sum::<f64>()
+        });
         assert_eq!(out, vec![1.0, 3.0, 6.0, 10.0]);
     }
 
@@ -242,12 +212,14 @@ mod tests {
         assert_eq!(out[2], None);
     }
 
+    /// A scatter from the root (`MPI_Scatter`) is a broadcast of which
+    /// every rank keeps its own chunk.
     #[test]
     fn scatter_distributes_chunks() {
         let out = run(3, |comm| {
             let chunks =
                 (comm.rank() == 0).then(|| vec!["a".to_string(), "b".to_string(), "c".to_string()]);
-            comm.scatter_from_root(0, chunks)
+            comm.broadcast(0, chunks)[comm.rank()].clone()
         });
         assert_eq!(out, vec!["a", "b", "c"]);
     }
@@ -256,8 +228,7 @@ mod tests {
     fn gather_then_scatter_round_trips() {
         let out = run(4, |comm| {
             let gathered = comm.gather(0, comm.rank() as u64 + 100);
-
-            comm.scatter_from_root(0, gathered)
+            comm.broadcast(0, gathered)[comm.rank()]
         });
         assert_eq!(out, vec![100, 101, 102, 103]);
     }

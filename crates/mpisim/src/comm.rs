@@ -63,10 +63,9 @@ impl Comm {
     /// per-rank counter that sends nothing: every rank draws its tags in
     /// the same collective order, so its `k`-th tag is every rank's.
     ///
-    /// The `k`-th tag is `2⁶³ + k`, `k < 2⁶² − 256`.  Flipped at bit 62 (a
-    /// scatter plan's reverse traffic) or not, it avoids user tags (below
-    /// `2⁶²`), their flipped images (`[2⁶², 2⁶³)`) and the collectives'
-    /// block `u64::MAX − 0xFF..`.  Panics once the range is spent.
+    /// The `k`-th tag is `2⁶³ + k`, `k < 2⁶² − 256`: clear of user tags
+    /// (below `2⁶²`) and of the collectives' block `u64::MAX − 0xFF..`.
+    /// Panics once the range is spent.
     pub fn new_tag(&self) -> u64 {
         let k = self.drawn_tags.get();
         assert!(k < NEW_TAG_COUNT, "rank {}: no tag left to draw", self.rank);
@@ -391,23 +390,16 @@ mod tests {
 
     #[test]
     fn new_tags_agree_across_ranks_and_stay_clear_of_every_other_range() {
-        /// What a scatter plan flips for its reverse traffic.
-        const REVERSE_TAG_FLIP: u64 = 1 << 62;
         let out = run(3, |comm| (0..4).map(|_| comm.new_tag()).collect::<Vec<_>>());
         assert!(out.iter().all(|tags| *tags == out[0]), "{out:?}");
         assert!(out[0].windows(2).all(|w| w[1] == w[0] + 1), "{out:?}");
         let last = NEW_TAG_BASE + NEW_TAG_COUNT - 1;
-        for tag in [out[0][0], out[0][3], last] {
-            for t in [tag, tag ^ REVERSE_TAG_FLIP] {
-                assert!(
-                    t >= REVERSE_TAG_FLIP << 1,
-                    "{t:#x} meets the user tags or their images"
-                );
-                assert!(
-                    t < crate::collective::COLL_TAG,
-                    "{t:#x} meets the collectives' block"
-                );
-            }
+        for t in [out[0][0], out[0][3], last] {
+            assert!(t >= 1 << 62, "{t:#x} meets the user tags");
+            assert!(
+                t < crate::collective::COLL_TAG,
+                "{t:#x} meets the collectives' block"
+            );
         }
     }
 

@@ -88,7 +88,7 @@ pub type Kept = Box<dyn Any + Send + Sync + UnwindSafe + RefUnwindSafe>;
 /// set-up if it can ([`Precond::refresh`]); where there is none, or it
 /// declines, `factory` builds one and it is kept instead.  Counted as
 /// `pc.refresh` or `pc.rebuild` when logging is on.
-pub fn set_up<'k, Pc: Precond>(
+pub(crate) fn set_up<'k, Pc: Precond>(
     kept: &'k mut Option<Pc>,
     a: &sellkit_core::Csr,
     factory: impl FnOnce(&sellkit_core::Csr) -> Pc,

@@ -4,6 +4,4 @@ pub mod line_search;
 pub mod newton;
 
 pub use line_search::{LineSearch, LineSearchConfig};
-pub use newton::{
-    newton, newton_over, Forcing, NewtonConfig, NewtonResult, NewtonStopReason, NonlinearProblem,
-};
+pub use newton::{newton, Forcing, NewtonConfig, NewtonResult, NewtonStopReason, NonlinearProblem};

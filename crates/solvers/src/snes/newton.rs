@@ -10,11 +10,15 @@
 //! preconditioner's own fine operator when it has one
 //! ([`Precond::operator`], `KSPSetOperators(A, A)`) — a second copy of the
 //! fine matrix in `M` is built only for a preconditioner that holds none.
+//! What one rank and many differ in is the [`Fine`] level; the set-up and
+//! the loop are the same code.
+
+use std::borrow::Cow;
 
 use sellkit_core::{Csr, ExecCtx, FromCsr, Operator as CoreOperator};
 
 use crate::ksp::{gmres, KspConfig, KspResult};
-use crate::operator::{CtxMatOperator, InnerProduct, SeqDot};
+use crate::operator::{CtxMatOperator, InnerProduct, Operator, SeqDot};
 use crate::pc::{CtxPrecond, Kept, Precond};
 
 use super::line_search::LineSearch;
@@ -161,16 +165,86 @@ impl NewtonResult {
     }
 }
 
+/// The fine level of a Newton linear solve: what one rank and many differ
+/// in.  Each Newton iteration assembles the Jacobian rows `j` in CSR, sets
+/// the preconditioner up from [`Fine::pc_matrix`]`(j)` and runs GMRES on
+/// [`Fine::operator`] over [`Fine::space`].  `Option<M>` is the serial one,
+/// the Jacobian in the solve's format `M`; `sellkit-dist`'s `dist_newton`
+/// implements it over one rank's rows.
+pub trait Fine {
+    /// The vector space the Newton and Krylov iterates live in.
+    type Space: InnerProduct;
+
+    /// This level's [`Fine::Space`].
+    fn space(&self) -> Self::Space;
+
+    /// The matrix the preconditioner is set up from, for the assembled
+    /// Jacobian rows `j`.
+    fn pc_matrix<'j>(&self, j: &'j Csr) -> Cow<'j, Csr>;
+
+    /// The operator GMRES applies for the Jacobian rows `j`, on `ctx`.
+    /// `shared` is the preconditioner's own fine operator, if it has one
+    /// ([`Precond::operator`]).  Whatever is converted or refreshed here is
+    /// held until the next call and runs under `MatConvert`.
+    fn operator<'a>(
+        &'a mut self,
+        j: &Csr,
+        shared: Option<&'a dyn CoreOperator>,
+        ctx: &'a ExecCtx,
+    ) -> impl Operator + 'a;
+}
+
+/// The serial fine level: GMRES applies the preconditioner's own fine
+/// operator where it has one — Amat = Pmat, `KSPSetOperators(A, A)` — and
+/// otherwise the Jacobian held in `M`, refilled by [`FromCsr::set_from_csr`]
+/// (built on the first call).
+impl<M: CoreOperator + FromCsr> Fine for Option<M> {
+    type Space = SeqDot;
+
+    fn space(&self) -> SeqDot {
+        SeqDot
+    }
+
+    fn pc_matrix<'j>(&self, j: &'j Csr) -> Cow<'j, Csr> {
+        Cow::Borrowed(j)
+    }
+
+    fn operator<'a>(
+        &'a mut self,
+        j: &Csr,
+        shared: Option<&'a dyn CoreOperator>,
+        ctx: &'a ExecCtx,
+    ) -> impl Operator + 'a {
+        let op: &dyn CoreOperator = match shared {
+            Some(shared) => {
+                // A copy kept for an earlier preconditioner is not needed.
+                *self = None;
+                shared
+            }
+            None => {
+                let _s = sellkit_obs::span("MatConvert");
+                match self {
+                    Some(m) => {
+                        m.set_from_csr(j);
+                        m
+                    }
+                    None => self.insert(M::from_csr(j)),
+                }
+            }
+        };
+        CtxMatOperator::new(op, ctx)
+    }
+}
+
 /// What a Newton loop carries from one linearisation to the next (PETSc's
 /// `KSP` with its operators set): the Jacobian in CSR, the preconditioner,
-/// and — only for a preconditioner that holds no fine operator of its own —
-/// the Jacobian in the solve's format `M`.  Whoever owns it decides how long
+/// and the [`Fine`] level GMRES runs on.  Whoever owns it decides how long
 /// set-up work lives: [`newton`] keeps one for a solve; a θ-stepper keeps
 /// one for as long as the stepper lives, [suspended](LinearSolve::suspend)
 /// between the calls that name its types.
-pub(crate) struct LinearSolve<M, Pc> {
+pub(crate) struct LinearSolve<F, Pc> {
     jac: Option<Csr>,
-    op: Option<M>,
+    fine: F,
     pc: Option<Pc>,
 }
 
@@ -184,14 +258,14 @@ pub(crate) struct Suspended {
     pc: Option<Kept>,
 }
 
-impl<M, Pc: Precond> LinearSolve<M, Pc> {
+impl<M, Pc: Precond> LinearSolve<Option<M>, Pc> {
     /// Takes up what [`LinearSolve::suspend`] left.  A preconditioner of
     /// another type is dropped ([`Precond::from_kept`]), so the first
     /// linearisation builds one; the Jacobian is refilled whatever it held.
     pub(crate) fn resume(held: Suspended) -> Self {
         Self {
             jac: held.jac,
-            op: None,
+            fine: None,
             pc: held.pc.and_then(Pc::from_kept),
         }
     }
@@ -203,51 +277,6 @@ impl<M, Pc: Precond> LinearSolve<M, Pc> {
             jac: self.jac,
             pc: self.pc.and_then(|pc| Box::new(pc).into_kept()),
         }
-    }
-}
-
-impl<M: CoreOperator + FromCsr, Pc: Precond> LinearSolve<M, Pc> {
-    /// Linearises `problem` at `x`: the kept CSR Jacobian is refilled
-    /// ([`NonlinearProblem::jacobian_into`]; built on the first call), then
-    /// the preconditioner set up for it through
-    /// [`pc::set_up`](crate::pc::set_up) (`pc_factory` is consulted only
-    /// when there is nothing to refresh).  The operator GMRES runs on is the
-    /// preconditioner's [`Precond::operator`] — Amat = Pmat, one fine matrix
-    /// — or, where it has none, the kept `M` made the Jacobian by
-    /// [`FromCsr::set_from_csr`] under `MatConvert`.
-    fn set_up(
-        &mut self,
-        problem: &impl NonlinearProblem,
-        x: &[f64],
-        pc_factory: &impl Fn(&Csr) -> Pc,
-    ) -> (&dyn CoreOperator, &Pc) {
-        let _je = sellkit_obs::span("SNESJacobianEval");
-        let Self { jac, op, pc } = self;
-        let j = {
-            let _s = sellkit_obs::span("MatAssembly");
-            match jac {
-                Some(j) => {
-                    problem.jacobian_into(x, j);
-                    j
-                }
-                None => jac.insert(problem.jacobian(x)),
-            }
-        };
-        let pc = crate::pc::set_up(pc, j, pc_factory);
-        if let Some(shared) = pc.operator() {
-            // A copy kept for an earlier preconditioner is not needed.
-            *op = None;
-            return (shared, pc);
-        }
-        let _s = sellkit_obs::span("MatConvert");
-        let op = match op {
-            Some(m) => {
-                m.set_from_csr(j);
-                m
-            }
-            None => op.insert(M::from_csr(j)),
-        };
-        (op, pc)
     }
 }
 
@@ -276,14 +305,29 @@ where
     Prob: NonlinearProblem,
     Pc: Precond,
 {
-    newton_kept::<M, _, _>(
-        problem,
-        x,
-        cfg,
-        &ExecCtx::serial(),
-        &mut LinearSolve::resume(Suspended::default()),
-        &pc_factory,
-    )
+    newton_on(None::<M>, problem, x, cfg, pc_factory)
+}
+
+/// [`newton`] on the fine level `fine`, held for the whole solve: the entry
+/// the distributed Newton takes, with one rank's rows.
+pub fn newton_on<F, Prob, Pc>(
+    fine: F,
+    problem: &Prob,
+    x: &mut [f64],
+    cfg: &NewtonConfig,
+    pc_factory: impl Fn(&Csr) -> Pc,
+) -> NewtonResult
+where
+    F: Fine,
+    Prob: NonlinearProblem,
+    Pc: Precond,
+{
+    let mut kept = LinearSolve {
+        jac: None,
+        fine,
+        pc: None,
+    };
+    newton_kept(problem, x, cfg, &ExecCtx::serial(), &mut kept, &pc_factory)
 }
 
 /// [`newton`] with every Jacobian application and preconditioner apply
@@ -291,46 +335,61 @@ where
 /// the iterates bitwise the serial ones at any thread count), and the
 /// linear-solve context owned by the caller, who may hand the same one to
 /// the next solve.
-pub(crate) fn newton_kept<M, Prob, Pc>(
+///
+/// The one Newton set-up: each iteration refills the kept CSR Jacobian
+/// ([`NonlinearProblem::jacobian_into`]; built on the first call), sets the
+/// preconditioner up for [`Fine::pc_matrix`] through
+/// [`pc::set_up`](crate::pc::set_up) (`pc_factory` is consulted only when
+/// there is nothing to refresh), and runs GMRES on [`Fine::operator`].
+pub(crate) fn newton_kept<F, Prob, Pc>(
     problem: &Prob,
     x: &mut [f64],
     cfg: &NewtonConfig,
     ctx: &ExecCtx,
-    kept: &mut LinearSolve<M, Pc>,
+    kept: &mut LinearSolve<F, Pc>,
     pc_factory: &impl Fn(&Csr) -> Pc,
 ) -> NewtonResult
 where
-    M: CoreOperator + FromCsr,
+    F: Fine,
     Prob: NonlinearProblem,
     Pc: Precond,
 {
     assert_eq!(x.len(), problem.dim());
+    let LinearSolve { jac, fine, pc } = kept;
+    let space = fine.space();
     newton_over(
-        &SeqDot,
+        &space,
         x,
         cfg,
         |x, f| problem.residual(x, f),
         |x, rhs, d, ksp_cfg| {
-            // Assemble in CSR, run the linear solve in format M (as the
-            // paper's experiments do: SELL carries every SpMV of the Newton
-            // systems).
-            let (op, pc) = kept.set_up(problem, x, pc_factory);
-            gmres(
-                &CtxMatOperator::new(op, ctx),
-                &CtxPrecond::new(pc, ctx),
-                &SeqDot,
-                rhs,
-                d,
-                ksp_cfg,
-            )
+            // Assemble in CSR, run the linear solve on the fine level (as
+            // the paper's experiments do: SELL carries every SpMV of the
+            // Newton systems).
+            let (op, pc) = {
+                let _je = sellkit_obs::span("SNESJacobianEval");
+                let j: &Csr = {
+                    let _s = sellkit_obs::span("MatAssembly");
+                    match jac {
+                        Some(j) => {
+                            problem.jacobian_into(x, j);
+                            j
+                        }
+                        None => jac.insert(problem.jacobian(x)),
+                    }
+                };
+                let pc = crate::pc::set_up(pc, &fine.pc_matrix(j), pc_factory);
+                (fine.operator(j, pc.operator(), ctx), pc)
+            };
+            gmres(&op, &CtxPrecond::new(pc, ctx), &space, rhs, d, ksp_cfg)
         },
     )
 }
 
 /// Newton's method with line search over the vector space `ip` spans: the
-/// one loop behind [`newton`] (a sequential space) and the distributed
-/// `dist_newton` (owned blocks, norms reduced across ranks), which is why
-/// the two take the same iterations on the same problem.
+/// one loop behind [`newton_kept`], serial (a sequential space) and
+/// distributed (owned blocks, norms reduced across ranks), which is why the
+/// two take the same iterations on the same problem.
 ///
 /// `residual(x, f)` evaluates `f = F(x)`.  `solve(x, rhs, d, ksp_cfg)`
 /// linearises at `x` and solves `J(x)·d = rhs` from the zero guess `d`
@@ -345,7 +404,7 @@ where
 /// trial: the accepted trial point becomes the iterate together with its
 /// residual, so `F` is never evaluated twice at one point (`1 +
 /// iterations` evaluations under [`LineSearch::Full`]).
-pub fn newton_over<D: InnerProduct>(
+pub(crate) fn newton_over<D: InnerProduct>(
     ip: &D,
     x: &mut [f64],
     cfg: &NewtonConfig,

@@ -138,7 +138,7 @@ impl AdaptiveTheta {
         &mut self,
         ode: &P,
         u: &mut [f64],
-        kept: &mut LinearSolve<M, Pc>,
+        kept: &mut LinearSolve<Option<M>, Pc>,
         pc_factory: &impl Fn(&Csr) -> Pc,
     ) -> AdaptStep
     where
@@ -164,7 +164,7 @@ impl AdaptiveTheta {
                     let rhs = |t, u: &[f64], f: &mut [f64]| ode.rhs(t, u, f);
                     let jac = |t, u: &[f64], j: &mut Csr| ode.rhs_jacobian_into(t, u, j);
                     theta_step_over(&cfg, t, 0, u, rhs, jac, |stage, u| {
-                        newton_kept::<M, _, _>(stage, u, &cfg.newton, &serial, kept, pc_factory)
+                        newton_kept(stage, u, &cfg.newton, &serial, kept, pc_factory)
                     })
                     .converged()
                 })

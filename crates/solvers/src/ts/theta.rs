@@ -173,8 +173,8 @@ where
 }
 
 /// One θ-step of `cfg.dt` from time `t` over the rows `u` holds, global rows
-/// `first_row..`: what [`newton_over`](crate::snes::newton_over) is to
-/// Newton.  `rhs(t, u, f)` evaluates those rows of `f`, and
+/// `first_row..`: the one θ-step, serial and distributed, as Newton has one
+/// loop.  `rhs(t, u, f)` evaluates those rows of `f`, and
 /// `rhs_jacobian(t, u, j)` makes `j` those rows of `∂f/∂u` (global
 /// columns), refilling what `j` holds or replacing it as
 /// [`OdeProblem::rhs_jacobian_into`] does; `solve(stage, u)` solves the
@@ -330,7 +330,7 @@ impl ThetaStepper {
         ode: &P,
         u: &mut [f64],
         ctx: &ExecCtx,
-        kept: &mut LinearSolve<M, Pc>,
+        kept: &mut LinearSolve<Option<M>, Pc>,
         pc_factory: &impl Fn(&Csr) -> Pc,
     ) -> NewtonResult
     where
@@ -346,7 +346,7 @@ impl ThetaStepper {
             u,
             |t, u, f| ode.rhs(t, u, f),
             |t, u, j| ode.rhs_jacobian_into(t, u, j),
-            |stage, u| newton_kept::<M, _, _>(stage, u, &self.cfg.newton, ctx, kept, pc_factory),
+            |stage, u| newton_kept(stage, u, &self.cfg.newton, ctx, kept, pc_factory),
         );
         self.t += self.cfg.dt;
         self.steps_taken += 1;

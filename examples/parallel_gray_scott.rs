@@ -92,4 +92,19 @@ fn main() {
         "CSR {t_csr:.3} s vs SELL {t_sell:.3} s ({:.2}x)",
         t_csr / t_sell
     );
+
+    // SELLKIT_LOG=1 turns on the staged -log_view engine: print the stage
+    // table, its times summed over the rank threads.
+    if sellkit::obs::enabled() {
+        let rep = sellkit::obs::report();
+        println!("\n{}", rep.log_view());
+        // Each Newton solve builds one distributed matrix per rank and
+        // refreshes it in the later iterations.
+        let rebuilds = rep.counters.get("dmat.rebuild").copied().unwrap_or(0.0);
+        assert_eq!(
+            rebuilds,
+            (2 * ranks * steps) as f64,
+            "one build per Newton solve, rank and format"
+        );
+    }
 }

@@ -10,7 +10,7 @@ use sellkit::dist::{dist_newton, split_rows, DistDot, DistMat, DistOp, DistVec};
 use sellkit::mpisim::run;
 use sellkit::solvers::ksp::{gmres, KspConfig};
 use sellkit::solvers::operator::{MatOperator, SeqDot};
-use sellkit::solvers::pc::{IdentityPc, JacobiPc};
+use sellkit::solvers::pc::{IdentityPc, JacobiPc, Precond};
 use sellkit::solvers::snes::newton::{newton, Forcing, NewtonConfig};
 use sellkit::workloads::generators;
 use sellkit::workloads::{GrayScott, GrayScottParams};
@@ -344,4 +344,62 @@ fn dist_newton_on_one_rank_takes_the_serial_problem_as_it_is() {
         (serial.iterations, serial.linear_iterations),
         "(Newton, GMRES) counts"
     );
+}
+
+/// Jacobi that offers the matrix it was set up from as its operator
+/// (`Precond::operator`): the whole Jacobian in a serial solve, this rank's
+/// diagonal block in a distributed one.
+struct SharingJacobi {
+    jacobi: JacobiPc,
+    a: Csr,
+}
+
+impl SharingJacobi {
+    fn from_csr(a: &Csr) -> Self {
+        Self {
+            jacobi: JacobiPc::from_csr(a),
+            a: a.clone(),
+        }
+    }
+}
+
+impl Precond for SharingJacobi {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.jacobi.apply(r, z);
+    }
+    fn operator(&self) -> Option<&dyn Operator> {
+        Some(&self.a)
+    }
+}
+
+/// A rank's preconditioner that shares its operator shares the diagonal
+/// block, not the system: the distributed Newton applies its own matrix of
+/// the owned rows all the same, and takes the serial Newton and GMRES
+/// counts, where the serial solve applies the shared Jacobian.
+#[test]
+fn dist_newton_applies_the_system_not_the_preconditioners_block() {
+    let n = 48;
+    let cfg = NewtonConfig {
+        rtol: 1e-10,
+        forcing: Forcing::eisenstat_walker(),
+        ..Default::default()
+    };
+    let mut x = vec![0.4; n];
+    let serial = newton::<Sell8, _, _>(&Ring::new(n), &mut x, &cfg, SharingJacobi::from_csr);
+    assert!(serial.converged(), "{:?}", serial.reason);
+    let out = run(3, move |comm| {
+        let p = Ring::new(n);
+        let mut x = vec![0.4; p.rows_of(comm).len()];
+        let res =
+            dist_newton::<Sell8, _, _>(comm, &p.on(comm), &mut x, &cfg, SharingJacobi::from_csr);
+        assert!(res.converged(), "{:?}", res.reason);
+        (res.iterations, res.linear_iterations)
+    });
+    for (rank, got) in out.into_iter().enumerate() {
+        assert_eq!(
+            got,
+            (serial.iterations, serial.linear_iterations),
+            "rank {rank}: (Newton, GMRES) counts"
+        );
+    }
 }

@@ -429,7 +429,8 @@ fn krylov_and_distributed_newton_solves_are_attributed() {
 
 /// A distributed θ-step is staged as the serial one is: its right-hand
 /// side and Jacobian run inside `TSFunctionEval` / `TSJacobianEval` under
-/// `TSStep` on every rank.  The registry is process-wide and the test above
+/// `TSStep` on every rank, and each rank builds its distributed matrix once
+/// and refreshes it in the later Newton iterations.  The registry is process-wide and the test above
 /// diffs it around its own solves, so this one runs in a process of its
 /// own: the test binary again, on this test alone.
 #[test]
@@ -454,20 +455,24 @@ fn distributed_theta_step_is_staged_like_the_serial_one() {
     }
 
     sellkit::obs::set_enabled(true);
-    sellkit::mpisim::run(2, |comm| {
+    let its = sellkit::mpisim::run(2, |comm| {
         let p = DistGrayScott::new(comm, 16, GrayScottParams::default());
         let mut u = p.initial_condition_local(42);
         let cfg = NewtonConfig::default();
         let res =
             dist_theta_step::<Csr, _>(comm, &p, &mut u, 0.0, 1.0, 0.5, &cfg, JacobiPc::from_csr);
         assert!(res.converged(), "{:?}", res.reason);
+        res.iterations
     });
     sellkit::obs::set_enabled(false);
-    let paths: BTreeSet<String> = sellkit::obs::report()
-        .events
-        .into_iter()
-        .map(|e| e.path)
-        .collect();
+    let rep = sellkit::obs::report();
+    // One distributed matrix per rank for the solve, refreshed in every
+    // later Newton iteration.
+    let counter = |name| rep.counters.get(name).copied().unwrap_or(0.0);
+    assert!(its[0] >= 2 && its.iter().all(|&i| i == its[0]), "{its:?}");
+    assert_eq!(counter("dmat.rebuild"), 2.0);
+    assert_eq!(counter("dmat.refresh"), 2.0 * (its[0] - 1) as f64);
+    let paths: BTreeSet<String> = rep.events.into_iter().map(|e| e.path).collect();
     for path in [
         "TSStep>TSFunctionEval",
         "TSStep>SNESSolve>SNESFunctionEval>TSFunctionEval",
