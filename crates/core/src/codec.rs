@@ -54,19 +54,6 @@ impl Codec {
         }
     }
 
-    /// Upper bound on the *relative* quantization error of one value
-    /// (half-ULP of the storage format), used by the fuzz harness to
-    /// scale its error budget per codec.
-    pub fn unit_roundoff(self) -> f64 {
-        match self {
-            Codec::F64 => 0.0,
-            Codec::F32 => (f32::EPSILON / 2.0) as f64,
-            // bf16 has an 8-bit significand (7 explicit bits), so the
-            // round-to-nearest half-ULP bound is 2⁻⁸.
-            Codec::Bf16 => 1.0 / 256.0,
-        }
-    }
-
     /// Short lowercase name used in bench labels and fuzz reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -181,8 +168,12 @@ mod tests {
 
     #[test]
     fn quantization_error_within_unit_roundoff() {
-        for codec in [Codec::F32, Codec::Bf16] {
-            let u = codec.unit_roundoff();
+        // The half-ULP of each storage format; bf16 has an 8-bit
+        // significand (7 explicit bits), so its bound is 2⁻⁸.
+        for (codec, u) in [
+            (Codec::F32, (f32::EPSILON / 2.0) as f64),
+            (Codec::Bf16, 1.0 / 256.0),
+        ] {
             for i in 1..1000 {
                 let v = (i as f64) * 0.137 - 31.0;
                 let q = codec.quantize(v);

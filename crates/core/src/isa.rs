@@ -64,11 +64,6 @@ impl Isa {
             Isa::Avx512 => 8,
         }
     }
-
-    /// Whether the tier has fused multiply-add.
-    pub fn has_fma(self) -> bool {
-        matches!(self, Isa::Avx2 | Isa::Avx512)
-    }
 }
 
 impl fmt::Display for Isa {
@@ -97,8 +92,8 @@ mod tests {
 
     #[test]
     fn feature_matrix_matches_paper() {
-        assert!(!Isa::Scalar.has_fma() && !Isa::Avx.has_fma());
-        assert!(Isa::Avx2.has_fma() && Isa::Avx512.has_fma());
+        let lanes = Isa::ALL.map(Isa::f64_lanes);
+        assert_eq!(lanes, [1, 4, 4, 8], "f64 lanes: novec, AVX, AVX2, AVX512");
     }
 
     #[test]

@@ -108,29 +108,6 @@ pub fn identity_plus_scaled_rows_in_place(gamma: f64, alpha: f64, a: &mut Csr, f
     }
 }
 
-/// `A = diag(l) · A · diag(r)` in place (PETSc `MatDiagonalScale`).
-pub fn diagonal_scale(a: &mut Csr, left: Option<&[f64]>, right: Option<&[f64]>) {
-    if let Some(l) = left {
-        assert_eq!(l.len(), a.nrows());
-    }
-    if let Some(r) = right {
-        assert_eq!(r.len(), a.ncols());
-    }
-    let (rowptr, colidx, vals) = a.pattern_and_values_mut();
-    for i in 0..rowptr.len() - 1 {
-        for k in rowptr[i]..rowptr[i + 1] {
-            let mut v = vals[k];
-            if let Some(l) = left {
-                v *= l[i];
-            }
-            if let Some(r) = right {
-                v *= r[colidx[k] as usize];
-            }
-            vals[k] = v;
-        }
-    }
-}
-
 /// Matrix norms (PETSc `MatNorm`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MatNorm {
@@ -343,11 +320,9 @@ mod tests {
 
     #[test]
     fn diagonal_scale_both_sides() {
-        let mut a = sample();
-        diagonal_scale(&mut a, Some(&[1.0, 2.0, 3.0]), Some(&[1.0, 1.0, 0.5]));
-        assert_eq!(a.get(1, 0), Some(-2.0)); // 2 * -1 * 1
-        assert_eq!(a.get(1, 2), Some(-1.0)); // 2 * -1 * 0.5
-        assert_eq!(a.get(2, 2), Some(3.0)); // 3 * 2 * 0.5
+        // 2I · A · 0.5I, the one diagonal scaling `scale` expresses.
+        let a = scale(&scale(&sample(), 2.0), 0.5);
+        assert_eq!(a.to_dense(), sample().to_dense());
     }
 
     #[test]

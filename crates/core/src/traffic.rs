@@ -27,8 +27,7 @@
 //!
 //! Padding bytes are deliberately *not* counted (§6: "extra memory overhead
 //! contributed by padded zeros are not counted in order to eliminate
-//! artifacts due to implementation").  [`sell_traffic_with_padding`]
-//! adds them back for studying irregular matrices.
+//! artifacts due to implementation").
 
 use crate::csr::Csr;
 use crate::sell::Sell;
@@ -110,21 +109,6 @@ pub(crate) fn sell_stream_traffic(
     }
 }
 
-/// ELLPACK-family traffic including padding: padded entries still move
-/// their 12 bytes even though they do no useful work.
-pub fn sell_traffic_with_padding(
-    m: usize,
-    n: usize,
-    nnz: usize,
-    stored_elems: usize,
-) -> TrafficEstimate {
-    let base = sell_traffic(m, n, nnz);
-    TrafficEstimate {
-        bytes: base.bytes + 12 * (stored_elems - nnz) as u64,
-        flops: base.flops,
-    }
-}
-
 /// Traffic estimate for a concrete CSR matrix.
 pub fn for_csr(a: &Csr) -> TrafficEstimate {
     csr_traffic(a.nrows(), a.ncols(), a.nnz())
@@ -174,10 +158,10 @@ mod tests {
 
     #[test]
     fn padding_increases_bytes_only() {
+        // The §6 model counts the nonzeros, never the padding.
         let base = sell_traffic(100, 100, 500);
-        let padded = sell_traffic_with_padding(100, 100, 500, 600);
-        assert_eq!(padded.flops, base.flops);
-        assert_eq!(padded.bytes, base.bytes + 1200);
+        assert_eq!(base.flops, 1000);
+        assert_eq!(base.bytes, 12 * 500 + 10 * 100 + 8 * 100);
     }
 
     #[test]

@@ -38,7 +38,6 @@ use crate::scatter::VecScatter;
 #[derive(Debug)]
 pub struct DistMat<M> {
     row_range: RowRange,
-    global_cols: usize,
     diag: M,
     offdiag: M,
     /// Global column index of each compressed off-diagonal column
@@ -62,32 +61,38 @@ impl<M: Operator + FromCsr> DistMat<M> {
         local: &Csr,
         tag: u64,
     ) -> Self {
-        let row_ranges = split_rows(global_rows, comm.size());
-        let col_ranges = split_rows(global_cols, comm.size());
-        let row_range = row_ranges[comm.rank()];
-        let my_cols = col_ranges[comm.rank()];
-        assert_eq!(
-            local.nrows(),
-            row_range.len(),
-            "local block has wrong number of rows"
-        );
         assert_eq!(
             local.ncols(),
             global_cols,
             "local block must use global column indices"
         );
+        let my_cols = split_rows(global_cols, comm.size())[comm.rank()];
+        Self::from_split(comm, global_rows, global_cols, &split(local, my_cols), tag)
+    }
 
-        let (diag_csr, off_csr, garray) = split(local, my_cols);
-        let scatter = VecScatter::build(comm, &col_ranges, &garray, tag);
-
+    /// [`DistMat::from_local_rows`] on the row block `parts` holds,
+    /// [`split`] already.  Collective.
+    pub(crate) fn from_split(
+        comm: &Comm,
+        global_rows: usize,
+        global_cols: usize,
+        (diag, offdiag, garray): &(Csr, Csr, Vec<u32>),
+        tag: u64,
+    ) -> Self {
+        let row_range = split_rows(global_rows, comm.size())[comm.rank()];
+        assert_eq!(
+            diag.nrows(),
+            row_range.len(),
+            "local block has wrong number of rows"
+        );
+        let col_ranges = split_rows(global_cols, comm.size());
         Self {
             row_range,
-            global_cols,
-            diag: M::from_csr(&diag_csr),
-            offdiag: M::from_csr(&off_csr),
+            diag: M::from_csr(diag),
+            offdiag: M::from_csr(offdiag),
             ghost: RefCell::new(vec![0.0; garray.len()]),
-            garray,
-            scatter,
+            scatter: VecScatter::build(comm, &col_ranges, garray, tag),
+            garray: garray.clone(),
         }
     }
 
@@ -100,29 +105,31 @@ impl<M: Operator + FromCsr> DistMat<M> {
         Self::from_local_rows(comm, a.nrows(), a.ncols(), &local, tag)
     }
 
-    /// Makes this the matrix whose row block `local` holds, keeping the
-    /// scatter, if no rank's rows reach a ghost column they did not reach
-    /// before, nor leave one: then each block takes the new values
-    /// ([`FromCsr::set_from_csr`]), the product is that of
-    /// [`DistMat::from_local_rows`] on `local` bit for bit, and every rank
+    /// Makes this the matrix whose row block [`split`] into `parts`,
+    /// keeping the scatter, if no rank's rows reach a ghost column they did
+    /// not reach before, nor leave one: then each block takes the new
+    /// values ([`FromCsr::set_from_csr`]), the product is that of
+    /// [`DistMat::from_split`] on `parts` bit for bit, and every rank
     /// returns `true`.  Otherwise every rank returns `false`, nothing is
     /// changed, and the caller rebuilds on every rank, so that scatters and
     /// [`Comm::new_tag`] draws stay in step.
     ///
     /// Collective: one `allreduce_max` decides.
-    pub(crate) fn refresh(&mut self, comm: &Comm, local: &Csr) -> bool {
-        let my_cols = split_rows(self.global_cols, comm.size())[comm.rank()];
-        let shape = local.nrows() == self.row_range.len() && local.ncols() == self.global_cols;
-        let parts = shape
-            .then(|| split(local, my_cols))
-            .filter(|(_, _, garray)| *garray == self.garray);
-        let mismatch = if parts.is_some() { 0.0 } else { 1.0 };
-        let agreed = comm.allreduce_max(mismatch) == 0.0;
-        let Some((diag, offdiag, _)) = parts.filter(|_| agreed) else {
+    pub(crate) fn refresh(
+        &mut self,
+        comm: &Comm,
+        (diag, offdiag, garray): &(Csr, Csr, Vec<u32>),
+    ) -> bool {
+        // Every rank's diagonal block as wide as before is the global
+        // column count unchanged.
+        let fits = (diag.nrows(), diag.ncols()) == (self.row_range.len(), self.diag.ncols())
+            && *garray == self.garray;
+        let mismatch = if fits { 0.0 } else { 1.0 };
+        if comm.allreduce_max(mismatch) != 0.0 {
             return false;
-        };
-        self.diag.set_from_csr(&diag);
-        self.offdiag.set_from_csr(&offdiag);
+        }
+        self.diag.set_from_csr(diag);
+        self.offdiag.set_from_csr(offdiag);
         true
     }
 
@@ -219,7 +226,7 @@ impl<M: Operator + FromCsr> DistMat<M> {
 /// block (the columns `my_cols` this rank owns), the off-diagonal block
 /// compressed to the columns it reaches, and `garray`, the global column of
 /// each compressed one, ascending.
-fn split(local: &Csr, my_cols: RowRange) -> (Csr, Csr, Vec<u32>) {
+pub(crate) fn split(local: &Csr, my_cols: RowRange) -> (Csr, Csr, Vec<u32>) {
     let m = local.nrows();
     let diag = matops::submatrix(local, 0..m, my_cols.start..my_cols.end);
     let ghost = |c: &u32| !my_cols.contains(*c as usize);
@@ -497,6 +504,11 @@ mod tests {
         matops::submatrix(a, me.start..me.end, 0..a.ncols())
     }
 
+    /// This rank's rows `local` split as a [`DistMat`] of them stores them.
+    fn my_split(comm: &Comm, local: &Csr) -> (Csr, Csr, Vec<u32>) {
+        split(local, split_rows(local.ncols(), comm.size())[comm.rank()])
+    }
+
     /// The bits of this rank's block of `A·x`, `x_g = sin(0.13 g)`.
     fn product_bits<M: Operator + FromCsr>(comm: &Comm, dm: &DistMat<M>, n: usize) -> Vec<u64> {
         let xv = DistVec::from_fn(comm, n, |g| (g as f64 * 0.13).sin());
@@ -518,7 +530,10 @@ mod tests {
             run(ranks, move |comm| {
                 let mut dm = DistMat::<M>::from_local_rows(comm, n, n, &my_rows(comm, &a), 1);
                 let local = my_rows(comm, &b);
-                assert!(dm.refresh(comm, &local), "{ranks} ranks: refresh refused");
+                assert!(
+                    dm.refresh(comm, &my_split(comm, &local)),
+                    "{ranks} ranks: refresh refused"
+                );
                 let fresh = DistMat::<M>::from_local_rows(comm, n, n, &local, 2);
                 assert_eq!(
                     product_bits(comm, &dm, n),
@@ -559,7 +574,7 @@ mod tests {
             let out = run(ranks, move |comm| {
                 let mut dm = DistMat::<M>::from_local_rows(comm, n, n, &my_rows(comm, &a), 1);
                 let before = product_bits(comm, &dm, n);
-                let refreshed = dm.refresh(comm, &my_rows(comm, &b));
+                let refreshed = dm.refresh(comm, &my_split(comm, &my_rows(comm, &b)));
                 assert_eq!(product_bits(comm, &dm, n), before, "rank {}", comm.rank());
                 (refreshed, comm.new_tag())
             });

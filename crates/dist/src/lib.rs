@@ -24,9 +24,12 @@
 //! sequential kernels unchanged.
 //!
 //! One layer up, [`dist_newton`] is the serial Newton set-up and loop over
-//! one rank's rows, solving the serial `NonlinearProblem` there: it keeps
-//! one [`DistMat`] for the solve and refreshes it in place while no rank's
-//! ghost columns change.  [`VecScatter::build`] and the [`DistMat`]
+//! one rank's rows, solving the serial `NonlinearProblem` there.  Each
+//! Newton iteration splits the rank's Jacobian rows once into the two
+//! blocks: the split refreshes the one [`DistMat`] it keeps for the solve
+//! (in place, while no rank's ghost columns change) and the diagonal block
+//! sets up the block-Jacobi preconditioner, refreshed in place as the
+//! serial one is.  [`VecScatter::build`] and the [`DistMat`]
 //! constructors are told their tag; a driver that builds them, as
 //! [`dist_newton`] does once per solve, draws it from
 //! [`Comm::new_tag`](sellkit_mpisim::Comm::new_tag).

@@ -10,14 +10,14 @@
 
 use std::borrow::Cow;
 
-use sellkit_core::{matops, Csr, ExecCtx, FromCsr, MatShape, Operator};
+use sellkit_core::{Csr, ExecCtx, FromCsr, MatShape, Operator};
 use sellkit_mpisim::Comm;
 use sellkit_solvers::pc::Precond;
 use sellkit_solvers::snes::newton::{
     newton_on, Fine, NewtonConfig, NewtonResult, NonlinearProblem,
 };
 
-use crate::dmat::DistMat;
+use crate::dmat::{split, DistMat};
 use crate::partition::split_rows;
 use crate::solve::{DistDot, DistOp};
 
@@ -26,7 +26,8 @@ use crate::solve::{DistDot, DistOp};
 /// `pc_factory` building a *local* preconditioner from each rank's diagonal
 /// block (block-Jacobi globally — PETSc's parallel default).  As in the
 /// single-rank loop the factory is called when there is nothing to refresh
-/// ([`Precond::refresh`]).  Collective.
+/// ([`Precond::refresh`]): a `JacobiPc` is built on the first iteration and
+/// refreshed on the later ones.  Collective.
 ///
 /// `problem` is this rank's share of the system: its `dim()` is the owned
 /// row count, `residual` fills the owned block of `F(x)` from the owned
@@ -34,8 +35,10 @@ use crate::solve::{DistDot, DistOp};
 /// through a halo [`crate::VecScatter`]), and `jacobian` assembles the
 /// owned rows with **global** column indices.  The global size is the
 /// Jacobian's `ncols()`, and the owned rows are [`split_rows`]'s block of
-/// it.  One [`DistMat`] serves the whole solve: built on the first
-/// iteration, with a scatter tag drawn from [`Comm::new_tag`], and
+/// it.  Each iteration splits the assembled rows once, as a [`DistMat`]
+/// stores them, and the split feeds both the preconditioner (the diagonal
+/// block) and the one [`DistMat`] that serves the whole solve: built on the
+/// first iteration, with a scatter tag drawn from [`Comm::new_tag`], and
 /// refreshed in place on the later ones while no rank's rows change the
 /// ghost columns they reach.
 pub fn dist_newton<M, Prob, Pc>(
@@ -74,31 +77,38 @@ impl<'c, M: Operator + FromCsr> Fine for RankRows<'c, M> {
         DistDot { comm: self.comm }
     }
 
-    fn pc_matrix<'j>(&self, j: &'j Csr) -> Cow<'j, Csr> {
-        // Block-Jacobi: the columns this rank owns.
-        let cols = split_rows(j.ncols(), self.comm.size())[self.comm.rank()];
-        Cow::Owned(matops::submatrix(j, 0..j.nrows(), cols.start..cols.end))
-    }
-
-    /// `shared` is not the system here: on a rank the preconditioner's
-    /// operator is at most its diagonal block.
-    fn operator<'a>(
-        &'a mut self,
-        j: &Csr,
-        _shared: Option<&'a dyn Operator>,
-        _ctx: &'a ExecCtx,
-    ) -> impl sellkit_solvers::operator::Operator + 'a {
+    /// Splits the rows `j` once, as a [`DistMat`] stores them, refreshes the
+    /// kept one from the parts (or builds it, with a tag from
+    /// [`Comm::new_tag`]) and hands the diagonal block to block-Jacobi.
+    /// Collective.
+    fn pc_matrix<'j>(&mut self, j: &'j Csr) -> Cow<'j, Csr> {
         let comm = self.comm;
         let _s = sellkit_obs::span("MatConvert");
-        if self.mat.as_mut().is_some_and(|m| m.refresh(comm, j)) {
+        let n = j.ncols();
+        let parts = split(j, split_rows(n, comm.size())[comm.rank()]);
+        if self.mat.as_mut().is_some_and(|m| m.refresh(comm, &parts)) {
             sellkit_obs::counter("dmat.refresh", 1.0);
         } else {
             sellkit_obs::counter("dmat.rebuild", 1.0);
-            let n = j.ncols();
-            self.mat = Some(DistMat::from_local_rows(comm, n, n, j, comm.new_tag()));
+            self.mat = Some(DistMat::from_split(comm, n, n, &parts, comm.new_tag()));
         }
-        let mat = self.mat.as_ref().expect("refreshed or rebuilt just above");
-        DistOp { comm, mat }
+        Cow::Owned(parts.0)
+    }
+
+    /// The [`DistMat`] [`Fine::pc_matrix`] set up for `j`.  `shared` is not
+    /// the system here: on a rank the preconditioner's operator is at most
+    /// its diagonal block.
+    fn operator<'a>(
+        &'a mut self,
+        _j: &Csr,
+        _shared: Option<&'a dyn Operator>,
+        _ctx: &'a ExecCtx,
+    ) -> impl sellkit_solvers::operator::Operator + 'a {
+        let mat = self.mat.as_ref().expect("pc_matrix set the matrix up");
+        DistOp {
+            comm: self.comm,
+            mat,
+        }
     }
 }
 

@@ -49,13 +49,6 @@ impl Grid2D {
         self.idx(xw, yw, c)
     }
 
-    /// Inverse of [`Grid2D::idx`]: `(x, y, c)` of a global index.
-    pub fn coords(&self, g: usize) -> (usize, usize, usize) {
-        let c = g % self.dof;
-        let node = g / self.dof;
-        (node % self.nx, node / self.nx, c)
-    }
-
     /// The next-coarser grid (dimensions halved); requires even sizes.
     pub(crate) fn coarsen(&self) -> Grid2D {
         assert!(
@@ -73,6 +66,15 @@ impl Grid2D {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Grid2D {
+        /// Inverse of [`Grid2D::idx`]: `(x, y, c)` of a global index.
+        pub(crate) fn coords(&self, g: usize) -> (usize, usize, usize) {
+            let c = g % self.dof;
+            let node = g / self.dof;
+            (node % self.nx, node / self.nx, c)
+        }
+    }
 
     #[test]
     fn index_round_trip() {

@@ -43,19 +43,6 @@ impl Comm {
         self.allgather(value).into_iter().sum()
     }
 
-    /// Sum-reduction of a vector across all ranks, elementwise.
-    pub fn allreduce_sum_vec(&self, value: &[f64]) -> Vec<f64> {
-        let all = self.allgather(value.to_vec());
-        let mut out = vec![0.0; value.len()];
-        for contrib in &all {
-            assert_eq!(contrib.len(), out.len(), "allreduce vector length mismatch");
-            for (o, c) in out.iter_mut().zip(contrib) {
-                *o += c;
-            }
-        }
-        out
-    }
-
     /// Max-reduction across all ranks; NaN if any rank's value is NaN
     /// (`f64::max` would return the other operand and drop it).
     pub fn allreduce_max(&self, value: f64) -> f64 {
@@ -141,7 +128,11 @@ mod tests {
 
     #[test]
     fn allreduce_vec() {
-        let out = run(3, |comm| comm.allreduce_sum_vec(&[comm.rank() as f64, 1.0]));
+        let out = run(3, |comm| {
+            [comm.rank() as f64, 1.0]
+                .map(|v| comm.allreduce_sum(v))
+                .to_vec()
+        });
         for v in out {
             assert_eq!(v, vec![3.0, 3.0]);
         }

@@ -24,16 +24,6 @@ impl JacobiPc {
         Self { inv_diag }
     }
 
-    /// Builds directly from a diagonal.
-    pub fn from_diagonal(diag: &[f64]) -> Self {
-        Self {
-            inv_diag: diag
-                .iter()
-                .map(|&d| if d != 0.0 { 1.0 / d } else { 1.0 })
-                .collect(),
-        }
-    }
-
     /// The stored inverse diagonal.
     pub fn inv_diag(&self) -> &[f64] {
         &self.inv_diag
@@ -75,6 +65,16 @@ impl Precond for JacobiPc {
         }
     }
 
+    /// Jacobi's set-up is all numeric: any matrix with this one's row count
+    /// refreshes it in place, to [`JacobiPc::from_csr`]'s bits.
+    fn refresh(&mut self, a: &Csr) -> bool {
+        if a.nrows() != self.inv_diag.len() {
+            return false;
+        }
+        invert_diagonal_at(a.values(), &diagonal_positions(a), &mut self.inv_diag);
+        true
+    }
+
     /// Parallel diagonal scaling: element-wise disjoint, so the context
     /// path is bitwise identical to [`Precond::apply`] at any thread
     /// count — the parallel Jacobi smoother of the multigrid setup.
@@ -101,7 +101,11 @@ mod tests {
     fn parallel_apply_matches_serial_bitwise() {
         let n = 9000; // crosses the vecops parallel threshold
         let diag: Vec<f64> = (0..n).map(|i| 1.5 + (i % 7) as f64).collect();
-        let pc = JacobiPc::from_diagonal(&diag);
+        let mut b = sellkit_core::CooBuilder::new(n, n);
+        for (i, &d) in diag.iter().enumerate() {
+            b.push(i, i, d);
+        }
+        let pc = JacobiPc::from_csr(&b.to_csr());
         let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.05).sin()).collect();
         let mut want = vec![0.0; n];
         pc.apply(&r, &mut want);
@@ -123,8 +127,22 @@ mod tests {
     #[test]
     fn from_diagonal_matches_from_csr() {
         let a = Csr::from_dense(2, 2, &[5.0, 1.0, 1.0, 10.0]);
-        let p1 = JacobiPc::from_csr(&a);
-        let p2 = JacobiPc::from_diagonal(&[5.0, 10.0]);
-        assert_eq!(p1.inv_diag(), p2.inv_diag());
+        assert_eq!(JacobiPc::from_csr(&a).inv_diag(), &[0.2, 0.1]);
+    }
+
+    /// A refresh on new values gives `from_csr`'s bits, whatever the old
+    /// matrix's pattern; a matrix of another size is refused and changes
+    /// nothing.
+    #[test]
+    fn refresh_gives_from_csr_bits_and_refuses_another_size() {
+        let a = Csr::from_dense(3, 3, &[5.0, 1.0, 0.0, 1.0, 10.0, 2.0, 0.0, 2.0, 3.0]);
+        let b = Csr::from_dense(3, 3, &[7.0, 0.0, 3.0, 0.0, 0.0, 1.0, 1.0, 1.0, -0.3]);
+        let mut pc = JacobiPc::from_csr(&a);
+        assert!(pc.refresh(&b));
+        let bits = |p: &JacobiPc| p.inv_diag().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pc), bits(&JacobiPc::from_csr(&b)));
+        let c = Csr::from_dense(2, 2, &[5.0, 1.0, 1.0, 10.0]);
+        assert!(!pc.refresh(&c));
+        assert_eq!(bits(&pc), bits(&JacobiPc::from_csr(&b)));
     }
 }

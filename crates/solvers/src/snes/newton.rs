@@ -17,7 +17,7 @@ use std::borrow::Cow;
 
 use sellkit_core::{Csr, ExecCtx, FromCsr, Operator as CoreOperator};
 
-use crate::ksp::{gmres, KspConfig, KspResult};
+use crate::ksp::{gmres, KspConfig};
 use crate::operator::{CtxMatOperator, InnerProduct, Operator, SeqDot};
 use crate::pc::{CtxPrecond, Kept, Precond};
 
@@ -168,9 +168,9 @@ impl NewtonResult {
 /// The fine level of a Newton linear solve: what one rank and many differ
 /// in.  Each Newton iteration assembles the Jacobian rows `j` in CSR, sets
 /// the preconditioner up from [`Fine::pc_matrix`]`(j)` and runs GMRES on
-/// [`Fine::operator`] over [`Fine::space`].  `Option<M>` is the serial one,
-/// the Jacobian in the solve's format `M`; `sellkit-dist`'s `dist_newton`
-/// implements it over one rank's rows.
+/// [`Fine::operator`]`(j)` over [`Fine::space`].  `Option<M>` is the serial
+/// one, the Jacobian in the solve's format `M`; `sellkit-dist`'s
+/// `dist_newton` implements it over one rank's rows.
 pub trait Fine {
     /// The vector space the Newton and Krylov iterates live in.
     type Space: InnerProduct;
@@ -179,13 +179,14 @@ pub trait Fine {
     fn space(&self) -> Self::Space;
 
     /// The matrix the preconditioner is set up from, for the assembled
-    /// Jacobian rows `j`.
-    fn pc_matrix<'j>(&self, j: &'j Csr) -> Cow<'j, Csr>;
+    /// Jacobian rows `j`; called before [`Fine::operator`] for the same
+    /// `j`, which may use what this call prepared.
+    fn pc_matrix<'j>(&mut self, j: &'j Csr) -> Cow<'j, Csr>;
 
     /// The operator GMRES applies for the Jacobian rows `j`, on `ctx`.
     /// `shared` is the preconditioner's own fine operator, if it has one
-    /// ([`Precond::operator`]).  Whatever is converted or refreshed here is
-    /// held until the next call and runs under `MatConvert`.
+    /// ([`Precond::operator`]).  Whatever is converted or refreshed for it
+    /// is held until the next call and runs under `MatConvert`.
     fn operator<'a>(
         &'a mut self,
         j: &Csr,
@@ -205,7 +206,7 @@ impl<M: CoreOperator + FromCsr> Fine for Option<M> {
         SeqDot
     }
 
-    fn pc_matrix<'j>(&self, j: &'j Csr) -> Cow<'j, Csr> {
+    fn pc_matrix<'j>(&mut self, j: &'j Csr) -> Cow<'j, Csr> {
         Cow::Borrowed(j)
     }
 
@@ -334,13 +335,25 @@ where
 /// dispatched on `ctx`'s worker pool (the SpMV determinism contract makes
 /// the iterates bitwise the serial ones at any thread count), and the
 /// linear-solve context owned by the caller, who may hand the same one to
-/// the next solve.
+/// the next solve: the one Newton set-up and loop, serial and distributed
+/// (owned blocks, norms reduced across ranks), which is why the two take
+/// the same iterations on the same problem.
 ///
-/// The one Newton set-up: each iteration refills the kept CSR Jacobian
+/// Each iteration refills the kept CSR Jacobian
 /// ([`NonlinearProblem::jacobian_into`]; built on the first call), sets the
 /// preconditioner up for [`Fine::pc_matrix`] through
 /// [`pc::set_up`](crate::pc::set_up) (`pc_factory` is consulted only when
-/// there is nothing to refresh), and runs GMRES on [`Fine::operator`].
+/// there is nothing to refresh), and solves `J·d = −F` by GMRES on
+/// [`Fine::operator`] over [`Fine::space`], from a zero guess, to
+/// [`NewtonConfig::ksp`] with the relative tolerance
+/// [`NewtonConfig::forcing`] chose.  The line search then picks `λ` on
+/// norms of the whole space, so that every owner of a block picks the same.
+///
+/// `F` runs once for the initial guess and once per line-search trial: the
+/// accepted trial point becomes the iterate together with its residual, so
+/// `F` is never evaluated twice at one point (`1 + iterations` evaluations
+/// under [`LineSearch::Full`]).  `x` holds the initial guess on entry and
+/// the last iterate on exit.
 pub(crate) fn newton_kept<F, Prob, Pc>(
     problem: &Prob,
     x: &mut [f64],
@@ -357,64 +370,10 @@ where
     assert_eq!(x.len(), problem.dim());
     let LinearSolve { jac, fine, pc } = kept;
     let space = fine.space();
-    newton_over(
-        &space,
-        x,
-        cfg,
-        |x, f| problem.residual(x, f),
-        |x, rhs, d, ksp_cfg| {
-            // Assemble in CSR, run the linear solve on the fine level (as
-            // the paper's experiments do: SELL carries every SpMV of the
-            // Newton systems).
-            let (op, pc) = {
-                let _je = sellkit_obs::span("SNESJacobianEval");
-                let j: &Csr = {
-                    let _s = sellkit_obs::span("MatAssembly");
-                    match jac {
-                        Some(j) => {
-                            problem.jacobian_into(x, j);
-                            j
-                        }
-                        None => jac.insert(problem.jacobian(x)),
-                    }
-                };
-                let pc = crate::pc::set_up(pc, &fine.pc_matrix(j), pc_factory);
-                (fine.operator(j, pc.operator(), ctx), pc)
-            };
-            gmres(&op, &CtxPrecond::new(pc, ctx), &space, rhs, d, ksp_cfg)
-        },
-    )
-}
-
-/// Newton's method with line search over the vector space `ip` spans: the
-/// one loop behind [`newton_kept`], serial (a sequential space) and
-/// distributed (owned blocks, norms reduced across ranks), which is why the
-/// two take the same iterations on the same problem.
-///
-/// `residual(x, f)` evaluates `f = F(x)`.  `solve(x, rhs, d, ksp_cfg)`
-/// linearises at `x` and solves `J(x)·d = rhs` from the zero guess `d`
-/// holds on entry, to `ksp_cfg` — [`NewtonConfig::ksp`] with the relative
-/// tolerance [`NewtonConfig::forcing`] chose for this iteration — however
-/// the caller assembles, preconditions and stores `J`.  The stopping test,
-/// the line search, the update of `x`, the history and the `SNESSolve` /
-/// `SNESFunctionEval` spans are this function's; `x` holds the initial
-/// guess on entry and the last iterate on exit.
-///
-/// `residual` runs once for the initial guess and once per line-search
-/// trial: the accepted trial point becomes the iterate together with its
-/// residual, so `F` is never evaluated twice at one point (`1 +
-/// iterations` evaluations under [`LineSearch::Full`]).
-pub(crate) fn newton_over<D: InnerProduct>(
-    ip: &D,
-    x: &mut [f64],
-    cfg: &NewtonConfig,
-    residual: impl Fn(&[f64], &mut [f64]),
-    mut solve: impl FnMut(&[f64], &[f64], &mut [f64], &KspConfig) -> KspResult,
-) -> NewtonResult {
     let _snes = sellkit_obs::span("SNESSolve");
     let residual = |x: &[f64], f: &mut [f64]| {
         let _fe = sellkit_obs::span("SNESFunctionEval");
-        residual(x, f);
+        problem.residual(x, f);
     };
     let n = x.len();
     let mut f = vec![0.0; n];
@@ -425,7 +384,7 @@ pub(crate) fn newton_over<D: InnerProduct>(
     let mut d = vec![0.0; n];
 
     residual(x, &mut f);
-    let f0 = ip.norm(&f);
+    let f0 = space.norm(&f);
     let mut fnorm = f0;
     let mut history = vec![f0];
     let mut linear_iterations = 0;
@@ -444,6 +403,24 @@ pub(crate) fn newton_over<D: InnerProduct>(
         }
         iterations += 1;
 
+        // Assemble in CSR, run the linear solve on the fine level (as the
+        // paper's experiments do: SELL carries every SpMV of the Newton
+        // systems).
+        let (op, pc) = {
+            let _je = sellkit_obs::span("SNESJacobianEval");
+            let j: &Csr = {
+                let _s = sellkit_obs::span("MatAssembly");
+                match jac {
+                    Some(j) => {
+                        problem.jacobian_into(x, j);
+                        j
+                    }
+                    None => jac.insert(problem.jacobian(x)),
+                }
+            };
+            let pc = crate::pc::set_up(pc, &fine.pc_matrix(j), pc_factory);
+            (fine.operator(j, pc.operator(), ctx), pc)
+        };
         // Solve J d = -F to the (possibly adaptive) inner tolerance.
         for (ri, &fi) in rhs.iter_mut().zip(&f) {
             *ri = -fi;
@@ -453,17 +430,16 @@ pub(crate) fn newton_over<D: InnerProduct>(
             rtol: cfg.forcing.eta(cfg.ksp.rtol, fnorm, fnorm_prev),
             ..cfg.ksp
         };
-        linear_iterations += solve(x, &rhs, &mut d, &ksp_cfg).iterations;
+        let pc = CtxPrecond::new(pc, ctx);
+        linear_iterations += gmres(&op, &pc, &space, &rhs, &mut d, &ksp_cfg).iterations;
         fnorm_prev = Some(fnorm);
 
-        // Globalize, on norms of the whole space so that every owner of a
-        // block picks the same λ.
         let (lambda, new_fnorm) = cfg.line_search.search(fnorm, |lam| {
             for i in 0..n {
                 trial[i] = x[i] + lam * d[i];
             }
             residual(&trial, &mut ftrial);
-            ip.norm(&ftrial)
+            space.norm(&ftrial)
         });
         if lambda == 0.0 {
             break NewtonStopReason::LineSearchFailed;

@@ -104,11 +104,14 @@ impl DistGrayScott {
             .rhs_rows(|g| self.at(g, w_local, &ghost), self.rows(), f_local);
     }
 
-    /// Assembles the owned Jacobian rows (global columns).  Collective.
-    pub(crate) fn local_jacobian(&self, comm: &Comm, w_local: &[f64]) -> Csr {
+    /// Makes `j` the owned Jacobian rows (global columns), refilling the
+    /// pattern it holds as the serial model does
+    /// (`GrayScott::jacobian_rows_into`): the serial model's rows, bit for
+    /// bit.  Collective (one halo exchange).
+    pub(crate) fn jacobian_into(&self, comm: &Comm, w_local: &[f64], j: &mut Csr) {
         let ghost = self.exchange(comm, w_local);
         self.gs
-            .jacobian_rows(|g| self.at(g, w_local, &ghost), self.rows())
+            .jacobian_rows_into(|g| self.at(g, w_local, &ghost), self.rows(), j);
     }
 
     /// Distributed initial condition: this rank's block of
@@ -149,7 +152,7 @@ where
         problem.rows.start,
         u_local,
         |_, w, f| problem.rhs_local(comm, w, f),
-        |_, w, j| *j = problem.local_jacobian(comm, w),
+        |_, w, j| problem.jacobian_into(comm, w, j),
         |stage, u| dist_newton::<M, _, _>(comm, stage, u, &step.newton, pc_factory),
     )
 }
@@ -157,7 +160,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sellkit_core::Sell8;
+    use sellkit_core::{MatShape, Sell8};
     use sellkit_mpisim::run;
     use sellkit_solvers::ksp::KspConfig;
     use sellkit_solvers::pc::JacobiPc;
@@ -199,7 +202,9 @@ mod tests {
         let out = run(3, move |comm| {
             let p = DistGrayScott::new(comm, n, GrayScottParams::default());
             let w_local = p.initial_condition_local(7);
-            (p.rows(), p.local_jacobian(comm, &w_local))
+            let mut j = Csr::zeros_with_pattern(0, 0, vec![0], Vec::new());
+            p.jacobian_into(comm, &w_local, &mut j);
+            (p.rows(), j)
         });
         let gs = GrayScott::new(n, GrayScottParams::default());
         let w = gs.initial_condition(7);
@@ -210,6 +215,64 @@ mod tests {
                 assert_eq!(j.row_cols(li), full.row_cols(g), "row {g}");
                 assert_eq!(bits(j.row_vals(li)), bits(full.row_vals(g)), "row {g}");
             }
+        }
+    }
+
+    /// The pattern, column indices and value bits of `j`.
+    fn bits(j: &Csr) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
+        let vals = j.values().iter().map(|v| v.to_bits()).collect();
+        (j.rowptr().to_vec(), j.colidx().to_vec(), vals)
+    }
+
+    /// On 1–4 ranks, a rank's Jacobian equals the serial model's rows bit
+    /// for bit: built into an empty matrix, refilled in place at a new
+    /// state on the matrix the first call returned, and rebuilt whole from
+    /// a foreign pattern (its rows with one column moved, or, on more than
+    /// one rank, the serial matrix of every row).
+    #[test]
+    fn rank_jacobian_refill_equals_the_serial_rows() {
+        let n = 8;
+        let gs = GrayScott::new(n, GrayScottParams::default());
+        let states = [gs.initial_condition(7), gs.initial_condition(8)];
+        for ranks in 1..=4 {
+            let (gs, states) = (gs.clone(), states.clone());
+            run(ranks, move |comm| {
+                let p = DistGrayScott::new(comm, n, GrayScottParams::default());
+                let rows = p.rows();
+                let want = |w: &[f64]| bits(&gs.jacobian_rows(|g| w[g], rows.clone()));
+                let local = |w: &[f64]| w[rows.clone()].to_vec();
+
+                let mut j = Csr::zeros_with_pattern(0, 0, vec![0], Vec::new());
+                p.jacobian_into(comm, &local(&states[0]), &mut j);
+                assert_eq!(bits(&j), want(&states[0]), "{ranks} ranks: built");
+                let (rowptr, colidx) = (j.rowptr().as_ptr(), j.colidx().as_ptr());
+                p.jacobian_into(comm, &local(&states[1]), &mut j);
+                assert_eq!(bits(&j), want(&states[1]), "{ranks} ranks: refilled");
+                assert_eq!(
+                    (j.rowptr().as_ptr(), j.colidx().as_ptr()),
+                    (rowptr, colidx),
+                    "{ranks} ranks: refilled where it was"
+                );
+
+                // The first row's last column moved one to the right: same
+                // entry count, columns still increasing, one position not
+                // the stencil's.
+                let mut colidx = j.colidx().to_vec();
+                let last = j.rowptr()[1] - 1;
+                colidx[last] += 1;
+                assert!((colidx[last] as usize) < j.ncols());
+                let moved = Csr::from_parts(
+                    j.nrows(),
+                    j.ncols(),
+                    j.rowptr().to_vec(),
+                    colidx,
+                    j.values().to_vec(),
+                );
+                for mut foreign in [moved, gs.rhs_jacobian(0.0, &states[1])] {
+                    p.jacobian_into(comm, &local(&states[0]), &mut foreign);
+                    assert_eq!(bits(&foreign), want(&states[0]), "{ranks} ranks: rebuilt");
+                }
+            });
         }
     }
 

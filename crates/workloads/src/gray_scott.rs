@@ -261,6 +261,23 @@ impl GrayScott {
         true
     }
 
+    /// Makes `j` the Jacobian rows `rows` at the state read through `at`:
+    /// writes the values into the pattern `j` holds when it is the
+    /// Jacobian's own — every column checked, see
+    /// [`GrayScott::fill_jacobian_rows`] — and rebuilds `j` otherwise, so a
+    /// foreign pattern is replaced whole, never half-written.  Afterwards `j`
+    /// equals [`GrayScott::jacobian_rows`] in every stored bit.
+    pub(crate) fn jacobian_rows_into(
+        &self,
+        at: impl Fn(usize) -> f64,
+        rows: Range<usize>,
+        j: &mut Csr,
+    ) {
+        if !self.fill_jacobian_rows(&at, rows.clone(), j) {
+            *j = self.jacobian_rows(at, rows);
+        }
+    }
+
     /// Assembles only the Jacobian rows in `rows` (half-open global row
     /// range), with **global** column indices — the block each MPI rank
     /// builds for [`DistMat::from_local_rows`] without ever forming the
@@ -285,14 +302,10 @@ impl OdeProblem for GrayScott {
         self.rhs_jacobian_rows(t, w, 0..self.dim())
     }
 
-    /// Writes the values into the pattern `j` holds when it is the
-    /// Jacobian's own — every column checked, see
-    /// `GrayScott::fill_jacobian_rows` — and rebuilds `j` otherwise, so a
-    /// foreign pattern is replaced whole, never half-written.
-    fn rhs_jacobian_into(&self, t: f64, w: &[f64], j: &mut Csr) {
-        if !self.fill_jacobian_rows(|g| w[g], 0..self.dim(), j) {
-            *j = self.rhs_jacobian(t, w);
-        }
+    /// Refills the pattern `j` holds when it is the Jacobian's own and
+    /// rebuilds `j` otherwise (`GrayScott::jacobian_rows_into`).
+    fn rhs_jacobian_into(&self, _t: f64, w: &[f64], j: &mut Csr) {
+        self.jacobian_rows_into(|g| w[g], 0..self.dim(), j);
     }
 }
 

@@ -98,13 +98,16 @@ fn main() {
     if sellkit::obs::enabled() {
         let rep = sellkit::obs::report();
         println!("\n{}", rep.log_view());
-        // Each Newton solve builds one distributed matrix per rank and
-        // refreshes it in the later iterations.
-        let rebuilds = rep.counters.get("dmat.rebuild").copied().unwrap_or(0.0);
+        // Each Newton solve builds one distributed matrix and one
+        // block-Jacobi preconditioner per rank, from one split of the rows,
+        // and refreshes both in the later iterations.
+        let counter = |name| rep.counters.get(name).copied().unwrap_or(0.0);
         assert_eq!(
-            rebuilds,
+            counter("dmat.rebuild"),
             (2 * ranks * steps) as f64,
             "one build per Newton solve, rank and format"
         );
+        assert_eq!(counter("pc.rebuild"), counter("dmat.rebuild"));
+        assert_eq!(counter("pc.refresh"), counter("dmat.refresh"));
     }
 }

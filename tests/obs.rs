@@ -429,8 +429,9 @@ fn krylov_and_distributed_newton_solves_are_attributed() {
 
 /// A distributed θ-step is staged as the serial one is: its right-hand
 /// side and Jacobian run inside `TSFunctionEval` / `TSJacobianEval` under
-/// `TSStep` on every rank, and each rank builds its distributed matrix once
-/// and refreshes it in the later Newton iterations.  The registry is process-wide and the test above
+/// `TSStep` on every rank, and each rank builds its distributed matrix and
+/// its block-Jacobi preconditioner once and refreshes both in the later
+/// Newton iterations.  The registry is process-wide and the test above
 /// diffs it around its own solves, so this one runs in a process of its
 /// own: the test binary again, on this test alone.
 #[test]
@@ -472,6 +473,10 @@ fn distributed_theta_step_is_staged_like_the_serial_one() {
     assert!(its[0] >= 2 && its.iter().all(|&i| i == its[0]), "{its:?}");
     assert_eq!(counter("dmat.rebuild"), 2.0);
     assert_eq!(counter("dmat.refresh"), 2.0 * (its[0] - 1) as f64);
+    // Block-Jacobi is set up from the same split as the matrix: built
+    // with it, refreshed with it.
+    assert_eq!(counter("pc.rebuild"), counter("dmat.rebuild"));
+    assert_eq!(counter("pc.refresh"), counter("dmat.refresh"));
     let paths: BTreeSet<String> = rep.events.into_iter().map(|e| e.path).collect();
     for path in [
         "TSStep>TSFunctionEval",
