@@ -24,11 +24,6 @@
 //! until every part has finished** before returning, so the borrow can
 //! never dangle.  That blocking guarantee is what makes the single
 //! lifetime erasure below sound.
-//!
-//! Set `SELLKIT_PIN=1` to pin the constructing thread to CPU 0 and worker
-//! `w` to CPU `w+1` (`sched_setaffinity`), the paper's OpenMP
-//! `OMP_PROC_BIND=true` analogue: stable thread↔core↔memory affinity for
-//! bandwidth-bound kernels.
 
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -36,14 +31,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Environment variable enabling thread pinning (any value but `0`/empty).
-pub(crate) const PIN_ENV: &str = "SELLKIT_PIN";
-
 /// Regions slower than this land a `pool.region.slow` flight-recorder
 /// event.  Normal SpMV regions finish in microseconds, so anything past
-/// this threshold is an anomaly worth a postmortem breadcrumb; the
-/// threshold also keeps the (allocating) recorder entirely off the
-/// zero-alloc dispatch fast path.
+/// this threshold is an anomaly worth a postmortem breadcrumb.  Recording
+/// one allocates nothing: [`WorkerPool::new`] has the recorder set up its
+/// ring before the first region, and an event without ids is copied into
+/// the ring's preallocated slots.
 const SLOW_REGION_MS: f64 = 25.0;
 
 /// A published parallel region.  `f`'s true lifetime is the duration of
@@ -103,10 +96,10 @@ impl WorkerPool {
             lanes >= 2,
             "a pool needs at least two lanes; use ExecCtx::serial() for one"
         );
-        let pin = pin_requested();
-        if pin {
-            pin_current_thread(0);
-        }
+        // Reads the recorder's switch, which builds its ring when it is on:
+        // a slow region's event then lands in storage that exists, and the
+        // dispatch stays allocation-free on every lane.
+        sellkit_obs::flight::enabled();
         let shared = Arc::new(Shared {
             epoch: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
@@ -119,12 +112,7 @@ impl WorkerPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("sellkit-worker-{i}"))
-                    .spawn(move || {
-                        if pin {
-                            pin_current_thread(i + 1);
-                        }
-                        worker_loop(i, lanes, &shared)
-                    })
+                    .spawn(move || worker_loop(i, lanes, &shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -311,44 +299,6 @@ fn worker_loop(index: usize, lanes: usize, shared: &Shared) {
         }
     }
 }
-
-/// Whether `SELLKIT_PIN` requests thread→CPU pinning.
-fn pin_requested() -> bool {
-    matches!(std::env::var(PIN_ENV), Ok(v) if !v.trim().is_empty() && v.trim() != "0")
-}
-
-/// Pins the calling thread to `cpu` (modulo the CPUs present) via the raw
-/// `sched_setaffinity` syscall; a no-op off x86-64 Linux.  Failure is
-/// benign (pinning is a performance hint) and ignored.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn pin_current_thread(cpu: usize) {
-    let ncpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cpu = cpu % ncpus;
-    // 1024-CPU mask, the kernel's default cpu_set_t width.
-    let mut mask = [0u64; 16];
-    mask[(cpu / 64) % mask.len()] = 1u64 << (cpu % 64);
-    let mut ret: isize;
-    // SAFETY: sched_setaffinity(2) (x86-64 syscall 203) with pid 0 (the
-    // calling thread), a correctly sized, fully initialized mask buffer
-    // that the kernel only reads, and the clobbers the syscall ABI
-    // requires (rcx/r11).  No Rust-visible memory is mutated.
-    unsafe {
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") 203isize => ret,
-            in("rdi") 0usize,
-            in("rsi") std::mem::size_of_val(&mask),
-            in("rdx") mask.as_ptr(),
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack, readonly)
-        );
-    }
-    let _ = ret;
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn pin_current_thread(_cpu: usize) {}
 
 #[cfg(test)]
 mod tests {

@@ -23,16 +23,18 @@
 //! runs CSR and SELL — the paper's point that the parallel layer reuses the
 //! sequential kernels unchanged.
 //!
-//! One layer up, [`dist_newton`] is the serial Newton set-up and loop over
-//! one rank's rows, solving the serial `NonlinearProblem` there.  Each
-//! Newton iteration splits the rank's Jacobian rows once into the two
-//! blocks: the split refreshes the one [`DistMat`] it keeps for the solve
-//! (in place, while no rank's ghost columns change) and the diagonal block
-//! sets up the block-Jacobi preconditioner, refreshed in place as the
-//! serial one is.  [`VecScatter::build`] and the [`DistMat`]
-//! constructors are told their tag; a driver that builds them, as
-//! [`dist_newton`] does once per solve, draws it from
-//! [`Comm::new_tag`](sellkit_mpisim::Comm::new_tag).
+//! One layer up, [`RankRows`] is one rank's Newton fine level: the serial
+//! Newton set-up and loop run over it, solving the serial
+//! `NonlinearProblem` there — for one solve in [`dist_newton`], for a whole
+//! trajectory in a rank's serial θ-stepper
+//! (`ThetaStepper::run_on(RankRows::<M>::new(comm), ..)`).  Each Newton
+//! iteration splits the rank's Jacobian rows once into the two blocks: the
+//! split refreshes the one [`DistMat`] the level keeps (in place, while no
+//! rank's ghost columns change) and the diagonal block sets up the
+//! block-Jacobi preconditioner, refreshed in place as the serial one is.
+//! [`VecScatter::build`] and the [`DistMat`] constructors are told their
+//! tag; a driver that builds them, as [`RankRows`] does once per life,
+//! draws it from [`Comm::new_tag`](sellkit_mpisim::Comm::new_tag).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +55,7 @@ pub mod solve;
 
 pub use dmat::DistMat;
 pub use dvec::DistVec;
-pub use nonlinear::dist_newton;
+pub use nonlinear::{dist_newton, RankRows};
 pub use partition::{split_rows, RowRange};
 pub use scatter::VecScatter;
 pub use solve::{DistDot, DistOp};

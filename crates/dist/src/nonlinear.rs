@@ -6,7 +6,8 @@
 //! [`dist_newton`] are the *same algorithm* — one loop and one set-up,
 //! [`newton_on`], over two [`Fine`] levels — and take the same problem
 //! trait, [`NonlinearProblem`], which is why the paper's iteration counts
-//! are identical across node counts.
+//! are identical across node counts.  A rank's θ-stepper runs on the same
+//! level, [`RankRows`], for a whole trajectory.
 
 use std::borrow::Cow;
 
@@ -58,16 +59,30 @@ where
         problem.dim(),
         "x block does not match owned rows"
     );
-    let rows = RankRows::<M> { comm, mat: None };
-    newton_on(rows, problem, x_local, cfg, pc_factory)
+    newton_on(RankRows::<M>::new(comm), problem, x_local, cfg, pc_factory)
 }
 
 /// One rank's [`Fine`] level: the space reduces across ranks, the
 /// preconditioner sees the owned rows' square diagonal block, and GMRES
-/// applies the [`DistMat`] of those rows.
-struct RankRows<'c, M> {
+/// applies the [`DistMat`] of those rows, in format `M`.
+///
+/// The level keeps its [`DistMat`] — and with it the halo scatter — for as
+/// long as it lives, refreshing it in place while no rank's rows change the
+/// ghost columns they reach: [`dist_newton`] holds one for a solve, and a
+/// rank's θ-stepper
+/// ([`ThetaStepper::run_on`](sellkit_solvers::ts::ThetaStepper::run_on))
+/// for a whole run, so a trajectory builds once per rank.
+pub struct RankRows<'c, M> {
     comm: &'c Comm,
     mat: Option<DistMat<M>>,
+}
+
+impl<'c, M> RankRows<'c, M> {
+    /// A level over this rank's rows of `comm` that holds nothing yet: its
+    /// first Newton iteration builds the [`DistMat`].
+    pub fn new(comm: &'c Comm) -> Self {
+        Self { comm, mat: None }
+    }
 }
 
 impl<'c, M: Operator + FromCsr> Fine for RankRows<'c, M> {

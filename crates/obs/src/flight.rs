@@ -41,11 +41,18 @@ static STATE: AtomicU8 = AtomicU8::new(0);
 const OFF: u8 = 1;
 const ON: u8 = 2;
 
+/// Reads `SELLKIT_FLIGHT` once.  A recorder that turns on builds its ring
+/// here, so that [`record`] never allocates for an event without ids: a
+/// component that must not allocate on its hot path (the worker pool's
+/// slow-region event) calls [`enabled`] when it is set up.
 #[cold]
 fn init_from_env() -> u8 {
     // Opt-out rather than opt-in: `SELLKIT_FLIGHT=0` disables.
     let off = matches!(std::env::var("SELLKIT_FLIGHT"), Ok(v) if v == "0");
     let state = if off { OFF } else { ON };
+    if state == ON {
+        ring();
+    }
     STATE.store(state, Ordering::Relaxed);
     state
 }
@@ -64,6 +71,9 @@ pub fn enabled() -> bool {
 /// Turns the recorder on or off programmatically, overriding
 /// `SELLKIT_FLIGHT`.
 pub fn set_enabled(on: bool) {
+    if on {
+        ring();
+    }
     STATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
 }
 

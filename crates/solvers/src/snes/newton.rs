@@ -170,7 +170,8 @@ impl NewtonResult {
 /// the preconditioner up from [`Fine::pc_matrix`]`(j)` and runs GMRES on
 /// [`Fine::operator`]`(j)` over [`Fine::space`].  `Option<M>` is the serial
 /// one, the Jacobian in the solve's format `M`; `sellkit-dist`'s
-/// `dist_newton` implements it over one rank's rows.
+/// `RankRows` is one rank's rows, under `dist_newton` and a rank's
+/// [`ThetaStepper::run_on`](crate::ts::ThetaStepper::run_on).
 pub trait Fine {
     /// The vector space the Newton and Krylov iterates live in.
     type Space: InnerProduct;
@@ -240,9 +241,11 @@ impl<M: CoreOperator + FromCsr> Fine for Option<M> {
 /// What a Newton loop carries from one linearisation to the next (PETSc's
 /// `KSP` with its operators set): the Jacobian in CSR, the preconditioner,
 /// and the [`Fine`] level GMRES runs on.  Whoever owns it decides how long
-/// set-up work lives: [`newton`] keeps one for a solve; a θ-stepper keeps
-/// one for as long as the stepper lives, [suspended](LinearSolve::suspend)
-/// between the calls that name its types.
+/// set-up work lives: [`newton_on`] keeps one for a solve; a θ-stepper keeps
+/// one for a call (a step, or a whole run), and the Jacobian and the
+/// preconditioner for as long as the stepper lives,
+/// [suspended](LinearSolve::suspend) between the calls that name their
+/// types.
 pub(crate) struct LinearSolve<F, Pc> {
     jac: Option<Csr>,
     fine: F,
@@ -251,28 +254,30 @@ pub(crate) struct LinearSolve<F, Pc> {
 
 /// A [`LinearSolve`] between two calls, its types forgotten: the CSR
 /// Jacobian, and the preconditioner if it can be kept
-/// ([`Precond::into_kept`]).  The converted copy of a preconditioner without
-/// a fine operator is not kept.
+/// ([`Precond::into_kept`]).  The fine level — the serial converted copy of
+/// a preconditioner without a fine operator, a rank's distributed matrix —
+/// is not kept.
 #[derive(Default)]
 pub(crate) struct Suspended {
     jac: Option<Csr>,
     pc: Option<Kept>,
 }
 
-impl<M, Pc: Precond> LinearSolve<Option<M>, Pc> {
-    /// Takes up what [`LinearSolve::suspend`] left.  A preconditioner of
-    /// another type is dropped ([`Precond::from_kept`]), so the first
-    /// linearisation builds one; the Jacobian is refilled whatever it held.
-    pub(crate) fn resume(held: Suspended) -> Self {
+impl<F, Pc: Precond> LinearSolve<F, Pc> {
+    /// Takes up what [`LinearSolve::suspend`] left, on the fine level
+    /// `fine`.  A preconditioner of another type is dropped
+    /// ([`Precond::from_kept`]), so the first linearisation builds one; the
+    /// Jacobian is refilled whatever it held.
+    pub(crate) fn resume(held: Suspended, fine: F) -> Self {
         Self {
             jac: held.jac,
-            fine: None,
+            fine,
             pc: held.pc.and_then(Pc::from_kept),
         }
     }
 
     /// Leaves the Jacobian and, if it can be kept, the preconditioner to the
-    /// next [`LinearSolve::resume`].
+    /// next [`LinearSolve::resume`]; the fine level is dropped.
     pub(crate) fn suspend(self) -> Suspended {
         Suspended {
             jac: self.jac,
@@ -323,11 +328,7 @@ where
     Prob: NonlinearProblem,
     Pc: Precond,
 {
-    let mut kept = LinearSolve {
-        jac: None,
-        fine,
-        pc: None,
-    };
+    let mut kept = LinearSolve::resume(Suspended::default(), fine);
     newton_kept(problem, x, cfg, &ExecCtx::serial(), &mut kept, &pc_factory)
 }
 

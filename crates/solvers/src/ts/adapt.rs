@@ -10,7 +10,7 @@ use sellkit_core::{Csr, ExecCtx, FromCsr, Operator as CoreOperator};
 
 use crate::pc::Precond;
 use crate::snes::newton::{newton_kept, LinearSolve, NewtonConfig, Suspended};
-use crate::ts::theta::{theta_step_over, OdeProblem, ThetaConfig};
+use crate::ts::theta::{theta_step, OdeProblem, ThetaConfig};
 use crate::vecops;
 
 /// Adaptive controller configuration.
@@ -126,7 +126,7 @@ impl AdaptiveTheta {
         P: OdeProblem,
         Pc: Precond,
     {
-        let mut kept = LinearSolve::resume(std::mem::take(&mut self.held));
+        let mut kept = LinearSolve::resume(std::mem::take(&mut self.held), None::<M>);
         let rec = self.step_kept::<M, _, _>(ode, u, &mut kept, &pc_factory);
         self.held = kept.suspend();
         rec
@@ -161,9 +161,7 @@ impl AdaptiveTheta {
                 };
                 (0..pieces).all(|s| {
                     let t = self.t + s as f64 * cfg.dt;
-                    let rhs = |t, u: &[f64], f: &mut [f64]| ode.rhs(t, u, f);
-                    let jac = |t, u: &[f64], j: &mut Csr| ode.rhs_jacobian_into(t, u, j);
-                    theta_step_over(&cfg, t, 0, u, rhs, jac, |stage, u| {
+                    theta_step(&cfg, t, ode, u, |stage, u| {
                         newton_kept(stage, u, &cfg.newton, &serial, kept, pc_factory)
                     })
                     .converged()
@@ -231,7 +229,7 @@ impl AdaptiveTheta {
         P: OdeProblem,
         Pc: Precond,
     {
-        let mut kept = LinearSolve::resume(std::mem::take(&mut self.held));
+        let mut kept = LinearSolve::resume(std::mem::take(&mut self.held), None::<M>);
         while self.t < t_end - 1e-12 {
             if self.t + self.dt > t_end {
                 self.dt = t_end - self.t;

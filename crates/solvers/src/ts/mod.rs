@@ -1,9 +1,10 @@
-//! Timestepping solvers (PETSc `TS`): one θ-step, [`theta_step_over`], over
-//! the rows a caller holds, behind the fixed-step [`ThetaStepper`], the
-//! adaptive [`AdaptiveTheta`] and the distributed Gray-Scott step.
+//! Timestepping solvers (PETSc `TS`): one θ-step over the rows an
+//! [`OdeProblem`] holds, behind the fixed-step [`ThetaStepper`] — on one
+//! rank or, through [`ThetaStepper::run_on`], on each of many — and the
+//! adaptive [`AdaptiveTheta`].
 
 pub mod adapt;
 pub mod theta;
 
 pub use adapt::{AdaptConfig, AdaptStep, AdaptiveTheta};
-pub use theta::{theta_step_over, OdeProblem, StepStats, ThetaConfig, ThetaStage, ThetaStepper};
+pub use theta::{OdeProblem, StepStats, ThetaConfig, ThetaStepper};

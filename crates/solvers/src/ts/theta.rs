@@ -15,14 +15,16 @@
 //! problem can refill it ([`OdeProblem::rhs_jacobian_into`]), and shifted
 //! there in place.
 //!
-//! [`theta_step_over`] is that step over the rows a caller holds, all of
-//! them or one rank's block: one rank and many take the same steps.
+//! One θ-step serves every caller, over whatever rows the [`OdeProblem`]
+//! holds: all of them, or one rank's block ([`OdeProblem::first_row`]).
+//! One rank and many differ only in the Newton [`Fine`] level the stepper
+//! runs on ([`ThetaStepper::run_on`]).
 
 use sellkit_core::{matops, Csr, ExecCtx, FromCsr, Operator as CoreOperator};
 
 use crate::pc::Precond;
 use crate::snes::newton::{
-    newton_kept, LinearSolve, NewtonConfig, NewtonResult, NonlinearProblem, Suspended,
+    newton_kept, Fine, LinearSolve, NewtonConfig, NewtonResult, NonlinearProblem, Suspended,
 };
 
 /// An autonomous-or-not ODE system `du/dt = f(t, u)` with Jacobian.
@@ -44,6 +46,15 @@ pub trait OdeProblem {
     /// never writes a wrong matrix or leaves one half-written.
     fn rhs_jacobian_into(&self, t: f64, u: &[f64], j: &mut Csr) {
         *j = self.rhs_jacobian(t, u);
+    }
+
+    /// Global index of the problem's first row.  A problem that holds one
+    /// rank's block of a larger system evaluates `f` and assembles `∂f/∂u`
+    /// for its rows only, with global column indices; row `i`'s diagonal
+    /// is then column `first_row() + i`, which is where the θ-step shifts
+    /// it.  0, the default, is a problem that holds every row.
+    fn first_row(&self) -> usize {
+        0
     }
 }
 
@@ -120,28 +131,20 @@ pub struct ThetaStepper {
     held: Suspended,
 }
 
-/// The implicit stage [`theta_step_over`] hands its solve: `G(u) = u −
-/// explicit − Δt·θ·f(tₙ₊₁, u)` and `G' = I − Δt·θ·J_f`, each `f` in a
-/// `TSFunctionEval` span and each `J_f` in a `TSJacobianEval`.  `G'` is
-/// written into the matrix it is handed
-/// ([`NonlinearProblem::jacobian_into`]): `J_f` refilled there, then
+/// The implicit stage of a θ-step: `G(u) = u − explicit − Δt·θ·f(tₙ₊₁,
+/// u)` and `G' = I − Δt·θ·J_f`, each `f` in a `TSFunctionEval` span and
+/// each `J_f` in a `TSJacobianEval`.  `G'` is written into the matrix it is
+/// handed ([`NonlinearProblem::jacobian_into`]): `J_f` refilled there, then
 /// shifted in place ([`matops::identity_plus_scaled_rows_in_place`]).
-pub struct ThetaStage<F, J> {
-    rhs: F,
-    rhs_jacobian: J,
+pub(crate) struct ThetaStage<'p, P> {
+    ode: &'p P,
     /// Explicit part: `uₙ + Δt(1−θ)·f(tₙ, uₙ)`, precomputed.
     explicit: Vec<f64>,
     t_next: f64,
     dt_theta: f64,
-    /// Global index of `u[0]`: row `i`'s diagonal is column `first_row + i`.
-    first_row: usize,
 }
 
-impl<F, J> NonlinearProblem for ThetaStage<F, J>
-where
-    F: Fn(f64, &[f64], &mut [f64]),
-    J: Fn(f64, &[f64], &mut Csr),
-{
+impl<P: OdeProblem> NonlinearProblem for ThetaStage<'_, P> {
     fn dim(&self) -> usize {
         self.explicit.len()
     }
@@ -149,7 +152,7 @@ where
     fn residual(&self, u: &[f64], g: &mut [f64]) {
         {
             let _fe = sellkit_obs::span("TSFunctionEval");
-            (self.rhs)(self.t_next, u, g);
+            self.ode.rhs(self.t_next, u, g);
         }
         for i in 0..u.len() {
             g[i] = u[i] - self.explicit[i] - self.dt_theta * g[i];
@@ -166,33 +169,22 @@ where
     fn jacobian_into(&self, u: &[f64], j: &mut Csr) {
         {
             let _je = sellkit_obs::span("TSJacobianEval");
-            (self.rhs_jacobian)(self.t_next, u, j);
+            self.ode.rhs_jacobian_into(self.t_next, u, j);
         }
-        matops::identity_plus_scaled_rows_in_place(1.0, -self.dt_theta, j, self.first_row);
+        matops::identity_plus_scaled_rows_in_place(1.0, -self.dt_theta, j, self.ode.first_row());
     }
 }
 
-/// One θ-step of `cfg.dt` from time `t` over the rows `u` holds, global rows
-/// `first_row..`: the one θ-step, serial and distributed, as Newton has one
-/// loop.  `rhs(t, u, f)` evaluates those rows of `f`, and
-/// `rhs_jacobian(t, u, j)` makes `j` those rows of `∂f/∂u` (global
-/// columns), refilling what `j` holds or replacing it as
-/// [`OdeProblem::rhs_jacobian_into`] does; `solve(stage, u)` solves the
-/// stage from `u = uₙ` in place, with `cfg.newton` or however the caller
-/// likes.
-pub fn theta_step_over<F, J, R>(
+/// One θ-step of `cfg.dt` from time `t` over the rows `ode` holds: the one
+/// θ-step of the fixed-step and the adaptive integrators, on one rank or
+/// many.  `solve(stage, u)` solves the stage from `u = uₙ` in place.
+pub(crate) fn theta_step<P: OdeProblem, R>(
     cfg: &ThetaConfig,
     t: f64,
-    first_row: usize,
+    ode: &P,
     u: &mut [f64],
-    rhs: F,
-    rhs_jacobian: J,
-    solve: impl FnOnce(&ThetaStage<F, J>, &mut [f64]) -> R,
-) -> R
-where
-    F: Fn(f64, &[f64], &mut [f64]),
-    J: Fn(f64, &[f64], &mut Csr),
-{
+    solve: impl FnOnce(&ThetaStage<'_, P>, &mut [f64]) -> R,
+) -> R {
     let _ts = sellkit_obs::span("TSStep");
     let (dt, theta) = (cfg.dt, cfg.theta);
     let mut explicit = u.to_vec();
@@ -200,19 +192,17 @@ where
         let mut fexp = vec![0.0; u.len()];
         {
             let _fe = sellkit_obs::span("TSFunctionEval");
-            rhs(t, u, &mut fexp);
+            ode.rhs(t, u, &mut fexp);
         }
         for (e, f) in explicit.iter_mut().zip(&fexp) {
             *e += dt * (1.0 - theta) * f;
         }
     }
     let stage = ThetaStage {
-        rhs,
-        rhs_jacobian,
+        ode,
         explicit,
         t_next: t + dt,
         dt_theta: dt * theta,
-        first_row,
     };
     solve(&stage, u)
 }
@@ -317,37 +307,31 @@ impl ThetaStepper {
         P: OdeProblem,
         Pc: Precond,
     {
-        let mut kept = LinearSolve::resume(std::mem::take(&mut self.held));
-        let res = self.step_kept::<M, _, _>(ode, u, ctx, &mut kept, &pc_factory);
+        let mut kept = LinearSolve::resume(std::mem::take(&mut self.held), None::<M>);
+        let res = self.step_kept(ode, u, ctx, &mut kept, &pc_factory);
         self.held = kept.suspend();
         res
     }
 
     /// [`ThetaStepper::step_ctx`] on a linear-solve context the caller has
     /// resumed and will suspend.
-    fn step_kept<M, P, Pc>(
+    fn step_kept<F, P, Pc>(
         &mut self,
         ode: &P,
         u: &mut [f64],
         ctx: &ExecCtx,
-        kept: &mut LinearSolve<Option<M>, Pc>,
+        kept: &mut LinearSolve<F, Pc>,
         pc_factory: &impl Fn(&Csr) -> Pc,
     ) -> NewtonResult
     where
-        M: CoreOperator + FromCsr,
+        F: Fine,
         P: OdeProblem,
         Pc: Precond,
     {
         assert_eq!(u.len(), ode.dim());
-        let res = theta_step_over(
-            &self.cfg,
-            self.t,
-            0,
-            u,
-            |t, u, f| ode.rhs(t, u, f),
-            |t, u, j| ode.rhs_jacobian_into(t, u, j),
-            |stage, u| newton_kept(stage, u, &self.cfg.newton, ctx, kept, pc_factory),
-        );
+        let res = theta_step(&self.cfg, self.t, ode, u, |stage, u| {
+            newton_kept(stage, u, &self.cfg.newton, ctx, kept, pc_factory)
+        });
         self.t += self.cfg.dt;
         self.steps_taken += 1;
         self.stats.push(StepStats {
@@ -376,10 +360,35 @@ impl ThetaStepper {
         P: OdeProblem,
         Pc: Precond,
     {
+        self.run_on(None::<M>, ode, u, nsteps, pc_factory);
+    }
+
+    /// [`ThetaStepper::run`] on the Newton fine level `fine`, as
+    /// [`newton_on`](crate::snes::newton::newton_on) is
+    /// [`newton`](crate::snes::newton::newton) on one: the entry a rank
+    /// takes, with `sellkit-dist`'s `RankRows` over an `ode` that holds the
+    /// rank's rows ([`OdeProblem::first_row`]).  `fine` and whatever it
+    /// builds — on a rank, the distributed matrix and its scatter — live
+    /// for the run, so the steps share one set-up as the serial ones do,
+    /// and are dropped when it ends; the Jacobian, and the preconditioner
+    /// if it can be kept, stay with the stepper as after
+    /// [`ThetaStepper::run`].
+    pub fn run_on<F, P, Pc>(
+        &mut self,
+        fine: F,
+        ode: &P,
+        u: &mut [f64],
+        nsteps: usize,
+        pc_factory: impl Fn(&Csr) -> Pc,
+    ) where
+        F: Fine,
+        P: OdeProblem,
+        Pc: Precond,
+    {
         let serial = ExecCtx::serial();
-        let mut kept = LinearSolve::resume(std::mem::take(&mut self.held));
+        let mut kept = LinearSolve::resume(std::mem::take(&mut self.held), fine);
         for s in 0..nsteps {
-            let res = self.step_kept::<M, _, _>(ode, u, &serial, &mut kept, &pc_factory);
+            let res = self.step_kept(ode, u, &serial, &mut kept, &pc_factory);
             assert!(
                 res.converged(),
                 "Newton failed at step {s} (t = {}): {:?}, ‖F‖ = {}",

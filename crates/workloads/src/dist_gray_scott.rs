@@ -7,24 +7,25 @@
 //! * each rank evaluates and assembles only its own rows, through the
 //!   serial model's own row formulas ([`GrayScott`]) reading owned values
 //!   and ghosts, so its rows carry the serial bits;
-//! * one implicit θ-step is the serial one, [`theta_step_over`], over the
-//!   owned rows, solved by a distributed Newton whose linear systems run
-//!   the overlapped parallel MatMult.
+//! * a rank's share is an [`OdeProblem`], stepped by the serial
+//!   `ThetaStepper` on the rank's Newton level —
+//!   `ThetaStepper::run_on(RankRows::<M>::new(comm), ..)` — whose linear
+//!   systems run the overlapped parallel MatMult.
 
 use std::ops::Range;
 
-use sellkit_core::{Csr, FromCsr, Operator};
-use sellkit_dist::{dist_newton, split_rows, VecScatter};
+use sellkit_core::Csr;
+use sellkit_dist::{split_rows, VecScatter};
 use sellkit_mpisim::Comm;
-use sellkit_solvers::pc::Precond;
-use sellkit_solvers::snes::newton::{NewtonConfig, NewtonResult};
-use sellkit_solvers::ts::{theta_step_over, ThetaConfig};
+use sellkit_solvers::ts::OdeProblem;
 
 use crate::gray_scott::{GrayScott, GrayScottParams};
 
 /// Gray-Scott distributed over a communicator with a stencil-halo
-/// exchange plan.
-pub struct DistGrayScott {
+/// exchange plan: one rank's rows, as an [`OdeProblem`] whose every
+/// evaluation is collective.
+pub struct DistGrayScott<'c> {
+    comm: &'c Comm,
     gs: GrayScott,
     rows: Range<usize>,
     /// Remote unknown indices this rank's rows read, sorted ascending.
@@ -32,10 +33,10 @@ pub struct DistGrayScott {
     halo: VecScatter,
 }
 
-impl DistGrayScott {
+impl<'c> DistGrayScott<'c> {
     /// Builds the distributed problem on an `n × n` grid.  Collective: the
     /// halo scatter draws its tag from [`Comm::new_tag`].
-    pub fn new(comm: &Comm, n: usize, params: GrayScottParams) -> Self {
+    pub fn new(comm: &'c Comm, n: usize, params: GrayScottParams) -> Self {
         let gs = GrayScott::new(n, params);
         let dim = gs.grid().n_unknowns();
         let ranges = split_rows(dim, comm.size());
@@ -57,6 +58,7 @@ impl DistGrayScott {
             .collect();
         let halo = VecScatter::build(comm, &ranges, &garray, comm.new_tag());
         Self {
+            comm,
             gs,
             rows,
             garray,
@@ -75,10 +77,10 @@ impl DistGrayScott {
     }
 
     /// Fills the ghost buffer for the current local state.
-    fn exchange(&self, comm: &Comm, w_local: &[f64]) -> Vec<f64> {
+    fn exchange(&self, w_local: &[f64]) -> Vec<f64> {
         let mut ghost = vec![0.0; self.garray.len()];
-        let pending = self.halo.begin(comm, w_local, &mut ghost);
-        self.halo.end(comm, pending, &mut ghost);
+        let pending = self.halo.begin(self.comm, w_local, &mut ghost);
+        self.halo.end(self.comm, pending, &mut ghost);
         ghost
     }
 
@@ -96,24 +98,6 @@ impl DistGrayScott {
         }
     }
 
-    /// Evaluates the owned block of the ODE right-hand side `f(w)`: the
-    /// serial model's rows, bit for bit.  Collective (one halo exchange).
-    pub(crate) fn rhs_local(&self, comm: &Comm, w_local: &[f64], f_local: &mut [f64]) {
-        let ghost = self.exchange(comm, w_local);
-        self.gs
-            .rhs_rows(|g| self.at(g, w_local, &ghost), self.rows(), f_local);
-    }
-
-    /// Makes `j` the owned Jacobian rows (global columns), refilling the
-    /// pattern it holds as the serial model does
-    /// (`GrayScott::jacobian_rows_into`): the serial model's rows, bit for
-    /// bit.  Collective (one halo exchange).
-    pub(crate) fn jacobian_into(&self, comm: &Comm, w_local: &[f64], j: &mut Csr) {
-        let ghost = self.exchange(comm, w_local);
-        self.gs
-            .jacobian_rows_into(|g| self.at(g, w_local, &ghost), self.rows(), j);
-    }
-
     /// Distributed initial condition: this rank's block of
     /// [`GrayScott::initial_condition`].
     pub fn initial_condition_local(&self, seed: u64) -> Vec<f64> {
@@ -122,49 +106,51 @@ impl DistGrayScott {
     }
 }
 
-/// Advances one distributed θ-step from time `t` in place: the serial
-/// [`theta_step_over`] over this rank's rows, whose stage — a
-/// `NonlinearProblem` over those rows — goes straight to [`dist_newton`].
-/// Its linear solves run their SpMVs in format `M` through the overlapped
-/// parallel MatMult.  Collective.
-pub fn dist_theta_step<M, Pc>(
-    comm: &Comm,
-    problem: &DistGrayScott,
-    u_local: &mut [f64],
-    t: f64,
-    dt: f64,
-    theta: f64,
-    cfg: &NewtonConfig,
-    pc_factory: impl Fn(&Csr) -> Pc,
-) -> NewtonResult
-where
-    M: Operator + FromCsr,
-    Pc: Precond,
-{
-    let step = ThetaConfig {
-        theta,
-        dt,
-        newton: *cfg,
-    };
-    theta_step_over(
-        &step,
-        t,
-        problem.rows.start,
-        u_local,
-        |_, w, f| problem.rhs_local(comm, w, f),
-        |_, w, j| problem.jacobian_into(comm, w, j),
-        |stage, u| dist_newton::<M, _, _>(comm, stage, u, &step.newton, pc_factory),
-    )
+/// This rank's rows of the serial model, bit for bit: `dim` is the owned
+/// row count, `u` and `f` are owned blocks, the Jacobian holds the owned
+/// rows with global columns, and [`OdeProblem::first_row`] is the first
+/// owned row.  Every `rhs` and Jacobian evaluation is collective: one halo
+/// exchange.
+impl OdeProblem for DistGrayScott<'_> {
+    fn dim(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn rhs(&self, _t: f64, w_local: &[f64], f_local: &mut [f64]) {
+        let ghost = self.exchange(w_local);
+        self.gs
+            .rhs_rows(|g| self.at(g, w_local, &ghost), self.rows(), f_local);
+    }
+
+    fn rhs_jacobian(&self, t: f64, w_local: &[f64]) -> Csr {
+        let mut j = Csr::zeros_with_pattern(0, 0, vec![0], Vec::new());
+        self.rhs_jacobian_into(t, w_local, &mut j);
+        j
+    }
+
+    /// Refills the pattern `j` holds as the serial model does
+    /// (`GrayScott::jacobian_rows_into`), or rebuilds it.
+    fn rhs_jacobian_into(&self, _t: f64, w_local: &[f64], j: &mut Csr) {
+        let ghost = self.exchange(w_local);
+        self.gs
+            .jacobian_rows_into(|g| self.at(g, w_local, &ghost), self.rows(), j);
+    }
+
+    fn first_row(&self) -> usize {
+        self.rows.start
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sellkit_core::{MatShape, Sell8};
+    use sellkit_core::{FromCsr, MatShape, Operator, Sell8};
+    use sellkit_dist::RankRows;
     use sellkit_mpisim::run;
     use sellkit_solvers::ksp::KspConfig;
     use sellkit_solvers::pc::JacobiPc;
-    use sellkit_solvers::ts::{OdeProblem, ThetaConfig, ThetaStepper};
+    use sellkit_solvers::snes::NewtonConfig;
+    use sellkit_solvers::ts::{ThetaConfig, ThetaStepper};
 
     #[test]
     fn distributed_rhs_matches_sequential() {
@@ -175,7 +161,7 @@ mod tests {
                 let p = DistGrayScott::new(comm, n, GrayScottParams::default());
                 let w_local = p.initial_condition_local(3);
                 let mut f_local = vec![0.0; w_local.len()];
-                p.rhs_local(comm, &w_local, &mut f_local);
+                p.rhs(0.0, &w_local, &mut f_local);
                 (p.rows(), f_local)
             });
             let gs = GrayScott::new(n, GrayScottParams::default());
@@ -202,9 +188,7 @@ mod tests {
         let out = run(3, move |comm| {
             let p = DistGrayScott::new(comm, n, GrayScottParams::default());
             let w_local = p.initial_condition_local(7);
-            let mut j = Csr::zeros_with_pattern(0, 0, vec![0], Vec::new());
-            p.jacobian_into(comm, &w_local, &mut j);
-            (p.rows(), j)
+            (p.rows(), p.rhs_jacobian(0.0, &w_local))
         });
         let gs = GrayScott::new(n, GrayScottParams::default());
         let w = gs.initial_condition(7);
@@ -243,10 +227,10 @@ mod tests {
                 let local = |w: &[f64]| w[rows.clone()].to_vec();
 
                 let mut j = Csr::zeros_with_pattern(0, 0, vec![0], Vec::new());
-                p.jacobian_into(comm, &local(&states[0]), &mut j);
+                p.rhs_jacobian_into(0.0, &local(&states[0]), &mut j);
                 assert_eq!(bits(&j), want(&states[0]), "{ranks} ranks: built");
                 let (rowptr, colidx) = (j.rowptr().as_ptr(), j.colidx().as_ptr());
-                p.jacobian_into(comm, &local(&states[1]), &mut j);
+                p.rhs_jacobian_into(0.0, &local(&states[1]), &mut j);
                 assert_eq!(bits(&j), want(&states[1]), "{ranks} ranks: refilled");
                 assert_eq!(
                     (j.rowptr().as_ptr(), j.colidx().as_ptr()),
@@ -269,7 +253,7 @@ mod tests {
                     j.values().to_vec(),
                 );
                 for mut foreign in [moved, gs.rhs_jacobian(0.0, &states[1])] {
-                    p.jacobian_into(comm, &local(&states[0]), &mut foreign);
+                    p.rhs_jacobian_into(0.0, &local(&states[0]), &mut foreign);
                     assert_eq!(bits(&foreign), want(&states[0]), "{ranks} ranks: rebuilt");
                 }
             });
@@ -292,13 +276,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn distributed_cn_step_matches_sequential_cn_step() {
-        let n = 8;
-        // Sequential reference.
-        let gs = GrayScott::new(n, GrayScottParams::default());
-        let mut u_seq = gs.initial_condition(11);
-        let cfg = ThetaConfig {
+    /// Crank-Nicolson with the tolerances of the cross-checks below.
+    fn cn() -> ThetaConfig {
+        ThetaConfig {
             theta: 0.5,
             dt: 1.0,
             newton: NewtonConfig {
@@ -309,33 +289,33 @@ mod tests {
                 },
                 ..Default::default()
             },
-        };
-        let mut ts = ThetaStepper::new(cfg);
+        }
+    }
+
+    /// One step on 3 ranks against the serial step.  Ranks 1 and 2 own
+    /// rows that do not start at 0: the shift `I − Δt·θ·J` lands on their
+    /// diagonals only through [`OdeProblem::first_row`].
+    #[test]
+    fn distributed_cn_step_matches_sequential_cn_step() {
+        let n = 8;
+        // Sequential reference.
+        let gs = GrayScott::new(n, GrayScottParams::default());
+        let mut u_seq = gs.initial_condition(11);
+        let mut ts = ThetaStepper::new(cn());
         let seq_res = ts.step::<Sell8, _, _>(&gs, &mut u_seq, JacobiPc::from_csr);
         assert!(seq_res.converged());
 
         let out = run(3, move |comm| {
             let p = DistGrayScott::new(comm, n, GrayScottParams::default());
+            assert_eq!(p.first_row(), p.rows().start);
             let mut u_local = p.initial_condition_local(11);
-            let res = dist_theta_step::<Sell8, _>(
-                comm,
-                &p,
-                &mut u_local,
-                0.0,
-                1.0,
-                0.5,
-                &NewtonConfig {
-                    rtol: 1e-10,
-                    ksp: KspConfig {
-                        rtol: 1e-8,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                },
-                JacobiPc::from_csr,
-            );
-            assert!(res.converged(), "{:?}", res.reason);
-            (res.iterations, comm.allgather(u_local).concat())
+            let mut ts = ThetaStepper::new(cn());
+            let rows = RankRows::<Sell8>::new(comm);
+            ts.run_on(rows, &p, &mut u_local, 1, JacobiPc::from_csr);
+            (
+                ts.stats()[0].newton_iterations,
+                comm.allgather(u_local).concat(),
+            )
         });
         for (its, u) in out {
             assert_eq!(its, seq_res.iterations, "same Newton trajectory");
@@ -347,6 +327,46 @@ mod tests {
                     u_seq[i]
                 );
             }
+        }
+    }
+
+    /// The global state bits after `runs` runs of `per_run` steps each, on
+    /// `ranks` ranks in format `M`, a fresh stepper for each run.
+    fn run_bits<M: Operator + FromCsr>(ranks: usize, per_run: usize, runs: usize) -> Vec<u64> {
+        let out = run(ranks, move |comm| {
+            let p = DistGrayScott::new(comm, 8, GrayScottParams::default());
+            let mut u = p.initial_condition_local(5);
+            for _ in 0..runs {
+                let mut ts = ThetaStepper::new(cn());
+                ts.run_on(
+                    RankRows::<M>::new(comm),
+                    &p,
+                    &mut u,
+                    per_run,
+                    JacobiPc::from_csr,
+                );
+            }
+            comm.allgather(u).concat()
+        });
+        out[0].iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A rank keeps its distributed matrix, block-Jacobi and Jacobian across
+    /// the steps of a run, refreshing them in place: three steps in one run
+    /// end on the bits of three one-step runs, each built from nothing.
+    #[test]
+    fn a_run_kept_across_steps_equals_fresh_steps() {
+        for ranks in 1..=3 {
+            assert_eq!(
+                run_bits::<Csr>(ranks, 3, 1),
+                run_bits::<Csr>(ranks, 1, 3),
+                "{ranks} ranks, CSR"
+            );
+            assert_eq!(
+                run_bits::<Sell8>(ranks, 3, 1),
+                run_bits::<Sell8>(ranks, 1, 3),
+                "{ranks} ranks, SELL-8"
+            );
         }
     }
 }

@@ -25,6 +25,6 @@ pub mod generators;
 pub mod gray_scott;
 pub mod matrix_market;
 
-pub use dist_gray_scott::{dist_theta_step, DistGrayScott};
+pub use dist_gray_scott::DistGrayScott;
 pub use gray_scott::{GrayScott, GrayScottParams};
 pub use matrix_market::{read_mtx, read_mtx_file, write_mtx, MtxError};

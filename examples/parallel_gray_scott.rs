@@ -1,7 +1,11 @@
 //! The paper's multinode experiment in miniature (§7.3 / Figure 10):
 //! Gray-Scott integrated with Crank-Nicolson across simulated MPI ranks —
-//! halo exchange, rank-local Jacobian assembly, distributed Newton, and
-//! the overlapped parallel MatMult in CSR or SELL.
+//! halo exchange, rank-local Jacobian assembly, the serial θ-stepper on
+//! each rank's rows, and the overlapped parallel MatMult in CSR or SELL.
+//!
+//! The formats run in the order CSR, SELL-8, SELL-8, CSR, so that neither
+//! always runs on a cold process; each run is a fresh stepper over fresh
+//! ranks, and the repeats of one format must end on the same bits.
 //!
 //! ```sh
 //! cargo run --release -p sellkit --example parallel_gray_scott -- [ranks] [grid] [steps]
@@ -10,57 +14,58 @@
 use std::time::Instant;
 
 use sellkit::core::{Csr, FromCsr, Operator, Sell8};
+use sellkit::dist::RankRows;
 use sellkit::mpisim;
 use sellkit::solvers::ksp::KspConfig;
 use sellkit::solvers::pc::JacobiPc;
 use sellkit::solvers::snes::NewtonConfig;
-use sellkit::workloads::dist_gray_scott::{dist_theta_step, DistGrayScott};
+use sellkit::solvers::ts::{ThetaConfig, ThetaStepper};
+use sellkit::workloads::dist_gray_scott::DistGrayScott;
 use sellkit::workloads::GrayScottParams;
 
+/// One run: `steps` Crank-Nicolson steps of Δt = 1 on `ranks` ranks, every
+/// SpMV of the linear solves in format `M`.  Returns the wall time of the
+/// steps and the global final state.
 fn run_parallel<M: Operator + FromCsr>(ranks: usize, grid: usize, steps: usize) -> (f64, Vec<f64>) {
     let out = mpisim::run(ranks, move |comm| {
         let p = DistGrayScott::new(comm, grid, GrayScottParams::default());
         let mut u = p.initial_condition_local(42);
-        let cfg = NewtonConfig {
-            rtol: 1e-8,
-            ksp: KspConfig {
-                rtol: 1e-5,
-                restart: 30,
+        let mut ts = ThetaStepper::new(ThetaConfig {
+            theta: 0.5,
+            dt: 1.0,
+            newton: NewtonConfig {
+                rtol: 1e-8,
+                ksp: KspConfig {
+                    rtol: 1e-5,
+                    restart: 30,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
-            ..Default::default()
-        };
+        });
         comm.barrier();
         let t0 = Instant::now();
-        for s in 0..steps {
-            let res = dist_theta_step::<M, _>(
-                comm,
-                &p,
-                &mut u,
-                s as f64,
-                1.0,
-                0.5,
-                &cfg,
-                JacobiPc::from_csr,
-            );
-            assert!(res.converged(), "step {s}: {:?}", res.reason);
-            if comm.rank() == 0 {
+        // One distributed matrix, scatter and block-Jacobi per rank for the
+        // whole run, refreshed in every later Newton iteration.
+        let rows = RankRows::<M>::new(comm);
+        ts.run_on(rows, &p, &mut u, steps, JacobiPc::from_csr);
+        comm.barrier();
+        let dt = t0.elapsed().as_secs_f64();
+        if comm.rank() == 0 {
+            for (s, st) in ts.stats().iter().enumerate() {
                 println!(
                     "  step {:>2}: newton {} its, gmres {} its, |F| = {:.2e}  (halo {} values)",
                     s + 1,
-                    res.iterations,
-                    res.linear_iterations,
-                    res.fnorm,
+                    st.newton_iterations,
+                    st.linear_iterations,
+                    st.fnorm,
                     p.halo_len()
                 );
             }
         }
-        comm.barrier();
-        let dt = t0.elapsed().as_secs_f64();
         (dt, comm.allgather(u).concat())
     });
-    let (secs, u) = out.into_iter().next().expect("rank 0 result");
-    (secs, u)
+    out.into_iter().next().expect("rank 0 result")
 }
 
 fn main() {
@@ -73,23 +78,35 @@ fn main() {
         2 * grid * grid
     );
 
-    println!("\nformat: CSR");
-    let (t_csr, u_csr) = run_parallel::<Csr>(ranks, grid, steps);
-    println!("  wall time {t_csr:.3} s");
+    let mut csr = Vec::new();
+    let mut sell = Vec::new();
+    for (k, use_sell) in [false, true, true, false].into_iter().enumerate() {
+        let (name, (secs, u)) = if use_sell {
+            println!("\nrun {}: SELL (C = 8)", k + 1);
+            ("SELL-8", run_parallel::<Sell8>(ranks, grid, steps))
+        } else {
+            println!("\nrun {}: CSR", k + 1);
+            ("CSR", run_parallel::<Csr>(ranks, grid, steps))
+        };
+        println!("  {name} wall time {secs:.3} s");
+        if use_sell { &mut sell } else { &mut csr }.push((secs, u));
+    }
 
-    println!("\nformat: SELL (C = 8)");
-    let (t_sell, u_sell) = run_parallel::<Sell8>(ranks, grid, steps);
-    println!("  wall time {t_sell:.3} s");
-
-    let max_diff = u_csr
+    let bits = |u: &[f64]| u.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&csr[0].1), bits(&csr[1].1), "CSR repeats differ");
+    assert_eq!(bits(&sell[0].1), bits(&sell[1].1), "SELL-8 repeats differ");
+    let max_diff = csr[0]
+        .1
         .iter()
-        .zip(&u_sell)
+        .zip(&sell[0].1)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f64, f64::max);
     println!("\ntrajectory agreement: max |Δu| = {max_diff:.2e}");
     assert!(max_diff < 1e-8, "formats must agree");
+    let mean = |runs: &[(f64, Vec<f64>)]| runs.iter().map(|r| r.0).sum::<f64>() / runs.len() as f64;
+    let (t_csr, t_sell) = (mean(&csr), mean(&sell));
     println!(
-        "CSR {t_csr:.3} s vs SELL {t_sell:.3} s ({:.2}x)",
+        "mean of 2 runs: CSR {t_csr:.3} s vs SELL {t_sell:.3} s ({:.2}x)",
         t_csr / t_sell
     );
 
@@ -98,14 +115,14 @@ fn main() {
     if sellkit::obs::enabled() {
         let rep = sellkit::obs::report();
         println!("\n{}", rep.log_view());
-        // Each Newton solve builds one distributed matrix and one
-        // block-Jacobi preconditioner per rank, from one split of the rows,
-        // and refreshes both in the later iterations.
+        // Each run builds one distributed matrix and one block-Jacobi
+        // preconditioner per rank, from one split of the rows, and
+        // refreshes both in every later Newton iteration of every step.
         let counter = |name| rep.counters.get(name).copied().unwrap_or(0.0);
         assert_eq!(
             counter("dmat.rebuild"),
-            (2 * ranks * steps) as f64,
-            "one build per Newton solve, rank and format"
+            (4 * ranks) as f64,
+            "one build per run and rank"
         );
         assert_eq!(counter("pc.rebuild"), counter("dmat.rebuild"));
         assert_eq!(counter("pc.refresh"), counter("dmat.refresh"));

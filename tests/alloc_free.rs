@@ -8,7 +8,8 @@
 //! * a restarted GMRES solve allocates no vector after its first restart
 //!   cycle;
 //! * an assembled matrix is not copied on its way into a `Csr`;
-//! * a Jacobian refilled into its kept pattern and shifted there in place.
+//! * a Jacobian refilled into its kept pattern and shifted there in place;
+//! * a pooled region slow enough to leave a flight-recorder event.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc` **per
 //! thread**; a measurement sums the tallies of the threads that take part
@@ -140,6 +141,58 @@ fn warm_spmv_ctx_is_allocation_free() {
             "sell-c-sigma allocated at {threads} threads"
         );
     }
+}
+
+/// A region that takes longer than the pool's slow-region threshold leaves
+/// a `pool.region.slow` event in the flight recorder, and allocates nothing
+/// on its lanes for it, the first such region of the process included: the
+/// pool has the recorder build its ring when the pool is made.  A region
+/// is that slow when something else loads the host, as the other tests of
+/// this binary do, so the check runs where no other test has touched the
+/// recorder: in a process of its own, the test binary again on this test
+/// alone.
+#[test]
+fn a_slow_region_allocates_nothing_on_its_lanes() {
+    use sellkit::obs::flight;
+
+    const NAME: &str = "a_slow_region_allocates_nothing_on_its_lanes";
+    const ISOLATED: &str = "SELLKIT_OBS_ISOLATED";
+    if std::env::var_os(ISOLATED).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([NAME, "--exact", "--nocapture"])
+            .env(ISOLATED, "1")
+            .env_remove("SELLKIT_FLIGHT")
+            .output()
+            .expect("test binary re-runs");
+        let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success() && text.contains("1 passed"), "{text}");
+        return;
+    }
+
+    let ctx = ExecCtx::new(2);
+    ctx.dispatch(ctx.threads(), &|_| {});
+    let slow = |p: usize| {
+        if p == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(30));
+        }
+    };
+    let allocs: Vec<usize> = (0..3)
+        .map(|_| {
+            let before = allocs_on(&ctx);
+            ctx.dispatch(2, &slow);
+            allocs_on(&ctx) - before
+        })
+        .collect();
+    assert_eq!(
+        allocs,
+        [0, 0, 0],
+        "allocations on the lanes, per slow region"
+    );
+    let recorded = flight::snapshot()
+        .iter()
+        .filter(|e| e.kind == "pool.region.slow")
+        .count();
+    assert_eq!(recorded, 3, "every slow region left its event");
 }
 
 /// The first pooled product of a freshly built matrix allocates nothing:

@@ -429,16 +429,17 @@ fn krylov_and_distributed_newton_solves_are_attributed() {
 
 /// A distributed θ-step is staged as the serial one is: its right-hand
 /// side and Jacobian run inside `TSFunctionEval` / `TSJacobianEval` under
-/// `TSStep` on every rank, and each rank builds its distributed matrix and
-/// its block-Jacobi preconditioner once and refreshes both in the later
-/// Newton iterations.  The registry is process-wide and the test above
+/// `TSStep` on every rank, and over a two-step run each rank builds its
+/// distributed matrix and its block-Jacobi preconditioner once and
+/// refreshes both in every later Newton iteration, of either step.  The registry is process-wide and the test above
 /// diffs it around its own solves, so this one runs in a process of its
 /// own: the test binary again, on this test alone.
 #[test]
 fn distributed_theta_step_is_staged_like_the_serial_one() {
+    use sellkit::dist::RankRows;
     use sellkit::solvers::pc::JacobiPc;
-    use sellkit::solvers::snes::NewtonConfig;
-    use sellkit::workloads::dist_gray_scott::{dist_theta_step, DistGrayScott};
+    use sellkit::solvers::ts::{ThetaConfig, ThetaStepper};
+    use sellkit::workloads::dist_gray_scott::DistGrayScott;
     use sellkit::workloads::GrayScottParams;
     use sellkit::Csr;
 
@@ -459,18 +460,20 @@ fn distributed_theta_step_is_staged_like_the_serial_one() {
     let its = sellkit::mpisim::run(2, |comm| {
         let p = DistGrayScott::new(comm, 16, GrayScottParams::default());
         let mut u = p.initial_condition_local(42);
-        let cfg = NewtonConfig::default();
-        let res =
-            dist_theta_step::<Csr, _>(comm, &p, &mut u, 0.0, 1.0, 0.5, &cfg, JacobiPc::from_csr);
-        assert!(res.converged(), "{:?}", res.reason);
-        res.iterations
+        let mut ts = ThetaStepper::new(ThetaConfig::default());
+        let rows = RankRows::<Csr>::new(comm);
+        ts.run_on(rows, &p, &mut u, 2, JacobiPc::from_csr);
+        ts.stats()
+            .iter()
+            .map(|s| s.newton_iterations)
+            .sum::<usize>()
     });
     sellkit::obs::set_enabled(false);
     let rep = sellkit::obs::report();
-    // One distributed matrix per rank for the solve, refreshed in every
-    // later Newton iteration.
+    // One distributed matrix per rank for the run, refreshed in every later
+    // Newton iteration: the second step builds nothing.
     let counter = |name| rep.counters.get(name).copied().unwrap_or(0.0);
-    assert!(its[0] >= 2 && its.iter().all(|&i| i == its[0]), "{its:?}");
+    assert!(its[0] >= 4 && its.iter().all(|&i| i == its[0]), "{its:?}");
     assert_eq!(counter("dmat.rebuild"), 2.0);
     assert_eq!(counter("dmat.refresh"), 2.0 * (its[0] - 1) as f64);
     // Block-Jacobi is set up from the same split as the matrix: built
