@@ -25,7 +25,13 @@
 //! followed by the second; [`Precond::refresh`] is the second alone, for a
 //! fine matrix with the pattern the hierarchy was built for
 //! (`SAME_NONZERO_PATTERN`), and gives the hierarchy a cold build gives, bit
-//! for bit.
+//! for bit.  [`Precond::refresh_fine`] is the numeric half of level 0 alone:
+//! the later Newton iterations of a solve keep the coarse operators of its
+//! first (PETSc's lagged preconditioner, for the Galerkin levels only).
+//!
+//! The interpolations and restrictions are held in `M` too, converted once
+//! by the symbolic half, so that every SpMV of the cycle runs in the
+//! chosen format; their CSR copies feed the Galerkin products.
 
 use std::any::Any;
 use std::sync::{Mutex, PoisonError};
@@ -85,11 +91,15 @@ impl Default for MultigridConfig {
 }
 
 /// The way from a level to the next-coarser one.
-struct Transfer {
+struct Transfer<M> {
     /// Prolongation from the next-coarser level up to this level.
     p: Csr,
     /// Restriction (`= Pᵀ`) from this level down.
     r: Csr,
+    /// `p` in the level format: what the cycle applies.
+    p_op: M,
+    /// `r` in the level format: what the cycle applies.
+    r_op: M,
     /// The kept product `R·A` of this level's operator.
     ra: Product,
     /// The kept product `(R·A)·P`: the next level's operator in CSR.
@@ -107,14 +117,15 @@ struct Level<M> {
     /// Estimated λmax of `D⁻¹A` (for the Chebyshev smoother).
     emax: f64,
     /// `None` on the coarsest level.
-    down: Option<Transfer>,
+    down: Option<Transfer<M>>,
     n: usize,
 }
 
 impl<M: CoreOperator + FromCsr> Level<M> {
     /// The symbolic half of this level's set-up for the operator `a` (the
-    /// interpolation's transpose, the patterns of both Galerkin products
-    /// and the operator's layout), then the numeric half.
+    /// interpolation's transpose, both transfers in `M`, the patterns of
+    /// both Galerkin products and the operator's layout), then the numeric
+    /// half.
     fn new(a: &Csr, p: Option<&Csr>, cfg: &MultigridConfig) -> Self {
         let down = p.map(|p| {
             assert_eq!(
@@ -127,6 +138,8 @@ impl<M: CoreOperator + FromCsr> Level<M> {
             let ra = Product::symbolic(&r, a);
             let rap = Product::symbolic(ra.matrix(), p);
             Transfer {
+                p_op: M::from_csr(p),
+                r_op: M::from_csr(&r),
                 p: p.clone(),
                 r,
                 ra,
@@ -150,14 +163,20 @@ impl<M: CoreOperator + FromCsr> Level<M> {
     /// into storage the level already owns.  `a` has the pattern the
     /// level was built for.
     fn numeric(&mut self, a: &Csr, cfg: &MultigridConfig) {
-        super::jacobi::invert_diagonal_at(a.values(), &self.diag, &mut self.inv_diag);
-        if cfg.smoother == Smoother::Chebyshev {
-            self.emax = estimate_emax(a, &self.inv_diag);
-        }
+        self.smoother_numeric(a, cfg);
         if let Some(t) = &mut self.down {
             let _ptap = sellkit_obs::span("MatPtAPNumeric");
             t.ra.numeric(&t.r, a);
             t.rap.numeric(t.ra.matrix(), &t.p);
+        }
+    }
+
+    /// What the smoother reads of `a`'s values: the inverse diagonal and,
+    /// for Chebyshev, the estimate of λmax.
+    fn smoother_numeric(&mut self, a: &Csr, cfg: &MultigridConfig) {
+        super::jacobi::invert_diagonal_at(a.values(), &self.diag, &mut self.inv_diag);
+        if cfg.smoother == Smoother::Chebyshev {
+            self.emax = estimate_emax(a, &self.inv_diag);
         }
     }
 }
@@ -250,7 +269,8 @@ pub struct Multigrid<M> {
     /// One [`Scratch`] per level, finest first.
     work: Mutex<Vec<Scratch>>,
     /// `rowptr` and `colidx` of the fine matrix the hierarchy was built
-    /// for: what [`Precond::refresh`] compares a new one against.
+    /// for: what [`Precond::refresh`] and [`Precond::refresh_fine`] compare
+    /// a new one against.
     fine_pattern: (Vec<usize>, Vec<u32>),
 }
 
@@ -304,6 +324,15 @@ impl<M: CoreOperator + FromCsr> Multigrid<M> {
             let above = &self.levels[..self.levels.len() - 1];
             self.coarse_lu = Some(DenseLu::factor(operator_below(above, fine)));
         }
+    }
+
+    /// Whether `a` stores exactly the positions of the fine matrix the
+    /// hierarchy was built for (`rowptr` and `colidx` are compared, not
+    /// hashed).
+    fn serves_pattern_of(&self, a: &Csr) -> bool {
+        let n = self.levels[0].n;
+        let (rowptr, colidx) = &self.fine_pattern;
+        (a.nrows(), a.ncols()) == (n, n) && a.rowptr() == rowptr && a.colidx() == colidx
     }
 
     /// The operator of level `l` (0 is the finest) as the cycle applies it.
@@ -454,10 +483,7 @@ impl<M: CoreOperator + FromCsr> Multigrid<M> {
         let (w, coarser) = work
             .split_first_mut()
             .expect("one scratch set per level, built with the hierarchy");
-        let Some(Transfer {
-            r: r_op, p: p_op, ..
-        }) = &lev.down
-        else {
+        let Some(Transfer { r_op, p_op, .. }) = &lev.down else {
             match self.cfg.coarse {
                 CoarseSolve::Jacobi(iters) => self.smooth(ctx, l, w, b, x, iters, zero_guess),
                 // The triangular solves overwrite `x` before reading it.
@@ -480,8 +506,8 @@ impl<M: CoreOperator + FromCsr> Multigrid<M> {
 
         // Coarse-grid correction, always from a zero guess.
         self.vcycle(ctx, l + 1, coarser, &w.res_c, &mut w.e_c, true);
-        // x += P·e_c: the CSR kernel sums a row from zero and then adds it
-        // to `x[i]`, as `e_f = P·e_c; x += e_f` did through a temporary.
+        // x += P·e_c: every kernel sums a row from zero and then adds it to
+        // `x[i]`, as `e_f = P·e_c; x += e_f` did through a temporary.
         mult("MatInterpolate", p_op, ctx, &w.e_c, x, Apply::Add);
 
         self.smooth(ctx, l, w, b, x, self.cfg.post_smooth, false);
@@ -505,15 +531,12 @@ impl<M: CoreOperator + FromCsr> Precond for Multigrid<M> {
     }
 
     /// The numeric half of [`Multigrid::new`] for a fine matrix that stores
-    /// exactly the positions the hierarchy was built for (`rowptr` and
-    /// `colidx` are compared, not hashed); any other matrix is refused
-    /// before anything is written.  Interpolations, patterns, layouts and
-    /// the workspace stay; with the Jacobi smoother and
-    /// a Jacobi coarse solve nothing is allocated.
+    /// exactly the positions the hierarchy was built for; any other matrix
+    /// is refused before anything is written.  Interpolations, patterns,
+    /// layouts and the workspace stay; with the Jacobi smoother and a
+    /// Jacobi coarse solve nothing is allocated.
     fn refresh(&mut self, a: &Csr) -> bool {
-        let n = self.levels[0].n;
-        let (rowptr, colidx) = &self.fine_pattern;
-        if (a.nrows(), a.ncols()) != (n, n) || a.rowptr() != rowptr || a.colidx() != colidx {
+        if !self.serves_pattern_of(a) {
             return false;
         }
         for l in 0..self.levels.len() {
@@ -523,6 +546,27 @@ impl<M: CoreOperator + FromCsr> Precond for Multigrid<M> {
             rest[0].numeric(a_l, &self.cfg);
         }
         self.factor_coarsest(a);
+        true
+    }
+
+    /// Level 0 alone: its operator, its inverse diagonal and, under
+    /// [`Smoother::Chebyshev`], its λmax, from `a`, and the coarse LU when
+    /// level 0 is the coarsest.  The Galerkin products are not re-run, so
+    /// every coarser level keeps the operator, inverse diagonal and LU of
+    /// the last full set-up: the cycle stays one fixed linear operator, and
+    /// a solve through level 0 still solves `a`.  The same pattern check
+    /// as [`Precond::refresh`]; nothing is allocated under the Jacobi
+    /// smoother.
+    fn refresh_fine(&mut self, a: &Csr) -> bool {
+        if !self.serves_pattern_of(a) {
+            return false;
+        }
+        let fine = &mut self.levels[0];
+        fine.a.set_from_csr(a);
+        fine.smoother_numeric(a, &self.cfg);
+        if self.levels.len() == 1 {
+            self.factor_coarsest(a);
+        }
         true
     }
 

@@ -46,6 +46,18 @@ pub trait Precond {
         false
     }
 
+    /// The set-up of a Newton iteration after a solve's first: re-does the
+    /// numeric set-up of what the fine matrix `a` reaches directly and may
+    /// keep what was derived from the matrix of the solve's first
+    /// iteration (PETSc's `-snes_lag_preconditioner` for the coarse levels
+    /// alone).  `false` as in [`Precond::refresh`], and nothing was
+    /// changed.  The default is [`Precond::refresh`], which keeps nothing
+    /// old; [`Multigrid`] refreshes its level 0 and keeps its coarser
+    /// levels.
+    fn refresh_fine(&mut self, a: &sellkit_core::Csr) -> bool {
+        self.refresh(a)
+    }
+
     /// The matrix this preconditioner was set up from, if it holds it in
     /// full in some format.  A Newton solve applies it as its operator
     /// instead of converting a second copy (PETSc's `KSPSetOperators(A, A)`:
@@ -85,17 +97,25 @@ pub trait Precond {
 pub type Kept = Box<dyn Any + Send + Sync + UnwindSafe + RefUnwindSafe>;
 
 /// `PCSetUp` for the matrix `a`: the kept preconditioner re-does its numeric
-/// set-up if it can ([`Precond::refresh`]); where there is none, or it
-/// declines, `factory` builds one and it is kept instead.  Counted as
-/// `pc.refresh` or `pc.rebuild` when logging is on.
+/// set-up if it can — in full ([`Precond::refresh`]) on a Newton solve's
+/// first linearisation, for the fine level alone ([`Precond::refresh_fine`])
+/// on every `later` one; where there is none, or it declines, `factory`
+/// builds one and it is kept instead.  Counted as `pc.refresh`,
+/// `pc.refresh_fine` or `pc.rebuild` when logging is on.
 pub(crate) fn set_up<'k, Pc: Precond>(
     kept: &'k mut Option<Pc>,
     a: &sellkit_core::Csr,
+    later: bool,
     factory: impl FnOnce(&sellkit_core::Csr) -> Pc,
 ) -> &'k Pc {
     let _s = sellkit_obs::span("PCSetUp");
-    if kept.as_mut().is_some_and(|pc| pc.refresh(a)) {
-        sellkit_obs::counter("pc.refresh", 1.0);
+    let refreshed = match kept {
+        Some(pc) if later => pc.refresh_fine(a).then_some("pc.refresh_fine"),
+        Some(pc) => pc.refresh(a).then_some("pc.refresh"),
+        None => None,
+    };
+    if let Some(counter) = refreshed {
+        sellkit_obs::counter(counter, 1.0);
     } else {
         sellkit_obs::counter("pc.rebuild", 1.0);
         *kept = Some(factory(a));
@@ -139,10 +159,11 @@ impl Precond for IdentityPc {
     }
 }
 
-/// Boxed preconditioners compose too.  `apply_ctx`, `refresh` and
-/// `operator` are forwarded explicitly so a boxed [`JacobiPc`] keeps its
-/// parallel path and a boxed [`Multigrid`] its value-only set-up and its
-/// shared fine operator instead of falling back to the trait defaults.
+/// Boxed preconditioners compose too.  `apply_ctx`, `refresh`,
+/// `refresh_fine` and `operator` are forwarded explicitly so a boxed
+/// [`JacobiPc`] keeps its parallel path and a boxed [`Multigrid`] its
+/// value-only set-up, its lagged coarse levels and its shared fine operator
+/// instead of falling back to the trait defaults.
 /// `into_kept` is not: the box has forgotten the type that `from_kept`
 /// would need to take the preconditioner back.
 impl Precond for Box<dyn Precond> {
@@ -154,6 +175,9 @@ impl Precond for Box<dyn Precond> {
     }
     fn refresh(&mut self, a: &sellkit_core::Csr) -> bool {
         (**self).refresh(a)
+    }
+    fn refresh_fine(&mut self, a: &sellkit_core::Csr) -> bool {
+        (**self).refresh_fine(a)
     }
     fn operator(&self) -> Option<&dyn sellkit_core::Operator> {
         (**self).operator()

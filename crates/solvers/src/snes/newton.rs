@@ -6,10 +6,12 @@
 //! multiplication with input vectors dominate the simulation").  Set-up
 //! works in place, as PETSc's does on a kept nonzero pattern: the CSR
 //! Jacobian is refilled ([`NonlinearProblem::jacobian_into`]), the
-//! preconditioner refreshed ([`Precond::refresh`]), and GMRES runs on the
-//! preconditioner's own fine operator when it has one
-//! ([`Precond::operator`], `KSPSetOperators(A, A)`) — a second copy of the
-//! fine matrix in `M` is built only for a preconditioner that holds none.
+//! preconditioner refreshed — in full ([`Precond::refresh`]) on a solve's
+//! first iteration, its fine level alone ([`Precond::refresh_fine`]) on the
+//! later ones — and GMRES runs on the preconditioner's own fine operator
+//! when it has one ([`Precond::operator`], `KSPSetOperators(A, A)`) — a
+//! second copy of the fine matrix in `M` is built only for a
+//! preconditioner that holds none.
 //! What one rank and many differ in is the [`Fine`] level; the set-up and
 //! the loop are the same code.
 
@@ -292,14 +294,20 @@ impl<F, Pc: Precond> LinearSolve<F, Pc> {
 /// The CSR Jacobian, the operator and the preconditioner live for the
 /// whole solve.  Each iteration the Jacobian is refilled
 /// ([`NonlinearProblem::jacobian_into`]) and the preconditioner asked to
-/// [`Precond::refresh`] itself for it; **`pc_factory` is called when there
-/// is nothing to refresh** — on the first iteration, when the Jacobian's
-/// pattern changed, or when the preconditioner has no value-only set-up.
-/// GMRES applies the preconditioner's fine operator when it shares one
+/// refresh itself for it: in full ([`Precond::refresh`]) on the first
+/// iteration, and for the fine level alone ([`Precond::refresh_fine`]) on
+/// every later one; **`pc_factory` is called when there is nothing to
+/// refresh** — on the first iteration, when the Jacobian's pattern
+/// changed, or when the preconditioner has no value-only set-up.  GMRES
+/// applies the preconditioner's fine operator when it shares one
 /// ([`Precond::operator`]) and otherwise the Jacobian converted to `M`
 /// ([`FromCsr::set_from_csr`]).  A refilled Jacobian equals a rebuilt one,
-/// and a refreshed preconditioner a rebuilt one, bit for bit, so the
-/// iterates do not depend on which path was taken.
+/// and a full refresh a rebuild, bit for bit.  A fine-level refresh does
+/// too for every preconditioner but [`Multigrid`](crate::pc::Multigrid),
+/// which keeps the coarse levels of the solve's first iteration (PETSc's
+/// lagged preconditioner), so its iterates differ from those under a
+/// factory that rebuilds every iteration; GMRES still solves the current
+/// Jacobian, through level 0.
 pub fn newton<M, Prob, Pc>(
     problem: &Prob,
     x: &mut [f64],
@@ -343,8 +351,11 @@ where
 /// Each iteration refills the kept CSR Jacobian
 /// ([`NonlinearProblem::jacobian_into`]; built on the first call), sets the
 /// preconditioner up for [`Fine::pc_matrix`] through
-/// [`pc::set_up`](crate::pc::set_up) (`pc_factory` is consulted only when
-/// there is nothing to refresh), and solves `J·d = −F` by GMRES on
+/// [`pc::set_up`](crate::pc::set_up) — in full on this solve's first
+/// iteration, whatever an earlier solve left, and for the fine level alone
+/// on every later one, so a [`Multigrid`](crate::pc::Multigrid) keeps the
+/// coarse levels of the first; `pc_factory` is consulted only when there is
+/// nothing to refresh — and solves `J·d = −F` by GMRES on
 /// [`Fine::operator`] over [`Fine::space`], from a zero guess, to
 /// [`NewtonConfig::ksp`] with the relative tolerance
 /// [`NewtonConfig::forcing`] chose.  The line search then picks `λ` on
@@ -419,7 +430,10 @@ where
                     None => jac.insert(problem.jacobian(x)),
                 }
             };
-            let pc = crate::pc::set_up(pc, &fine.pc_matrix(j), pc_factory);
+            // The first linearisation of a solve sets the preconditioner up
+            // in full; the later ones refresh its fine level alone.
+            let later = iterations > 1;
+            let pc = crate::pc::set_up(pc, &fine.pc_matrix(j), later, pc_factory);
             (fine.operator(j, pc.operator(), ctx), pc)
         };
         // Solve J d = -F to the (possibly adaptive) inner tolerance.

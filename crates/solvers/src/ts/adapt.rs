@@ -113,7 +113,8 @@ impl AdaptiveTheta {
     /// returning its record.  `u` is updated with the more accurate
     /// two-half-steps solution (local extrapolation is not applied,
     /// matching PETSc's default).  Every attempt refreshes the Jacobian and
-    /// the preconditioner the integrator holds; `pc_factory` is called as
+    /// the preconditioner the integrator holds, the preconditioner in full
+    /// on the attempt's first Newton iteration; `pc_factory` is called as
     /// in [`ThetaStepper::step_ctx`](crate::ts::ThetaStepper::step_ctx).
     pub fn step<M, P, Pc>(
         &mut self,

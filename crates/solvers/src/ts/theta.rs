@@ -278,9 +278,13 @@ impl ThetaStepper {
     /// step and in the steps after it — writes into what the stepper holds:
     /// the Jacobian refilled and shifted in place
     /// ([`OdeProblem::rhs_jacobian_into`]), the preconditioner's numeric
-    /// set-up re-done ([`Precond::refresh`]), as long as the Jacobian keeps
-    /// its pattern.  GMRES applies the preconditioner's own fine operator
-    /// when it holds one ([`Precond::operator`]; a
+    /// set-up re-done, as long as the Jacobian keeps its pattern: in full
+    /// ([`Precond::refresh`]) on each step's first Newton iteration, for the
+    /// fine level alone ([`Precond::refresh_fine`]) on the later ones, so a
+    /// [`Multigrid`](crate::pc::Multigrid) keeps the coarse levels of the
+    /// step's first iteration through the step.  GMRES applies the
+    /// preconditioner's own fine operator when it holds one
+    /// ([`Precond::operator`]; a
     /// [`Multigrid<M>`](crate::pc::Multigrid)'s level 0 is the same
     /// conversion of the same matrix, so the iterates are those of a
     /// private copy); only for one that does not is the Jacobian converted
@@ -292,9 +296,9 @@ impl ThetaStepper {
     /// borrow or a wrapper that does not forward the hook cannot, and is
     /// built once per call).  A call with another `M` or `Pc` than the last
     /// one, or a Jacobian of another pattern, builds anew; the iterates do
-    /// not depend on which path set the solve up.  The preconditioner
-    /// belongs to the stepper, so a new preconditioner configuration needs
-    /// a new stepper.
+    /// not depend on which path set the solve up (a build equals the full
+    /// refresh every step starts with).  The preconditioner belongs to the
+    /// stepper, so a new preconditioner configuration needs a new stepper.
     pub fn step_ctx<M, P, Pc>(
         &mut self,
         ode: &P,

@@ -13,6 +13,7 @@
 //!   systems run the overlapped parallel MatMult.
 
 use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sellkit_core::Csr;
 use sellkit_dist::{split_rows, VecScatter};
@@ -31,6 +32,10 @@ pub struct DistGrayScott<'c> {
     /// Remote unknown indices this rank's rows read, sorted ascending.
     garray: Vec<u32>,
     halo: VecScatter,
+    /// The ghost values, one per `garray` entry: allocated once and
+    /// overwritten by every exchange before it is read.  Behind a mutex so
+    /// that `&self` stays enough to evaluate.
+    ghost: Mutex<Vec<f64>>,
 }
 
 impl<'c> DistGrayScott<'c> {
@@ -61,6 +66,7 @@ impl<'c> DistGrayScott<'c> {
             comm,
             gs,
             rows,
+            ghost: Mutex::new(vec![0.0; garray.len()]),
             garray,
             halo,
         }
@@ -76,9 +82,11 @@ impl<'c> DistGrayScott<'c> {
         self.garray.len()
     }
 
-    /// Fills the ghost buffer for the current local state.
-    fn exchange(&self, w_local: &[f64]) -> Vec<f64> {
-        let mut ghost = vec![0.0; self.garray.len()];
+    /// Fills the ghost buffer for the current local state.  A poisoned
+    /// lock only says an earlier evaluation panicked half-way; the buffer
+    /// is overwritten before it is read.
+    fn exchange(&self, w_local: &[f64]) -> MutexGuard<'_, Vec<f64>> {
+        let mut ghost = self.ghost.lock().unwrap_or_else(PoisonError::into_inner);
         let pending = self.halo.begin(self.comm, w_local, &mut ghost);
         self.halo.end(self.comm, pending, &mut ghost);
         ghost

@@ -7,6 +7,11 @@
 //! ```sh
 //! cargo run --release --example gray_scott -- [grid] [steps] [csr|sell]
 //! ```
+//!
+//! With `SELLKIT_LOG=1` it also prints the `-log_view` table and checks the
+//! set-up policy: one full set-up of the hierarchy per step, on the step's
+//! first Newton iteration, and a refresh of its fine level alone on every
+//! later one.
 
 use std::cell::Cell;
 use std::time::Instant;
@@ -52,6 +57,16 @@ fn run_simulation<M: Operator + FromCsr>(grid: usize, steps: usize) -> (Vec<f64>
         builds.set(builds.get() + 1);
         Multigrid::<M>::new(j, &interps, mg_cfg)
     };
+    // (full set-ups, fine-level refreshes) so far in the process.
+    let set_ups = || {
+        let rep = sellkit::obs::snapshot();
+        let counter = |name| rep.counters.get(name).copied().unwrap_or(0.0);
+        (
+            counter("pc.rebuild") + counter("pc.refresh"),
+            counter("pc.refresh_fine"),
+        )
+    };
+    let before = set_ups();
     let t0 = Instant::now();
     for s in 0..steps {
         let res = ts.step::<M, _, _>(&gs, &mut u, factory);
@@ -67,6 +82,15 @@ fn run_simulation<M: Operator + FromCsr>(grid: usize, steps: usize) -> (Vec<f64>
     let secs = t0.elapsed().as_secs_f64();
     println!("  multigrid hierarchies built: {}", builds.get());
     assert_eq!(builds.get(), 1, "one hierarchy per simulation");
+    // A Newton solve sets every level up on its first iteration and keeps
+    // the coarse ones on the later iterations.  The counters are on only
+    // with logging.
+    if sellkit::obs::enabled() {
+        let after = set_ups();
+        let (full, fine) = (after.0 - before.0, after.1 - before.1);
+        println!("  multigrid set-ups: {full} full, {fine} of the fine level alone");
+        assert_eq!(full, steps as f64, "one full set-up per step");
+    }
     (u, secs)
 }
 

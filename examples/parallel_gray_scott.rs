@@ -117,7 +117,10 @@ fn main() {
         println!("\n{}", rep.log_view());
         // Each run builds one distributed matrix and one block-Jacobi
         // preconditioner per rank, from one split of the rows, and
-        // refreshes both in every later Newton iteration of every step.
+        // refreshes both in every later Newton iteration of every step:
+        // the preconditioner in full (`pc.refresh`) on each later step's
+        // first iteration, through `refresh_fine` (the same refresh for
+        // Jacobi) on every other.
         let counter = |name| rep.counters.get(name).copied().unwrap_or(0.0);
         assert_eq!(
             counter("dmat.rebuild"),
@@ -125,6 +128,14 @@ fn main() {
             "one build per run and rank"
         );
         assert_eq!(counter("pc.rebuild"), counter("dmat.rebuild"));
-        assert_eq!(counter("pc.refresh"), counter("dmat.refresh"));
+        assert_eq!(
+            counter("pc.refresh"),
+            (4 * ranks * (steps - 1)) as f64,
+            "one full refresh per later step, run and rank"
+        );
+        assert_eq!(
+            counter("pc.refresh") + counter("pc.refresh_fine"),
+            counter("dmat.refresh")
+        );
     }
 }

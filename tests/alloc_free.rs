@@ -273,6 +273,24 @@ fn warm_multigrid_refresh_is_allocation_free() {
     assert_eq!(ALLOCS.get() - before, 0, "Precond::refresh allocated");
 }
 
+/// The set-up of a Newton solve's later iterations: level 0's operator
+/// values and inverse diagonal, written where the last ones stood.
+#[test]
+fn warm_multigrid_refresh_fine_is_allocation_free() {
+    let gs = GrayScott::new(32, GrayScottParams::default());
+    let newton = |w: &[f64]| matops::identity_plus_scaled(1.0, -0.5, &gs.rhs_jacobian(0.0, w));
+    let a1 = newton(&gs.initial_condition(42));
+    let a2 = newton(&vec![0.4; gs.dim()]);
+    let interps = interpolation_chain(gs.grid(), 3);
+    let mut mg = Multigrid::<Sell8>::new(&a1, &interps, MultigridConfig::default());
+    assert!(mg.refresh_fine(&a2));
+    let before = ALLOCS.get();
+    for a in [&a1, &a2, &a1] {
+        assert!(mg.refresh_fine(a));
+    }
+    assert_eq!(ALLOCS.get() - before, 0, "Precond::refresh_fine allocated");
+}
+
 /// The θ-step's Newton matrix on a kept pattern: `GrayScott` writes the
 /// Jacobian's values where the previous one stood, and `I − Δt·θ·J` is
 /// formed in place — an assembly that allocates nothing.

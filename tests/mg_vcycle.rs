@@ -8,7 +8,9 @@
 //!   {pre, post smoothing steps} × {levels} equals the reference V-cycle
 //!   written out below the way the apply path read before — `z` zero-filled,
 //!   fresh vectors everywhere, a MatMult in every smoothing step — on
-//!   right-hand sides holding `0.0`, `−0.0` and denormals;
+//!   right-hand sides holding `0.0`, `−0.0` and denormals; the reference
+//!   applies its restrictions and prolongations in the level format, as the
+//!   hierarchy does;
 //! * the output depends neither on what `z` held on entry nor on earlier
 //!   applies;
 //! * the premise of the skipped MatMult, `A·0 = +0.0` in every row, holds
@@ -45,8 +47,9 @@ struct RefLevel<M> {
     a: M,
     inv_diag: Vec<f64>,
     emax: f64,
-    /// Prolongation from and restriction to the next-coarser level.
-    transfer: Option<(Csr, Csr)>,
+    /// Prolongation from and restriction to the next-coarser level, in the
+    /// level format.
+    transfer: Option<(M, M)>,
     n: usize,
 }
 
@@ -107,7 +110,7 @@ impl<M: CoreOperator + FromCsr> Reference<M> {
         for p in interps {
             let r = p.transpose();
             let a_next = rap(&r, &a_l, p);
-            levels.push(level(&a_l, Some((p.clone(), r))));
+            levels.push(level(&a_l, Some((M::from_csr(p), M::from_csr(&r)))));
             a_l = a_next;
         }
         levels.push(level(&a_l, None));

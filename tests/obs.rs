@@ -477,9 +477,15 @@ fn distributed_theta_step_is_staged_like_the_serial_one() {
     assert_eq!(counter("dmat.rebuild"), 2.0);
     assert_eq!(counter("dmat.refresh"), 2.0 * (its[0] - 1) as f64);
     // Block-Jacobi is set up from the same split as the matrix: built
-    // with it, refreshed with it.
+    // with it, refreshed with it — in full on the second step's first
+    // Newton iteration, through `refresh_fine` (which for Jacobi is the
+    // same refresh) on every other.
     assert_eq!(counter("pc.rebuild"), counter("dmat.rebuild"));
-    assert_eq!(counter("pc.refresh"), counter("dmat.refresh"));
+    assert_eq!(counter("pc.refresh"), 2.0, "one per later step and rank");
+    assert_eq!(
+        counter("pc.refresh") + counter("pc.refresh_fine"),
+        counter("dmat.refresh")
+    );
     let paths: BTreeSet<String> = rep.events.into_iter().map(|e| e.path).collect();
     for path in [
         "TSStep>TSFunctionEval",

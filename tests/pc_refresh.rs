@@ -7,16 +7,25 @@
 //! * `Multigrid::refresh(a₂)` after `new(a₁)` equals `Multigrid::new(a₂)` on
 //!   every level (operator, inverse diagonal) and in three applies, for
 //!   every cell of {format} × {smoother} × {coarse solve} × {levels};
-//! * a fine matrix with another pattern is refused and nothing is touched;
+//! * `Multigrid::refresh_fine(a₂)` after `new(a₁)` equals `new(a₂)` on level
+//!   0 and leaves every coarser level (operator, inverse diagonal, coarse
+//!   LU) as it was, on the same grid of cells;
+//! * a fine matrix with another pattern is refused by either refresh and
+//!   nothing is touched;
 //! * the θ-stepper calls the factory when there is nothing to refresh — its
 //!   hierarchy lives as long as the stepper, across `run` and `step` calls,
 //!   unless the call names another format or the preconditioner cannot be
 //!   kept — and the trajectory does not depend on which path set the
 //!   hierarchy up, nor on whether GMRES applies the hierarchy's own fine
-//!   operator (`Precond::operator`) or a copy the solve converted itself.
+//!   operator (`Precond::operator`) or a copy the solve converted itself,
+//!   nor on whether the hierarchy is boxed.  A Newton solve's later
+//!   iterations keep the coarse levels of its first: a preconditioner that
+//!   is rebuilt every iteration takes another trajectory, of the same
+//!   Newton counts.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use sellkit::core::{matops, Csr, ExecCtx, FromCsr, MatShape, Operator as CoreOperator, Sell8};
 use sellkit::grid::interpolation_chain;
@@ -231,6 +240,69 @@ fn refresh_equals_cold_build_sell8() {
     refresh_equals_cold_build::<Sell8>("Sell8");
 }
 
+/// Every level's operator in CSR and inverse diagonal bits.
+fn levels_of<M: CoreOperator + FromCsr + LevelCsr>(mg: &Multigrid<M>) -> Vec<(Csr, Vec<u64>)> {
+    (0..mg.nlevels())
+        .map(|l| (mg.level_operator(l).level_csr(), bits(mg.level_inv_diag(l))))
+        .collect()
+}
+
+fn refresh_fine_refreshes_level_zero_alone<M: CoreOperator + FromCsr + LevelCsr>(format: &str) {
+    let (interps, a1, a2) = two_newton_matrices();
+    let n = a1.nrows();
+    for smoother in [Smoother::Jacobi, Smoother::Chebyshev] {
+        for coarse in [CoarseSolve::Jacobi(8), CoarseSolve::Direct] {
+            for levels in 1..=3usize {
+                let what = format!("{format}, {smoother:?}, {coarse:?}, {levels} levels");
+                let cfg = MultigridConfig {
+                    smoother,
+                    coarse,
+                    ..Default::default()
+                };
+                let interps = &interps[..levels - 1];
+                let mut warm = Multigrid::<M>::new(&a1, interps, cfg);
+                let before = applies(&warm, n);
+                let kept = levels_of(&warm);
+                assert!(warm.refresh_fine(&a2), "{what}: same pattern");
+                let cold = levels_of(&Multigrid::<M>::new(&a2, interps, cfg));
+                let now = levels_of(&warm);
+                assert_same(&now[0].0, &cold[0].0, &format!("{what}: level 0"));
+                assert_eq!(now[0].1, cold[0].1, "{what}: level 0 inverse diagonal");
+                for l in 1..levels {
+                    let at = format!("{what}: level {l}");
+                    assert_same(&now[l].0, &kept[l].0, &at);
+                    assert_eq!(now[l].1, kept[l].1, "{at}: inverse diagonal");
+                    assert_ne!(
+                        bits(now[l].0.values()),
+                        bits(cold[l].0.values()),
+                        "{at}: a₂'s coarse operator differs, so keeping a₁'s shows"
+                    );
+                }
+                if levels == 1 {
+                    // Level 0 is the coarsest: its LU is refactored too.
+                    let cold = Multigrid::<M>::new(&a2, interps, cfg);
+                    assert_eq!(applies(&warm, n), applies(&cold, n), "{what}");
+                } else {
+                    // Back on a₁'s level 0 the cycle is the one before the
+                    // call: no coarse operator, diagonal or LU was touched.
+                    assert!(warm.refresh_fine(&a1), "{what}");
+                    assert_eq!(applies(&warm, n), before, "{what}: back");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn refresh_fine_refreshes_level_zero_alone_csr() {
+    refresh_fine_refreshes_level_zero_alone::<Csr>("Csr");
+}
+
+#[test]
+fn refresh_fine_refreshes_level_zero_alone_sell8() {
+    refresh_fine_refreshes_level_zero_alone::<Sell8>("Sell8");
+}
+
 /// `a` with one off-diagonal entry of row 0 moved to a column the row does
 /// not store: same shape, same row lengths, another pattern.
 fn one_column_moved(a: &Csr) -> Csr {
@@ -267,6 +339,8 @@ fn another_pattern_is_refused_and_nothing_is_touched() {
         let before = applies(&mg, n);
         assert!(!mg.refresh(&moved), "one column moved");
         assert!(!mg.refresh(&smaller), "another shape");
+        assert!(!mg.refresh_fine(&moved), "one column moved, fine level");
+        assert!(!mg.refresh_fine(&smaller), "another shape, fine level");
         assert_eq!(applies(&mg, n), before, "the hierarchy still serves a₁");
         assert!(mg.refresh(&a1), "and still refreshes for its own pattern");
         assert_eq!(applies(&mg, n), before);
@@ -304,6 +378,83 @@ impl<P: Precond> Precond for OwnOperator<P> {
     fn refresh(&mut self, a: &Csr) -> bool {
         self.0.refresh(a)
     }
+    fn refresh_fine(&mut self, a: &Csr) -> bool {
+        self.0.refresh_fine(a)
+    }
+}
+
+/// Calls of each set-up path, shared with whoever made the preconditioner.
+#[derive(Default)]
+struct SetUps {
+    refresh: Cell<usize>,
+    refresh_fine: Cell<usize>,
+}
+
+/// A preconditioner that counts its full and its fine-level refreshes and
+/// forwards everything.
+struct Counted<P>(P, Rc<SetUps>);
+
+impl<P: Precond> Precond for Counted<P> {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.0.apply(r, z);
+    }
+    fn apply_ctx(&self, ctx: &ExecCtx, r: &[f64], z: &mut [f64]) {
+        self.0.apply_ctx(ctx, r, z);
+    }
+    fn refresh(&mut self, a: &Csr) -> bool {
+        self.1.refresh.set(self.1.refresh.get() + 1);
+        self.0.refresh(a)
+    }
+    fn refresh_fine(&mut self, a: &Csr) -> bool {
+        self.1.refresh_fine.set(self.1.refresh_fine.get() + 1);
+        self.0.refresh_fine(a)
+    }
+    fn operator(&self) -> Option<&dyn CoreOperator> {
+        self.0.operator()
+    }
+}
+
+/// `Box<dyn Precond>` forwards `refresh_fine`: a boxed hierarchy is set up
+/// as the unboxed one is — in full on each step's first Newton iteration,
+/// at its fine level on every other — and lands on the same bits.
+#[test]
+fn a_boxed_multigrid_lags_as_the_unboxed_one_does() {
+    const STEPS: usize = 3;
+    let gs = GrayScott::new(32, GrayScottParams::default());
+    let interps = interpolation_chain(gs.grid(), 3);
+    let u0 = gs.initial_condition(42);
+    let run = |boxed: bool| {
+        let counts = Rc::new(SetUps::default());
+        let builds = Cell::new(0usize);
+        let factory = |j: &Csr| {
+            builds.set(builds.get() + 1);
+            let mg = Multigrid::<Sell8>::new(j, &interps, MultigridConfig::default());
+            Counted(mg, Rc::clone(&counts))
+        };
+        let mut u = u0.clone();
+        let mut ts = ThetaStepper::new(ThetaConfig::default());
+        if boxed {
+            ts.run::<Sell8, _, _>(&gs, &mut u, STEPS, |j| {
+                Box::new(factory(j)) as Box<dyn Precond>
+            });
+        } else {
+            ts.run::<Sell8, _, _>(&gs, &mut u, STEPS, factory);
+        }
+        let newton_iterations: usize = ts.stats().iter().map(|s| s.newton_iterations).sum();
+        let set_ups = (
+            builds.get(),
+            counts.refresh.get(),
+            counts.refresh_fine.get(),
+        );
+        (bits(&u), newton_iterations, set_ups)
+    };
+    let (u, newton_iterations, set_ups) = run(false);
+    assert_eq!(
+        set_ups,
+        (1, STEPS - 1, newton_iterations - STEPS),
+        "one build, a full refresh per later step, the rest at the fine level"
+    );
+    assert_eq!(run(true), (u, newton_iterations, set_ups), "boxed");
 }
 
 /// The operator a hierarchy shares is its level 0, not a copy.
@@ -425,15 +576,24 @@ fn the_factory_is_called_when_there_is_nothing_to_refresh() {
     // builds at each change of format only, so it adds 1, 1, 0, 1.
     assert_eq!(rebuilds, [2, 4, 5, 7], "a build at each change of format");
 
-    // The always-rebuild path: a build per Newton iteration, the same
-    // trajectory to the bit.
+    // The always-rebuild path: a build per Newton iteration.  Its later
+    // iterations see fresh coarse levels where the kept hierarchy keeps
+    // those of the solve's first, so it is another trajectory: the same
+    // Newton counts, a state within 1e-8.
     built.set(0);
     let mut u_rebuilt = u0.clone();
     let mut ts_rebuilt = ThetaStepper::new(cfg);
     ts_rebuilt.run::<Sell8, _, _>(&gs, &mut u_rebuilt, STEPS, |j| AlwaysRebuilt(factory(j)));
     assert_eq!(built.get(), newton_iterations, "a build per iteration");
-    assert_eq!(iterations(&ts_rebuilt), work);
-    assert_eq!(bits(&u_rebuilt), bits(&u_run));
+    let newton_counts = |work: &[(usize, usize)]| work.iter().map(|it| it.0).collect::<Vec<_>>();
+    let rebuilt_work = iterations(&ts_rebuilt);
+    assert_eq!(newton_counts(&rebuilt_work), newton_counts(&work));
+    let apart = u_rebuilt
+        .iter()
+        .zip(&u_run)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max);
+    assert!(apart < 1e-8, "unlagged and lagged end {apart:e} apart");
 
     // GMRES on a converted copy of the Jacobian instead of the hierarchy's
     // level 0 (Amat = Pmat): the same trajectory to the bit, the same
@@ -447,9 +607,9 @@ fn the_factory_is_called_when_there_is_nothing_to_refresh() {
     assert_eq!(bits(&u_own), bits(&u_run));
 
     // A wrapper that does not forward `into_kept` is not kept between
-    // calls: step by step it builds once a step (`OwnOperator`), or once a
-    // Newton iteration if it hides `refresh` too (`AlwaysRebuilt`) — on the
-    // same trajectory.
+    // calls: step by step it builds once a step (`OwnOperator`), on the
+    // trajectory of the run, or once a Newton iteration if it hides
+    // `refresh` too (`AlwaysRebuilt`), on that of the always-rebuilt run.
     for (hides_refresh, expected) in [(false, STEPS), (true, newton_iterations)] {
         built.set(0);
         let mut u_wrapped = u0.clone();
@@ -463,8 +623,13 @@ fn the_factory_is_called_when_there_is_nothing_to_refresh() {
             assert!(res.converged());
         }
         assert_eq!(built.get(), expected, "hides refresh: {hides_refresh}");
-        assert_eq!(iterations(&ts_wrapped), work);
-        assert_eq!(bits(&u_wrapped), bits(&u_run));
+        let (want_work, want_u) = if hides_refresh {
+            (&rebuilt_work, &u_rebuilt)
+        } else {
+            (&work, &u_run)
+        };
+        assert_eq!(&iterations(&ts_wrapped), want_work);
+        assert_eq!(bits(&u_wrapped), bits(want_u));
     }
 
     // The hierarchy belongs to the stepper: a step with a new factory
